@@ -34,12 +34,12 @@ Family-specific series:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
-from .numerics import log1mexp, logsumexp, q_of, u_seq
+from .numerics import LogScalar, log1mexp, logsumexp, q_of, u_seq
 from .structures import (
     CircleMeasure,
     FiniteGroup,
@@ -362,6 +362,67 @@ def _interval(
 
 
 # ---------------------------------------------------------------------------
+# the truncated-series primitive, batched over the k grid
+#
+# Every series term is d^2 |c|^{2k} = exp(a + 2k b), affine in k in the log
+# domain, so the engines below carry a leading k axis: one row per grid point.
+
+
+def _log_coeff_table(two_k: np.ndarray, num: Sequence[LogScalar], den: Sequence[LogScalar]) -> np.ndarray:
+    """table[i, n] = log den_n^2 |num_n / den_n|^{two_k[i]} for n >= 1.
+
+    Column 0 is -inf (no index-0 factor).  A vanishing num_n gives -inf,
+    except at two_k = 0, where every coefficient power is 1.
+    """
+    log_num = np.array([x.logmag if x.sign != 0 else -math.inf for x in num[1:]])
+    log_den = np.array([x.logmag for x in den[1:]])
+    tk = two_k[:, np.newaxis]
+    with np.errstate(invalid="ignore"):
+        body = tk * log_num - (tk - 2.0) * log_den
+    body = np.where(tk == 0.0, 2.0 * log_den, body)
+    return np.hstack([np.full((two_k.size, 1), -math.inf), body])
+
+
+def _row_logsumexp(x: np.ndarray) -> np.ndarray:
+    """log of the sum of exp over the last axis; -inf for an all -inf row."""
+    hi = x.max(axis=-1, initial=-math.inf)
+    shift = np.where(np.isfinite(hi), hi, 0.0)
+    with np.errstate(divide="ignore"):
+        return shift + np.log(np.exp(x - shift[..., np.newaxis]).sum(axis=-1))
+
+
+def _log_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise product of two truncated series in the log domain: for
+    (K, L+1) arrays of log coefficients, out[:, d] = log sum_{j <= d}
+    exp(a[:, j] + b[:, d - j]), d <= L."""
+    width = a.shape[1]
+    out = np.full(a.shape, -math.inf)
+    for j in range(width):
+        col = a[:, j : j + 1]
+        if (col == -math.inf).all():
+            continue
+        out[:, j:] = np.logaddexp(out[:, j:], col + b[:, : width - j])
+    return out
+
+
+def _log_conv_power_sums(first: np.ndarray, step: np.ndarray, budgets: Sequence[int]) -> np.ndarray:
+    """log [z^{<= budgets[i]}] first(z) step(z)^i per row, shape (K, len(budgets)).
+
+    ``first`` and ``step`` are (K, L+1) log-coefficient arrays; ``budgets``
+    must be non-increasing.  Each power is built from the one before it and
+    is only formed up to its own budget.
+    """
+    out = np.empty((first.shape[0], len(budgets)))
+    cur = first
+    for i, budget in enumerate(budgets):
+        width = budget + 1
+        if i:
+            cur = _log_conv(cur[:, :width], step[:, :width])
+        out[:, i] = _row_logsumexp(cur[:, :width])
+    return out
+
+
+# ---------------------------------------------------------------------------
 # unitary family
 
 
@@ -376,50 +437,16 @@ def _unitary_effective(q: WalkQuery) -> tuple[float, CircleMeasure]:
     raise ValueError(f"not a unitary-family query: {q.family!r}")
 
 
-def _moment_power_table(nu: CircleMeasure, two_k: float, eps_max: int, quad_points: int) -> np.ndarray:
-    """table[eps + eps_max] = log |m_eps(nu)|^{2k}; 2k = 0 gives log 1."""
-    out = np.full(2 * eps_max + 1, -math.inf)
-    for eps in range(-eps_max, eps_max + 1):
-        m = abs(moment(nu, eps, quad_points=quad_points))
-        if two_k == 0.0:
-            out[eps + eps_max] = 0.0
-        elif m > 0.0:
-            out[eps + eps_max] = two_k * math.log(m)
-    return out
+def _winding_log_partial(g: np.ndarray, log_abs_m: np.ndarray, two_k: float, M: int, P: int) -> float:
+    """Partial sum for a general nu, folded by a dynamic program over the
+    prefix state (size total D, relative sign, partial sign sum T), which
+    determines the winding exponent of both stop options eps0 = +-1.
 
-
-def A_k_unitary(q: WalkQuery, tc: TruncationConfig = DEFAULT_TRUNCATION) -> BoundInterval:
-    """Series interval for the free unitary families.
-
-    The partial sum runs over all words with p <= max_p blocks and block-size
-    total <= max_total, folded by a dynamic program over the prefix state
-    (length, size total, relative sign, partial sign sum), which determines
-    the winding exponent of both stop options eps0 = +-1.  The tail majorizes
-    every excluded word by 2 S^p x^{total - p} with
-
-        x = q(N)^{2k-2} / q(N-tau)^{2k},
-        S = N^{-(2k-2)} q(N-tau)^{-2k} (1 - q(N-tau)^2)^{-2k},
-
-    which follow from the envelope bounds on u_n and |m_eps| <= 1.
+    ``g`` holds the per-block log coefficients at this k; ``log_abs_m[e +
+    P + 1]`` is log |m_e(nu)| for |e| <= P + 1.
     """
-    t, nu = _unitary_effective(q)
-    N, k = q.N, q.k
-    M, P = tc.max_total, tc.max_p
-    two_k = 2.0 * k
-
-    # |u_n(t)| ratios; t <= 2 is allowed for the partial (values may vanish)
-    us_t = u_seq(t, M)
-    us_N = u_seq(float(N), M)
-    g = np.full(M + 1, -math.inf)
-    for n in range(1, M + 1):
-        lt = us_t[n]
-        lN = us_N[n].logmag
-        if two_k == 0.0:
-            g[n] = 2.0 * lN
-        elif lt.sign != 0:
-            g[n] = two_k * lt.logmag - (two_k - 2.0) * lN
-
-    logm = _moment_power_table(nu, two_k, P + 1, q.quad_points)
+    # log |m_eps|^{2k}; 2k = 0 gives log 1 even where m_eps = 0
+    logm = np.zeros_like(log_abs_m) if two_k == 0.0 else two_k * log_abs_m
 
     def stop_log(T: int, sigma: int) -> float:
         # winding exponent for each leading-sign choice
@@ -429,7 +456,7 @@ def A_k_unitary(q: WalkQuery, tc: TruncationConfig = DEFAULT_TRUNCATION) -> Boun
         b = logm[e_minus + P + 1]
         return float(np.logaddexp(a, b))
 
-    # DP over (size total D, relative sign, sign sum T); sign index 0 -> +1
+    # sign index 0 -> +1
     off = P
     width = 2 * P + 1
     cur = np.full((M + 1, 2, width), -math.inf)
@@ -467,14 +494,56 @@ def A_k_unitary(q: WalkQuery, tc: TruncationConfig = DEFAULT_TRUNCATION) -> Boun
         if finite.size:
             collected.append(finite)
 
-    if collected:
-        flat = np.concatenate(collected)
-        hi = float(flat.max())
-        log_partial = hi + math.log(float(np.exp(flat - hi).sum()))
+    if not collected:
+        return -math.inf
+    flat = np.concatenate(collected)
+    hi = float(flat.max())
+    return hi + math.log(float(np.exp(flat - hi).sum()))
+
+
+def _unitary_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -> list[BoundInterval]:
+    """Series intervals of a unitary-family query at every k in ``ks``.
+
+    When nu is a point mass of weight w, |m_eps(nu)| = w for every eps, so
+    both stop options of a word weigh w^{2k} whatever its winding state, and
+    the partial is log 2 + 2k log w + sum_{p <= P} [z^{<= M}] G(z)^p: one
+    convolution-power pass for the whole grid.  Any other nu runs the
+    winding dynamic program one k at a time.
+    """
+    t, nu = _unitary_effective(q)
+    N = q.N
+    M, P = tc.max_total, tc.max_p
+    two_k = 2.0 * np.asarray(ks, dtype=float)
+
+    # |u_n(t)| ratios; t <= 2 is allowed for the partial (values may vanish)
+    g = _log_coeff_table(two_k, u_seq(t, M), u_seq(float(N), M))
+    weight = nu.point_mass_weight()
+    if weight is not None:
+        sums = _log_conv_power_sums(g, g, [M] * P)
+        log_partials = math.log(2.0) + two_k * math.log(weight) + _row_logsumexp(sums)
     else:
-        log_partial = -math.inf
+        eps_max = P + 1
+        log_abs_m = np.full(2 * eps_max + 1, -math.inf)
+        for eps in range(-eps_max, eps_max + 1):
+            m = abs(moment(nu, eps, quad_points=q.quad_points))
+            if m > 0.0:
+                log_abs_m[eps + eps_max] = math.log(m)
+        log_partials = np.array([_winding_log_partial(row, log_abs_m, tk, M, P) for row, tk in zip(g, two_k)])
 
     terms = count_unitary(M, P)
+    return [_unitary_interval(N, t, float(k), float(lp), terms, tc) for k, lp in zip(ks, log_partials)]
+
+
+def _unitary_interval(N: int, t: float, k: float, log_partial: float, terms: int, tc: TruncationConfig) -> BoundInterval:
+    """Attach the tail certificate: every excluded word is majorized by
+    2 S^p x^{total - p} with
+
+        x = q(N)^{2k-2} / q(N-tau)^{2k},
+        S = N^{-(2k-2)} q(N-tau)^{-2k} (1 - q(N-tau)^2)^{-2k},
+
+    which follow from the envelope bounds on u_n and |m_eps| <= 1.
+    """
+    two_k = 2.0 * k
     base_hyps: list[tuple[str, bool]] = [
         ("k >= 1", k >= 1.0),
         ("N - tau > 2", t > 2.0 + _T_EPS),
@@ -495,8 +564,18 @@ def A_k_unitary(q: WalkQuery, tc: TruncationConfig = DEFAULT_TRUNCATION) -> Boun
     qt = q_of(t)
     log_x = (two_k - 2.0) * log_qN - two_k * log_qt
     log_S = -(two_k - 2.0) * math.log(float(N)) - two_k * log_qt - two_k * math.log1p(-qt * qt)
-    tail = _composition_tail(log_S, log_x, M, P, math.log(2.0))
+    tail = _composition_tail(log_S, log_x, tc.max_total, tc.max_p, math.log(2.0))
     return _interval(log_partial, tail, terms, cert_text, base_hyps)
+
+
+def A_k_unitary(q: WalkQuery, tc: TruncationConfig = DEFAULT_TRUNCATION) -> BoundInterval:
+    """Series interval for the free unitary families at q.k.
+
+    The partial sum runs over all words with p <= max_p blocks and block-size
+    total <= max_total; see ``_unitary_intervals`` for the two summation
+    paths and ``_unitary_interval`` for the tail certificate.
+    """
+    return _unitary_intervals(q, [q.k], tc)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -626,83 +705,56 @@ def A_k_mixture(
 # wreath family
 
 
-def _log_convolve_budget(a: np.ndarray, b: np.ndarray, budget: int) -> np.ndarray:
-    """(log a) * (log b) convolution truncated to total degree <= budget."""
-    L = budget + 1
-    out = np.full(L, -math.inf)
-    for j in range(min(a.size, L)):
-        if a[j] == -math.inf:
-            continue
-        top = min(b.size, L - j)
-        if top > 0:
-            out[j : j + top] = np.logaddexp(out[j : j + top], a[j] + b[:top])
-    return out
-
-
-def A_k_wreath(q: WalkQuery, tc: TruncationConfig = DEFAULT_TRUNCATION) -> BoundInterval:
-    """Series interval for the free wreath product of a finite group by the
-    quantum permutation group.
+def _wreath_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -> list[BoundInterval]:
+    """Series intervals of a wreath query at every k in ``ks``.
 
     Words have p group labels and p+1 character indices (even for p = 0, odd
     ends with even interiors for p >= 1).  The gamma sums factor through
-    group_sum_abs, so the partial reduces to budget-constrained convolutions
-    of the per-slot factor sequences.  The tail majorizes every excluded word
-    by Z^{p+1} y^{sum n - 1} (p >= 1; Z y^{n_0} for p = 0) with
+    group_sum_abs = m^{p-1} K(psi), so the p-block of the partial is
+    m^{p-1} K(psi) [z^{<= (M - 2p) // 2}] E(z)^2 I(z)^{p-1}, with E and I the
+    odd-end and even-interior factor sequences: one convolution-power pass
+    for the whole grid.
+    """
+    if q.family != "wreath":
+        raise ValueError("query family must be 'wreath'")
+    assert q.tau is not None and q.group is not None and q.psi is not None
+    N, tau = q.N, q.tau
+    M, P = tc.max_total, tc.max_p
+    two_k = 2.0 * np.asarray(ks, dtype=float)
+    f = _log_coeff_table(two_k, u_seq(math.sqrt(float(N) - tau), M), u_seq(math.sqrt(float(N)), M))
+
+    # p = 0: single characters with even indices
+    cols = [f[:, 2 : M + 1 : 2]]
+    budgets = [(M - 2 * p) // 2 for p in range(1, P + 1) if M - 2 * p >= 0]
+    if budgets:
+        ends = f[:, 1 : 2 * budgets[0] + 2 : 2]
+        interior = f[:, 2 : 2 * budgets[0] + 3 : 2]
+        blocks = _log_conv_power_sums(_log_conv(ends, ends), interior, budgets)
+        # K(psi) >= 1 always since psi(identity) = 1
+        cols.append(np.arange(len(budgets)) * math.log(q.group.order) + math.log(q.psi.abs_sum()) + blocks)
+    log_partials = _row_logsumexp(np.hstack(cols))
+
+    terms = count_wreath(q.group, M, P)
+    return [_wreath_interval(q, float(k), float(lp), terms, tc) for k, lp in zip(ks, log_partials)]
+
+
+def _wreath_interval(q: WalkQuery, k: float, log_partial: float, terms: int, tc: TruncationConfig) -> BoundInterval:
+    """Attach the tail certificate: every excluded word is majorized by
+    Z^{p+1} y^{sum n - 1} (p >= 1; Z y^{n_0} for p = 0) with
 
         B = q(sqrt N)^{2k-2} / q(t')^{2k},   y = B^2,
         Z = q(sqrt N)^{2k-2} (sqrt N)^{-(2k-2)} q(t')^{-4k} (1 - q(t')^2)^{-2k},
 
     t' = sqrt(N - tau), and the group labels contribute m^{p-1} K(psi).
     """
-    if q.family != "wreath":
-        raise ValueError("query family must be 'wreath'")
     assert q.tau is not None and q.group is not None and q.psi is not None
-    N, k, tau = q.N, q.k, q.tau
-    group, psi = q.group, q.psi
+    N, tau = q.N, q.tau
     M, P = tc.max_total, tc.max_p
     two_k = 2.0 * k
     s = math.sqrt(float(N))
     t_su = math.sqrt(float(N) - tau)
-    m_ord = group.order
-    K = psi.abs_sum()
-
-    us_s = u_seq(s, M)
-    us_t = u_seq(t_su, M)
-    f = np.full(M + 1, -math.inf)
-    for i in range(1, M + 1):
-        lt = us_t[i]
-        ls = us_s[i].logmag
-        if two_k == 0.0:
-            f[i] = 2.0 * ls
-        elif lt.sign != 0:
-            f[i] = two_k * lt.logmag - (two_k - 2.0) * ls
-
-    logs: list[float] = []
-    # p = 0: single characters with even indices
-    n0 = 0
-    while 2 * n0 + 2 <= M:
-        logs.append(float(f[2 * n0 + 2]))
-        n0 += 1
-    # p >= 1: ends odd, interiors even, group labels folded via K(psi);
-    # K >= 1 always since psi(identity) = 1
-    log_K = math.log(K)
-    for p in range(1, P + 1):
-        if M - 2 * p < 0:
-            break
-        budget = (M - 2 * p) // 2
-        ends = np.array([f[2 * n + 1] for n in range(budget + 1)])
-        acc = ends
-        if p >= 2:
-            interior = np.array([f[2 * n + 2] for n in range(budget + 1)])
-            for _ in range(p - 1):
-                acc = _log_convolve_budget(acc, interior, budget)
-        acc = _log_convolve_budget(acc, ends, budget)
-        block = logsumexp(acc.tolist())
-        if block != -math.inf:
-            logs.append((p - 1) * math.log(m_ord) + log_K + block)
-
-    log_partial = logsumexp(logs)
-    terms = count_wreath(group, M, P)
+    m_ord = q.group.order
+    log_K = math.log(q.psi.abs_sum())
 
     tau_ok = tau > 7.0 / 4.0
     thresh_ok = tau_ok and N >= wreath_certificate_threshold(tau)
@@ -773,6 +825,13 @@ def A_k_wreath(q: WalkQuery, tc: TruncationConfig = DEFAULT_TRUNCATION) -> Bound
     return _interval(log_partial, tail, terms, cert_text, base_hyps)
 
 
+def A_k_wreath(q: WalkQuery, tc: TruncationConfig = DEFAULT_TRUNCATION) -> BoundInterval:
+    """Series interval for the free wreath product of a finite group by the
+    quantum permutation group at q.k; see ``_wreath_intervals`` for the
+    partial and ``_wreath_interval`` for the tail certificate."""
+    return _wreath_intervals(q, [q.k], tc)[0]
+
+
 def A_k_for_query(q: WalkQuery, tc: TruncationConfig | None = None) -> BoundInterval:
     """Family dispatch with per-family default truncation."""
     if q.family in ("unitary-free", "unitary-eval"):
@@ -780,6 +839,17 @@ def A_k_for_query(q: WalkQuery, tc: TruncationConfig | None = None) -> BoundInte
     if q.family == "mixture":
         return A_k_mixture(q.N, q.k, tc if tc is not None else MIXTURE_DEFAULT_TRUNCATION, q.quad_points)
     return A_k_wreath(q, tc if tc is not None else DEFAULT_TRUNCATION)
+
+
+def _A_k_grid(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig | None) -> list[BoundInterval]:
+    """``A_k_for_query`` at every k in ``ks``, with one engine pass for the
+    unitary and wreath families; the mixture keeps one word loop per k."""
+    if q.family in ("unitary-free", "unitary-eval"):
+        return _unitary_intervals(q, ks, tc if tc is not None else DEFAULT_TRUNCATION)
+    if q.family == "mixture":
+        mixture_tc = tc if tc is not None else MIXTURE_DEFAULT_TRUNCATION
+        return [A_k_mixture(q.N, k, mixture_tc, q.quad_points) for k in ks]
+    return _wreath_intervals(q, ks, tc if tc is not None else DEFAULT_TRUNCATION)
 
 
 # ---------------------------------------------------------------------------
@@ -881,6 +951,7 @@ class ProfileRow:
     certified: bool
     log_partial: float
     log_tail: float
+    hypotheses: tuple[tuple[str, bool], ...]
 
 
 @dataclass(frozen=True)
@@ -895,31 +966,32 @@ def cutoff_profile(
 ) -> ProfileResult:
     """One row per k in the grid; the k field of ``q`` is ignored.
 
-    The certified upper bound is non-increasing in k whenever every
-    coefficient has modulus <= 1; this is checked on the output (with a
-    1e-12 slack for rounding) and reported in ``monotone_upper``.
+    The series intervals of all rows come from one engine pass.  The
+    certified upper bound is non-increasing in k whenever every coefficient
+    has modulus <= 1; this is checked on the output (with a 1e-12 slack for
+    rounding) and reported in ``monotone_upper``.
     """
     if len(k_grid) == 0:
         raise ValueError("k grid must be nonempty")
+    queries = [q.with_k(float(k)) for k in k_grid]
     rows: list[ProfileRow] = []
-    for k in k_grid:
-        qk = q.with_k(float(k))
-        A = A_k_for_query(qk, tc)
+    for qk, A in zip(queries, _A_k_grid(q, [qk.k for qk in queries], tc)):
         tv = tv_upper_from_A(A)
         rows.append(
             ProfileRow(
-                k=float(k),
+                k=qk.k,
                 tv_upper_lo=tv.lower_info,
                 tv_upper_hi=tv.upper,
                 tv_lower=tv_lower(qk),
                 certified=tv.certified,
                 log_partial=A.log_partial,
                 log_tail=A.log_tail,
+                hypotheses=A.hypotheses,
             )
         )
     monotone = True
     prev_hi: float | None = None
-    for row, k in zip(rows, k_grid):
+    for row in rows:
         if prev_hi is not None and row.certified and row.tv_upper_hi > prev_hi + 1e-12:
             monotone = False
         if row.certified:

@@ -49,6 +49,7 @@ from .structures import (
     GroupState,
     cyclic_group,
     haar_state,
+    lambda_theta,
     load_cayley,
     load_group_state,
     moment,
@@ -222,7 +223,27 @@ def _parse_psi(source: str | None, group: FiniteGroup) -> GroupState:
     raise CliError(f"--psi: unknown state spec {source!r}")
 
 
-def _float_grid(lo: float, hi: float, step: float, flag: str) -> list[float]:
+def _finite(value: float | None, flag: str) -> None:
+    if value is not None and not math.isfinite(value):
+        raise CliError(f"{flag} must be finite, got {value!r}")
+
+
+def _quad_points(value: int) -> int:
+    if value < 1:
+        raise CliError(f"--quad-points must be >= 1, got {value}")
+    return value
+
+
+def _float_grid(spec: str, flag: str) -> list[float]:
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise CliError(f"{flag} must be min:max:step")
+    try:
+        lo, hi, step = (float(x) for x in parts)
+    except ValueError as exc:
+        raise CliError(f"{flag}: {exc}") from exc
+    for value in (lo, hi, step):
+        _finite(value, flag)
     if step <= 0:
         raise CliError(f"{flag}: step must be > 0")
     out = []
@@ -236,7 +257,9 @@ def _float_grid(lo: float, hi: float, step: float, flag: str) -> list[float]:
 def _build_query(args: argparse.Namespace) -> tuple[WalkQuery, RunConfig]:
     family = _FAMILY_TOKENS[args.family]
     N = args.N
-    quad_points = args.quad_points
+    quad_points = _quad_points(args.quad_points)
+    for value, flag in ((args.tau, "--tau"), (args.theta, "--theta"), (args.k, "--k"), (args.c, "--c")):
+        _finite(value, flag)
     nu = None
     group = None
     psi = None
@@ -251,6 +274,8 @@ def _build_query(args: argparse.Namespace) -> tuple[WalkQuery, RunConfig]:
         elif family == "unitary-eval":
             if theta is None:
                 raise CliError("--theta is required for the eval family")
+            if not lambda_theta(theta) > 0:
+                raise CliError("--theta gives 1 - cos(theta) = 0; no cutoff rate")
             q = WalkQuery("unitary-eval", N, 0.0, theta=theta, quad_points=quad_points)
         elif family == "mixture":
             q = WalkQuery("mixture", N, 0.0, quad_points=quad_points)
@@ -275,16 +300,9 @@ def _build_query(args: argparse.Namespace) -> tuple[WalkQuery, RunConfig]:
     elif args.c is not None:
         ks = [cutoff + args.c * N]
     elif args.k_range is not None:
-        parts = args.k_range.split(":")
-        if len(parts) != 3:
-            raise CliError("--k-range must be kmin:kmax:kstep")
-        ks = _float_grid(float(parts[0]), float(parts[1]), float(parts[2]), "--k-range")
+        ks = _float_grid(args.k_range, "--k-range")
     else:
-        parts = args.c_range.split(":")
-        if len(parts) != 3:
-            raise CliError("--c-range must be cmin:cmax:cstep")
-        cs = _float_grid(float(parts[0]), float(parts[1]), float(parts[2]), "--c-range")
-        ks = [cutoff + c * N for c in cs]
+        ks = [cutoff + c * N for c in _float_grid(args.c_range, "--c-range")]
     if args.round_k:
         ks = [float(round(k)) for k in ks]
     ks = [k for k in ks if k >= 0]
@@ -315,11 +333,13 @@ def _build_query(args: argparse.Namespace) -> tuple[WalkQuery, RunConfig]:
 
 def _truncation_for(cfg: RunConfig, family: str) -> TruncationConfig:
     base = MIXTURE_DEFAULT_TRUNCATION if family == "mixture" else DEFAULT_TRUNCATION
-    return TruncationConfig(
-        max_p=cfg.max_p if cfg.max_p is not None else base.max_p,
-        max_total=cfg.max_total if cfg.max_total is not None else base.max_total,
-        tail_mode=cfg.tail_mode,
-    )
+    max_p = cfg.max_p if cfg.max_p is not None else base.max_p
+    max_total = cfg.max_total if cfg.max_total is not None else base.max_total
+    if max_p < 1:
+        raise CliError(f"--max-p must be >= 1, got {max_p}")
+    if max_total < max_p:
+        raise CliError(f"--max-total must be >= --max-p, got {max_total} < {max_p}")
+    return TruncationConfig(max_p=max_p, max_total=max_total, tail_mode=cfg.tail_mode)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -389,9 +409,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     q, cfg = _build_query(args)
     tc = _truncation_for(cfg, q.family)
     result = cutoff_profile(q, list(cfg.k_values), tc)
-    hyps_per_row: list[tuple[tuple[str, bool], ...]] = []
-    for k in cfg.k_values:
-        hyps_per_row.append(A_k_for_query(q.with_k(k), tc).hypotheses)
     for row in result.rows:
         if row.certified and row.tv_lower > row.tv_upper_hi + 1e-12:
             raise RuntimeError(
@@ -404,7 +421,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if cfg.fmt == "csv":
         lines = [f"# {key}={_fmt(val)}" for key, val in meta]
         lines.append("k,tv_upper_lo,tv_upper_hi,tv_lower,certified,hypotheses")
-        for row, hyps in zip(result.rows, hyps_per_row):
+        for row in result.rows:
             lines.append(
                 ",".join(
                     [
@@ -413,7 +430,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
                         repr(row.tv_upper_hi),
                         repr(row.tv_lower),
                         _fmt(row.certified),
-                        _hyp_str(hyps),
+                        _hyp_str(row.hypotheses),
                     ]
                 )
             )
@@ -428,9 +445,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
                     "tv_upper_hi": row.tv_upper_hi,
                     "tv_lower": row.tv_lower,
                     "certified": row.certified,
-                    "hypotheses": {name: ok for name, ok in hyps},
+                    "hypotheses": {name: ok for name, ok in row.hypotheses},
                 }
-                for row, hyps in zip(result.rows, hyps_per_row)
+                for row in result.rows
             ],
         }
         _emit(json.dumps(doc, indent=2), cfg.output)
@@ -468,9 +485,13 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 def cmd_thresholds(args: argparse.Namespace) -> int:
     tau = args.tau
+    _finite(tau, "--tau")
+    _finite(args.theta, "--theta")
     if not tau > 0:
         raise CliError("--tau must be > 0")
     N = args.N
+    if N < 2:
+        raise CliError(f"--N must be >= 2, got {N}")
     doc: dict[str, object] = {
         "tau": tau,
         "N": N,
@@ -497,20 +518,30 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
 
 def cmd_moments(args: argparse.Namespace) -> int:
     doc: dict[str, object] = {}
+    quad_points = _quad_points(args.quad_points)
     if args.eps is not None:
-        nu = _parse_nu(args.nu, args.N, args.quad_points)
-        eps_list = [int(x) for x in args.eps.split(",") if x.strip() != ""]
+        try:
+            nu = _parse_nu(args.nu, args.N, quad_points)
+        except ValueError as exc:
+            raise CliError(f"--nu: {exc}") from exc
+        try:
+            eps_list = [int(x) for x in args.eps.split(",") if x.strip() != ""]
+        except ValueError as exc:
+            raise CliError(f"--eps: {exc}") from exc
         vals = {}
         for e in eps_list:
-            m = moment(nu, e, quad_points=args.quad_points)
+            m = moment(nu, e, quad_points=quad_points)
             vals[str(e)] = {"re": m.real, "im": m.imag}
         doc["nu"] = nu.describe()
         doc["moments"] = vals
     if args.lambda_moments is not None:
         parts = args.lambda_moments.split(":")
-        if len(parts) != 2:
-            raise CliError("--lambda-moments must be N:LMAX")
-        N, lmax = int(parts[0]), int(parts[1])
+        try:
+            N, lmax = (int(x) for x in parts)
+        except ValueError as exc:
+            raise CliError(f"--lambda-moments must be N:LMAX with integers N >= 2, LMAX >= 0: {exc}") from exc
+        if N < 2 or lmax < 0:
+            raise CliError(f"--lambda-moments needs N >= 2 and LMAX >= 0, got {N}:{lmax}")
         doc["lambda_moments"] = {str(l): lambda_moment(N, l) for l in range(lmax + 1)}
         doc["wallis_ratio_recurrence"] = N / (N + 1.0)
         doc["wallis_ratio_alternative"] = (N + 1.0) / (N + 2.0)

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "LogScalar",
-    "QValue",
     "q_of",
     "u_n",
     "u_seq",
@@ -202,22 +201,6 @@ def q_of(t: float) -> float:
     return 2.0 / (t + math.sqrt(t * t - 4.0))
 
 
-@dataclass(frozen=True)
-class QValue:
-    """A parameter t > 2 bundled with q = q_of(t)."""
-
-    t: float
-    q: float
-
-    @classmethod
-    def of(cls, t: float) -> "QValue":
-        return cls(t, q_of(t))
-
-    @property
-    def log_q(self) -> float:
-        return math.log(self.q)
-
-
 def _u_log_closed_form(log_q: float, n: int) -> float:
     # log u_n = -n log q + log(1 - q^{2n+2}) - log(1 - q^2), valid for q < 1
     return -n * log_q + math.log1p(-math.exp((2 * n + 2) * log_q)) - math.log1p(-math.exp(2 * log_q))
@@ -335,14 +318,3 @@ def partitions_exact(n: int, p: int) -> int:
             new[j] = row[j - 1] + new[j - cur_p]
         row = new
     return row[n]
-
-
-def logsumexp_scalars(items: Sequence[LogScalar]) -> LogScalar:
-    """Sum of same-sign LogScalars via one max-shift; zeros are skipped."""
-    live = [x for x in items if x.sign != 0]
-    if not live:
-        return LogScalar.zero()
-    sign = live[0].sign
-    if any(x.sign != sign for x in live):
-        raise ValueError("mixed signs; use pairwise addition instead")
-    return LogScalar(sign, logsumexp([x.logmag for x in live]))

@@ -16,6 +16,7 @@ File formats (used by the CLI):
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -255,6 +256,13 @@ class CircleMeasure:
             raise ValueError("N must be >= 2")
         return cls("porod", N=N)
 
+    def point_mass_weight(self) -> float | None:
+        """The weight w of a single-atom measure, whose moments all have
+        modulus |m_eps| = w; None for any other measure."""
+        if self.kind == "atomic" and len(self.atoms) == 1:
+            return self.atoms[0][1]
+        return None
+
     def describe(self) -> str:
         if self.kind == "haar":
             return "haar"
@@ -263,19 +271,29 @@ class CircleMeasure:
         return "atomic[" + ", ".join(f"({t!r}, {w!r})" for t, w in self.atoms) + "]"
 
 
+@functools.lru_cache(maxsize=None)
+def _half_angle_nodes(quad_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes phi and weights on [0, pi], built once per size
+    and shared by every caller, hence read-only."""
+    x, w = np.polynomial.legendre.leggauss(quad_points)
+    phi = 0.5 * math.pi * (x + 1.0)
+    wq = 0.5 * math.pi * w
+    phi.flags.writeable = False
+    wq.flags.writeable = False
+    return phi, wq
+
+
 def porod_nodes(N: int, quad_points: int) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes and weights for the Porod mixture of parameter N.
 
     Substituting theta = 2*phi maps the density to sin^{N-1}(phi) / (2 W_{N-1})
-    on [0, pi]; the nodes are Gauss-Legendre on that interval.  Returned angles
-    are the original theta = 2*phi; the weights sum to 1 up to quadrature
-    error.
+    on [0, pi]; the nodes are Gauss-Legendre on that interval, built once per
+    ``quad_points``.  Returned angles are the original theta = 2*phi; the
+    weights sum to 1 up to quadrature error.
     """
     if quad_points < 1:
         raise ValueError("quad_points must be >= 1")
-    x, w = np.polynomial.legendre.leggauss(quad_points)
-    phi = 0.5 * math.pi * (x + 1.0)
-    wq = 0.5 * math.pi * w
+    phi, wq = _half_angle_nodes(quad_points)
     dens = np.exp((N - 1) * np.log(np.maximum(np.sin(phi), 1e-300))) / (2.0 * wallis(N - 1))
     return 2.0 * phi, wq * dens
 

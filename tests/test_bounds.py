@@ -26,7 +26,16 @@ from qgcutoff.bounds import (
     tv_upper_from_A,
     wreath_certificate_threshold,
 )
-from qgcutoff.structures import CircleMeasure, GroupState, cyclic_group, trivial_state
+from qgcutoff import bounds, cli
+from qgcutoff.structures import (
+    CircleMeasure,
+    GroupState,
+    cyclic_group,
+    load_cayley,
+    load_group_state,
+    trivial_state,
+)
+from qgcutoff.words import eval_state_params
 
 from oracles import mixture_log_partial, unitary_log_partial, wreath_log_partial
 
@@ -102,6 +111,25 @@ def test_unitary_partial_matches_oracle_k_zero():
     assert got == pytest.approx(want, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "query, t, nu",
+    [
+        # nonzero angle: every |m_eps| = 1 but the moments themselves differ
+        (WalkQuery.unitary(12, 2.0, 4.0, CircleMeasure.delta(1.7)), 10.0, CircleMeasure.delta(1.7)),
+        (WalkQuery.eval_point(15, 1.1, 9.0),) + eval_state_params(15, 1.1),
+        # t = 1: u_2(1) = 0, so words with a 2-block vanish for k > 0 only
+        (WalkQuery.unitary(3, 2.0, 2.0), 1.0, CircleMeasure.delta(0.0)),
+        (WalkQuery.unitary(3, 2.0, 0.0), 1.0, CircleMeasure.delta(0.0)),
+    ],
+)
+def test_point_mass_partial_matches_oracle(query, t, nu):
+    tc = TruncationConfig(max_p=4, max_total=9)
+    got = A_k_for_query(query, tc).log_partial
+    want = unitary_log_partial(query.N, t, nu, query.k, 9, 4)
+    assert math.isfinite(got)
+    assert got == pytest.approx(want, abs=1e-9)
+
+
 def test_wreath_partial_matches_oracle_trivial_state():
     N, tau, k = 12, 2.0, 4.0
     g = cyclic_group(2)
@@ -133,6 +161,13 @@ def test_wreath_partial_matches_oracle_z3():
     got = A_k_wreath(q, tc).log_partial
     want = wreath_log_partial(N, tau, g, psi, k, 8, 3)
     assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_wreath_partial_empty_truncation():
+    # max_total = 1 admits no wreath word: the partial is an empty sum
+    g = cyclic_group(2)
+    q = WalkQuery.wreath(40, 2.0, 30.0, g, trivial_state(g))
+    assert A_k_wreath(q, TruncationConfig(max_p=1, max_total=1)).log_partial == -math.inf
 
 
 def test_mixture_partial_matches_oracle():
@@ -395,6 +430,77 @@ def test_cutoff_profile_monotone_and_consistent():
         assert 0.0 <= row.tv_upper_hi <= 1.0
         if row.certified:
             assert row.tv_lower <= row.tv_upper_hi + 1e-12
+
+
+def _dihedral_group(n):
+    # index a is r^a, index n + a is s r^a, with s r s = r^{-1}
+    def mul(x, y):
+        a, b = x % n, y % n
+        if x < n:
+            return (a + b) % n if y < n else n + (b - a) % n
+        return n + (a + b) % n if y < n else (b - a) % n
+
+    rows = [" ".join(str(mul(x, y)) for y in range(2 * n)) for x in range(2 * n)]
+    return load_cayley("\n".join([str(2 * n)] + rows))
+
+
+def _grid_cases():
+    z3 = cyclic_group(3)
+    d4 = _dihedral_group(4)
+    return [
+        (WalkQuery.unitary(20, 2.0, 0.0, CircleMeasure.delta(1.7)), [0.0, 0.5, 1.0, 20.0, 30.0, 60.0]),
+        (WalkQuery.eval_point(20, 2.0, 0.0), [0.0, 0.5, 1.0, 30.0, 60.0, 120.0]),
+        (WalkQuery.unitary(20, 2.0, 0.0, CircleMeasure.haar()), [0.0, 0.5, 1.0, 30.0, 60.0]),
+        (WalkQuery.wreath(40, 2.0, 0.0, z3, load_group_state(z3, "1 0\n0.5 0\n0.5 0\n")),
+         [0.0, 0.5, 1.0, 40.0, 80.0, 120.0]),
+        # the average of the trivial and sign characters of the dihedral group
+        (WalkQuery.wreath(40, 3.0, 0.0, d4, GroupState.from_values(d4, [1.0] * 4 + [0.0] * 4)),
+         [0.0, 0.5, 1.0, 40.0, 80.0]),
+    ]
+
+
+@pytest.mark.parametrize("query, ks", _grid_cases())
+def test_cutoff_profile_rows_match_single_point_engine(query, ks):
+    prof = cutoff_profile(query, ks)
+    assert [row.k for row in prof.rows] == ks
+    assert any(row.certified for row in prof.rows) and not all(row.certified for row in prof.rows)
+    for row in prof.rows:
+        single = A_k_for_query(query.with_k(row.k))
+        for got, want in ((row.log_partial, single.log_partial), (row.log_tail, single.log_tail)):
+            if math.isinf(want):
+                assert got == want
+            else:
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert row.certified == single.certified
+        assert row.hypotheses == single.hypotheses
+
+
+@pytest.mark.parametrize(
+    "argv, engine, passes",
+    [
+        (["--family", "unitary", "--N", "40", "--tau", "2"], "_log_conv_power_sums", 1),
+        (["--family", "eval", "--N", "40", "--theta", "2"], "_log_conv_power_sums", 1),
+        (["--family", "wreath", "--N", "40", "--tau", "2", "--group", "cyclic:3"], "_log_conv_power_sums", 1),
+        # a general nu runs the winding program once per row
+        (["--family", "unitary", "--N", "40", "--tau", "2", "--nu", "haar"], "_winding_log_partial", 5),
+    ],
+)
+def test_profile_runs_the_engine_once(monkeypatch, capsys, argv, engine, passes):
+    calls = {"engine": 0, "single": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(bounds, engine, counted("engine", getattr(bounds, engine)))
+    monkeypatch.setattr(cli, "A_k_for_query", counted("single", cli.A_k_for_query))
+    assert cli.main(["profile", *argv, "--c-range", "-1:1:0.5"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    assert len(rows) == 1 + 5
+    assert calls == {"engine": passes, "single": 0}
 
 
 def test_cutoff_profile_rejects_empty_grid():

@@ -281,3 +281,35 @@ def test_verify_report_file(tmp_path, capsys):
     doc = json.loads(dest.read_text())
     assert doc["all_pass"] is True
     assert doc["suites"]["anqn"]["pass_count"] == doc["suites"]["anqn"]["grid_size"]
+
+
+# ---------------------------------------------------------------------------
+# invalid input: exit 2 with a message naming the flag, never a traceback
+
+_WALK = ["--family", "unitary", "--N", "20", "--tau", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["bound", "--family", "eval", "--N", "20", "--theta", "0", "--c", "1"], "--theta"),
+        (["bound", "--family", "eval", "--N", "20", "--theta", repr(2.0 * math.pi), "--c", "1"], "--theta"),
+        (["profile", "--family", "mixture", "--N", "20", "--c", "1", "--quad-points", "0"], "--quad-points"),
+        (["moments", "--nu", "porod", "--N", "10", "--eps", "1", "--quad-points", "0"], "--quad-points"),
+        (["bound", *_WALK, "--c", "1", "--max-p", "0"], "--max-p"),
+        (["bound", *_WALK, "--c", "1", "--max-p", "5", "--max-total", "3"], "--max-total"),
+        (["thresholds", "--tau", "2", "--N", "0"], "--N"),
+        (["moments", "--lambda-moments", "1:3"], "--lambda-moments"),
+        (["moments", "--lambda-moments", "10:-1"], "--lambda-moments"),
+        (["moments", "--lambda-moments", "10:x"], "--lambda-moments"),
+        (["bound", *_WALK, "--k", "inf"], "--k"),
+        (["bound", *_WALK, "--c", "nan"], "--c"),
+        (["profile", *_WALK, "--k-range", "0:inf:1"], "--k-range"),
+        (["profile", *_WALK, "--c-range", "0:x:1"], "--c-range"),
+    ],
+)
+def test_invalid_input_exit_2(capsys, argv, flag):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert flag in err
+    assert "Traceback" not in err
