@@ -896,11 +896,12 @@ def tv_lower_chebyshev(m: float, var_bound: float, h_chi_sq: float) -> float:
     threshold m/2 for a witness with walk expectation m, walk variance at
     most var_bound, and Haar second moment h_chi_sq.
 
-    Returns 0 for m <= 0 (no usable witness).
+    Returns 0 for m <= 0 and for m so small that m^2 underflows to 0 (no
+    usable witness).
     """
     if var_bound < 0 or h_chi_sq < 0:
         raise ValueError("variance and Haar moment bounds must be >= 0")
-    if m <= 0.0:
+    if m <= 0.0 or m * m == 0.0:
         return 0.0
     return max(0.0, 1.0 - 4.0 * (var_bound + h_chi_sq) / (m * m))
 

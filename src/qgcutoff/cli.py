@@ -21,6 +21,7 @@ verification failure, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -68,6 +69,9 @@ _FAMILY_TOKENS = {
     "wreath": "wreath",
 }
 
+# most points a --k-range or --c-range grid may hold
+MAX_GRID_POINTS = 100_000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -96,7 +100,10 @@ class CliError(Exception):
     """Invalid input; message names the offending flag."""
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first main() call and reused: parse_args leaves the tree
+    # unchanged, and building it costs about 2 ms
     parser = argparse.ArgumentParser(
         prog="qgcutoff",
         description="Certified total-variation bounds for central random walks "
@@ -246,9 +253,18 @@ def _float_grid(spec: str, flag: str) -> list[float]:
         _finite(value, flag)
     if step <= 0:
         raise CliError(f"{flag}: step must be > 0")
+    limit = hi + 1e-9 * max(1.0, abs(hi))
+    # a step of at least one ulp of every value reached makes x + step > x
+    spacing = math.ulp(max(abs(lo), abs(limit)))
+    if step < spacing:
+        raise CliError(f"{flag}: step {step!r} is below the float spacing {spacing!r} of the range")
+    # the grid holds floor(span) + 1 points; span is inf when limit - lo overflows
+    span = (limit - lo) / step
+    if span >= MAX_GRID_POINTS:
+        raise CliError(f"{flag}: {span + 1:.6g} grid points exceed the limit of {MAX_GRID_POINTS}")
     out = []
     x = lo
-    while x <= hi + 1e-9 * max(1.0, abs(hi)):
+    while x <= limit:
         out.append(x)
         x = x + step
     return out
@@ -303,6 +319,8 @@ def _build_query(args: argparse.Namespace) -> tuple[WalkQuery, RunConfig]:
         ks = _float_grid(args.k_range, "--k-range")
     else:
         ks = [cutoff + c * N for c in _float_grid(args.c_range, "--c-range")]
+    if not all(math.isfinite(k) for k in ks):
+        raise CliError(f"{k_flags[0]} gives a step count k that overflows")
     if args.round_k:
         ks = [float(round(k)) for k in ks]
     ks = [k for k in ks if k >= 0]

@@ -258,20 +258,16 @@ def u_seq(t: float, nmax: int) -> list[LogScalar]:
 def wallis(n: int) -> float:
     """W_n = int_0^{pi/2} sin^n x dx via W_n = ((n-1)/n) W_{n-2}.
 
-    Pure iterative evaluation, O(n); no caching, so concurrent callers share
-    nothing.
+    The product of the (m-1)/m is taken as exp of the correctly rounded sum
+    (``math.fsum``) of log1p(-1/m): a few ulp for every n, where the plain
+    running product drifts like sqrt(n) ulp (1e-14 at n = 30000).  O(n); no
+    caching, so concurrent callers share nothing.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n % 2 == 0:
-        val = math.pi / 2.0
-        start = 2
-    else:
-        val = 1.0
-        start = 3
-    for m in range(start, n + 1, 2):
-        val *= (m - 1) / m
-    return val
+    start = 2 if n % 2 == 0 else 3
+    val = math.exp(math.fsum(math.log1p(-1.0 / m) for m in range(start, n + 1, 2)))
+    return val * (math.pi / 2.0) if n % 2 == 0 else val
 
 
 def wallis_ratio(n: int) -> float:

@@ -271,11 +271,56 @@ class CircleMeasure:
         return "atomic[" + ", ".join(f"({t!r}, {w!r})" for t, w in self.atoms) + "]"
 
 
+# cap on Newton sweeps in _gauss_legendre; from Tricomi's guess three sweeps
+# reach full accuracy for every n below about 840 and two beyond
+_NEWTON_MAX_SWEEPS = 8
+
+
+def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_{n-1}(x) by the three-term recurrence, elementwise."""
+    p_prev, p = np.ones_like(x), x
+    for k in range(1, n):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    return p, p_prev
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on P_n, evaluated by the three-term recurrence, moves
+    the ceil(n/2) nonnegative nodes together as one vector from Tricomi's
+    guess (1 - (n-1)/(8 n^3)) cos(pi (4i - 1)/(4n + 2)); the other half
+    follows by symmetry.  Sweeps stop once the quadratic-convergence
+    estimate dx^2 |x| / (1 - x^2) of the error left after the last step is
+    below a quarter ulp of 1.  The weights are 2 / ((1 - x^2) P_n'(x)^2),
+    with P_n' = n (P_{n-1} - x P_n) / (1 - x^2) and 1 - x^2 formed as
+    (1 - x)(1 + x).  O(n^2) time, O(n) memory, elementwise numpy only.
+    """
+    i = np.arange(1, (n + 1) // 2 + 1)
+    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(math.pi * (4 * i - 1) / (4 * n + 2))
+    for _ in range(_NEWTON_MAX_SWEEPS):
+        p, p_prev = _legendre_pair(n, x)
+        s = (1.0 - x) * (1.0 + x)
+        dx = p * s / (n * (p_prev - x * p))
+        x = x - dx
+        if float(np.max(dx * dx * np.abs(x) / s)) <= 2.0**-54:
+            break
+    else:
+        raise ArithmeticError(f"Gauss-Legendre nodes for n={n} did not converge")
+    if n % 2:
+        x[-1] = 0.0
+    p, p_prev = _legendre_pair(n, x)
+    s = (1.0 - x) * (1.0 + x)
+    w = 2.0 * s / (n * (p_prev - x * p)) ** 2
+    half = n // 2
+    return np.concatenate((-x[:half], x[::-1])), np.concatenate((w[:half], w[::-1]))
+
+
 @functools.lru_cache(maxsize=None)
 def _half_angle_nodes(quad_points: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes phi and weights on [0, pi], built once per size
     and shared by every caller, hence read-only."""
-    x, w = np.polynomial.legendre.leggauss(quad_points)
+    x, w = _gauss_legendre(quad_points)
     phi = 0.5 * math.pi * (x + 1.0)
     wq = 0.5 * math.pi * w
     phi.flags.writeable = False

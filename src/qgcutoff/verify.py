@@ -141,7 +141,7 @@ DEFAULT_MAIN_GRID = GridSpec(taus=(2.0, 3.0, 5.0), n_min=4.0, n_max=500.0)
 DEFAULT_ANQN_GRID = GridSpec(n_min=4.0, n_max=1e4, n_points=200)
 DEFAULT_RATIO_GRID = GridSpec(taus=(6.0, 10.0, 50.0, 200.0), theta_count=64, index_max=40)
 DEFAULT_WREATH_GRID = GridSpec(taus=(2.0, 3.0), n_min=4.0, n_max=500.0)
-DEFAULT_LAMBDA_GRID = GridSpec(taus=(5.0, 10.0, 50.0), index_max=6, tolerance=1e-8)
+DEFAULT_LAMBDA_GRID = GridSpec(taus=(5.0, 10.0, 50.0), index_max=6, tolerance=1e-14)
 
 
 def verify_encadrement(g: GridSpec = DEFAULT_ENCADREMENT_GRID) -> VerifyReport:

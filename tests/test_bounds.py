@@ -384,6 +384,7 @@ def test_tv_lower_chebyshev():
     assert tv_lower_chebyshev(10.0, 9.0, 1.0) == pytest.approx(1.0 - 40.0 / 100.0)
     assert tv_lower_chebyshev(1.0, 9.0, 1.0) == 0.0  # clamped at zero
     assert tv_lower_chebyshev(-3.0, 9.0, 1.0) == 0.0
+    assert tv_lower_chebyshev(1e-200, 9.0, 1.0) == 0.0  # m^2 underflows to 0
     with pytest.raises(ValueError):
         tv_lower_chebyshev(5.0, -1.0, 1.0)
 

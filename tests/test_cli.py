@@ -2,12 +2,21 @@
 CSV/JSON agreement, exit codes, and run-to-run determinism.
 """
 
+import contextlib
+import io
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qgcutoff.cli import main
+import qgcutoff
+from qgcutoff.cli import MAX_GRID_POINTS, _build_parser, _float_grid, main
 
 
 def run(capsys, *argv):
@@ -313,3 +322,92 @@ def test_invalid_input_exit_2(capsys, argv, flag):
     assert code == 2
     assert flag in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# range grids: every --k-range/--c-range string ends in exit 0 or 2, quickly
+
+
+class _Overrun(Exception):
+    """Raised by the alarm; not an OSError, so main() cannot swallow it."""
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    def fail(signum, frame):
+        raise _Overrun(f"CLI call ran longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, fail)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+_RANGE_PART = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "0", "-0", "1e-300", "1e16", "2e16", "1e308", "x", ""]),
+    st.integers(-100, 100).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(flag=st.sampled_from(["--k-range", "--c-range"]),
+       parts=st.lists(_RANGE_PART, min_size=3, max_size=3) | st.lists(_RANGE_PART, min_size=1, max_size=4))
+def test_range_grid_fuzz_exits_cleanly(flag, parts):
+    argv = ["profile", "--family", "unitary", "--N", "10", "--tau", "2",
+            "--max-p", "2", "--max-total", "4", flag, ":".join(parts)]
+    out, err = io.StringIO(), io.StringIO()
+    with _time_limit(60.0), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert flag in err.getvalue()
+    else:
+        rows = [ln for ln in out.getvalue().splitlines() if not ln.startswith(("#", "k,"))]
+        assert rows and all(math.isfinite(float(ln.split(",")[0])) for ln in rows)
+
+
+@pytest.mark.parametrize("flag, spec, message", [
+    ("--k-range", "1e16:2e16:1", "float spacing"),
+    ("--k-range", "0:1e12:1", "exceed the limit"),
+    ("--k-range", "-1.7e308:1.7e308:1e300", "exceed the limit"),
+    ("--c-range", "1e307:1e308:1e307", "overflows"),
+    ("--c", "1e308", "overflows"),
+])
+def test_range_grid_limits_exit_2(capsys, flag, spec, message):
+    with _time_limit(10.0):
+        code, _, err = run(capsys, "profile", *_WALK, flag, spec)
+    assert code == 2
+    assert flag in err and message in err
+
+
+def test_range_grid_at_the_limit_is_accepted():
+    assert len(_float_grid(f"0:{MAX_GRID_POINTS - 1}:1", "--k-range")) == MAX_GRID_POINTS
+
+
+# ---------------------------------------------------------------------------
+# one argparse tree per process
+
+
+def test_parser_is_built_once_and_calls_match_separate_processes(capsys):
+    calls = [
+        ["thresholds", "--tau", "2"],
+        ["bound", *_WALK, "--c", "x"],
+        ["profile", *_WALK, "--c-range", "-1:1:1"],
+        ["moments", "--nu", "delta:0.5", "--eps", "0,1"],
+    ]
+    _build_parser.cache_clear()
+    in_process = [run(capsys, *argv)[:2] for argv in calls]
+    assert _build_parser.cache_info().misses == 1
+    assert [code for code, _ in in_process] == [0, 2, 0, 0]
+    src = os.path.dirname(os.path.dirname(qgcutoff.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = "import sys; from qgcutoff.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv, expected in zip(calls, in_process):
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == expected

@@ -11,6 +11,8 @@ import pytest
 
 from qgcutoff.numerics import lambda_moment
 from qgcutoff.structures import (
+    _gauss_legendre,
+    _half_angle_nodes,
     CircleMeasure,
     FiniteGroup,
     GroupState,
@@ -274,6 +276,79 @@ def test_porod_nodes_weights_positive():
     assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-12)
     # nodes cover the full circle: theta = 2 phi with phi in (0, pi)
     assert np.all(theta > 0) and np.all(theta < 2.0 * math.pi)
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre nodes by Newton's method
+
+
+@pytest.mark.parametrize("n", list(range(1, 21)) + [2047, 2048])
+def test_gauss_legendre_exact_symmetry_and_total_weight(n):
+    x, w = _gauss_legendre(n)
+    assert x.shape == w.shape == (n,)
+    assert np.all(np.diff(x) > 0) and np.all(w > 0)
+    assert np.array_equal(x, -x[::-1])
+    assert np.array_equal(w, w[::-1])
+    if n % 2:
+        assert x[n // 2] == 0.0
+    assert abs(math.fsum(w) - 2.0) <= 4 * math.ulp(2.0)
+
+
+def test_gauss_legendre_integrates_polynomials_exactly():
+    for n in range(1, 13):
+        x, w = _gauss_legendre(n)
+        for j in range(2 * n):
+            exact = 2.0 / (j + 1) if j % 2 == 0 else 0.0
+            assert math.fsum(w * x**j) == pytest.approx(exact, rel=1e-14, abs=1e-15), (n, j)
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_gauss_legendre_matches_leggauss(n):
+    x, w = _gauss_legendre(n)
+    xr, wr = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(x - xr)) <= 1e-12
+    assert np.max(np.abs(w - wr)) <= 1e-12
+
+
+def test_gauss_legendre_against_30_digit_newton_reference():
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    n = 2048
+    x, w = _gauss_legendre(n)
+
+    def legendre_pair(t):
+        p_prev, p = mp.mpf(1), t
+        for k in range(1, n):
+            p_prev, p = p, ((2 * k + 1) * t * p - k * p_prev) / (k + 1)
+        return p, p_prev
+
+    # the endpoint node, its neighbours, and interior nodes down to x near 0
+    for i in (n - 1, n - 2, n - 40, 1800, 1500, 1024):
+        # one Newton step from a double-accurate start is accurate to 1e-26
+        t = mp.mpf(float(x[i]))
+        p, p_prev = legendre_pair(t)
+        t -= p * (1 - t * t) / (n * (p_prev - t * p))
+        p, p_prev = legendre_pair(t)
+        w_ref = 2 * (1 - t * t) / (n * (p_prev - t * p)) ** 2
+        assert abs(float(x[i] - t)) <= 2.0**-52
+        rel = abs(float((w[i] - w_ref) / w_ref))
+        assert rel <= (1e-13 if abs(x[i]) <= 0.9 else 1e-9), (i, float(x[i]), rel)
+
+
+@pytest.mark.parametrize("N", [5, 50, 800])
+def test_porod_mass_at_default_quad_points(N):
+    _, w = porod_nodes(N, 2048)
+    assert abs(float(np.sum(w)) - 1.0) <= 1e-15
+
+
+def test_half_angle_nodes_are_cached_read_only():
+    phi, wq = _half_angle_nodes(64)
+    assert _half_angle_nodes(64)[0] is phi
+    assert not phi.flags.writeable and not wq.flags.writeable
+    with pytest.raises(ValueError):
+        phi[0] = 0.0
+    assert phi[0] > 0.0 and phi[-1] < math.pi
 
 
 # ---------------------------------------------------------------------------
