@@ -17,6 +17,10 @@ of everything outside the truncation, built from the envelope bounds
 applied per factor.  When a geometric ratio fails to be < 1 the engine
 reports "no certificate" (tail = infinity) instead of extrapolating.
 
+Each family has one engine, (query, k grid, truncation) -> one interval per
+k, reached through ``A_k_grid``; every family's tail is the composition tail
+``_composition_tail``.
+
 Family-specific series:
 
 - unitary-free / unitary-eval: the sum runs over words with weights
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,7 +48,6 @@ from .structures import (
     CircleMeasure,
     FiniteGroup,
     GroupState,
-    arg_trace,
     lambda_theta,
     moment,
     porod_nodes,
@@ -56,6 +59,8 @@ from .words import (
     chi_expectation_mixture,
     count_unitary,
     count_wreath,
+    enumerate_unitary,
+    eval_state_params,
 )
 
 __all__ = [
@@ -65,9 +70,9 @@ __all__ = [
     "TVUpper",
     "DEFAULT_TRUNCATION",
     "MIXTURE_DEFAULT_TRUNCATION",
-    "A_k_unitary",
-    "A_k_mixture",
-    "A_k_wreath",
+    "MAX_K",
+    "default_truncation",
+    "A_k_grid",
     "A_k_for_query",
     "tv_upper_from_A",
     "tv_lower_chebyshev",
@@ -111,6 +116,16 @@ DEFAULT_TRUNCATION = TruncationConfig(max_p=12, max_total=48)
 # window is smaller; the certified tail covers the difference.
 MIXTURE_DEFAULT_TRUNCATION = TruncationConfig(max_p=5, max_total=10)
 
+# Largest step count a query accepts.  The engines form 2k times a
+# log-dimension of about max_total log N, which stays finite for any
+# truncation that runs, while N ln N / rate is far below it.
+MAX_K = 1e300
+
+
+def default_truncation(family: str) -> TruncationConfig:
+    """The truncation an engine runs with when none is given."""
+    return MIXTURE_DEFAULT_TRUNCATION if family == "mixture" else DEFAULT_TRUNCATION
+
 
 @dataclass(frozen=True)
 class BoundInterval:
@@ -144,9 +159,6 @@ class BoundInterval:
             return math.inf
         return float(np.logaddexp(self.log_partial, self.log_tail))
 
-    def hypotheses_dict(self) -> dict[str, bool]:
-        return dict(self.hypotheses)
-
 
 @dataclass(frozen=True)
 class WalkQuery:
@@ -177,6 +189,8 @@ class WalkQuery:
             raise ValueError("N must be >= 2")
         if not self.k >= 0:
             raise ValueError("k must be >= 0")
+        if self.k > MAX_K:
+            raise ValueError(f"k must be <= {MAX_K!r}")
         if self.family == "unitary-free":
             if self.tau is None or not 0.0 < self.tau <= self.N:
                 raise ValueError("unitary-free needs 0 < tau <= N")
@@ -290,24 +304,27 @@ class _SeriesTail:
     ok: bool
 
 
-def _composition_tail(log_S: float, log_x: float, M: int, P: int, log_pref: float) -> _SeriesTail:
-    """Certified bound on sum_{p <= P} pref * S^p * sum over compositions of
-    degree > M of x^(degree - p), plus the whole p > P block.
+# the tail hypotheses, recorded in this order on every path of the tail
+_TAIL_KEYS = ("x < 1", "within-degree ratios < 1", "w = S/(1-x) < 1")
+
+
+def _composition_tail(log_S: float, log_x: float, M: int, P: int, log_pref: float, first: int) -> _SeriesTail:
+    """Certified bound on sum_{first <= p <= P} pref * S^p * sum over
+    compositions into p parts of degree > M of x^(degree - p), plus the whole
+    p > P block.
 
     Within a fixed p the missing degrees j = degree - p start at
     J = max(M - p + 1, 0) and the composition counts C(j+p-1, p-1) grow by
     ratios (j+p)/(j+1), so the block is bounded by its first term times a
-    geometric series of ratio rho_p = x (J+p)/(J+1).  Beyond max_p the full
+    geometric series of ratio rho_p = x (J+p)/(J+1).  Beyond P the full
     per-p sum collapses to w^p with w = S / (1 - x).
     """
-    x_ok = log_x < 0.0
-    hyps: list[tuple[str, bool]] = [("x < 1", x_ok)]
-    if not x_ok:
-        return _SeriesTail(math.inf, tuple(hyps + [("w < 1", False), ("within-degree ratios < 1", False)]), False)
+    if not log_x < 0.0:
+        return _SeriesTail(math.inf, tuple((key, False) for key in _TAIL_KEYS), False)
     x = math.exp(log_x)
     pieces: list[float] = []
     rho_ok = True
-    for p in range(1, P + 1):
+    for p in range(first, P + 1):
         J = max(M - p + 1, 0)
         if J == 0:
             # no degree was enumerated for this p; exact geometric block
@@ -324,28 +341,35 @@ def _composition_tail(log_S: float, log_x: float, M: int, P: int, log_pref: floa
             + math.log(math.comb(J + p - 1, p - 1))
             - math.log1p(-rho)
         )
-    hyps.append(("within-degree ratios < 1", rho_ok))
     log_w = log_S - log1mexp(log_x)
     w_ok = log_w < 0.0
-    hyps.append(("w = S/(1-x) < 1", w_ok))
+    hyps = tuple(zip(_TAIL_KEYS, (True, rho_ok, w_ok)))
     if not (rho_ok and w_ok):
-        return _SeriesTail(math.inf, tuple(hyps), False)
+        return _SeriesTail(math.inf, hyps, False)
     pieces.append(log_pref + (P + 1) * log_w - log1mexp(log_w))
-    return _SeriesTail(logsumexp(pieces), tuple(hyps), True)
+    return _SeriesTail(logsumexp(pieces), hyps, True)
 
 
 def _interval(
     log_partial: float,
-    tail: _SeriesTail | None,
     terms: int,
+    tc: TruncationConfig,
+    base_hyps: Sequence[tuple[str, bool]],
     certificate: str,
-    extra_hyps: Sequence[tuple[str, bool]],
+    tail: Callable[[], _SeriesTail],
     notes: Sequence[str] = (),
 ) -> BoundInterval:
-    hyps = tuple(extra_hyps) + (tail.hypotheses if tail is not None else ())
-    required_ok = all(ok for name, ok in hyps if "[recorded]" not in name)
-    certified = required_ok and tail is not None and tail.ok and tail.log_tail < math.inf
-    log_tail = tail.log_tail if certified else math.inf
+    """Assemble [partial, partial + tail].  ``tail`` runs only when a tail is
+    requested and every required (not ``[recorded]``) base hypothesis holds:
+    its algebra assumes them."""
+    series = None
+    if tc.tail_mode == "none":
+        certificate = "tail not requested"
+    elif all(ok for name, ok in base_hyps if "[recorded]" not in name):
+        series = tail()
+    hyps = tuple(base_hyps) + (series.hypotheses if series is not None else ())
+    certified = series is not None and series.ok and series.log_tail < math.inf
+    log_tail = series.log_tail if certified else math.inf
     partial = math.exp(log_partial) if log_partial < 700.0 else math.inf
     tail_val = math.exp(log_tail) if log_tail < 700.0 else math.inf
     return BoundInterval(
@@ -426,17 +450,6 @@ def _log_conv_power_sums(first: np.ndarray, step: np.ndarray, budgets: Sequence[
 # unitary family
 
 
-def _unitary_effective(q: WalkQuery) -> tuple[float, CircleMeasure]:
-    if q.family == "unitary-free":
-        nu = q.nu if q.nu is not None else CircleMeasure.delta(0.0)
-        assert q.tau is not None
-        return float(q.N) - q.tau, nu
-    if q.family == "unitary-eval":
-        assert q.theta is not None
-        return float(q.N) - tau_theta(q.N, q.theta), CircleMeasure.delta(arg_trace(q.N, q.theta))
-    raise ValueError(f"not a unitary-family query: {q.family!r}")
-
-
 def _winding_log_partial(g: np.ndarray, log_abs_m: np.ndarray, two_k: float, M: int, P: int) -> float:
     """Partial sum for a general nu, folded by a dynamic program over the
     prefix state (size total D, relative sign, partial sign sum T), which
@@ -510,7 +523,12 @@ def _unitary_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
     convolution-power pass for the whole grid.  Any other nu runs the
     winding dynamic program one k at a time.
     """
-    t, nu = _unitary_effective(q)
+    if q.family == "unitary-eval":
+        assert q.theta is not None
+        t, nu = eval_state_params(q.N, q.theta)
+    else:
+        assert q.tau is not None
+        t, nu = float(q.N) - q.tau, q.nu if q.nu is not None else CircleMeasure.delta(0.0)
     N = q.N
     M, P = tc.max_total, tc.max_p
     two_k = 2.0 * np.asarray(ks, dtype=float)
@@ -555,27 +573,16 @@ def _unitary_interval(N: int, t: float, k: float, log_partial: float, terms: int
         "within-degree blocks bounded by first term times geometric ratio, "
         "p > max_p blocks by the closed geometric sum"
     )
-    if tc.tail_mode == "none":
-        return _interval(log_partial, None, terms, "tail not requested", base_hyps)
-    if not (t > 2.0 + _T_EPS and k >= 1.0):
-        return _interval(log_partial, None, terms, cert_text, base_hyps)
-    log_qN = math.log(q_of(float(N)))
-    log_qt = math.log(q_of(t))
-    qt = q_of(t)
-    log_x = (two_k - 2.0) * log_qN - two_k * log_qt
-    log_S = -(two_k - 2.0) * math.log(float(N)) - two_k * log_qt - two_k * math.log1p(-qt * qt)
-    tail = _composition_tail(log_S, log_x, tc.max_total, tc.max_p, math.log(2.0))
-    return _interval(log_partial, tail, terms, cert_text, base_hyps)
 
+    def tail() -> _SeriesTail:
+        log_qN = math.log(q_of(float(N)))
+        qt = q_of(t)
+        log_qt = math.log(qt)
+        log_x = (two_k - 2.0) * log_qN - two_k * log_qt
+        log_S = -(two_k - 2.0) * math.log(float(N)) - two_k * log_qt - two_k * math.log1p(-qt * qt)
+        return _composition_tail(log_S, log_x, tc.max_total, tc.max_p, math.log(2.0), 1)
 
-def A_k_unitary(q: WalkQuery, tc: TruncationConfig = DEFAULT_TRUNCATION) -> BoundInterval:
-    """Series interval for the free unitary families at q.k.
-
-    The partial sum runs over all words with p <= max_p blocks and block-size
-    total <= max_total; see ``_unitary_intervals`` for the two summation
-    paths and ``_unitary_interval`` for the tail certificate.
-    """
-    return _unitary_intervals(q, [q.k], tc)[0]
+    return _interval(log_partial, terms, tc, base_hyps, cert_text, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -595,33 +602,21 @@ def _log_u_recurrence_nodes(tvec: np.ndarray, nmax: int) -> np.ndarray:
     return out
 
 
-def A_k_mixture(
-    N: int, k: float, tc: TruncationConfig = MIXTURE_DEFAULT_TRUNCATION, quad_points: int = 2048
-) -> BoundInterval:
-    """Series interval for the uniform (Porod) mixture of evaluation states.
+def _mixture_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -> list[BoundInterval]:
+    """Series intervals of the uniform (Porod) mixture of evaluation states
+    at every k in ``ks``.
 
     Per word, the coefficient is the quadrature of the per-angle coefficient
     e^{i eps beta(theta)} prod_i u_{n_i}(t_theta)/u_{n_i}(N) over the Porod
     mixture; the partial sum is therefore an estimate (quadrature error is
-    not rigorously bounded).  The tail is certified for the Jensen-majorized
-    series via the per-word bound 2 S^p x^(total - p) with
-
-        S = (a_N b_N)^{2k} N^{-(2k-2)} (1 - q(N-2)^2)^{-2k},
-        x = (a_N b_N)^{2k} q(N)^{2k-2},
-        a_N = N - 2 + 2/N,   b_N = e^{4/(N-2)^2},
-
-    combining |integral|^{2k} <= integral of |.|^{2k} (k >= 1/2), the
-    deficit-to-rate comparison u_n(N-tau_theta) <= b_N^n u_n(N-lambda_theta),
-    the envelope bounds, and the moment bound E[(N-lambda)^alpha] <= a_N^alpha.
+    not rigorously bounded).  The quadrature does not depend on k, so it runs
+    once per word for the whole grid; each k then sums d^2 |c|^{2k} over the
+    words in enumeration order.
     """
-    if N < 6:
-        raise ValueError("mixture needs N >= 6")
-    if not k >= 0:
-        raise ValueError("k must be >= 0")
+    N = q.N
     M, P = tc.max_total, tc.max_p
-    two_k = 2.0 * k
 
-    theta, wq = porod_nodes(N, quad_points)
+    theta, wq = porod_nodes(N, q.quad_points)
     lam = 1.0 - np.cos(theta)
     tvec = np.sqrt(float(N) * N - 2.0 * N * lam + 2.0 * lam)  # = N - tau_theta >= N - 2
     beta = np.arctan2(np.sin(theta), float(N) - 1.0 + np.cos(theta))
@@ -634,49 +629,49 @@ def A_k_mixture(
     cos_tab = {e: np.cos(e * beta) for e in range(-(P + 1), P + 2)}
     sin_tab = {e: np.sin(e * beta) for e in range(-(P + 1), P + 2)}
 
-    logs: list[float] = []
+    # per word: 2 log dim and log |coefficient| (-inf where it vanishes); the
+    # two words of a block vector (eps0 = -1, +1) are consecutive
+    two_log_dim: list[float] = []
+    log_mod: list[float] = []
+    ns: tuple[int, ...] = ()
+    for word in enumerate_unitary(M, P):
+        if word.ns != ns:
+            ns = word.ns
+            prod = wq
+            log_dim = 0.0
+            for n in ns:
+                prod = prod * R[n]
+                log_dim += log_u_N[n]
+        eps = word.z_exponent()
+        mod = math.hypot(float(np.dot(prod, cos_tab[eps])), float(np.dot(prod, sin_tab[eps])))
+        two_log_dim.append(2.0 * log_dim)
+        log_mod.append(math.log(mod) if mod > 0.0 else -math.inf)
+    dims = np.array(two_log_dim)
+    mods = np.array(log_mod)
 
-    def visit(ns: tuple[int, ...]) -> None:
-        prod = wq.copy()
-        log_dim = 0.0
-        for n in ns:
-            prod = prod * R[n]
-            log_dim += log_u_N[n]
-        sign_state = 1
-        seq = []
-        for n in ns:
-            sign_state = sign_state if n % 2 == 1 else -sign_state
-            seq.append(sign_state)
-        T = sum(seq[:-1])
-        for eps0 in (-1, 1):
-            if eps0 > 0:
-                eps = T + (1 if sign_state > 0 else 0)
-            else:
-                eps = -1 - T + (1 if sign_state < 0 else 0)
-            if two_k == 0.0:
-                logs.append(2.0 * log_dim)
-                continue
-            re = float(np.dot(prod, cos_tab[eps]))
-            im = float(np.dot(prod, sin_tab[eps]))
-            mod = math.hypot(re, im)
-            if mod > 0.0:
-                logs.append(2.0 * log_dim + two_k * math.log(mod))
-
-    def compositions(total_max: int, parts: int, prefix: tuple[int, ...]) -> None:
-        if parts == 0:
-            visit(prefix)
-            return
-        for first in range(1, total_max - parts + 2):
-            compositions(total_max - first, parts - 1, prefix + (first,))
-
-    for p in range(1, P + 1):
-        if p > M:
-            break
-        compositions(M, p, ())
-
-    log_partial = logsumexp(logs)
     terms = count_unitary(M, P)
+    out = []
+    for k in ks:
+        two_k = 2.0 * k
+        # at k = 0 every coefficient power is 1, vanishing ones included
+        logs = dims if two_k == 0.0 else dims + two_k * mods
+        out.append(_mixture_interval(N, float(k), logsumexp(logs.tolist()), terms, tc))
+    return out
 
+
+def _mixture_interval(N: int, k: float, log_partial: float, terms: int, tc: TruncationConfig) -> BoundInterval:
+    """Attach the tail certificate, which holds for the Jensen-majorized
+    series via the per-word bound 2 S^p x^(total - p) with
+
+        S = (a_N b_N)^{2k} N^{-(2k-2)} (1 - q(N-2)^2)^{-2k},
+        x = (a_N b_N)^{2k} q(N)^{2k-2},
+        a_N = N - 2 + 2/N,   b_N = e^{4/(N-2)^2},
+
+    combining |integral|^{2k} <= integral of |.|^{2k} (k >= 1/2), the
+    deficit-to-rate comparison u_n(N-tau_theta) <= b_N^n u_n(N-lambda_theta),
+    the envelope bounds, and the moment bound E[(N-lambda)^alpha] <= a_N^alpha.
+    """
+    two_k = 2.0 * k
     base_hyps: list[tuple[str, bool]] = [
         ("k >= 1", k >= 1.0),
         ("N >= 12", N >= 12),
@@ -688,17 +683,16 @@ def A_k_mixture(
         "partial is a quadrature estimate of the true series"
     )
     notes = ("partial is a quadrature estimate; certified tail covers the Jensen-majorized complement",)
-    if tc.tail_mode == "none":
-        return _interval(log_partial, None, terms, "tail not requested", base_hyps, notes)
-    if not (k >= 1.0 and N >= 12):
-        return _interval(log_partial, None, terms, cert_text, base_hyps, notes)
-    a_N = N - 2.0 + 2.0 / N
-    log_ab = math.log(a_N) + 4.0 / ((N - 2.0) * (N - 2.0))
-    q2 = q_of(N - 2.0)
-    log_S = two_k * log_ab - (two_k - 2.0) * math.log(float(N)) - two_k * math.log1p(-q2 * q2)
-    log_x = two_k * log_ab + (two_k - 2.0) * math.log(q_of(float(N)))
-    tail = _composition_tail(log_S, log_x, M, P, math.log(2.0))
-    return _interval(log_partial, tail, terms, cert_text, base_hyps, notes)
+
+    def tail() -> _SeriesTail:
+        a_N = N - 2.0 + 2.0 / N
+        log_ab = math.log(a_N) + 4.0 / ((N - 2.0) * (N - 2.0))
+        q2 = q_of(N - 2.0)
+        log_S = two_k * log_ab - (two_k - 2.0) * math.log(float(N)) - two_k * math.log1p(-q2 * q2)
+        log_x = two_k * log_ab + (two_k - 2.0) * math.log(q_of(float(N)))
+        return _composition_tail(log_S, log_x, tc.max_total, tc.max_p, math.log(2.0), 1)
+
+    return _interval(log_partial, terms, tc, base_hyps, cert_text, tail, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -715,8 +709,6 @@ def _wreath_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -
     odd-end and even-interior factor sequences: one convolution-power pass
     for the whole grid.
     """
-    if q.family != "wreath":
-        raise ValueError("query family must be 'wreath'")
     assert q.tau is not None and q.group is not None and q.psi is not None
     N, tau = q.N, q.tau
     M, P = tc.max_total, tc.max_p
@@ -746,110 +738,92 @@ def _wreath_interval(q: WalkQuery, k: float, log_partial: float, terms: int, tc:
         Z = q(sqrt N)^{2k-2} (sqrt N)^{-(2k-2)} q(t')^{-4k} (1 - q(t')^2)^{-2k},
 
     t' = sqrt(N - tau), and the group labels contribute m^{p-1} K(psi).
+
+    Read the p + 1 outer indices, each raised by one, as the parts of a
+    composition of degree D = sum n + p + 1.  A p >= 1 word then weighs
+    (K / (m^2 y)) S^{p+1} x^{D - (p+1)} with x = y and S = m Z, and it lies
+    outside the truncation exactly when D > max_total // 2 + 1: its
+    complement is the composition tail over parts 2..max_p + 1.  The
+    excluded p = 0 words add Z y^{max_total // 2} / (1 - y).
     """
     assert q.tau is not None and q.group is not None and q.psi is not None
     N, tau = q.N, q.tau
     M, P = tc.max_total, tc.max_p
     two_k = 2.0 * k
-    s = math.sqrt(float(N))
-    t_su = math.sqrt(float(N) - tau)
-    m_ord = q.group.order
-    log_K = math.log(q.psi.abs_sum())
-
     tau_ok = tau > 7.0 / 4.0
-    thresh_ok = tau_ok and N >= wreath_certificate_threshold(tau)
     base_hyps: list[tuple[str, bool]] = [
         ("k >= 1", k >= 1.0),
         ("N - tau > 4", float(N) - tau > 4.0 + _T_EPS),
         ("tau > 7/4", tau_ok),
-        ("N >= Q(tau)/(4 tau - 7)", thresh_ok),
+        ("N >= Q(tau)/(4 tau - 7)", tau_ok and N >= wreath_certificate_threshold(tau)),
     ]
     cert_text = (
         "per-word majorant Z^{p+1} y^(n-total - 1) (Z y^{n_0} for p = 0) from "
         "the envelope bounds at sqrt(N) and sqrt(N - tau); group labels "
-        "contribute m^{p-1} K(psi); within-degree blocks bounded by first "
-        "term times geometric ratio, p > max_p blocks by the closed "
+        "contribute m^{p-1} K(psi); p >= 1 words summed as compositions of "
+        "p + 1 parts with x = y and S = m Z: within-degree blocks bounded by "
+        "first term times geometric ratio, p > max_p blocks by the closed "
         "geometric sum"
     )
-    if tc.tail_mode == "none":
-        return _interval(log_partial, None, terms, "tail not requested", base_hyps)
-    if not (k >= 1.0 and float(N) - tau > 4.0 + _T_EPS and tau_ok and thresh_ok):
-        return _interval(log_partial, None, terms, cert_text, base_hyps)
 
-    log_qs = math.log(q_of(s))
-    qp = q_of(t_su)
-    log_qp = math.log(qp)
-    log_B = (two_k - 2.0) * log_qs - two_k * log_qp
-    log_y = 2.0 * log_B
-    log_Z = (two_k - 2.0) * (log_qs - math.log(s)) - 2.0 * two_k * log_qp - two_k * math.log1p(-qp * qp)
-    y_ok = log_y < 0.0
-    hyps2: list[tuple[str, bool]] = [("y < 1", y_ok)]
-    if not y_ok:
-        tail = _SeriesTail(math.inf, tuple(hyps2), False)
-        return _interval(log_partial, tail, terms, cert_text, base_hyps)
-    y = math.exp(log_y)
-    pieces: list[float] = []
-    # p = 0 complement
-    J0 = (M - 2) // 2 + 1 if M >= 2 else 0
-    pieces.append(log_Z + J0 * log_y - log1mexp(log_y))
-    # p <= max_p complements
-    rho_ok = True
-    for p in range(1, P + 1):
-        budget = (M - 2 * p) // 2 if M - 2 * p >= 0 else -1
-        Jp = budget + 1
-        log_gsa = (p - 1) * math.log(m_ord) + log_K
-        if Jp <= 0:
-            pieces.append(log_gsa + (p + 1) * log_Z - log_y - (p + 1) * log1mexp(log_y))
-            continue
-        rho = y * (Jp + p + 1) / (Jp + 1)
-        if not rho < 1.0:
-            rho_ok = False
-            break
-        pieces.append(
-            log_gsa
-            + (p + 1) * log_Z
-            + (Jp - 1) * log_y
-            + math.log(math.comb(Jp + p, p))
-            - math.log1p(-rho)
-        )
-    hyps2.append(("within-degree ratios < 1", rho_ok))
-    # p > max_p block: sum (K/m^2/y) G^{p+1}, G = m Z / (1 - y)
-    log_G = math.log(m_ord) + log_Z - log1mexp(log_y)
-    g_ok = log_G < 0.0
-    hyps2.append(("cross-p ratio m Z/(1-y) < 1", g_ok))
-    if not (rho_ok and g_ok):
-        tail = _SeriesTail(math.inf, tuple(hyps2), False)
-        return _interval(log_partial, tail, terms, cert_text, base_hyps)
-    pieces.append(log_K - 2.0 * math.log(m_ord) - log_y + (P + 2) * log_G - log1mexp(log_G))
-    tail = _SeriesTail(logsumexp(pieces), tuple(hyps2), True)
-    return _interval(log_partial, tail, terms, cert_text, base_hyps)
+    def tail() -> _SeriesTail:
+        s = math.sqrt(float(N))
+        qp = q_of(math.sqrt(float(N) - tau))
+        log_qs = math.log(q_of(s))
+        log_qp = math.log(qp)
+        log_y = 2.0 * ((two_k - 2.0) * log_qs - two_k * log_qp)
+        log_Z = (two_k - 2.0) * (log_qs - math.log(s)) - 2.0 * two_k * log_qp - two_k * math.log1p(-qp * qp)
+        log_m = math.log(q.group.order)
+        log_pref = math.log(q.psi.abs_sum()) - 2.0 * log_m - log_y
+        series = _composition_tail(log_m + log_Z, log_y, M // 2 + 1, P + 1, log_pref, 2)
+        if not series.ok:
+            return series
+        single = log_Z + (M // 2) * log_y - log1mexp(log_y)
+        return replace(series, log_tail=logsumexp([single, series.log_tail]))
+
+    return _interval(log_partial, terms, tc, base_hyps, cert_text, tail)
 
 
-def A_k_wreath(q: WalkQuery, tc: TruncationConfig = DEFAULT_TRUNCATION) -> BoundInterval:
-    """Series interval for the free wreath product of a finite group by the
-    quantum permutation group at q.k; see ``_wreath_intervals`` for the
-    partial and ``_wreath_interval`` for the tail certificate."""
-    return _wreath_intervals(q, [q.k], tc)[0]
+# ---------------------------------------------------------------------------
+# the one engine entry
+
+_ENGINES = {
+    "unitary-free": _unitary_intervals,
+    "unitary-eval": _unitary_intervals,
+    "mixture": _mixture_intervals,
+    "wreath": _wreath_intervals,
+}
+
+
+def A_k_grid(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig | None = None) -> list[BoundInterval]:
+    """Series interval of A_k for the walk ``q`` at every k in ``ks`` (the
+    k field of ``q`` is ignored), from one pass of the family's engine.
+    ``tc`` defaults to ``default_truncation(q.family)``."""
+    return _ENGINES[q.family](q, ks, tc if tc is not None else default_truncation(q.family))
 
 
 def A_k_for_query(q: WalkQuery, tc: TruncationConfig | None = None) -> BoundInterval:
-    """Family dispatch with per-family default truncation."""
-    if q.family in ("unitary-free", "unitary-eval"):
-        return A_k_unitary(q, tc if tc is not None else DEFAULT_TRUNCATION)
-    if q.family == "mixture":
-        return A_k_mixture(q.N, q.k, tc if tc is not None else MIXTURE_DEFAULT_TRUNCATION, q.quad_points)
-    return A_k_wreath(q, tc if tc is not None else DEFAULT_TRUNCATION)
+    """Series interval of A_k at q.k."""
+    return A_k_grid(q, [q.k], tc)[0]
 
 
-def _A_k_grid(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig | None) -> list[BoundInterval]:
-    """``A_k_for_query`` at every k in ``ks``, with one engine pass for the
-    unitary and wreath families; the mixture keeps one word loop per k."""
-    if q.family in ("unitary-free", "unitary-eval"):
-        return _unitary_intervals(q, ks, tc if tc is not None else DEFAULT_TRUNCATION)
-    if q.family == "mixture":
-        mixture_tc = tc if tc is not None else MIXTURE_DEFAULT_TRUNCATION
-        return [A_k_mixture(q.N, k, mixture_tc, q.quad_points) for k in ks]
-    return _wreath_intervals(q, ks, tc if tc is not None else DEFAULT_TRUNCATION)
+# Single-point entries under their earlier names and signatures.  The package
+# runs everything through A_k_grid; the benchmark's span tracer
+# (perfbench/spans.py) still looks these names up.
+
+
+def A_k_unitary(q: WalkQuery, tc: TruncationConfig = DEFAULT_TRUNCATION) -> BoundInterval:
+    return A_k_for_query(q, tc)
+
+
+def A_k_wreath(q: WalkQuery, tc: TruncationConfig = DEFAULT_TRUNCATION) -> BoundInterval:
+    return A_k_for_query(q, tc)
+
+
+def A_k_mixture(
+    N: int, k: float, tc: TruncationConfig = MIXTURE_DEFAULT_TRUNCATION, quad_points: int = 2048
+) -> BoundInterval:
+    return A_k_for_query(WalkQuery.mixture(N, k, quad_points), tc)
 
 
 # ---------------------------------------------------------------------------
@@ -976,7 +950,7 @@ def cutoff_profile(
         raise ValueError("k grid must be nonempty")
     queries = [q.with_k(float(k)) for k in k_grid]
     rows: list[ProfileRow] = []
-    for qk, A in zip(queries, _A_k_grid(q, [qk.k for qk in queries], tc)):
+    for qk, A in zip(queries, A_k_grid(q, [qk.k for qk in queries], tc)):
         tv = tv_upper_from_A(A)
         rows.append(
             ProfileRow(

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bounds import (
-    DEFAULT_TRUNCATION,
-    MIXTURE_DEFAULT_TRUNCATION,
+    MAX_K,
     A_k_for_query,
     TruncationConfig,
     WalkQuery,
@@ -42,6 +41,7 @@ from .bounds import (
     tv_upper_from_A,
     wreath_certificate_threshold,
     cutoff_profile,
+    default_truncation,
 )
 from .numerics import lambda_moment
 from .structures import (
@@ -321,6 +321,8 @@ def _build_query(args: argparse.Namespace) -> tuple[WalkQuery, RunConfig]:
         ks = [cutoff + c * N for c in _float_grid(args.c_range, "--c-range")]
     if not all(math.isfinite(k) for k in ks):
         raise CliError(f"{k_flags[0]} gives a step count k that overflows")
+    if any(k > MAX_K for k in ks):
+        raise CliError(f"{k_flags[0]} gives a step count k above {MAX_K!r}")
     if args.round_k:
         ks = [float(round(k)) for k in ks]
     ks = [k for k in ks if k >= 0]
@@ -350,7 +352,7 @@ def _build_query(args: argparse.Namespace) -> tuple[WalkQuery, RunConfig]:
 
 
 def _truncation_for(cfg: RunConfig, family: str) -> TruncationConfig:
-    base = MIXTURE_DEFAULT_TRUNCATION if family == "mixture" else DEFAULT_TRUNCATION
+    base = default_truncation(family)
     max_p = cfg.max_p if cfg.max_p is not None else base.max_p
     max_total = cfg.max_total if cfg.max_total is not None else base.max_total
     if max_p < 1:

@@ -31,10 +31,8 @@ __all__ = [
     "u_n",
     "u_seq",
     "wallis",
-    "wallis_ratio",
     "lambda_moment",
     "partitions_exact",
-    "log_pow",
     "logsumexp",
     "log1mexp",
 ]
@@ -127,40 +125,6 @@ class LogScalar:
 
     def __abs__(self) -> "LogScalar":
         return LogScalar(abs(self.sign), self.logmag if self.sign else 0.0)
-
-    def pow(self, k: float) -> "LogScalar":
-        return log_pow(self, k)
-
-    def _key(self) -> tuple[int, float]:
-        # orders by encoded real value
-        return (self.sign, self.sign * self.logmag if self.sign else 0.0)
-
-    def __lt__(self, other: "LogScalar") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "LogScalar") -> bool:
-        return self._key() <= other._key()
-
-
-def log_pow(x: LogScalar, k: float) -> LogScalar:
-    """x**k without leaving the log domain.
-
-    For k = 0 the result is one (including x = 0, matching the empty-product
-    convention used by convolution powers).  Negative bases require integer k.
-    """
-    if k == 0:
-        return LogScalar.one()
-    if x.sign == 0:
-        if k < 0:
-            raise ValueError("0 cannot be raised to a negative power")
-        return LogScalar.zero()
-    if x.sign < 0:
-        if k != int(k):
-            raise ValueError("negative base needs an integer exponent")
-        sign = -1 if int(k) % 2 else 1
-    else:
-        sign = 1
-    return LogScalar(sign, k * x.logmag)
 
 
 def logsumexp(items: Iterable[float]) -> float:
@@ -268,13 +232,6 @@ def wallis(n: int) -> float:
     start = 2 if n % 2 == 0 else 3
     val = math.exp(math.fsum(math.log1p(-1.0 / m) for m in range(start, n + 1, 2)))
     return val * (math.pi / 2.0) if n % 2 == 0 else val
-
-
-def wallis_ratio(n: int) -> float:
-    """W_{n+1} / W_{n-1}, which the recurrence collapses to n / (n + 1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return n / (n + 1.0)
 
 
 def lambda_moment(N: int, l: int) -> float:

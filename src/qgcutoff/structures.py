@@ -284,8 +284,10 @@ def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, p_prev
 
 
+@functools.lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], built once
+    per n and shared by every caller, hence read-only.
 
     Newton's method on P_n, evaluated by the three-term recurrence, moves
     the ceil(n/2) nonnegative nodes together as one vector from Tricomi's
@@ -313,13 +315,16 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     s = (1.0 - x) * (1.0 + x)
     w = 2.0 * s / (n * (p_prev - x * p)) ** 2
     half = n // 2
-    return np.concatenate((-x[:half], x[::-1])), np.concatenate((w[:half], w[::-1]))
+    nodes, weights = np.concatenate((-x[:half], x[::-1])), np.concatenate((w[:half], w[::-1]))
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 @functools.lru_cache(maxsize=None)
 def _half_angle_nodes(quad_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes phi and weights on [0, pi], built once per size
-    and shared by every caller, hence read-only."""
+    """Gauss-Legendre nodes phi = pi/2 (x + 1) and weights on [0, pi], built
+    once per size and shared by every caller, hence read-only."""
     x, w = _gauss_legendre(quad_points)
     phi = 0.5 * math.pi * (x + 1.0)
     wq = 0.5 * math.pi * w
@@ -335,11 +340,17 @@ def porod_nodes(N: int, quad_points: int) -> tuple[np.ndarray, np.ndarray]:
     on [0, pi]; the nodes are Gauss-Legendre on that interval, built once per
     ``quad_points``.  Returned angles are the original theta = 2*phi; the
     weights sum to 1 up to quadrature error.
+
+    log sin(phi) = log cos(pi x / 2) is taken as log1p(-2 sin^2(pi x / 4))
+    from the Legendre node x, not from the rounded phi, whose error the power
+    N - 1 would multiply.
     """
     if quad_points < 1:
         raise ValueError("quad_points must be >= 1")
+    x, _ = _gauss_legendre(quad_points)
     phi, wq = _half_angle_nodes(quad_points)
-    dens = np.exp((N - 1) * np.log(np.maximum(np.sin(phi), 1e-300))) / (2.0 * wallis(N - 1))
+    log_sin = np.log1p(-2.0 * np.sin(0.25 * math.pi * x) ** 2)
+    dens = np.exp((N - 1) * log_sin) / (2.0 * wallis(N - 1))
     return 2.0 * phi, wq * dens
 
 

@@ -15,9 +15,6 @@ from qgcutoff.bounds import (
     DEFAULT_TRUNCATION,
     MIXTURE_DEFAULT_TRUNCATION,
     A_k_for_query,
-    A_k_mixture,
-    A_k_unitary,
-    A_k_wreath,
     TruncationConfig,
     WalkQuery,
     threshold_C,
@@ -44,7 +41,7 @@ def test_criterion_1_unitary_closed_bound_domination():
     t0 = time.perf_counter()
     N, tau, c = 20, 2.0, 1.0
     k = N * math.log(N) / tau + c * N
-    A = A_k_unitary(WalkQuery.unitary(N, tau, k), DEFAULT_TRUNCATION)
+    A = A_k_for_query(WalkQuery.unitary(N, tau, k), DEFAULT_TRUNCATION)
     tv = tv_upper_from_A(A)
     elapsed = time.perf_counter() - t0
     a_target = 2.0 * math.exp(-4.0) / (1.0 - 2.0 * math.exp(-4.0))
@@ -68,7 +65,7 @@ def test_criterion_2_cutoff_shape_large_N():
     N, tau = 30000, 2.0
     cutoff = N * math.log(N) / 2.0
     lo = tv_lower(WalkQuery.unitary(N, tau, cutoff - 5.0 * N))
-    A = A_k_unitary(WalkQuery.unitary(N, tau, cutoff + 5.0 * N), DEFAULT_TRUNCATION)
+    A = A_k_for_query(WalkQuery.unitary(N, tau, cutoff + 5.0 * N), DEFAULT_TRUNCATION)
     hi = tv_upper_from_A(A).upper
     elapsed = time.perf_counter() - t0
     ok = lo >= 0.98 and A.certified and hi <= 2e-4 and elapsed < 10.0
@@ -83,7 +80,7 @@ def test_criterion_2_cutoff_shape_large_N():
 def test_criterion_3_oracle_equivalence():
     N, tau, k = 12, 2.0, 30.0
     # unitary, independent word-by-word route
-    got_u = A_k_unitary(
+    got_u = A_k_for_query(
         WalkQuery.unitary(N, tau, k), TruncationConfig(max_p=5, max_total=10)
     ).log_partial
     want_u = unitary_log_partial(N, N - tau, CircleMeasure.delta(0.0), k, 10, 5)
@@ -91,7 +88,7 @@ def test_criterion_3_oracle_equivalence():
     # wreath over Z_2
     g2 = cyclic_group(2)
     psi = trivial_state(g2)
-    got_w = A_k_wreath(
+    got_w = A_k_for_query(
         WalkQuery.wreath(N, tau, k, g2, psi), TruncationConfig(max_p=4, max_total=10)
     ).log_partial
     want_w = wreath_log_partial(N, tau, g2, psi, k, 10, 4)
@@ -112,15 +109,15 @@ def test_criterion_3_oracle_equivalence():
                 continue
             kk = Np * math.log(Np) / taup + c * Np
             q = WalkQuery.unitary(Np, taup, kk)
-            coarse = A_k_unitary(q, TruncationConfig(max_p=P1, max_total=M1))
-            fine = A_k_unitary(q, TruncationConfig(max_p=P2, max_total=M2))
+            coarse = A_k_for_query(q, TruncationConfig(max_p=P1, max_total=M1))
+            fine = A_k_for_query(q, TruncationConfig(max_p=P2, max_total=M2))
         else:
             Np = int(rng.integers(28, 80))
             gg = cyclic_group(int(rng.integers(2, 4)))
             kk = Np * math.log(Np) / 2.0 + c * Np
             q = WalkQuery.wreath(Np, 2.0, kk, gg, trivial_state(gg))
-            coarse = A_k_wreath(q, TruncationConfig(max_p=P1, max_total=M1))
-            fine = A_k_wreath(q, TruncationConfig(max_p=P2, max_total=M2))
+            coarse = A_k_for_query(q, TruncationConfig(max_p=P1, max_total=M1))
+            fine = A_k_for_query(q, TruncationConfig(max_p=P2, max_total=M2))
         if not coarse.certified:
             continue
         if not (
@@ -155,7 +152,7 @@ def test_criterion_5_wreath_bound_chain():
     psi = trivial_state(g3)
     N, tau, c = 30, 2.0, 1.0
     k = N * math.log(N) / tau + c * N
-    A = A_k_wreath(WalkQuery.wreath(N, tau, k, g3, psi), DEFAULT_TRUNCATION)
+    A = A_k_for_query(WalkQuery.wreath(N, tau, k, g3, psi), DEFAULT_TRUNCATION)
     tv = tv_upper_from_A(A)
     a_target = (math.exp(-4.0) / (1.0 - math.exp(-4.0))) * (1.0 + math.sqrt(3.0))
     tv_target = math.exp(-2.0) * math.sqrt(1.0 + math.sqrt(3.0)) / math.sqrt(1.0 - math.exp(-4.0))
@@ -189,7 +186,7 @@ def test_criterion_6_mixture_chain():
     t0 = time.perf_counter()
     N, c = 100, 6.0
     k = N * math.log(N) / 2.0 + c * N
-    A = A_k_mixture(N, k, MIXTURE_DEFAULT_TRUNCATION)
+    A = A_k_for_query(WalkQuery.mixture(N, k), MIXTURE_DEFAULT_TRUNCATION)
     a_target = 2.0 * math.exp(-2.0) / (1.0 - 2.0 * math.exp(-2.0))
     upper_ok = A.certified and A.partial + A.tail <= a_target
 

@@ -11,9 +11,6 @@ from qgcutoff.bounds import (
     DEFAULT_TRUNCATION,
     MIXTURE_DEFAULT_TRUNCATION,
     A_k_for_query,
-    A_k_mixture,
-    A_k_unitary,
-    A_k_wreath,
     TruncationConfig,
     WalkQuery,
     cutoff_profile,
@@ -37,7 +34,13 @@ from qgcutoff.structures import (
 )
 from qgcutoff.words import eval_state_params
 
-from oracles import mixture_log_partial, unitary_log_partial, wreath_log_partial
+from oracles import (
+    mixture_log_partial,
+    unitary_log_partial,
+    unitary_tail_majorant,
+    wreath_log_partial,
+    wreath_tail_majorant,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +88,7 @@ def test_unitary_partial_matches_oracle_delta():
     N, tau, k = 12, 2.0, 4.0
     tc = TruncationConfig(max_p=5, max_total=10)
     q = WalkQuery.unitary(N, tau, k)
-    got = A_k_unitary(q, tc).log_partial
+    got = A_k_for_query(q, tc).log_partial
     want = unitary_log_partial(N, N - tau, CircleMeasure.delta(0.0), k, 10, 5)
     assert got == pytest.approx(want, abs=1e-9)
 
@@ -96,7 +99,7 @@ def test_unitary_partial_matches_oracle_atomic():
     nu = CircleMeasure.atomic([(0.0, 0.6), (2.0, 0.4)])
     tc = TruncationConfig(max_p=4, max_total=9)
     q = WalkQuery("unitary-free", N, k, tau=2.0, nu=nu)
-    got = A_k_unitary(q, tc).log_partial
+    got = A_k_for_query(q, tc).log_partial
     want = unitary_log_partial(N, 10.0, nu, k, 9, 4)
     assert got == pytest.approx(want, abs=1e-9)
 
@@ -106,7 +109,7 @@ def test_unitary_partial_matches_oracle_k_zero():
     N = 12
     tc = TruncationConfig(max_p=3, max_total=6)
     q = WalkQuery.unitary(N, 2.0, 0.0)
-    got = A_k_unitary(q, tc).log_partial
+    got = A_k_for_query(q, tc).log_partial
     want = unitary_log_partial(N, 10.0, CircleMeasure.delta(0.0), 0.0, 6, 3)
     assert got == pytest.approx(want, abs=1e-9)
 
@@ -136,7 +139,7 @@ def test_wreath_partial_matches_oracle_trivial_state():
     psi = trivial_state(g)
     tc = TruncationConfig(max_p=4, max_total=10)
     q = WalkQuery.wreath(N, tau, k, g, psi)
-    got = A_k_wreath(q, tc).log_partial
+    got = A_k_for_query(q, tc).log_partial
     want = wreath_log_partial(N, tau, g, psi, k, 10, 4)
     assert got == pytest.approx(want, abs=1e-9)
 
@@ -147,7 +150,7 @@ def test_wreath_partial_matches_oracle_nontrivial_state():
     psi = GroupState.from_values(g, [1.0, 0.5])
     tc = TruncationConfig(max_p=4, max_total=10)
     q = WalkQuery.wreath(N, tau, k, g, psi)
-    got = A_k_wreath(q, tc).log_partial
+    got = A_k_for_query(q, tc).log_partial
     want = wreath_log_partial(N, tau, g, psi, k, 10, 4)
     assert got == pytest.approx(want, abs=1e-9)
 
@@ -158,7 +161,7 @@ def test_wreath_partial_matches_oracle_z3():
     psi = trivial_state(g)
     tc = TruncationConfig(max_p=3, max_total=8)
     q = WalkQuery.wreath(N, tau, k, g, psi)
-    got = A_k_wreath(q, tc).log_partial
+    got = A_k_for_query(q, tc).log_partial
     want = wreath_log_partial(N, tau, g, psi, k, 8, 3)
     assert got == pytest.approx(want, abs=1e-9)
 
@@ -167,14 +170,14 @@ def test_wreath_partial_empty_truncation():
     # max_total = 1 admits no wreath word: the partial is an empty sum
     g = cyclic_group(2)
     q = WalkQuery.wreath(40, 2.0, 30.0, g, trivial_state(g))
-    assert A_k_wreath(q, TruncationConfig(max_p=1, max_total=1)).log_partial == -math.inf
+    assert A_k_for_query(q, TruncationConfig(max_p=1, max_total=1)).log_partial == -math.inf
 
 
 def test_mixture_partial_matches_oracle():
     # per-word quadrature vs the engine's vectorized node fold
     N, k = 12, 6.0
     tc = TruncationConfig(max_p=2, max_total=4)
-    got = A_k_mixture(N, k, tc, quad_points=512).log_partial
+    got = A_k_for_query(WalkQuery.mixture(N, k, quad_points=512), tc).log_partial
     want = mixture_log_partial(N, k, 4, 2, quad_points=512)
     assert got == pytest.approx(want, abs=1e-8)
 
@@ -189,8 +192,8 @@ def test_eval_family_routes_to_central_state():
     qe = WalkQuery.eval_point(N, theta, k)
     t, nu = eval_state_params(N, theta)
     qf = WalkQuery("unitary-free", N, k, tau=N - t, nu=nu)
-    a = A_k_unitary(qe, tc)
-    b = A_k_unitary(qf, tc)
+    a = A_k_for_query(qe, tc)
+    b = A_k_for_query(qf, tc)
     assert a.log_partial == pytest.approx(b.log_partial, abs=1e-12)
 
 
@@ -200,7 +203,7 @@ def test_eval_family_routes_to_central_state():
 
 def test_tail_positive_and_certified():
     q = WalkQuery.unitary(20, 2.0, 60.0)
-    A = A_k_unitary(q, DEFAULT_TRUNCATION)
+    A = A_k_for_query(q, DEFAULT_TRUNCATION)
     assert A.certified
     assert 0.0 < A.tail < A.partial
     assert A.upper == pytest.approx(A.partial + A.tail)
@@ -208,7 +211,7 @@ def test_tail_positive_and_certified():
 
 def test_tail_mode_none():
     q = WalkQuery.unitary(20, 2.0, 60.0)
-    A = A_k_unitary(q, TruncationConfig(max_p=8, max_total=20, tail_mode="none"))
+    A = A_k_for_query(q, TruncationConfig(max_p=8, max_total=20, tail_mode="none"))
     assert not A.certified
     assert A.tail == math.inf  # unknown remainder
 
@@ -216,8 +219,8 @@ def test_tail_mode_none():
 def test_certificate_contains_refined_partial_unitary():
     # coarse certified interval must contain the partial of a finer truncation
     q = WalkQuery.unitary(15, 2.0, 40.0)  # past the cutoff ~20.3
-    coarse = A_k_unitary(q, TruncationConfig(max_p=6, max_total=12))
-    fine = A_k_unitary(q, TruncationConfig(max_p=12, max_total=24))
+    coarse = A_k_for_query(q, TruncationConfig(max_p=6, max_total=12))
+    fine = A_k_for_query(q, TruncationConfig(max_p=12, max_total=24))
     assert coarse.certified
     assert coarse.log_partial <= fine.log_partial + 1e-12
     assert math.exp(fine.log_partial) <= coarse.upper * (1.0 + 1e-12)
@@ -226,19 +229,53 @@ def test_certificate_contains_refined_partial_unitary():
 def test_certificate_contains_refined_partial_wreath():
     g = cyclic_group(3)
     q = WalkQuery.wreath(30, 2.0, 80.0, g, trivial_state(g))  # cutoff ~51
-    coarse = A_k_wreath(q, TruncationConfig(max_p=6, max_total=12))
-    fine = A_k_wreath(q, TruncationConfig(max_p=12, max_total=24))
+    coarse = A_k_for_query(q, TruncationConfig(max_p=6, max_total=12))
+    fine = A_k_for_query(q, TruncationConfig(max_p=12, max_total=24))
     assert coarse.certified
     assert coarse.log_partial <= fine.log_partial + 1e-12
     assert math.exp(fine.log_partial) <= coarse.upper * (1.0 + 1e-12)
 
 
 def test_certificate_contains_refined_partial_mixture():
-    coarse = A_k_mixture(20, 50.0, TruncationConfig(max_p=5, max_total=10))
-    fine = A_k_mixture(20, 50.0, TruncationConfig(max_p=7, max_total=14))
+    q = WalkQuery.mixture(20, 50.0)
+    coarse = A_k_for_query(q, TruncationConfig(max_p=5, max_total=10))
+    fine = A_k_for_query(q, TruncationConfig(max_p=7, max_total=14))
     assert coarse.certified
     # quadrature noise allowance on top of the containment
     assert math.exp(fine.log_partial) <= coarse.upper * (1.0 + 1e-8)
+
+
+@pytest.mark.parametrize(
+    "N, tau, k, max_total, max_p",
+    [(20, 2.0, 60.0, 10, 4), (30, 2.0, 100.0, 7, 7), (15, 3.0, 40.0, 12, 3)],
+)
+def test_unitary_tail_bounds_the_excluded_words(N, tau, k, max_total, max_p):
+    # the certificate is at least the majorant summed word class by word
+    # class over the complement, and close to it
+    A = A_k_for_query(WalkQuery.unitary(N, tau, k), TruncationConfig(max_p=max_p, max_total=max_total))
+    want = unitary_tail_majorant(N, tau, k, max_total, max_p)
+    assert A.certified
+    assert want - 1e-12 <= A.log_tail <= want + 1e-3
+
+
+@pytest.mark.parametrize(
+    "N, tau, k, max_total, max_p, values",
+    [
+        (40, 2.0, 120.0, 9, 3, [1.0, 1.0, 1.0]),
+        (60, 2.5, 150.0, 12, 8, [1.0, 0.5, 0.5]),
+        # p = 3, 4 admit no word: exact geometric blocks
+        (40, 2.0, 200.0, 5, 4, [1.0, 0.0, 0.0]),
+    ],
+)
+def test_wreath_tail_bounds_the_excluded_words(N, tau, k, max_total, max_p, values):
+    # the composition tail over parts 2..max_p + 1 plus the single-character
+    # piece covers every excluded wreath word's majorant
+    g = cyclic_group(3)
+    psi = GroupState.from_values(g, values)
+    A = A_k_for_query(WalkQuery.wreath(N, tau, k, g, psi), TruncationConfig(max_p=max_p, max_total=max_total))
+    want = wreath_tail_majorant(N, tau, g, psi, k, max_total, max_p)
+    assert A.certified
+    assert want - 1e-12 <= A.log_tail <= want + 1e-3
 
 
 def test_nested_truncation_containment_random():
@@ -263,16 +300,16 @@ def test_nested_truncation_containment_random():
                 continue
             k = N * math.log(N) / tau + c * N
             q = WalkQuery.unitary(N, tau, k)
-            coarse = A_k_unitary(q, TruncationConfig(max_p=P1, max_total=M1))
-            fine = A_k_unitary(q, TruncationConfig(max_p=P2, max_total=M2))
+            coarse = A_k_for_query(q, TruncationConfig(max_p=P1, max_total=M1))
+            fine = A_k_for_query(q, TruncationConfig(max_p=P2, max_total=M2))
         else:
             N = int(rng.integers(28, 80))
             tau = 2.0
             g = cyclic_group(int(rng.integers(2, 4)))
             k = N * math.log(N) / tau + c * N
             q = WalkQuery.wreath(N, tau, k, g, trivial_state(g))
-            coarse = A_k_wreath(q, TruncationConfig(max_p=P1, max_total=M1))
-            fine = A_k_wreath(q, TruncationConfig(max_p=P2, max_total=M2))
+            coarse = A_k_for_query(q, TruncationConfig(max_p=P1, max_total=M1))
+            fine = A_k_for_query(q, TruncationConfig(max_p=P2, max_total=M2))
         if not coarse.certified:
             continue
         assert coarse.log_partial <= fine.log_partial + 1e-12
@@ -289,8 +326,8 @@ def test_nested_truncation_containment_random():
 def test_mixture_quadrature_refinement():
     # spectral convergence: 512 vs 4096 nodes agree far below the tolerance
     tc = TruncationConfig(max_p=3, max_total=6)
-    a = A_k_mixture(50, 250.0, tc, quad_points=512)
-    b = A_k_mixture(50, 250.0, tc, quad_points=4096)
+    a = A_k_for_query(WalkQuery.mixture(50, 250.0, quad_points=512), tc)
+    b = A_k_for_query(WalkQuery.mixture(50, 250.0, quad_points=4096), tc)
     assert a.log_partial == pytest.approx(b.log_partial, abs=1e-9)
 
 
@@ -300,14 +337,14 @@ def test_mixture_quadrature_refinement():
 
 def test_uncertified_small_k():
     q = WalkQuery.unitary(20, 2.0, 0.5)
-    A = A_k_unitary(q, DEFAULT_TRUNCATION)
+    A = A_k_for_query(q, DEFAULT_TRUNCATION)
     assert not A.certified
     assert dict(A.hypotheses)["k >= 1"] is False
 
 
 def test_uncertified_tau_too_close_to_N():
     q = WalkQuery.unitary(10, 8.5, 20.0)  # N - tau = 1.5 <= 2
-    A = A_k_unitary(q, DEFAULT_TRUNCATION)
+    A = A_k_for_query(q, DEFAULT_TRUNCATION)
     assert not A.certified
     assert dict(A.hypotheses)["N - tau > 2"] is False
 
@@ -315,7 +352,7 @@ def test_uncertified_tau_too_close_to_N():
 def test_uncertified_wreath_small_tau():
     g = cyclic_group(2)
     q = WalkQuery.wreath(40, 1.5, 20.0, g, trivial_state(g))
-    A = A_k_wreath(q, DEFAULT_TRUNCATION)
+    A = A_k_for_query(q, DEFAULT_TRUNCATION)
     assert not A.certified
     assert dict(A.hypotheses)["tau > 7/4"] is False
 
@@ -323,7 +360,7 @@ def test_uncertified_wreath_small_tau():
 def test_uncertified_wreath_below_threshold():
     g = cyclic_group(2)
     q = WalkQuery.wreath(20, 2.0, 20.0, g, trivial_state(g))  # 20 < 186/7
-    A = A_k_wreath(q, DEFAULT_TRUNCATION)
+    A = A_k_for_query(q, DEFAULT_TRUNCATION)
     assert not A.certified
     assert dict(A.hypotheses)["N >= Q(tau)/(4 tau - 7)"] is False
 
@@ -332,7 +369,7 @@ def test_recorded_only_hypothesis_does_not_block():
     # the unitary C(tau) condition is recorded but the numeric ratio checks
     # decide certification
     q = WalkQuery.unitary(6, 2.8, 25.0)  # N < tau + C(tau) = 6.159...
-    A = A_k_unitary(q, DEFAULT_TRUNCATION)
+    A = A_k_for_query(q, DEFAULT_TRUNCATION)
     hyps = dict(A.hypotheses)
     assert hyps["N >= tau + C(tau) [recorded]"] is False
     assert A.certified  # numeric ratios still hold at this k
@@ -373,7 +410,7 @@ def test_tv_upper_from_A_values():
 
 def test_tv_upper_uncertified_clamps_to_one():
     q = WalkQuery.unitary(20, 2.0, 0.5)  # k < 1: no certificate
-    A = A_k_unitary(q, DEFAULT_TRUNCATION)
+    A = A_k_for_query(q, DEFAULT_TRUNCATION)
     tv = tv_upper_from_A(A)
     assert tv.upper == 1.0
     assert tv.clamped
@@ -457,6 +494,7 @@ def _grid_cases():
         # the average of the trivial and sign characters of the dihedral group
         (WalkQuery.wreath(40, 3.0, 0.0, d4, GroupState.from_values(d4, [1.0] * 4 + [0.0] * 4)),
          [0.0, 0.5, 1.0, 40.0, 80.0]),
+        (WalkQuery.mixture(20, 0.0), [0.0, 0.5, 1.0, 30.0, 60.0]),
     ]
 
 
@@ -484,6 +522,8 @@ def test_cutoff_profile_rows_match_single_point_engine(query, ks):
         (["--family", "wreath", "--N", "40", "--tau", "2", "--group", "cyclic:3"], "_log_conv_power_sums", 1),
         # a general nu runs the winding program once per row
         (["--family", "unitary", "--N", "40", "--tau", "2", "--nu", "haar"], "_winding_log_partial", 5),
+        # the mixture's word quadrature runs once per profile
+        (["--family", "mixture", "--N", "20"], "porod_nodes", 1),
     ],
 )
 def test_profile_runs_the_engine_once(monkeypatch, capsys, argv, engine, passes):
@@ -502,6 +542,25 @@ def test_profile_runs_the_engine_once(monkeypatch, capsys, argv, engine, passes)
     rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
     assert len(rows) == 1 + 5
     assert calls == {"engine": passes, "single": 0}
+
+
+@pytest.mark.parametrize(
+    "query, ks",
+    [
+        (WalkQuery.unitary(30, 2.0, 0.0), [1.0, 41.0, 81.0, 121.0]),
+        (WalkQuery.eval_point(30, 2.0, 0.0), [1.0, 60.0, 120.0, 200.0]),
+        (WalkQuery.mixture(20, 0.0), [1.0, 30.0, 60.0]),
+        (WalkQuery.wreath(30, 2.0, 0.0, cyclic_group(3), trivial_state(cyclic_group(3))), [1.0, 41.0, 81.0]),
+    ],
+)
+def test_profile_rows_share_one_hypothesis_key_sequence(query, ks):
+    # every row past the base hypotheses, certified or not, names the tail
+    # checks the same way and in the same order
+    rows = cutoff_profile(query, ks).rows
+    assert any(row.certified for row in rows) and not all(row.certified for row in rows)
+    keys = {tuple(name for name, _ in row.hypotheses) for row in rows}
+    assert len(keys) == 1
+    assert keys.pop()[-3:] == ("x < 1", "within-degree ratios < 1", "w = S/(1-x) < 1")
 
 
 def test_cutoff_profile_rejects_empty_grid():

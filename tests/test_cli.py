@@ -315,6 +315,10 @@ _WALK = ["--family", "unitary", "--N", "20", "--tau", "2"]
         (["bound", *_WALK, "--c", "nan"], "--c"),
         (["profile", *_WALK, "--k-range", "0:inf:1"], "--k-range"),
         (["profile", *_WALK, "--c-range", "0:x:1"], "--c-range"),
+        # step counts above MAX_K = 1e300
+        (["bound", "--family", "unitary", "--N", "10", "--tau", "2", "--k", "1e306"], "--k"),
+        (["profile", *_WALK, "--k-range", "1e300:2e300:1e300"], "--k-range"),
+        (["bound", *_WALK, "--c", "1e300"], "--c"),
     ],
 )
 def test_invalid_input_exit_2(capsys, argv, flag):

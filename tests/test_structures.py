@@ -336,10 +336,12 @@ def test_gauss_legendre_against_30_digit_newton_reference():
         assert rel <= (1e-13 if abs(x[i]) <= 0.9 else 1e-9), (i, float(x[i]), rel)
 
 
-@pytest.mark.parametrize("N", [5, 50, 800])
+@pytest.mark.parametrize("N", [5, 50, 800, 5000, 30000, 100000])
 def test_porod_mass_at_default_quad_points(N):
+    # the density is formed from the Legendre node x, so its rounding does
+    # not grow with the power N - 1
     _, w = porod_nodes(N, 2048)
-    assert abs(float(np.sum(w)) - 1.0) <= 1e-15
+    assert abs(float(np.sum(w)) - 1.0) <= (1e-15 if N <= 800 else 4e-15)
 
 
 def test_half_angle_nodes_are_cached_read_only():
