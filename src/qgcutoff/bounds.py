@@ -37,6 +37,7 @@ Family-specific series:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -45,6 +46,7 @@ import numpy as np
 
 from .numerics import LogScalar, log1mexp, logsumexp, q_of, u_seq
 from .structures import (
+    MAX_QUAD_POINTS,
     CircleMeasure,
     FiniteGroup,
     GroupState,
@@ -191,6 +193,8 @@ class WalkQuery:
             raise ValueError("k must be >= 0")
         if self.k > MAX_K:
             raise ValueError(f"k must be <= {MAX_K!r}")
+        if not 1 <= self.quad_points <= MAX_QUAD_POINTS:
+            raise ValueError(f"quad_points must be in 1..{MAX_QUAD_POINTS}")
         if self.family == "unitary-free":
             if self.tau is None or not 0.0 < self.tau <= self.N:
                 raise ValueError("unitary-free needs 0 < tau <= N")
@@ -415,17 +419,86 @@ def _row_logsumexp(x: np.ndarray) -> np.ndarray:
         return shift + np.log(np.exp(x - shift[..., np.newaxis]).sum(axis=-1))
 
 
+# most terms one row block of _gather_logsumexp forms at a time (32 KB)
+_BLOCK_TERMS = 4096
+
+
+def _gather_logsumexp(
+    x: np.ndarray, xi: np.ndarray, y: np.ndarray, yi: np.ndarray, seg: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """out[:, s] = log sum over e in segment s of exp(x[:, xi[e]] + y[:, yi[e]]).
+
+    The terms e are ordered by segment: segment s is the non-empty run that
+    begins at starts[s], and seg[e] is the segment of term e.  Rows go
+    through in blocks of at most _BLOCK_TERMS terms, in two buffers, so the
+    temporaries stay small whatever the number of rows.
+    """
+    rows = x.shape[0]
+    out = np.empty((rows, starts.size))
+    step = max(1, _BLOCK_TERMS // max(xi.size, 1))
+    terms_buf = np.empty((min(step, rows), xi.size))
+    other_buf = np.empty_like(terms_buf)
+    for r in range(0, rows, step):
+        terms = terms_buf[: min(step, rows - r)]
+        other = other_buf[: terms.shape[0]]
+        # the indices are in range; mode="clip" lets take write into out
+        # without an internal copy
+        np.take(x[r : r + step], xi, axis=1, out=terms, mode="clip")
+        terms += np.take(y[r : r + step], yi, axis=1, out=other, mode="clip")
+        hi = np.maximum.reduceat(terms, starts, axis=1)
+        hi = np.where(np.isfinite(hi), hi, 0.0)
+        terms -= np.take(hi, seg, axis=1, out=other, mode="clip")
+        np.exp(terms, out=terms)
+        with np.errstate(divide="ignore"):
+            out[r : r + step] = hi + np.log(np.add.reduceat(terms, starts, axis=1))
+    return out
+
+
+def _conv_pairs(lo: int, hi: int) -> tuple[np.ndarray, ...]:
+    """(j, d - j, d - lo) for every pair j <= d with lo <= d < hi, ordered
+    by d, and the first pair of each d."""
+    counts = np.arange(lo + 1, hi + 1)
+    starts = np.cumsum(counts) - counts
+    seg = np.repeat(np.arange(hi - lo), counts)
+    j = np.arange(seg.size) - starts[seg]
+    return j, seg + lo - j, seg, starts
+
+
+# degrees below this share one pair table, built once per process; the
+# default truncation convolves 49 degrees
+_TABLE_DEGREES = 64
+
+
+@functools.lru_cache(maxsize=1)
+def _low_conv_pairs() -> tuple[np.ndarray, ...]:
+    """_conv_pairs(0, _TABLE_DEGREES), shared, hence read-only.  A width-W
+    convolution reads its first W (W + 1) / 2 pairs and W starts."""
+    table = _conv_pairs(0, _TABLE_DEGREES)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
 def _log_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise product of two truncated series in the log domain: for
     (K, L+1) arrays of log coefficients, out[:, d] = log sum_{j <= d}
-    exp(a[:, j] + b[:, d - j]), d <= L."""
+    exp(a[:, j] + b[:, d - j]), d <= L.
+
+    Degrees at and above _TABLE_DEGREES go in runs of about _BLOCK_TERMS
+    pairs, each with its own pairs, so no index table grows with the
+    square of the width.
+    """
     width = a.shape[1]
-    out = np.full(a.shape, -math.inf)
-    for j in range(width):
-        col = a[:, j : j + 1]
-        if (col == -math.inf).all():
-            continue
-        out[:, j:] = np.logaddexp(out[:, j:], col + b[:, : width - j])
+    out = np.empty(a.shape)
+    lo = min(width, _TABLE_DEGREES)
+    n = lo * (lo + 1) // 2
+    j, dj, seg, starts = _low_conv_pairs()
+    out[:, :lo] = _gather_logsumexp(a, j[:n], b, dj[:n], seg[:n], starts[:lo])
+    while lo < width:
+        hi = min(width, lo + max(1, _BLOCK_TERMS // lo))
+        j, dj, seg, starts = _conv_pairs(lo, hi)
+        out[:, lo:hi] = _gather_logsumexp(a, j, b, dj, seg, starts)
+        lo = hi
     return out
 
 
@@ -450,68 +523,109 @@ def _log_conv_power_sums(first: np.ndarray, step: np.ndarray, budgets: Sequence[
 # unitary family
 
 
-def _winding_log_partial(g: np.ndarray, log_abs_m: np.ndarray, two_k: float, M: int, P: int) -> float:
-    """Partial sum for a general nu, folded by a dynamic program over the
-    prefix state (size total D, relative sign, partial sign sum T), which
-    determines the winding exponent of both stop options eps0 = +-1.
+@dataclass(frozen=True)
+class _ParityClasses:
+    """The words of at most P blocks, grouped by their parity sequence.
 
-    ``g`` holds the per-block log coefficients at this k; ``log_abs_m[e +
-    P + 1]`` is log |m_e(nu)| for |e| <= P + 1.
+    Odd blocks keep the sign and even blocks flip it, the first sign being
+    + for an odd block and - for an even one, and T is the sum of the signs
+    before the last block.  So the last sign sigma = (-1)^b and T depend
+    only on the parities: C(a, b, T) counts the parity sequences with a odd
+    and b even blocks that end at T.  The classes with C > 0 are listed in
+    (a + b, a, T) order, and so are their (a, b) pairs.
     """
-    # log |m_eps|^{2k}; 2k = 0 gives log 1 even where m_eps = 0
-    logm = np.zeros_like(log_abs_m) if two_k == 0.0 else two_k * log_abs_m
 
-    def stop_log(T: int, sigma: int) -> float:
-        # winding exponent for each leading-sign choice
-        e_plus = T + (1 if sigma > 0 else 0)
-        e_minus = -1 - T + (1 if sigma < 0 else 0)
-        a = logm[e_plus + P + 1]
-        b = logm[e_minus + P + 1]
-        return float(np.logaddexp(a, b))
+    log_count: np.ndarray  # log C per class
+    stop: np.ndarray  # column (sigma, T) of each class in the stop table
+    pair: np.ndarray  # index of each class's (a, b) pair
+    pair_starts: np.ndarray  # first class of each pair
+    # per stop-table column (sigma, T), the index e + P of the winding
+    # exponent of each stop option: e+ = T + [sigma > 0], e- = -1 - T + [sigma < 0]
+    e_plus: np.ndarray
+    e_minus: np.ndarray
 
-    # sign index 0 -> +1
-    off = P
-    width = 2 * P + 1
-    cur = np.full((M + 1, 2, width), -math.inf)
-    sign_flip = [1 if n % 2 == 1 else -1 for n in range(M + 1)]
-    for n in range(1, M + 1):
-        sidx = 0 if sign_flip[n] > 0 else 1
-        cur[n, sidx, off] = g[n]
 
-    stop_logs = np.empty((2, width))
-    for sidx in range(2):
-        sigma = 1 if sidx == 0 else -1
-        for Toff in range(width):
-            stop_logs[sidx, Toff] = stop_log(Toff - off, sigma)
+@functools.lru_cache(maxsize=None)
+def _parity_classes(P: int) -> _ParityClasses:
+    """The parity classes of the words of at most P blocks, built once per
+    P by a dynamic program over the word length L and shared, hence
+    read-only."""
+    width, off = 2 * P - 1, P - 1
+    # count[a, T + off] for the words of length L, which have b = L - a
+    count = np.zeros((P + 1, width))
+    count[0, off] = count[1, off] = 1.0
+    log_count, stop, pair = [], [], []
+    for L in range(1, P + 1):
+        if L > 1:
+            # the sign before the new block moves T: + for even b = L - 1 - a
+            plus = (L - 1) % 2
+            moved = np.zeros_like(count)
+            moved[plus::2, 1:] = count[plus::2, :-1]
+            moved[1 - plus :: 2, :-1] = count[1 - plus :: 2, 1:]
+            count = moved.copy()  # an even block: a stays
+            count[1:] += moved[:-1]  # an odd block: a + 1
+        a, t = np.nonzero(count)
+        log_count.append(np.log(count[a, t]))
+        stop.append(((L - a) & 1) * width + t)
+        pair.append((L - 1) * (L + 2) // 2 + a)
+    T = np.arange(width) - off
+    pairs = np.concatenate(pair)
+    classes = _ParityClasses(
+        log_count=np.concatenate(log_count),
+        stop=np.concatenate(stop),
+        pair=pairs,
+        pair_starts=np.flatnonzero(np.diff(pairs, prepend=-1)),
+        e_plus=np.r_[T + 1, T] + P,
+        e_minus=np.r_[-1 - T, -T] + P,
+    )
+    for arr in vars(classes).values():
+        arr.flags.writeable = False
+    return classes
 
-    collected: list[np.ndarray] = []
-    for length in range(1, P + 1):
-        if length > 1:
-            nxt = np.full((M + 1, 2, width), -math.inf)
-            for n in range(1, M + 1):
-                gn = g[n]
-                if gn == -math.inf:
-                    continue
-                flip = sign_flip[n]
-                for sidx in range(2):
-                    sigma = 1 if sidx == 0 else -1
-                    tidx = sidx if flip > 0 else 1 - sidx
-                    src = cur[: M + 1 - n, sidx, :]
-                    if sigma > 0:
-                        nxt[n:, tidx, 1:] = np.logaddexp(nxt[n:, tidx, 1:], src[:, :-1] + gn)
-                    else:
-                        nxt[n:, tidx, :-1] = np.logaddexp(nxt[n:, tidx, :-1], src[:, 1:] + gn)
-            cur = nxt
-        ended = cur + stop_logs[np.newaxis, :, :]
-        finite = ended[np.isfinite(ended)]
-        if finite.size:
-            collected.append(finite)
 
-    if not collected:
-        return -math.inf
-    flat = np.concatenate(collected)
-    hi = float(flat.max())
-    return hi + math.log(float(np.exp(flat - hi).sum()))
+def _parity_log_partials(g: np.ndarray, log_abs_m: np.ndarray, two_k: np.ndarray, M: int, P: int) -> np.ndarray:
+    """Partial sum for a general nu at every row of ``g``, by parity class.
+
+    ``g`` holds the (K, M+1) per-block log coefficients at the K values
+    ``two_k`` of 2k, and ``log_abs_m[e + P]`` is log |m_e(nu)| for |e| <= P.
+    A word's two stop options weigh |m_e+|^{2k} and |m_e-|^{2k}, both fixed
+    by its parity class (a, b, T), and the blocks of a class sum to
+    S(a, b) = [z^{<= M}] O(z)^a E(z)^b, with O and E the odd and even
+    blocks of g.  So the partial is the sum over classes of
+    C S(a, b) (|m_e+|^{2k} + |m_e-|^{2k}).
+    """
+    pc = _parity_classes(P)
+    classes = np.arange(pc.log_count.size)
+    out = np.empty(g.shape[0])
+    # the powers of a block of rows take at most about _BLOCK_TERMS floats each
+    rows = max(1, _BLOCK_TERMS // ((P + 1) * (M + 1)))
+    for r in range(0, g.shape[0], rows):
+        block, tk = g[r : r + rows], two_k[r : r + rows, np.newaxis]
+        n = block.shape[0]
+        # log |m_e|^{2k}; 2k = 0 gives log 1 even where m_e = 0
+        with np.errstate(invalid="ignore"):
+            logm = np.where(tk == 0.0, 0.0, tk * log_abs_m)
+        stop = np.logaddexp(logm[:, pc.e_plus], logm[:, pc.e_minus])
+        # per pair, log sum over its classes of C (|m_e+|^{2k} + |m_e-|^{2k})
+        log_count = np.broadcast_to(pc.log_count, (n, classes.size))
+        stop_sums = _gather_logsumexp(stop, pc.stop, log_count, classes, pc.pair, pc.pair_starts)
+
+        # odd_pow[:, a] = O^a and even_pow[:, b] = E^b, a, b <= P
+        odd_pow = np.full((n, P + 1, M + 1), -math.inf)
+        even_pow = np.full_like(odd_pow, -math.inf)
+        odd_pow[:, 0, 0] = even_pow[:, 0, 0] = 0.0
+        odd_pow[:, 1, 1::2] = block[:, 1::2]
+        even_pow[:, 1, 2::2] = block[:, 2::2]
+        for p in range(2, P + 1):
+            odd_pow[:, p] = _log_conv(odd_pow[:, p - 1], odd_pow[:, 1])
+            even_pow[:, p] = _log_conv(even_pow[:, p - 1], even_pow[:, 1])
+        # even_rev[:, b, j] = log [z^{<= M - j}] E^b
+        np.logaddexp.accumulate(even_pow, axis=2, out=even_pow)
+        even_rev = even_pow[:, :, ::-1]
+        # S(a, L - a) = sum_j [z^j] O^a [z^{<= M - j}] E^{L - a}, pairs in (L, a) order
+        log_s = [_row_logsumexp(odd_pow[:, : L + 1] + even_rev[:, L::-1]) for L in range(1, P + 1)]
+        out[r : r + rows] = _row_logsumexp(np.hstack(log_s) + stop_sums)
+    return out
 
 
 def _unitary_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -> list[BoundInterval]:
@@ -520,8 +634,10 @@ def _unitary_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
     When nu is a point mass of weight w, |m_eps(nu)| = w for every eps, so
     both stop options of a word weigh w^{2k} whatever its winding state, and
     the partial is log 2 + 2k log w + sum_{p <= P} [z^{<= M}] G(z)^p: one
-    convolution-power pass for the whole grid.  Any other nu runs the
-    winding dynamic program one k at a time.
+    convolution-power pass for the whole grid.  Any other nu sums the words
+    by parity class (``_parity_log_partials``), also in one pass for the
+    whole grid, from the powers of the odd and even blocks of G and the
+    moments m_e(nu), |e| <= P.
     """
     if q.family == "unitary-eval":
         assert q.theta is not None
@@ -540,13 +656,12 @@ def _unitary_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
         sums = _log_conv_power_sums(g, g, [M] * P)
         log_partials = math.log(2.0) + two_k * math.log(weight) + _row_logsumexp(sums)
     else:
-        eps_max = P + 1
-        log_abs_m = np.full(2 * eps_max + 1, -math.inf)
-        for eps in range(-eps_max, eps_max + 1):
+        log_abs_m = np.full(2 * P + 1, -math.inf)
+        for eps in range(-P, P + 1):
             m = abs(moment(nu, eps, quad_points=q.quad_points))
             if m > 0.0:
-                log_abs_m[eps + eps_max] = math.log(m)
-        log_partials = np.array([_winding_log_partial(row, log_abs_m, tk, M, P) for row, tk in zip(g, two_k)])
+                log_abs_m[eps + P] = math.log(m)
+        log_partials = _parity_log_partials(g, log_abs_m, two_k, M, P)
 
     terms = count_unitary(M, P)
     return [_unitary_interval(N, t, float(k), float(lp), terms, tc) for k, lp in zip(ks, log_partials)]

@@ -21,6 +21,7 @@ verification failure, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -45,6 +46,7 @@ from .bounds import (
 )
 from .numerics import lambda_moment
 from .structures import (
+    MAX_QUAD_POINTS,
     CircleMeasure,
     FiniteGroup,
     GroupState,
@@ -181,7 +183,17 @@ def _merge_range_flags(argv: list[str]) -> list[str]:
     return out
 
 
-def _parse_nu(source: str | None, N: int | None, quad_points: int) -> CircleMeasure:
+@contextlib.contextmanager
+def _flag_input(flag: str):
+    """Report a bad value or an unreadable file met while reading ``flag``'s
+    value as bad input naming the flag."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise CliError(f"{flag}: {exc}") from exc
+
+
+def _parse_nu(source: str | None, N: int | None) -> CircleMeasure:
     if source is None or source == "delta:0" or source == "delta:0.0":
         return CircleMeasure.delta(0.0)
     if source == "haar":
@@ -189,20 +201,22 @@ def _parse_nu(source: str | None, N: int | None, quad_points: int) -> CircleMeas
     if source == "porod":
         if N is None:
             raise CliError("--nu porod needs --N")
-        return CircleMeasure.porod(N)
+        with _flag_input("--nu"):
+            return CircleMeasure.porod(N)
     if source.startswith("delta:"):
-        return CircleMeasure.delta(float(source.split(":", 1)[1]))
+        with _flag_input("--nu"):
+            return CircleMeasure.delta(float(source.split(":", 1)[1]))
     if source.startswith("atoms:"):
         path = source.split(":", 1)[1]
         pairs = []
-        with open(path, "r", encoding="utf-8") as fh:
+        with _flag_input("--nu"), open(path, "r", encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 angle, weight = line.split()
                 pairs.append((float(angle), float(weight)))
-        return CircleMeasure.atomic(pairs)
+            return CircleMeasure.atomic(pairs)
     raise CliError(f"--nu: unknown measure spec {source!r}")
 
 
@@ -210,10 +224,11 @@ def _parse_group(source: str | None) -> FiniteGroup:
     if source is None:
         raise CliError("--group is required for the wreath family")
     if source.startswith("cyclic:"):
-        return cyclic_group(int(source.split(":", 1)[1]))
+        with _flag_input("--group"):
+            return cyclic_group(int(source.split(":", 1)[1]))
     if source.startswith("cayley:"):
         path = source.split(":", 1)[1]
-        with open(path, "r", encoding="utf-8") as fh:
+        with _flag_input("--group"), open(path, "r", encoding="utf-8") as fh:
             return load_cayley(fh.read())
     raise CliError(f"--group: unknown group spec {source!r}")
 
@@ -225,7 +240,7 @@ def _parse_psi(source: str | None, group: FiniteGroup) -> GroupState:
         return haar_state(group)
     if source.startswith("file:"):
         path = source.split(":", 1)[1]
-        with open(path, "r", encoding="utf-8") as fh:
+        with _flag_input("--psi"), open(path, "r", encoding="utf-8") as fh:
             return load_group_state(group, fh.read())
     raise CliError(f"--psi: unknown state spec {source!r}")
 
@@ -236,8 +251,8 @@ def _finite(value: float | None, flag: str) -> None:
 
 
 def _quad_points(value: int) -> int:
-    if value < 1:
-        raise CliError(f"--quad-points must be >= 1, got {value}")
+    if not 1 <= value <= MAX_QUAD_POINTS:
+        raise CliError(f"--quad-points must be in 1..{MAX_QUAD_POINTS}, got {value}")
     return value
 
 
@@ -285,7 +300,7 @@ def _build_query(args: argparse.Namespace) -> tuple[WalkQuery, RunConfig]:
         if family == "unitary-free":
             if tau is None:
                 raise CliError("--tau is required for the unitary family")
-            nu = _parse_nu(args.nu, N, quad_points)
+            nu = _parse_nu(args.nu, N)
             q = WalkQuery("unitary-free", N, 0.0, tau=tau, nu=nu, quad_points=quad_points)
         elif family == "unitary-eval":
             if theta is None:
@@ -540,10 +555,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
     doc: dict[str, object] = {}
     quad_points = _quad_points(args.quad_points)
     if args.eps is not None:
-        try:
-            nu = _parse_nu(args.nu, args.N, quad_points)
-        except ValueError as exc:
-            raise CliError(f"--nu: {exc}") from exc
+        nu = _parse_nu(args.nu, args.N)
         try:
             eps_list = [int(x) for x in args.eps.split(",") if x.strip() != ""]
         except ValueError as exc:

@@ -26,6 +26,7 @@ import numpy as np
 from .numerics import wallis
 
 __all__ = [
+    "MAX_QUAD_POINTS",
     "FiniteGroup",
     "GroupState",
     "CircleMeasure",
@@ -148,6 +149,9 @@ class GroupState:
         vals = tuple(complex(v) for v in values)
         if len(vals) != m:
             raise ValueError(f"expected {m} values, got {len(vals)}")
+        for g, v in enumerate(vals):
+            if not cmath.isfinite(v):
+                raise ValueError(f"psi({g}) = {v!r} is not finite")
         if abs(vals[group.identity] - 1.0) > _STATE_ATOL:
             raise ValueError(f"psi(identity) = {vals[group.identity]!r}, must equal 1")
         for g, v in enumerate(vals):
@@ -238,6 +242,8 @@ class CircleMeasure:
         total = 0.0
         norm = []
         for theta, w in pairs:
+            if not (math.isfinite(theta) and math.isfinite(w)):
+                raise ValueError(f"atom ({theta!r}, {w!r}) is not finite")
             if w < -1e-15:
                 raise ValueError(f"negative weight {w}")
             total += w
@@ -270,6 +276,10 @@ class CircleMeasure:
             return f"porod(N={self.N})"
         return "atomic[" + ", ".join(f"({t!r}, {w!r})" for t, w in self.atoms) + "]"
 
+
+# most Gauss-Legendre nodes a quadrature may use; the O(n^2) node build takes
+# about 30 s at this size (Python 3.11, numpy 2.4, one core)
+MAX_QUAD_POINTS = 65536
 
 # cap on Newton sweeps in _gauss_legendre; from Tricomi's guess three sweeps
 # reach full accuracy for every n below about 840 and two beyond
@@ -345,8 +355,8 @@ def porod_nodes(N: int, quad_points: int) -> tuple[np.ndarray, np.ndarray]:
     from the Legendre node x, not from the rounded phi, whose error the power
     N - 1 would multiply.
     """
-    if quad_points < 1:
-        raise ValueError("quad_points must be >= 1")
+    if not 1 <= quad_points <= MAX_QUAD_POINTS:
+        raise ValueError(f"quad_points must be in 1..{MAX_QUAD_POINTS}")
     x, _ = _gauss_legendre(quad_points)
     phi, wq = _half_angle_nodes(quad_points)
     log_sin = np.log1p(-2.0 * np.sin(0.25 * math.pi * x) ** 2)

@@ -2,12 +2,17 @@
 
 These sum the series word by word from the irrep data (dimensions and
 normalized coefficients), deliberately bypassing the production engine's
-dynamic program, convolution folding, and tail machinery.  Shared pieces are
+parity classes, convolution folding, and tail machinery.  Shared pieces are
 limited to the u_n evaluator, the moment map, and the word enumeration
 order, none of which carry the summation logic under test.
+``winding_log_partial`` is the general-nu partial the engine ran before its
+parity-class rewrite, a dynamic program over the winding state, kept as an
+independent reference for that rewrite.
 """
 
 import math
+
+import numpy as np
 
 from qgcutoff.numerics import logsumexp, u_seq
 from qgcutoff.structures import CircleMeasure, FiniteGroup, GroupState, moment
@@ -157,3 +162,67 @@ def wreath_tail_majorant(
                 terms.append((p - 1) * log_m + log_K + math.log(math.comb(j + p, p))
                              + (p + 1) * log_Z + (j - 1) * log_y)
     return logsumexp(terms)
+
+
+def winding_log_partial(g: np.ndarray, log_abs_m: np.ndarray, two_k: float, M: int, P: int) -> float:
+    """Partial sum for a general nu, folded by a dynamic program over the
+    prefix state (size total D, relative sign, partial sign sum T), which
+    determines the winding exponent of both stop options eps0 = +-1.
+
+    ``g`` holds the per-block log coefficients at this k; ``log_abs_m[e +
+    P + 1]`` is log |m_e(nu)| for |e| <= P + 1.
+    """
+    # log |m_eps|^{2k}; 2k = 0 gives log 1 even where m_eps = 0
+    logm = np.zeros_like(log_abs_m) if two_k == 0.0 else two_k * log_abs_m
+
+    def stop_log(T: int, sigma: int) -> float:
+        # winding exponent for each leading-sign choice
+        e_plus = T + (1 if sigma > 0 else 0)
+        e_minus = -1 - T + (1 if sigma < 0 else 0)
+        a = logm[e_plus + P + 1]
+        b = logm[e_minus + P + 1]
+        return float(np.logaddexp(a, b))
+
+    # sign index 0 -> +1
+    off = P
+    width = 2 * P + 1
+    cur = np.full((M + 1, 2, width), -math.inf)
+    sign_flip = [1 if n % 2 == 1 else -1 for n in range(M + 1)]
+    for n in range(1, M + 1):
+        sidx = 0 if sign_flip[n] > 0 else 1
+        cur[n, sidx, off] = g[n]
+
+    stop_logs = np.empty((2, width))
+    for sidx in range(2):
+        sigma = 1 if sidx == 0 else -1
+        for Toff in range(width):
+            stop_logs[sidx, Toff] = stop_log(Toff - off, sigma)
+
+    collected: list[np.ndarray] = []
+    for length in range(1, P + 1):
+        if length > 1:
+            nxt = np.full((M + 1, 2, width), -math.inf)
+            for n in range(1, M + 1):
+                gn = g[n]
+                if gn == -math.inf:
+                    continue
+                flip = sign_flip[n]
+                for sidx in range(2):
+                    sigma = 1 if sidx == 0 else -1
+                    tidx = sidx if flip > 0 else 1 - sidx
+                    src = cur[: M + 1 - n, sidx, :]
+                    if sigma > 0:
+                        nxt[n:, tidx, 1:] = np.logaddexp(nxt[n:, tidx, 1:], src[:, :-1] + gn)
+                    else:
+                        nxt[n:, tidx, :-1] = np.logaddexp(nxt[n:, tidx, :-1], src[:, 1:] + gn)
+            cur = nxt
+        ended = cur + stop_logs[np.newaxis, :, :]
+        finite = ended[np.isfinite(ended)]
+        if finite.size:
+            collected.append(finite)
+
+    if not collected:
+        return -math.inf
+    flat = np.concatenate(collected)
+    hi = float(flat.max())
+    return hi + math.log(float(np.exp(flat - hi).sum()))

@@ -24,12 +24,14 @@ from qgcutoff.bounds import (
     wreath_certificate_threshold,
 )
 from qgcutoff import bounds, cli
+from qgcutoff.numerics import logsumexp, u_seq
 from qgcutoff.structures import (
     CircleMeasure,
     GroupState,
     cyclic_group,
     load_cayley,
     load_group_state,
+    moment,
     trivial_state,
 )
 from qgcutoff.words import eval_state_params
@@ -38,6 +40,7 @@ from oracles import (
     mixture_log_partial,
     unitary_log_partial,
     unitary_tail_majorant,
+    winding_log_partial,
     wreath_log_partial,
     wreath_tail_majorant,
 )
@@ -195,6 +198,104 @@ def test_eval_family_routes_to_central_state():
     a = A_k_for_query(qe, tc)
     b = A_k_for_query(qf, tc)
     assert a.log_partial == pytest.approx(b.log_partial, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the general-nu partial by parity class and the log-domain convolution
+
+_PARITY_NUS = {
+    "haar": CircleMeasure.haar(),
+    "atoms": CircleMeasure.atomic([(0.3, 0.25), (2.0, 0.5), (4.0, 0.25)]),
+    # m_eps = 0 for every odd eps
+    "atoms-antipodal": CircleMeasure.atomic([(0.0, 0.5), (math.pi, 0.5)]),
+    "porod": CircleMeasure.porod(40),
+    "delta": CircleMeasure.delta(1.7),
+}
+_PARITY_TRUNCATIONS = [(1, 1), (2, 1), (3, 2), (5, 5), (8, 3), (20, 7), (48, 12)]
+_PARITY_KS = [0.0, 0.5, 1.0, 7.3, 1e4, 1e300]
+
+
+def _log_abs_moments(nu, P, quad_points=256):
+    """log |m_e(nu)| for |e| <= P at index e + P; -inf where m_e = 0."""
+    out = np.full(2 * P + 1, -math.inf)
+    for e in range(-P, P + 1):
+        m = abs(moment(nu, e, quad_points=quad_points))
+        if m > 0.0:
+            out[e + P] = math.log(m)
+    return out
+
+
+@pytest.mark.parametrize("nu_name", sorted(_PARITY_NUS))
+@pytest.mark.parametrize(
+    "N, tau",
+    [
+        (3, 0.5),
+        (3, 1.0),  # t = 2
+        (4, 2.5),  # t < 2: u_n(t) changes sign and some vanish
+        (5, 2.0),
+        (40, 2.0),
+        (10**5, 3.0),
+        (2**40, 2.0),
+    ],
+)
+def test_parity_partial_matches_winding_oracle(N, tau, nu_name):
+    nu = _PARITY_NUS[nu_name]
+    two_k = 2.0 * np.array(_PARITY_KS)
+    for M, P in _PARITY_TRUNCATIONS:
+        g = bounds._log_coeff_table(two_k, u_seq(N - tau, M), u_seq(float(N), M))
+        log_abs_m = _log_abs_moments(nu, P + 1)
+        got = bounds._parity_log_partials(g, log_abs_m[1:-1], two_k, M, P)
+        for row, tk, value in zip(g, two_k, got):
+            want = winding_log_partial(row, log_abs_m, tk, M, P)
+            if math.isinf(want):
+                assert value == want, (M, P, tk)
+            else:
+                assert value == pytest.approx(want, rel=1e-12, abs=1e-12), (M, P, tk)
+
+
+def test_point_mass_shortcut_equals_parity_partial():
+    # delta:1.7 takes the convolution-power shortcut; every |m_e| = 1
+    q = WalkQuery.unitary(40, 2.0, 0.0, CircleMeasure.delta(1.7))
+    ks = [0.0, 0.5, 1.0, 30.0, 200.0, 1e300]
+    for M, P in [(1, 1), (6, 3), (48, 12)]:
+        tc = TruncationConfig(max_p=P, max_total=M)
+        two_k = 2.0 * np.array(ks)
+        g = bounds._log_coeff_table(two_k, u_seq(38.0, M), u_seq(40.0, M))
+        general = bounds._parity_log_partials(g, np.zeros(2 * P + 1), two_k, M, P)
+        shortcut = [A.log_partial for A in bounds.A_k_grid(q, ks, tc)]
+        assert shortcut == pytest.approx(general.tolist(), rel=1e-12, abs=1e-12)
+
+
+def _naive_log_conv(a, b):
+    out = np.empty_like(a)
+    for i in range(a.shape[0]):
+        for d in range(a.shape[1]):
+            out[i, d] = logsumexp([a[i, j] + b[i, d - j] for j in range(d + 1)])
+    return out
+
+
+@pytest.mark.parametrize("block_terms", [bounds._BLOCK_TERMS, 1, 50])
+@pytest.mark.parametrize("K", [1, 3])
+def test_log_conv_matches_naive_double_loop(monkeypatch, K, block_terms):
+    # small blocks split the rows of one call into several row blocks
+    monkeypatch.setattr(bounds, "_BLOCK_TERMS", block_terms)
+    rng = np.random.default_rng(7)
+    # degrees from 64 on go in runs outside the shared pair table
+    for width in [*range(1, 50), 64, 65, 130]:
+        a = rng.uniform(-50.0, 50.0, (K, width))
+        b = rng.uniform(-50.0, 50.0, (K, width))
+        a[:, rng.random(width) < 0.3] = -math.inf
+        b[:, rng.random(width) < 0.3] = -math.inf
+        if K > 1:
+            a[1] = -math.inf  # an all -inf row
+            b[2, : (width + 1) // 2] = rng.choice([1e300, -1e300, 9.9e299], (width + 1) // 2)
+        got = bounds._log_conv(a, b)
+        want = _naive_log_conv(a, b)
+        assert np.array_equal(np.isneginf(got), np.isneginf(want))
+        finite = np.isfinite(want)
+        assert np.all(np.isfinite(got) == finite)
+        scale = np.maximum(1.0, np.abs(want[finite]))
+        assert np.all(np.abs(got[finite] - want[finite]) <= 1e-14 * scale), width
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +621,8 @@ def test_cutoff_profile_rows_match_single_point_engine(query, ks):
         (["--family", "unitary", "--N", "40", "--tau", "2"], "_log_conv_power_sums", 1),
         (["--family", "eval", "--N", "40", "--theta", "2"], "_log_conv_power_sums", 1),
         (["--family", "wreath", "--N", "40", "--tau", "2", "--group", "cyclic:3"], "_log_conv_power_sums", 1),
-        # a general nu runs the winding program once per row
-        (["--family", "unitary", "--N", "40", "--tau", "2", "--nu", "haar"], "_winding_log_partial", 5),
+        # a general nu runs the parity-class sum once for the whole grid
+        (["--family", "unitary", "--N", "40", "--tau", "2", "--nu", "haar"], "_parity_log_partials", 1),
         # the mixture's word quadrature runs once per profile
         (["--family", "mixture", "--N", "20"], "porod_nodes", 1),
     ],

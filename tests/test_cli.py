@@ -16,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgcutoff
-from qgcutoff.cli import MAX_GRID_POINTS, _build_parser, _float_grid, main
+from qgcutoff import structures
+from qgcutoff.bounds import WalkQuery
+from qgcutoff.cli import MAX_GRID_POINTS, MAX_QUAD_POINTS, _build_parser, _float_grid, main
 
 
 def run(capsys, *argv):
@@ -264,7 +266,7 @@ def test_missing_file_exit_2(capsys):
         "--nu", "atoms:/no/such/file", "--c", "1",
     )
     assert code == 2
-    assert "no/such/file" in err
+    assert "no/such/file" in err and "--nu" in err
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +321,48 @@ _WALK = ["--family", "unitary", "--N", "20", "--tau", "2"]
         (["bound", "--family", "unitary", "--N", "10", "--tau", "2", "--k", "1e306"], "--k"),
         (["profile", *_WALK, "--k-range", "1e300:2e300:1e300"], "--k-range"),
         (["bound", *_WALK, "--c", "1e300"], "--c"),
+        # non-finite measures and states (files written by the test)
+        (["bound", "--family", "unitary", "--N", "100", "--tau", "2", "--nu", "atoms:nan-weight.txt", "--c", "1"],
+         "--nu"),
+        (["bound", *_WALK, "--nu", "delta:nan", "--c", "1"], "--nu"),
+        (["bound", *_WALK, "--nu", "delta:inf", "--c", "1"], "--nu"),
+        (["bound", *_WALK, "--nu", "delta:x", "--c", "1"], "--nu"),
+        (["moments", "--nu", "delta:nan", "--eps", "1"], "--nu"),
+        (["bound", "--family", "wreath", "--N", "40", "--tau", "2", "--group", "cyclic:2", "--psi",
+          "file:nan-psi.txt", "--c", "1"], "--psi"),
+        (["bound", "--family", "wreath", "--N", "40", "--tau", "2", "--group", "cyclic:x", "--c", "1"], "--group"),
+        # above MAX_QUAD_POINTS = 65536
+        (["profile", "--family", "mixture", "--N", "20", "--c", "1", "--quad-points", "65537"], "--quad-points"),
     ],
 )
-def test_invalid_input_exit_2(capsys, argv, flag):
+def test_invalid_input_exit_2(capsys, tmp_path, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nan-weight.txt").write_text("0.5 nan\n1.0 1.0\n")
+    (tmp_path / "nan-psi.txt").write_text("1 0\nnan 0\n")
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert flag in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--family", "unitary", "--N", "40", "--tau", "2", "--nu", "porod", "--c", "1"],
+    ["profile", "--family", "mixture", "--N", "20", "--c", "1"],
+    ["moments", "--nu", "porod", "--N", "10", "--eps", "1"],
+])
+def test_quad_points_above_limit_exit_2_before_any_node_build(monkeypatch, capsys, argv):
+    def build(n):
+        raise AssertionError(f"Gauss-Legendre nodes built for n={n}")
+
+    monkeypatch.setattr(structures, "_gauss_legendre", build)
+    code, _, err = run(capsys, *argv, "--quad-points", str(MAX_QUAD_POINTS + 1))
+    assert MAX_QUAD_POINTS == 65536
+    assert code == 2
+    assert "--quad-points" in err and "Traceback" not in err
+    with pytest.raises(ValueError):
+        WalkQuery.mixture(20, 1.0, quad_points=MAX_QUAD_POINTS + 1)
+    with pytest.raises(ValueError):
+        structures.porod_nodes(10, MAX_QUAD_POINTS + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,14 @@ def test_moment_delta():
         assert moment(nu, e) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("value", [math.nan, complex(0.0, math.nan)])
+def test_state_rejects_non_finite_value(value):
+    # NaN slips through every comparison of the other checks
+    g = cyclic_group(2)
+    with pytest.raises(ValueError, match="not finite"):
+        GroupState.from_values(g, [1.0, value])
+
+
 def test_moment_atomic():
     nu = CircleMeasure.atomic([(0.0, 0.5), (math.pi, 0.5)])
     assert moment(nu, 1) == pytest.approx(0.0, abs=1e-12)
@@ -253,6 +261,17 @@ def test_atomic_weight_validation():
         CircleMeasure.atomic([(0.0, 0.7), (1.0, 0.4)])  # weights sum to 1.1
     with pytest.raises(ValueError):
         CircleMeasure.atomic([(0.0, -0.1), (1.0, 1.1)])
+
+
+@pytest.mark.parametrize("pairs", [
+    [(0.5, math.nan), (1.0, 1.0)],  # the NaN sum passes the |total - 1| check
+    [(math.nan, 1.0)],
+    [(math.inf, 1.0)],
+    [(0.0, math.inf), (1.0, -math.inf)],
+])
+def test_atomic_rejects_non_finite_atoms(pairs):
+    with pytest.raises(ValueError, match="not finite"):
+        CircleMeasure.atomic(pairs)
 
 
 def test_porod_normalization():
