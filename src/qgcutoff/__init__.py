@@ -4,13 +4,14 @@ wreath products of a finite group by the quantum permutation group.
 
 Subpackage layout:
 
-- ``numerics``: log-domain scalars, the ``q``/``u_n`` special functions,
-  Wallis integrals, partition counts.
+- ``numerics``: log-domain sums, the ``q`` function and the one ``u_n``
+  evaluator ``u_seq`` (log |u_n| as float arrays), Wallis integrals,
+  lambda-moments.
 - ``structures``: finite groups and positive-definite states on them, measures
   on the circle and their moments.
-- ``words``: irreducible-character words for both families, their dimensions
-  and state coefficients, truncated enumeration, and closed-form expectations
-  used by the lower bounds.
+- ``words``: irreducible-character words for both families, truncated
+  enumeration and counts, unitary word dimensions and state coefficients,
+  and closed-form expectations used by the lower bounds.
 - ``bounds``: the series engine computing certified intervals around the
   upper-bound series, Chebyshev lower bounds, thresholds, cutoff profiles.
 - ``verify``: grid verification of the supporting analytic inequalities, with

@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import LogScalar, log1mexp, logsumexp, q_of, u_seq
+from .numerics import log1mexp, logsumexp, q_of, u_seq
 from .structures import (
     MAX_QUAD_POINTS,
     CircleMeasure,
@@ -73,6 +73,8 @@ __all__ = [
     "DEFAULT_TRUNCATION",
     "MIXTURE_DEFAULT_TRUNCATION",
     "MAX_K",
+    "MAX_TOTAL",
+    "MAX_MIXTURE_WORDS",
     "default_truncation",
     "A_k_grid",
     "A_k_for_query",
@@ -91,10 +93,17 @@ __all__ = [
 
 _T_EPS = 1e-9  # same parabolic-boundary guard as numerics.q_of
 
+# Largest index total a truncation accepts.  A convolution power costs
+# O(max_total^2) per block, so (12, 2000) takes about half a second.
+MAX_TOTAL = 4096
+# Most words the mixture engine sums one by one, at about 17 us a word.
+MAX_MIXTURE_WORDS = 100_000
+
 
 @dataclass(frozen=True)
 class TruncationConfig:
-    """Finite word-index window: p <= max_p blocks, index total <= max_total.
+    """Finite word-index window: p <= max_p blocks, index total <= max_total,
+    at most MAX_TOTAL.
 
     ``tail_mode`` selects whether the complement is bounded by the geometric
     certificate or left unbounded ("none").
@@ -109,6 +118,8 @@ class TruncationConfig:
             raise ValueError("max_p must be >= 1")
         if self.max_total < self.max_p:
             raise ValueError("max_total must be >= max_p")
+        if self.max_total > MAX_TOTAL:
+            raise ValueError(f"max_total must be <= {MAX_TOTAL}")
         if self.tail_mode not in ("geometric-certificate", "none"):
             raise ValueError(f"unknown tail_mode {self.tail_mode!r}")
 
@@ -126,7 +137,7 @@ MAX_K = 1e300
 
 def default_truncation(family: str) -> TruncationConfig:
     """The truncation an engine runs with when none is given."""
-    return MIXTURE_DEFAULT_TRUNCATION if family == "mixture" else DEFAULT_TRUNCATION
+    return _FAMILIES[family].truncation
 
 
 @dataclass(frozen=True)
@@ -235,25 +246,9 @@ class WalkQuery:
         return cls("wreath", N, k, tau=tau, group=group, psi=psi)
 
     @property
-    def effective_tau(self) -> float | None:
-        """Trace deficit seen by the character coefficients."""
-        if self.family == "unitary-free" or self.family == "wreath":
-            return self.tau
-        if self.family == "unitary-eval":
-            assert self.theta is not None
-            return tau_theta(self.N, self.theta)
-        return None
-
-    @property
     def cutoff_rate(self) -> float:
         """Denominator of the N ln N / rate cutoff location."""
-        if self.family == "unitary-free" or self.family == "wreath":
-            assert self.tau is not None
-            return self.tau
-        if self.family == "unitary-eval":
-            assert self.theta is not None
-            return lambda_theta(self.theta)
-        return 2.0
+        return _FAMILIES[self.family].rate(self)
 
     def with_k(self, k: float) -> "WalkQuery":
         return replace(self, k=k)
@@ -396,14 +391,14 @@ def _interval(
 # domain, so the engines below carry a leading k axis: one row per grid point.
 
 
-def _log_coeff_table(two_k: np.ndarray, num: Sequence[LogScalar], den: Sequence[LogScalar]) -> np.ndarray:
-    """table[i, n] = log den_n^2 |num_n / den_n|^{two_k[i]} for n >= 1.
+def _log_coeff_table(two_k: np.ndarray, log_num: np.ndarray, log_den: np.ndarray) -> np.ndarray:
+    """table[i, n] = log den_n^2 |num_n / den_n|^{two_k[i]} for n >= 1, from
+    log |num_n| and log den_n (``u_seq`` columns).
 
     Column 0 is -inf (no index-0 factor).  A vanishing num_n gives -inf,
     except at two_k = 0, where every coefficient power is 1.
     """
-    log_num = np.array([x.logmag if x.sign != 0 else -math.inf for x in num[1:]])
-    log_den = np.array([x.logmag for x in den[1:]])
+    log_num, log_den = log_num[1:], log_den[1:]
     tk = two_k[:, np.newaxis]
     with np.errstate(invalid="ignore"):
         body = tk * log_num - (tk - 2.0) * log_den
@@ -704,19 +699,6 @@ def _unitary_interval(N: int, t: float, k: float, log_partial: float, terms: int
 # mixture family
 
 
-def _log_u_recurrence_nodes(tvec: np.ndarray, nmax: int) -> np.ndarray:
-    """log u_n(t_j) for every node, shape (nmax+1, len(tvec)); needs t > 2."""
-    out = np.empty((nmax + 1, tvec.size))
-    out[0] = 0.0
-    if nmax >= 1:
-        out[1] = np.log(tvec)
-    for n in range(1, nmax):
-        # u_{n+1} = u_n (t - u_{n-1}/u_n); the ratio lies in (0, 1) for t > 2
-        ratio = np.exp(out[n - 1] - out[n])
-        out[n + 1] = out[n] + np.log(tvec - ratio)
-    return out
-
-
 def _mixture_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -> list[BoundInterval]:
     """Series intervals of the uniform (Porod) mixture of evaluation states
     at every k in ``ks``.
@@ -726,20 +708,23 @@ def _mixture_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
     mixture; the partial sum is therefore an estimate (quadrature error is
     not rigorously bounded).  The quadrature does not depend on k, so it runs
     once per word for the whole grid; each k then sums d^2 |c|^{2k} over the
-    words in enumeration order.
+    words in enumeration order.  More than MAX_MIXTURE_WORDS words raise
+    ValueError.
     """
     N = q.N
     M, P = tc.max_total, tc.max_p
+    terms = count_unitary(M, P)
+    if terms > MAX_MIXTURE_WORDS:
+        raise ValueError(f"the mixture truncation ({P}, {M}) has {terms} words, above {MAX_MIXTURE_WORDS}")
 
     theta, wq = porod_nodes(N, q.quad_points)
     lam = 1.0 - np.cos(theta)
     tvec = np.sqrt(float(N) * N - 2.0 * N * lam + 2.0 * lam)  # = N - tau_theta >= N - 2
     beta = np.arctan2(np.sin(theta), float(N) - 1.0 + np.cos(theta))
 
-    log_u_nodes = _log_u_recurrence_nodes(tvec, M)
-    log_u_N = [ls.logmag for ls in u_seq(float(N), M)]
+    log_u_N = u_seq(float(N), M)
     # per-node ratio factors u_n(t_theta)/u_n(N), kept as plain floats (<= 1)
-    R = np.exp(log_u_nodes - np.asarray(log_u_N)[:, np.newaxis])
+    R = np.exp(u_seq(tvec, M) - log_u_N[:, np.newaxis])
 
     cos_tab = {e: np.cos(e * beta) for e in range(-(P + 1), P + 2)}
     sin_tab = {e: np.sin(e * beta) for e in range(-(P + 1), P + 2)}
@@ -764,7 +749,6 @@ def _mixture_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
     dims = np.array(two_log_dim)
     mods = np.array(log_mod)
 
-    terms = count_unitary(M, P)
     out = []
     for k in ks:
         two_k = 2.0 * k
@@ -902,11 +886,52 @@ def _wreath_interval(q: WalkQuery, k: float, log_partial: float, terms: int, tc:
 # ---------------------------------------------------------------------------
 # the one engine entry
 
-_ENGINES = {
-    "unitary-free": _unitary_intervals,
-    "unitary-eval": _unitary_intervals,
-    "mixture": _mixture_intervals,
-    "wreath": _wreath_intervals,
+
+@dataclass(frozen=True)
+class _Family:
+    """Everything that differs between the walk families: the engine and
+    its default truncation; the Chebyshev witness of the lower bound, as
+    (variance bound, Haar expectation of the squared witness) and its walk
+    expectation at q.k; and the cutoff rate.  Unitary and wreath use the
+    degree-2 character with sup norm 3; the mixture uses the real degree-1
+    witness with sup norm 2."""
+
+    engine: Callable[[WalkQuery, Sequence[float], TruncationConfig], list[BoundInterval]]
+    truncation: TruncationConfig
+    witness: tuple[float, float]
+    expectation: Callable[[WalkQuery], float]
+    rate: Callable[[WalkQuery], float]
+
+
+_FAMILIES = {
+    "unitary-free": _Family(
+        _unitary_intervals,
+        DEFAULT_TRUNCATION,
+        (9.0, 1.0),
+        lambda q: chi2_expectation_unitary(q.N, q.tau, q.k),
+        lambda q: q.tau,
+    ),
+    "unitary-eval": _Family(
+        _unitary_intervals,
+        DEFAULT_TRUNCATION,
+        (9.0, 1.0),
+        lambda q: chi2_expectation_unitary(q.N, tau_theta(q.N, q.theta), q.k),
+        lambda q: lambda_theta(q.theta),
+    ),
+    "mixture": _Family(
+        _mixture_intervals,
+        MIXTURE_DEFAULT_TRUNCATION,
+        (4.0, 2.0),
+        lambda q: chi_expectation_mixture(q.N, q.k),
+        lambda q: 2.0,
+    ),
+    "wreath": _Family(
+        _wreath_intervals,
+        DEFAULT_TRUNCATION,
+        (9.0, 1.0),
+        lambda q: chi2_expectation_wreath(q.N, q.tau, q.k),
+        lambda q: q.tau,
+    ),
 }
 
 
@@ -914,7 +939,8 @@ def A_k_grid(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig | None = No
     """Series interval of A_k for the walk ``q`` at every k in ``ks`` (the
     k field of ``q`` is ignored), from one pass of the family's engine.
     ``tc`` defaults to ``default_truncation(q.family)``."""
-    return _ENGINES[q.family](q, ks, tc if tc is not None else default_truncation(q.family))
+    family = _FAMILIES[q.family]
+    return family.engine(q, ks, tc if tc is not None else family.truncation)
 
 
 def A_k_for_query(q: WalkQuery, tc: TruncationConfig | None = None) -> BoundInterval:
@@ -995,37 +1021,18 @@ def tv_lower_chebyshev(m: float, var_bound: float, h_chi_sq: float) -> float:
     return max(0.0, 1.0 - 4.0 * (var_bound + h_chi_sq) / (m * m))
 
 
-# Witness constants per family: (variance bound, Haar expectation of the
-# squared witness).  Unitary and wreath use the degree-2 character with
-# sup norm 3; the mixture uses the real degree-1 witness with sup norm 2.
-_WITNESS = {
-    "unitary-free": (9.0, 1.0),
-    "unitary-eval": (9.0, 1.0),
-    "mixture": (4.0, 2.0),
-    "wreath": (9.0, 1.0),
-}
-
-
 def tv_lower(q: WalkQuery) -> float:
     """Chebyshev lower bound on the TV distance at query q.
 
     The witness expectation m comes from the family's closed form; if the
     witness is out of domain (tau too large) the trivial bound 0 is returned.
     """
-    var_bound, h_chi_sq = _WITNESS[q.family]
+    family = _FAMILIES[q.family]
     try:
-        if q.family in ("unitary-free", "unitary-eval"):
-            tau_eff = q.effective_tau
-            assert tau_eff is not None
-            m = chi2_expectation_unitary(q.N, tau_eff, q.k).to_float()
-        elif q.family == "mixture":
-            m = chi_expectation_mixture(q.N, q.k).to_float()
-        else:
-            assert q.tau is not None
-            m = chi2_expectation_wreath(q.N, q.tau, q.k).to_float()
+        m = family.expectation(q)
     except ValueError:
         return 0.0
-    return tv_lower_chebyshev(m, var_bound, h_chi_sq)
+    return tv_lower_chebyshev(m, *family.witness)
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,12 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from .bounds import (
     MAX_K,
+    MAX_MIXTURE_WORDS,
+    MAX_TOTAL,
     A_k_for_query,
     TruncationConfig,
     WalkQuery,
@@ -59,8 +60,9 @@ from .structures import (
     trivial_state,
 )
 from .verify import format_report, negative_controls, report_to_dict, run_all
+from .words import count_unitary
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 _FAMILY_TOKENS = {
     "unitary": "unitary-free",
@@ -73,29 +75,6 @@ _FAMILY_TOKENS = {
 
 # most points a --k-range or --c-range grid may hold
 MAX_GRID_POINTS = 100_000
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation; collected in one place so outputs can echo it."""
-
-    command: str
-    family: str | None = None
-    N: int | None = None
-    tau: float | None = None
-    theta: float | None = None
-    group_source: str | None = None
-    psi_source: str | None = None
-    nu_source: str | None = None
-    k_values: tuple[float, ...] = ()
-    max_p: int | None = None
-    max_total: int | None = None
-    tail_mode: str = "geometric-certificate"
-    quad_points: int = 2048
-    output: str | None = None
-    fmt: str = "csv"
-    threads: int = 1
-    round_k: bool = False
 
 
 class CliError(Exception):
@@ -285,17 +264,13 @@ def _float_grid(spec: str, flag: str) -> list[float]:
     return out
 
 
-def _build_query(args: argparse.Namespace) -> tuple[WalkQuery, RunConfig]:
+def _build_query(args: argparse.Namespace) -> tuple[WalkQuery, list[float]]:
     family = _FAMILY_TOKENS[args.family]
     N = args.N
     quad_points = _quad_points(args.quad_points)
     for value, flag in ((args.tau, "--tau"), (args.theta, "--theta"), (args.k, "--k"), (args.c, "--c")):
         _finite(value, flag)
-    nu = None
-    group = None
-    psi = None
-    tau = args.tau
-    theta = args.theta
+    tau, theta = args.tau, args.theta
     try:
         if family == "unitary-free":
             if tau is None:
@@ -343,38 +318,23 @@ def _build_query(args: argparse.Namespace) -> tuple[WalkQuery, RunConfig]:
     ks = [k for k in ks if k >= 0]
     if not ks:
         raise CliError("empty k grid (check --k/--c/--k-range/--c-range)")
-
-    cfg = RunConfig(
-        command=args.command,
-        family=family,
-        N=N,
-        tau=tau,
-        theta=theta,
-        group_source=args.group,
-        psi_source=args.psi,
-        nu_source=args.nu,
-        k_values=tuple(ks),
-        max_p=args.max_p,
-        max_total=args.max_total,
-        tail_mode=args.tail_mode,
-        quad_points=quad_points,
-        output=args.output,
-        fmt=getattr(args, "fmt", "csv"),
-        threads=args.threads,
-        round_k=args.round_k,
-    )
-    return q, cfg
+    return q, ks
 
 
-def _truncation_for(cfg: RunConfig, family: str) -> TruncationConfig:
+def _truncation_for(args: argparse.Namespace, family: str) -> TruncationConfig:
     base = default_truncation(family)
-    max_p = cfg.max_p if cfg.max_p is not None else base.max_p
-    max_total = cfg.max_total if cfg.max_total is not None else base.max_total
+    max_p = args.max_p if args.max_p is not None else base.max_p
+    max_total = args.max_total if args.max_total is not None else base.max_total
     if max_p < 1:
         raise CliError(f"--max-p must be >= 1, got {max_p}")
     if max_total < max_p:
         raise CliError(f"--max-total must be >= --max-p, got {max_total} < {max_p}")
-    return TruncationConfig(max_p=max_p, max_total=max_total, tail_mode=cfg.tail_mode)
+    if max_total > MAX_TOTAL:
+        raise CliError(f"--max-total must be <= {MAX_TOTAL}, got {max_total}")
+    if family == "mixture" and count_unitary(max_total, max_p) > MAX_MIXTURE_WORDS:
+        raise CliError(f"--max-total {max_total} with --max-p {max_p} gives the mixture more than "
+                       f"{MAX_MIXTURE_WORDS} words")
+    return TruncationConfig(max_p=max_p, max_total=max_total, tail_mode=args.tail_mode)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -397,9 +357,9 @@ def _fmt(v: object) -> str:
     return str(v)
 
 
-def _config_lines(q: WalkQuery, cfg: RunConfig, tc: TruncationConfig) -> list[tuple[str, object]]:
+def _config_lines(q: WalkQuery, args: argparse.Namespace, tc: TruncationConfig) -> list[tuple[str, object]]:
     items: list[tuple[str, object]] = [
-        ("command", cfg.command),
+        ("command", args.command),
         ("family", q.family),
         ("N", q.N),
     ]
@@ -411,15 +371,15 @@ def _config_lines(q: WalkQuery, cfg: RunConfig, tc: TruncationConfig) -> list[tu
         assert q.nu is not None
         items.append(("nu", q.nu.describe()))
     if q.family == "wreath":
-        items.append(("group", cfg.group_source or ""))
-        items.append(("psi", cfg.psi_source or "trivial"))
+        items.append(("group", args.group or ""))
+        items.append(("psi", args.psi or "trivial"))
         items.append(("group_order", q.group.order if q.group else 0))
     items.extend(
         [
             ("truncation_max_p", tc.max_p),
             ("truncation_max_total", tc.max_total),
             ("tail_mode", tc.tail_mode),
-            ("quad_points", cfg.quad_points),
+            ("quad_points", q.quad_points),
             ("nominal_cutoff", nominal_cutoff(q.with_k(0.0))),
         ]
     )
@@ -441,19 +401,19 @@ def _hyp_str(hyps: tuple[tuple[str, bool], ...]) -> str:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    q, cfg = _build_query(args)
-    tc = _truncation_for(cfg, q.family)
-    result = cutoff_profile(q, list(cfg.k_values), tc)
+    q, ks = _build_query(args)
+    tc = _truncation_for(args, q.family)
+    result = cutoff_profile(q, ks, tc)
     for row in result.rows:
         if row.certified and row.tv_lower > row.tv_upper_hi + 1e-12:
             raise RuntimeError(
                 f"internal inconsistency at k={row.k!r}: certified lower bound "
                 f"{row.tv_lower!r} exceeds certified upper bound {row.tv_upper_hi!r}"
             )
-    meta = _config_lines(q, cfg, tc) + [("monotone_upper", result.monotone_upper)]
+    meta = _config_lines(q, args, tc) + [("monotone_upper", result.monotone_upper)]
     for note in result.notes:
         meta.append(("note", note))
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         lines = [f"# {key}={_fmt(val)}" for key, val in meta]
         lines.append("k,tv_upper_lo,tv_upper_hi,tv_lower,certified,hypotheses")
         for row in result.rows:
@@ -469,7 +429,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
                     ]
                 )
             )
-        _emit("\n".join(lines), cfg.output)
+        _emit("\n".join(lines), args.output)
     else:
         doc = {
             "config": {key: val for key, val in meta},
@@ -485,20 +445,20 @@ def cmd_profile(args: argparse.Namespace) -> int:
                 for row in result.rows
             ],
         }
-        _emit(json.dumps(doc, indent=2), cfg.output)
+        _emit(json.dumps(doc, indent=2), args.output)
     return 0
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    q, cfg = _build_query(args)
-    if len(cfg.k_values) != 1:
+    q, ks = _build_query(args)
+    if len(ks) != 1:
         raise CliError("bound needs a single k (--k or --c)")
-    tc = _truncation_for(cfg, q.family)
-    qk = q.with_k(cfg.k_values[0])
+    tc = _truncation_for(args, q.family)
+    qk = q.with_k(ks[0])
     A = A_k_for_query(qk, tc)
     tv = tv_upper_from_A(A)
     doc = {
-        "config": {key: val for key, val in _config_lines(q, cfg, tc)},
+        "config": {key: val for key, val in _config_lines(q, args, tc)},
         "k": qk.k,
         "A_partial": A.partial,
         "A_tail": A.tail if A.tail != math.inf else "infinity",
@@ -514,7 +474,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         "tv_clamped": tv.clamped,
         "tv_lower": tv_lower(qk),
     }
-    _emit(json.dumps(doc, indent=2), cfg.output)
+    _emit(json.dumps(doc, indent=2), args.output)
     return 0
 
 

@@ -1,38 +1,35 @@
-"""Scalar numerics shared by every bound: log-domain arithmetic and the small
-zoo of special functions attached to quantum dimension theory.
+"""Scalar numerics shared by every bound: log-domain sums and the small zoo
+of special functions attached to quantum dimension theory.
 
 The central objects are
 
 - ``q_of(t)``: for t > 2, the root in (0, 1) of q + 1/q = t, computed in the
   cancellation-free form 2 / (t + sqrt(t^2 - 4));
-- ``u_n(t)``: the dilated Chebyshev polynomials of the second kind,
-  u_0 = 1, u_1 = t, u_{n+1} = t u_n - u_{n-1}.  For t > 2 they equal
+- ``u_seq(t, nmax)``: log |u_n(t)| for n <= nmax, where u_n are the dilated
+  Chebyshev polynomials of the second kind, u_0 = 1, u_1 = t,
+  u_{n+1} = t u_n - u_{n-1}.  For t > 2 they equal
   (q^{-n-1} - q^{n+1}) / (q^{-1} - q) with q = q_of(t) and grow like q^{-n},
-  so large values are carried as logarithms;
+  so they are carried as logarithms;
 - ``wallis(n)``: the Wallis integrals W_n = int_0^{pi/2} sin^n x dx;
 - ``lambda_moment(N, l)``: moments of lambda = 1 - cos(theta) under the
-  sine-power arc measure used by the uniform mixture of evaluation states;
-- ``partitions_exact(n, p)``: the number of partitions of n into exactly p
-  parts, exact integer arithmetic.
+  sine-power arc measure used by the uniform mixture of evaluation states.
 
 Quantities whose magnitude is exponential in n or k never leave the log
-domain; ``LogScalar`` is the signed log-magnitude carrier used throughout.
+domain: they are plain floats holding a logarithm, -inf for zero.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 __all__ = [
-    "LogScalar",
     "q_of",
-    "u_n",
     "u_seq",
     "wallis",
     "lambda_moment",
-    "partitions_exact",
     "logsumexp",
     "log1mexp",
 ]
@@ -41,90 +38,9 @@ __all__ = [
 # where q(t) = 1 and the (1 - q)-type denominators vanish.
 _Q_DOMAIN_EPS = 1e-9
 
-
-@dataclass(frozen=True)
-class LogScalar:
-    """A real number stored as (sign, log of magnitude).
-
-    ``sign`` is -1, 0 or +1; when ``sign == 0`` the magnitude field is 0.0 by
-    convention.  Multiplication is exact in this representation up to float
-    addition; addition of same-sign values uses a max-shifted log-sum-exp and
-    mixed signs a log-difference, so no intermediate overflows occur even when
-    the encoded values are far outside double range.
-    """
-
-    sign: int
-    logmag: float
-
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or 1, got {self.sign}")
-        if self.sign == 0 and self.logmag != 0.0:
-            object.__setattr__(self, "logmag", 0.0)
-
-    @classmethod
-    def zero(cls) -> "LogScalar":
-        return cls(0, 0.0)
-
-    @classmethod
-    def one(cls) -> "LogScalar":
-        return cls(1, 0.0)
-
-    @classmethod
-    def from_float(cls, x: float) -> "LogScalar":
-        if x == 0.0:
-            return cls.zero()
-        if math.isnan(x):
-            raise ValueError("cannot encode NaN")
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
-
-    @classmethod
-    def from_log(cls, logmag: float, sign: int = 1) -> "LogScalar":
-        if sign == 0 or logmag == -math.inf:
-            return cls.zero()
-        return cls(sign, logmag)
-
-    def to_float(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        try:
-            m = math.exp(self.logmag)
-        except OverflowError:
-            m = math.inf
-        return m if self.sign > 0 else -m
-
-    def __mul__(self, other: "LogScalar") -> "LogScalar":
-        s = self.sign * other.sign
-        if s == 0:
-            return LogScalar.zero()
-        return LogScalar(s, self.logmag + other.logmag)
-
-    def __neg__(self) -> "LogScalar":
-        return LogScalar(-self.sign, self.logmag if self.sign else 0.0)
-
-    def __add__(self, other: "LogScalar") -> "LogScalar":
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        a, b = self.logmag, other.logmag
-        if self.sign == other.sign:
-            hi, lo = (a, b) if a >= b else (b, a)
-            return LogScalar(self.sign, hi + math.log1p(math.exp(lo - hi)))
-        # opposite signs: result carries the sign of the larger magnitude
-        if a == b:
-            return LogScalar.zero()
-        if a > b:
-            s, hi, lo = self.sign, a, b
-        else:
-            s, hi, lo = other.sign, b, a
-        return LogScalar(s, hi + math.log1p(-math.exp(lo - hi)))
-
-    def __sub__(self, other: "LogScalar") -> "LogScalar":
-        return self + (-other)
-
-    def __abs__(self) -> "LogScalar":
-        return LogScalar(abs(self.sign), self.logmag if self.sign else 0.0)
+# For t > 2, u_n(t) comes from the recurrence while it stays below this,
+# far from float overflow, and from the closed form in q(t) after.
+_U_SWITCH = 1e250
 
 
 def logsumexp(items: Iterable[float]) -> float:
@@ -170,52 +86,61 @@ def _u_log_closed_form(log_q: float, n: int) -> float:
     return -n * log_q + math.log1p(-math.exp((2 * n + 2) * log_q)) - math.log1p(-math.exp(2 * log_q))
 
 
-def u_n(t: float, n: int) -> LogScalar:
-    """u_n(t) for t > 2, as a LogScalar (always positive on this domain).
-
-    Small values come from the three-term recurrence in plain floats; once
-    n log t approaches float range the closed form in q = q_of(t) takes over.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    q = q_of(t)  # also validates t > 2
-    if (n + 1) * math.log(t) < 600.0:
-        prev, cur = 1.0, t
-        for _ in range(n):
-            prev, cur = cur, t * cur - prev
-        return LogScalar.from_float(prev)
-    return LogScalar(1, _u_log_closed_form(math.log(q), n))
+def _log_u_floats(t: float, nmax: int) -> list[float]:
+    # one u_seq column, in Python floats: the recurrence, then for t > 2 the
+    # closed form from the first u_n at or above _U_SWITCH on (u_n grows in
+    # n there)
+    out: list[float] = []
+    prev, cur = 1.0, t
+    for n in range(nmax + 1):
+        if t > 2.0 + _Q_DOMAIN_EPS and not prev < _U_SWITCH:
+            log_q = math.log(q_of(t))
+            return out + [_u_log_closed_form(log_q, m) for m in range(n, nmax + 1)]
+        out.append(math.log(abs(prev)) if prev != 0.0 else -math.inf)
+        prev, cur = cur, t * cur - prev
+    return out
 
 
-def u_seq(t: float, nmax: int) -> list[LogScalar]:
-    """[u_0(t), ..., u_nmax(t)] for t >= 0.
+def u_seq(t: float | np.ndarray, nmax: int) -> np.ndarray:
+    """log |u_n(t)| for n = 0..nmax and t >= 0, -inf where u_n(t) = 0.
 
-    For t > 2 every value is positive and overflow-prone, so the tail of the
-    sequence switches to the closed form in q(t).  For 0 <= t <= 2 the values
-    stay within [-(n+1), n+1] and may change sign; they come straight from the
-    recurrence.
+    ``t`` is a float, giving shape (nmax + 1,), or a 1-D array, giving
+    shape (nmax + 1, t.size) with one column per t.  For 0 <= t <= 2 the
+    values stay within [-(n+1), n+1] and may vanish; they come straight from
+    the recurrence.  For t > 2 they grow like q(t)^{-n}, and past 1e250 the
+    closed form in q(t) takes over.  The recurrence runs in float64 and
+    every log is ``math.log``, so a column is bitwise the result of the
+    float call at its t.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    if t < 0:
-        raise ValueError(f"u_seq requires t >= 0, got t = {t!r}")
-    out: list[LogScalar] = []
-    if t > 2.0 + _Q_DOMAIN_EPS:
-        log_q = math.log(q_of(t))
-        prev, cur = 1.0, t
+    if np.ndim(t) == 0:
+        t = float(t)
+        if not t >= 0.0:
+            raise ValueError(f"u_seq requires t >= 0, got t = {t!r}")
+        return np.array(_log_u_floats(t, nmax))
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError("t must be a float or a 1-D array")
+    if not np.all(ts >= 0.0):
+        raise ValueError("u_seq requires every t >= 0")
+    out = np.empty((nmax + 1, ts.size))
+    # per column, the first n the closed form gives (nmax + 1 for none)
+    first = np.full(ts.size, nmax + 1)
+    growing = ts > 2.0 + _Q_DOMAIN_EPS
+    prev, cur = np.ones_like(ts), ts
+    # past its switch a column may overflow; the closed form replaces it
+    with np.errstate(over="ignore", invalid="ignore"):
         for n in range(nmax + 1):
-            # u_n is increasing in n here, so once prev leaves float range the
-            # closed form takes over for good
-            if prev < 1e250:
-                out.append(LogScalar.from_float(prev))
-                prev, cur = cur, t * cur - prev
-            else:
-                out.append(LogScalar(1, _u_log_closed_form(log_q, n)))
-        return out
-    prev, cur = 1.0, t
-    for _ in range(nmax + 1):
-        out.append(LogScalar.from_float(prev))
-        prev, cur = cur, t * cur - prev
+            first[growing & ~(prev < _U_SWITCH) & (first > nmax)] = n
+            mag = np.abs(prev)
+            zero = mag == 0.0
+            out[n] = list(map(math.log, np.where(zero, 1.0, mag).tolist()))
+            out[n, zero] = -math.inf
+            prev, cur = cur, ts * cur - prev
+    for j in np.flatnonzero(first <= nmax):
+        log_q = math.log(q_of(float(ts[j])))
+        out[first[j] :, j] = [_u_log_closed_form(log_q, n) for n in range(first[j], nmax + 1)]
     return out
 
 
@@ -249,25 +174,3 @@ def lambda_moment(N: int, l: int) -> float:
     for s in range(1, l + 1):
         val *= 2.0 * (N - 2 + 2 * s) / (N - 1 + 2 * s)
     return val
-
-
-def partitions_exact(n: int, p: int) -> int:
-    """Number of partitions of n into exactly p positive parts, exact.
-
-    Iterative DP on pi_p(n) = pi_{p-1}(n-1) + pi_p(n-p); arbitrary-precision
-    integers, no shared state.  Zero whenever p > n, or p = 0 with n > 0.
-    """
-    if n < 0 or p < 0:
-        return 0
-    if p == 0:
-        return 1 if n == 0 else 0
-    if p > n:
-        return 0
-    # row[j] = pi_{cur_p}(j)
-    row = [1] + [0] * n
-    for cur_p in range(1, p + 1):
-        new = [0] * (n + 1)
-        for j in range(cur_p, n + 1):
-            new[j] = row[j - 1] + new[j - cur_p]
-        row = new
-    return row[n]

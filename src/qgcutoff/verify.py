@@ -156,9 +156,9 @@ def _encadrement_impl(g: GridSpec, lower_exponent_shift: int) -> VerifyReport:
     for t in _geom_floats(g.n_min, g.n_max, g.n_points):
         q = q_of(t)
         log_q = math.log(q)
-        us = u_seq(t, g.index_max)
+        log_us = u_seq(t, g.index_max).tolist()
         for n in range(1, g.index_max + 1):
-            log_u = us[n].logmag
+            log_u = log_us[n]
             log_lower = math.log(t) - (n - lower_exponent_shift) * log_q
             log_upper = -n * log_q - math.log1p(-q * q)
             col.add(f"lower t={t:.6g} n={n}", math.exp(min(log_lower, 700.0)),
@@ -239,10 +239,10 @@ def verify_ratio_comparison(g: GridSpec = DEFAULT_RATIO_GRID) -> VerifyReport:
             theta = 2.0 * math.pi * j / g.theta_count
             t1 = N - tau_theta(N, theta)
             t2 = N - lambda_theta(theta)
-            us1 = u_seq(t1, g.index_max)
-            us2 = u_seq(t2, g.index_max)
+            log_us1 = u_seq(t1, g.index_max).tolist()
+            log_us2 = u_seq(t2, g.index_max).tolist()
             for n in range(1, g.index_max + 1):
-                log_ratio = us1[n].logmag - us2[n].logmag
+                log_ratio = log_us1[n] - log_us2[n]
                 bound = 4.0 * n / ((N - 2.0) * (N - 2.0))
                 col.add(
                     f"N={N} theta={theta:.6g} n={n}",

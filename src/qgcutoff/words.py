@@ -1,6 +1,6 @@
-"""Irreducible-character words for the two families of walks, with their
-dimensions, state coefficients, truncated enumeration, and the closed-form
-expectations feeding the lower bounds.
+"""Irreducible-character words for the two families of walks: truncated
+enumeration and counts, the log dimension and log |coefficient| of a
+unitary word, and the closed-form expectations feeding the lower bounds.
 
 Free unitary family.  Nontrivial irreducible characters are indexed by words
 
@@ -32,22 +32,18 @@ u_index(t') / u_index(sqrt(N)).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from .numerics import LogScalar, lambda_moment, u_seq
-from .structures import CircleMeasure, FiniteGroup, GroupState, arg_trace, moment, tau_theta
+from .numerics import lambda_moment, u_seq
+from .structures import CircleMeasure, FiniteGroup, arg_trace, moment, tau_theta
 
 __all__ = [
     "UIrrepWord",
     "WreathWord",
-    "LogComplex",
     "dim_unitary",
-    "dim_wreath",
     "coeff_unitary",
-    "coeff_wreath",
     "enumerate_unitary",
     "enumerate_wreath",
     "count_unitary",
@@ -57,23 +53,6 @@ __all__ = [
     "chi2_expectation_wreath",
     "chi_expectation_mixture",
 ]
-
-
-@dataclass(frozen=True)
-class LogComplex:
-    """A complex number as (log of modulus, phase); modulus-zero is logmag -inf."""
-
-    logmag: float
-    phase: float
-
-    def to_complex(self) -> complex:
-        if self.logmag == -math.inf:
-            return 0j
-        return cmath.rect(math.exp(self.logmag), self.phase)
-
-    @property
-    def abs_log(self) -> float:
-        return self.logmag
 
 
 @dataclass(frozen=True)
@@ -159,41 +138,22 @@ class WreathWord:
         return sum(self.char_indices())
 
 
-def dim_unitary(word: UIrrepWord, N: float) -> LogScalar:
-    """prod_i u_{n_i}(N); requires N > 2."""
+def dim_unitary(word: UIrrepWord, N: float) -> float:
+    """log prod_i u_{n_i}(N); requires N > 2."""
     if N <= 2:
         raise ValueError(f"N must exceed 2, got {N!r}")
-    us = u_seq(float(N), max(word.ns))
-    out = LogScalar.one()
+    us = u_seq(float(N), max(word.ns)).tolist()
+    log_dim = 0.0
     for n in word.ns:
-        out = out * us[n]
-    return out
-
-
-def dim_wreath(word: WreathWord, N: float) -> LogScalar:
-    """prod over character indices of u_index(sqrt(N)); requires N > 4."""
-    if N <= 4:
-        raise ValueError(f"N must exceed 4, got {N!r}")
-    idx = word.char_indices()
-    us = u_seq(math.sqrt(float(N)), max(idx))
-    out = LogScalar.one()
-    for i in idx:
-        out = out * us[i]
-    return out
-
-
-def _ratio_log_complex(num: LogScalar, den: LogScalar) -> tuple[float, float]:
-    # returns (logmag, phase-contribution) of num/den; signs fold into phase
-    if num.sign == 0:
-        return -math.inf, 0.0
-    phase = math.pi if num.sign * den.sign < 0 else 0.0
-    return num.logmag - den.logmag, phase
+        log_dim += us[n]
+    return log_dim
 
 
 def coeff_unitary(
     word: UIrrepWord, t: float, nu: CircleMeasure, N: float, quad_points: int = 2048
-) -> LogComplex:
-    """Normalized character value m_eps(nu) * prod u_{n_i}(t) / u_{n_i}(N).
+) -> float:
+    """log |m_eps(nu) * prod u_{n_i}(t) / u_{n_i}(N)|, the log modulus of the
+    normalized character value; -inf where it vanishes.
 
     Requires 0 <= t < N and N > 2.  The modulus never exceeds 1.
     """
@@ -202,48 +162,15 @@ def coeff_unitary(
     if not 0.0 <= t < float(N):
         raise ValueError(f"t must lie in [0, N), got t = {t!r}, N = {N!r}")
     nmax = max(word.ns)
-    us_t = u_seq(float(t), nmax)
-    us_N = u_seq(float(N), nmax)
-    logmag = 0.0
-    phase = 0.0
+    us_t = u_seq(float(t), nmax).tolist()
+    us_N = u_seq(float(N), nmax).tolist()
+    log_c = 0.0
     for n in word.ns:
-        lm, ph = _ratio_log_complex(us_t[n], us_N[n])
-        logmag += lm
-        phase += ph
+        log_c += us_t[n] - us_N[n]
     m = moment(nu, word.z_exponent(), quad_points=quad_points)
     if m == 0:
-        return LogComplex(-math.inf, 0.0)
-    return LogComplex(logmag + math.log(abs(m)), phase + cmath.phase(m))
-
-
-def coeff_wreath(
-    word: WreathWord, t: float, group: FiniteGroup, psi: GroupState, N: float
-) -> LogComplex:
-    """Normalized character value psi(gamma_1 ... gamma_p) * prod of
-    u_index(t) / u_index(sqrt(N)).
-
-    ``t`` is the transferred parameter on the quantum SU(2) side; a walk at
-    trace deficit tau uses t = sqrt(N - tau).  Requires 0 <= t < sqrt(N) and
-    N > 4.
-    """
-    if N <= 4:
-        raise ValueError(f"N must exceed 4, got {N!r}")
-    s = math.sqrt(float(N))
-    if not 0.0 <= t < s:
-        raise ValueError(f"t must lie in [0, sqrt(N)), got t = {t!r}")
-    idx = word.char_indices()
-    us_t = u_seq(float(t), max(idx))
-    us_s = u_seq(s, max(idx))
-    logmag = 0.0
-    phase = 0.0
-    for i in idx:
-        lm, ph = _ratio_log_complex(us_t[i], us_s[i])
-        logmag += lm
-        phase += ph
-    val = psi.value_of_product(word.gammas) if word.p else complex(1.0)
-    if val == 0:
-        return LogComplex(-math.inf, 0.0)
-    return LogComplex(logmag + math.log(abs(val)), phase + cmath.phase(val))
+        return -math.inf
+    return log_c + math.log(abs(m))
 
 
 def _compositions(total_max: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -311,12 +238,10 @@ def _lex_products(m: int, p: int) -> Iterator[tuple[int, ...]]:
 
 
 def count_unitary(max_total: int, max_p: int) -> int:
-    """Number of words enumerate_unitary yields, in closed form."""
-    total = 0
-    for p in range(1, max_p + 1):
-        for s in range(p, max_total + 1):
-            total += 2 * math.comb(s - 1, p - 1)
-    return total
+    """Number of words enumerate_unitary yields, in closed form: the block
+    vectors of p blocks and total at most max_total number C(max_total, p),
+    and each takes two leading signs."""
+    return 2 * sum(math.comb(max_total, p) for p in range(1, max_p + 1))
 
 
 def count_wreath(group: FiniteGroup, max_total: int, max_p: int) -> int:
@@ -344,7 +269,14 @@ def eval_state_params(N: int, theta: float) -> tuple[float, CircleMeasure]:
     return t, CircleMeasure.delta(arg_trace(N, theta))
 
 
-def chi2_expectation_unitary(N: int, tau: float, k: float) -> LogScalar:
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def chi2_expectation_unitary(N: int, tau: float, k: float) -> float:
     """Expectation of the degree-2 self-conjugate character under the k-th
     convolution power at trace deficit tau:
     (N^2 - 1) * (((N - tau)^2 - 1) / (N^2 - 1))^k.
@@ -356,20 +288,20 @@ def chi2_expectation_unitary(N: int, tau: float, k: float) -> LogScalar:
         raise ValueError(f"need N - tau > 1, got {t!r}")
     log_top = math.log(t * t - 1.0)
     log_bot = math.log(float(N) * N - 1.0)
-    return LogScalar(1, log_bot + k * (log_top - log_bot))
+    return _exp(log_bot + k * (log_top - log_bot))
 
 
-def chi2_expectation_wreath(N: int, tau: float, k: float) -> LogScalar:
+def chi2_expectation_wreath(N: int, tau: float, k: float) -> float:
     """(N - 1) * ((N - tau - 1) / (N - 1))^k; requires N - tau > 1."""
     t = N - tau - 1.0
     if not t > 0.0:
         raise ValueError(f"need N - tau > 1, got N - tau = {N - tau!r}")
     log_top = math.log(t)
     log_bot = math.log(N - 1.0)
-    return LogScalar(1, log_bot + k * (log_top - log_bot))
+    return _exp(log_bot + k * (log_top - log_bot))
 
 
-def chi_expectation_mixture(N: int, k: float) -> LogScalar:
+def chi_expectation_mixture(N: int, k: float) -> float:
     """2N * ((N - 1) / (N + 1))^k, the expectation of the real degree-1
     witness under the k-th power of the Porod-mixed evaluation state.
 
@@ -380,4 +312,4 @@ def chi_expectation_mixture(N: int, k: float) -> LogScalar:
         raise ValueError("N must be >= 2")
     mean_cos = 1.0 - lambda_moment(N, 1)
     step = (N - 1.0 + mean_cos) / N  # = (N - 1) / (N + 1)
-    return LogScalar(1, math.log(2.0 * N) + k * math.log(step))
+    return _exp(math.log(2.0 * N) + k * math.log(step))

@@ -36,11 +36,11 @@ def unitary_log_partial(
     """log of sum over truncated words of dim^2 |coeff|^{2k}."""
     terms = []
     for w in enumerate_unitary(max_total, max_p):
-        log_dim = dim_unitary(w, N).logmag
+        log_dim = dim_unitary(w, N)
         if k == 0.0:
             terms.append(2.0 * log_dim)
             continue
-        log_c = coeff_unitary(w, t, nu, N, quad_points).abs_log
+        log_c = coeff_unitary(w, t, nu, N, quad_points)
         if log_c == -math.inf:
             continue
         terms.append(2.0 * log_dim + 2.0 * k * log_c)
@@ -60,18 +60,18 @@ def wreath_log_partial(
     r the product of u-ratios at sqrt(N - tau) over sqrt(N)."""
     s = math.sqrt(float(N))
     t_su = math.sqrt(float(N) - tau)
-    us_s = u_seq(s, max_total)
-    us_t = u_seq(t_su, max_total)
+    us_s = u_seq(s, max_total).tolist()
+    us_t = u_seq(t_su, max_total).tolist()
     terms = []
     for w in enumerate_wreath(group, max_total, max_p):
         idx = w.char_indices()
-        log_dim = sum(us_s[i].logmag for i in idx)
+        log_dim = sum(us_s[i] for i in idx)
         if k == 0.0:
             log_ratio = 0.0
         else:
-            if any(us_t[i].sign == 0 for i in idx):
+            if any(us_t[i] == -math.inf for i in idx):
                 continue
-            log_ratio = sum(us_t[i].logmag - us_s[i].logmag for i in idx)
+            log_ratio = sum(us_t[i] - us_s[i] for i in idx)
         if w.p:
             val = psi.value_of_product(w.gammas)
             if val == 0:
@@ -94,7 +94,7 @@ def mixture_log_partial(
         c = moment_average_coeff(w, N, nu, quad_points)
         if c == 0.0:
             continue
-        log_dim = dim_unitary(w, N).logmag
+        log_dim = dim_unitary(w, N)
         terms.append(2.0 * log_dim + 2.0 * k * math.log(c))
     return logsumexp(terms)
 
@@ -110,11 +110,11 @@ def moment_average_coeff(w, N: int, nu: CircleMeasure, quad_points: int) -> floa
     vals = np.zeros(theta.size, dtype=complex)
     for j in range(theta.size):
         tq = float(N) - tau_theta(N, float(theta[j]))
-        us_t = u_seq(tq, max(w.ns))
-        us_N = u_seq(float(N), max(w.ns))
+        us_t = u_seq(tq, max(w.ns)).tolist()
+        us_N = u_seq(float(N), max(w.ns)).tolist()
         r = 1.0
         for n in w.ns:
-            r *= us_t[n].to_float() / us_N[n].to_float()
+            r *= math.exp(us_t[n]) / math.exp(us_N[n])
         beta = arg_trace(N, float(theta[j]))
         vals[j] = r * np.exp(1j * w.z_exponent() * beta)
     return abs(complex(np.sum(wt * vals)))

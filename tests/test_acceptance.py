@@ -161,7 +161,7 @@ def test_criterion_5_wreath_bound_chain():
     # lower-bound leg at N = 1e5: hand-derived witness identity to 1e-12
     N2, c2 = 100_000, 3.0
     k2 = N2 * math.log(N2) / 2.0 - c2 * N2
-    m = chi2_expectation_wreath(N2, tau, k2).to_float()
+    m = chi2_expectation_wreath(N2, tau, k2)
     got = tv_lower_chebyshev(m, 9.0, 1.0)
     log_term = (
         math.log(40.0)

@@ -3,6 +3,7 @@ CSV/JSON agreement, exit codes, and run-to-run determinism.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgcutoff
-from qgcutoff import structures
+from qgcutoff import bounds, structures
 from qgcutoff.bounds import WalkQuery
 from qgcutoff.cli import MAX_GRID_POINTS, MAX_QUAD_POINTS, _build_parser, _float_grid, main
 
@@ -333,6 +334,14 @@ _WALK = ["--family", "unitary", "--N", "20", "--tau", "2"]
         (["bound", "--family", "wreath", "--N", "40", "--tau", "2", "--group", "cyclic:x", "--c", "1"], "--group"),
         # above MAX_QUAD_POINTS = 65536
         (["profile", "--family", "mixture", "--N", "20", "--c", "1", "--quad-points", "65537"], "--quad-points"),
+        # above MAX_TOTAL = 4096, and a mixture truncation above MAX_MIXTURE_WORDS = 100000 words
+        (["bound", *_WALK, "--c", "1", "--max-p", "2", "--max-total", "4097"], "--max-total"),
+        (["profile", "--family", "wreath", "--N", "40", "--tau", "2", "--group", "cyclic:2", "--c", "1",
+          "--max-total", "100000000"], "--max-total"),
+        (["profile", "--family", "mixture", "--N", "100", "--c", "1", "--max-p", "12", "--max-total", "48"],
+         "--max-p"),
+        (["bound", "--family", "mixture", "--N", "100", "--c", "1", "--max-p", "6", "--max-total", "24"],
+         "--max-total"),
     ],
 )
 def test_invalid_input_exit_2(capsys, tmp_path, monkeypatch, argv, flag):
@@ -363,6 +372,31 @@ def test_quad_points_above_limit_exit_2_before_any_node_build(monkeypatch, capsy
         WalkQuery.mixture(20, 1.0, quad_points=MAX_QUAD_POINTS + 1)
     with pytest.raises(ValueError):
         structures.porod_nodes(10, MAX_QUAD_POINTS + 1)
+
+
+def test_truncation_limits_exit_2_before_any_engine_runs(monkeypatch, capsys):
+    def engine(*args):
+        raise AssertionError("an engine ran")
+
+    for name, family in bounds._FAMILIES.items():
+        monkeypatch.setitem(bounds._FAMILIES, name, dataclasses.replace(family, engine=engine))
+    assert (bounds.MAX_TOTAL, bounds.MAX_MIXTURE_WORDS) == (4096, 100_000)
+    mixture = ["profile", "--family", "mixture", "--N", "100", "--c-range", "0:2:1"]
+    code, _, err = run(capsys, *mixture, "--max-p", "12", "--max-total", "48")
+    assert code == 2 and "--max-total" in err and "--max-p" in err and "Traceback" not in err
+    code, _, err = run(capsys, "bound", *_WALK, "--c", "1", "--max-total", "5000")
+    assert code == 2 and "--max-total" in err
+    # (6, 16) is 29 784 mixture words, inside the limit: the engine is reached
+    with pytest.raises(AssertionError, match="an engine ran"):
+        main([*mixture, "--max-p", "6", "--max-total", "16"])
+
+
+def test_truncation_limits_raise_in_the_library():
+    with pytest.raises(ValueError):
+        bounds.TruncationConfig(max_p=2, max_total=bounds.MAX_TOTAL + 1)
+    bounds.TruncationConfig(max_p=2, max_total=bounds.MAX_TOTAL)
+    with pytest.raises(ValueError, match="words"):
+        bounds.A_k_grid(WalkQuery.mixture(100, 500.0), [500.0], bounds.TruncationConfig(max_p=12, max_total=48))
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,19 @@
-"""Log-domain scalars, the q/u_n pair, Wallis integrals, and partition counts.
+"""Log-domain sums, the q/u_n pair, Wallis integrals and lambda moments.
 
 Oracles here are independent of the package internals: closed forms evaluated
-with plain floats, numpy quadrature, itertools enumeration, and the Euler
-pentagonal recurrence.
+with plain floats and numpy quadrature.
 """
 
-import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qgcutoff.numerics import (
-    LogScalar,
     lambda_moment,
     log1mexp,
     logsumexp,
-    partitions_exact,
     q_of,
-    u_n,
     u_seq,
     wallis,
 )
@@ -57,61 +50,7 @@ def test_q_of_domain():
 
 
 # ---------------------------------------------------------------------------
-# LogScalar
-
-
-def test_logscalar_round_trip():
-    # exp(log x) costs about |log x| ulps of relative error; 1e-12 covers the
-    # whole float range
-    for x in [0.0, 1.0, -1.0, 3.7e-200, -2.5e150, 1e-8]:
-        assert LogScalar.from_float(x).to_float() == pytest.approx(x, rel=1e-12)
-
-
-def test_logscalar_zero_and_one():
-    z = LogScalar.zero()
-    o = LogScalar.one()
-    assert z.to_float() == 0.0
-    assert o.to_float() == 1.0
-    assert (z + o).to_float() == 1.0
-    assert (z * o).to_float() == 0.0
-
-
-def test_logscalar_add_mixed_signs():
-    a = LogScalar.from_float(5.0)
-    b = LogScalar.from_float(-3.0)
-    assert (a + b).to_float() == pytest.approx(2.0, rel=1e-12)
-    assert (b + a).to_float() == pytest.approx(2.0, rel=1e-12)
-    assert (a - a).to_float() == 0.0
-
-
-def test_logscalar_huge_values_stay_finite():
-    big = LogScalar.from_log(50_000.0)  # e^{50000}, far beyond float range
-    s = big + big
-    assert s.sign == 1
-    assert s.logmag == pytest.approx(50_000.0 + math.log(2.0), rel=1e-12)
-    assert (big * big).logmag == pytest.approx(100_000.0)
-    assert big.to_float() == math.inf
-
-
-@given(
-    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-)
-@settings(max_examples=200, deadline=None)
-def test_logscalar_add_matches_float(x, y):
-    got = (LogScalar.from_float(x) + LogScalar.from_float(y)).to_float()
-    want = x + y
-    assert got == pytest.approx(want, rel=1e-9, abs=1e-6)
-
-
-@given(
-    st.floats(min_value=-1e8, max_value=1e8, allow_nan=False),
-    st.floats(min_value=-1e8, max_value=1e8, allow_nan=False),
-)
-@settings(max_examples=200, deadline=None)
-def test_logscalar_mul_matches_float(x, y):
-    got = (LogScalar.from_float(x) * LogScalar.from_float(y)).to_float()
-    assert got == pytest.approx(x * y, rel=1e-12, abs=1e-300)
+# log-domain sums
 
 
 def test_logsumexp_basic():
@@ -136,14 +75,13 @@ def test_log1mexp():
 
 
 # ---------------------------------------------------------------------------
-# u_n
+# u_n, as log |u_n| from u_seq
 
 
 def test_u_small_cases():
-    assert u_n(3.0, 0).to_float() == 1.0
-    assert u_n(3.0, 1).to_float() == pytest.approx(3.0)
-    assert u_n(3.0, 2).to_float() == pytest.approx(8.0)  # 3*3 - 1
-    assert u_n(10.0, 3).to_float() == pytest.approx(10.0 * 99.0 - 10.0)
+    assert u_seq(3.0, 2).tolist() == [0.0, math.log(3.0), math.log(8.0)]  # u_2 = 3*3 - 1
+    assert math.exp(u_seq(10.0, 3)[3]) == pytest.approx(10.0 * 99.0 - 10.0)
+    assert u_seq(3.0, 0).shape == (1,)
 
 
 def _u_plain(t, n):
@@ -157,59 +95,79 @@ def _u_plain(t, n):
 
 @pytest.mark.parametrize("t", [2.1, 2.5, 5.0, 20.0, 200.0])
 def test_u_matches_plain_recurrence(t):
+    got = np.exp(u_seq(t, 60))
     for n in range(0, 61):
-        want = _u_plain(t, n)
-        got = u_n(t, n).to_float()
-        assert got == pytest.approx(want, rel=1e-10), (t, n)
+        assert got[n] == pytest.approx(_u_plain(t, n), rel=1e-10), (t, n)
 
 
 def test_u_no_overflow_at_large_n():
     # u_n(t) ~ q^{-n}/(1 - q^2); n = 10^6 at t = 3 overflows floats but not
     # the log form
-    val = u_n(3.0, 1_000_000)
+    log_u = u_seq(3.0, 1_000_000)[-1]
     q = q_of(3.0)
-    assert val.sign == 1
     want = -1_000_000 * math.log(q) - math.log1p(-q * q)
-    assert val.logmag == pytest.approx(want, rel=1e-12)
+    assert log_u == pytest.approx(want, rel=1e-12)
 
 
 def test_u_envelope():
     # t q^{-(n-1)} <= u_n <= q^{-n} / (1 - q^2) for t > 2, n >= 1
     for t in [2.2, 3.0, 7.0]:
         q = q_of(t)
+        log_us = u_seq(t, 39)
         for n in range(1, 40):
-            log_u = u_n(t, n).logmag
             lo = math.log(t) + (n - 1) * (-math.log(q))
             hi = n * (-math.log(q)) - math.log1p(-q * q)
-            assert lo - 1e-9 <= log_u <= hi + 1e-9, (t, n)
+            assert lo - 1e-9 <= log_us[n] <= hi + 1e-9, (t, n)
 
 
 def test_u_seq_agrees_with_u_n():
-    for t in [2.5, 3.0, 30.0]:
-        seq = u_seq(t, 50)
+    # against the closed form u_n = (q^{-n-1} - q^{n+1}) / (q^{-1} - q),
+    # past the switch to it at 1e250 too
+    for t in [2.5, 3.0, 30.0, 1e15]:
+        q = q_of(t)
+        log_us = u_seq(t, 50)
         for n in range(51):
-            assert seq[n].logmag == pytest.approx(u_n(t, n).logmag, rel=1e-12, abs=1e-12)
-            assert seq[n].sign == 1
+            want = -n * math.log(q) + math.log1p(-q ** (2 * n + 2)) - math.log1p(-q * q)
+            assert log_us[n] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_u_seq_inside_unit_band():
-    # 0 <= t <= 2 oscillates; compare against the plain signed recurrence
+    # 0 <= t <= 2 oscillates; compare |u_n| against the plain signed
+    # recurrence, and a zero of u_n against -inf
     for t in [0.0, 0.5, 1.0, 1.9, 2.0]:
-        seq = u_seq(t, 30)
+        log_us = u_seq(t, 30)
         prev, cur = 1.0, t
         vals = [1.0, t] + [0.0] * 29
         for n in range(2, 31):
             prev, cur = cur, t * cur - prev
             vals[n] = cur
         for n in range(31):
-            assert seq[n].to_float() == pytest.approx(vals[n], abs=1e-9), (t, n)
+            assert math.exp(log_us[n]) == pytest.approx(abs(vals[n]), abs=1e-9), (t, n)
+            if vals[n] == 0.0:
+                assert log_us[n] == -math.inf, (t, n)
+    # u_1(0) = 0 and u_2(1) = 0 exactly
+    assert u_seq(0.0, 3)[1] == -math.inf and u_seq(1.0, 3)[2] == -math.inf
+
+
+def test_u_seq_array_is_bitwise_one_call_per_element():
+    ts = [0.0, 0.5, 1.0, 2.0, 2.0 + 1e-10, 2.5, 198.0, 1e15, 2.0**62, 123456.789]
+    ts += list(np.random.default_rng(3).uniform(0.0, 50.0, 64))
+    for nmax in (0, 1, 48):
+        table = u_seq(np.array(ts), nmax)
+        assert table.shape == (nmax + 1, len(ts))
+        for j, t in enumerate(ts):
+            assert np.array_equal(table[:, j], u_seq(t, nmax)), (t, nmax)
 
 
 def test_u_domain():
     with pytest.raises(ValueError):
-        u_n(2.0, 3)  # closed form needs t > 2
-    with pytest.raises(ValueError):
         u_seq(-0.5, 4)
+    with pytest.raises(ValueError):
+        u_seq(math.nan, 4)
+    with pytest.raises(ValueError):
+        u_seq(np.array([3.0, -1.0]), 4)
+    with pytest.raises(ValueError):
+        u_seq(3.0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -264,63 +222,3 @@ def test_lambda_moment_against_quadrature():
             lam = 1.0 - np.cos(2.0 * phi)
             val = float(np.sum(w * dens * lam**l) / norm)
             assert lambda_moment(N, l) == pytest.approx(val, rel=1e-8), (N, l)
-
-
-# ---------------------------------------------------------------------------
-# partition counts
-
-
-def test_partitions_small():
-    assert partitions_exact(0, 0) == 1
-    assert partitions_exact(4, 2) == 2  # 3+1, 2+2
-    assert partitions_exact(6, 3) == 3  # 4+1+1, 3+2+1, 2+2+2
-    assert partitions_exact(5, 5) == 1
-    assert partitions_exact(3, 5) == 0
-
-
-def test_partitions_sum_is_partition_function():
-    # Euler pentagonal-number recurrence for p(n)
-    pn = [1]
-    for n in range(1, 41):
-        total = 0
-        j = 1
-        while True:
-            g1 = j * (3 * j - 1) // 2
-            g2 = j * (3 * j + 1) // 2
-            if g1 > n and g2 > n:
-                break
-            sign = -1 if j % 2 == 0 else 1
-            if g1 <= n:
-                total += sign * pn[n - g1]
-            if g2 <= n:
-                total += sign * pn[n - g2]
-            j += 1
-        pn.append(total)
-    for n in range(41):
-        assert sum(partitions_exact(n, p) for p in range(n + 1)) + (n == 0) == pn[n] + (n == 0)
-        assert sum(partitions_exact(n, p) for p in range(0, n + 1)) == pn[n]
-
-
-def test_partitions_brute_force():
-    def brute(n, p):
-        if p == 0:
-            return 1 if n == 0 else 0
-        count = 0
-        for combo in itertools.combinations_with_replacement(range(1, n + 1), p):
-            if sum(combo) == n:
-                count += 1
-        return count
-
-    for n in range(13):
-        for p in range(n + 2):
-            assert partitions_exact(n, p) == brute(n, p), (n, p)
-
-
-def test_partitions_generating_bound():
-    # sum_n pi_p(n) x^n = x^p / prod_{i<=p}(1-x^i); partial sums stay below it
-    for x in [0.1, 0.3, 0.5]:
-        for p in [1, 2, 3, 4]:
-            closed = x**p / math.prod(1.0 - x**i for i in range(1, p + 1))
-            partial = sum(partitions_exact(n, p) * x**n for n in range(0, 60))
-            assert partial <= closed + 1e-12
-            assert partial == pytest.approx(closed, rel=1e-6)

@@ -9,14 +9,12 @@ import math
 import numpy as np
 import pytest
 
-from qgcutoff.numerics import lambda_moment, u_seq
+from qgcutoff.numerics import lambda_moment
 from qgcutoff.structures import (
     CircleMeasure,
     cyclic_group,
-    haar_state,
     moment,
     porod_nodes,
-    trivial_state,
 )
 from qgcutoff.words import (
     UIrrepWord,
@@ -25,11 +23,9 @@ from qgcutoff.words import (
     chi2_expectation_wreath,
     chi_expectation_mixture,
     coeff_unitary,
-    coeff_wreath,
     count_unitary,
     count_wreath,
     dim_unitary,
-    dim_wreath,
     enumerate_unitary,
     enumerate_wreath,
     eval_state_params,
@@ -89,20 +85,12 @@ def test_wreath_char_indices():
 
 
 def test_dim_unitary_values():
-    assert dim_unitary(UIrrepWord((1,), 1), 10).to_float() == pytest.approx(10.0)
-    assert dim_unitary(UIrrepWord((2,), 1), 3).to_float() == pytest.approx(8.0)
-    assert dim_unitary(UIrrepWord((2, 1), 1), 10).to_float() == pytest.approx(990.0)
+    # dim_unitary returns the log dimension
+    assert math.exp(dim_unitary(UIrrepWord((1,), 1), 10)) == pytest.approx(10.0)
+    assert math.exp(dim_unitary(UIrrepWord((2,), 1), 3)) == pytest.approx(8.0)
+    assert math.exp(dim_unitary(UIrrepWord((2, 1), 1), 10)) == pytest.approx(990.0)
     with pytest.raises(ValueError):
         dim_unitary(UIrrepWord((1,), 1), 2)
-
-
-def test_dim_wreath_values():
-    # the one-entry word at N = 9 has dimension u_2(3) = 8
-    assert dim_wreath(WreathWord((0,), ()), 9).to_float() == pytest.approx(8.0)
-    # the minimal labeled word: u_1(sqrt(N))^2 = N
-    assert dim_wreath(WreathWord((0, 0), (0,)), 9).to_float() == pytest.approx(9.0)
-    with pytest.raises(ValueError):
-        dim_wreath(WreathWord((0,), ()), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -113,68 +101,38 @@ def test_coeff_unitary_basic_ratio():
     # word (1,) with delta_0 measure: coefficient is t/N exactly
     nu = CircleMeasure.delta(0.0)
     c = coeff_unitary(UIrrepWord((1,), 1), 18.0, nu, 20)
-    assert c.to_complex() == pytest.approx(18.0 / 20.0, rel=1e-12)
+    assert math.exp(c) == pytest.approx(18.0 / 20.0, rel=1e-12)
 
 
 def test_coeff_unitary_haar_vanishes_off_neutral():
     nu = CircleMeasure.haar()
     # any word with nonzero winding exponent has zero coefficient under Haar
     c = coeff_unitary(UIrrepWord((1,), 1), 18.0, nu, 20)
-    assert c.abs_log == -math.inf
+    assert c == -math.inf
     # neutral words survive
     c2 = coeff_unitary(UIrrepWord((2,), 1), 18.0, nu, 20)
-    assert c2.to_complex() == pytest.approx((18.0**2 - 1) / (20.0**2 - 1), rel=1e-12)
+    assert math.exp(c2) == pytest.approx((18.0**2 - 1) / (20.0**2 - 1), rel=1e-12)
 
 
 def test_coeff_unitary_eval_state():
-    # the evaluation state at angle theta is central with t = |N-1+e^{i theta}|
+    # the evaluation state at angle theta is central with parameter t and
+    # measure delta_beta, where t e^{i beta} = N - 1 + e^{i theta}
     N = 10
     for theta in [0.3, 1.3, 2.9]:
         t, nu = eval_state_params(N, theta)
-        c = coeff_unitary(UIrrepWord((1,), 1), t, nu, N).to_complex()
-        want = ((N - 1.0) + cmath.exp(1j * theta)) / N
-        assert abs(c - want) < 1e-12
+        [(beta, weight)] = nu.atoms
+        want = (N - 1.0) + cmath.exp(1j * theta)
+        assert weight == 1.0
+        assert abs(t * cmath.exp(1j * beta) - want) < 1e-12
+        c = coeff_unitary(UIrrepWord((1,), 1), t, nu, N)
+        assert math.exp(c) == pytest.approx(abs(want) / N, rel=1e-12)
 
 
 def test_coeff_unitary_modulus_at_most_one():
     nu = CircleMeasure.delta(0.4)
     for w in enumerate_unitary(8, 3):
         c = coeff_unitary(w, 17.5, nu, 20)
-        assert c.abs_log <= 1e-12
-
-
-def test_coeff_wreath_values():
-    g = cyclic_group(3)
-    psi = trivial_state(g)
-    N = 30
-    t = math.sqrt(N - 2.0)
-    s = math.sqrt(float(N))
-    # p = 0 word: ratio of u_2 values
-    c = coeff_wreath(WreathWord((0,), ()), t, g, psi, N)
-    assert c.to_complex() == pytest.approx((t * t - 1) / (s * s - 1), rel=1e-12)
-    # minimal labeled word with trivial psi: (t/s)^2
-    c2 = coeff_wreath(WreathWord((0, 0), (1,)), t, g, psi, N)
-    assert c2.to_complex() == pytest.approx((N - 2.0) / N, rel=1e-12)
-
-
-def test_coeff_wreath_haar_state_kills_nontrivial_labels():
-    g = cyclic_group(3)
-    psi = haar_state(g)
-    N = 30
-    t = math.sqrt(N - 2.0)
-    c = coeff_wreath(WreathWord((0, 0), (1,)), t, g, psi, N)
-    assert c.abs_log == -math.inf
-    # product of labels = identity keeps the coefficient alive
-    c2 = coeff_wreath(WreathWord((0, 0, 0), (1, 2)), t, g, psi, N)
-    assert c2.abs_log > -math.inf
-
-
-def test_coeff_wreath_modulus_at_most_one():
-    g = cyclic_group(2)
-    psi = trivial_state(g)
-    for w in enumerate_wreath(g, 8, 3):
-        c = coeff_wreath(w, math.sqrt(7.0), g, psi, 9)
-        assert c.abs_log <= 1e-12
+        assert c <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -244,26 +202,26 @@ def test_enumeration_is_deterministic():
 def test_chi2_expectation_unitary():
     # one step: ((N - tau)^2 - 1) / (N^2 - 1); k steps exponentiate the ratio
     N, tau = 20, 2.0
-    one = chi2_expectation_unitary(N, tau, 1.0).to_float()
+    one = chi2_expectation_unitary(N, tau, 1.0)
     assert one == pytest.approx((N * N - 1.0) * ((18.0**2 - 1) / (N * N - 1)), rel=1e-12)
     k = 7.0
     want = (N * N - 1.0) * (((N - tau) ** 2 - 1) / (N * N - 1.0)) ** k
-    assert chi2_expectation_unitary(N, tau, k).to_float() == pytest.approx(want, rel=1e-12)
-    assert chi2_expectation_unitary(N, tau, 0.0).to_float() == pytest.approx(N * N - 1.0)
+    assert chi2_expectation_unitary(N, tau, k) == pytest.approx(want, rel=1e-12)
+    assert chi2_expectation_unitary(N, tau, 0.0) == pytest.approx(N * N - 1.0)
 
 
 def test_chi2_expectation_wreath():
     N, tau = 30, 2.0
     k = 5.0
     want = (N - 1.0) * ((N - tau - 1.0) / (N - 1.0)) ** k
-    assert chi2_expectation_wreath(N, tau, k).to_float() == pytest.approx(want, rel=1e-12)
+    assert chi2_expectation_wreath(N, tau, k) == pytest.approx(want, rel=1e-12)
 
 
 def test_chi_expectation_mixture():
     N = 10
     k = 3.0
     want = 2.0 * N * ((N - 1.0) / (N + 1.0)) ** k
-    assert chi_expectation_mixture(N, k).to_float() == pytest.approx(want, rel=1e-12)
+    assert chi_expectation_mixture(N, k) == pytest.approx(want, rel=1e-12)
 
 
 def test_mixture_per_step_factor_matches_quadrature():
@@ -288,7 +246,7 @@ def test_mixture_expectation_consistency():
     step = float(np.sum(w * vals.real))
     k = 9.0
     want = 2.0 * N * step**k
-    assert chi_expectation_mixture(N, k).to_float() == pytest.approx(want, rel=1e-7)
+    assert chi_expectation_mixture(N, k) == pytest.approx(want, rel=1e-7)
 
 
 def test_eval_state_params_geometry():
