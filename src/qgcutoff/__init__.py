@@ -8,10 +8,10 @@ Subpackage layout:
   evaluator ``u_seq`` (log |u_n| as float arrays), Wallis integrals,
   lambda-moments.
 - ``structures``: finite groups and positive-definite states on them, measures
-  on the circle and their moments.
+  on the circle and their exact moments.
 - ``words``: irreducible-character words for both families, truncated
-  enumeration and counts, unitary word dimensions and state coefficients,
-  and closed-form expectations used by the lower bounds.
+  enumeration and counts, and closed-form expectations used by the lower
+  bounds.
 - ``bounds``: the series engine computing certified intervals around the
   upper-bound series, Chebyshev lower bounds, thresholds, cutoff profiles.
 - ``verify``: grid verification of the supporting analytic inequalities, with

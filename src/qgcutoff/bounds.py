@@ -75,6 +75,8 @@ __all__ = [
     "MAX_K",
     "MAX_TOTAL",
     "MAX_MIXTURE_WORDS",
+    "MAX_MIXTURE_TABLE",
+    "MAX_P",
     "default_truncation",
     "A_k_grid",
     "A_k_for_query",
@@ -98,12 +100,20 @@ _T_EPS = 1e-9  # same parabolic-boundary guard as numerics.q_of
 MAX_TOTAL = 4096
 # Most words the mixture engine sums one by one, at about 17 us a word.
 MAX_MIXTURE_WORDS = 100_000
+# Most blocks a truncation accepts.  The parity classes of the words of at
+# most P blocks number about P^3 / 6 (677 MB at P = 384); with Haar nu,
+# (64, 64) takes about 0.04 s and 33 MB, (64, 4096) about 35 s and 43 MB.
+MAX_P = 64
+# Most entries, (max_total + 1) * quad_points, of the mixture's per-node u_n
+# ratio table (the default (5, 10) at 2048 nodes takes 22 528); at the cap
+# the engine peaks at about 95 MB.
+MAX_MIXTURE_TABLE = 2**22
 
 
 @dataclass(frozen=True)
 class TruncationConfig:
-    """Finite word-index window: p <= max_p blocks, index total <= max_total,
-    at most MAX_TOTAL.
+    """Finite word-index window: p <= max_p blocks, at most MAX_P, and index
+    total <= max_total, at most MAX_TOTAL.
 
     ``tail_mode`` selects whether the complement is bounded by the geometric
     certificate or left unbounded ("none").
@@ -114,8 +124,8 @@ class TruncationConfig:
     tail_mode: str = "geometric-certificate"
 
     def __post_init__(self) -> None:
-        if self.max_p < 1:
-            raise ValueError("max_p must be >= 1")
+        if not 1 <= self.max_p <= MAX_P:
+            raise ValueError(f"max_p must be in 1..{MAX_P}")
         if self.max_total < self.max_p:
             raise ValueError("max_total must be >= max_p")
         if self.max_total > MAX_TOTAL:
@@ -653,7 +663,7 @@ def _unitary_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
     else:
         log_abs_m = np.full(2 * P + 1, -math.inf)
         for eps in range(-P, P + 1):
-            m = abs(moment(nu, eps, quad_points=q.quad_points))
+            m = abs(moment(nu, eps))
             if m > 0.0:
                 log_abs_m[eps + P] = math.log(m)
         log_partials = _parity_log_partials(g, log_abs_m, two_k, M, P)
@@ -708,14 +718,17 @@ def _mixture_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
     mixture; the partial sum is therefore an estimate (quadrature error is
     not rigorously bounded).  The quadrature does not depend on k, so it runs
     once per word for the whole grid; each k then sums d^2 |c|^{2k} over the
-    words in enumeration order.  More than MAX_MIXTURE_WORDS words raise
-    ValueError.
+    words in enumeration order.  More than MAX_MIXTURE_WORDS words, or a
+    ratio table of more than MAX_MIXTURE_TABLE entries, raise ValueError.
     """
     N = q.N
     M, P = tc.max_total, tc.max_p
     terms = count_unitary(M, P)
     if terms > MAX_MIXTURE_WORDS:
         raise ValueError(f"the mixture truncation ({P}, {M}) has {terms} words, above {MAX_MIXTURE_WORDS}")
+    if (M + 1) * q.quad_points > MAX_MIXTURE_TABLE:
+        raise ValueError(f"max_total {M} with quad_points {q.quad_points} gives a ratio table of more than "
+                         f"{MAX_MIXTURE_TABLE} entries")
 
     theta, wq = porod_nodes(N, q.quad_points)
     lam = 1.0 - np.cos(theta)

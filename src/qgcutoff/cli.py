@@ -30,7 +30,9 @@ from typing import Sequence
 
 from .bounds import (
     MAX_K,
+    MAX_MIXTURE_TABLE,
     MAX_MIXTURE_WORDS,
+    MAX_P,
     MAX_TOTAL,
     A_k_for_query,
     TruncationConfig,
@@ -135,7 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mom.add_argument("--eps", help="comma-separated winding exponents, e.g. 0,1,-2")
     p_mom.add_argument("--lambda-moments", dest="lambda_moments",
                        help="N:LMAX — moments of 1 - cos under the Porod mixture")
-    p_mom.add_argument("--quad-points", type=int, default=2048)
     add_common(p_mom, with_walk=False)
 
     p_verify = sub.add_parser("verify", help="run inequality suites")
@@ -168,7 +169,7 @@ def _flag_input(flag: str):
     value as bad input naming the flag."""
     try:
         yield
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         raise CliError(f"{flag}: {exc}") from exc
 
 
@@ -325,8 +326,8 @@ def _truncation_for(args: argparse.Namespace, family: str) -> TruncationConfig:
     base = default_truncation(family)
     max_p = args.max_p if args.max_p is not None else base.max_p
     max_total = args.max_total if args.max_total is not None else base.max_total
-    if max_p < 1:
-        raise CliError(f"--max-p must be >= 1, got {max_p}")
+    if not 1 <= max_p <= MAX_P:
+        raise CliError(f"--max-p must be in 1..{MAX_P}, got {max_p}")
     if max_total < max_p:
         raise CliError(f"--max-total must be >= --max-p, got {max_total} < {max_p}")
     if max_total > MAX_TOTAL:
@@ -334,6 +335,9 @@ def _truncation_for(args: argparse.Namespace, family: str) -> TruncationConfig:
     if family == "mixture" and count_unitary(max_total, max_p) > MAX_MIXTURE_WORDS:
         raise CliError(f"--max-total {max_total} with --max-p {max_p} gives the mixture more than "
                        f"{MAX_MIXTURE_WORDS} words")
+    if family == "mixture" and (max_total + 1) * args.quad_points > MAX_MIXTURE_TABLE:
+        raise CliError(f"--max-total {max_total} with --quad-points {args.quad_points} gives the mixture a "
+                       f"ratio table of more than {MAX_MIXTURE_TABLE} entries")
     return TruncationConfig(max_p=max_p, max_total=max_total, tail_mode=args.tail_mode)
 
 
@@ -513,7 +517,6 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
 
 def cmd_moments(args: argparse.Namespace) -> int:
     doc: dict[str, object] = {}
-    quad_points = _quad_points(args.quad_points)
     if args.eps is not None:
         nu = _parse_nu(args.nu, args.N)
         try:
@@ -522,7 +525,8 @@ def cmd_moments(args: argparse.Namespace) -> int:
             raise CliError(f"--eps: {exc}") from exc
         vals = {}
         for e in eps_list:
-            m = moment(nu, e, quad_points=quad_points)
+            with _flag_input("--eps"):
+                m = moment(nu, e)
             vals[str(e)] = {"re": m.real, "im": m.imag}
         doc["nu"] = nu.describe()
         doc["moments"] = vals

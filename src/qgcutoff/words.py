@@ -1,6 +1,6 @@
 """Irreducible-character words for the two families of walks: truncated
-enumeration and counts, the log dimension and log |coefficient| of a
-unitary word, and the closed-form expectations feeding the lower bounds.
+enumeration and counts, and the closed-form expectations feeding the lower
+bounds.
 
 Free unitary family.  Nontrivial irreducible characters are indexed by words
 
@@ -36,14 +36,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .numerics import lambda_moment, u_seq
-from .structures import CircleMeasure, FiniteGroup, arg_trace, moment, tau_theta
+from .numerics import lambda_moment
+from .structures import CircleMeasure, FiniteGroup, arg_trace, tau_theta
 
 __all__ = [
     "UIrrepWord",
     "WreathWord",
-    "dim_unitary",
-    "coeff_unitary",
     "enumerate_unitary",
     "enumerate_wreath",
     "count_unitary",
@@ -136,41 +134,6 @@ class WreathWord:
     @property
     def index_total(self) -> int:
         return sum(self.char_indices())
-
-
-def dim_unitary(word: UIrrepWord, N: float) -> float:
-    """log prod_i u_{n_i}(N); requires N > 2."""
-    if N <= 2:
-        raise ValueError(f"N must exceed 2, got {N!r}")
-    us = u_seq(float(N), max(word.ns)).tolist()
-    log_dim = 0.0
-    for n in word.ns:
-        log_dim += us[n]
-    return log_dim
-
-
-def coeff_unitary(
-    word: UIrrepWord, t: float, nu: CircleMeasure, N: float, quad_points: int = 2048
-) -> float:
-    """log |m_eps(nu) * prod u_{n_i}(t) / u_{n_i}(N)|, the log modulus of the
-    normalized character value; -inf where it vanishes.
-
-    Requires 0 <= t < N and N > 2.  The modulus never exceeds 1.
-    """
-    if N <= 2:
-        raise ValueError(f"N must exceed 2, got {N!r}")
-    if not 0.0 <= t < float(N):
-        raise ValueError(f"t must lie in [0, N), got t = {t!r}, N = {N!r}")
-    nmax = max(word.ns)
-    us_t = u_seq(float(t), nmax).tolist()
-    us_N = u_seq(float(N), nmax).tolist()
-    log_c = 0.0
-    for n in word.ns:
-        log_c += us_t[n] - us_N[n]
-    m = moment(nu, word.z_exponent(), quad_points=quad_points)
-    if m == 0:
-        return -math.inf
-    return log_c + math.log(abs(m))
 
 
 def _compositions(total_max: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -4,7 +4,9 @@ These sum the series word by word from the irrep data (dimensions and
 normalized coefficients), deliberately bypassing the production engine's
 parity classes, convolution folding, and tail machinery.  Shared pieces are
 limited to the u_n evaluator, the moment map, and the word enumeration
-order, none of which carry the summation logic under test.
+order, none of which carry the summation logic under test.  A unitary
+word's log dimension and log |coefficient| (``dim_unitary``,
+``coeff_unitary``) are formed here, one word at a time.
 ``winding_log_partial`` is the general-nu partial the engine ran before its
 parity-class rewrite, a dynamic program over the winding state, kept as an
 independent reference for that rewrite.
@@ -16,12 +18,37 @@ import numpy as np
 
 from qgcutoff.numerics import logsumexp, u_seq
 from qgcutoff.structures import CircleMeasure, FiniteGroup, GroupState, moment
-from qgcutoff.words import (
-    coeff_unitary,
-    dim_unitary,
-    enumerate_unitary,
-    enumerate_wreath,
-)
+from qgcutoff.words import UIrrepWord, enumerate_unitary, enumerate_wreath
+
+
+def dim_unitary(word: UIrrepWord, N: float) -> float:
+    """log prod_i u_{n_i}(N); requires N > 2."""
+    if N <= 2:
+        raise ValueError(f"N must exceed 2, got {N!r}")
+    us = u_seq(float(N), max(word.ns)).tolist()
+    return sum(us[n] for n in word.ns)
+
+
+def coeff_unitary(word: UIrrepWord, t: float, nu: CircleMeasure, N: float) -> float:
+    """log |m_eps(nu) * prod u_{n_i}(t) / u_{n_i}(N)|, the log modulus of the
+    normalized character value; -inf where it vanishes.
+
+    Requires 0 <= t < N and N > 2.  The modulus never exceeds 1.
+    """
+    if N <= 2:
+        raise ValueError(f"N must exceed 2, got {N!r}")
+    if not 0.0 <= t < float(N):
+        raise ValueError(f"t must lie in [0, N), got t = {t!r}, N = {N!r}")
+    nmax = max(word.ns)
+    us_t = u_seq(float(t), nmax).tolist()
+    us_N = u_seq(float(N), nmax).tolist()
+    log_c = 0.0
+    for n in word.ns:
+        log_c += us_t[n] - us_N[n]
+    m = moment(nu, word.z_exponent())
+    if m == 0:
+        return -math.inf
+    return log_c + math.log(abs(m))
 
 
 def unitary_log_partial(
@@ -31,7 +58,6 @@ def unitary_log_partial(
     k: float,
     max_total: int,
     max_p: int,
-    quad_points: int = 2048,
 ) -> float:
     """log of sum over truncated words of dim^2 |coeff|^{2k}."""
     terms = []
@@ -40,7 +66,7 @@ def unitary_log_partial(
         if k == 0.0:
             terms.append(2.0 * log_dim)
             continue
-        log_c = coeff_unitary(w, t, nu, N, quad_points)
+        log_c = coeff_unitary(w, t, nu, N)
         if log_c == -math.inf:
             continue
         terms.append(2.0 * log_dim + 2.0 * k * log_c)

@@ -2,6 +2,7 @@
 oracles, tail soundness, truncation containment, and the TV conversions.
 """
 
+import json
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from qgcutoff.bounds import (
     tv_upper_from_A,
     wreath_certificate_threshold,
 )
-from qgcutoff import bounds, cli
+from qgcutoff import bounds, cli, structures
 from qgcutoff.numerics import logsumexp, u_seq
 from qgcutoff.structures import (
     CircleMeasure,
@@ -215,11 +216,11 @@ _PARITY_TRUNCATIONS = [(1, 1), (2, 1), (3, 2), (5, 5), (8, 3), (20, 7), (48, 12)
 _PARITY_KS = [0.0, 0.5, 1.0, 7.3, 1e4, 1e300]
 
 
-def _log_abs_moments(nu, P, quad_points=256):
+def _log_abs_moments(nu, P):
     """log |m_e(nu)| for |e| <= P at index e + P; -inf where m_e = 0."""
     out = np.full(2 * P + 1, -math.inf)
     for e in range(-P, P + 1):
-        m = abs(moment(nu, e, quad_points=quad_points))
+        m = abs(moment(nu, e))
         if m > 0.0:
             out[e + P] = math.log(m)
     return out
@@ -251,6 +252,28 @@ def test_parity_partial_matches_winding_oracle(N, tau, nu_name):
                 assert value == want, (M, P, tk)
             else:
                 assert value == pytest.approx(want, rel=1e-12, abs=1e-12), (M, P, tk)
+
+
+@pytest.mark.parametrize("N, tv_upper_hi", [(3 * 10**5, 0.01295637), (10**6, 0.01295722)])
+def test_porod_bound_at_large_N_matches_50_digit_moments(capsys, N, tv_upper_hi):
+    # a 2048-node quadrature keeps only 0.933 of the Porod mass at N = 1e6,
+    # so only exact moments give the partial of about -7.306
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    assert cli.main(["bound", "--family", "unitary", "--N", str(N), "--tau", "2", "--nu", "porod", "--c", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    M, P = DEFAULT_TRUNCATION.max_total, DEFAULT_TRUNCATION.max_p
+    h = mp.mpf(N - 1) / 2
+    log_abs_m = np.array([float(mp.log(abs(mp.gamma(h + 1) ** 2 * mp.rgamma(h + 1 + e) * mp.rgamma(h + 1 - e))))
+                          for e in range(-P - 1, P + 2)])
+    two_k = 2.0 * doc["k"]
+    g = bounds._log_coeff_table(np.array([two_k]), u_seq(N - 2.0, M), u_seq(float(N), M))[0]
+    want = winding_log_partial(g, log_abs_m, two_k, M, P)
+    assert doc["A_log_partial"] == pytest.approx(want, rel=1e-12)
+    assert want == pytest.approx(-7.306, abs=1e-3)
+    assert doc["certified"] is True
+    assert doc["tv_upper_hi"] == pytest.approx(tv_upper_hi, rel=1e-6)
 
 
 def test_point_mass_shortcut_equals_parity_partial():
@@ -625,6 +648,8 @@ def test_cutoff_profile_rows_match_single_point_engine(query, ks):
         (["--family", "unitary", "--N", "40", "--tau", "2", "--nu", "haar"], "_parity_log_partials", 1),
         # the mixture's word quadrature runs once per profile
         (["--family", "mixture", "--N", "20"], "porod_nodes", 1),
+        # Porod moments are exact: no quadrature at all
+        (["--family", "unitary", "--N", "40", "--tau", "2", "--nu", "porod"], "porod_nodes", 0),
     ],
 )
 def test_profile_runs_the_engine_once(monkeypatch, capsys, argv, engine, passes):
@@ -638,6 +663,8 @@ def test_profile_runs_the_engine_once(monkeypatch, capsys, argv, engine, passes)
         return wrapper
 
     monkeypatch.setattr(bounds, engine, counted("engine", getattr(bounds, engine)))
+    if hasattr(structures, engine):
+        monkeypatch.setattr(structures, engine, counted("engine", getattr(structures, engine)))
     monkeypatch.setattr(cli, "A_k_for_query", counted("single", cli.A_k_for_query))
     assert cli.main(["profile", *argv, "--c-range", "-1:1:0.5"]) == 0
     rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]

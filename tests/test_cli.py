@@ -67,6 +67,19 @@ def test_moments_eps_delta(capsys):
     assert doc["moments"]["-2"]["im"] == pytest.approx(math.sin(-1.0))
 
 
+def test_moments_eps_porod_is_exact(capsys):
+    # m_e = prod_{j <= |e|} -(h - j + 1)/(h + j), h = 4.5: real, and never 0 for even N
+    code, out, _ = run(capsys, "moments", "--nu", "porod", "--N", "10", "--eps", "0,1,-2,6")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["nu"] == "porod(N=10)"
+    assert {e: v["im"] for e, v in doc["moments"].items()} == {"0": 0.0, "1": 0.0, "-2": 0.0, "6": 0.0}
+    assert doc["moments"]["0"]["re"] == 1.0
+    assert doc["moments"]["1"]["re"] == pytest.approx(-4.5 / 5.5, rel=1e-15)
+    assert doc["moments"]["-2"]["re"] == pytest.approx(4.5 * 3.5 / (5.5 * 6.5), rel=1e-15)
+    assert doc["moments"]["6"]["re"] != 0.0
+
+
 def test_moments_without_request_is_an_error(capsys):
     code, _, err = run(capsys, "moments")
     assert code == 2
@@ -342,6 +355,13 @@ _WALK = ["--family", "unitary", "--N", "20", "--tau", "2"]
          "--max-p"),
         (["bound", "--family", "mixture", "--N", "100", "--c", "1", "--max-p", "6", "--max-total", "24"],
          "--max-total"),
+        # above MAX_P = 64, and a mixture ratio table above MAX_MIXTURE_TABLE = 2^22 entries
+        (["bound", *_WALK, "--c", "1", "--max-p", "65", "--max-total", "100"], "--max-p"),
+        (["bound", "--family", "mixture", "--N", "100", "--c", "1", "--max-p", "1", "--max-total", "1024",
+          "--quad-points", "4096"], "--quad-points"),
+        # a Porod moment index above MAX_MOMENT_INDEX = 100000, and one that overflows a float
+        (["moments", "--nu", "porod", "--N", "10", "--eps", "0,100001"], "--eps"),
+        (["moments", "--nu", "delta:1", "--eps", "1" + "0" * 400], "--eps"),
     ],
 )
 def test_invalid_input_exit_2(capsys, tmp_path, monkeypatch, argv, flag):
@@ -386,17 +406,52 @@ def test_truncation_limits_exit_2_before_any_engine_runs(monkeypatch, capsys):
     assert code == 2 and "--max-total" in err and "--max-p" in err and "Traceback" not in err
     code, _, err = run(capsys, "bound", *_WALK, "--c", "1", "--max-total", "5000")
     assert code == 2 and "--max-total" in err
+    code, _, err = run(capsys, "bound", *_WALK, "--c", "1", "--max-p", "65", "--max-total", "65")
+    assert code == 2 and "--max-p" in err
+    code, _, err = run(capsys, *mixture, "--max-p", "1", "--max-total", "1024", "--quad-points", "4096")
+    assert code == 2 and "--max-total" in err and "--quad-points" in err and "Traceback" not in err
     # (6, 16) is 29 784 mixture words, inside the limit: the engine is reached
     with pytest.raises(AssertionError, match="an engine ran"):
         main([*mixture, "--max-p", "6", "--max-total", "16"])
+    # so are MAX_P blocks and a ratio table of exactly MAX_MIXTURE_TABLE entries
+    with pytest.raises(AssertionError, match="an engine ran"):
+        main(["bound", *_WALK, "--c", "1", "--max-p", "64", "--max-total", "64"])
+    with pytest.raises(AssertionError, match="an engine ran"):
+        main([*mixture, "--max-p", "1", "--max-total", "1023", "--quad-points", "4096"])
 
 
 def test_truncation_limits_raise_in_the_library():
     with pytest.raises(ValueError):
         bounds.TruncationConfig(max_p=2, max_total=bounds.MAX_TOTAL + 1)
     bounds.TruncationConfig(max_p=2, max_total=bounds.MAX_TOTAL)
+    assert (bounds.MAX_P, bounds.MAX_MIXTURE_TABLE) == (64, 2**22)
+    with pytest.raises(ValueError, match="max_p"):
+        bounds.TruncationConfig(max_p=bounds.MAX_P + 1, max_total=bounds.MAX_P + 1)
+    bounds.TruncationConfig(max_p=bounds.MAX_P, max_total=bounds.MAX_P)
     with pytest.raises(ValueError, match="words"):
         bounds.A_k_grid(WalkQuery.mixture(100, 500.0), [500.0], bounds.TruncationConfig(max_p=12, max_total=48))
+
+
+def test_mixture_table_limit_raises_before_any_node_build(monkeypatch):
+    def build(*args):
+        raise AssertionError("Porod nodes built")
+
+    monkeypatch.setattr(bounds, "porod_nodes", build)
+    with pytest.raises(ValueError, match="ratio table"):
+        bounds.A_k_grid(WalkQuery.mixture(100, 500.0, quad_points=4096), [500.0],
+                        bounds.TruncationConfig(max_p=1, max_total=1024))
+
+
+@pytest.mark.parametrize("command, k_flag", [("bound", ["--c", "1"]), ("profile", ["--c-range", "-1:1:0.5"])])
+def test_unitary_porod_runs_no_quadrature(monkeypatch, capsys, command, k_flag):
+    def build(*args):
+        raise AssertionError("quadrature nodes built")
+
+    monkeypatch.setattr(structures, "_gauss_legendre", build)
+    monkeypatch.setattr(structures, "porod_nodes", build)
+    monkeypatch.setattr(bounds, "porod_nodes", build)
+    code, _, err = run(capsys, command, "--family", "unitary", "--N", "40", "--tau", "2", "--nu", "porod", *k_flag)
+    assert (code, err) == (0, "")
 
 
 # ---------------------------------------------------------------------------

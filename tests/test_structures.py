@@ -11,6 +11,7 @@ import pytest
 
 from qgcutoff.numerics import lambda_moment
 from qgcutoff.structures import (
+    MAX_MOMENT_INDEX,
     _gauss_legendre,
     _half_angle_nodes,
     CircleMeasure,
@@ -287,6 +288,56 @@ def test_porod_cos_moment_matches_lambda_moment():
         m1 = moment(nu, 1)
         assert m1.imag == pytest.approx(0.0, abs=1e-12)
         assert m1.real == pytest.approx(1.0 - lambda_moment(N, 1), abs=1e-10)
+
+
+def _porod_moment_reference(mp, N, e):
+    # (-1)^e Gamma(h+1)^2 / (Gamma(h+1+e) Gamma(h+1-e)), h = (N-1)/2
+    h = mp.mpf(N - 1) / 2
+    return (-1) ** e * mp.gamma(h + 1) ** 2 * mp.rgamma(h + 1 + e) * mp.rgamma(h + 1 - e)
+
+
+@pytest.mark.parametrize("N", [5, 6, 7, 40, 41])
+def test_porod_moment_reference_matches_the_integral(N):
+    # the gamma form against int sin^{N-1}(phi) cos(2 e phi) over [0, pi],
+    # symmetric about pi/2, over its e = 0 value
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+
+    def integral(e):
+        return mp.quad(lambda phi: mp.sin(phi) ** (N - 1) * mp.cos(2 * e * phi), [0, mp.pi / 2])
+
+    mass = integral(0)
+    for e in range(1, 26):
+        assert abs(integral(e) / mass - _porod_moment_reference(mp, N, e)) <= mp.mpf(10) ** -45, (N, e)
+
+
+@pytest.mark.parametrize("N", [5, 6, 7, 40, 41, 200, 5000, 10**5, 10**6, 10**7, 2**40])
+def test_porod_moment_matches_50_digit_reference(N):
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    nu = CircleMeasure.porod(N)
+    for e in range(-25, 26):
+        m = moment(nu, e)
+        assert m.imag == 0.0 and m == moment(nu, -e)
+        want = _porod_moment_reference(mp, N, e)
+        if N % 2 and abs(e) > (N - 1) // 2:
+            # exactly +0.0 once a factor h - j + 1 vanishes
+            assert want == 0 and m.real == 0.0 and math.copysign(1.0, m.real) == 1.0, (N, e)
+        else:
+            assert abs(float((m.real - want) / want)) <= 1e-14, (N, e)
+
+
+def test_porod_moment_index_limit():
+    nu = CircleMeasure.porod(2**40)
+    assert MAX_MOMENT_INDEX == 100_000
+    assert moment(nu, -MAX_MOMENT_INDEX).real > 0.0
+    # the product underflows to a signed zero; the moment reads +0.0
+    assert math.copysign(1.0, moment(CircleMeasure.porod(1002), MAX_MOMENT_INDEX).real) == 1.0
+    for e in (MAX_MOMENT_INDEX + 1, -(MAX_MOMENT_INDEX + 1), 10**400):
+        with pytest.raises(ValueError, match="exceeds"):
+            moment(nu, e)
 
 
 def test_porod_nodes_weights_positive():

@@ -22,14 +22,14 @@ from qgcutoff.words import (
     chi2_expectation_unitary,
     chi2_expectation_wreath,
     chi_expectation_mixture,
-    coeff_unitary,
     count_unitary,
     count_wreath,
-    dim_unitary,
     enumerate_unitary,
     enumerate_wreath,
     eval_state_params,
 )
+
+from oracles import coeff_unitary, dim_unitary
 
 
 # ---------------------------------------------------------------------------
