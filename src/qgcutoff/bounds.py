@@ -53,7 +53,9 @@ from .structures import (
     lambda_theta,
     moment,
     porod_nodes,
+    quad_points_ok,
     tau_theta,
+    trivial_state,
 )
 from .words import (
     chi2_expectation_unitary,
@@ -66,6 +68,7 @@ from .words import (
 )
 
 __all__ = [
+    "ParameterError",
     "TruncationConfig",
     "BoundInterval",
     "WalkQuery",
@@ -81,6 +84,7 @@ __all__ = [
     "A_k_grid",
     "A_k_for_query",
     "tv_upper_from_A",
+    "tv_bounds",
     "tv_lower_chebyshev",
     "tv_lower",
     "threshold_C",
@@ -110,10 +114,21 @@ MAX_P = 64
 MAX_MIXTURE_TABLE = 2**22
 
 
+class ParameterError(ValueError):
+    """A walk or truncation parameter breaks a rule: ``fields`` names the
+    parameters at fault and ``message`` states the rule; str() reads
+    "<fields>: <message>"."""
+
+    def __init__(self, fields: tuple[str, ...], message: str) -> None:
+        super().__init__(f"{', '.join(fields)}: {message}")
+        self.fields = fields
+        self.message = message
+
+
 @dataclass(frozen=True)
 class TruncationConfig:
     """Finite word-index window: p <= max_p blocks, at most MAX_P, and index
-    total <= max_total, at most MAX_TOTAL.
+    total <= max_total, at most MAX_TOTAL; a violation raises ParameterError.
 
     ``tail_mode`` selects whether the complement is bounded by the geometric
     certificate or left unbounded ("none").
@@ -125,13 +140,13 @@ class TruncationConfig:
 
     def __post_init__(self) -> None:
         if not 1 <= self.max_p <= MAX_P:
-            raise ValueError(f"max_p must be in 1..{MAX_P}")
+            raise ParameterError(("max_p",), f"must be in 1..{MAX_P}, got {self.max_p}")
         if self.max_total < self.max_p:
-            raise ValueError("max_total must be >= max_p")
+            raise ParameterError(("max_p", "max_total"), f"max_total {self.max_total} is below max_p {self.max_p}")
         if self.max_total > MAX_TOTAL:
-            raise ValueError(f"max_total must be <= {MAX_TOTAL}")
+            raise ParameterError(("max_total",), f"must be <= {MAX_TOTAL}, got {self.max_total}")
         if self.tail_mode not in ("geometric-certificate", "none"):
-            raise ValueError(f"unknown tail_mode {self.tail_mode!r}")
+            raise ParameterError(("tail_mode",), f"unknown tail mode {self.tail_mode!r}")
 
 
 DEFAULT_TRUNCATION = TruncationConfig(max_p=12, max_total=48)
@@ -185,13 +200,16 @@ class BoundInterval:
 
 @dataclass(frozen=True)
 class WalkQuery:
-    """One walk evaluation point: family, size N, step count k, parameters.
-
-    families: "unitary-free" (trace deficit tau, circle measure nu),
+    """One walk evaluation point: family, size N, step count k, and the
+    parameters the family reads, the others None: "unitary-free" (trace
+    deficit tau, circle measure nu, default the point mass at 0),
     "unitary-eval" (rotation angle theta), "mixture" (Porod-mixed evaluation
-    states), "wreath" (trace deficit tau, finite group with state psi).
+    states on quad_points nodes, default 2048), "wreath" (trace deficit tau,
+    finite group with state psi, default trivial).
 
-    The analytic threshold N >= tau + C(tau) is recorded by the engines as a
+    A parameter the family does not read, or any broken rule of the family
+    (``_FAMILIES``), raises ParameterError naming the fields at fault.  The
+    analytic threshold N >= tau + C(tau) is recorded by the engines as a
     certificate hypothesis entry but is not enforced here.
     """
 
@@ -203,56 +221,42 @@ class WalkQuery:
     nu: CircleMeasure | None = None
     group: FiniteGroup | None = None
     psi: GroupState | None = None
-    quad_points: int = 2048
+    quad_points: int | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in ("unitary-free", "unitary-eval", "mixture", "wreath"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.N < 2:
-            raise ValueError("N must be >= 2")
-        if not self.k >= 0:
-            raise ValueError("k must be >= 0")
-        if self.k > MAX_K:
-            raise ValueError(f"k must be <= {MAX_K!r}")
-        if not 1 <= self.quad_points <= MAX_QUAD_POINTS:
-            raise ValueError(f"quad_points must be in 1..{MAX_QUAD_POINTS}")
-        if self.family == "unitary-free":
-            if self.tau is None or not 0.0 < self.tau <= self.N:
-                raise ValueError("unitary-free needs 0 < tau <= N")
-            if self.N < 3:
-                raise ValueError("unitary-free needs N >= 3")
-        elif self.family == "unitary-eval":
-            if self.theta is None:
-                raise ValueError("unitary-eval needs theta")
-            if self.N < 3:
-                raise ValueError("unitary-eval needs N >= 3")
-        elif self.family == "mixture":
-            if self.N < 6:
-                raise ValueError("mixture needs N >= 6")
-        elif self.family == "wreath":
-            if self.tau is None or not 0.0 < self.tau < self.N:
-                raise ValueError("wreath needs 0 < tau < N")
-            if self.N < 5:
-                raise ValueError("wreath needs N >= 5 (sqrt(N) > 2)")
-            if self.group is None or self.psi is None:
-                raise ValueError("wreath needs group and psi")
-            if self.psi.group is not self.group and self.psi.group != self.group:
-                raise ValueError("psi is a state on a different group")
+        family = _FAMILIES.get(self.family)
+        if family is None:
+            raise ParameterError(("family",), f"unknown family {self.family!r}")
+        unread = [name for name in _PARAMETERS if name not in family.parameters and getattr(self, name) is not None]
+        if unread:
+            raise ParameterError(tuple(unread), f"not read by the {self.family} family")
+        missing = [name for name, default in family.parameters.items()
+                   if default is None and getattr(self, name) is None]
+        if missing:
+            raise ParameterError(tuple(missing), f"required by the {self.family} family")
+        if not 0.0 <= self.k <= MAX_K:
+            raise ParameterError(("k",), f"must be in [0, {MAX_K!r}], got {self.k!r}")
+        for name, default in family.parameters.items():
+            if default is not None and getattr(self, name) is None:
+                object.__setattr__(self, name, default(self))
+        for fields, holds, rule in family.rules:
+            if not holds(self):
+                raise ParameterError(fields, f"the {self.family} family needs {rule}")
 
     @classmethod
     def unitary(cls, N: int, tau: float, k: float, nu: CircleMeasure | None = None) -> "WalkQuery":
-        return cls("unitary-free", N, k, tau=tau, nu=nu if nu is not None else CircleMeasure.delta(0.0))
+        return cls("unitary-free", N, k, tau=tau, nu=nu)
 
     @classmethod
     def eval_point(cls, N: int, theta: float, k: float) -> "WalkQuery":
         return cls("unitary-eval", N, k, theta=theta)
 
     @classmethod
-    def mixture(cls, N: int, k: float, quad_points: int = 2048) -> "WalkQuery":
+    def mixture(cls, N: int, k: float, quad_points: int | None = None) -> "WalkQuery":
         return cls("mixture", N, k, quad_points=quad_points)
 
     @classmethod
-    def wreath(cls, N: int, tau: float, k: float, group: FiniteGroup, psi: GroupState) -> "WalkQuery":
+    def wreath(cls, N: int, tau: float, k: float, group: FiniteGroup, psi: GroupState | None = None) -> "WalkQuery":
         return cls("wreath", N, k, tau=tau, group=group, psi=psi)
 
     @property
@@ -644,12 +648,11 @@ def _unitary_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
     whole grid, from the powers of the odd and even blocks of G and the
     moments m_e(nu), |e| <= P.
     """
-    if q.family == "unitary-eval":
-        assert q.theta is not None
+    if q.theta is not None:
         t, nu = eval_state_params(q.N, q.theta)
     else:
-        assert q.tau is not None
-        t, nu = float(q.N) - q.tau, q.nu if q.nu is not None else CircleMeasure.delta(0.0)
+        assert q.tau is not None and q.nu is not None
+        t, nu = float(q.N) - q.tau, q.nu
     N = q.N
     M, P = tc.max_total, tc.max_p
     two_k = 2.0 * np.asarray(ks, dtype=float)
@@ -718,17 +721,12 @@ def _mixture_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
     mixture; the partial sum is therefore an estimate (quadrature error is
     not rigorously bounded).  The quadrature does not depend on k, so it runs
     once per word for the whole grid; each k then sums d^2 |c|^{2k} over the
-    words in enumeration order.  More than MAX_MIXTURE_WORDS words, or a
-    ratio table of more than MAX_MIXTURE_TABLE entries, raise ValueError.
+    words in enumeration order.  ``A_k_grid`` has checked the sizes.
     """
+    assert q.quad_points is not None
     N = q.N
     M, P = tc.max_total, tc.max_p
     terms = count_unitary(M, P)
-    if terms > MAX_MIXTURE_WORDS:
-        raise ValueError(f"the mixture truncation ({P}, {M}) has {terms} words, above {MAX_MIXTURE_WORDS}")
-    if (M + 1) * q.quad_points > MAX_MIXTURE_TABLE:
-        raise ValueError(f"max_total {M} with quad_points {q.quad_points} gives a ratio table of more than "
-                         f"{MAX_MIXTURE_TABLE} entries")
 
     theta, wq = porod_nodes(N, q.quad_points)
     lam = 1.0 - np.cos(theta)
@@ -900,12 +898,18 @@ def _wreath_interval(q: WalkQuery, k: float, log_partial: float, terms: int, tc:
 # the one engine entry
 
 
+# the WalkQuery fields that only some families read
+_PARAMETERS = ("tau", "theta", "nu", "group", "psi", "quad_points")
+
+
 @dataclass(frozen=True)
 class _Family:
     """Everything that differs between the walk families: the engine and
     its default truncation; the Chebyshev witness of the lower bound, as
     (variance bound, Haar expectation of the squared witness) and its walk
-    expectation at q.k; and the cutoff rate.  Unitary and wreath use the
+    expectation at q.k; the cutoff rate; the parameters the family reads,
+    each with its default (None if required); and the rules on N and those
+    parameters, as (fields, test, rule text).  Unitary and wreath use the
     degree-2 character with sup norm 3; the mixture uses the real degree-1
     witness with sup norm 2."""
 
@@ -914,6 +918,8 @@ class _Family:
     witness: tuple[float, float]
     expectation: Callable[[WalkQuery], float]
     rate: Callable[[WalkQuery], float]
+    parameters: dict[str, Callable[[WalkQuery], object] | None]
+    rules: tuple[tuple[tuple[str, ...], Callable[[WalkQuery], bool], str], ...]
 
 
 _FAMILIES = {
@@ -923,6 +929,9 @@ _FAMILIES = {
         (9.0, 1.0),
         lambda q: chi2_expectation_unitary(q.N, q.tau, q.k),
         lambda q: q.tau,
+        {"tau": None, "nu": lambda q: CircleMeasure.delta(0.0)},
+        ((("N",), lambda q: q.N >= 3, "N >= 3"),
+         (("tau",), lambda q: 0.0 < q.tau <= q.N, "0 < tau <= N")),
     ),
     "unitary-eval": _Family(
         _unitary_intervals,
@@ -930,6 +939,10 @@ _FAMILIES = {
         (9.0, 1.0),
         lambda q: chi2_expectation_unitary(q.N, tau_theta(q.N, q.theta), q.k),
         lambda q: lambda_theta(q.theta),
+        {"theta": None},
+        ((("N",), lambda q: q.N >= 3, "N >= 3"),
+         (("theta",), lambda q: math.isfinite(q.theta) and lambda_theta(q.theta) > 0.0,
+          "a finite theta with 1 - cos(theta) > 0")),
     ),
     "mixture": _Family(
         _mixture_intervals,
@@ -937,6 +950,9 @@ _FAMILIES = {
         (4.0, 2.0),
         lambda q: chi_expectation_mixture(q.N, q.k),
         lambda q: 2.0,
+        {"quad_points": lambda q: 2048},
+        ((("N",), lambda q: q.N >= 6, "N >= 6"),
+         (("quad_points",), lambda q: quad_points_ok(q.quad_points), f"quad_points in 1..{MAX_QUAD_POINTS}")),
     ),
     "wreath": _Family(
         _wreath_intervals,
@@ -944,6 +960,10 @@ _FAMILIES = {
         (9.0, 1.0),
         lambda q: chi2_expectation_wreath(q.N, q.tau, q.k),
         lambda q: q.tau,
+        {"tau": None, "group": None, "psi": lambda q: trivial_state(q.group)},
+        ((("N",), lambda q: q.N >= 5, "N >= 5 (sqrt N > 2)"),
+         (("tau",), lambda q: 0.0 < q.tau < q.N, "0 < tau < N"),
+         (("group", "psi"), lambda q: q.psi.group is q.group or q.psi.group == q.group, "psi to be a state on group")),
     ),
 }
 
@@ -951,9 +971,21 @@ _FAMILIES = {
 def A_k_grid(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig | None = None) -> list[BoundInterval]:
     """Series interval of A_k for the walk ``q`` at every k in ``ks`` (the
     k field of ``q`` is ignored), from one pass of the family's engine.
-    ``tc`` defaults to ``default_truncation(q.family)``."""
+    ``tc`` defaults to ``default_truncation(q.family)``.  The mixture sums
+    its words one by one over a (max_total + 1) x quad_points ratio table:
+    more than MAX_MIXTURE_WORDS words or MAX_MIXTURE_TABLE table entries
+    raise ParameterError before its engine runs."""
     family = _FAMILIES[q.family]
-    return family.engine(q, ks, tc if tc is not None else family.truncation)
+    tc = tc if tc is not None else family.truncation
+    if q.quad_points is not None:
+        words = count_unitary(tc.max_total, tc.max_p)
+        if words > MAX_MIXTURE_WORDS:
+            raise ParameterError(("max_p", "max_total"), f"the mixture truncation ({tc.max_p}, {tc.max_total}) "
+                                 f"has {words} words, above {MAX_MIXTURE_WORDS}")
+        if (tc.max_total + 1) * q.quad_points > MAX_MIXTURE_TABLE:
+            raise ParameterError(("max_total", "quad_points"), f"max_total {tc.max_total} with quad_points "
+                                 f"{q.quad_points} gives a ratio table of more than {MAX_MIXTURE_TABLE} entries")
+    return family.engine(q, ks, tc)
 
 
 def A_k_for_query(q: WalkQuery, tc: TruncationConfig | None = None) -> BoundInterval:
@@ -1048,6 +1080,21 @@ def tv_lower(q: WalkQuery) -> float:
     return tv_lower_chebyshev(m, *family.witness)
 
 
+def tv_bounds(q: WalkQuery, A: BoundInterval) -> tuple[TVUpper, float]:
+    """The TV upper bound from the series interval A of q, and the lower
+    bound at q.k.  A certified lower bound above the certified upper bound
+    (beyond a 1e-12 rounding slack) is a defect, not a result: it raises
+    RuntimeError."""
+    tv = tv_upper_from_A(A)
+    lower = tv_lower(q)
+    if tv.certified and lower > tv.upper + 1e-12:
+        raise RuntimeError(
+            f"internal inconsistency at k={q.k!r}: certified lower bound "
+            f"{lower!r} exceeds certified upper bound {tv.upper!r}"
+        )
+    return tv, lower
+
+
 # ---------------------------------------------------------------------------
 # profiles
 
@@ -1086,13 +1133,13 @@ def cutoff_profile(
     queries = [q.with_k(float(k)) for k in k_grid]
     rows: list[ProfileRow] = []
     for qk, A in zip(queries, A_k_grid(q, [qk.k for qk in queries], tc)):
-        tv = tv_upper_from_A(A)
+        tv, lower = tv_bounds(qk, A)
         rows.append(
             ProfileRow(
                 k=qk.k,
                 tv_upper_lo=tv.lower_info,
                 tv_upper_hi=tv.upper,
-                tv_lower=tv_lower(qk),
+                tv_lower=lower,
                 certified=tv.certified,
                 log_partial=A.log_partial,
                 log_tail=A.log_tail,

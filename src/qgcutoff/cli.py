@@ -30,39 +30,32 @@ from typing import Sequence
 
 from .bounds import (
     MAX_K,
-    MAX_MIXTURE_TABLE,
-    MAX_MIXTURE_WORDS,
-    MAX_P,
-    MAX_TOTAL,
     A_k_for_query,
+    ParameterError,
     TruncationConfig,
     WalkQuery,
     nominal_cutoff,
     threshold_C,
     threshold_D,
     threshold_Q,
-    tv_lower,
-    tv_upper_from_A,
+    tv_bounds,
     wreath_certificate_threshold,
     cutoff_profile,
     default_truncation,
 )
 from .numerics import lambda_moment
 from .structures import (
-    MAX_QUAD_POINTS,
     CircleMeasure,
     FiniteGroup,
     GroupState,
     cyclic_group,
     haar_state,
-    lambda_theta,
     load_cayley,
     load_group_state,
     moment,
     trivial_state,
 )
 from .verify import format_report, negative_controls, report_to_dict, run_all
-from .words import count_unitary
 
 __all__ = ["main"]
 
@@ -115,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--max-total", type=int)
             p.add_argument("--tail-mode", default="geometric-certificate",
                            choices=["geometric-certificate", "none"])
-            p.add_argument("--quad-points", type=int, default=2048)
+            p.add_argument("--quad-points", type=int, help="mixture only; default 2048")
 
     p_profile = sub.add_parser("profile", help="cutoff profile over a k grid")
     add_common(p_profile, with_walk=True)
@@ -173,9 +166,7 @@ def _flag_input(flag: str):
         raise CliError(f"{flag}: {exc}") from exc
 
 
-def _parse_nu(source: str | None, N: int | None) -> CircleMeasure:
-    if source is None or source == "delta:0" or source == "delta:0.0":
-        return CircleMeasure.delta(0.0)
+def _parse_nu(source: str, N: int | None) -> CircleMeasure:
     if source == "haar":
         return CircleMeasure.haar()
     if source == "porod":
@@ -200,9 +191,7 @@ def _parse_nu(source: str | None, N: int | None) -> CircleMeasure:
     raise CliError(f"--nu: unknown measure spec {source!r}")
 
 
-def _parse_group(source: str | None) -> FiniteGroup:
-    if source is None:
-        raise CliError("--group is required for the wreath family")
+def _parse_group(source: str) -> FiniteGroup:
     if source.startswith("cyclic:"):
         with _flag_input("--group"):
             return cyclic_group(int(source.split(":", 1)[1]))
@@ -213,8 +202,10 @@ def _parse_group(source: str | None) -> FiniteGroup:
     raise CliError(f"--group: unknown group spec {source!r}")
 
 
-def _parse_psi(source: str | None, group: FiniteGroup) -> GroupState:
-    if source is None or source == "trivial":
+def _parse_psi(source: str, group: FiniteGroup | None) -> GroupState:
+    if group is None:
+        raise CliError("--psi: a state needs --group, which is not given")
+    if source == "trivial":
         return trivial_state(group)
     if source == "haar":
         return haar_state(group)
@@ -228,12 +219,6 @@ def _parse_psi(source: str | None, group: FiniteGroup) -> GroupState:
 def _finite(value: float | None, flag: str) -> None:
     if value is not None and not math.isfinite(value):
         raise CliError(f"{flag} must be finite, got {value!r}")
-
-
-def _quad_points(value: int) -> int:
-    if not 1 <= value <= MAX_QUAD_POINTS:
-        raise CliError(f"--quad-points must be in 1..{MAX_QUAD_POINTS}, got {value}")
-    return value
 
 
 def _float_grid(spec: str, flag: str) -> list[float]:
@@ -266,42 +251,26 @@ def _float_grid(spec: str, flag: str) -> list[float]:
 
 
 def _build_query(args: argparse.Namespace) -> tuple[WalkQuery, list[float]]:
-    family = _FAMILY_TOKENS[args.family]
+    """The walk at k = 0 and its k grid.  WalkQuery checks the walk flags
+    (an invalid or unread one raises ParameterError naming its field), so
+    only the flags that exist in the CLI alone, --k, --c, --k-range and
+    --c-range, are checked here."""
     N = args.N
-    quad_points = _quad_points(args.quad_points)
-    for value, flag in ((args.tau, "--tau"), (args.theta, "--theta"), (args.k, "--k"), (args.c, "--c")):
+    group = None if args.group is None else _parse_group(args.group)
+    q = WalkQuery(
+        _FAMILY_TOKENS[args.family], N, 0.0, tau=args.tau, theta=args.theta,
+        nu=None if args.nu is None else _parse_nu(args.nu, N), group=group,
+        psi=None if args.psi is None else _parse_psi(args.psi, group), quad_points=args.quad_points,
+    )
+    for value, flag in ((args.k, "--k"), (args.c, "--c")):
         _finite(value, flag)
-    tau, theta = args.tau, args.theta
-    try:
-        if family == "unitary-free":
-            if tau is None:
-                raise CliError("--tau is required for the unitary family")
-            nu = _parse_nu(args.nu, N)
-            q = WalkQuery("unitary-free", N, 0.0, tau=tau, nu=nu, quad_points=quad_points)
-        elif family == "unitary-eval":
-            if theta is None:
-                raise CliError("--theta is required for the eval family")
-            if not lambda_theta(theta) > 0:
-                raise CliError("--theta gives 1 - cos(theta) = 0; no cutoff rate")
-            q = WalkQuery("unitary-eval", N, 0.0, theta=theta, quad_points=quad_points)
-        elif family == "mixture":
-            q = WalkQuery("mixture", N, 0.0, quad_points=quad_points)
-        else:
-            if tau is None:
-                raise CliError("--tau is required for the wreath family")
-            group = _parse_group(args.group)
-            psi = _parse_psi(args.psi, group)
-            q = WalkQuery("wreath", N, 0.0, tau=tau, group=group, psi=psi, quad_points=quad_points)
-    except ValueError as exc:
-        raise CliError(f"invalid walk parameters: {exc}") from exc
-
     k_flags = [name for name, val in
                [("--k", args.k), ("--c", args.c), ("--k-range", args.k_range), ("--c-range", args.c_range)]
                if val is not None]
     if len(k_flags) != 1:
         raise CliError("exactly one of --k, --c, --k-range, --c-range is required, got: "
                        + (", ".join(k_flags) if k_flags else "none"))
-    cutoff = nominal_cutoff(q.with_k(0.0))
+    cutoff = nominal_cutoff(q)
     if args.k is not None:
         ks = [args.k]
     elif args.c is not None:
@@ -326,31 +295,17 @@ def _truncation_for(args: argparse.Namespace, family: str) -> TruncationConfig:
     base = default_truncation(family)
     max_p = args.max_p if args.max_p is not None else base.max_p
     max_total = args.max_total if args.max_total is not None else base.max_total
-    if not 1 <= max_p <= MAX_P:
-        raise CliError(f"--max-p must be in 1..{MAX_P}, got {max_p}")
-    if max_total < max_p:
-        raise CliError(f"--max-total must be >= --max-p, got {max_total} < {max_p}")
-    if max_total > MAX_TOTAL:
-        raise CliError(f"--max-total must be <= {MAX_TOTAL}, got {max_total}")
-    if family == "mixture" and count_unitary(max_total, max_p) > MAX_MIXTURE_WORDS:
-        raise CliError(f"--max-total {max_total} with --max-p {max_p} gives the mixture more than "
-                       f"{MAX_MIXTURE_WORDS} words")
-    if family == "mixture" and (max_total + 1) * args.quad_points > MAX_MIXTURE_TABLE:
-        raise CliError(f"--max-total {max_total} with --quad-points {args.quad_points} gives the mixture a "
-                       f"ratio table of more than {MAX_MIXTURE_TABLE} entries")
     return TruncationConfig(max_p=max_p, max_total=max_total, tail_mode=args.tail_mode)
 
 
 def _emit(text: str, output: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if output is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _fmt(v: object) -> str:
@@ -371,32 +326,27 @@ def _config_lines(q: WalkQuery, args: argparse.Namespace, tc: TruncationConfig) 
         items.append(("tau", float(q.tau)))
     if q.theta is not None:
         items.append(("theta", float(q.theta)))
-    if q.family == "unitary-free":
-        assert q.nu is not None
+    if q.nu is not None:
         items.append(("nu", q.nu.describe()))
-    if q.family == "wreath":
-        items.append(("group", args.group or ""))
+    if q.group is not None:
+        items.append(("group", args.group))
         items.append(("psi", args.psi or "trivial"))
-        items.append(("group_order", q.group.order if q.group else 0))
-    items.extend(
-        [
-            ("truncation_max_p", tc.max_p),
-            ("truncation_max_total", tc.max_total),
-            ("tail_mode", tc.tail_mode),
-            ("quad_points", q.quad_points),
-            ("nominal_cutoff", nominal_cutoff(q.with_k(0.0))),
-        ]
-    )
-    rate_tau = q.tau if q.tau is not None else None
-    if rate_tau is not None:
-        items.append(("threshold_C", threshold_C(rate_tau)))
-        items.append(("threshold_D", threshold_D(rate_tau)))
-        if q.family == "wreath":
-            if rate_tau > 7.0 / 4.0:
-                items.append(("threshold_Q", threshold_Q(rate_tau)))
-                items.append(("wreath_threshold", wreath_certificate_threshold(rate_tau)))
-            else:
-                items.append(("threshold_Q", "undefined (tau <= 7/4)"))
+        items.append(("group_order", q.group.order))
+    items.append(("truncation_max_p", tc.max_p))
+    items.append(("truncation_max_total", tc.max_total))
+    items.append(("tail_mode", tc.tail_mode))
+    if q.quad_points is not None:
+        items.append(("quad_points", q.quad_points))
+    items.append(("nominal_cutoff", nominal_cutoff(q)))
+    if q.tau is not None:
+        items.append(("threshold_C", threshold_C(q.tau)))
+        items.append(("threshold_D", threshold_D(q.tau)))
+    if q.tau is not None and q.group is not None:
+        if q.tau > 7.0 / 4.0:
+            items.append(("threshold_Q", threshold_Q(q.tau)))
+            items.append(("wreath_threshold", wreath_certificate_threshold(q.tau)))
+        else:
+            items.append(("threshold_Q", "undefined (tau <= 7/4)"))
     return items
 
 
@@ -408,12 +358,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     q, ks = _build_query(args)
     tc = _truncation_for(args, q.family)
     result = cutoff_profile(q, ks, tc)
-    for row in result.rows:
-        if row.certified and row.tv_lower > row.tv_upper_hi + 1e-12:
-            raise RuntimeError(
-                f"internal inconsistency at k={row.k!r}: certified lower bound "
-                f"{row.tv_lower!r} exceeds certified upper bound {row.tv_upper_hi!r}"
-            )
     meta = _config_lines(q, args, tc) + [("monotone_upper", result.monotone_upper)]
     for note in result.notes:
         meta.append(("note", note))
@@ -460,7 +404,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     tc = _truncation_for(args, q.family)
     qk = q.with_k(ks[0])
     A = A_k_for_query(qk, tc)
-    tv = tv_upper_from_A(A)
+    tv, lower = tv_bounds(qk, A)
     doc = {
         "config": {key: val for key, val in _config_lines(q, args, tc)},
         "k": qk.k,
@@ -476,7 +420,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         "tv_upper_lo": tv.lower_info,
         "tv_upper_hi": tv.upper,
         "tv_clamped": tv.clamped,
-        "tv_lower": tv_lower(qk),
+        "tv_lower": lower,
     }
     _emit(json.dumps(doc, indent=2), args.output)
     return 0
@@ -518,7 +462,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
 def cmd_moments(args: argparse.Namespace) -> int:
     doc: dict[str, object] = {}
     if args.eps is not None:
-        nu = _parse_nu(args.nu, args.N)
+        nu = _parse_nu(args.nu if args.nu is not None else "delta:0", args.N)
         try:
             eps_list = [int(x) for x in args.eps.split(",") if x.strip() != ""]
         except ValueError as exc:
@@ -594,21 +538,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.threads is not None and args.threads < 1:
             raise CliError("--threads must be >= 1")
-        if args.command == "profile":
-            return cmd_profile(args)
-        if args.command == "bound":
-            return cmd_bound(args)
-        if args.command == "thresholds":
-            return cmd_thresholds(args)
-        if args.command == "moments":
-            return cmd_moments(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        raise CliError(f"unknown command {args.command!r}")
-    except CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        run = {"profile": cmd_profile, "bound": cmd_bound, "thresholds": cmd_thresholds,
+               "moments": cmd_moments, "verify": cmd_verify}[args.command]
+        return run(args)
+    except ParameterError as exc:
+        # each library field is set by the flag of its name: max_p by --max-p
+        flags = ", ".join("--" + field.replace("_", "-") for field in exc.fields)
+        sys.stderr.write(f"error: {flags}: {exc.message}\n")
         return 2
-    except OSError as exc:
+    except (CliError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

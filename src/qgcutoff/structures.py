@@ -38,6 +38,7 @@ __all__ = [
     "haar_state",
     "group_sum_abs",
     "moment",
+    "quad_points_ok",
     "porod_nodes",
     "tau_theta",
     "lambda_theta",
@@ -348,6 +349,11 @@ def _half_angle_nodes(quad_points: int) -> tuple[np.ndarray, np.ndarray]:
     return phi, wq
 
 
+def quad_points_ok(quad_points: int) -> bool:
+    """Whether a quadrature may use this many nodes: 1..MAX_QUAD_POINTS."""
+    return 1 <= quad_points <= MAX_QUAD_POINTS
+
+
 def porod_nodes(N: int, quad_points: int) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes and weights for the Porod mixture of parameter N.
 
@@ -360,7 +366,7 @@ def porod_nodes(N: int, quad_points: int) -> tuple[np.ndarray, np.ndarray]:
     from the Legendre node x, not from the rounded phi, whose error the power
     N - 1 would multiply.
     """
-    if not 1 <= quad_points <= MAX_QUAD_POINTS:
+    if not quad_points_ok(quad_points):
         raise ValueError(f"quad_points must be in 1..{MAX_QUAD_POINTS}")
     x, _ = _gauss_legendre(quad_points)
     phi, wq = _half_angle_nodes(quad_points)

@@ -52,7 +52,6 @@ class GridSpec:
     n_min: float = 4.0
     n_max: float = 1e4
     n_points: int = 200
-    log_spaced: bool = True
     theta_count: int = 64
     index_max: int = 60
     tolerance: float = 1e-12

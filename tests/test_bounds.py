@@ -711,6 +711,71 @@ def test_walk_query_validation():
         WalkQuery.wreath(4, 2.0, 1.0, g, trivial_state(g))
 
 
+def test_eval_query_without_cutoff_rate_raises():
+    # 1 - cos(theta) = 0 leaves no cutoff rate: nominal_cutoff would divide by 0
+    for theta in (0.0, 2.0 * math.pi, math.nan, math.inf):
+        with pytest.raises(ValueError, match="theta"):
+            WalkQuery.eval_point(50, theta, 1.0)
+
+
+@pytest.mark.parametrize("family, kwargs, fields", [
+    ("unitary-free", {"tau": 2.0, "theta": 1.0}, ("theta",)),
+    ("unitary-eval", {"theta": 1.0, "tau": 2.0, "nu": CircleMeasure.haar()}, ("tau", "nu")),
+    ("mixture", {"quad_points": 64, "group": cyclic_group(2)}, ("group",)),
+    ("wreath", {"tau": 2.0, "group": cyclic_group(2), "quad_points": 64}, ("quad_points",)),
+    ("unitary-free", {}, ("tau",)),
+    ("unitary-eval", {}, ("theta",)),
+    ("wreath", {"tau": 2.0}, ("group",)),
+    ("wreath", {"tau": 2.0, "group": cyclic_group(2), "psi": trivial_state(cyclic_group(3))}, ("group", "psi")),
+    ("unitary-free", {"tau": 0.0}, ("tau",)),
+    ("wreath", {"tau": 30.0, "group": cyclic_group(2)}, ("tau",)),
+    ("mixture", {"quad_points": 0}, ("quad_points",)),
+])
+def test_walk_query_rules_name_the_fields(family, kwargs, fields):
+    with pytest.raises(bounds.ParameterError) as info:
+        WalkQuery(family, 30, 1.0, **kwargs)
+    assert info.value.fields == fields
+    assert str(info.value).startswith(", ".join(fields) + ": ")
+
+
+@pytest.mark.parametrize("family, N", [("unitary-free", 2), ("unitary-eval", 2), ("mixture", 5), ("wreath", 4)])
+def test_walk_query_N_below_the_family_minimum(family, N):
+    params = {"unitary-free": {"tau": 1.0}, "unitary-eval": {"theta": 1.0}, "mixture": {},
+              "wreath": {"tau": 1.0, "group": cyclic_group(2)}}[family]
+    WalkQuery(family, N + 1, 1.0, **params)
+    with pytest.raises(bounds.ParameterError) as info:
+        WalkQuery(family, N, 1.0, **params)
+    assert info.value.fields == ("N",)
+
+
+def test_walk_query_fills_the_family_defaults():
+    g = cyclic_group(3)
+    assert WalkQuery.unitary(20, 2.0, 1.0).nu == CircleMeasure.delta(0.0)
+    assert WalkQuery.mixture(20, 1.0).quad_points == 2048
+    assert WalkQuery.wreath(20, 2.0, 1.0, g).psi == trivial_state(g)
+    # a family's unread parameters stay None
+    q = WalkQuery.eval_point(20, 1.0, 1.0)
+    assert (q.tau, q.nu, q.group, q.psi, q.quad_points) == (None,) * 5
+
+
+def test_truncation_rules_name_the_fields():
+    for kwargs, fields in [({"max_p": 0}, ("max_p",)), ({"max_p": 5, "max_total": 3}, ("max_p", "max_total")),
+                           ({"max_total": bounds.MAX_TOTAL + 1}, ("max_total",)), ({"tail_mode": "x"}, ("tail_mode",))]:
+        with pytest.raises(bounds.ParameterError) as info:
+            TruncationConfig(**kwargs)
+        assert info.value.fields == fields
+
+
+@pytest.mark.parametrize("tc, fields", [
+    (TruncationConfig(max_p=12, max_total=48), ("max_p", "max_total")),
+    (TruncationConfig(max_p=1, max_total=2048), ("max_total", "quad_points")),
+])
+def test_mixture_size_limits_name_the_fields(tc, fields):
+    with pytest.raises(bounds.ParameterError) as info:
+        bounds.A_k_grid(WalkQuery.mixture(100, 500.0), [500.0], tc)
+    assert info.value.fields == fields
+
+
 def test_dispatcher_covers_all_families():
     g = cyclic_group(2)
     queries = [

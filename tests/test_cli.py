@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 import qgcutoff
 from qgcutoff import bounds, structures
 from qgcutoff.bounds import WalkQuery
-from qgcutoff.cli import MAX_GRID_POINTS, MAX_QUAD_POINTS, _build_parser, _float_grid, main
+from qgcutoff.cli import _FAMILY_TOKENS, MAX_GRID_POINTS, _build_parser, _float_grid, main
+from qgcutoff.structures import MAX_QUAD_POINTS
 
 
 def run(capsys, *argv):
@@ -374,6 +376,95 @@ def test_invalid_input_exit_2(capsys, tmp_path, monkeypatch, argv, flag):
     assert "Traceback" not in err
 
 
+# one valid walk per CLI family, and a value for each walk flag
+_FAMILY_WALKS = {
+    "unitary": ["--family", "unitary", "--N", "20", "--tau", "2"],
+    "eval": ["--family", "eval", "--N", "20", "--theta", "1"],
+    "mixture": ["--family", "mixture", "--N", "20", "--quad-points", "64", "--max-p", "2", "--max-total", "4"],
+    "wreath": ["--family", "wreath", "--N", "30", "--tau", "2", "--group", "cyclic:2"],
+}
+_WALK_FLAG_VALUES = {"--tau": "2", "--theta": "1", "--nu": "haar", "--group": "cyclic:2", "--psi": "trivial",
+                     "--quad-points": "64"}
+_READ_FLAGS = {
+    "unitary": {"--tau", "--nu"},
+    "eval": {"--theta"},
+    "mixture": {"--quad-points"},
+    "wreath": {"--tau", "--group", "--psi"},
+}
+
+
+@pytest.mark.parametrize("command", ["bound", "profile"])
+@pytest.mark.parametrize("family, flag", [(family, flag) for family in _FAMILY_WALKS
+                                          for flag in _WALK_FLAG_VALUES if flag not in _READ_FLAGS[family]])
+def test_unread_walk_flag_exit_2(capsys, command, family, flag):
+    code, out, err = run(capsys, command, *_FAMILY_WALKS[family], flag, _WALK_FLAG_VALUES[flag], "--c", "1")
+    assert code == 2 and out == ""
+    assert flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["bound", "profile"])
+@pytest.mark.parametrize("family", sorted(_FAMILY_WALKS))
+def test_every_read_walk_flag_is_accepted(capsys, command, family):
+    walk = _FAMILY_WALKS[family]
+    extra = [item for flag in sorted(_READ_FLAGS[family] - set(walk)) for item in (flag, _WALK_FLAG_VALUES[flag])]
+    code, _, err = run(capsys, command, *walk, *extra, "--c", "1")
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    # --N below each family's minimum
+    (["--family", "unitary", "--N", "2", "--tau", "1"], "--N"),
+    (["--family", "eval", "--N", "2", "--theta", "1"], "--N"),
+    (["--family", "mixture", "--N", "5"], "--N"),
+    (["--family", "wreath", "--N", "4", "--tau", "1", "--group", "cyclic:2"], "--N"),
+    # --tau outside (0, N] (unitary) or (0, N) (wreath), or not finite
+    (["--family", "unitary", "--N", "20", "--tau", "0"], "--tau"),
+    (["--family", "unitary", "--N", "20", "--tau", "-1"], "--tau"),
+    (["--family", "unitary", "--N", "20", "--tau", "20.5"], "--tau"),
+    (["--family", "unitary", "--N", "20", "--tau", "nan"], "--tau"),
+    (["--family", "unitary", "--N", "20", "--tau", "inf"], "--tau"),
+    (["--family", "wreath", "--N", "30", "--tau", "30", "--group", "cyclic:2"], "--tau"),
+    (["--family", "wreath", "--N", "30", "--tau", "0", "--group", "cyclic:2"], "--tau"),
+    # 1 - cos(theta) = 0, or theta not finite
+    (["--family", "eval", "--N", "20", "--theta", "0"], "--theta"),
+    (["--family", "eval", "--N", "20", "--theta", "nan"], "--theta"),
+    (["--family", "eval", "--N", "20", "--theta", "inf"], "--theta"),
+    # a required flag left out
+    (["--family", "unitary", "--N", "20"], "--tau"),
+    (["--family", "eval", "--N", "20"], "--theta"),
+    (["--family", "wreath", "--N", "30", "--tau", "2"], "--group"),
+    (["--family", "wreath", "--N", "30", "--tau", "2", "--psi", "trivial"], "--group"),
+])
+def test_invalid_walk_value_exit_2(capsys, argv, flag):
+    code, out, err = run(capsys, "bound", *argv, "--c", "1")
+    assert code == 2 and out == ""
+    assert flag in err and "Traceback" not in err
+
+
+def test_quad_points_is_echoed_for_the_mixture_only(capsys):
+    for family, walk in _FAMILY_WALKS.items():
+        code, out, _ = run(capsys, "profile", *walk, "--c", "1")
+        assert code == 0
+        assert ("# quad_points=64" in out) == (family == "mixture"), family
+        assert ("quad_points" in out) == (family == "mixture"), family
+    code, out, _ = run(capsys, "bound", "--family", "mixture", "--N", "20", "--max-p", "2", "--max-total", "4",
+                       "--c", "1")
+    assert json.loads(out)["config"]["quad_points"] == 2048
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", *_WALK, "--c", "3"],
+    ["profile", *_WALK, "--c-range", "2:3:1"],
+])
+def test_lower_bound_above_the_certified_upper_bound_is_a_defect(monkeypatch, capsys, argv):
+    # both commands reach the one consistency check in bounds.tv_bounds
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "true" in out
+    monkeypatch.setattr(bounds, "tv_lower", lambda q: 1.0)
+    with pytest.raises(RuntimeError, match="certified lower bound 1.0 exceeds certified upper bound"):
+        main(argv)
+
+
 @pytest.mark.parametrize("argv", [
     ["bound", "--family", "unitary", "--N", "40", "--tau", "2", "--nu", "porod", "--c", "1"],
     ["profile", "--family", "mixture", "--N", "20", "--c", "1"],
@@ -501,6 +592,52 @@ def test_range_grid_fuzz_exits_cleanly(flag, parts):
         assert rows and all(math.isfinite(float(ln.split(",")[0])) for ln in rows)
 
 
+_NUMBER = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0", "1e-300", "1e308", "x", ""]),
+    st.integers(-3, 60).map(str),
+    st.floats(-10.0, 70.0).map(repr),
+)
+# every walk flag: (valid values, mostly invalid values), with small sizes and truncations so that each
+# call stays quick
+_WALK_FLAGS = {
+    "--tau": (st.floats(0.5, 6.0).map(repr), _NUMBER),
+    "--theta": (st.floats(0.1, 3.1).map(repr), _NUMBER),
+    "--nu": (st.sampled_from(["haar", "porod", "delta:0.5"]),
+             st.sampled_from(["delta:nan", "delta:", "atoms:missing.txt", "bogus"])),
+    "--group": (st.sampled_from(["cyclic:1", "cyclic:2", "cyclic:3"]),
+                st.sampled_from(["cyclic:0", "cyclic:x", "cayley:missing.txt", "bogus"])),
+    "--psi": (st.sampled_from(["trivial", "haar"]), st.sampled_from(["file:missing.txt", "bogus"])),
+    "--quad-points": (st.integers(1, 48).map(str), st.integers(-1, 0).map(str) | st.sampled_from(["x", "70000"])),
+    "--max-p": (st.integers(1, 3).map(str), st.integers(-1, 5).map(str)),
+    "--max-total": (st.integers(3, 6).map(str), st.integers(-1, 8).map(str)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_walk_flag_fuzz_exits_cleanly(data):
+    family = data.draw(st.sampled_from(sorted(_FAMILY_WALKS)))
+    N = data.draw(st.sampled_from([str(n) for n in range(40, -3, -1)] + ["x", "1e3", ""]))
+    argv = ["bound", "--family", family, f"--N={N}"]
+    for flag, (valid, invalid) in _WALK_FLAGS.items():
+        read = flag in _READ_FLAGS[family] or flag in ("--max-p", "--max-total")
+        # a flag the family reads is given 3 times in 4, one it does not read once in 8;
+        # a given value is a valid one 3 times in 4
+        if data.draw(st.sampled_from(range(8))) < (6 if read else 1):
+            argv.append(f"{flag}={data.draw(data.draw(st.sampled_from([valid, valid, valid, invalid])))}")
+    k_flag = data.draw(st.sampled_from(["--k", "--c"]))
+    argv.append(f"{k_flag}={data.draw(data.draw(st.sampled_from([st.floats(-1.0, 3.0).map(repr)] * 3 + [_NUMBER])))}")
+    out, err = io.StringIO(), io.StringIO()
+    with _time_limit(60.0), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert "--" in err.getvalue(), argv
+    else:
+        assert json.loads(out.getvalue())["config"]["family"] == _FAMILY_TOKENS[family]
+
+
 @pytest.mark.parametrize("flag, spec, message", [
     ("--k-range", "1e16:2e16:1", "float spacing"),
     ("--k-range", "0:1e12:1", "exceed the limit"),
@@ -541,3 +678,25 @@ def test_parser_is_built_once_and_calls_match_separate_processes(capsys):
         proc = subprocess.run([sys.executable, "-c", script, *argv],
                               capture_output=True, text=True, env=env, timeout=120)
         assert (proc.returncode, proc.stdout) == expected
+
+
+# ---------------------------------------------------------------------------
+# the README's command-line examples
+
+
+def _readme_commands():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("qgcutoff ")]
+
+
+def test_readme_has_command_line_examples():
+    assert len(_readme_commands()) >= 9
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_line_example_runs(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out

@@ -5,6 +5,7 @@ with plain floats and numpy quadrature.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -200,6 +201,23 @@ def test_wallis_ratio_is_quotient():
     # the Wallis recurrence: W_{n+1} / W_{n-1} = n / (n + 1)
     for n in range(1, 30):
         assert wallis(n + 1) / wallis(n - 1) == pytest.approx(n / (n + 1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 57, 600, 998, 999, 1000, 1001, 4097, 10**6, 10**7, 2**40, 2**53, 10**20])
+def test_wallis_matches_50_digit_gamma_form(n):
+    # product below the series switch at n = 1000, asymptotic series from it on
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    want = mp.sqrt(mp.pi) * mp.gamma(mp.mpf(n + 1) / 2) * mp.rgamma(mp.mpf(n) / 2 + 1) / 2
+    assert abs(float((wallis(n) - want) / want)) <= 4 * 2.0**-53, n
+
+
+def test_wallis_is_constant_time_for_large_n():
+    # the O(n) product takes about 0.8 s at n = 1e7, the series a few microseconds
+    start = time.perf_counter()
+    wallis(10**7)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_lambda_moment_values():
