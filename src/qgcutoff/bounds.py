@@ -25,10 +25,9 @@ Family-specific series:
 
 - unitary-free / unitary-eval: the sum runs over words with weights
   |m_eps(nu)|^{2k} prod_i u_{n_i}(N - tau)^{2k} / u_{n_i}(N)^{2k-2};
-- mixture: same word set, with the per-word coefficient replaced by the
-  Porod-mixture quadrature of the per-angle coefficient (partial is then an
-  estimate; the tail is certified for the Jensen-majorized series, which
-  dominates);
+- mixture: same word set, each coefficient replaced by its exact Porod-mixture
+  average (``porod_rule``); the tail is certified for the Jensen-majorized
+  series, which dominates;
 - wreath: the sum runs over wreath words and carries |psi(gamma-product)| to
   the FIRST power, matching the group_sum_abs factorization.  This series
   dominates the squared-coefficient series term by term once k >= 1/2, so
@@ -46,14 +45,12 @@ import numpy as np
 
 from .numerics import log1mexp, logsumexp, q_of, u_seq
 from .structures import (
-    MAX_QUAD_POINTS,
     CircleMeasure,
     FiniteGroup,
     GroupState,
     lambda_theta,
     moment,
-    porod_nodes,
-    quad_points_ok,
+    porod_rule,
     tau_theta,
     trivial_state,
 )
@@ -108,9 +105,9 @@ MAX_MIXTURE_WORDS = 100_000
 # most P blocks number about P^3 / 6 (677 MB at P = 384); with Haar nu,
 # (64, 64) takes about 0.04 s and 33 MB, (64, 4096) about 35 s and 43 MB.
 MAX_P = 64
-# Most entries, (max_total + 1) * quad_points, of the mixture's per-node u_n
-# ratio table (the default (5, 10) at 2048 nodes takes 22 528); at the cap
-# the engine peaks at about 95 MB.
+# Most entries, (max_total + 1) * L, of the mixture's per-node u_n ratio table
+# on L = 2 ((max_total + max_p) // 2) + 1 rule nodes (the default (5, 10)
+# takes 165); at the cap the engine peaks at about 95 MB.
 MAX_MIXTURE_TABLE = 2**22
 
 
@@ -150,8 +147,8 @@ class TruncationConfig:
 
 
 DEFAULT_TRUNCATION = TruncationConfig(max_p=12, max_total=48)
-# The mixture partial runs a quadrature per enumerated word, so its default
-# window is smaller; the certified tail covers the difference.
+# The mixture partial sums its words one by one, so its default window is
+# smaller; the certified tail covers the difference.
 MIXTURE_DEFAULT_TRUNCATION = TruncationConfig(max_p=5, max_total=10)
 
 # Largest step count a query accepts.  The engines form 2k times a
@@ -169,9 +166,8 @@ def default_truncation(family: str) -> TruncationConfig:
 class BoundInterval:
     """[partial, partial + tail] around a series value.
 
-    ``partial`` is exact over the truncation (up to float rounding; the
-    mixture family's partial is a quadrature estimate, flagged in the
-    certificate text).  ``tail`` is certified under the recorded hypotheses;
+    ``partial`` is exact over the truncation (up to float rounding).
+    ``tail`` is certified under the recorded hypotheses;
     when any required hypothesis fails it is +inf and ``certified`` is False.
     Log-domain copies of both endpoints are kept so downstream conversions do
     not lose underflowed values.
@@ -185,7 +181,6 @@ class BoundInterval:
     hypotheses: tuple[tuple[str, bool], ...]
     log_partial: float
     log_tail: float
-    notes: tuple[str, ...] = ()
 
     @property
     def upper(self) -> float:
@@ -204,7 +199,7 @@ class WalkQuery:
     parameters the family reads, the others None: "unitary-free" (trace
     deficit tau, circle measure nu, default the point mass at 0),
     "unitary-eval" (rotation angle theta), "mixture" (Porod-mixed evaluation
-    states on quad_points nodes, default 2048), "wreath" (trace deficit tau,
+    states, no parameter), "wreath" (trace deficit tau,
     finite group with state psi, default trivial).
 
     A parameter the family does not read, or any broken rule of the family
@@ -221,7 +216,6 @@ class WalkQuery:
     nu: CircleMeasure | None = None
     group: FiniteGroup | None = None
     psi: GroupState | None = None
-    quad_points: int | None = None
 
     def __post_init__(self) -> None:
         family = _FAMILIES.get(self.family)
@@ -252,8 +246,8 @@ class WalkQuery:
         return cls("unitary-eval", N, k, theta=theta)
 
     @classmethod
-    def mixture(cls, N: int, k: float, quad_points: int | None = None) -> "WalkQuery":
-        return cls("mixture", N, k, quad_points=quad_points)
+    def mixture(cls, N: int, k: float) -> "WalkQuery":
+        return cls("mixture", N, k)
 
     @classmethod
     def wreath(cls, N: int, tau: float, k: float, group: FiniteGroup, psi: GroupState | None = None) -> "WalkQuery":
@@ -370,7 +364,6 @@ def _interval(
     base_hyps: Sequence[tuple[str, bool]],
     certificate: str,
     tail: Callable[[], _SeriesTail],
-    notes: Sequence[str] = (),
 ) -> BoundInterval:
     """Assemble [partial, partial + tail].  ``tail`` runs only when a tail is
     requested and every required (not ``[recorded]``) base hypothesis holds:
@@ -394,7 +387,6 @@ def _interval(
         hypotheses=hyps,
         log_partial=log_partial,
         log_tail=log_tail,
-        notes=tuple(notes),
     )
 
 
@@ -716,19 +708,26 @@ def _mixture_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
     """Series intervals of the uniform (Porod) mixture of evaluation states
     at every k in ``ks``.
 
-    Per word, the coefficient is the quadrature of the per-angle coefficient
-    e^{i eps beta(theta)} prod_i u_{n_i}(t_theta)/u_{n_i}(N) over the Porod
-    mixture; the partial sum is therefore an estimate (quadrature error is
-    not rigorously bounded).  The quadrature does not depend on k, so it runs
-    once per word for the whole grid; each k then sums d^2 |c|^{2k} over the
-    words in enumeration order.  ``A_k_grid`` has checked the sizes.
+    Per word, the coefficient is the Porod average of e^{i eps beta(theta)}
+    prod_i u_{n_i}(t_theta)/u_{n_i}(N), t_theta e^{i beta} = N - 1 + e^{i theta}:
+    the word's character at diag(e^{i theta}, 1, ..., 1) over its dimension,
+    a trigonometric polynomial of degree <= (sum n_i + |eps|) / 2, with |eps|
+    at most the number of odd blocks.  So ``porod_rule`` of degree
+    D = (max_total + max_p) // 2 averages every word exactly, once for the
+    whole grid; each k then sums d^2 |c|^{2k} over the words in enumeration
+    order.  Truncations above MAX_MIXTURE_WORDS words or MAX_MIXTURE_TABLE
+    ratio-table entries raise ParameterError before any work.
     """
-    assert q.quad_points is not None
     N = q.N
     M, P = tc.max_total, tc.max_p
     terms = count_unitary(M, P)
+    D = (M + P) // 2
+    entries = (M + 1) * (2 * D + 1)
+    if terms > MAX_MIXTURE_WORDS or entries > MAX_MIXTURE_TABLE:
+        raise ParameterError(("max_p", "max_total"), f"the mixture truncation ({P}, {M}) has {terms} words and a "
+                             f"ratio table of {entries} entries, limits {MAX_MIXTURE_WORDS} and {MAX_MIXTURE_TABLE}")
 
-    theta, wq = porod_nodes(N, q.quad_points)
+    theta, wq = porod_rule(N, D)
     lam = 1.0 - np.cos(theta)
     tvec = np.sqrt(float(N) * N - 2.0 * N * lam + 2.0 * lam)  # = N - tau_theta >= N - 2
     beta = np.arctan2(np.sin(theta), float(N) - 1.0 + np.cos(theta))
@@ -789,10 +788,8 @@ def _mixture_interval(N: int, k: float, log_partial: float, terms: int, tc: Trun
     cert_text = (
         "Jensen-majorized series: per-word bound 2 S^p x^(total-p) with "
         "S, x built from a_N = N-2+2/N, b_N = e^{4/(N-2)^2}, the envelope "
-        "bounds at N - lambda, and the moment bound E[(N-lambda)^alpha] <= a_N^alpha; "
-        "partial is a quadrature estimate of the true series"
+        "bounds at N - lambda, and the moment bound E[(N-lambda)^alpha] <= a_N^alpha"
     )
-    notes = ("partial is a quadrature estimate; certified tail covers the Jensen-majorized complement",)
 
     def tail() -> _SeriesTail:
         a_N = N - 2.0 + 2.0 / N
@@ -802,7 +799,7 @@ def _mixture_interval(N: int, k: float, log_partial: float, terms: int, tc: Trun
         log_x = two_k * log_ab + (two_k - 2.0) * math.log(q_of(float(N)))
         return _composition_tail(log_S, log_x, tc.max_total, tc.max_p, math.log(2.0), 1)
 
-    return _interval(log_partial, terms, tc, base_hyps, cert_text, tail, notes)
+    return _interval(log_partial, terms, tc, base_hyps, cert_text, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -899,7 +896,7 @@ def _wreath_interval(q: WalkQuery, k: float, log_partial: float, terms: int, tc:
 
 
 # the WalkQuery fields that only some families read
-_PARAMETERS = ("tau", "theta", "nu", "group", "psi", "quad_points")
+_PARAMETERS = ("tau", "theta", "nu", "group", "psi")
 
 
 @dataclass(frozen=True)
@@ -950,9 +947,8 @@ _FAMILIES = {
         (4.0, 2.0),
         lambda q: chi_expectation_mixture(q.N, q.k),
         lambda q: 2.0,
-        {"quad_points": lambda q: 2048},
-        ((("N",), lambda q: q.N >= 6, "N >= 6"),
-         (("quad_points",), lambda q: quad_points_ok(q.quad_points), f"quad_points in 1..{MAX_QUAD_POINTS}")),
+        {},
+        ((("N",), lambda q: q.N >= 6, "N >= 6"),),
     ),
     "wreath": _Family(
         _wreath_intervals,
@@ -971,21 +967,10 @@ _FAMILIES = {
 def A_k_grid(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig | None = None) -> list[BoundInterval]:
     """Series interval of A_k for the walk ``q`` at every k in ``ks`` (the
     k field of ``q`` is ignored), from one pass of the family's engine.
-    ``tc`` defaults to ``default_truncation(q.family)``.  The mixture sums
-    its words one by one over a (max_total + 1) x quad_points ratio table:
-    more than MAX_MIXTURE_WORDS words or MAX_MIXTURE_TABLE table entries
-    raise ParameterError before its engine runs."""
+    ``tc`` defaults to ``default_truncation(q.family)``; an engine raises
+    ParameterError for a truncation beyond its own size limits."""
     family = _FAMILIES[q.family]
-    tc = tc if tc is not None else family.truncation
-    if q.quad_points is not None:
-        words = count_unitary(tc.max_total, tc.max_p)
-        if words > MAX_MIXTURE_WORDS:
-            raise ParameterError(("max_p", "max_total"), f"the mixture truncation ({tc.max_p}, {tc.max_total}) "
-                                 f"has {words} words, above {MAX_MIXTURE_WORDS}")
-        if (tc.max_total + 1) * q.quad_points > MAX_MIXTURE_TABLE:
-            raise ParameterError(("max_total", "quad_points"), f"max_total {tc.max_total} with quad_points "
-                                 f"{q.quad_points} gives a ratio table of more than {MAX_MIXTURE_TABLE} entries")
-    return family.engine(q, ks, tc)
+    return family.engine(q, ks, tc if tc is not None else family.truncation)
 
 
 def A_k_for_query(q: WalkQuery, tc: TruncationConfig | None = None) -> BoundInterval:
@@ -1006,10 +991,8 @@ def A_k_wreath(q: WalkQuery, tc: TruncationConfig = DEFAULT_TRUNCATION) -> Bound
     return A_k_for_query(q, tc)
 
 
-def A_k_mixture(
-    N: int, k: float, tc: TruncationConfig = MIXTURE_DEFAULT_TRUNCATION, quad_points: int = 2048
-) -> BoundInterval:
-    return A_k_for_query(WalkQuery.mixture(N, k, quad_points), tc)
+def A_k_mixture(N: int, k: float, tc: TruncationConfig = MIXTURE_DEFAULT_TRUNCATION) -> BoundInterval:
+    return A_k_for_query(WalkQuery.mixture(N, k), tc)
 
 
 # ---------------------------------------------------------------------------
@@ -1029,26 +1012,22 @@ class TVUpper:
     upper: float
     clamped: bool
     certified: bool
-    notes: tuple[str, ...] = ()
 
 
 def tv_upper_from_A(A: BoundInterval) -> TVUpper:
     lo = 0.5 * math.exp(0.5 * A.log_partial) if A.log_partial < 700.0 else math.inf
-    notes: list[str] = list(A.notes)
     clamped = False
     if not A.certified:
-        notes.append("no certificate: upper end is the trivial bound 1")
-        return TVUpper(min(lo, 1.0), 1.0, True, False, tuple(notes))
+        return TVUpper(min(lo, 1.0), 1.0, True, False)
     log_total = A.log_upper
     hi = 0.5 * math.exp(0.5 * log_total) if log_total < 700.0 else math.inf
     if hi > 1.0:
         hi = 1.0
         clamped = True
-        notes.append("clamped: TV never exceeds 1")
     if lo > 1.0:
         lo = 1.0
         clamped = True
-    return TVUpper(lo, hi, clamped, True, tuple(notes))
+    return TVUpper(lo, hi, clamped, True)
 
 
 def tv_lower_chebyshev(m: float, var_bound: float, h_chi_sq: float) -> float:

@@ -70,6 +70,8 @@ _FAMILY_TOKENS = {
 
 # most points a --k-range or --c-range grid may hold
 MAX_GRID_POINTS = 100_000
+# largest --lambda-moments LMAX: 2^LMAX, which bounds the LMAX-th moment, is finite up to here
+MAX_LAMBDA_MOMENT = 1023
 
 
 class CliError(Exception):
@@ -108,7 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--max-total", type=int)
             p.add_argument("--tail-mode", default="geometric-certificate",
                            choices=["geometric-certificate", "none"])
-            p.add_argument("--quad-points", type=int, help="mixture only; default 2048")
 
     p_profile = sub.add_parser("profile", help="cutoff profile over a k grid")
     add_common(p_profile, with_walk=True)
@@ -216,9 +217,10 @@ def _parse_psi(source: str, group: FiniteGroup | None) -> GroupState:
     raise CliError(f"--psi: unknown state spec {source!r}")
 
 
-def _finite(value: float | None, flag: str) -> None:
+def _finite(value: float | None, flag: str, derived: str = "") -> None:
     if value is not None and not math.isfinite(value):
-        raise CliError(f"{flag} must be finite, got {value!r}")
+        raise CliError(f"{flag} gives {derived} = {value!r}, beyond the float range" if derived
+                       else f"{flag} must be finite, got {value!r}")
 
 
 def _float_grid(spec: str, flag: str) -> list[float]:
@@ -260,7 +262,7 @@ def _build_query(args: argparse.Namespace) -> tuple[WalkQuery, list[float]]:
     q = WalkQuery(
         _FAMILY_TOKENS[args.family], N, 0.0, tau=args.tau, theta=args.theta,
         nu=None if args.nu is None else _parse_nu(args.nu, N), group=group,
-        psi=None if args.psi is None else _parse_psi(args.psi, group), quad_points=args.quad_points,
+        psi=None if args.psi is None else _parse_psi(args.psi, group),
     )
     for value, flag in ((args.k, "--k"), (args.c, "--c")):
         _finite(value, flag)
@@ -271,6 +273,8 @@ def _build_query(args: argparse.Namespace) -> tuple[WalkQuery, list[float]]:
         raise CliError("exactly one of --k, --c, --k-range, --c-range is required, got: "
                        + (", ".join(k_flags) if k_flags else "none"))
     cutoff = nominal_cutoff(q)
+    # N ln N / rate overflows for a tau below about 1e-308, or a huge N
+    _finite(cutoff, "--tau" if q.tau is not None else "--N", "the nominal cutoff")
     if args.k is not None:
         ks = [args.k]
     elif args.c is not None:
@@ -335,8 +339,6 @@ def _config_lines(q: WalkQuery, args: argparse.Namespace, tc: TruncationConfig) 
     items.append(("truncation_max_p", tc.max_p))
     items.append(("truncation_max_total", tc.max_total))
     items.append(("tail_mode", tc.tail_mode))
-    if q.quad_points is not None:
-        items.append(("quad_points", q.quad_points))
     items.append(("nominal_cutoff", nominal_cutoff(q)))
     if q.tau is not None:
         items.append(("threshold_C", threshold_C(q.tau)))
@@ -348,6 +350,12 @@ def _config_lines(q: WalkQuery, args: argparse.Namespace, tc: TruncationConfig) 
         else:
             items.append(("threshold_Q", "undefined (tau <= 7/4)"))
     return items
+
+
+def _json_float(v: float) -> float | str:
+    if math.isinf(v):
+        return "infinity" if v > 0 else "-infinity"
+    return v
 
 
 def _hyp_str(hyps: tuple[tuple[str, bool], ...]) -> str:
@@ -393,7 +401,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
                 for row in result.rows
             ],
         }
-        _emit(json.dumps(doc, indent=2), args.output)
+        _emit(json.dumps(doc, indent=2, allow_nan=False), args.output)
     return 0
 
 
@@ -408,21 +416,20 @@ def cmd_bound(args: argparse.Namespace) -> int:
     doc = {
         "config": {key: val for key, val in _config_lines(q, args, tc)},
         "k": qk.k,
-        "A_partial": A.partial,
-        "A_tail": A.tail if A.tail != math.inf else "infinity",
-        "A_log_partial": A.log_partial,
-        "A_log_tail": A.log_tail if A.log_tail != math.inf else "infinity",
+        "A_partial": _json_float(A.partial),
+        "A_tail": _json_float(A.tail),
+        "A_log_partial": _json_float(A.log_partial),
+        "A_log_tail": _json_float(A.log_tail),
         "terms_used": A.terms_used,
         "certified": A.certified,
         "certificate": A.certificate,
         "hypotheses": {name: ok for name, ok in A.hypotheses},
-        "notes": list(A.notes),
         "tv_upper_lo": tv.lower_info,
         "tv_upper_hi": tv.upper,
         "tv_clamped": tv.clamped,
         "tv_lower": lower,
     }
-    _emit(json.dumps(doc, indent=2), args.output)
+    _emit(json.dumps(doc, indent=2, allow_nan=False), args.output)
     return 0
 
 
@@ -435,27 +442,30 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     N = args.N
     if N < 2:
         raise CliError(f"--N must be >= 2, got {N}")
-    doc: dict[str, object] = {
-        "tau": tau,
-        "N": N,
-        "C": threshold_C(tau),
-        "D": threshold_D(tau),
-    }
-    if tau > 7.0 / 4.0:
-        doc["Q"] = threshold_Q(tau)
-        doc["Qthr"] = wreath_certificate_threshold(tau)
-    else:
-        doc["Q"] = None
-        doc["Qthr"] = None
-        doc["note"] = "Q is defined for tau > 7/4 only"
-    doc["cutoff_steps"] = N * math.log(N) / tau
-    doc["cutoff_steps_mixture"] = N * math.log(N) / 2.0
+    with _flag_input("--N"):
+        n_log_n = N * math.log(N)
+    _finite(n_log_n, "--N", "N ln N")
+    # Q's tau**4 raises OverflowError where C, D and the cutoffs overflow to inf
+    with _flag_input("--tau"):
+        doc: dict[str, object] = {"tau": tau, "N": N, "C": threshold_C(tau), "D": threshold_D(tau)}
+        if tau > 7.0 / 4.0:
+            doc["Q"] = threshold_Q(tau)
+            doc["Qthr"] = wreath_certificate_threshold(tau)
+        else:
+            doc["Q"] = None
+            doc["Qthr"] = None
+            doc["note"] = "Q is defined for tau > 7/4 only"
+    doc["cutoff_steps"] = n_log_n / tau
+    doc["cutoff_steps_mixture"] = n_log_n / 2.0
     if args.theta is not None:
         lam = 1.0 - math.cos(args.theta)
         if lam <= 0:
             raise CliError("--theta gives 1 - cos(theta) = 0; no cutoff rate")
-        doc["cutoff_steps_eval"] = N * math.log(N) / lam
-    _emit(json.dumps(doc, indent=2), args.output)
+        doc["cutoff_steps_eval"] = n_log_n / lam
+    for key, value in doc.items():
+        if isinstance(value, float):
+            _finite(value, "--theta" if key == "cutoff_steps_eval" else "--tau", key)
+    _emit(json.dumps(doc, indent=2, allow_nan=False), args.output)
     return 0
 
 
@@ -480,18 +490,19 @@ def cmd_moments(args: argparse.Namespace) -> int:
             N, lmax = (int(x) for x in parts)
         except ValueError as exc:
             raise CliError(f"--lambda-moments must be N:LMAX with integers N >= 2, LMAX >= 0: {exc}") from exc
-        if N < 2 or lmax < 0:
-            raise CliError(f"--lambda-moments needs N >= 2 and LMAX >= 0, got {N}:{lmax}")
-        doc["lambda_moments"] = {str(l): lambda_moment(N, l) for l in range(lmax + 1)}
-        doc["wallis_ratio_recurrence"] = N / (N + 1.0)
-        doc["wallis_ratio_alternative"] = (N + 1.0) / (N + 2.0)
+        if N < 2 or not 0 <= lmax <= MAX_LAMBDA_MOMENT:
+            raise CliError(f"--lambda-moments needs N >= 2 and 0 <= LMAX <= {MAX_LAMBDA_MOMENT}, got {N}:{lmax}")
+        with _flag_input("--lambda-moments"):  # an N beyond the float range raises OverflowError
+            doc["lambda_moments"] = {str(l): lambda_moment(N, l) for l in range(lmax + 1)}
+            doc["wallis_ratio_recurrence"] = N / (N + 1.0)
+            doc["wallis_ratio_alternative"] = (N + 1.0) / (N + 2.0)
         doc["wallis_ratio_note"] = (
             "W_{N+1}/W_{N-1} from the Wallis recurrence is N/(N+1); "
             "the alternative (N+1)/(N+2) disagrees with quadrature"
         )
     if not doc:
         raise CliError("moments needs --eps (with --nu) or --lambda-moments")
-    _emit(json.dumps(doc, indent=2), args.output)
+    _emit(json.dumps(doc, indent=2, allow_nan=False), args.output)
     return 0
 
 
@@ -523,7 +534,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "all_pass": all_ok and controls_ok,
         }
         with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, indent=2) + "\n")
+            fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return 0 if (all_ok and controls_ok) else 1
 
 

@@ -38,7 +38,7 @@ __all__ = [
     "haar_state",
     "group_sum_abs",
     "moment",
-    "quad_points_ok",
+    "porod_rule",
     "porod_nodes",
     "tau_theta",
     "lambda_theta",
@@ -349,11 +349,6 @@ def _half_angle_nodes(quad_points: int) -> tuple[np.ndarray, np.ndarray]:
     return phi, wq
 
 
-def quad_points_ok(quad_points: int) -> bool:
-    """Whether a quadrature may use this many nodes: 1..MAX_QUAD_POINTS."""
-    return 1 <= quad_points <= MAX_QUAD_POINTS
-
-
 def porod_nodes(N: int, quad_points: int) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes and weights for the Porod mixture of parameter N.
 
@@ -366,7 +361,7 @@ def porod_nodes(N: int, quad_points: int) -> tuple[np.ndarray, np.ndarray]:
     from the Legendre node x, not from the rounded phi, whose error the power
     N - 1 would multiply.
     """
-    if not quad_points_ok(quad_points):
+    if not 1 <= quad_points <= MAX_QUAD_POINTS:
         raise ValueError(f"quad_points must be in 1..{MAX_QUAD_POINTS}")
     x, _ = _gauss_legendre(quad_points)
     phi, wq = _half_angle_nodes(quad_points)
@@ -402,6 +397,20 @@ def moment(nu: CircleMeasure, eps: int) -> complex:
             m *= -(h - j + 1.0) / (h + j)
         return complex(m + 0.0)  # + 0.0 turns the -0.0 of a zero factor or an underflow into 0.0
     raise ValueError(f"unknown measure kind {nu.kind!r}")
+
+
+def porod_rule(N: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Angles theta_j = 2 pi j / L, L = 2 degree + 1, and real, possibly
+    negative, weights w_j = (1 + 2 sum_{e=1}^{degree} m_e cos(e theta_j)) / L,
+    m_e the Porod moments: sum_j w_j f(theta_j) = E_Porod[f] = sum_e f_e m_e
+    for every f = sum_{|e| <= degree} f_e e^{i e theta}, as L nodes alias no e."""
+    L = 2 * degree + 1
+    e = np.arange(1, degree + 1)
+    m = np.array([moment(CircleMeasure.porod(N), int(i)).real for i in e])
+    j = np.arange(L)
+    # e j mod L keeps every cosine argument in [0, 2 pi)
+    cos_ej = np.cos(2.0 * math.pi / L * (np.outer(j, e) % L))
+    return 2.0 * math.pi / L * j, (1.0 + 2.0 * (cos_ej * m).sum(axis=1)) / L
 
 
 def lambda_theta(theta: float) -> float:

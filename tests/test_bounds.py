@@ -35,7 +35,7 @@ from qgcutoff.structures import (
     moment,
     trivial_state,
 )
-from qgcutoff.words import eval_state_params
+from qgcutoff.words import enumerate_unitary, eval_state_params
 
 from oracles import (
     mixture_log_partial,
@@ -178,12 +178,72 @@ def test_wreath_partial_empty_truncation():
 
 
 def test_mixture_partial_matches_oracle():
-    # per-word quadrature vs the engine's vectorized node fold
+    # the engine's exact rule vs a per-word Gauss-Legendre quadrature
     N, k = 12, 6.0
     tc = TruncationConfig(max_p=2, max_total=4)
-    got = A_k_for_query(WalkQuery.mixture(N, k, quad_points=512), tc).log_partial
+    got = A_k_for_query(WalkQuery.mixture(N, k), tc).log_partial
     want = mixture_log_partial(N, k, 4, 2, quad_points=512)
     assert got == pytest.approx(want, abs=1e-8)
+
+
+@pytest.mark.parametrize("N", [6, 7, 8, 12, 40])
+def test_mixture_coefficient_has_bounded_degree(N):
+    # a word's per-angle coefficient e^{i eps beta(theta)} prod u_n(t_theta)
+    # has no frequency above (sum n + |eps|) // 2, and |eps| is at most the
+    # number of odd blocks: so the engine's rule of degree
+    # (max_total + max_p) // 2 averages every word exactly
+    theta = 2.0 * math.pi * np.arange(1024) / 1024
+    z = N - 1.0 + np.exp(1j * theta)
+    u = np.exp(u_seq(np.abs(z), 24))  # u_n(t) > 0 for t >= N - 2 > 2
+    freq = np.abs(np.fft.fftfreq(1024, 1.0 / 1024))
+    for M, P in ((10, 5), (16, 3), (24, 2)):
+        for word in enumerate_unitary(M, P):
+            eps = word.z_exponent()
+            assert abs(eps) <= sum(n % 2 for n in word.ns), word
+            coeff = np.abs(np.fft.fft(np.exp(1j * eps * np.angle(z)) * np.prod(u[list(word.ns)], axis=0)))
+            assert coeff[freq > (word.total + abs(eps)) // 2].max(initial=0.0) <= 1e-14 * coeff.max(), word
+
+
+def _mixture_log_partial_30_digits(N, k, max_total, max_p):
+    """The mixture partial from 30-digit integrals over phi = theta / 2 of
+    each word's per-angle coefficient against sin^(N-1) phi, split at
+    pi/2, where the law crowds, and 40 widths 1/sqrt(N) either side."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+
+    def u(n, t):
+        prev, cur = mp.mpf(1), t
+        for _ in range(n):
+            prev, cur = cur, t * cur - prev
+        return prev
+
+    width = 40 / mp.sqrt(N)
+    cuts = [0, mp.pi / 2 - width, mp.pi / 2, mp.pi / 2 + width, mp.pi]
+    mass = mp.quad(lambda phi: mp.sin(phi) ** (N - 1), cuts)
+    terms = []
+    for word in enumerate_unitary(max_total, max_p):
+        eps = word.z_exponent()
+
+        def coeff(phi):
+            z = N - 1 + mp.expj(2 * phi)
+            return mp.expj(eps * mp.arg(z)) * mp.fprod(u(n, abs(z)) / u(n, mp.mpf(N)) for n in word.ns)
+
+        c = mp.mpc(mp.quad(lambda phi: coeff(phi).real * mp.sin(phi) ** (N - 1), cuts),
+                   mp.quad(lambda phi: coeff(phi).imag * mp.sin(phi) ** (N - 1), cuts)) / mass
+        dim = mp.fprod(u(n, mp.mpf(N)) for n in word.ns)
+        terms.append(dim**2 * abs(c) ** (2 * mp.mpf(k)))
+    return float(mp.log(mp.fsum(terms)))
+
+
+@pytest.mark.parametrize("N", [10**6, 10**7])
+def test_mixture_partial_at_large_N_matches_30_digit_integral(N):
+    # 2048 Gauss-Legendre nodes held 0.933 of the Porod mass at N = 1e6 and
+    # 0.0043 at 1e7, which put the partial off by about 1e6 and 1e9; the
+    # exact rule is off by its rounding times 2k (3e-7 at N = 1e7)
+    k = N * math.log(N) / 2 + N
+    got = A_k_for_query(WalkQuery.mixture(N, k), TruncationConfig(max_p=1, max_total=2)).log_partial
+    assert got == pytest.approx(_mixture_log_partial_30_digits(N, k, 2, 1), abs=1e-6)
 
 
 def test_eval_family_routes_to_central_state():
@@ -365,8 +425,8 @@ def test_certificate_contains_refined_partial_mixture():
     coarse = A_k_for_query(q, TruncationConfig(max_p=5, max_total=10))
     fine = A_k_for_query(q, TruncationConfig(max_p=7, max_total=14))
     assert coarse.certified
-    # quadrature noise allowance on top of the containment
-    assert math.exp(fine.log_partial) <= coarse.upper * (1.0 + 1e-8)
+    assert coarse.log_partial <= fine.log_partial + 1e-12
+    assert math.exp(fine.log_partial) <= coarse.upper * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize(
@@ -445,14 +505,6 @@ def test_nested_truncation_containment_random():
             (M1, P1, M2, P2),
         )
         checked += 1
-
-
-def test_mixture_quadrature_refinement():
-    # spectral convergence: 512 vs 4096 nodes agree far below the tolerance
-    tc = TruncationConfig(max_p=3, max_total=6)
-    a = A_k_for_query(WalkQuery.mixture(50, 250.0, quad_points=512), tc)
-    b = A_k_for_query(WalkQuery.mixture(50, 250.0, quad_points=4096), tc)
-    assert a.log_partial == pytest.approx(b.log_partial, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -646,10 +698,11 @@ def test_cutoff_profile_rows_match_single_point_engine(query, ks):
         (["--family", "wreath", "--N", "40", "--tau", "2", "--group", "cyclic:3"], "_log_conv_power_sums", 1),
         # a general nu runs the parity-class sum once for the whole grid
         (["--family", "unitary", "--N", "40", "--tau", "2", "--nu", "haar"], "_parity_log_partials", 1),
-        # the mixture's word quadrature runs once per profile
-        (["--family", "mixture", "--N", "20"], "porod_nodes", 1),
-        # Porod moments are exact: no quadrature at all
+        # Porod averages are exact: no Gauss-Legendre quadrature at all
+        (["--family", "mixture", "--N", "20"], "porod_nodes", 0),
         (["--family", "unitary", "--N", "40", "--tau", "2", "--nu", "porod"], "porod_nodes", 0),
+        # the mixture builds its rule once per profile
+        (["--family", "mixture", "--N", "20"], "porod_rule", 1),
     ],
 )
 def test_profile_runs_the_engine_once(monkeypatch, capsys, argv, engine, passes):
@@ -662,9 +715,9 @@ def test_profile_runs_the_engine_once(monkeypatch, capsys, argv, engine, passes)
 
         return wrapper
 
-    monkeypatch.setattr(bounds, engine, counted("engine", getattr(bounds, engine)))
-    if hasattr(structures, engine):
-        monkeypatch.setattr(structures, engine, counted("engine", getattr(structures, engine)))
+    for module in (bounds, structures):
+        if hasattr(module, engine):
+            monkeypatch.setattr(module, engine, counted("engine", getattr(module, engine)))
     monkeypatch.setattr(cli, "A_k_for_query", counted("single", cli.A_k_for_query))
     assert cli.main(["profile", *argv, "--c-range", "-1:1:0.5"]) == 0
     rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
@@ -721,15 +774,15 @@ def test_eval_query_without_cutoff_rate_raises():
 @pytest.mark.parametrize("family, kwargs, fields", [
     ("unitary-free", {"tau": 2.0, "theta": 1.0}, ("theta",)),
     ("unitary-eval", {"theta": 1.0, "tau": 2.0, "nu": CircleMeasure.haar()}, ("tau", "nu")),
-    ("mixture", {"quad_points": 64, "group": cyclic_group(2)}, ("group",)),
-    ("wreath", {"tau": 2.0, "group": cyclic_group(2), "quad_points": 64}, ("quad_points",)),
+    ("mixture", {"group": cyclic_group(2)}, ("group",)),
+    ("wreath", {"tau": 2.0, "group": cyclic_group(2), "theta": 1.0}, ("theta",)),
     ("unitary-free", {}, ("tau",)),
     ("unitary-eval", {}, ("theta",)),
     ("wreath", {"tau": 2.0}, ("group",)),
     ("wreath", {"tau": 2.0, "group": cyclic_group(2), "psi": trivial_state(cyclic_group(3))}, ("group", "psi")),
     ("unitary-free", {"tau": 0.0}, ("tau",)),
     ("wreath", {"tau": 30.0, "group": cyclic_group(2)}, ("tau",)),
-    ("mixture", {"quad_points": 0}, ("quad_points",)),
+    ("mixture", {"tau": 2.0, "nu": CircleMeasure.haar()}, ("tau", "nu")),
 ])
 def test_walk_query_rules_name_the_fields(family, kwargs, fields):
     with pytest.raises(bounds.ParameterError) as info:
@@ -751,11 +804,12 @@ def test_walk_query_N_below_the_family_minimum(family, N):
 def test_walk_query_fills_the_family_defaults():
     g = cyclic_group(3)
     assert WalkQuery.unitary(20, 2.0, 1.0).nu == CircleMeasure.delta(0.0)
-    assert WalkQuery.mixture(20, 1.0).quad_points == 2048
     assert WalkQuery.wreath(20, 2.0, 1.0, g).psi == trivial_state(g)
     # a family's unread parameters stay None
     q = WalkQuery.eval_point(20, 1.0, 1.0)
-    assert (q.tau, q.nu, q.group, q.psi, q.quad_points) == (None,) * 5
+    assert (q.tau, q.nu, q.group, q.psi) == (None,) * 4
+    q = WalkQuery.mixture(20, 1.0)
+    assert (q.tau, q.theta, q.nu, q.group, q.psi) == (None,) * 5
 
 
 def test_truncation_rules_name_the_fields():
@@ -768,7 +822,8 @@ def test_truncation_rules_name_the_fields():
 
 @pytest.mark.parametrize("tc, fields", [
     (TruncationConfig(max_p=12, max_total=48), ("max_p", "max_total")),
-    (TruncationConfig(max_p=1, max_total=2048), ("max_total", "quad_points")),
+    # (max_total + 1) (2 ((max_total + max_p) // 2) + 1) = 2048 * 2049 > 2^22
+    (TruncationConfig(max_p=1, max_total=2047), ("max_p", "max_total")),
 ])
 def test_mixture_size_limits_name_the_fields(tc, fields):
     with pytest.raises(bounds.ParameterError) as info:

@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 import qgcutoff
 from qgcutoff import bounds, structures
 from qgcutoff.bounds import WalkQuery
-from qgcutoff.cli import _FAMILY_TOKENS, MAX_GRID_POINTS, _build_parser, _float_grid, main
-from qgcutoff.structures import MAX_QUAD_POINTS
+from qgcutoff.cli import _FAMILY_TOKENS, MAX_GRID_POINTS, MAX_LAMBDA_MOMENT, _build_parser, _float_grid, main
 
 
 def run(capsys, *argv):
@@ -196,7 +195,7 @@ def test_profile_output_file(tmp_path, capsys):
     code, out, _ = run(
         capsys,
         "profile", "--family", "mixture", "--N", "30", "--c", "1",
-        "--quad-points", "256", "--output", str(dest),
+        "--output", str(dest),
     )
     assert code == 0
     assert out == ""
@@ -321,6 +320,7 @@ _WALK = ["--family", "unitary", "--N", "20", "--tau", "2"]
     [
         (["bound", "--family", "eval", "--N", "20", "--theta", "0", "--c", "1"], "--theta"),
         (["bound", "--family", "eval", "--N", "20", "--theta", repr(2.0 * math.pi), "--c", "1"], "--theta"),
+        # --quad-points is gone with the mixture's quadrature: the parser names it
         (["profile", "--family", "mixture", "--N", "20", "--c", "1", "--quad-points", "0"], "--quad-points"),
         (["moments", "--nu", "porod", "--N", "10", "--eps", "1", "--quad-points", "0"], "--quad-points"),
         (["bound", *_WALK, "--c", "1", "--max-p", "0"], "--max-p"),
@@ -347,7 +347,7 @@ _WALK = ["--family", "unitary", "--N", "20", "--tau", "2"]
         (["bound", "--family", "wreath", "--N", "40", "--tau", "2", "--group", "cyclic:2", "--psi",
           "file:nan-psi.txt", "--c", "1"], "--psi"),
         (["bound", "--family", "wreath", "--N", "40", "--tau", "2", "--group", "cyclic:x", "--c", "1"], "--group"),
-        # above MAX_QUAD_POINTS = 65536
+        # no --quad-points
         (["profile", "--family", "mixture", "--N", "20", "--c", "1", "--quad-points", "65537"], "--quad-points"),
         # above MAX_TOTAL = 4096, and a mixture truncation above MAX_MIXTURE_WORDS = 100000 words
         (["bound", *_WALK, "--c", "1", "--max-p", "2", "--max-total", "4097"], "--max-total"),
@@ -357,13 +357,25 @@ _WALK = ["--family", "unitary", "--N", "20", "--tau", "2"]
          "--max-p"),
         (["bound", "--family", "mixture", "--N", "100", "--c", "1", "--max-p", "6", "--max-total", "24"],
          "--max-total"),
-        # above MAX_P = 64, and a mixture ratio table above MAX_MIXTURE_TABLE = 2^22 entries
+        # above MAX_P = 64; no --quad-points
         (["bound", *_WALK, "--c", "1", "--max-p", "65", "--max-total", "100"], "--max-p"),
         (["bound", "--family", "mixture", "--N", "100", "--c", "1", "--max-p", "1", "--max-total", "1024",
           "--quad-points", "4096"], "--quad-points"),
         # a Porod moment index above MAX_MOMENT_INDEX = 100000, and one that overflows a float
         (["moments", "--nu", "porod", "--N", "10", "--eps", "0,100001"], "--eps"),
         (["moments", "--nu", "delta:1", "--eps", "1" + "0" * 400], "--eps"),
+        # a mixture ratio table above MAX_MIXTURE_TABLE = 2^22 entries: 2048 * 2049 at (1, 2047)
+        (["bound", "--family", "mixture", "--N", "100", "--c", "1", "--max-p", "1", "--max-total", "2047"],
+         "--max-total"),
+        # constants and cutoffs beyond the float range: Q's tau^4, C and D at a tiny tau, N ln N
+        (["thresholds", "--tau", "1e200"], "--tau"),
+        (["thresholds", "--tau", "1e-320"], "--tau"),
+        (["thresholds", "--tau", "2", "--N", "1" + "0" * 400], "--N"),
+        (["thresholds", "--tau", "2", "--N", "1" + "0" * 307], "--N"),
+        (["bound", *_WALK, "--tau", "1e-320", "--k", "1"], "--tau"),
+        # LMAX above MAX_LAMBDA_MOMENT = 1023, where 2^LMAX overflows, and an N beyond the float range
+        (["moments", "--lambda-moments", "10:1024"], "--lambda-moments"),
+        (["moments", "--lambda-moments", "1" + "0" * 400 + ":1"], "--lambda-moments"),
     ],
 )
 def test_invalid_input_exit_2(capsys, tmp_path, monkeypatch, argv, flag):
@@ -380,15 +392,17 @@ def test_invalid_input_exit_2(capsys, tmp_path, monkeypatch, argv, flag):
 _FAMILY_WALKS = {
     "unitary": ["--family", "unitary", "--N", "20", "--tau", "2"],
     "eval": ["--family", "eval", "--N", "20", "--theta", "1"],
-    "mixture": ["--family", "mixture", "--N", "20", "--quad-points", "64", "--max-p", "2", "--max-total", "4"],
+    "mixture": ["--family", "mixture", "--N", "20", "--max-p", "2", "--max-total", "4"],
     "wreath": ["--family", "wreath", "--N", "30", "--tau", "2", "--group", "cyclic:2"],
 }
+# --quad-points, which no family reads since the mixture's average is exact, stays as a flag every family
+# rejects
 _WALK_FLAG_VALUES = {"--tau": "2", "--theta": "1", "--nu": "haar", "--group": "cyclic:2", "--psi": "trivial",
                      "--quad-points": "64"}
 _READ_FLAGS = {
     "unitary": {"--tau", "--nu"},
     "eval": {"--theta"},
-    "mixture": {"--quad-points"},
+    "mixture": set(),
     "wreath": {"--tau", "--group", "--psi"},
 }
 
@@ -441,15 +455,13 @@ def test_invalid_walk_value_exit_2(capsys, argv, flag):
     assert flag in err and "Traceback" not in err
 
 
-def test_quad_points_is_echoed_for_the_mixture_only(capsys):
-    for family, walk in _FAMILY_WALKS.items():
-        code, out, _ = run(capsys, "profile", *walk, "--c", "1")
-        assert code == 0
-        assert ("# quad_points=64" in out) == (family == "mixture"), family
-        assert ("quad_points" in out) == (family == "mixture"), family
-    code, out, _ = run(capsys, "bound", "--family", "mixture", "--N", "20", "--max-p", "2", "--max-total", "4",
-                       "--c", "1")
-    assert json.loads(out)["config"]["quad_points"] == 2048
+def test_mixture_outputs_carry_no_quadrature_size_or_notes(capsys):
+    code, out, _ = run(capsys, "profile", *_FAMILY_WALKS["mixture"], "--c", "1")
+    assert code == 0 and "quad_points" not in out
+    code, out, _ = run(capsys, "bound", *_FAMILY_WALKS["mixture"], "--c", "1")
+    doc = json.loads(out)
+    assert code == 0 and "quad_points" not in doc["config"] and "notes" not in doc
+    assert "quadrature" not in doc["certificate"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -465,32 +477,16 @@ def test_lower_bound_above_the_certified_upper_bound_is_a_defect(monkeypatch, ca
         main(argv)
 
 
-@pytest.mark.parametrize("argv", [
-    ["bound", "--family", "unitary", "--N", "40", "--tau", "2", "--nu", "porod", "--c", "1"],
-    ["profile", "--family", "mixture", "--N", "20", "--c", "1"],
-    ["moments", "--nu", "porod", "--N", "10", "--eps", "1"],
-])
-def test_quad_points_above_limit_exit_2_before_any_node_build(monkeypatch, capsys, argv):
-    def build(n):
-        raise AssertionError(f"Gauss-Legendre nodes built for n={n}")
-
-    monkeypatch.setattr(structures, "_gauss_legendre", build)
-    code, _, err = run(capsys, *argv, "--quad-points", str(MAX_QUAD_POINTS + 1))
-    assert MAX_QUAD_POINTS == 65536
-    assert code == 2
-    assert "--quad-points" in err and "Traceback" not in err
-    with pytest.raises(ValueError):
-        WalkQuery.mixture(20, 1.0, quad_points=MAX_QUAD_POINTS + 1)
-    with pytest.raises(ValueError):
-        structures.porod_nodes(10, MAX_QUAD_POINTS + 1)
-
-
 def test_truncation_limits_exit_2_before_any_engine_runs(monkeypatch, capsys):
     def engine(*args):
         raise AssertionError("an engine ran")
 
+    # the mixture engine checks its own sizes first, before it builds its rule or any u_n
     for name, family in bounds._FAMILIES.items():
-        monkeypatch.setitem(bounds._FAMILIES, name, dataclasses.replace(family, engine=engine))
+        if name != "mixture":
+            monkeypatch.setitem(bounds._FAMILIES, name, dataclasses.replace(family, engine=engine))
+    for name in ("porod_rule", "u_seq"):
+        monkeypatch.setattr(bounds, name, engine)
     assert (bounds.MAX_TOTAL, bounds.MAX_MIXTURE_WORDS) == (4096, 100_000)
     mixture = ["profile", "--family", "mixture", "--N", "100", "--c-range", "0:2:1"]
     code, _, err = run(capsys, *mixture, "--max-p", "12", "--max-total", "48")
@@ -499,16 +495,16 @@ def test_truncation_limits_exit_2_before_any_engine_runs(monkeypatch, capsys):
     assert code == 2 and "--max-total" in err
     code, _, err = run(capsys, "bound", *_WALK, "--c", "1", "--max-p", "65", "--max-total", "65")
     assert code == 2 and "--max-p" in err
-    code, _, err = run(capsys, *mixture, "--max-p", "1", "--max-total", "1024", "--quad-points", "4096")
-    assert code == 2 and "--max-total" in err and "--quad-points" in err and "Traceback" not in err
+    code, _, err = run(capsys, *mixture, "--max-p", "1", "--max-total", "2047")
+    assert code == 2 and "--max-total" in err and "--max-p" in err and "Traceback" not in err
     # (6, 16) is 29 784 mixture words, inside the limit: the engine is reached
     with pytest.raises(AssertionError, match="an engine ran"):
         main([*mixture, "--max-p", "6", "--max-total", "16"])
-    # so are MAX_P blocks and a ratio table of exactly MAX_MIXTURE_TABLE entries
+    # so are MAX_P blocks and a ratio table of 2047 * 2047 entries, just below MAX_MIXTURE_TABLE
     with pytest.raises(AssertionError, match="an engine ran"):
         main(["bound", *_WALK, "--c", "1", "--max-p", "64", "--max-total", "64"])
     with pytest.raises(AssertionError, match="an engine ran"):
-        main([*mixture, "--max-p", "1", "--max-total", "1023", "--quad-points", "4096"])
+        main([*mixture, "--max-p", "1", "--max-total", "2046"])
 
 
 def test_truncation_limits_raise_in_the_library():
@@ -525,12 +521,13 @@ def test_truncation_limits_raise_in_the_library():
 
 def test_mixture_table_limit_raises_before_any_node_build(monkeypatch):
     def build(*args):
-        raise AssertionError("Porod nodes built")
+        raise AssertionError("Porod rule, moment or u_n built")
 
-    monkeypatch.setattr(bounds, "porod_nodes", build)
-    with pytest.raises(ValueError, match="ratio table"):
-        bounds.A_k_grid(WalkQuery.mixture(100, 500.0, quad_points=4096), [500.0],
-                        bounds.TruncationConfig(max_p=1, max_total=1024))
+    for module, name in ((bounds, "porod_rule"), (bounds, "u_seq"), (structures, "moment")):
+        monkeypatch.setattr(module, name, build)
+    with pytest.raises(bounds.ParameterError, match="ratio table") as info:
+        bounds.A_k_grid(WalkQuery.mixture(100, 500.0), [500.0], bounds.TruncationConfig(max_p=1, max_total=2047))
+    assert info.value.fields == ("max_p", "max_total")
 
 
 @pytest.mark.parametrize("command, k_flag", [("bound", ["--c", "1"]), ("profile", ["--c-range", "-1:1:0.5"])])
@@ -540,7 +537,6 @@ def test_unitary_porod_runs_no_quadrature(monkeypatch, capsys, command, k_flag):
 
     monkeypatch.setattr(structures, "_gauss_legendre", build)
     monkeypatch.setattr(structures, "porod_nodes", build)
-    monkeypatch.setattr(bounds, "porod_nodes", build)
     code, _, err = run(capsys, command, "--family", "unitary", "--N", "40", "--tau", "2", "--nu", "porod", *k_flag)
     assert (code, err) == (0, "")
 
@@ -607,7 +603,6 @@ _WALK_FLAGS = {
     "--group": (st.sampled_from(["cyclic:1", "cyclic:2", "cyclic:3"]),
                 st.sampled_from(["cyclic:0", "cyclic:x", "cayley:missing.txt", "bogus"])),
     "--psi": (st.sampled_from(["trivial", "haar"]), st.sampled_from(["file:missing.txt", "bogus"])),
-    "--quad-points": (st.integers(1, 48).map(str), st.integers(-1, 0).map(str) | st.sampled_from(["x", "70000"])),
     "--max-p": (st.integers(1, 3).map(str), st.integers(-1, 5).map(str)),
     "--max-total": (st.integers(3, 6).map(str), st.integers(-1, 8).map(str)),
 }
@@ -627,15 +622,85 @@ def test_walk_flag_fuzz_exits_cleanly(data):
             argv.append(f"{flag}={data.draw(data.draw(st.sampled_from([valid, valid, valid, invalid])))}")
     k_flag = data.draw(st.sampled_from(["--k", "--c"]))
     argv.append(f"{k_flag}={data.draw(data.draw(st.sampled_from([st.floats(-1.0, 3.0).map(repr)] * 3 + [_NUMBER])))}")
+    doc = _run_under_contract(argv)
+    if doc is not None:
+        assert doc["config"]["family"] == _FAMILY_TOKENS[family]
+
+
+def _strict_json(text):
+    """json.loads that rejects the bare NaN, Infinity and -Infinity tokens Python's json accepts."""
+    def reject(token):
+        raise ValueError(f"bare {token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _run_under_contract(argv):
+    """Run the CLI in-process and check the README contract: exit 0 or 2, no traceback, a flag named on
+    exit 2; return the strict-JSON output of exit 0, or None."""
     out, err = io.StringIO(), io.StringIO()
     with _time_limit(60.0), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2), argv
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err.getvalue(), argv
     if code == 2:
         assert "--" in err.getvalue(), argv
-    else:
-        assert json.loads(out.getvalue())["config"]["family"] == _FAMILY_TOKENS[family]
+        return None
+    return _strict_json(out.getvalue())
+
+
+_ANY_FLOAT = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0", "1e-320", "5e-324", "1e77", "1e200", "1e308", "x", ""]),
+    st.floats(0.01, 10.0).map(repr),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+_ANY_N = st.one_of(
+    st.integers(-3, 10**6).map(str),
+    st.sampled_from(["1" + "0" * 400, "1" + "0" * 307, "1" + "0" * 290, "x", "1e3", ""]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_thresholds_flag_fuzz_exits_cleanly(data):
+    argv = ["thresholds", f"--tau={data.draw(_ANY_FLOAT)}"]
+    if data.draw(st.booleans()):
+        argv.append(f"--theta={data.draw(_ANY_FLOAT)}")
+    if data.draw(st.booleans()):
+        argv.append(f"--N={data.draw(_ANY_N)}")
+    doc = _run_under_contract(argv)
+    if doc is not None:
+        assert all(math.isfinite(v) for v in doc.values() if isinstance(v, float)), argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_moments_flag_fuzz_exits_cleanly(data):
+    argv = ["moments"]
+    if data.draw(st.booleans()):
+        argv.append(f"--nu={data.draw(st.sampled_from(['haar', 'porod', 'delta:0.5', 'delta:nan', 'delta:', 'atoms:missing.txt', 'bogus']))}")
+    if data.draw(st.booleans()):
+        argv.append(f"--N={data.draw(_ANY_N)}")
+    if data.draw(st.booleans()):
+        eps = st.integers(-200, 200) | st.sampled_from([100_000, 100_001, -10**400])
+        argv.append("--eps=" + data.draw(st.lists(eps.map(str), max_size=4).map(",".join) | st.sampled_from(["x", ","])))
+    if data.draw(st.booleans()):
+        lmax = st.integers(-2, 40) | st.sampled_from([MAX_LAMBDA_MOMENT, MAX_LAMBDA_MOMENT + 1, 10**30])
+        n = st.integers(-1, 10**6) | st.sampled_from([10**400])
+        argv.append(f"--lambda-moments={data.draw(n)}:{data.draw(lmax)}" if data.draw(st.booleans())
+                    else f"--lambda-moments={data.draw(st.sampled_from(['x', '10', '10:', ':3', '10:3:1']))}")
+    _run_under_contract(argv)
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["--family", "unitary", "--N", "100000", "--tau", "2", "--k", "0"], "A_partial", "infinity"),
+    (["--family", "wreath", "--N", "40", "--tau", "2", "--group", "cyclic:2", "--c", "1", "--max-p", "1",
+      "--max-total", "1"], "A_log_partial", "-infinity"),
+])
+def test_bound_prints_infinite_partials_as_strict_json_strings(capsys, argv, key, value):
+    code, out, _ = run(capsys, "bound", *argv)
+    assert code == 0
+    assert _strict_json(out)[key] == value
 
 
 @pytest.mark.parametrize("flag, spec, message", [

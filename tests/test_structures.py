@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from qgcutoff.numerics import lambda_moment
+from qgcutoff import structures
 from qgcutoff.structures import (
     MAX_MOMENT_INDEX,
+    MAX_QUAD_POINTS,
     _gauss_legendre,
     _half_angle_nodes,
     CircleMeasure,
@@ -26,6 +28,7 @@ from qgcutoff.structures import (
     load_group_state,
     moment,
     porod_nodes,
+    porod_rule,
     tau_theta,
     trivial_state,
 )
@@ -338,6 +341,38 @@ def test_porod_moment_index_limit():
     for e in (MAX_MOMENT_INDEX + 1, -(MAX_MOMENT_INDEX + 1), 10**400):
         with pytest.raises(ValueError, match="exceeds"):
             moment(nu, e)
+
+
+@pytest.mark.parametrize("N", [6, 7, 100, 10**6, 2**40])
+def test_porod_rule_reproduces_the_moments(N):
+    # sum_j w_j e^{i e theta_j} = m_e for |e| <= degree, the rule's exactness
+    # on each frequency, within a few ulp of the weights' total mass (about
+    # 1 at small N, up to 3.8 where the law crowds at theta = pi); e j mod L
+    # keeps the test's angles exact
+    nu = CircleMeasure.porod(N)
+    for degree in (0, 1, 7, 16, 40):
+        theta, w = porod_rule(N, degree)
+        L = 2 * degree + 1
+        assert theta.shape == w.shape == (L,)
+        j = np.arange(L)
+        assert np.array_equal(theta, 2.0 * math.pi / L * j)
+        tol = 4 * 2.0**-52 * float(np.abs(w).sum())
+        for e in range(-degree, degree + 1):
+            angle = 2.0 * math.pi / L * ((e * j) % L)
+            re, im = math.fsum(w * np.cos(angle)), math.fsum(w * np.sin(angle))
+            assert abs(re - moment(nu, e).real) <= tol, (degree, e)
+            assert abs(im) <= tol, (degree, e)
+
+
+@pytest.mark.parametrize("quad_points", [0, -1, MAX_QUAD_POINTS + 1])
+def test_porod_nodes_size_limit_raises_before_any_build(monkeypatch, quad_points):
+    def build(n):
+        raise AssertionError(f"Gauss-Legendre nodes built for n={n}")
+
+    monkeypatch.setattr(structures, "_gauss_legendre", build)
+    assert MAX_QUAD_POINTS == 65536
+    with pytest.raises(ValueError, match="quad_points"):
+        porod_nodes(10, quad_points)
 
 
 def test_porod_nodes_weights_positive():
