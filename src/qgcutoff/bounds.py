@@ -73,15 +73,14 @@ __all__ = [
     "DEFAULT_TRUNCATION",
     "MIXTURE_DEFAULT_TRUNCATION",
     "MAX_K",
+    "MAX_N",
     "MAX_TOTAL",
     "MAX_MIXTURE_WORDS",
     "MAX_MIXTURE_TABLE",
     "MAX_P",
     "default_truncation",
     "A_k_grid",
-    "A_k_for_query",
     "tv_upper_from_A",
-    "tv_bounds",
     "tv_lower_chebyshev",
     "tv_lower",
     "threshold_C",
@@ -126,14 +125,10 @@ class ParameterError(ValueError):
 class TruncationConfig:
     """Finite word-index window: p <= max_p blocks, at most MAX_P, and index
     total <= max_total, at most MAX_TOTAL; a violation raises ParameterError.
-
-    ``tail_mode`` selects whether the complement is bounded by the geometric
-    certificate or left unbounded ("none").
     """
 
     max_p: int = 12
     max_total: int = 48
-    tail_mode: str = "geometric-certificate"
 
     def __post_init__(self) -> None:
         if not 1 <= self.max_p <= MAX_P:
@@ -142,8 +137,6 @@ class TruncationConfig:
             raise ParameterError(("max_p", "max_total"), f"max_total {self.max_total} is below max_p {self.max_p}")
         if self.max_total > MAX_TOTAL:
             raise ParameterError(("max_total",), f"must be <= {MAX_TOTAL}, got {self.max_total}")
-        if self.tail_mode not in ("geometric-certificate", "none"):
-            raise ParameterError(("tail_mode",), f"unknown tail mode {self.tail_mode!r}")
 
 
 DEFAULT_TRUNCATION = TruncationConfig(max_p=12, max_total=48)
@@ -151,10 +144,13 @@ DEFAULT_TRUNCATION = TruncationConfig(max_p=12, max_total=48)
 # smaller; the certified tail covers the difference.
 MIXTURE_DEFAULT_TRUNCATION = TruncationConfig(max_p=5, max_total=10)
 
-# Largest step count a query accepts.  The engines form 2k times a
+# Largest step count A_k_grid accepts.  The engines form 2k times a
 # log-dimension of about max_total log N, which stays finite for any
 # truncation that runs, while N ln N / rate is far below it.
 MAX_K = 1e300
+# Largest N a walk accepts: the engines compute with float(N), which is N
+# only up to 2^53.
+MAX_N = 2**53
 
 
 def default_truncation(family: str) -> TruncationConfig:
@@ -164,23 +160,28 @@ def default_truncation(family: str) -> TruncationConfig:
 
 @dataclass(frozen=True)
 class BoundInterval:
-    """[partial, partial + tail] around a series value.
+    """[partial, partial + tail] around a series value, held as the logs of
+    both endpoints so that no underflowed value is lost.
 
     ``partial`` is exact over the truncation (up to float rounding).
     ``tail`` is certified under the recorded hypotheses;
     when any required hypothesis fails it is +inf and ``certified`` is False.
-    Log-domain copies of both endpoints are kept so downstream conversions do
-    not lose underflowed values.
     """
 
-    partial: float
-    tail: float
     terms_used: int
     certificate: str
     certified: bool
     hypotheses: tuple[tuple[str, bool], ...]
     log_partial: float
     log_tail: float
+
+    @property
+    def partial(self) -> float:
+        return math.exp(self.log_partial) if self.log_partial < 700.0 else math.inf
+
+    @property
+    def tail(self) -> float:
+        return math.exp(self.log_tail) if self.log_tail < 700.0 else math.inf
 
     @property
     def upper(self) -> float:
@@ -195,22 +196,22 @@ class BoundInterval:
 
 @dataclass(frozen=True)
 class WalkQuery:
-    """One walk evaluation point: family, size N, step count k, and the
-    parameters the family reads, the others None: "unitary-free" (trace
-    deficit tau, circle measure nu, default the point mass at 0),
-    "unitary-eval" (rotation angle theta), "mixture" (Porod-mixed evaluation
-    states, no parameter), "wreath" (trace deficit tau,
-    finite group with state psi, default trivial).
+    """One walk: family, size N, and the parameters the family reads, the
+    others None: "unitary-free" (trace deficit tau, circle measure nu,
+    default the point mass at 0), "unitary-eval" (rotation angle theta),
+    "mixture" (Porod-mixed evaluation states, no parameter), "wreath" (trace
+    deficit tau, finite group with state psi, default trivial).
 
-    A parameter the family does not read, or any broken rule of the family
-    (``_FAMILIES``), raises ParameterError naming the fields at fault.  The
+    A parameter the family does not read, an N above MAX_N, or any broken
+    rule of the family (``_FAMILIES``), raises ParameterError naming the
+    fields at fault.  The step counts are not part of the walk: they go to
+    ``A_k_grid`` and ``cutoff_profile`` as a grid.  The
     analytic threshold N >= tau + C(tau) is recorded by the engines as a
     certificate hypothesis entry but is not enforced here.
     """
 
     family: str
     N: int
-    k: float
     tau: float | None = None
     theta: float | None = None
     nu: CircleMeasure | None = None
@@ -228,8 +229,8 @@ class WalkQuery:
                    if default is None and getattr(self, name) is None]
         if missing:
             raise ParameterError(tuple(missing), f"required by the {self.family} family")
-        if not 0.0 <= self.k <= MAX_K:
-            raise ParameterError(("k",), f"must be in [0, {MAX_K!r}], got {self.k!r}")
+        if not self.N <= MAX_N:
+            raise ParameterError(("N",), f"must be at most 2**53 = {MAX_N}, above which float(N) is not N")
         for name, default in family.parameters.items():
             if default is not None and getattr(self, name) is None:
                 object.__setattr__(self, name, default(self))
@@ -238,28 +239,25 @@ class WalkQuery:
                 raise ParameterError(fields, f"the {self.family} family needs {rule}")
 
     @classmethod
-    def unitary(cls, N: int, tau: float, k: float, nu: CircleMeasure | None = None) -> "WalkQuery":
-        return cls("unitary-free", N, k, tau=tau, nu=nu)
+    def unitary(cls, N: int, tau: float, nu: CircleMeasure | None = None) -> "WalkQuery":
+        return cls("unitary-free", N, tau=tau, nu=nu)
 
     @classmethod
-    def eval_point(cls, N: int, theta: float, k: float) -> "WalkQuery":
-        return cls("unitary-eval", N, k, theta=theta)
+    def eval_point(cls, N: int, theta: float) -> "WalkQuery":
+        return cls("unitary-eval", N, theta=theta)
 
     @classmethod
-    def mixture(cls, N: int, k: float) -> "WalkQuery":
-        return cls("mixture", N, k)
+    def mixture(cls, N: int) -> "WalkQuery":
+        return cls("mixture", N)
 
     @classmethod
-    def wreath(cls, N: int, tau: float, k: float, group: FiniteGroup, psi: GroupState | None = None) -> "WalkQuery":
-        return cls("wreath", N, k, tau=tau, group=group, psi=psi)
+    def wreath(cls, N: int, tau: float, group: FiniteGroup, psi: GroupState | None = None) -> "WalkQuery":
+        return cls("wreath", N, tau=tau, group=group, psi=psi)
 
     @property
     def cutoff_rate(self) -> float:
         """Denominator of the N ln N / rate cutoff location."""
         return _FAMILIES[self.family].rate(self)
-
-    def with_k(self, k: float) -> "WalkQuery":
-        return replace(self, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -357,37 +355,35 @@ def _composition_tail(log_S: float, log_x: float, M: int, P: int, log_pref: floa
     return _SeriesTail(logsumexp(pieces), hyps, True)
 
 
-def _interval(
-    log_partial: float,
+def _intervals(
+    ks: Sequence[float],
+    log_partials: Sequence[float],
     terms: int,
-    tc: TruncationConfig,
-    base_hyps: Sequence[tuple[str, bool]],
+    hyps: tuple[tuple[str, bool], ...],
     certificate: str,
-    tail: Callable[[], _SeriesTail],
-) -> BoundInterval:
-    """Assemble [partial, partial + tail].  ``tail`` runs only when a tail is
-    requested and every required (not ``[recorded]``) base hypothesis holds:
-    its algebra assumes them."""
-    series = None
-    if tc.tail_mode == "none":
-        certificate = "tail not requested"
-    elif all(ok for name, ok in base_hyps if "[recorded]" not in name):
-        series = tail()
-    hyps = tuple(base_hyps) + (series.hypotheses if series is not None else ())
-    certified = series is not None and series.ok and series.log_tail < math.inf
-    log_tail = series.log_tail if certified else math.inf
-    partial = math.exp(log_partial) if log_partial < 700.0 else math.inf
-    tail_val = math.exp(log_tail) if log_tail < 700.0 else math.inf
-    return BoundInterval(
-        partial=partial,
-        tail=tail_val,
-        terms_used=terms,
-        certificate=certificate,
-        certified=certified,
-        hypotheses=hyps,
-        log_partial=log_partial,
-        log_tail=log_tail,
-    )
+    tail: Callable[[float], _SeriesTail],
+) -> list[BoundInterval]:
+    """One interval [partial, partial + tail] per k, from the walk's
+    hypotheses ``hyps``, certificate text and tail closure ``tail(2k)``.
+
+    Each row records ("k >= 1", ...) in front of ``hyps``.  ``tail`` runs
+    only on rows where every required (not ``[recorded]``) hypothesis
+    holds: its algebra assumes them.
+    """
+    walk_ok = all(ok for name, ok in hyps if "[recorded]" not in name)
+    out = []
+    for k, log_partial in zip(ks, log_partials):
+        series = tail(2.0 * k) if walk_ok and k >= 1.0 else None
+        certified = series is not None and series.ok and series.log_tail < math.inf
+        out.append(BoundInterval(
+            terms_used=terms,
+            certificate=certificate,
+            certified=certified,
+            hypotheses=(("k >= 1", k >= 1.0),) + hyps + (series.hypotheses if series is not None else ()),
+            log_partial=float(log_partial),
+            log_tail=series.log_tail if certified else math.inf,
+        ))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +626,7 @@ def _parity_log_partials(g: np.ndarray, log_abs_m: np.ndarray, two_k: np.ndarray
 
 
 def _unitary_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -> list[BoundInterval]:
-    """Series intervals of a unitary-family query at every k in ``ks``.
+    """Series intervals of a unitary-family walk at every k in ``ks``.
 
     When nu is a point mass of weight w, |m_eps(nu)| = w for every eps, so
     both stop options of a word weigh w^{2k} whatever its winding state, and
@@ -639,6 +635,14 @@ def _unitary_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
     by parity class (``_parity_log_partials``), also in one pass for the
     whole grid, from the powers of the odd and even blocks of G and the
     moments m_e(nu), |e| <= P.
+
+    The tail certificate majorizes every excluded word by 2 S^p x^{total - p}
+    with
+
+        x = q(N)^{2k-2} / q(N-tau)^{2k},
+        S = N^{-(2k-2)} q(N-tau)^{-2k} (1 - q(N-tau)^2)^{-2k},
+
+    which follow from the envelope bounds on u_n and |m_eps| <= 1.
     """
     if q.theta is not None:
         t, nu = eval_state_params(q.N, q.theta)
@@ -663,41 +667,26 @@ def _unitary_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
                 log_abs_m[eps + P] = math.log(m)
         log_partials = _parity_log_partials(g, log_abs_m, two_k, M, P)
 
-    terms = count_unitary(M, P)
-    return [_unitary_interval(N, t, float(k), float(lp), terms, tc) for k, lp in zip(ks, log_partials)]
-
-
-def _unitary_interval(N: int, t: float, k: float, log_partial: float, terms: int, tc: TruncationConfig) -> BoundInterval:
-    """Attach the tail certificate: every excluded word is majorized by
-    2 S^p x^{total - p} with
-
-        x = q(N)^{2k-2} / q(N-tau)^{2k},
-        S = N^{-(2k-2)} q(N-tau)^{-2k} (1 - q(N-tau)^2)^{-2k},
-
-    which follow from the envelope bounds on u_n and |m_eps| <= 1.
-    """
-    two_k = 2.0 * k
-    base_hyps: list[tuple[str, bool]] = [
-        ("k >= 1", k >= 1.0),
+    hyps = (
         ("N - tau > 2", t > 2.0 + _T_EPS),
         ("N >= tau + C(tau) [recorded]", N >= (N - t) + threshold_C(N - t) if N - t > 0 else True),
-    ]
-    cert_text = (
+    )
+    text = (
         "per-word majorant 2 S^p x^(total-p) from the envelope bounds "
         "t q^{-(n-1)} <= u_n <= q^{-n}/(1-q^2) and |m_eps| <= 1; "
         "within-degree blocks bounded by first term times geometric ratio, "
         "p > max_p blocks by the closed geometric sum"
     )
 
-    def tail() -> _SeriesTail:
+    def tail(two_k: float) -> _SeriesTail:
         log_qN = math.log(q_of(float(N)))
         qt = q_of(t)
         log_qt = math.log(qt)
         log_x = (two_k - 2.0) * log_qN - two_k * log_qt
         log_S = -(two_k - 2.0) * math.log(float(N)) - two_k * log_qt - two_k * math.log1p(-qt * qt)
-        return _composition_tail(log_S, log_x, tc.max_total, tc.max_p, math.log(2.0), 1)
+        return _composition_tail(log_S, log_x, M, P, math.log(2.0), 1)
 
-    return _interval(log_partial, terms, tc, base_hyps, cert_text, tail)
+    return _intervals(ks, log_partials, count_unitary(M, P), hyps, text, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -717,6 +706,17 @@ def _mixture_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
     whole grid; each k then sums d^2 |c|^{2k} over the words in enumeration
     order.  Truncations above MAX_MIXTURE_WORDS words or MAX_MIXTURE_TABLE
     ratio-table entries raise ParameterError before any work.
+
+    The tail certificate holds for the Jensen-majorized series via the
+    per-word bound 2 S^p x^(total - p) with
+
+        S = (a_N b_N)^{2k} N^{-(2k-2)} (1 - q(N-2)^2)^{-2k},
+        x = (a_N b_N)^{2k} q(N)^{2k-2},
+        a_N = N - 2 + 2/N,   b_N = e^{4/(N-2)^2},
+
+    combining |integral|^{2k} <= integral of |.|^{2k} (k >= 1/2), the
+    deficit-to-rate comparison u_n(N-tau_theta) <= b_N^n u_n(N-lambda_theta),
+    the envelope bounds, and the moment bound E[(N-lambda)^alpha] <= a_N^alpha.
     """
     N = q.N
     M, P = tc.max_total, tc.max_p
@@ -758,48 +758,25 @@ def _mixture_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
         log_mod.append(math.log(mod) if mod > 0.0 else -math.inf)
     dims = np.array(two_log_dim)
     mods = np.array(log_mod)
+    # at k = 0 every coefficient power is 1, vanishing ones included
+    log_partials = [logsumexp((dims if k == 0.0 else dims + 2.0 * k * mods).tolist()) for k in ks]
 
-    out = []
-    for k in ks:
-        two_k = 2.0 * k
-        # at k = 0 every coefficient power is 1, vanishing ones included
-        logs = dims if two_k == 0.0 else dims + two_k * mods
-        out.append(_mixture_interval(N, float(k), logsumexp(logs.tolist()), terms, tc))
-    return out
-
-
-def _mixture_interval(N: int, k: float, log_partial: float, terms: int, tc: TruncationConfig) -> BoundInterval:
-    """Attach the tail certificate, which holds for the Jensen-majorized
-    series via the per-word bound 2 S^p x^(total - p) with
-
-        S = (a_N b_N)^{2k} N^{-(2k-2)} (1 - q(N-2)^2)^{-2k},
-        x = (a_N b_N)^{2k} q(N)^{2k-2},
-        a_N = N - 2 + 2/N,   b_N = e^{4/(N-2)^2},
-
-    combining |integral|^{2k} <= integral of |.|^{2k} (k >= 1/2), the
-    deficit-to-rate comparison u_n(N-tau_theta) <= b_N^n u_n(N-lambda_theta),
-    the envelope bounds, and the moment bound E[(N-lambda)^alpha] <= a_N^alpha.
-    """
-    two_k = 2.0 * k
-    base_hyps: list[tuple[str, bool]] = [
-        ("k >= 1", k >= 1.0),
-        ("N >= 12", N >= 12),
-    ]
-    cert_text = (
+    hyps = (("N >= 12", N >= 12),)
+    text = (
         "Jensen-majorized series: per-word bound 2 S^p x^(total-p) with "
         "S, x built from a_N = N-2+2/N, b_N = e^{4/(N-2)^2}, the envelope "
         "bounds at N - lambda, and the moment bound E[(N-lambda)^alpha] <= a_N^alpha"
     )
 
-    def tail() -> _SeriesTail:
+    def tail(two_k: float) -> _SeriesTail:
         a_N = N - 2.0 + 2.0 / N
         log_ab = math.log(a_N) + 4.0 / ((N - 2.0) * (N - 2.0))
         q2 = q_of(N - 2.0)
         log_S = two_k * log_ab - (two_k - 2.0) * math.log(float(N)) - two_k * math.log1p(-q2 * q2)
         log_x = two_k * log_ab + (two_k - 2.0) * math.log(q_of(float(N)))
-        return _composition_tail(log_S, log_x, tc.max_total, tc.max_p, math.log(2.0), 1)
+        return _composition_tail(log_S, log_x, M, P, math.log(2.0), 1)
 
-    return _interval(log_partial, terms, tc, base_hyps, cert_text, tail)
+    return _intervals(ks, log_partials, terms, hyps, text, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -807,7 +784,7 @@ def _mixture_interval(N: int, k: float, log_partial: float, terms: int, tc: Trun
 
 
 def _wreath_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -> list[BoundInterval]:
-    """Series intervals of a wreath query at every k in ``ks``.
+    """Series intervals of a wreath walk at every k in ``ks``.
 
     Words have p group labels and p+1 character indices (even for p = 0, odd
     ends with even interiors for p >= 1).  The gamma sums factor through
@@ -815,6 +792,20 @@ def _wreath_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -
     m^{p-1} K(psi) [z^{<= (M - 2p) // 2}] E(z)^2 I(z)^{p-1}, with E and I the
     odd-end and even-interior factor sequences: one convolution-power pass
     for the whole grid.
+
+    The tail certificate majorizes every excluded word by Z^{p+1}
+    y^{sum n - 1} (p >= 1; Z y^{n_0} for p = 0) with
+
+        B = q(sqrt N)^{2k-2} / q(t')^{2k},   y = B^2,
+        Z = q(sqrt N)^{2k-2} (sqrt N)^{-(2k-2)} q(t')^{-4k} (1 - q(t')^2)^{-2k},
+
+    t' = sqrt(N - tau), and the group labels contribute m^{p-1} K(psi).
+    Read the p + 1 outer indices, each raised by one, as the parts of a
+    composition of degree D = sum n + p + 1.  A p >= 1 word then weighs
+    (K / (m^2 y)) S^{p+1} x^{D - (p+1)} with x = y and S = m Z, and it lies
+    outside the truncation exactly when D > max_total // 2 + 1: its
+    complement is the composition tail over parts 2..max_p + 1.  The
+    excluded p = 0 words add Z y^{max_total // 2} / (1 - y).
     """
     assert q.tau is not None and q.group is not None and q.psi is not None
     N, tau = q.N, q.tau
@@ -833,38 +824,13 @@ def _wreath_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -
         cols.append(np.arange(len(budgets)) * math.log(q.group.order) + math.log(q.psi.abs_sum()) + blocks)
     log_partials = _row_logsumexp(np.hstack(cols))
 
-    terms = count_wreath(q.group, M, P)
-    return [_wreath_interval(q, float(k), float(lp), terms, tc) for k, lp in zip(ks, log_partials)]
-
-
-def _wreath_interval(q: WalkQuery, k: float, log_partial: float, terms: int, tc: TruncationConfig) -> BoundInterval:
-    """Attach the tail certificate: every excluded word is majorized by
-    Z^{p+1} y^{sum n - 1} (p >= 1; Z y^{n_0} for p = 0) with
-
-        B = q(sqrt N)^{2k-2} / q(t')^{2k},   y = B^2,
-        Z = q(sqrt N)^{2k-2} (sqrt N)^{-(2k-2)} q(t')^{-4k} (1 - q(t')^2)^{-2k},
-
-    t' = sqrt(N - tau), and the group labels contribute m^{p-1} K(psi).
-
-    Read the p + 1 outer indices, each raised by one, as the parts of a
-    composition of degree D = sum n + p + 1.  A p >= 1 word then weighs
-    (K / (m^2 y)) S^{p+1} x^{D - (p+1)} with x = y and S = m Z, and it lies
-    outside the truncation exactly when D > max_total // 2 + 1: its
-    complement is the composition tail over parts 2..max_p + 1.  The
-    excluded p = 0 words add Z y^{max_total // 2} / (1 - y).
-    """
-    assert q.tau is not None and q.group is not None and q.psi is not None
-    N, tau = q.N, q.tau
-    M, P = tc.max_total, tc.max_p
-    two_k = 2.0 * k
     tau_ok = tau > 7.0 / 4.0
-    base_hyps: list[tuple[str, bool]] = [
-        ("k >= 1", k >= 1.0),
+    hyps = (
         ("N - tau > 4", float(N) - tau > 4.0 + _T_EPS),
         ("tau > 7/4", tau_ok),
         ("N >= Q(tau)/(4 tau - 7)", tau_ok and N >= wreath_certificate_threshold(tau)),
-    ]
-    cert_text = (
+    )
+    text = (
         "per-word majorant Z^{p+1} y^(n-total - 1) (Z y^{n_0} for p = 0) from "
         "the envelope bounds at sqrt(N) and sqrt(N - tau); group labels "
         "contribute m^{p-1} K(psi); p >= 1 words summed as compositions of "
@@ -873,7 +839,7 @@ def _wreath_interval(q: WalkQuery, k: float, log_partial: float, terms: int, tc:
         "geometric sum"
     )
 
-    def tail() -> _SeriesTail:
+    def tail(two_k: float) -> _SeriesTail:
         s = math.sqrt(float(N))
         qp = q_of(math.sqrt(float(N) - tau))
         log_qs = math.log(q_of(s))
@@ -888,7 +854,7 @@ def _wreath_interval(q: WalkQuery, k: float, log_partial: float, terms: int, tc:
         single = log_Z + (M // 2) * log_y - log1mexp(log_y)
         return replace(series, log_tail=logsumexp([single, series.log_tail]))
 
-    return _interval(log_partial, terms, tc, base_hyps, cert_text, tail)
+    return _intervals(ks, log_partials, count_wreath(q.group, M, P), hyps, text, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -904,7 +870,7 @@ class _Family:
     """Everything that differs between the walk families: the engine and
     its default truncation; the Chebyshev witness of the lower bound, as
     (variance bound, Haar expectation of the squared witness) and its walk
-    expectation at q.k; the cutoff rate; the parameters the family reads,
+    expectation after k steps; the cutoff rate; the parameters the family reads,
     each with its default (None if required); and the rules on N and those
     parameters, as (fields, test, rule text).  Unitary and wreath use the
     degree-2 character with sup norm 3; the mixture uses the real degree-1
@@ -913,7 +879,7 @@ class _Family:
     engine: Callable[[WalkQuery, Sequence[float], TruncationConfig], list[BoundInterval]]
     truncation: TruncationConfig
     witness: tuple[float, float]
-    expectation: Callable[[WalkQuery], float]
+    expectation: Callable[[WalkQuery, float], float]
     rate: Callable[[WalkQuery], float]
     parameters: dict[str, Callable[[WalkQuery], object] | None]
     rules: tuple[tuple[tuple[str, ...], Callable[[WalkQuery], bool], str], ...]
@@ -924,7 +890,7 @@ _FAMILIES = {
         _unitary_intervals,
         DEFAULT_TRUNCATION,
         (9.0, 1.0),
-        lambda q: chi2_expectation_unitary(q.N, q.tau, q.k),
+        lambda q, k: chi2_expectation_unitary(q.N, q.tau, k),
         lambda q: q.tau,
         {"tau": None, "nu": lambda q: CircleMeasure.delta(0.0)},
         ((("N",), lambda q: q.N >= 3, "N >= 3"),
@@ -934,7 +900,7 @@ _FAMILIES = {
         _unitary_intervals,
         DEFAULT_TRUNCATION,
         (9.0, 1.0),
-        lambda q: chi2_expectation_unitary(q.N, tau_theta(q.N, q.theta), q.k),
+        lambda q, k: chi2_expectation_unitary(q.N, tau_theta(q.N, q.theta), k),
         lambda q: lambda_theta(q.theta),
         {"theta": None},
         ((("N",), lambda q: q.N >= 3, "N >= 3"),
@@ -945,7 +911,7 @@ _FAMILIES = {
         _mixture_intervals,
         MIXTURE_DEFAULT_TRUNCATION,
         (4.0, 2.0),
-        lambda q: chi_expectation_mixture(q.N, q.k),
+        lambda q, k: chi_expectation_mixture(q.N, k),
         lambda q: 2.0,
         {},
         ((("N",), lambda q: q.N >= 6, "N >= 6"),),
@@ -954,7 +920,7 @@ _FAMILIES = {
         _wreath_intervals,
         DEFAULT_TRUNCATION,
         (9.0, 1.0),
-        lambda q: chi2_expectation_wreath(q.N, q.tau, q.k),
+        lambda q, k: chi2_expectation_wreath(q.N, q.tau, k),
         lambda q: q.tau,
         {"tau": None, "group": None, "psi": lambda q: trivial_state(q.group)},
         ((("N",), lambda q: q.N >= 5, "N >= 5 (sqrt N > 2)"),
@@ -965,34 +931,34 @@ _FAMILIES = {
 
 
 def A_k_grid(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig | None = None) -> list[BoundInterval]:
-    """Series interval of A_k for the walk ``q`` at every k in ``ks`` (the
-    k field of ``q`` is ignored), from one pass of the family's engine.
-    ``tc`` defaults to ``default_truncation(q.family)``; an engine raises
-    ParameterError for a truncation beyond its own size limits."""
+    """Series interval of A_k for the walk ``q`` at every k in ``ks``, from
+    one pass of the family's engine.  A k outside [0, MAX_K] raises
+    ParameterError.  ``tc`` defaults to ``default_truncation(q.family)``; an
+    engine raises ParameterError for a truncation beyond its own size
+    limits."""
+    ks = [float(k) for k in ks]
+    for k in ks:
+        if not 0.0 <= k <= MAX_K:
+            raise ParameterError(("k",), f"must be in [0, {MAX_K!r}], got {k!r}")
     family = _FAMILIES[q.family]
     return family.engine(q, ks, tc if tc is not None else family.truncation)
 
 
-def A_k_for_query(q: WalkQuery, tc: TruncationConfig | None = None) -> BoundInterval:
-    """Series interval of A_k at q.k."""
-    return A_k_grid(q, [q.k], tc)[0]
-
-
-# Single-point entries under their earlier names and signatures.  The package
-# runs everything through A_k_grid; the benchmark's span tracer
+# Single-point entries under their earlier names.  The package runs
+# everything through A_k_grid; the benchmark's span tracer
 # (perfbench/spans.py) still looks these names up.
 
 
-def A_k_unitary(q: WalkQuery, tc: TruncationConfig = DEFAULT_TRUNCATION) -> BoundInterval:
-    return A_k_for_query(q, tc)
+def A_k_unitary(q: WalkQuery, k: float, tc: TruncationConfig = DEFAULT_TRUNCATION) -> BoundInterval:
+    return A_k_grid(q, [k], tc)[0]
 
 
-def A_k_wreath(q: WalkQuery, tc: TruncationConfig = DEFAULT_TRUNCATION) -> BoundInterval:
-    return A_k_for_query(q, tc)
+def A_k_wreath(q: WalkQuery, k: float, tc: TruncationConfig = DEFAULT_TRUNCATION) -> BoundInterval:
+    return A_k_grid(q, [k], tc)[0]
 
 
 def A_k_mixture(N: int, k: float, tc: TruncationConfig = MIXTURE_DEFAULT_TRUNCATION) -> BoundInterval:
-    return A_k_for_query(WalkQuery.mixture(N, k), tc)
+    return A_k_grid(WalkQuery.mixture(N), [k], tc)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1045,33 +1011,18 @@ def tv_lower_chebyshev(m: float, var_bound: float, h_chi_sq: float) -> float:
     return max(0.0, 1.0 - 4.0 * (var_bound + h_chi_sq) / (m * m))
 
 
-def tv_lower(q: WalkQuery) -> float:
-    """Chebyshev lower bound on the TV distance at query q.
+def tv_lower(q: WalkQuery, k: float) -> float:
+    """Chebyshev lower bound on the TV distance of the walk q after k steps.
 
     The witness expectation m comes from the family's closed form; if the
     witness is out of domain (tau too large) the trivial bound 0 is returned.
     """
     family = _FAMILIES[q.family]
     try:
-        m = family.expectation(q)
+        m = family.expectation(q, k)
     except ValueError:
         return 0.0
     return tv_lower_chebyshev(m, *family.witness)
-
-
-def tv_bounds(q: WalkQuery, A: BoundInterval) -> tuple[TVUpper, float]:
-    """The TV upper bound from the series interval A of q, and the lower
-    bound at q.k.  A certified lower bound above the certified upper bound
-    (beyond a 1e-12 rounding slack) is a defect, not a result: it raises
-    RuntimeError."""
-    tv = tv_upper_from_A(A)
-    lower = tv_lower(q)
-    if tv.certified and lower > tv.upper + 1e-12:
-        raise RuntimeError(
-            f"internal inconsistency at k={q.k!r}: certified lower bound "
-            f"{lower!r} exceeds certified upper bound {tv.upper!r}"
-        )
-    return tv, lower
 
 
 # ---------------------------------------------------------------------------
@@ -1080,57 +1031,44 @@ def tv_bounds(q: WalkQuery, A: BoundInterval) -> tuple[TVUpper, float]:
 
 @dataclass(frozen=True)
 class ProfileRow:
+    """The series interval ``A``, its TV upper bound ``tv`` and the lower
+    bound ``tv_lower`` after ``k`` steps."""
+
     k: float
-    tv_upper_lo: float
-    tv_upper_hi: float
+    A: BoundInterval
+    tv: TVUpper
     tv_lower: float
-    certified: bool
-    log_partial: float
-    log_tail: float
-    hypotheses: tuple[tuple[str, bool], ...]
 
 
 @dataclass(frozen=True)
 class ProfileResult:
     rows: tuple[ProfileRow, ...]
     monotone_upper: bool
-    notes: tuple[str, ...]
 
 
 def cutoff_profile(
     q: WalkQuery, k_grid: Sequence[float], tc: TruncationConfig | None = None
 ) -> ProfileResult:
-    """One row per k in the grid; the k field of ``q`` is ignored.
+    """One row per k in the grid: the walk's distance profile.
 
-    The series intervals of all rows come from one engine pass.  The
+    The series intervals of all rows come from one engine pass.  A
+    certified lower bound above the certified upper bound (beyond a 1e-12
+    rounding slack) is a defect, not a result: it raises RuntimeError.  The
     certified upper bound is non-increasing in k whenever every coefficient
     has modulus <= 1; this is checked on the output (with a 1e-12 slack for
     rounding) and reported in ``monotone_upper``.
     """
     if len(k_grid) == 0:
         raise ValueError("k grid must be nonempty")
-    queries = [q.with_k(float(k)) for k in k_grid]
-    rows: list[ProfileRow] = []
-    for qk, A in zip(queries, A_k_grid(q, [qk.k for qk in queries], tc)):
-        tv, lower = tv_bounds(qk, A)
-        rows.append(
-            ProfileRow(
-                k=qk.k,
-                tv_upper_lo=tv.lower_info,
-                tv_upper_hi=tv.upper,
-                tv_lower=lower,
-                certified=tv.certified,
-                log_partial=A.log_partial,
-                log_tail=A.log_tail,
-                hypotheses=A.hypotheses,
+    ks = [float(k) for k in k_grid]
+    rows = []
+    for k, A in zip(ks, A_k_grid(q, ks, tc)):
+        tv, lower = tv_upper_from_A(A), tv_lower(q, k)
+        if tv.certified and lower > tv.upper + 1e-12:
+            raise RuntimeError(
+                f"internal inconsistency at k={k!r}: certified lower bound "
+                f"{lower!r} exceeds certified upper bound {tv.upper!r}"
             )
-        )
-    monotone = True
-    prev_hi: float | None = None
-    for row in rows:
-        if prev_hi is not None and row.certified and row.tv_upper_hi > prev_hi + 1e-12:
-            monotone = False
-        if row.certified:
-            prev_hi = row.tv_upper_hi
-    notes = () if monotone else ("certified upper bound failed to be non-increasing along the grid",)
-    return ProfileResult(tuple(rows), monotone, notes)
+        rows.append(ProfileRow(k, A, tv, lower))
+    his = [row.tv.upper for row in rows if row.tv.certified]
+    return ProfileResult(tuple(rows), all(b <= a + 1e-12 for a, b in zip(his, his[1:])))

@@ -6,8 +6,8 @@ Commands:
 - ``profile``: one row per step count k over a grid given by --k, --c,
   --k-range or --c-range (c maps to k = N ln N / rate + c N, where rate is
   tau, 1 - cos(theta), or 2 depending on the family);
-- ``bound``: a single JSON record with the series interval, certificate
-  hypotheses, and both TV bounds;
+- ``bound``: the one-point profile, as a JSON record with the series
+  interval, certificate hypotheses, and both TV bounds;
 - ``thresholds``: the closed-form constants C, D, Q and nominal cutoffs;
 - ``moments``: circle-measure moments m_eps and lambda-moments;
 - ``verify``: the inequality suites with negative controls.
@@ -30,7 +30,6 @@ from typing import Sequence
 
 from .bounds import (
     MAX_K,
-    A_k_for_query,
     ParameterError,
     TruncationConfig,
     WalkQuery,
@@ -38,7 +37,6 @@ from .bounds import (
     threshold_C,
     threshold_D,
     threshold_Q,
-    tv_bounds,
     wreath_certificate_threshold,
     cutoff_profile,
     default_truncation,
@@ -108,8 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--round-k", action="store_true", help="round each k to the nearest integer")
             p.add_argument("--max-p", type=int)
             p.add_argument("--max-total", type=int)
-            p.add_argument("--tail-mode", default="geometric-certificate",
-                           choices=["geometric-certificate", "none"])
 
     p_profile = sub.add_parser("profile", help="cutoff profile over a k grid")
     add_common(p_profile, with_walk=True)
@@ -173,7 +169,7 @@ def _parse_nu(source: str, N: int | None) -> CircleMeasure:
     if source == "porod":
         if N is None:
             raise CliError("--nu porod needs --N")
-        with _flag_input("--nu"):
+        with _flag_input("--N"):
             return CircleMeasure.porod(N)
     if source.startswith("delta:"):
         with _flag_input("--nu"):
@@ -253,14 +249,14 @@ def _float_grid(spec: str, flag: str) -> list[float]:
 
 
 def _build_query(args: argparse.Namespace) -> tuple[WalkQuery, list[float]]:
-    """The walk at k = 0 and its k grid.  WalkQuery checks the walk flags
+    """The walk and its k grid.  WalkQuery checks the walk flags
     (an invalid or unread one raises ParameterError naming its field), so
     only the flags that exist in the CLI alone, --k, --c, --k-range and
     --c-range, are checked here."""
     N = args.N
     group = None if args.group is None else _parse_group(args.group)
     q = WalkQuery(
-        _FAMILY_TOKENS[args.family], N, 0.0, tau=args.tau, theta=args.theta,
+        _FAMILY_TOKENS[args.family], N, tau=args.tau, theta=args.theta,
         nu=None if args.nu is None else _parse_nu(args.nu, N), group=group,
         psi=None if args.psi is None else _parse_psi(args.psi, group),
     )
@@ -299,7 +295,7 @@ def _truncation_for(args: argparse.Namespace, family: str) -> TruncationConfig:
     base = default_truncation(family)
     max_p = args.max_p if args.max_p is not None else base.max_p
     max_total = args.max_total if args.max_total is not None else base.max_total
-    return TruncationConfig(max_p=max_p, max_total=max_total, tail_mode=args.tail_mode)
+    return TruncationConfig(max_p=max_p, max_total=max_total)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -308,7 +304,7 @@ def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8") as fh:
+        with _flag_input("--output"), open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
@@ -338,7 +334,6 @@ def _config_lines(q: WalkQuery, args: argparse.Namespace, tc: TruncationConfig) 
         items.append(("group_order", q.group.order))
     items.append(("truncation_max_p", tc.max_p))
     items.append(("truncation_max_total", tc.max_total))
-    items.append(("tail_mode", tc.tail_mode))
     items.append(("nominal_cutoff", nominal_cutoff(q)))
     if q.tau is not None:
         items.append(("threshold_C", threshold_C(q.tau)))
@@ -358,50 +353,33 @@ def _json_float(v: float) -> float | str:
     return v
 
 
-def _hyp_str(hyps: tuple[tuple[str, bool], ...]) -> str:
-    return ";".join(f"{name}={_fmt(ok)}" for name, ok in hyps)
-
-
 def cmd_profile(args: argparse.Namespace) -> int:
     q, ks = _build_query(args)
     tc = _truncation_for(args, q.family)
     result = cutoff_profile(q, ks, tc)
     meta = _config_lines(q, args, tc) + [("monotone_upper", result.monotone_upper)]
-    for note in result.notes:
-        meta.append(("note", note))
+    if not result.monotone_upper:
+        meta.append(("note", "certified upper bound failed to be non-increasing along the grid"))
+    rows = [
+        {
+            "k": row.k,
+            "tv_upper_lo": row.tv.lower_info,
+            "tv_upper_hi": row.tv.upper,
+            "tv_lower": row.tv_lower,
+            "certified": row.tv.certified,
+            "hypotheses": {name: ok for name, ok in row.A.hypotheses},
+        }
+        for row in result.rows
+    ]
     if args.fmt == "csv":
         lines = [f"# {key}={_fmt(val)}" for key, val in meta]
-        lines.append("k,tv_upper_lo,tv_upper_hi,tv_lower,certified,hypotheses")
-        for row in result.rows:
-            lines.append(
-                ",".join(
-                    [
-                        repr(row.k),
-                        repr(row.tv_upper_lo),
-                        repr(row.tv_upper_hi),
-                        repr(row.tv_lower),
-                        _fmt(row.certified),
-                        _hyp_str(row.hypotheses),
-                    ]
-                )
-            )
+        lines.append(",".join(rows[0]))
+        for doc in rows:
+            hyps = ";".join(f"{name}={_fmt(ok)}" for name, ok in doc.pop("hypotheses").items())
+            lines.append(",".join([*map(_fmt, doc.values()), hyps]))
         _emit("\n".join(lines), args.output)
     else:
-        doc = {
-            "config": {key: val for key, val in meta},
-            "rows": [
-                {
-                    "k": row.k,
-                    "tv_upper_lo": row.tv_upper_lo,
-                    "tv_upper_hi": row.tv_upper_hi,
-                    "tv_lower": row.tv_lower,
-                    "certified": row.certified,
-                    "hypotheses": {name: ok for name, ok in row.hypotheses},
-                }
-                for row in result.rows
-            ],
-        }
-        _emit(json.dumps(doc, indent=2, allow_nan=False), args.output)
+        _emit(json.dumps({"config": dict(meta), "rows": rows}, indent=2, allow_nan=False), args.output)
     return 0
 
 
@@ -410,12 +388,11 @@ def cmd_bound(args: argparse.Namespace) -> int:
     if len(ks) != 1:
         raise CliError("bound needs a single k (--k or --c)")
     tc = _truncation_for(args, q.family)
-    qk = q.with_k(ks[0])
-    A = A_k_for_query(qk, tc)
-    tv, lower = tv_bounds(qk, A)
+    row = cutoff_profile(q, ks, tc).rows[0]
+    A, tv = row.A, row.tv
     doc = {
-        "config": {key: val for key, val in _config_lines(q, args, tc)},
-        "k": qk.k,
+        "config": dict(_config_lines(q, args, tc)),
+        "k": row.k,
         "A_partial": _json_float(A.partial),
         "A_tail": _json_float(A.tail),
         "A_log_partial": _json_float(A.log_partial),
@@ -427,7 +404,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         "tv_upper_lo": tv.lower_info,
         "tv_upper_hi": tv.upper,
         "tv_clamped": tv.clamped,
-        "tv_lower": lower,
+        "tv_lower": row.tv_lower,
     }
     _emit(json.dumps(doc, indent=2, allow_nan=False), args.output)
     return 0
@@ -533,7 +510,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "negative_controls": control_reports,
             "all_pass": all_ok and controls_ok,
         }
-        with open(args.report, "w", encoding="utf-8") as fh:
+        with _flag_input("--report"), open(args.report, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return 0 if (all_ok and controls_ok) else 1
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -262,6 +263,8 @@ class CircleMeasure:
     def porod(cls, N: int) -> "CircleMeasure":
         if N < 2:
             raise ValueError("N must be >= 2")
+        if N > sys.float_info.max:
+            raise ValueError("N must fit a float: the moments are formed from float(N)")
         return cls("porod", N=N)
 
     def point_mass_weight(self) -> float | None:

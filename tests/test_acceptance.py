@@ -14,7 +14,7 @@ import pytest
 from qgcutoff.bounds import (
     DEFAULT_TRUNCATION,
     MIXTURE_DEFAULT_TRUNCATION,
-    A_k_for_query,
+    A_k_grid,
     TruncationConfig,
     WalkQuery,
     threshold_C,
@@ -41,7 +41,7 @@ def test_criterion_1_unitary_closed_bound_domination():
     t0 = time.perf_counter()
     N, tau, c = 20, 2.0, 1.0
     k = N * math.log(N) / tau + c * N
-    A = A_k_for_query(WalkQuery.unitary(N, tau, k), DEFAULT_TRUNCATION)
+    A = A_k_grid(WalkQuery.unitary(N, tau), [k], DEFAULT_TRUNCATION)[0]
     tv = tv_upper_from_A(A)
     elapsed = time.perf_counter() - t0
     a_target = 2.0 * math.exp(-4.0) / (1.0 - 2.0 * math.exp(-4.0))
@@ -64,8 +64,8 @@ def test_criterion_2_cutoff_shape_large_N():
     t0 = time.perf_counter()
     N, tau = 30000, 2.0
     cutoff = N * math.log(N) / 2.0
-    lo = tv_lower(WalkQuery.unitary(N, tau, cutoff - 5.0 * N))
-    A = A_k_for_query(WalkQuery.unitary(N, tau, cutoff + 5.0 * N), DEFAULT_TRUNCATION)
+    lo = tv_lower(WalkQuery.unitary(N, tau), cutoff - 5.0 * N)
+    A = A_k_grid(WalkQuery.unitary(N, tau), [cutoff + 5.0 * N], DEFAULT_TRUNCATION)[0]
     hi = tv_upper_from_A(A).upper
     elapsed = time.perf_counter() - t0
     ok = lo >= 0.98 and A.certified and hi <= 2e-4 and elapsed < 10.0
@@ -80,17 +80,17 @@ def test_criterion_2_cutoff_shape_large_N():
 def test_criterion_3_oracle_equivalence():
     N, tau, k = 12, 2.0, 30.0
     # unitary, independent word-by-word route
-    got_u = A_k_for_query(
-        WalkQuery.unitary(N, tau, k), TruncationConfig(max_p=5, max_total=10)
-    ).log_partial
+    got_u = A_k_grid(
+        WalkQuery.unitary(N, tau), [k], TruncationConfig(max_p=5, max_total=10)
+    )[0].log_partial
     want_u = unitary_log_partial(N, N - tau, CircleMeasure.delta(0.0), k, 10, 5)
     rel_u = abs(got_u - want_u)
     # wreath over Z_2
     g2 = cyclic_group(2)
     psi = trivial_state(g2)
-    got_w = A_k_for_query(
-        WalkQuery.wreath(N, tau, k, g2, psi), TruncationConfig(max_p=4, max_total=10)
-    ).log_partial
+    got_w = A_k_grid(
+        WalkQuery.wreath(N, tau, g2, psi), [k], TruncationConfig(max_p=4, max_total=10)
+    )[0].log_partial
     want_w = wreath_log_partial(N, tau, g2, psi, k, 10, 4)
     rel_w = abs(got_w - want_w)
     # nested-truncation containment on 20 deterministic random parameter sets
@@ -108,16 +108,16 @@ def test_criterion_3_oracle_equivalence():
             if Np - taup <= threshold_C(taup) + taup:
                 continue
             kk = Np * math.log(Np) / taup + c * Np
-            q = WalkQuery.unitary(Np, taup, kk)
-            coarse = A_k_for_query(q, TruncationConfig(max_p=P1, max_total=M1))
-            fine = A_k_for_query(q, TruncationConfig(max_p=P2, max_total=M2))
+            q = WalkQuery.unitary(Np, taup)
+            coarse = A_k_grid(q, [kk], TruncationConfig(max_p=P1, max_total=M1))[0]
+            fine = A_k_grid(q, [kk], TruncationConfig(max_p=P2, max_total=M2))[0]
         else:
             Np = int(rng.integers(28, 80))
             gg = cyclic_group(int(rng.integers(2, 4)))
             kk = Np * math.log(Np) / 2.0 + c * Np
-            q = WalkQuery.wreath(Np, 2.0, kk, gg, trivial_state(gg))
-            coarse = A_k_for_query(q, TruncationConfig(max_p=P1, max_total=M1))
-            fine = A_k_for_query(q, TruncationConfig(max_p=P2, max_total=M2))
+            q = WalkQuery.wreath(Np, 2.0, gg, trivial_state(gg))
+            coarse = A_k_grid(q, [kk], TruncationConfig(max_p=P1, max_total=M1))[0]
+            fine = A_k_grid(q, [kk], TruncationConfig(max_p=P2, max_total=M2))[0]
         if not coarse.certified:
             continue
         if not (
@@ -152,7 +152,7 @@ def test_criterion_5_wreath_bound_chain():
     psi = trivial_state(g3)
     N, tau, c = 30, 2.0, 1.0
     k = N * math.log(N) / tau + c * N
-    A = A_k_for_query(WalkQuery.wreath(N, tau, k, g3, psi), DEFAULT_TRUNCATION)
+    A = A_k_grid(WalkQuery.wreath(N, tau, g3, psi), [k], DEFAULT_TRUNCATION)[0]
     tv = tv_upper_from_A(A)
     a_target = (math.exp(-4.0) / (1.0 - math.exp(-4.0))) * (1.0 + math.sqrt(3.0))
     tv_target = math.exp(-2.0) * math.sqrt(1.0 + math.sqrt(3.0)) / math.sqrt(1.0 - math.exp(-4.0))
@@ -186,7 +186,7 @@ def test_criterion_6_mixture_chain():
     t0 = time.perf_counter()
     N, c = 100, 6.0
     k = N * math.log(N) / 2.0 + c * N
-    A = A_k_for_query(WalkQuery.mixture(N, k), MIXTURE_DEFAULT_TRUNCATION)
+    A = A_k_grid(WalkQuery.mixture(N), [k], MIXTURE_DEFAULT_TRUNCATION)[0]
     a_target = 2.0 * math.exp(-2.0) / (1.0 - 2.0 * math.exp(-2.0))
     upper_ok = A.certified and A.partial + A.tail <= a_target
 

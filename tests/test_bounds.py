@@ -11,7 +11,8 @@ import pytest
 from qgcutoff.bounds import (
     DEFAULT_TRUNCATION,
     MIXTURE_DEFAULT_TRUNCATION,
-    A_k_for_query,
+    MAX_K,
+    A_k_grid,
     TruncationConfig,
     WalkQuery,
     cutoff_profile,
@@ -76,11 +77,11 @@ def test_threshold_Q_values():
 
 
 def test_nominal_cutoff():
-    q = WalkQuery.unitary(20, 2.0, 0.0)
+    q = WalkQuery.unitary(20, 2.0)
     assert nominal_cutoff(q) == pytest.approx(20.0 * math.log(20.0) / 2.0)
-    qe = WalkQuery.eval_point(20, math.pi, 0.0)
+    qe = WalkQuery.eval_point(20, math.pi)
     assert nominal_cutoff(qe) == pytest.approx(20.0 * math.log(20.0) / 2.0)
-    qm = WalkQuery.mixture(20, 0.0)
+    qm = WalkQuery.mixture(20)
     assert nominal_cutoff(qm) == pytest.approx(20.0 * math.log(20.0) / 2.0)
 
 
@@ -91,8 +92,8 @@ def test_nominal_cutoff():
 def test_unitary_partial_matches_oracle_delta():
     N, tau, k = 12, 2.0, 4.0
     tc = TruncationConfig(max_p=5, max_total=10)
-    q = WalkQuery.unitary(N, tau, k)
-    got = A_k_for_query(q, tc).log_partial
+    q = WalkQuery.unitary(N, tau)
+    got = A_k_grid(q, [k], tc)[0].log_partial
     want = unitary_log_partial(N, N - tau, CircleMeasure.delta(0.0), k, 10, 5)
     assert got == pytest.approx(want, abs=1e-9)
 
@@ -102,8 +103,8 @@ def test_unitary_partial_matches_oracle_atomic():
     N, k = 12, 3.5
     nu = CircleMeasure.atomic([(0.0, 0.6), (2.0, 0.4)])
     tc = TruncationConfig(max_p=4, max_total=9)
-    q = WalkQuery("unitary-free", N, k, tau=2.0, nu=nu)
-    got = A_k_for_query(q, tc).log_partial
+    q = WalkQuery("unitary-free", N, tau=2.0, nu=nu)
+    got = A_k_grid(q, [k], tc)[0].log_partial
     want = unitary_log_partial(N, 10.0, nu, k, 9, 4)
     assert got == pytest.approx(want, abs=1e-9)
 
@@ -112,8 +113,8 @@ def test_unitary_partial_matches_oracle_k_zero():
     # k = 0 collapses every coefficient power to 1: partial = sum of dim^2
     N = 12
     tc = TruncationConfig(max_p=3, max_total=6)
-    q = WalkQuery.unitary(N, 2.0, 0.0)
-    got = A_k_for_query(q, tc).log_partial
+    q = WalkQuery.unitary(N, 2.0)
+    got = A_k_grid(q, [0.0], tc)[0].log_partial
     want = unitary_log_partial(N, 10.0, CircleMeasure.delta(0.0), 0.0, 6, 3)
     assert got == pytest.approx(want, abs=1e-9)
 
@@ -121,18 +122,19 @@ def test_unitary_partial_matches_oracle_k_zero():
 @pytest.mark.parametrize(
     "query, t, nu",
     [
-        # nonzero angle: every |m_eps| = 1 but the moments themselves differ
-        (WalkQuery.unitary(12, 2.0, 4.0, CircleMeasure.delta(1.7)), 10.0, CircleMeasure.delta(1.7)),
-        (WalkQuery.eval_point(15, 1.1, 9.0),) + eval_state_params(15, 1.1),
+        # (walk, k) pairs; nonzero angle: every |m_eps| = 1 but the moments themselves differ
+        ((WalkQuery.unitary(12, 2.0, CircleMeasure.delta(1.7)), 4.0), 10.0, CircleMeasure.delta(1.7)),
+        ((WalkQuery.eval_point(15, 1.1), 9.0),) + eval_state_params(15, 1.1),
         # t = 1: u_2(1) = 0, so words with a 2-block vanish for k > 0 only
-        (WalkQuery.unitary(3, 2.0, 2.0), 1.0, CircleMeasure.delta(0.0)),
-        (WalkQuery.unitary(3, 2.0, 0.0), 1.0, CircleMeasure.delta(0.0)),
+        ((WalkQuery.unitary(3, 2.0), 2.0), 1.0, CircleMeasure.delta(0.0)),
+        ((WalkQuery.unitary(3, 2.0), 0.0), 1.0, CircleMeasure.delta(0.0)),
     ],
 )
 def test_point_mass_partial_matches_oracle(query, t, nu):
+    walk, k = query
     tc = TruncationConfig(max_p=4, max_total=9)
-    got = A_k_for_query(query, tc).log_partial
-    want = unitary_log_partial(query.N, t, nu, query.k, 9, 4)
+    got = A_k_grid(walk, [k], tc)[0].log_partial
+    want = unitary_log_partial(walk.N, t, nu, k, 9, 4)
     assert math.isfinite(got)
     assert got == pytest.approx(want, abs=1e-9)
 
@@ -142,8 +144,8 @@ def test_wreath_partial_matches_oracle_trivial_state():
     g = cyclic_group(2)
     psi = trivial_state(g)
     tc = TruncationConfig(max_p=4, max_total=10)
-    q = WalkQuery.wreath(N, tau, k, g, psi)
-    got = A_k_for_query(q, tc).log_partial
+    q = WalkQuery.wreath(N, tau, g, psi)
+    got = A_k_grid(q, [k], tc)[0].log_partial
     want = wreath_log_partial(N, tau, g, psi, k, 10, 4)
     assert got == pytest.approx(want, abs=1e-9)
 
@@ -153,8 +155,8 @@ def test_wreath_partial_matches_oracle_nontrivial_state():
     g = cyclic_group(2)
     psi = GroupState.from_values(g, [1.0, 0.5])
     tc = TruncationConfig(max_p=4, max_total=10)
-    q = WalkQuery.wreath(N, tau, k, g, psi)
-    got = A_k_for_query(q, tc).log_partial
+    q = WalkQuery.wreath(N, tau, g, psi)
+    got = A_k_grid(q, [k], tc)[0].log_partial
     want = wreath_log_partial(N, tau, g, psi, k, 10, 4)
     assert got == pytest.approx(want, abs=1e-9)
 
@@ -164,8 +166,8 @@ def test_wreath_partial_matches_oracle_z3():
     g = cyclic_group(3)
     psi = trivial_state(g)
     tc = TruncationConfig(max_p=3, max_total=8)
-    q = WalkQuery.wreath(N, tau, k, g, psi)
-    got = A_k_for_query(q, tc).log_partial
+    q = WalkQuery.wreath(N, tau, g, psi)
+    got = A_k_grid(q, [k], tc)[0].log_partial
     want = wreath_log_partial(N, tau, g, psi, k, 8, 3)
     assert got == pytest.approx(want, abs=1e-9)
 
@@ -173,15 +175,15 @@ def test_wreath_partial_matches_oracle_z3():
 def test_wreath_partial_empty_truncation():
     # max_total = 1 admits no wreath word: the partial is an empty sum
     g = cyclic_group(2)
-    q = WalkQuery.wreath(40, 2.0, 30.0, g, trivial_state(g))
-    assert A_k_for_query(q, TruncationConfig(max_p=1, max_total=1)).log_partial == -math.inf
+    q = WalkQuery.wreath(40, 2.0, g, trivial_state(g))
+    assert A_k_grid(q, [30.0], TruncationConfig(max_p=1, max_total=1))[0].log_partial == -math.inf
 
 
 def test_mixture_partial_matches_oracle():
     # the engine's exact rule vs a per-word Gauss-Legendre quadrature
     N, k = 12, 6.0
     tc = TruncationConfig(max_p=2, max_total=4)
-    got = A_k_for_query(WalkQuery.mixture(N, k), tc).log_partial
+    got = A_k_grid(WalkQuery.mixture(N), [k], tc)[0].log_partial
     want = mixture_log_partial(N, k, 4, 2, quad_points=512)
     assert got == pytest.approx(want, abs=1e-8)
 
@@ -242,7 +244,7 @@ def test_mixture_partial_at_large_N_matches_30_digit_integral(N):
     # 0.0043 at 1e7, which put the partial off by about 1e6 and 1e9; the
     # exact rule is off by its rounding times 2k (3e-7 at N = 1e7)
     k = N * math.log(N) / 2 + N
-    got = A_k_for_query(WalkQuery.mixture(N, k), TruncationConfig(max_p=1, max_total=2)).log_partial
+    got = A_k_grid(WalkQuery.mixture(N), [k], TruncationConfig(max_p=1, max_total=2))[0].log_partial
     assert got == pytest.approx(_mixture_log_partial_30_digits(N, k, 2, 1), abs=1e-6)
 
 
@@ -253,11 +255,11 @@ def test_eval_family_routes_to_central_state():
 
     N, theta, k = 15, 1.1, 9.0
     tc = TruncationConfig(max_p=4, max_total=12)
-    qe = WalkQuery.eval_point(N, theta, k)
+    qe = WalkQuery.eval_point(N, theta)
     t, nu = eval_state_params(N, theta)
-    qf = WalkQuery("unitary-free", N, k, tau=N - t, nu=nu)
-    a = A_k_for_query(qe, tc)
-    b = A_k_for_query(qf, tc)
+    qf = WalkQuery("unitary-free", N, tau=N - t, nu=nu)
+    a = A_k_grid(qe, [k], tc)[0]
+    b = A_k_grid(qf, [k], tc)[0]
     assert a.log_partial == pytest.approx(b.log_partial, abs=1e-12)
 
 
@@ -338,7 +340,7 @@ def test_porod_bound_at_large_N_matches_50_digit_moments(capsys, N, tv_upper_hi)
 
 def test_point_mass_shortcut_equals_parity_partial():
     # delta:1.7 takes the convolution-power shortcut; every |m_e| = 1
-    q = WalkQuery.unitary(40, 2.0, 0.0, CircleMeasure.delta(1.7))
+    q = WalkQuery.unitary(40, 2.0, CircleMeasure.delta(1.7))
     ks = [0.0, 0.5, 1.0, 30.0, 200.0, 1e300]
     for M, P in [(1, 1), (6, 3), (48, 12)]:
         tc = TruncationConfig(max_p=P, max_total=M)
@@ -386,25 +388,18 @@ def test_log_conv_matches_naive_double_loop(monkeypatch, K, block_terms):
 
 
 def test_tail_positive_and_certified():
-    q = WalkQuery.unitary(20, 2.0, 60.0)
-    A = A_k_for_query(q, DEFAULT_TRUNCATION)
+    q = WalkQuery.unitary(20, 2.0)
+    A = A_k_grid(q, [60.0], DEFAULT_TRUNCATION)[0]
     assert A.certified
     assert 0.0 < A.tail < A.partial
     assert A.upper == pytest.approx(A.partial + A.tail)
 
 
-def test_tail_mode_none():
-    q = WalkQuery.unitary(20, 2.0, 60.0)
-    A = A_k_for_query(q, TruncationConfig(max_p=8, max_total=20, tail_mode="none"))
-    assert not A.certified
-    assert A.tail == math.inf  # unknown remainder
-
-
 def test_certificate_contains_refined_partial_unitary():
     # coarse certified interval must contain the partial of a finer truncation
-    q = WalkQuery.unitary(15, 2.0, 40.0)  # past the cutoff ~20.3
-    coarse = A_k_for_query(q, TruncationConfig(max_p=6, max_total=12))
-    fine = A_k_for_query(q, TruncationConfig(max_p=12, max_total=24))
+    q = WalkQuery.unitary(15, 2.0)  # past the cutoff ~20.3
+    coarse = A_k_grid(q, [40.0], TruncationConfig(max_p=6, max_total=12))[0]
+    fine = A_k_grid(q, [40.0], TruncationConfig(max_p=12, max_total=24))[0]
     assert coarse.certified
     assert coarse.log_partial <= fine.log_partial + 1e-12
     assert math.exp(fine.log_partial) <= coarse.upper * (1.0 + 1e-12)
@@ -412,18 +407,18 @@ def test_certificate_contains_refined_partial_unitary():
 
 def test_certificate_contains_refined_partial_wreath():
     g = cyclic_group(3)
-    q = WalkQuery.wreath(30, 2.0, 80.0, g, trivial_state(g))  # cutoff ~51
-    coarse = A_k_for_query(q, TruncationConfig(max_p=6, max_total=12))
-    fine = A_k_for_query(q, TruncationConfig(max_p=12, max_total=24))
+    q = WalkQuery.wreath(30, 2.0, g, trivial_state(g))  # cutoff ~51
+    coarse = A_k_grid(q, [80.0], TruncationConfig(max_p=6, max_total=12))[0]
+    fine = A_k_grid(q, [80.0], TruncationConfig(max_p=12, max_total=24))[0]
     assert coarse.certified
     assert coarse.log_partial <= fine.log_partial + 1e-12
     assert math.exp(fine.log_partial) <= coarse.upper * (1.0 + 1e-12)
 
 
 def test_certificate_contains_refined_partial_mixture():
-    q = WalkQuery.mixture(20, 50.0)
-    coarse = A_k_for_query(q, TruncationConfig(max_p=5, max_total=10))
-    fine = A_k_for_query(q, TruncationConfig(max_p=7, max_total=14))
+    q = WalkQuery.mixture(20)
+    coarse = A_k_grid(q, [50.0], TruncationConfig(max_p=5, max_total=10))[0]
+    fine = A_k_grid(q, [50.0], TruncationConfig(max_p=7, max_total=14))[0]
     assert coarse.certified
     assert coarse.log_partial <= fine.log_partial + 1e-12
     assert math.exp(fine.log_partial) <= coarse.upper * (1.0 + 1e-12)
@@ -436,7 +431,7 @@ def test_certificate_contains_refined_partial_mixture():
 def test_unitary_tail_bounds_the_excluded_words(N, tau, k, max_total, max_p):
     # the certificate is at least the majorant summed word class by word
     # class over the complement, and close to it
-    A = A_k_for_query(WalkQuery.unitary(N, tau, k), TruncationConfig(max_p=max_p, max_total=max_total))
+    A = A_k_grid(WalkQuery.unitary(N, tau), [k], TruncationConfig(max_p=max_p, max_total=max_total))[0]
     want = unitary_tail_majorant(N, tau, k, max_total, max_p)
     assert A.certified
     assert want - 1e-12 <= A.log_tail <= want + 1e-3
@@ -456,7 +451,7 @@ def test_wreath_tail_bounds_the_excluded_words(N, tau, k, max_total, max_p, valu
     # piece covers every excluded wreath word's majorant
     g = cyclic_group(3)
     psi = GroupState.from_values(g, values)
-    A = A_k_for_query(WalkQuery.wreath(N, tau, k, g, psi), TruncationConfig(max_p=max_p, max_total=max_total))
+    A = A_k_grid(WalkQuery.wreath(N, tau, g, psi), [k], TruncationConfig(max_p=max_p, max_total=max_total))[0]
     want = wreath_tail_majorant(N, tau, g, psi, k, max_total, max_p)
     assert A.certified
     assert want - 1e-12 <= A.log_tail <= want + 1e-3
@@ -483,17 +478,17 @@ def test_nested_truncation_containment_random():
             if N - tau <= threshold_C(tau) + tau:
                 continue
             k = N * math.log(N) / tau + c * N
-            q = WalkQuery.unitary(N, tau, k)
-            coarse = A_k_for_query(q, TruncationConfig(max_p=P1, max_total=M1))
-            fine = A_k_for_query(q, TruncationConfig(max_p=P2, max_total=M2))
+            q = WalkQuery.unitary(N, tau)
+            coarse = A_k_grid(q, [k], TruncationConfig(max_p=P1, max_total=M1))[0]
+            fine = A_k_grid(q, [k], TruncationConfig(max_p=P2, max_total=M2))[0]
         else:
             N = int(rng.integers(28, 80))
             tau = 2.0
             g = cyclic_group(int(rng.integers(2, 4)))
             k = N * math.log(N) / tau + c * N
-            q = WalkQuery.wreath(N, tau, k, g, trivial_state(g))
-            coarse = A_k_for_query(q, TruncationConfig(max_p=P1, max_total=M1))
-            fine = A_k_for_query(q, TruncationConfig(max_p=P2, max_total=M2))
+            q = WalkQuery.wreath(N, tau, g, trivial_state(g))
+            coarse = A_k_grid(q, [k], TruncationConfig(max_p=P1, max_total=M1))[0]
+            fine = A_k_grid(q, [k], TruncationConfig(max_p=P2, max_total=M2))[0]
         if not coarse.certified:
             continue
         assert coarse.log_partial <= fine.log_partial + 1e-12
@@ -512,31 +507,31 @@ def test_nested_truncation_containment_random():
 
 
 def test_uncertified_small_k():
-    q = WalkQuery.unitary(20, 2.0, 0.5)
-    A = A_k_for_query(q, DEFAULT_TRUNCATION)
+    q = WalkQuery.unitary(20, 2.0)
+    A = A_k_grid(q, [0.5], DEFAULT_TRUNCATION)[0]
     assert not A.certified
     assert dict(A.hypotheses)["k >= 1"] is False
 
 
 def test_uncertified_tau_too_close_to_N():
-    q = WalkQuery.unitary(10, 8.5, 20.0)  # N - tau = 1.5 <= 2
-    A = A_k_for_query(q, DEFAULT_TRUNCATION)
+    q = WalkQuery.unitary(10, 8.5)  # N - tau = 1.5 <= 2
+    A = A_k_grid(q, [20.0], DEFAULT_TRUNCATION)[0]
     assert not A.certified
     assert dict(A.hypotheses)["N - tau > 2"] is False
 
 
 def test_uncertified_wreath_small_tau():
     g = cyclic_group(2)
-    q = WalkQuery.wreath(40, 1.5, 20.0, g, trivial_state(g))
-    A = A_k_for_query(q, DEFAULT_TRUNCATION)
+    q = WalkQuery.wreath(40, 1.5, g, trivial_state(g))
+    A = A_k_grid(q, [20.0], DEFAULT_TRUNCATION)[0]
     assert not A.certified
     assert dict(A.hypotheses)["tau > 7/4"] is False
 
 
 def test_uncertified_wreath_below_threshold():
     g = cyclic_group(2)
-    q = WalkQuery.wreath(20, 2.0, 20.0, g, trivial_state(g))  # 20 < 186/7
-    A = A_k_for_query(q, DEFAULT_TRUNCATION)
+    q = WalkQuery.wreath(20, 2.0, g, trivial_state(g))  # 20 < 186/7
+    A = A_k_grid(q, [20.0], DEFAULT_TRUNCATION)[0]
     assert not A.certified
     assert dict(A.hypotheses)["N >= Q(tau)/(4 tau - 7)"] is False
 
@@ -544,8 +539,8 @@ def test_uncertified_wreath_below_threshold():
 def test_recorded_only_hypothesis_does_not_block():
     # the unitary C(tau) condition is recorded but the numeric ratio checks
     # decide certification
-    q = WalkQuery.unitary(6, 2.8, 25.0)  # N < tau + C(tau) = 6.159...
-    A = A_k_for_query(q, DEFAULT_TRUNCATION)
+    q = WalkQuery.unitary(6, 2.8)  # N < tau + C(tau) = 6.159...
+    A = A_k_grid(q, [25.0], DEFAULT_TRUNCATION)[0]
     hyps = dict(A.hypotheses)
     assert hyps["N >= tau + C(tau) [recorded]"] is False
     assert A.certified  # numeric ratios still hold at this k
@@ -562,8 +557,6 @@ def test_tv_upper_from_A_values():
         lp = math.log(partial) if partial > 0 else -math.inf
         lt = math.log(tail) if tail > 0 else -math.inf
         return BoundInterval(
-            partial=partial,
-            tail=tail,
             terms_used=1,
             certificate="",
             certified=True,
@@ -583,10 +576,16 @@ def test_tv_upper_from_A_values():
     tv_big = tv_upper_from_A(mk(400.0, 4.0))
     assert tv_big.upper == 1.0 and tv_big.clamped
 
+    # partial and tail are the exponentials of the logs, infinite from e^700 on
+    A = mk(0.04, 0.0004)
+    assert (A.partial, A.tail) == (math.exp(math.log(0.04)), math.exp(math.log(0.0004)))
+    huge = BoundInterval(1, "", True, (), 700.0, -math.inf)
+    assert (huge.partial, huge.tail) == (math.inf, 0.0)
+
 
 def test_tv_upper_uncertified_clamps_to_one():
-    q = WalkQuery.unitary(20, 2.0, 0.5)  # k < 1: no certificate
-    A = A_k_for_query(q, DEFAULT_TRUNCATION)
+    q = WalkQuery.unitary(20, 2.0)  # k < 1: no certificate
+    A = A_k_grid(q, [0.5], DEFAULT_TRUNCATION)[0]
     tv = tv_upper_from_A(A)
     assert tv.upper == 1.0
     assert tv.clamped
@@ -604,24 +603,24 @@ def test_tv_lower_chebyshev():
 
 def test_tv_lower_wreath_k_zero():
     g = cyclic_group(2)
-    q = WalkQuery.wreath(10, 2.0, 0.0, g, trivial_state(g))
+    q = WalkQuery.wreath(10, 2.0, g, trivial_state(g))
     # witness expectation at k = 0 is N - 1 = 9: bound is 1 - 40/81
-    assert tv_lower(q) == pytest.approx(1.0 - 40.0 / 81.0, rel=1e-12)
+    assert tv_lower(q, 0.0) == pytest.approx(1.0 - 40.0 / 81.0, rel=1e-12)
 
 
 def test_tv_lower_vanishes_at_large_k():
-    q = WalkQuery.unitary(20, 2.0, 1e5)
-    assert tv_lower(q) == 0.0
+    q = WalkQuery.unitary(20, 2.0)
+    assert tv_lower(q, 1e5) == 0.0
     g = cyclic_group(2)
-    qw = WalkQuery.wreath(30, 2.0, 1e5, g, trivial_state(g))
-    assert tv_lower(qw) == 0.0
+    qw = WalkQuery.wreath(30, 2.0, g, trivial_state(g))
+    assert tv_lower(qw, 1e5) == 0.0
 
 
 def test_tv_lower_mixture():
     N = 10
-    q = WalkQuery.mixture(N, 0.0)
+    q = WalkQuery.mixture(N)
     m = 2.0 * N
-    assert tv_lower(q) == pytest.approx(1.0 - 4.0 * 6.0 / (m * m), rel=1e-12)
+    assert tv_lower(q, 0.0) == pytest.approx(1.0 - 4.0 * 6.0 / (m * m), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -629,21 +628,21 @@ def test_tv_lower_mixture():
 
 
 def test_cutoff_profile_monotone_and_consistent():
-    q = WalkQuery.unitary(20, 2.0, 0.0)
+    q = WalkQuery.unitary(20, 2.0)
     ks = [30.0, 40.0, 50.0, 60.0, 80.0]
     prof = cutoff_profile(q, ks)
     assert len(prof.rows) == 5
     assert prof.monotone_upper
     for row, k in zip(prof.rows, ks):
-        single = A_k_for_query(q.with_k(k), DEFAULT_TRUNCATION)
+        single = A_k_grid(q, [k], DEFAULT_TRUNCATION)[0]
         tv = tv_upper_from_A(single)
         assert row.k == k
-        assert row.tv_upper_hi == pytest.approx(tv.upper, rel=1e-15)
-        assert row.tv_lower == pytest.approx(tv_lower(q.with_k(k)), rel=1e-15)
+        assert row.tv.upper == pytest.approx(tv.upper, rel=1e-15)
+        assert row.tv_lower == pytest.approx(tv_lower(q, k), rel=1e-15)
         assert 0.0 <= row.tv_lower <= 1.0
-        assert 0.0 <= row.tv_upper_hi <= 1.0
-        if row.certified:
-            assert row.tv_lower <= row.tv_upper_hi + 1e-12
+        assert 0.0 <= row.tv.upper <= 1.0
+        if row.tv.certified:
+            assert row.tv_lower <= row.tv.upper + 1e-12
 
 
 def _dihedral_group(n):
@@ -662,15 +661,15 @@ def _grid_cases():
     z3 = cyclic_group(3)
     d4 = _dihedral_group(4)
     return [
-        (WalkQuery.unitary(20, 2.0, 0.0, CircleMeasure.delta(1.7)), [0.0, 0.5, 1.0, 20.0, 30.0, 60.0]),
-        (WalkQuery.eval_point(20, 2.0, 0.0), [0.0, 0.5, 1.0, 30.0, 60.0, 120.0]),
-        (WalkQuery.unitary(20, 2.0, 0.0, CircleMeasure.haar()), [0.0, 0.5, 1.0, 30.0, 60.0]),
-        (WalkQuery.wreath(40, 2.0, 0.0, z3, load_group_state(z3, "1 0\n0.5 0\n0.5 0\n")),
+        (WalkQuery.unitary(20, 2.0, CircleMeasure.delta(1.7)), [0.0, 0.5, 1.0, 20.0, 30.0, 60.0]),
+        (WalkQuery.eval_point(20, 2.0), [0.0, 0.5, 1.0, 30.0, 60.0, 120.0]),
+        (WalkQuery.unitary(20, 2.0, CircleMeasure.haar()), [0.0, 0.5, 1.0, 30.0, 60.0]),
+        (WalkQuery.wreath(40, 2.0, z3, load_group_state(z3, "1 0\n0.5 0\n0.5 0\n")),
          [0.0, 0.5, 1.0, 40.0, 80.0, 120.0]),
         # the average of the trivial and sign characters of the dihedral group
-        (WalkQuery.wreath(40, 3.0, 0.0, d4, GroupState.from_values(d4, [1.0] * 4 + [0.0] * 4)),
+        (WalkQuery.wreath(40, 3.0, d4, GroupState.from_values(d4, [1.0] * 4 + [0.0] * 4)),
          [0.0, 0.5, 1.0, 40.0, 80.0]),
-        (WalkQuery.mixture(20, 0.0), [0.0, 0.5, 1.0, 30.0, 60.0]),
+        (WalkQuery.mixture(20), [0.0, 0.5, 1.0, 30.0, 60.0]),
     ]
 
 
@@ -678,16 +677,16 @@ def _grid_cases():
 def test_cutoff_profile_rows_match_single_point_engine(query, ks):
     prof = cutoff_profile(query, ks)
     assert [row.k for row in prof.rows] == ks
-    assert any(row.certified for row in prof.rows) and not all(row.certified for row in prof.rows)
+    assert any(row.A.certified for row in prof.rows) and not all(row.A.certified for row in prof.rows)
     for row in prof.rows:
-        single = A_k_for_query(query.with_k(row.k))
-        for got, want in ((row.log_partial, single.log_partial), (row.log_tail, single.log_tail)):
+        single = A_k_grid(query, [row.k])[0]
+        for got, want in ((row.A.log_partial, single.log_partial), (row.A.log_tail, single.log_tail)):
             if math.isinf(want):
                 assert got == want
             else:
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-        assert row.certified == single.certified
-        assert row.hypotheses == single.hypotheses
+        assert row.A.certified == single.certified
+        assert row.A.hypotheses == single.hypotheses
 
 
 @pytest.mark.parametrize(
@@ -706,7 +705,8 @@ def test_cutoff_profile_rows_match_single_point_engine(query, ks):
     ],
 )
 def test_profile_runs_the_engine_once(monkeypatch, capsys, argv, engine, passes):
-    calls = {"engine": 0, "single": 0}
+    # bound is the one-point profile: one A_k_grid call each
+    calls = {"engine": 0, "grid": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -718,57 +718,59 @@ def test_profile_runs_the_engine_once(monkeypatch, capsys, argv, engine, passes)
     for module in (bounds, structures):
         if hasattr(module, engine):
             monkeypatch.setattr(module, engine, counted("engine", getattr(module, engine)))
-    monkeypatch.setattr(cli, "A_k_for_query", counted("single", cli.A_k_for_query))
+    monkeypatch.setattr(bounds, "A_k_grid", counted("grid", bounds.A_k_grid))
     assert cli.main(["profile", *argv, "--c-range", "-1:1:0.5"]) == 0
     rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
     assert len(rows) == 1 + 5
-    assert calls == {"engine": passes, "single": 0}
+    assert calls == {"engine": passes, "grid": 1}
+    assert cli.main(["bound", *argv, "--c", "1"]) == 0
+    assert calls == {"engine": 2 * passes, "grid": 2}
 
 
 @pytest.mark.parametrize(
     "query, ks",
     [
-        (WalkQuery.unitary(30, 2.0, 0.0), [1.0, 41.0, 81.0, 121.0]),
-        (WalkQuery.eval_point(30, 2.0, 0.0), [1.0, 60.0, 120.0, 200.0]),
-        (WalkQuery.mixture(20, 0.0), [1.0, 30.0, 60.0]),
-        (WalkQuery.wreath(30, 2.0, 0.0, cyclic_group(3), trivial_state(cyclic_group(3))), [1.0, 41.0, 81.0]),
+        (WalkQuery.unitary(30, 2.0), [1.0, 41.0, 81.0, 121.0]),
+        (WalkQuery.eval_point(30, 2.0), [1.0, 60.0, 120.0, 200.0]),
+        (WalkQuery.mixture(20), [1.0, 30.0, 60.0]),
+        (WalkQuery.wreath(30, 2.0, cyclic_group(3), trivial_state(cyclic_group(3))), [1.0, 41.0, 81.0]),
     ],
 )
 def test_profile_rows_share_one_hypothesis_key_sequence(query, ks):
     # every row past the base hypotheses, certified or not, names the tail
     # checks the same way and in the same order
     rows = cutoff_profile(query, ks).rows
-    assert any(row.certified for row in rows) and not all(row.certified for row in rows)
-    keys = {tuple(name for name, _ in row.hypotheses) for row in rows}
+    assert any(row.A.certified for row in rows) and not all(row.A.certified for row in rows)
+    keys = {tuple(name for name, _ in row.A.hypotheses) for row in rows}
     assert len(keys) == 1
     assert keys.pop()[-3:] == ("x < 1", "within-degree ratios < 1", "w = S/(1-x) < 1")
 
 
 def test_cutoff_profile_rejects_empty_grid():
-    q = WalkQuery.unitary(20, 2.0, 0.0)
+    q = WalkQuery.unitary(20, 2.0)
     with pytest.raises(ValueError):
         cutoff_profile(q, [])
 
 
 def test_walk_query_validation():
     with pytest.raises(ValueError):
-        WalkQuery.unitary(20, 0.0, 1.0)  # tau must be positive
+        WalkQuery.unitary(20, 0.0)  # tau must be positive
     with pytest.raises(ValueError):
-        WalkQuery.unitary(20, 25.0, 1.0)  # tau above N
+        WalkQuery.unitary(20, 25.0)  # tau above N
     with pytest.raises(ValueError):
-        WalkQuery.mixture(5, 1.0)  # mixture needs N >= 6
+        WalkQuery.mixture(5)  # mixture needs N >= 6
     with pytest.raises(ValueError):
-        WalkQuery("nonsense", 10, 1.0)
+        WalkQuery("nonsense", 10)
     g = cyclic_group(2)
     with pytest.raises(ValueError):
-        WalkQuery.wreath(4, 2.0, 1.0, g, trivial_state(g))
+        WalkQuery.wreath(4, 2.0, g, trivial_state(g))
 
 
 def test_eval_query_without_cutoff_rate_raises():
     # 1 - cos(theta) = 0 leaves no cutoff rate: nominal_cutoff would divide by 0
     for theta in (0.0, 2.0 * math.pi, math.nan, math.inf):
         with pytest.raises(ValueError, match="theta"):
-            WalkQuery.eval_point(50, theta, 1.0)
+            WalkQuery.eval_point(50, theta)
 
 
 @pytest.mark.parametrize("family, kwargs, fields", [
@@ -786,7 +788,7 @@ def test_eval_query_without_cutoff_rate_raises():
 ])
 def test_walk_query_rules_name_the_fields(family, kwargs, fields):
     with pytest.raises(bounds.ParameterError) as info:
-        WalkQuery(family, 30, 1.0, **kwargs)
+        WalkQuery(family, 30, **kwargs)
     assert info.value.fields == fields
     assert str(info.value).startswith(", ".join(fields) + ": ")
 
@@ -795,26 +797,26 @@ def test_walk_query_rules_name_the_fields(family, kwargs, fields):
 def test_walk_query_N_below_the_family_minimum(family, N):
     params = {"unitary-free": {"tau": 1.0}, "unitary-eval": {"theta": 1.0}, "mixture": {},
               "wreath": {"tau": 1.0, "group": cyclic_group(2)}}[family]
-    WalkQuery(family, N + 1, 1.0, **params)
+    WalkQuery(family, N + 1, **params)
     with pytest.raises(bounds.ParameterError) as info:
-        WalkQuery(family, N, 1.0, **params)
+        WalkQuery(family, N, **params)
     assert info.value.fields == ("N",)
 
 
 def test_walk_query_fills_the_family_defaults():
     g = cyclic_group(3)
-    assert WalkQuery.unitary(20, 2.0, 1.0).nu == CircleMeasure.delta(0.0)
-    assert WalkQuery.wreath(20, 2.0, 1.0, g).psi == trivial_state(g)
+    assert WalkQuery.unitary(20, 2.0).nu == CircleMeasure.delta(0.0)
+    assert WalkQuery.wreath(20, 2.0, g).psi == trivial_state(g)
     # a family's unread parameters stay None
-    q = WalkQuery.eval_point(20, 1.0, 1.0)
+    q = WalkQuery.eval_point(20, 1.0)
     assert (q.tau, q.nu, q.group, q.psi) == (None,) * 4
-    q = WalkQuery.mixture(20, 1.0)
+    q = WalkQuery.mixture(20)
     assert (q.tau, q.theta, q.nu, q.group, q.psi) == (None,) * 5
 
 
 def test_truncation_rules_name_the_fields():
     for kwargs, fields in [({"max_p": 0}, ("max_p",)), ({"max_p": 5, "max_total": 3}, ("max_p", "max_total")),
-                           ({"max_total": bounds.MAX_TOTAL + 1}, ("max_total",)), ({"tail_mode": "x"}, ("tail_mode",))]:
+                           ({"max_total": bounds.MAX_TOTAL + 1}, ("max_total",))]:
         with pytest.raises(bounds.ParameterError) as info:
             TruncationConfig(**kwargs)
         assert info.value.fields == fields
@@ -827,19 +829,66 @@ def test_truncation_rules_name_the_fields():
 ])
 def test_mixture_size_limits_name_the_fields(tc, fields):
     with pytest.raises(bounds.ParameterError) as info:
-        bounds.A_k_grid(WalkQuery.mixture(100, 500.0), [500.0], tc)
+        bounds.A_k_grid(WalkQuery.mixture(100), [500.0], tc)
     assert info.value.fields == fields
 
 
 def test_dispatcher_covers_all_families():
     g = cyclic_group(2)
     queries = [
-        WalkQuery.unitary(20, 2.0, 40.0),
-        WalkQuery.eval_point(20, 2.0, 40.0),
-        WalkQuery.mixture(20, 40.0),
-        WalkQuery.wreath(30, 2.0, 40.0, g, trivial_state(g)),
+        WalkQuery.unitary(20, 2.0),
+        WalkQuery.eval_point(20, 2.0),
+        WalkQuery.mixture(20),
+        WalkQuery.wreath(30, 2.0, g, trivial_state(g)),
     ]
     for q in queries:
-        A = A_k_for_query(q)
+        A = A_k_grid(q, [40.0])[0]
         assert A.partial >= 0.0
         assert A.log_partial <= 0.0 or A.partial > 1.0
+
+
+@pytest.mark.parametrize("k", [-1.0, MAX_K * 2, math.nan])
+def test_A_k_grid_rejects_a_step_count_outside_the_range(k):
+    with pytest.raises(bounds.ParameterError) as info:
+        A_k_grid(WalkQuery.unitary(20, 2.0), [30.0, k])
+    assert info.value.fields == ("k",)
+
+
+def test_cutoff_profile_certifies_the_walk_once(monkeypatch):
+    # the walk is checked once, when it is built, and its certificate
+    # hypotheses (threshold C among them) once per grid, not once per row
+    q = WalkQuery.unitary(30000, 2.0)
+    calls = {"post_init": 0, "threshold_C": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(WalkQuery, "__post_init__", counted("post_init", WalkQuery.__post_init__))
+    monkeypatch.setattr(bounds, "threshold_C", counted("threshold_C", bounds.threshold_C))
+    ks = [nominal_cutoff(q) + c * 30000.0 for c in np.linspace(-5.0, 5.0, 101)]
+    rows = cutoff_profile(q, ks).rows
+    assert len(rows) == 101 and any(row.A.certified for row in rows)
+    assert calls == {"post_init": 0, "threshold_C": 1}
+
+
+@pytest.mark.parametrize("family, params", [
+    ("unitary-free", {"tau": 2.0}), ("unitary-eval", {"theta": 1.0}), ("mixture", {}),
+    ("wreath", {"tau": 2.0, "group": cyclic_group(2)}),
+])
+def test_walk_query_N_above_MAX_N(family, params):
+    # above 2^53 float(N) is not N, so the engines would bound another walk
+    WalkQuery(family, bounds.MAX_N, **params)
+    for N in (bounds.MAX_N + 1, 10**155, 10**400):
+        with pytest.raises(bounds.ParameterError) as info:
+            WalkQuery(family, N, **params)
+        assert info.value.fields == ("N",)
+
+
+def test_porod_measure_rejects_N_beyond_the_float_range():
+    CircleMeasure.porod(bounds.MAX_N + 1)
+    with pytest.raises(ValueError, match="float"):
+        CircleMeasure.porod(10**400)

@@ -455,6 +455,52 @@ def test_invalid_walk_value_exit_2(capsys, argv, flag):
     assert flag in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("family", sorted(_FAMILY_WALKS))
+@pytest.mark.parametrize("k", ["0.5", "200"])
+def test_bound_is_the_one_point_profile(capsys, family, k):
+    code, out, _ = run(capsys, "bound", *_FAMILY_WALKS[family], "--k", k)
+    assert code == 0
+    record = json.loads(out)
+    code, out, _ = run(capsys, "profile", *_FAMILY_WALKS[family], "--k", k, "--format", "json")
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    keys = ("k", "tv_upper_lo", "tv_upper_hi", "tv_lower", "certified", "hypotheses")
+    assert {key: record[key] for key in keys} == {key: row[key] for key in keys}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILY_WALKS))
+@pytest.mark.parametrize("N", [2**53 + 1, 10**155, 10**400], ids=["2^53+1", "1e155", "1e400"])
+def test_walk_N_above_MAX_N_exit_2(capsys, family, N):
+    # above 2^53 float(N) is not N; from about 1e154 on N^2 overflows, and
+    # from about 1e308 on float(N) does
+    walk = list(_FAMILY_WALKS[family])
+    walk[walk.index("--N") + 1] = str(N)
+    code, out, err = run(capsys, "bound", *walk, "--c", "1")
+    assert code == 2 and out == ""
+    assert "--N" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--family", "unitary", "--N", "1" + "0" * 400, "--tau", "2", "--nu", "porod", "--c", "1"],
+    ["moments", "--nu", "porod", "--N", "1" + "0" * 400, "--eps", "1"],
+])
+def test_porod_N_beyond_the_float_range_names_N(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "--N" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["profile", *_WALK, "--c", "1", "--output"], "--output"),
+    (["thresholds", "--tau", "2", "--output"], "--output"),
+    (["verify", "--suite", "anqn", "--report"], "--report"),
+])
+def test_unwritable_output_file_names_its_flag(capsys, tmp_path, argv, flag):
+    code, _, err = run(capsys, *argv, str(tmp_path / "missing-dir" / "out.json"))
+    assert code == 2
+    assert f"error: {flag}: " in err and "Traceback" not in err
+
+
 def test_mixture_outputs_carry_no_quadrature_size_or_notes(capsys):
     code, out, _ = run(capsys, "profile", *_FAMILY_WALKS["mixture"], "--c", "1")
     assert code == 0 and "quad_points" not in out
@@ -469,10 +515,10 @@ def test_mixture_outputs_carry_no_quadrature_size_or_notes(capsys):
     ["profile", *_WALK, "--c-range", "2:3:1"],
 ])
 def test_lower_bound_above_the_certified_upper_bound_is_a_defect(monkeypatch, capsys, argv):
-    # both commands reach the one consistency check in bounds.tv_bounds
+    # both commands reach the one consistency check in bounds.cutoff_profile
     code, out, _ = run(capsys, *argv)
     assert code == 0 and "true" in out
-    monkeypatch.setattr(bounds, "tv_lower", lambda q: 1.0)
+    monkeypatch.setattr(bounds, "tv_lower", lambda q, k: 1.0)
     with pytest.raises(RuntimeError, match="certified lower bound 1.0 exceeds certified upper bound"):
         main(argv)
 
@@ -516,7 +562,7 @@ def test_truncation_limits_raise_in_the_library():
         bounds.TruncationConfig(max_p=bounds.MAX_P + 1, max_total=bounds.MAX_P + 1)
     bounds.TruncationConfig(max_p=bounds.MAX_P, max_total=bounds.MAX_P)
     with pytest.raises(ValueError, match="words"):
-        bounds.A_k_grid(WalkQuery.mixture(100, 500.0), [500.0], bounds.TruncationConfig(max_p=12, max_total=48))
+        bounds.A_k_grid(WalkQuery.mixture(100), [500.0], bounds.TruncationConfig(max_p=12, max_total=48))
 
 
 def test_mixture_table_limit_raises_before_any_node_build(monkeypatch):
@@ -526,7 +572,7 @@ def test_mixture_table_limit_raises_before_any_node_build(monkeypatch):
     for module, name in ((bounds, "porod_rule"), (bounds, "u_seq"), (structures, "moment")):
         monkeypatch.setattr(module, name, build)
     with pytest.raises(bounds.ParameterError, match="ratio table") as info:
-        bounds.A_k_grid(WalkQuery.mixture(100, 500.0), [500.0], bounds.TruncationConfig(max_p=1, max_total=2047))
+        bounds.A_k_grid(WalkQuery.mixture(100), [500.0], bounds.TruncationConfig(max_p=1, max_total=2047))
     assert info.value.fields == ("max_p", "max_total")
 
 
@@ -612,7 +658,7 @@ _WALK_FLAGS = {
 @given(data=st.data())
 def test_walk_flag_fuzz_exits_cleanly(data):
     family = data.draw(st.sampled_from(sorted(_FAMILY_WALKS)))
-    N = data.draw(st.sampled_from([str(n) for n in range(40, -3, -1)] + ["x", "1e3", ""]))
+    N = data.draw(_ANY_N | st.sampled_from([str(2**53), str(2**53 + 1)]))
     argv = ["bound", "--family", family, f"--N={N}"]
     for flag, (valid, invalid) in _WALK_FLAGS.items():
         read = flag in _READ_FLAGS[family] or flag in ("--max-p", "--max-total")
@@ -622,8 +668,14 @@ def test_walk_flag_fuzz_exits_cleanly(data):
             argv.append(f"{flag}={data.draw(data.draw(st.sampled_from([valid, valid, valid, invalid])))}")
     k_flag = data.draw(st.sampled_from(["--k", "--c"]))
     argv.append(f"{k_flag}={data.draw(data.draw(st.sampled_from([st.floats(-1.0, 3.0).map(repr)] * 3 + [_NUMBER])))}")
+    # one call in 8 writes to a path that cannot be opened: /dev/null is not a directory
+    unwritable = data.draw(st.sampled_from(range(8))) == 0
+    if unwritable:
+        argv.append(f"--output={os.path.join(os.devnull, 'out.json')}")
     doc = _run_under_contract(argv)
-    if doc is not None:
+    if unwritable:
+        assert doc is None
+    elif doc is not None:
         assert doc["config"]["family"] == _FAMILY_TOKENS[family]
 
 
