@@ -53,7 +53,7 @@ from .structures import (
     moment,
     trivial_state,
 )
-from .verify import format_report, negative_controls, report_to_dict, run_all
+from .verify import format_report, negative_controls, report_to_dict, run_all, suite_names
 
 __all__ = ["main"]
 
@@ -484,34 +484,36 @@ def cmd_moments(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    names = None if args.suite == "all" else [s.strip() for s in args.suite.split(",")]
-    try:
+    with _flag_input("--suite"):
+        names = suite_names(None if args.suite == "all" else [s.strip() for s in args.suite.split(",")])
+    # open the report before any suite runs, so that a bad path fails at once
+    with _flag_input("--report"):
+        sink = contextlib.nullcontext() if args.report is None else open(args.report, "w", encoding="utf-8")
+    with sink as report:
         reports = run_all(names)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    lines = [format_report(r) for r in reports.values()]
-    all_ok = all(r.ok for r in reports.values())
-    controls_ok = True
-    control_reports: dict[str, object] = {}
-    if args.suite == "all":
-        controls = negative_controls()
-        for name, rep in controls.items():
-            control_reports[name] = report_to_dict(rep)
-            got = len(rep.failures)
-            status = "OK" if got > 0 else "VACUOUS"
-            if got == 0:
-                controls_ok = False
-            lines.append(f"{status} negative control {name}: {got} failures (expected >= 1)")
-    text = "\n".join(lines)
-    sys.stdout.write(text + "\n")
-    if args.report is not None:
-        doc = {
-            "suites": {name: report_to_dict(r) for name, r in reports.items()},
-            "negative_controls": control_reports,
-            "all_pass": all_ok and controls_ok,
-        }
-        with _flag_input("--report"), open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+        lines = [format_report(r) for r in reports.values()]
+        all_ok = all(r.ok for r in reports.values())
+        controls_ok = True
+        control_reports: dict[str, object] = {}
+        if args.suite == "all":
+            controls = negative_controls()
+            for name, rep in controls.items():
+                control_reports[name] = report_to_dict(rep)
+                got = rep.failure_count
+                status = "OK" if got > 0 else "VACUOUS"
+                if got == 0:
+                    controls_ok = False
+                lines.append(f"{status} negative control {name}: {got} failures (expected >= 1)")
+        text = "\n".join(lines)
+        sys.stdout.write(text + "\n")
+        if report is not None:
+            doc = {
+                "suites": {name: report_to_dict(r) for name, r in reports.items()},
+                "negative_controls": control_reports,
+                "all_pass": all_ok and controls_ok,
+            }
+            with _flag_input("--report"):
+                report.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return 0 if (all_ok and controls_ok) else 1
 
 

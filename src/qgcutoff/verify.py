@@ -3,8 +3,9 @@ behind the walk bounds, with margins, tight-point flagging, and negative
 controls guarding against vacuous passes.
 
 Each verifier sweeps a default grid (log-spaced in N where the domain is
-wide), computes a margin per point, and reports failures as (point, lhs, rhs,
-margin).  Margins for inequalities between exponentially large quantities are
+wide), computes a margin per point as one array, counts the failures and lists
+the first MAX_LISTED_FAILURES in grid order as (point, lhs, rhs, margin).  Labels
+and sides are built only for the points a report names.  Margins for inequalities between exponentially large quantities are
 taken on the log scale; |margin| below the grid tolerance is flagged "tight"
 and counted as a pass.  Every verifier is pure and deterministic.
 """
@@ -23,6 +24,7 @@ from .bounds import threshold_C, wreath_certificate_threshold
 
 __all__ = [
     "GridSpec",
+    "MAX_LISTED_FAILURES",
     "VerifyReport",
     "verify_encadrement",
     "verify_lower_aux",
@@ -32,6 +34,7 @@ __all__ = [
     "verify_wreath_inequality",
     "verify_lambda_moment",
     "negative_controls",
+    "suite_names",
     "run_all",
     "report_to_dict",
     "format_report",
@@ -65,12 +68,21 @@ class GridSpec:
             raise ValueError("empty n range")
 
 
+# the failures a report lists, the first in grid order; stdout prints the same ones
+MAX_LISTED_FAILURES = 10
+
+
 @dataclass(frozen=True)
 class VerifyReport:
+    """One suite's result.  ``failures`` lists the first MAX_LISTED_FAILURES
+    failing points in grid order as (point, lhs, rhs, margin);
+    ``failure_count`` counts every one."""
+
     inequality_id: str
     grid_size: int
     pass_count: int
     tight_count: int
+    failure_count: int
     failures: tuple[tuple[str, float, float, float], ...]
     min_margin: float
     min_margin_point: str
@@ -78,11 +90,12 @@ class VerifyReport:
 
     @property
     def ok(self) -> bool:
-        return len(self.failures) == 0
+        return self.failure_count == 0
 
 
 class _Collector:
-    """Accumulates (point, lhs, rhs, margin) records in fixed grid order."""
+    """Counts a suite's margins block by block in fixed grid order, keeping
+    the first MAX_LISTED_FAILURES failures and the first smallest margin."""
 
     def __init__(self, inequality_id: str, tolerance: float) -> None:
         self.id = inequality_id
@@ -90,22 +103,33 @@ class _Collector:
         self.size = 0
         self.passes = 0
         self.tights = 0
+        self.failure_count = 0
         self.failures: list[tuple[str, float, float, float]] = []
         self.min_margin = math.inf
         self.min_point = ""
         self.notes: list[str] = []
 
-    def add(self, point: str, lhs: float, rhs: float, margin: float) -> None:
-        self.size += 1
-        if margin < self.min_margin:
-            self.min_margin = margin
-            self.min_point = point
-        if margin < -self.tol:
-            self.failures.append((point, lhs, rhs, margin))
-        else:
-            self.passes += 1
-            if abs(margin) < self.tol:
-                self.tights += 1
+    def add(self, margins: np.ndarray, detail: Callable[[int], tuple[str, float, float]]) -> None:
+        """Count one block of margins, in grid order.  ``detail(i)`` gives the
+        label and both sides of the block's i-th point; it is called only for
+        the points the report names.  A point passes when its margin is
+        >= -tolerance, so a NaN margin fails, and is the smallest."""
+        m = np.asarray(margins, dtype=float).ravel()
+        if m.size == 0:
+            return
+        self.size += m.size
+        passed = m >= -self.tol
+        self.passes += int(np.count_nonzero(passed))
+        self.tights += int(np.count_nonzero(passed & (np.abs(m) < self.tol)))
+        failed = np.flatnonzero(~passed)
+        self.failure_count += failed.size
+        for i in failed[: MAX_LISTED_FAILURES - len(self.failures)].tolist():
+            self.failures.append((*detail(i), float(m[i])))
+        # argmin gives the first NaN, else the first minimum
+        i = int(np.argmin(m))
+        if not math.isnan(self.min_margin) and not m[i] >= self.min_margin:
+            self.min_margin = float(m[i])
+            self.min_point = detail(i)[0]
 
     def note(self, text: str) -> None:
         self.notes.append(text)
@@ -116,11 +140,18 @@ class _Collector:
             grid_size=self.size,
             pass_count=self.passes,
             tight_count=self.tights,
+            failure_count=self.failure_count,
             failures=tuple(self.failures),
             min_margin=self.min_margin,
             min_margin_point=self.min_point,
             notes=tuple(self.notes),
         )
+
+
+def _each(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    # the scalar function on every entry: the array margins then keep the bits
+    # of the per-point formulas, where numpy's own log may round differently
+    return np.array(list(map(fn, x.tolist())), dtype=float)
 
 
 def _geom_floats(lo: float, hi: float, count: int) -> list[float]:
@@ -152,18 +183,27 @@ def verify_encadrement(g: GridSpec = DEFAULT_ENCADREMENT_GRID) -> VerifyReport:
 
 def _encadrement_impl(g: GridSpec, lower_exponent_shift: int) -> VerifyReport:
     col = _Collector("encadrement", g.tolerance)
-    for t in _geom_floats(g.n_min, g.n_max, g.n_points):
-        q = q_of(t)
-        log_q = math.log(q)
-        log_us = u_seq(t, g.index_max).tolist()
-        for n in range(1, g.index_max + 1):
-            log_u = log_us[n]
-            log_lower = math.log(t) - (n - lower_exponent_shift) * log_q
-            log_upper = -n * log_q - math.log1p(-q * q)
-            col.add(f"lower t={t:.6g} n={n}", math.exp(min(log_lower, 700.0)),
-                    math.exp(min(log_u, 700.0)), log_u - log_lower)
-            col.add(f"upper t={t:.6g} n={n}", math.exp(min(log_u, 700.0)),
-                    math.exp(min(log_upper, 700.0)), log_upper - log_u)
+    ts = _geom_floats(g.n_min, g.n_max, g.n_points)
+    t = np.array(ts)
+    q = _each(q_of, t)
+    log_q = _each(math.log, q)
+    n = np.arange(1, g.index_max + 1, dtype=float)[:, None]
+    # (n, t) arrays
+    log_u = u_seq(t, g.index_max)[1:]
+    log_lower = _each(math.log, t) - (n - lower_exponent_shift) * log_q
+    log_upper = -n * log_q - _each(math.log1p, -q * q)
+    # (t, n, side) is the sweep's order: t, then n, the lower side before the upper
+    margins = np.stack([log_u - log_lower, log_upper - log_u], axis=-1).transpose(1, 0, 2)
+
+    def detail(i: int) -> tuple[str, float, float]:
+        j, r = divmod(i, 2 * g.index_max)
+        k, upper = divmod(r, 2)
+        u = math.exp(min(log_u[k, j], 700.0))
+        if upper:
+            return f"upper t={ts[j]:.6g} n={k + 1}", u, math.exp(min(log_upper[k, j], 700.0))
+        return f"lower t={ts[j]:.6g} n={k + 1}", math.exp(min(log_lower[k, j], 700.0)), u
+
+    col.add(margins, detail)
     return col.report()
 
 
@@ -178,10 +218,12 @@ def _lower_aux_impl(g: GridSpec, rhs_log_shift: float) -> VerifyReport:
     for a in g.taus:
         n_lo = max(int(math.ceil(2.0 * a)), 2)
         ns = sorted(set([n_lo] + _geom_ints(n_lo, int(g.n_max), g.n_points)))
-        for N in ns:
-            log_lhs = math.log(N) + (N * math.log(N) / a) * math.log1p(-a / N)
-            log_rhs = -a / (2.0 * math.e) - 0.5 * math.log(2.0) + rhs_log_shift
-            col.add(f"a={a:g} N={N}", math.exp(log_lhs), math.exp(log_rhs), log_lhs - log_rhs)
+        N = np.array(ns, dtype=float)
+        log_N = _each(math.log, N)
+        log_lhs = log_N + (N * log_N / a) * _each(math.log1p, -a / N)
+        log_rhs = -a / (2.0 * math.e) - 0.5 * math.log(2.0) + rhs_log_shift
+        col.add(log_lhs - log_rhs,
+                lambda i: (f"a={a:g} N={ns[i]}", math.exp(log_lhs[i]), math.exp(log_rhs)))
     return col.report()
 
 
@@ -192,19 +234,20 @@ def verify_main_inequality(g: GridSpec = DEFAULT_MAIN_GRID) -> VerifyReport:
     col = _Collector("main_inequality", g.tolerance)
     for tau in g.taus:
         n_start = int(math.ceil(tau + threshold_C(tau)))
-        for N in range(n_start, int(g.n_max) + 1):
-            q = q_of(N - tau)
-            log_lhs = math.log(N) + math.log(q) + math.log1p(-q * q)
-            margin = log_lhs - tau / N
-            col.add(f"tau={tau:g} N={N}", math.exp(log_lhs), math.exp(tau / N), margin)
+        N = np.arange(n_start, int(g.n_max) + 1, dtype=float)
+        log_lhs = _main_lhs_log(N, tau)
+        col.add(log_lhs - tau / N,
+                lambda i: (f"tau={tau:g} N={n_start + i}", math.exp(log_lhs[i]), math.exp(tau / (n_start + i))))
         # exploratory scan below the threshold (domain still needs N - tau > 2)
-        for N in range(int(math.floor(tau)) + 3, n_start):
-            if N - tau <= 2.0 + 1e-9:
-                continue
-            q = q_of(N - tau)
-            margin = math.log(N) + math.log(q) + math.log1p(-q * q) - tau / N
-            col.note(f"below threshold: tau={tau:g} N={N} margin={margin:.6g}")
+        below = np.array([N for N in range(int(math.floor(tau)) + 3, n_start) if N - tau > 2.0 + 1e-9], dtype=float)
+        for N, margin in zip(below.tolist(), (_main_lhs_log(below, tau) - tau / below).tolist()):
+            col.note(f"below threshold: tau={tau:g} N={int(N)} margin={margin:.6g}")
     return col.report()
+
+
+def _main_lhs_log(N: np.ndarray, tau: float) -> np.ndarray:
+    q = _each(q_of, N - tau)
+    return _each(math.log, N) + _each(math.log, q) + _each(math.log1p, -q * q)
 
 
 def verify_anqn(g: GridSpec = DEFAULT_ANQN_GRID) -> VerifyReport:
@@ -218,12 +261,13 @@ def verify_anqn(g: GridSpec = DEFAULT_ANQN_GRID) -> VerifyReport:
 def _anqn_impl(g: GridSpec, numerator: float) -> VerifyReport:
     col = _Collector("anqn", g.tolerance)
     ns = sorted(set([4] + _geom_ints(4, int(g.n_max), g.n_points)))
-    for N in ns:
-        t = N - 2.0
-        q = 1.0 if t <= 2.0 else q_of(t)
-        lhs = (N - 2.0 + 2.0 / N) * q
-        rhs = 1.0 + numerator / (t * t)
-        col.add(f"N={N}", lhs, rhs, rhs - lhs)
+    N = np.array(ns, dtype=float)
+    t = N - 2.0
+    q = np.ones_like(t)
+    q[t > 2.0] = _each(q_of, t[t > 2.0])
+    lhs = (N - 2.0 + 2.0 / N) * q
+    rhs = 1.0 + numerator / (t * t)
+    col.add(rhs - lhs, lambda i: (f"N={ns[i]}", float(lhs[i]), float(rhs[i])))
     return col.report()
 
 
@@ -232,23 +276,22 @@ def verify_ratio_comparison(g: GridSpec = DEFAULT_RATIO_GRID) -> VerifyReport:
     taus (all >= 6), theta on a uniform grid over [0, 2 pi), n <= index_max;
     margins on the log scale.  theta = 0 gives ratio 1 exactly (tight)."""
     col = _Collector("ratio_comparison", g.tolerance)
-    for N_f in g.taus:
-        N = int(N_f)
-        for j in range(g.theta_count):
-            theta = 2.0 * math.pi * j / g.theta_count
-            t1 = N - tau_theta(N, theta)
-            t2 = N - lambda_theta(theta)
-            log_us1 = u_seq(t1, g.index_max).tolist()
-            log_us2 = u_seq(t2, g.index_max).tolist()
-            for n in range(1, g.index_max + 1):
-                log_ratio = log_us1[n] - log_us2[n]
-                bound = 4.0 * n / ((N - 2.0) * (N - 2.0))
-                col.add(
-                    f"N={N} theta={theta:.6g} n={n}",
-                    math.exp(log_ratio),
-                    math.exp(bound),
-                    bound - log_ratio,
-                )
+    Ns = [int(N_f) for N_f in g.taus]
+    thetas = [2.0 * math.pi * j / g.theta_count for j in range(g.theta_count)]
+    t1 = [N - tau_theta(N, theta) for N in Ns for theta in thetas]
+    t2 = [N - lambda_theta(theta) for N in Ns for theta in thetas]
+    # one u_seq call for every t; log_ratio is (N, theta, n), the sweep's order
+    log_u = u_seq(np.array(t1 + t2), g.index_max)[1:]
+    log_ratio = (log_u[:, : len(t1)] - log_u[:, len(t1) :]).T.reshape(len(Ns), g.theta_count, g.index_max)
+    n = np.arange(1, g.index_max + 1, dtype=float)
+    for N, ratio in zip(Ns, log_ratio):
+        bound = 4.0 * n / ((N - 2.0) * (N - 2.0))
+
+        def detail(i: int) -> tuple[str, float, float]:
+            j, k = divmod(i, g.index_max)
+            return f"N={N} theta={thetas[j]:.6g} n={k + 1}", math.exp(ratio[j, k]), math.exp(bound[k])
+
+        col.add(bound - ratio, detail)
     return col.report()
 
 
@@ -259,25 +302,23 @@ def verify_wreath_inequality(g: GridSpec = DEFAULT_WREATH_GRID) -> VerifyReport:
     col = _Collector("wreath_inequality", g.tolerance)
     for tau in g.taus:
         n_start = int(math.ceil(wreath_certificate_threshold(tau)))
-        first_hold: int | None = None
-        for N in range(int(math.floor(tau)) + 5, n_start):
-            if N - tau <= 4.0 or N < 5:
-                continue
-            margin = -tau / N - _wreath_lhs_log(N, tau)
-            if margin >= 0 and first_hold is None:
-                first_hold = N
-        if first_hold is not None:
-            col.note(f"tau={tau:g}: holds from N={first_hold} (threshold {n_start})")
-        for N in range(max(n_start, 5), int(g.n_max) + 1):
-            log_lhs = _wreath_lhs_log(N, tau)
-            col.add(f"tau={tau:g} N={N}", math.exp(log_lhs), math.exp(-tau / N), -tau / N - log_lhs)
+        below = np.array([N for N in range(int(math.floor(tau)) + 5, n_start) if N - tau > 4.0 and N >= 5], dtype=float)
+        holds = np.flatnonzero(-tau / below - _wreath_lhs_log(below, tau) >= 0)
+        if holds.size:
+            col.note(f"tau={tau:g}: holds from N={int(below[holds[0]])} (threshold {n_start})")
+        n_lo = max(n_start, 5)
+        N = np.arange(n_lo, int(g.n_max) + 1, dtype=float)
+        log_lhs = _wreath_lhs_log(N, tau)
+        col.add(-tau / N - log_lhs,
+                lambda i: (f"tau={tau:g} N={n_lo + i}", math.exp(log_lhs[i]), math.exp(-tau / (n_lo + i))))
     return col.report()
 
 
-def _wreath_lhs_log(N: int, tau: float) -> float:
-    s = math.sqrt(float(N))
-    qp = q_of(math.sqrt(N - tau))
-    return math.log(q_of(s)) - math.log(s) - 2.0 * math.log(qp) - math.log1p(-qp * qp)
+def _wreath_lhs_log(N: np.ndarray, tau: float) -> np.ndarray:
+    s = np.sqrt(N)
+    qp = _each(q_of, np.sqrt(N - tau))
+    return (_each(math.log, _each(q_of, s)) - _each(math.log, s) - 2.0 * _each(math.log, qp)
+            - _each(math.log1p, -qp * qp))
 
 
 def verify_lambda_moment(g: GridSpec = DEFAULT_LAMBDA_GRID) -> VerifyReport:
@@ -292,11 +333,10 @@ def verify_lambda_moment(g: GridSpec = DEFAULT_LAMBDA_GRID) -> VerifyReport:
         N = int(N_f)
         theta, w = porod_nodes(N, 2048)
         lam = 1.0 - np.cos(theta)
-        for l in range(0, g.index_max + 1):
-            closed = lambda_moment(N, l)
-            quad = float(np.dot(w, lam**l))
-            rel = abs(closed - quad) / max(abs(quad), 1e-300)
-            col.add(f"N={N} l={l}", closed, quad, g.tolerance - rel)
+        closed = [lambda_moment(N, l) for l in range(g.index_max + 1)]
+        quad = [float(np.dot(w, lam**l)) for l in range(g.index_max + 1)]
+        margins = [g.tolerance - abs(c - qd) / max(abs(qd), 1e-300) for c, qd in zip(closed, quad)]
+        col.add(np.array(margins), lambda l: (f"N={N} l={l}", closed[l], quad[l]))
         half_mean = float(np.dot(w, lam)) / 2.0
         rec = N / (N + 1.0)
         alt = (N + 1.0) / (N + 2.0)
@@ -333,15 +373,21 @@ _SUITES: dict[str, Callable[[], VerifyReport]] = {
 }
 
 
-def run_all(names: Sequence[str] | None = None) -> dict[str, VerifyReport]:
-    """Run the named suites (default: all) on their default grids."""
-    selected = list(_SUITES) if names is None else list(names)
-    out: dict[str, VerifyReport] = {}
-    for name in selected:
+def suite_names(names: Sequence[str] | None = None) -> list[str]:
+    """The suites ``names`` selects (default: all), in order and without
+    repeats; ValueError names the first unknown one."""
+    if names is None:
+        return list(_SUITES)
+    for name in names:
         if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}; available: {', '.join(_SUITES)}")
-        out[name] = _SUITES[name]()
-    return out
+    return list(dict.fromkeys(names))
+
+
+def run_all(names: Sequence[str] | None = None) -> dict[str, VerifyReport]:
+    """Run the named suites (default: all) on their default grids; an
+    unknown name raises ValueError before any suite runs."""
+    return {name: _SUITES[name]() for name in suite_names(names)}
 
 
 def report_to_dict(r: VerifyReport) -> dict:
@@ -350,6 +396,7 @@ def report_to_dict(r: VerifyReport) -> dict:
         "grid_size": r.grid_size,
         "pass_count": r.pass_count,
         "tight_count": r.tight_count,
+        "failure_count": r.failure_count,
         "failures": [list(f) for f in r.failures],
         "min_margin": r.min_margin,
         "min_margin_point": r.min_margin_point,
@@ -363,10 +410,10 @@ def format_report(r: VerifyReport) -> str:
         f"{status} {r.inequality_id}: {r.pass_count}/{r.grid_size} points "
         f"({r.tight_count} tight), min margin {r.min_margin:.6g} at {r.min_margin_point}"
     ]
-    for point, lhs, rhs, margin in r.failures[:10]:
+    for point, lhs, rhs, margin in r.failures:
         lines.append(f"    FAIL {point}: lhs={lhs!r} rhs={rhs!r} margin={margin:.6g}")
-    if len(r.failures) > 10:
-        lines.append(f"    ... {len(r.failures) - 10} more failures")
+    if r.failure_count > len(r.failures):
+        lines.append(f"    ... {r.failure_count - len(r.failures)} more failures")
     for note in r.notes:
         lines.append(f"    note: {note}")
     return "\n".join(lines)

@@ -12,6 +12,8 @@ import shlex
 import signal
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,9 @@ import qgcutoff
 from qgcutoff import bounds, structures
 from qgcutoff.bounds import WalkQuery
 from qgcutoff.cli import _FAMILY_TOKENS, MAX_GRID_POINTS, MAX_LAMBDA_MOMENT, _build_parser, _float_grid, main
+from qgcutoff.verify import suite_names
+
+_DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -309,6 +314,24 @@ def test_verify_report_file(tmp_path, capsys):
     assert doc["suites"]["anqn"]["pass_count"] == doc["suites"]["anqn"]["grid_size"]
 
 
+def test_verify_all_writes_the_pinned_stdout_and_report(tmp_path, capsys):
+    # the report lists the first failures of each negative control, and counts all of them
+    dest = tmp_path / "report.json"
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--report", str(dest))
+    assert code == 0
+    assert out == (_DATA / "verify_all_stdout.txt").read_text(encoding="utf-8")
+    assert dest.read_bytes() == (_DATA / "verify_all_report.json").read_bytes()
+
+
+@pytest.mark.parametrize("suite", ["bogus", "anqn,bogus"])
+def test_verify_unknown_suite_names_the_flag_and_writes_no_report(tmp_path, capsys, suite):
+    dest = tmp_path / "f.json"
+    code, out, err = run(capsys, "verify", "--suite", suite, "--report", str(dest))
+    assert code == 2 and out == ""
+    assert "error: --suite: unknown suite 'bogus'" in err
+    assert not dest.exists()
+
+
 # ---------------------------------------------------------------------------
 # invalid input: exit 2 with a message naming the flag, never a traceback
 
@@ -493,11 +516,12 @@ def test_porod_N_beyond_the_float_range_names_N(capsys, argv):
 @pytest.mark.parametrize("argv, flag", [
     (["profile", *_WALK, "--c", "1", "--output"], "--output"),
     (["thresholds", "--tau", "2", "--output"], "--output"),
-    (["verify", "--suite", "anqn", "--report"], "--report"),
+    (["verify", "--suite", "all", "--report"], "--report"),
 ])
 def test_unwritable_output_file_names_its_flag(capsys, tmp_path, argv, flag):
-    code, _, err = run(capsys, *argv, str(tmp_path / "missing-dir" / "out.json"))
-    assert code == 2
+    # verify opens its report before any suite runs, so it prints nothing either
+    code, out, err = run(capsys, *argv, str(tmp_path / "missing-dir" / "out.json"))
+    assert code == 2 and out == ""
     assert f"error: {flag}: " in err and "Traceback" not in err
 
 
@@ -742,6 +766,42 @@ def test_moments_flag_fuzz_exits_cleanly(data):
         argv.append(f"--lambda-moments={data.draw(n)}:{data.draw(lmax)}" if data.draw(st.booleans())
                     else f"--lambda-moments={data.draw(st.sampled_from(['x', '10', '10:', ':3', '10:3:1']))}")
     _run_under_contract(argv)
+
+
+_SUITE_ITEM = st.one_of(
+    st.sampled_from(suite_names()),
+    st.sampled_from(suite_names()).map(lambda name: f" {name}\t"),
+    st.sampled_from(["all", " all", "ALL", "", " ", "bogus", "anqn;lower_aux", "\u00e9"]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(suite=st.just("all") | st.lists(_SUITE_ITEM, min_size=1, max_size=4).map(",".join),
+       target=st.sampled_from([None, "file", "unwritable", "directory"]))
+def test_verify_flag_fuzz_exits_cleanly(suite, target):
+    valid = suite == "all" or all(name.strip() in suite_names() for name in suite.split(","))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = {None: None, "file": os.path.join(tmp, "r.json"),
+                "unwritable": os.path.join(os.devnull, "r.json"), "directory": tmp}[target]
+        argv = ["verify", f"--suite={suite}"] + ([] if path is None else [f"--report={path}"])
+        out, err = io.StringIO(), io.StringIO()
+        with _time_limit(60.0), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert "Traceback" not in err.getvalue(), argv
+        if not valid or target in ("unwritable", "directory"):
+            # a rejected run prints no suite line and writes no file
+            assert code == 2, argv
+            assert ("--suite" if not valid else "--report") in err.getvalue(), argv
+            assert out.getvalue() == "" and os.listdir(tmp) == [], argv
+            return
+        assert code == 0, argv
+        printed = [line.split()[1].rstrip(":") for line in out.getvalue().splitlines() if line.startswith("PASS")]
+        # each named suite once, in the order first named
+        assert printed == (suite_names() if suite == "all" else list(dict.fromkeys(n.strip() for n in suite.split(","))))
+        if target == "file":
+            with open(path, encoding="utf-8") as fh:
+                doc = _strict_json(fh.read())
+            assert list(doc["suites"]) == printed and doc["all_pass"] is True
 
 
 @pytest.mark.parametrize("argv, key, value", [

@@ -4,11 +4,14 @@ controls that prove the harness can fail.
 
 import math
 
+import numpy as np
 import pytest
 
 from qgcutoff.numerics import q_of
 from qgcutoff.verify import (
+    MAX_LISTED_FAILURES,
     GridSpec,
+    _Collector,
     negative_controls,
     format_report,
     report_to_dict,
@@ -41,7 +44,7 @@ def test_all_suites_pass():
 
 def test_report_counts_consistent():
     rep = verify_encadrement()
-    assert rep.pass_count + len(rep.failures) == rep.grid_size
+    assert rep.pass_count + rep.failure_count == rep.grid_size
     assert rep.tight_count <= rep.pass_count
     # the lower envelope touches u_n at several points, so ties must occur
     assert rep.tight_count > 0
@@ -103,8 +106,9 @@ def test_negative_controls_fail():
     controls = negative_controls()
     assert set(controls) == {"encadrement_broken", "lower_aux_broken", "anqn_broken"}
     for name, rep in controls.items():
-        assert len(rep.failures) >= 1, name
+        assert rep.failure_count >= 1, name
         assert not rep.ok
+        assert len(rep.failures) == min(rep.failure_count, MAX_LISTED_FAILURES), name
 
 
 def test_run_all_subset_and_unknown():
@@ -130,3 +134,35 @@ def test_determinism_bit_for_bit():
     b = report_to_dict(verify_main_inequality())
     assert a == b
     assert format_report(verify_encadrement()) == format_report(verify_encadrement())
+
+
+def _labelled(i):
+    return f"p{i}", float(i), -float(i)
+
+
+def test_nan_margin_fails_and_is_the_minimum():
+    col = _Collector("nan", 1e-12)
+    col.add(np.array([0.5, math.nan, -0.0]), _labelled)
+    rep = col.report()
+    assert not rep.ok
+    assert (rep.grid_size, rep.pass_count, rep.tight_count, rep.failure_count) == (3, 2, 1, 1)
+    assert rep.failures[0][:3] == ("p1", 1.0, -1.0) and math.isnan(rep.failures[0][3])
+    assert math.isnan(rep.min_margin) and rep.min_margin_point == "p1"
+
+
+def test_report_lists_the_first_failures_in_grid_order_and_counts_all():
+    # 25 failures over two blocks, between passes: the first 10 are listed, all 25 counted
+    col = _Collector("many", 1e-12)
+    first = np.where(np.arange(20) % 2 == 0, -1.0, 1.0)  # 10 failures at 0, 2, ..., 18
+    second = np.full(15, -2.0)
+    col.add(first, _labelled)
+    col.add(second, lambda i: _labelled(100 + i))
+    rep = col.report()
+    assert (rep.grid_size, rep.pass_count, rep.failure_count) == (35, 10, 25)
+    assert [f[0] for f in rep.failures] == [f"p{i}" for i in range(0, 20, 2)]
+    assert len(rep.failures) == MAX_LISTED_FAILURES
+    assert rep.min_margin == -2.0 and rep.min_margin_point == "p100"
+    text = format_report(rep)
+    assert text.startswith("FAIL many: 10/35 points")
+    assert text.count("    FAIL p") == MAX_LISTED_FAILURES
+    assert text.endswith("    ... 15 more failures")
