@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import log1mexp, logsumexp, q_of, u_seq
+from .numerics import _Q_DOMAIN_EPS, log1mexp, logsumexp, q_of, u_seq
 from .structures import (
     CircleMeasure,
     FiniteGroup,
@@ -92,8 +92,6 @@ __all__ = [
     "ProfileRow",
     "ProfileResult",
 ]
-
-_T_EPS = 1e-9  # same parabolic-boundary guard as numerics.q_of
 
 # Largest index total a truncation accepts.  A convolution power costs
 # O(max_total^2) per block, so (12, 2000) takes about half a second.
@@ -668,7 +666,7 @@ def _unitary_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
         log_partials = _parity_log_partials(g, log_abs_m, two_k, M, P)
 
     hyps = (
-        ("N - tau > 2", t > 2.0 + _T_EPS),
+        ("N - tau > 2", t > 2.0 + _Q_DOMAIN_EPS),
         ("N >= tau + C(tau) [recorded]", N >= (N - t) + threshold_C(N - t) if N - t > 0 else True),
     )
     text = (
@@ -826,7 +824,7 @@ def _wreath_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -
 
     tau_ok = tau > 7.0 / 4.0
     hyps = (
-        ("N - tau > 4", float(N) - tau > 4.0 + _T_EPS),
+        ("N - tau > 4", float(N) - tau > 4.0 + _Q_DOMAIN_EPS),
         ("tau > 7/4", tau_ok),
         ("N >= Q(tau)/(4 tau - 7)", tau_ok and N >= wreath_certificate_threshold(tau)),
     )

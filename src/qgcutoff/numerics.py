@@ -105,12 +105,10 @@ def u_seq(t: float | np.ndarray, nmax: int) -> np.ndarray:
     """log |u_n(t)| for n = 0..nmax and t >= 0, -inf where u_n(t) = 0.
 
     ``t`` is a float, giving shape (nmax + 1,), or a 1-D array, giving
-    shape (nmax + 1, t.size) with one column per t.  For 0 <= t <= 2 the
-    values stay within [-(n+1), n+1] and may vanish; they come straight from
-    the recurrence.  For t > 2 they grow like q(t)^{-n}, and past 1e250 the
-    closed form in q(t) takes over.  The recurrence runs in float64 and
-    every log is ``math.log``, so a column is bitwise the result of the
-    float call at its t.
+    shape (nmax + 1, t.size) with one column per t, each the float call at
+    its t.  For 0 <= t <= 2 the values stay within [-(n+1), n+1] and may
+    vanish; they come straight from the recurrence.  For t > 2 they grow
+    like q(t)^{-n}, and past 1e250 the closed form in q(t) takes over.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
@@ -124,24 +122,8 @@ def u_seq(t: float | np.ndarray, nmax: int) -> np.ndarray:
         raise ValueError("t must be a float or a 1-D array")
     if not np.all(ts >= 0.0):
         raise ValueError("u_seq requires every t >= 0")
-    out = np.empty((nmax + 1, ts.size))
-    # per column, the first n the closed form gives (nmax + 1 for none)
-    first = np.full(ts.size, nmax + 1)
-    growing = ts > 2.0 + _Q_DOMAIN_EPS
-    prev, cur = np.ones_like(ts), ts
-    # past its switch a column may overflow; the closed form replaces it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(nmax + 1):
-            first[growing & ~(prev < _U_SWITCH) & (first > nmax)] = n
-            mag = np.abs(prev)
-            zero = mag == 0.0
-            out[n] = list(map(math.log, np.where(zero, 1.0, mag).tolist()))
-            out[n, zero] = -math.inf
-            prev, cur = cur, ts * cur - prev
-    for j in np.flatnonzero(first <= nmax):
-        log_q = math.log(q_of(float(ts[j])))
-        out[first[j] :, j] = [_u_log_closed_form(log_q, n) for n in range(first[j], nmax + 1)]
-    return out
+    cols = [_log_u_floats(x, nmax) for x in ts.tolist()]
+    return np.array(cols, dtype=float).reshape(ts.size, nmax + 1).T
 
 
 # From this n on, wallis sums the asymptotic series instead of the product.

@@ -42,6 +42,7 @@ __all__ = [
     "porod_rule",
     "porod_nodes",
     "tau_theta",
+    "trace_modulus",
     "lambda_theta",
     "arg_trace",
 ]
@@ -353,7 +354,9 @@ def _half_angle_nodes(quad_points: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def porod_nodes(N: int, quad_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes and weights for the Porod mixture of parameter N.
+    """Quadrature nodes and weights for the Porod mixture of parameter N:
+    the tests' independent reference for the exact ``porod_rule`` and the
+    closed-form moments.  No command builds them.
 
     Substituting theta = 2*phi maps the density to sin^{N-1}(phi) / (2 W_{N-1})
     on [0, pi]; the nodes are Gauss-Legendre on that interval, built once per
@@ -421,16 +424,25 @@ def lambda_theta(theta: float) -> float:
     return 1.0 - math.cos(theta)
 
 
+def trace_modulus(N: int, theta: float) -> float:
+    """|e^{i theta} + N - 1| = sqrt(N^2 - 2 N lambda + 2 lambda), with
+    lambda = 1 - cos(theta): the modulus of the trace of an evaluation
+    state, at least N - 2."""
+    lam = lambda_theta(theta)
+    return math.sqrt(N * N - 2.0 * N * lam + 2.0 * lam)
+
+
 def tau_theta(N: int, theta: float) -> float:
     """N - |e^{i theta} + N - 1|, the trace deficit of an evaluation state.
 
-    Satisfies lambda(theta) * (N - 1) / N <= tau <= lambda(theta), with
-    lambda = 1 - cos(theta).
+    Taken as 2 lambda (N - 1) / (N + |e^{i theta} + N - 1|), lambda =
+    1 - cos(theta), which does not cancel: the difference of N and the
+    modulus would lose every digit of a small deficit at large N.
+    Satisfies lambda(theta) * (N - 1) / N <= tau <= lambda(theta).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    lam = lambda_theta(theta)
-    return N - math.sqrt(N * N - 2.0 * N * lam + 2.0 * lam)
+    return 2.0 * lambda_theta(theta) * (N - 1.0) / (N + trace_modulus(N, theta))
 
 
 def arg_trace(N: int, theta: float) -> float:

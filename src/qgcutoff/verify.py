@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import lambda_moment, q_of, u_seq
-from .structures import lambda_theta, porod_nodes, tau_theta
+from .numerics import _Q_DOMAIN_EPS, lambda_moment, q_of, u_seq
+from .structures import lambda_theta, porod_rule, trace_modulus
 from .bounds import threshold_C, wreath_certificate_threshold
 
 __all__ = [
@@ -239,7 +239,7 @@ def verify_main_inequality(g: GridSpec = DEFAULT_MAIN_GRID) -> VerifyReport:
         col.add(log_lhs - tau / N,
                 lambda i: (f"tau={tau:g} N={n_start + i}", math.exp(log_lhs[i]), math.exp(tau / (n_start + i))))
         # exploratory scan below the threshold (domain still needs N - tau > 2)
-        below = np.array([N for N in range(int(math.floor(tau)) + 3, n_start) if N - tau > 2.0 + 1e-9], dtype=float)
+        below = np.array([N for N in range(int(math.floor(tau)) + 3, n_start) if N - tau > 2.0 + _Q_DOMAIN_EPS], dtype=float)
         for N, margin in zip(below.tolist(), (_main_lhs_log(below, tau) - tau / below).tolist()):
             col.note(f"below threshold: tau={tau:g} N={int(N)} margin={margin:.6g}")
     return col.report()
@@ -278,7 +278,7 @@ def verify_ratio_comparison(g: GridSpec = DEFAULT_RATIO_GRID) -> VerifyReport:
     col = _Collector("ratio_comparison", g.tolerance)
     Ns = [int(N_f) for N_f in g.taus]
     thetas = [2.0 * math.pi * j / g.theta_count for j in range(g.theta_count)]
-    t1 = [N - tau_theta(N, theta) for N in Ns for theta in thetas]
+    t1 = [trace_modulus(N, theta) for N in Ns for theta in thetas]
     t2 = [N - lambda_theta(theta) for N in Ns for theta in thetas]
     # one u_seq call for every t; log_ratio is (N, theta, n), the sweep's order
     log_u = u_seq(np.array(t1 + t2), g.index_max)[1:]
@@ -322,26 +322,30 @@ def _wreath_lhs_log(N: np.ndarray, tau: float) -> np.ndarray:
 
 
 def verify_lambda_moment(g: GridSpec = DEFAULT_LAMBDA_GRID) -> VerifyReport:
-    """Closed-form moments 2^l prod (N-2+2s)/(N-1+2s) against quadrature at
-    relative tolerance; also records, per N, the quadrature resolution of the
-    Wallis-ratio question (recurrence ratio N/(N+1) versus the alternative
-    (N+1)/(N+2) sometimes quoted for W_{N+1}/W_{N-1})."""
+    """Closed-form moments 2^l prod (N-2+2s)/(N-1+2s) for l <= index_max
+    against the Porod rule of degree index_max (``porod_rule``), which
+    averages lambda^l, a trigonometric polynomial of degree l, exactly, at
+    relative tolerance.  The two sides are independent: the rule's weights
+    come from the beta-integral moments, the closed form telescopes the
+    Wallis recurrence.  Also records, per N, the rule's E[lambda]/2 against
+    the Wallis-ratio question (recurrence ratio N/(N+1) versus the
+    alternative (N+1)/(N+2) sometimes quoted for W_{N+1}/W_{N-1})."""
     # margin = tolerance - relative deviation, so a point fails exactly when
     # the deviation exceeds the grid tolerance
     col = _Collector("lambda_moment", 1e-15)
     for N_f in g.taus:
         N = int(N_f)
-        theta, w = porod_nodes(N, 2048)
+        theta, w = porod_rule(N, g.index_max)
         lam = 1.0 - np.cos(theta)
         closed = [lambda_moment(N, l) for l in range(g.index_max + 1)]
-        quad = [float(np.dot(w, lam**l)) for l in range(g.index_max + 1)]
-        margins = [g.tolerance - abs(c - qd) / max(abs(qd), 1e-300) for c, qd in zip(closed, quad)]
-        col.add(np.array(margins), lambda l: (f"N={N} l={l}", closed[l], quad[l]))
-        half_mean = float(np.dot(w, lam)) / 2.0
+        rule = [float(np.dot(w, lam**l)) for l in range(g.index_max + 1)]
+        margins = [g.tolerance - abs(c - r) / max(abs(r), 1e-300) for c, r in zip(closed, rule)]
+        col.add(np.array(margins), lambda l: (f"N={N} l={l}", closed[l], rule[l]))
+        half_mean = rule[1] / 2.0
         rec = N / (N + 1.0)
         alt = (N + 1.0) / (N + 2.0)
         col.note(
-            f"N={N}: quadrature E[lambda]/2 = {half_mean!r}; recurrence ratio N/(N+1) = {rec!r} "
+            f"N={N}: rule E[lambda]/2 = {half_mean!r}; recurrence ratio N/(N+1) = {rec!r} "
             f"(deviation {abs(half_mean - rec):.3e}); alternative ratio (N+1)/(N+2) = {alt!r} "
             f"(deviation {abs(half_mean - alt):.3e})"
         )

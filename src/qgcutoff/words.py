@@ -36,8 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .numerics import lambda_moment
-from .structures import CircleMeasure, FiniteGroup, arg_trace, tau_theta
+from .structures import CircleMeasure, FiniteGroup, arg_trace, trace_modulus
 
 __all__ = [
     "UIrrepWord",
@@ -224,12 +223,11 @@ def eval_state_params(N: int, theta: float) -> tuple[float, CircleMeasure]:
     """Parameters (t, nu) of the evaluation state at rotation angle theta.
 
     The state evaluates characters at the rotation diag(e^{i theta}, 1, ..., 1)
-    pushed into the free unitary group; its trace has modulus t = N - tau_theta
-    and argument beta, so the state coincides with the central state of
-    parameter t and measure delta_beta.
+    pushed into the free unitary group; its trace has modulus
+    t = |e^{i theta} + N - 1| = N - tau_theta and argument beta, so the state
+    coincides with the central state of parameter t and measure delta_beta.
     """
-    t = float(N) - tau_theta(N, theta)
-    return t, CircleMeasure.delta(arg_trace(N, theta))
+    return trace_modulus(N, theta), CircleMeasure.delta(arg_trace(N, theta))
 
 
 def _exp(x: float) -> float:
@@ -244,24 +242,22 @@ def chi2_expectation_unitary(N: int, tau: float, k: float) -> float:
     convolution power at trace deficit tau:
     (N^2 - 1) * (((N - tau)^2 - 1) / (N^2 - 1))^k.
 
-    Requires N - tau > 1.
+    The step factor is taken as 1 - tau (2N - tau) / (N^2 - 1) through
+    log1p, so a small tau / N is not lost to cancellation.  Requires
+    N - tau > 1.
     """
-    t = N - tau
-    if not t > 1.0:
-        raise ValueError(f"need N - tau > 1, got {t!r}")
-    log_top = math.log(t * t - 1.0)
-    log_bot = math.log(float(N) * N - 1.0)
-    return _exp(log_bot + k * (log_top - log_bot))
+    if not N - tau > 1.0:
+        raise ValueError(f"need N - tau > 1, got {N - tau!r}")
+    bot = float(N) * N - 1.0
+    return _exp(math.log(bot) + k * math.log1p(-tau * (2.0 * N - tau) / bot))
 
 
 def chi2_expectation_wreath(N: int, tau: float, k: float) -> float:
-    """(N - 1) * ((N - tau - 1) / (N - 1))^k; requires N - tau > 1."""
-    t = N - tau - 1.0
-    if not t > 0.0:
+    """(N - 1) * ((N - tau - 1) / (N - 1))^k, the step factor taken as
+    1 - tau / (N - 1) through log1p; requires N - tau > 1."""
+    if not N - tau > 1.0:
         raise ValueError(f"need N - tau > 1, got N - tau = {N - tau!r}")
-    log_top = math.log(t)
-    log_bot = math.log(N - 1.0)
-    return _exp(log_bot + k * (log_top - log_bot))
+    return _exp(math.log(N - 1.0) + k * math.log1p(-tau / (N - 1.0)))
 
 
 def chi_expectation_mixture(N: int, k: float) -> float:
@@ -269,10 +265,9 @@ def chi_expectation_mixture(N: int, k: float) -> float:
     witness under the k-th power of the Porod-mixed evaluation state.
 
     The per-step factor is (N - 1 + E[cos theta]) / N with
-    E[cos theta] = 1 - lambda_moment(N, 1) = (1 - N) / (1 + N).
+    E[cos theta] = 1 - lambda_moment(N, 1) = (1 - N) / (1 + N), taken as
+    1 - 2 / (N + 1) through log1p.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    mean_cos = 1.0 - lambda_moment(N, 1)
-    step = (N - 1.0 + mean_cos) / N  # = (N - 1) / (N + 1)
-    return _exp(math.log(2.0 * N) + k * math.log(step))
+    return _exp(math.log(2.0 * N) + k * math.log1p(-2.0 / (N + 1.0)))

@@ -892,3 +892,43 @@ def test_porod_measure_rejects_N_beyond_the_float_range():
     CircleMeasure.porod(bounds.MAX_N + 1)
     with pytest.raises(ValueError, match="float"):
         CircleMeasure.porod(10**400)
+
+
+# ---------------------------------------------------------------------------
+# the Chebyshev lower bound at large N
+
+
+_LARGE_N_WALKS = {
+    "unitary": lambda N: WalkQuery.unitary(N, 2.0),
+    "wreath": lambda N: WalkQuery.wreath(N, 2.0, cyclic_group(3)),
+    "eval-2": lambda N: WalkQuery.eval_point(N, 2.0),
+    "eval-0.01": lambda N: WalkQuery.eval_point(N, 0.01),
+    "mixture": lambda N: WalkQuery.mixture(N),
+}
+
+
+@pytest.mark.parametrize("N", [10**13, 10**15, 2**53])
+@pytest.mark.parametrize("walk", list(_LARGE_N_WALKS))
+def test_tv_lower_is_zero_one_N_past_the_cutoff_at_large_N(walk, N):
+    # the witness mean tends to e^{-2 rate} or below there, far under the
+    # Chebyshev threshold; a step factor formed as a difference of two logs
+    # of size log N rounds to 1 and reads 1.0
+    q = _LARGE_N_WALKS[walk](N)
+    assert tv_lower(q, nominal_cutoff(q) + N) == 0.0
+
+
+@pytest.mark.parametrize("N", [10**13, 10**15, 2**53])
+@pytest.mark.parametrize("walk, c, limit", [
+    ("unitary", -0.6, 1.0 - 40.0 * math.exp(-4.8)),
+    ("mixture", -1.0, 1.0 - 6.0 * math.exp(-4.0)),
+])
+def test_tv_lower_before_the_cutoff_reaches_its_limit_at_large_N(walk, c, limit, N):
+    # the witness mean tends to e^{-2 rate c} (unitary, tau = 2) and
+    # 2 e^{-2 rate c} (mixture, rate 2), about ln N / N off at N
+    q = _LARGE_N_WALKS[walk](N)
+    assert tv_lower(q, nominal_cutoff(q) + c * N) == pytest.approx(limit, abs=1e-6)
+
+
+def test_bound_prints_a_zero_lower_bound_one_N_past_the_cutoff_at_large_N(capsys):
+    assert cli.main(["bound", "--family", "unitary", "--N", "1000000000000000", "--tau", "2", "--c", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["tv_lower"] == 0.0

@@ -611,6 +611,22 @@ def test_unitary_porod_runs_no_quadrature(monkeypatch, capsys, command, k_flag):
     assert (code, err) == (0, "")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "all"],
+    ["profile", "--family", "mixture", "--N", "100", "--c-range", "-1:6:1"],
+    ["moments", "--nu", "porod", "--N", "100", "--eps", "0,1,2"],
+    ["moments", "--lambda-moments", "10:4"],
+], ids=["verify", "mixture-profile", "porod-moments", "lambda-moments"])
+def test_no_command_builds_gauss_legendre_nodes(monkeypatch, capsys, argv):
+    def build(*args):
+        raise AssertionError("quadrature nodes built")
+
+    monkeypatch.setattr(structures, "_gauss_legendre", build)
+    monkeypatch.setattr(structures, "porod_nodes", build)
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+
+
 # ---------------------------------------------------------------------------
 # range grids: every --k-range/--c-range string ends in exit 0 or 2, quickly
 

@@ -482,3 +482,17 @@ def test_tau_theta_exact():
     z = (N - 1.0) + cmath.exp(1j * theta)
     assert tau_theta(N, theta) == pytest.approx(N - abs(z), rel=1e-12)
     assert arg_trace(N, theta) == pytest.approx(cmath.phase(z), rel=1e-12)
+
+
+@pytest.mark.parametrize("N, theta", [(10**12, 0.01), (10**15, 2.0), (2**53, 1e-3), (5, 0.3), (3, math.pi)])
+def test_tau_theta_matches_50_digit_reference(N, theta):
+    # the deficit N - sqrt(N^2 - 2 N lambda + 2 lambda) at the package's
+    # lambda = lambda_theta(theta), which the rate and the engine's t share;
+    # formed as a difference it loses every digit of a small deficit at
+    # large N (4.99996e-5 read as 1.2207e-4 at N = 1e12, theta = 0.01)
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    lam, n = mp.mpf(lambda_theta(theta)), mp.mpf(N)
+    want = n - mp.sqrt(n * n - 2 * n * lam + 2 * lam)
+    assert abs(float((tau_theta(N, theta) - want) / want)) <= 1e-14

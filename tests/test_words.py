@@ -224,6 +224,25 @@ def test_chi_expectation_mixture():
     assert chi_expectation_mixture(N, k) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("N", [10**6, 10**13, 10**15, 2**53])
+def test_witness_expectations_match_50_digit_reference_at_large_N(N):
+    # one N past the cutoff: the step factor is 1 - O(1/N), which a
+    # difference of two logs of size log N loses from N about 1e15
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    n, tau = mp.mpf(N), mp.mpf(2)
+    k = N * math.log(N) / 2.0 + N
+    kk = mp.mpf(k)
+    cases = [
+        (chi2_expectation_unitary(N, 2.0, k), (n * n - 1) * (((n - tau) ** 2 - 1) / (n * n - 1)) ** kk),
+        (chi2_expectation_wreath(N, 2.0, k), (n - 1) * ((n - tau - 1) / (n - 1)) ** kk),
+        (chi_expectation_mixture(N, k), 2 * n * ((n - 1) / (n + 1)) ** kk),
+    ]
+    for got, want in cases:
+        assert abs(float((got - want) / want)) <= 1e-12, (N, got, float(want))
+
+
 def test_mixture_per_step_factor_matches_quadrature():
     # per-step damping of the degree-1 witness: (N - 1 + E[cos]) / N with
     # E[cos] = 1 - E[lambda] = -(N-1)/(N+1) under the Porod mixture
