@@ -100,7 +100,7 @@ MAX_TOTAL = 4096
 MAX_MIXTURE_WORDS = 100_000
 # Most blocks a truncation accepts.  The parity classes of the words of at
 # most P blocks number about P^3 / 6 (677 MB at P = 384); with Haar nu,
-# (64, 64) takes about 0.04 s and 33 MB, (64, 4096) about 35 s and 43 MB.
+# (64, 64) takes about 0.02 s and 33 MB, (64, 4096) about 15 s and 45 MB.
 MAX_P = 64
 # Most entries, (max_total + 1) * L, of the mixture's per-node u_n ratio table
 # on L = 2 ((max_total + max_p) // 2) + 1 rule nodes (the default (5, 10)
@@ -410,12 +410,18 @@ def _row_logsumexp(x: np.ndarray) -> np.ndarray:
     """log of the sum of exp over the last axis; -inf for an all -inf row."""
     hi = x.max(axis=-1, initial=-math.inf)
     shift = np.where(np.isfinite(hi), hi, 0.0)
+    terms = x - shift[..., np.newaxis]
+    np.exp(terms, out=terms)
     with np.errstate(divide="ignore"):
-        return shift + np.log(np.exp(x - shift[..., np.newaxis]).sum(axis=-1))
+        return shift + np.log(terms.sum(axis=-1))
 
 
-# most terms one row block of _gather_logsumexp forms at a time (32 KB)
-_BLOCK_TERMS = 4096
+# most terms one row block of _gather_logsumexp forms at a time (256 KB per
+# buffer).  At the default truncation a stacked power round at K = 1 has up
+# to 8 rows of 1225 pairs, which one block holds (4096 held 3).  On a 2-vCPU
+# x86-64 VM the point-mass unitary engine at N = 200 on a 101-point grid took
+# 35 ms at 4096, 26 ms at 16384, 23 ms at 32768 and no less above it.
+_BLOCK_TERMS = 32768
 
 
 def _gather_logsumexp(
@@ -497,20 +503,30 @@ def _log_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_conv_power_sums(first: np.ndarray, step: np.ndarray, budgets: Sequence[int]) -> np.ndarray:
-    """log [z^{<= budgets[i]}] first(z) step(z)^i per row, shape (K, len(budgets)).
+def _log_conv_powers(step: np.ndarray, budgets: Sequence[int]) -> np.ndarray:
+    """out[i] = log step(z)^i up to degree budgets[i], -inf above it, for
+    i < len(budgets); shape (len(budgets), K, budgets[0] + 1).
 
-    ``first`` and ``step`` are (K, L+1) log-coefficient arrays; ``budgets``
-    must be non-increasing.  Each power is built from the one before it and
-    is only formed up to its own budget.
+    ``step`` is a (K, L+1) log-coefficient array with L >= budgets[1];
+    ``budgets`` must be non-increasing.  The powers are built by doubling:
+    round n forms out[n + j] = out[j] out[n] for every 1 <= j <= n with
+    n + j < len(budgets) in one stacked ``_log_conv`` call, at the widest
+    budget of the round, so P powers take about log2 P calls.
     """
-    out = np.empty((first.shape[0], len(budgets)))
-    cur = first
-    for i, budget in enumerate(budgets):
-        width = budget + 1
-        if i:
-            cur = _log_conv(cur[:, :width], step[:, :width])
-        out[:, i] = _row_logsumexp(cur[:, :width])
+    P, K, width = len(budgets), step.shape[0], budgets[0] + 1
+    out = np.full((P, K, width), -math.inf)
+    out[0, :, 0] = 0.0
+    if P > 1:
+        out[1, :, : budgets[1] + 1] = step[:, : budgets[1] + 1]
+    n = 1
+    while n + 1 < P:
+        m, w = min(n, P - 1 - n), budgets[n + 1] + 1
+        a = out[1 : m + 1, :, :w].reshape(m * K, w)
+        b = np.broadcast_to(out[n, :, :w], (m, K, w)).reshape(m * K, w)
+        out[n + 1 : n + m + 1, :, :w] = _log_conv(a, b).reshape(m, K, w)
+        n *= 2
+    above = np.arange(width) > np.asarray(budgets)[:, np.newaxis]
+    out[np.broadcast_to(above[:, np.newaxis, :], out.shape)] = -math.inf
     return out
 
 
@@ -534,6 +550,8 @@ class _ParityClasses:
     stop: np.ndarray  # column (sigma, T) of each class in the stop table
     pair: np.ndarray  # index of each class's (a, b) pair
     pair_starts: np.ndarray  # first class of each pair
+    pair_a: np.ndarray  # a of each pair
+    pair_b: np.ndarray  # b of each pair
     # per stop-table column (sigma, T), the index e + P of the winding
     # exponent of each stop option: e+ = T + [sigma > 0], e- = -1 - T + [sigma < 0]
     e_plus: np.ndarray
@@ -565,11 +583,17 @@ def _parity_classes(P: int) -> _ParityClasses:
         pair.append((L - 1) * (L + 2) // 2 + a)
     T = np.arange(width) - off
     pairs = np.concatenate(pair)
+    # every pair (a, L - a), 0 <= a <= L <= P, has a class, so these are the
+    # pairs of pair_starts in order
+    L = np.repeat(np.arange(1, P + 1), np.arange(2, P + 2))
+    a = np.arange(L.size) - (L - 1) * (L + 2) // 2
     classes = _ParityClasses(
         log_count=np.concatenate(log_count),
         stop=np.concatenate(stop),
         pair=pairs,
         pair_starts=np.flatnonzero(np.diff(pairs, prepend=-1)),
+        pair_a=a,
+        pair_b=L - a,
         e_plus=np.r_[T + 1, T] + P,
         e_minus=np.r_[-1 - T, -T] + P,
     )
@@ -592,8 +616,9 @@ def _parity_log_partials(g: np.ndarray, log_abs_m: np.ndarray, two_k: np.ndarray
     pc = _parity_classes(P)
     classes = np.arange(pc.log_count.size)
     out = np.empty(g.shape[0])
-    # the powers of a block of rows take at most about _BLOCK_TERMS floats each
-    rows = max(1, _BLOCK_TERMS // ((P + 1) * (M + 1)))
+    # the stacked odd and even powers of a block of rows take at most about
+    # _BLOCK_TERMS floats
+    rows = max(1, _BLOCK_TERMS // (2 * (P + 1) * (M + 1)))
     for r in range(0, g.shape[0], rows):
         block, tk = g[r : r + rows], two_k[r : r + rows, np.newaxis]
         n = block.shape[0]
@@ -605,21 +630,21 @@ def _parity_log_partials(g: np.ndarray, log_abs_m: np.ndarray, two_k: np.ndarray
         log_count = np.broadcast_to(pc.log_count, (n, classes.size))
         stop_sums = _gather_logsumexp(stop, pc.stop, log_count, classes, pc.pair, pc.pair_starts)
 
-        # odd_pow[:, a] = O^a and even_pow[:, b] = E^b, a, b <= P
-        odd_pow = np.full((n, P + 1, M + 1), -math.inf)
-        even_pow = np.full_like(odd_pow, -math.inf)
-        odd_pow[:, 0, 0] = even_pow[:, 0, 0] = 0.0
-        odd_pow[:, 1, 1::2] = block[:, 1::2]
-        even_pow[:, 1, 2::2] = block[:, 2::2]
-        for p in range(2, P + 1):
-            odd_pow[:, p] = _log_conv(odd_pow[:, p - 1], odd_pow[:, 1])
-            even_pow[:, p] = _log_conv(even_pow[:, p - 1], even_pow[:, 1])
-        # even_rev[:, b, j] = log [z^{<= M - j}] E^b
-        np.logaddexp.accumulate(even_pow, axis=2, out=even_pow)
-        even_rev = even_pow[:, :, ::-1]
-        # S(a, L - a) = sum_j [z^j] O^a [z^{<= M - j}] E^{L - a}, pairs in (L, a) order
-        log_s = [_row_logsumexp(odd_pow[:, : L + 1] + even_rev[:, L::-1]) for L in range(1, P + 1)]
-        out[r : r + rows] = _row_logsumexp(np.hstack(log_s) + stop_sums)
+        # O and E as the 2n rows of one series; pows[p, :n] = O^p, pows[p, n:] = E^p, p <= P
+        oe = np.full((2 * n, M + 1), -math.inf)
+        oe[:n, 1::2] = block[:, 1::2]
+        oe[n:, 2::2] = block[:, 2::2]
+        pows = _log_conv_powers(oe, [M] * (P + 1))
+        # even_rev[b, :, j] = log [z^{<= M - j}] E^b
+        even_rev = np.logaddexp.accumulate(pows[:, n:], axis=2)[:, :, ::-1]
+        # S(a, b) = sum_j [z^j] O^a [z^{<= M - j}] E^b, pairs in (L, a) order,
+        # in runs of pairs of at most about _BLOCK_TERMS terms
+        run = max(1, _BLOCK_TERMS // (n * (M + 1)))
+        log_s = np.concatenate([
+            _row_logsumexp(pows[pc.pair_a[i : i + run], :n] + even_rev[pc.pair_b[i : i + run]])
+            for i in range(0, pc.pair_a.size, run)
+        ])
+        out[r : r + rows] = _row_logsumexp(log_s.T + stop_sums)
     return out
 
 
@@ -655,8 +680,8 @@ def _unitary_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
     g = _log_coeff_table(two_k, u_seq(t, M), u_seq(float(N), M))
     weight = nu.point_mass_weight()
     if weight is not None:
-        sums = _log_conv_power_sums(g, g, [M] * P)
-        log_partials = math.log(2.0) + two_k * math.log(weight) + _row_logsumexp(sums)
+        powers = _log_conv_powers(g, [M] * (P + 1))
+        log_partials = math.log(2.0) + two_k * math.log(weight) + _row_logsumexp(np.hstack(powers[1:]))
     else:
         log_abs_m = np.full(2 * P + 1, -math.inf)
         for eps in range(-P, P + 1):
@@ -817,9 +842,14 @@ def _wreath_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -
     if budgets:
         ends = f[:, 1 : 2 * budgets[0] + 2 : 2]
         interior = f[:, 2 : 2 * budgets[0] + 3 : 2]
-        blocks = _log_conv_power_sums(_log_conv(ends, ends), interior, budgets)
+        # block p sums [z^j] I^{p-1} [z^{<= budget - j}] E^2 over j <= its
+        # budget; above it I^{p-1} is -inf, so the clipped index is harmless
+        e2_cum = np.logaddexp.accumulate(_log_conv(ends, ends), axis=1)
+        rest = np.maximum(np.asarray(budgets)[:, np.newaxis] - np.arange(budgets[0] + 1), 0)
+        terms = _log_conv_powers(interior, budgets) + np.take(e2_cum, rest, axis=1).transpose(1, 0, 2)
         # K(psi) >= 1 always since psi(identity) = 1
-        cols.append(np.arange(len(budgets)) * math.log(q.group.order) + math.log(q.psi.abs_sum()) + blocks)
+        log_labels = np.arange(len(budgets)) * math.log(q.group.order) + math.log(q.psi.abs_sum())
+        cols.append((_row_logsumexp(terms) + log_labels[:, np.newaxis]).T)
     log_partials = _row_logsumexp(np.hstack(cols))
 
     tau_ok = tau > 7.0 / 4.0

@@ -475,7 +475,8 @@ def cmd_moments(args: argparse.Namespace) -> int:
             doc["wallis_ratio_alternative"] = (N + 1.0) / (N + 2.0)
         doc["wallis_ratio_note"] = (
             "W_{N+1}/W_{N-1} from the Wallis recurrence is N/(N+1); "
-            "the alternative (N+1)/(N+2) disagrees with quadrature"
+            "the alternative (N+1)/(N+2) disagrees with E[lambda]/2 on the exact "
+            "Porod rule (verify --suite lambda_moment)"
         )
     if not doc:
         raise CliError("moments needs --eps (with --nu) or --lambda-moments")

@@ -172,6 +172,27 @@ def test_wreath_partial_matches_oracle_z3():
     assert got == pytest.approx(want, abs=1e-9)
 
 
+# the doubling rounds of the power helper change after 4 and after 8 powers
+@pytest.mark.parametrize("P", [6, 8, 9])
+@pytest.mark.parametrize("nu", [CircleMeasure.delta(0.0), CircleMeasure.haar()], ids=["delta", "haar"])
+def test_unitary_partial_matches_oracle_across_doubling_rounds(nu, P):
+    N, k, M = 12, 4.0, P + 2
+    q = WalkQuery("unitary-free", N, tau=2.0, nu=nu)
+    got = A_k_grid(q, [k], TruncationConfig(max_p=P, max_total=M))[0].log_partial
+    assert got == pytest.approx(unitary_log_partial(N, N - 2.0, nu, k, M, P), abs=1e-9)
+
+
+@pytest.mark.parametrize("P", [6, 8, 9])
+def test_wreath_partial_matches_oracle_z3_across_doubling_rounds(P):
+    # max_total = 2P keeps all P blocks: the p-block budget is (max_total - 2p) // 2
+    N, tau, k, M = 30, 3.0, 10.0, 2 * P
+    g = cyclic_group(3)
+    psi = trivial_state(g)
+    q = WalkQuery.wreath(N, tau, g, psi)
+    got = A_k_grid(q, [k], TruncationConfig(max_p=P, max_total=M))[0].log_partial
+    assert got == pytest.approx(wreath_log_partial(N, tau, g, psi, k, M, P), abs=1e-9)
+
+
 def test_wreath_partial_empty_truncation():
     # max_total = 1 admits no wreath word: the partial is an empty sum
     g = cyclic_group(2)
@@ -381,6 +402,71 @@ def test_log_conv_matches_naive_double_loop(monkeypatch, K, block_terms):
         assert np.all(np.isfinite(got) == finite)
         scale = np.maximum(1.0, np.abs(want[finite]))
         assert np.all(np.abs(got[finite] - want[finite]) <= 1e-14 * scale), width
+
+
+def _sequential_log_conv_powers(step, budgets):
+    """The powers step^i one at a time, each from the one before it at its
+    own budget, -inf above it: the chain the doubling replaced."""
+    out = np.full((len(budgets), step.shape[0], budgets[0] + 1), -math.inf)
+    out[0, :, 0] = 0.0
+    cur = step
+    for i, budget in enumerate(budgets[1:], 1):
+        width = budget + 1
+        if i > 1:
+            cur = bounds._log_conv(cur[:, :width], step[:, :width])
+        out[i, :, :width] = cur[:, :width]
+    return out
+
+
+# 1 block term gives one row per block; 500 and 3000 give 2 and 12 rows of
+# the 231 pairs of width 21, so row blocks end inside a power's K rows
+@pytest.mark.parametrize("block_terms", [bounds._BLOCK_TERMS, 1, 500, 3000])
+@pytest.mark.parametrize("widths", ["equal", "non-increasing"])
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("P", [1, 2, 3, 5, 8, 9, 12, 13])
+def test_log_conv_powers_match_the_sequential_chain(monkeypatch, P, K, widths, block_terms):
+    # the powers step^0 .. step^P
+    monkeypatch.setattr(bounds, "_BLOCK_TERMS", block_terms)
+    rng = np.random.default_rng(P * 10 + K)
+    L = 20
+    budgets = [L] * (P + 1) if widths == "equal" else sorted(rng.integers(0, L + 1, P + 1).tolist(), reverse=True)
+    step = rng.uniform(-50.0, 50.0, (K, L + 1))
+    step[:, rng.random(L + 1) < 0.3] = -math.inf
+    if K > 1:
+        step[1] = -math.inf  # an all -inf row
+    got = bounds._log_conv_powers(step, budgets)
+    want = _sequential_log_conv_powers(step, budgets)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    finite = np.isfinite(want)
+    assert np.all(np.isfinite(got) == finite)
+    scale = np.maximum(1.0, np.abs(want[finite]))
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-14 * scale), budgets
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (["--family", "unitary", "--N", "200", "--tau", "2"], 4),
+        (["--family", "unitary", "--N", "200", "--tau", "2", "--nu", "haar"], 4),
+        # E^2, then 4 rounds build the interior powers I^2 .. I^11
+        (["--family", "wreath", "--N", "200", "--tau", "2", "--group", "cyclic:3"], 5),
+    ],
+)
+def test_bound_makes_about_log2_P_convolution_calls(monkeypatch, capsys, argv, calls):
+    # the default truncation (12, 48): 4 doubling rounds build the 12 powers
+    count = 0
+    log_conv = bounds._log_conv
+
+    def counted(a, b):
+        nonlocal count
+        count += 1
+        return log_conv(a, b)
+
+    monkeypatch.setattr(bounds, "_log_conv", counted)
+    assert cli.main(["bound", *argv, "--c", "1"]) == 0
+    capsys.readouterr()
+    assert count == calls
 
 
 # ---------------------------------------------------------------------------
@@ -692,9 +778,9 @@ def test_cutoff_profile_rows_match_single_point_engine(query, ks):
 @pytest.mark.parametrize(
     "argv, engine, passes",
     [
-        (["--family", "unitary", "--N", "40", "--tau", "2"], "_log_conv_power_sums", 1),
-        (["--family", "eval", "--N", "40", "--theta", "2"], "_log_conv_power_sums", 1),
-        (["--family", "wreath", "--N", "40", "--tau", "2", "--group", "cyclic:3"], "_log_conv_power_sums", 1),
+        (["--family", "unitary", "--N", "40", "--tau", "2"], "_log_conv_powers", 1),
+        (["--family", "eval", "--N", "40", "--theta", "2"], "_log_conv_powers", 1),
+        (["--family", "wreath", "--N", "40", "--tau", "2", "--group", "cyclic:3"], "_log_conv_powers", 1),
         # a general nu runs the parity-class sum once for the whole grid
         (["--family", "unitary", "--N", "40", "--tau", "2", "--nu", "haar"], "_parity_log_partials", 1),
         # Porod averages are exact: no Gauss-Legendre quadrature at all

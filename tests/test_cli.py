@@ -65,6 +65,15 @@ def test_moments_lambda(capsys):
     assert "alternative" in doc["wallis_ratio_note"]
 
 
+def test_moments_lambda_note_names_the_exact_rule_check(capsys):
+    # no command runs a quadrature: the note points at verify's exact Porod rule
+    code, out, _ = run(capsys, "moments", "--lambda-moments", "10:4")
+    assert code == 0
+    note = json.loads(out)["wallis_ratio_note"]
+    assert "quadrature" not in note
+    assert "verify --suite lambda_moment" in note
+
+
 def test_moments_eps_delta(capsys):
     code, out, _ = run(capsys, "moments", "--nu", "delta:0.5", "--eps", "0,1,-2")
     assert code == 0
