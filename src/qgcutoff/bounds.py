@@ -101,6 +101,9 @@ MAX_MIXTURE_WORDS = 100_000
 # Most blocks a truncation accepts.  The parity classes of the words of at
 # most P blocks number about P^3 / 6 (677 MB at P = 384); with Haar nu,
 # (64, 64) takes about 0.02 s and 33 MB, (64, 4096) about 15 s and 45 MB.
+# A delta profile at (64, 4096) takes about 5 s a grid point, a wreath one
+# over Z/3 about 1.4 s; from 30 MB at start, either peaked at 37 MB for 11
+# points and at 40-42 MB for 101.
 MAX_P = 64
 # Most entries, (max_total + 1) * L, of the mixture's per-node u_n ratio table
 # on L = 2 ((max_total + max_p) // 2) + 1 rule nodes (the default (5, 10)
@@ -416,12 +419,37 @@ def _row_logsumexp(x: np.ndarray) -> np.ndarray:
         return shift + np.log(terms.sum(axis=-1))
 
 
-# most terms one row block of _gather_logsumexp forms at a time (256 KB per
-# buffer).  At the default truncation a stacked power round at K = 1 has up
-# to 8 rows of 1225 pairs, which one block holds (4096 held 3).  On a 2-vCPU
-# x86-64 VM the point-mass unitary engine at N = 200 on a 101-point grid took
-# 35 ms at 4096, 26 ms at 16384, 23 ms at 32768 and no less above it.
+# Most floats one block of temporaries holds (256 KB): a row block of
+# _gather_logsumexp's two buffers, a run of degrees of a wide convolution
+# counted in pairs (which also sizes its index arrays), a block of grid
+# rows of an engine pass.  _block_len is the one place that turns it into
+# a number of items.  At the default truncation a stacked power round at
+# K = 1 has up to 8 rows of 1225 pairs, which one block holds (4096 held
+# 3).  On a 2-vCPU x86-64 VM, going from 4096 to 32768 took the point-mass
+# unitary engine at N = 200 on a 101-point grid from 35 to 23 ms (26 ms at
+# 16384, no less above 32768), one bound at (12, 1024) from 0.11 to 0.05 s
+# with delta nu and from 0.20 to 0.12 s with Haar nu, and one at (64, 4096)
+# with delta nu from 7.2 to 4.7 s (best of 7, 5 and 1 runs; the machine is
+# shared, and an earlier run read 66 -> 46 ms, 143 -> 114 ms, 7.6 -> 3.5 s).
 _BLOCK_TERMS = 32768
+
+
+def _block_len(item_floats: int) -> int:
+    """How many items of ``item_floats`` floats each one block holds; at
+    least one."""
+    return max(1, _BLOCK_TERMS // max(item_floats, 1))
+
+
+def _in_blocks(fn: Callable[..., np.ndarray], item_floats: int, *arrays: np.ndarray) -> np.ndarray:
+    """fn over consecutive blocks of the leading axis of ``arrays`` (all of
+    one length), _block_len(item_floats) items each, its results joined
+    along that axis.  With item_floats the floats that one grid row's
+    powers take, an engine pass so holds a few blocks whatever the grid
+    size."""
+    step, n = _block_len(item_floats), len(arrays[0])
+    if n <= step:
+        return fn(*arrays)
+    return np.concatenate([fn(*(a[i : i + step] for a in arrays)) for i in range(0, n, step)])
 
 
 def _gather_logsumexp(
@@ -431,12 +459,12 @@ def _gather_logsumexp(
 
     The terms e are ordered by segment: segment s is the non-empty run that
     begins at starts[s], and seg[e] is the segment of term e.  Rows go
-    through in blocks of at most _BLOCK_TERMS terms, in two buffers, so the
+    through in blocks of _block_len(xi.size) rows, in two buffers, so the
     temporaries stay small whatever the number of rows.
     """
     rows = x.shape[0]
     out = np.empty((rows, starts.size))
-    step = max(1, _BLOCK_TERMS // max(xi.size, 1))
+    step = _block_len(xi.size)
     terms_buf = np.empty((min(step, rows), xi.size))
     other_buf = np.empty_like(terms_buf)
     for r in range(0, rows, step):
@@ -485,9 +513,9 @@ def _log_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (K, L+1) arrays of log coefficients, out[:, d] = log sum_{j <= d}
     exp(a[:, j] + b[:, d - j]), d <= L.
 
-    Degrees at and above _TABLE_DEGREES go in runs of about _BLOCK_TERMS
-    pairs, each with its own pairs, so no index table grows with the
-    square of the width.
+    Degrees at and above _TABLE_DEGREES go in runs of at most _BLOCK_TERMS
+    pairs (one degree at least), each with its own pairs, so no index table
+    grows with the square of the width.
     """
     width = a.shape[1]
     out = np.empty(a.shape)
@@ -496,7 +524,9 @@ def _log_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     j, dj, seg, starts = _low_conv_pairs()
     out[:, :lo] = _gather_logsumexp(a, j[:n], b, dj[:n], seg[:n], starts[:lo])
     while lo < width:
-        hi = min(width, lo + max(1, _BLOCK_TERMS // lo))
+        # degrees lo .. lo + r - 1 have r (lo + 1) + r (r - 1) / 2 pairs
+        u = 2 * lo + 1
+        hi = min(width, lo + max(1, (math.isqrt(u * u + 8 * _BLOCK_TERMS) - u) // 2))
         j, dj, seg, starts = _conv_pairs(lo, hi)
         out[:, lo:hi] = _gather_logsumexp(a, j, b, dj, seg, starts)
         lo = hi
@@ -615,13 +645,9 @@ def _parity_log_partials(g: np.ndarray, log_abs_m: np.ndarray, two_k: np.ndarray
     """
     pc = _parity_classes(P)
     classes = np.arange(pc.log_count.size)
-    out = np.empty(g.shape[0])
-    # the stacked odd and even powers of a block of rows take at most about
-    # _BLOCK_TERMS floats
-    rows = max(1, _BLOCK_TERMS // (2 * (P + 1) * (M + 1)))
-    for r in range(0, g.shape[0], rows):
-        block, tk = g[r : r + rows], two_k[r : r + rows, np.newaxis]
-        n = block.shape[0]
+
+    def block(g: np.ndarray, two_k: np.ndarray) -> np.ndarray:
+        n, tk = g.shape[0], two_k[:, np.newaxis]
         # log |m_e|^{2k}; 2k = 0 gives log 1 even where m_e = 0
         with np.errstate(invalid="ignore"):
             logm = np.where(tk == 0.0, 0.0, tk * log_abs_m)
@@ -632,20 +658,19 @@ def _parity_log_partials(g: np.ndarray, log_abs_m: np.ndarray, two_k: np.ndarray
 
         # O and E as the 2n rows of one series; pows[p, :n] = O^p, pows[p, n:] = E^p, p <= P
         oe = np.full((2 * n, M + 1), -math.inf)
-        oe[:n, 1::2] = block[:, 1::2]
-        oe[n:, 2::2] = block[:, 2::2]
+        oe[:n, 1::2] = g[:, 1::2]
+        oe[n:, 2::2] = g[:, 2::2]
         pows = _log_conv_powers(oe, [M] * (P + 1))
         # even_rev[b, :, j] = log [z^{<= M - j}] E^b
         even_rev = np.logaddexp.accumulate(pows[:, n:], axis=2)[:, :, ::-1]
-        # S(a, b) = sum_j [z^j] O^a [z^{<= M - j}] E^b, pairs in (L, a) order,
-        # in runs of pairs of at most about _BLOCK_TERMS terms
-        run = max(1, _BLOCK_TERMS // (n * (M + 1)))
-        log_s = np.concatenate([
-            _row_logsumexp(pows[pc.pair_a[i : i + run], :n] + even_rev[pc.pair_b[i : i + run]])
-            for i in range(0, pc.pair_a.size, run)
-        ])
-        out[r : r + rows] = _row_logsumexp(log_s.T + stop_sums)
-    return out
+        # S(a, b) = sum_j [z^j] O^a [z^{<= M - j}] E^b, pairs in (L, a) order
+        log_s = _in_blocks(
+            lambda a, b: _row_logsumexp(pows[a, :n] + even_rev[b]), n * (M + 1), pc.pair_a, pc.pair_b
+        )
+        return _row_logsumexp(log_s.T + stop_sums)
+
+    # the stacked odd and even powers of one grid row take 2 (P + 1) (M + 1) floats
+    return _in_blocks(block, 2 * (P + 1) * (M + 1), g, two_k)
 
 
 def _unitary_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -> list[BoundInterval]:
@@ -680,8 +705,11 @@ def _unitary_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
     g = _log_coeff_table(two_k, u_seq(t, M), u_seq(float(N), M))
     weight = nu.point_mass_weight()
     if weight is not None:
-        powers = _log_conv_powers(g, [M] * (P + 1))
-        log_partials = math.log(2.0) + two_k * math.log(weight) + _row_logsumexp(np.hstack(powers[1:]))
+
+        def power_sums(g: np.ndarray) -> np.ndarray:
+            return _row_logsumexp(np.hstack(_log_conv_powers(g, [M] * (P + 1))[1:]))
+
+        log_partials = math.log(2.0) + two_k * math.log(weight) + _in_blocks(power_sums, (P + 1) * (M + 1), g)
     else:
         log_abs_m = np.full(2 * P + 1, -math.inf)
         for eps in range(-P, P + 1):
@@ -840,16 +868,20 @@ def _wreath_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -
     cols = [f[:, 2 : M + 1 : 2]]
     budgets = [(M - 2 * p) // 2 for p in range(1, P + 1) if M - 2 * p >= 0]
     if budgets:
-        ends = f[:, 1 : 2 * budgets[0] + 2 : 2]
-        interior = f[:, 2 : 2 * budgets[0] + 3 : 2]
         # block p sums [z^j] I^{p-1} [z^{<= budget - j}] E^2 over j <= its
         # budget; above it I^{p-1} is -inf, so the clipped index is harmless
-        e2_cum = np.logaddexp.accumulate(_log_conv(ends, ends), axis=1)
         rest = np.maximum(np.asarray(budgets)[:, np.newaxis] - np.arange(budgets[0] + 1), 0)
-        terms = _log_conv_powers(interior, budgets) + np.take(e2_cum, rest, axis=1).transpose(1, 0, 2)
         # K(psi) >= 1 always since psi(identity) = 1
         log_labels = np.arange(len(budgets)) * math.log(q.group.order) + math.log(q.psi.abs_sum())
-        cols.append((_row_logsumexp(terms) + log_labels[:, np.newaxis]).T)
+
+        def block_sums(f: np.ndarray) -> np.ndarray:
+            ends = f[:, 1 : 2 * budgets[0] + 2 : 2]
+            interior = f[:, 2 : 2 * budgets[0] + 3 : 2]
+            e2_cum = np.logaddexp.accumulate(_log_conv(ends, ends), axis=1)
+            terms = _log_conv_powers(interior, budgets) + np.take(e2_cum, rest, axis=1).transpose(1, 0, 2)
+            return (_row_logsumexp(terms) + log_labels[:, np.newaxis]).T
+
+        cols.append(_in_blocks(block_sums, len(budgets) * (budgets[0] + 1), f))
     log_partials = _row_logsumexp(np.hstack(cols))
 
     tau_ok = tau > 7.0 / 4.0

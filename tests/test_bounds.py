@@ -469,6 +469,64 @@ def test_bound_makes_about_log2_P_convolution_calls(monkeypatch, capsys, argv, c
     assert count == calls
 
 
+def test_log_conv_runs_hold_at_most_one_block_of_pairs(monkeypatch):
+    bounds._low_conv_pairs()
+    monkeypatch.setattr(bounds, "_BLOCK_TERMS", 500)
+    runs = []
+    conv_pairs = bounds._conv_pairs
+
+    def recorded(lo, hi):
+        pairs = conv_pairs(lo, hi)
+        runs.append((lo, hi, pairs[0].size))
+        return pairs
+
+    monkeypatch.setattr(bounds, "_conv_pairs", recorded)
+    a = np.zeros((1, 600))
+    bounds._log_conv(a, a)
+    assert [lo for lo, _, _ in runs] == [bounds._TABLE_DEGREES] + [hi for _, hi, _ in runs[:-1]]
+    assert runs[-1][1] == 600
+    for lo, hi, n in runs:
+        # at most one block, or one degree of more pairs than that
+        assert n <= 500 or hi == lo + 1
+    # every run but the last is the widest that fits
+    assert all(n + hi + 1 > 500 for _, hi, n in runs[:-1])
+
+
+_GROUP = cyclic_group(3)
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        WalkQuery.unitary(40, 2.0, CircleMeasure.delta(0.5)),
+        WalkQuery("unitary-free", 40, tau=2.0, nu=CircleMeasure.haar()),
+        WalkQuery.wreath(40, 2.0, _GROUP, trivial_state(_GROUP)),
+    ],
+    ids=["delta", "haar", "wreath"],
+)
+def test_engine_passes_go_in_blocks_of_grid_rows(monkeypatch, query):
+    # the power helper gets one block of grid rows at a time, so an engine
+    # pass holds a few blocks whatever the grid size; the partials do not
+    # depend on the blocks
+    tc = TruncationConfig(max_p=5, max_total=70)
+    ks = [0.0, 1.0, 2.5, 7.0, 20.0, 45.0, 80.0, 150.0, 400.0]
+    want = [A.log_partial for A in A_k_grid(query, ks, tc)]
+    monkeypatch.setattr(bounds, "_BLOCK_TERMS", 1000)
+    sizes = []
+    log_conv_powers = bounds._log_conv_powers
+
+    def recorded(step, budgets):
+        out = log_conv_powers(step, budgets)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(bounds, "_log_conv_powers", recorded)
+    got = [A.log_partial for A in A_k_grid(query, ks, tc)]
+    assert got == want
+    assert len(sizes) > 1
+    assert max(sizes) <= 1000
+
+
 # ---------------------------------------------------------------------------
 # tail certificates
 
