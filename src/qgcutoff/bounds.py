@@ -8,9 +8,10 @@ convolution power satisfies
                                             of  d_alpha^2 |phi(chi_alpha)/d_alpha|^{2k}.
 
 The engine returns an interval [partial, partial + tail] around the series
-value of A_k: ``partial`` is the exact (log-domain) sum over a finite
-truncation of the word index space, and ``tail`` is a certified majorization
-of everything outside the truncation, built from the envelope bounds
+value of A_k: ``partial`` is the exact sum over a finite truncation of the
+word index space, held as its logarithm, and ``tail`` is a certified
+majorization of everything outside the truncation, built from the envelope
+bounds
 
     t * q(t)^{-(n-1)}  <=  u_n(t)  <=  q(t)^{-n} / (1 - q(t)^2)      (t > 2)
 
@@ -94,16 +95,19 @@ __all__ = [
 ]
 
 # Largest index total a truncation accepts.  A convolution power costs
-# O(max_total^2) per block, so (12, 2000) takes about half a second.
+# O(max_total^2) per grid row: one delta bound at (12, 2000) takes about
+# 0.03 s (0.16 s with every row in the log-domain gather).
 MAX_TOTAL = 4096
 # Most words the mixture engine sums one by one, at about 17 us a word.
 MAX_MIXTURE_WORDS = 100_000
 # Most blocks a truncation accepts.  The parity classes of the words of at
 # most P blocks number about P^3 / 6 (677 MB at P = 384); with Haar nu,
-# (64, 64) takes about 0.02 s and 33 MB, (64, 4096) about 15 s and 45 MB.
-# A delta profile at (64, 4096) takes about 5 s a grid point, a wreath one
-# over Z/3 about 1.4 s; from 30 MB at start, either peaked at 37 MB for 11
-# points and at 40-42 MB for 101.
+# (64, 64) takes about 0.02 s and 33 MB, (64, 4096) about 1.3 s and 39 MB.
+# A delta profile at (64, 4096) takes about 0.5 s a grid point, a wreath
+# one over Z/3 about 0.12 s; from 30 MB at start, either peaked at 36 MB
+# for 11 points and at 40-42 MB for 101.  A grid row outside the affine
+# range (_LINEAR_RANGE: t near 2, k near MAX_K) takes the log-domain
+# gather, about 5 s a grid point at (64, 4096).
 MAX_P = 64
 # Most entries, (max_total + 1) * L, of the mixture's per-node u_n ratio table
 # on L = 2 ((max_total + max_p) // 2) + 1 rule nodes (the default (5, 10)
@@ -423,14 +427,16 @@ def _row_logsumexp(x: np.ndarray) -> np.ndarray:
 # _gather_logsumexp's two buffers, a run of degrees of a wide convolution
 # counted in pairs (which also sizes its index arrays), a block of grid
 # rows of an engine pass.  _block_len is the one place that turns it into
-# a number of items.  At the default truncation a stacked power round at
-# K = 1 has up to 8 rows of 1225 pairs, which one block holds (4096 held
-# 3).  On a 2-vCPU x86-64 VM, going from 4096 to 32768 took the point-mass
-# unitary engine at N = 200 on a 101-point grid from 35 to 23 ms (26 ms at
-# 16384, no less above 32768), one bound at (12, 1024) from 0.11 to 0.05 s
-# with delta nu and from 0.20 to 0.12 s with Haar nu, and one at (64, 4096)
-# with delta nu from 7.2 to 4.7 s (best of 7, 5 and 1 runs; the machine is
-# shared, and an earlier run read 66 -> 46 ms, 143 -> 114 ms, 7.6 -> 3.5 s).
+# a number of items.  At the default truncation a block holds the 13 x 49
+# powers of 51 grid rows, and a stacked gather round at K = 1 up to 8 rows
+# of 1225 pairs.  With the polynomial kernel taking every benchmark row, a
+# 2-vCPU x86-64 VM timed at 4096 / 32768 / 131072 (one fresh process each,
+# in-process cli.main): a 77-point delta profile at N = 200 16 / 13 /
+# 13 ms, a 101-point Haar one at N = 30000 43 / 28 / 33 ms, one bound at
+# (12, 1024) 13 / 13 / 14 ms with delta nu and 27 / 24 / 23 ms with Haar
+# nu, one at (64, 4096) with delta nu 0.53 / 0.50 / 0.49 s.  For the
+# gather alone, 4096 -> 32768 took a 101-point delta grid from 35 to 23 ms
+# and one (64, 4096) delta bound from 7.2 to 4.7 s.
 _BLOCK_TERMS = 32768
 
 
@@ -533,28 +539,134 @@ def _log_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _log_round(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[j] = a[j] b for the (m, K, W) stacked log series ``a`` and the
+    (K, W) log series ``b``, truncated at width W, in one ``_log_conv``
+    call."""
+    m, K, w = a.shape
+    stacked_b = np.broadcast_to(b, a.shape).reshape(m * K, w)
+    return _log_conv(a.reshape(m * K, w), stacked_b).reshape(a.shape)
+
+
+def _poly_round(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[j, :, d] = sum_{i <= d} a[j, :, i] b[:, d - i], d < W, for the
+    (m, K, W) stacked series ``a`` and the (K, W) series ``b`` of plain
+    non-negative coefficients.
+
+    One ``np.einsum`` over a Toeplitz view of ``b``: no BLAS, so no thread
+    count changes a digit, and no W^2 copy.  Each coefficient is one dot
+    product over i in the same order whatever m and K, so a row's result
+    does not depend on the rows stacked with it.
+    """
+    K, w = b.shape
+    rev = np.zeros((K, 2 * w - 1))
+    rev[:, :w] = b[:, ::-1]
+    # toeplitz[r, e, i] = rev[r, e + i] = b[r, w - 1 - e - i]: row e is degree d = w - 1 - e
+    row, item = rev.strides
+    toeplitz = np.ndarray((K, w, w), buffer=rev, strides=(row, item, item))
+    return np.einsum("rei,jri->jre", toeplitz, a)[..., ::-1]
+
+
+def _powers(first: np.ndarray, budgets: Sequence[int], product: Callable[[np.ndarray, np.ndarray], np.ndarray],
+            unit: float, zero: float) -> np.ndarray:
+    """first^0 .. first^(P-1), P = len(budgets), each cut at the widest
+    budget of its round, in the domain of ``product``, whose 1 and 0 are
+    ``unit`` and ``zero``; shape (P, K, budgets[0] + 1).
+
+    By doubling: round n forms out[n + j] = out[j] out[n] for every
+    1 <= j <= n with n + j < P in one stacked ``product`` call, at the
+    widest budget of the round, so P powers take about log2 P rounds.
+    """
+    P = len(budgets)
+    out = np.full((P, first.shape[0], budgets[0] + 1), zero)
+    out[0, :, 0] = unit
+    if P > 1:
+        out[1, :, : first.shape[1]] = first
+    n = 1
+    while n + 1 < P:
+        m, w = min(n, P - 1 - n), budgets[n + 1] + 1
+        out[n + 1 : n + m + 1, :, :w] = product(out[1 : m + 1, :, :w], out[n, :, :w])
+        n *= 2
+    return out
+
+
+# A row whose residuals r_n = step_n - a - s n lie in [-Delta, 0] for some
+# slope s and offset a multiplies as a plain polynomial in e^{r_n} when
+# (P - 1) Delta <= _LINEAR_RANGE: every product of at most P - 1 factors is
+# then at least e^{-64} (about 1.6e-28), and every coefficient at most its
+# number of compositions, below 1e143 at (MAX_P, MAX_TOTAL), so all stay
+# normal floats, and a sum of positive terms carries only rounding error.
+_LINEAR_RANGE = 64.0
+
+
+def _round_bits(x: np.ndarray, up: bool) -> np.ndarray:
+    """x rounded to 24 significant bits, towards +inf if ``up``."""
+    mant, exp = np.frexp(x)
+    return np.ldexp((np.ceil if up else np.round)(mant * 2.0**24), exp - 24)
+
+
+def _affine_tilt(step: np.ndarray, factors: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(s, a, residual, linear) for the (K, W) log series ``step``.
+
+    Per row, s is the slope of the chord through the first and last finite
+    entries and a the largest of step_n - s n, both rounded to 24
+    significant bits (a upwards), so that p a and s d are exact for the
+    powers and degrees of a truncation and residual = step - a - s n is
+    <= 0.  ``linear`` marks the rows where ``factors`` times the range of
+    the residual is at most _LINEAR_RANGE; an all -inf row is linear, with
+    s = a = 0.
+    """
+    K, w = step.shape
+    finite = np.isfinite(step)
+    some = finite.any(axis=1)
+    first = finite.argmax(axis=1)
+    last = np.where(some, w - 1 - finite[:, ::-1].argmax(axis=1), first)
+    rows = np.arange(K)
+    with np.errstate(invalid="ignore", over="ignore"):
+        chord = (step[rows, last] - step[rows, first]) / np.maximum(last - first, 1)
+        s = _round_bits(np.where(last > first, chord, 0.0), up=False)
+        tilted = step - s[:, np.newaxis] * np.arange(w)
+        a = _round_bits(np.where(some, tilted.max(axis=1), 0.0), up=True)
+        residual = tilted - a[:, np.newaxis]
+        depth = -np.where(finite, residual, 0.0).min(axis=1)
+        linear = factors * depth <= _LINEAR_RANGE
+    return s, a, residual, linear
+
+
 def _log_conv_powers(step: np.ndarray, budgets: Sequence[int]) -> np.ndarray:
     """out[i] = log step(z)^i up to degree budgets[i], -inf above it, for
     i < len(budgets); shape (len(budgets), K, budgets[0] + 1).
 
     ``step`` is a (K, L+1) log-coefficient array with L >= budgets[1];
-    ``budgets`` must be non-increasing.  The powers are built by doubling:
-    round n forms out[n + j] = out[j] out[n] for every 1 <= j <= n with
-    n + j < len(budgets) in one stacked ``_log_conv`` call, at the widest
-    budget of the round, so P powers take about log2 P calls.
+    ``budgets`` must be non-increasing.  The powers are built by doubling
+    (``_powers``), with the kernel chosen per row.  A row that
+    ``_affine_tilt`` finds nearly affine, as the series terms are near the
+    cutoff, multiplies its tilted coefficients e^{residual} as plain
+    polynomials (``_poly_round``), and out = log(coefficient) + p a + s d.
+    The other rows (k near MAX_K, t near 2, very large N) stay in the log
+    domain (``_log_round``).
     """
     P, K, width = len(budgets), step.shape[0], budgets[0] + 1
-    out = np.full((P, K, width), -math.inf)
-    out[0, :, 0] = 0.0
-    if P > 1:
-        out[1, :, : budgets[1] + 1] = step[:, : budgets[1] + 1]
-    n = 1
-    while n + 1 < P:
-        m, w = min(n, P - 1 - n), budgets[n + 1] + 1
-        a = out[1 : m + 1, :, :w].reshape(m * K, w)
-        b = np.broadcast_to(out[n, :, :w], (m, K, w)).reshape(m * K, w)
-        out[n + 1 : n + m + 1, :, :w] = _log_conv(a, b).reshape(m, K, w)
-        n *= 2
+    # the step at its budget; with P = 1 only the unit is built
+    first = step[:, : budgets[min(P - 1, 1)] + 1]
+    s, a, residual, linear = _affine_tilt(first, P - 1)
+
+    def untilted(rows: np.ndarray | slice) -> np.ndarray:
+        out = _powers(np.exp(residual[rows]), budgets, _poly_round, 1.0, 0.0)
+        with np.errstate(divide="ignore"):
+            np.log(out, out=out)
+        out += np.arange(P)[:, np.newaxis, np.newaxis] * a[rows, np.newaxis]
+        out += s[rows, np.newaxis] * np.arange(width)
+        return out
+
+    if linear.all():
+        out = untilted(slice(None))
+    elif not linear.any():
+        out = _powers(first, budgets, _log_round, 0.0, -math.inf)
+    else:
+        out = np.empty((P, K, width))
+        out[:, linear] = untilted(linear)
+        out[:, ~linear] = _powers(first[~linear], budgets, _log_round, 0.0, -math.inf)
     above = np.arange(width) > np.asarray(budgets)[:, np.newaxis]
     out[np.broadcast_to(above[:, np.newaxis, :], out.shape)] = -math.inf
     return out
@@ -877,11 +989,12 @@ def _wreath_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -
         def block_sums(f: np.ndarray) -> np.ndarray:
             ends = f[:, 1 : 2 * budgets[0] + 2 : 2]
             interior = f[:, 2 : 2 * budgets[0] + 3 : 2]
-            e2_cum = np.logaddexp.accumulate(_log_conv(ends, ends), axis=1)
+            e2_cum = np.logaddexp.accumulate(_log_conv_powers(ends, [budgets[0]] * 3)[2], axis=1)
             terms = _log_conv_powers(interior, budgets) + np.take(e2_cum, rest, axis=1).transpose(1, 0, 2)
             return (_row_logsumexp(terms) + log_labels[:, np.newaxis]).T
 
-        cols.append(_in_blocks(block_sums, len(budgets) * (budgets[0] + 1), f))
+        # a grid row's powers: E^0 .. E^2, or I^0 .. I^(P-1) if more
+        cols.append(_in_blocks(block_sums, max(len(budgets), 3) * (budgets[0] + 1), f))
     log_partials = _row_logsumexp(np.hstack(cols))
 
     tau_ok = tau > 7.0 / 4.0

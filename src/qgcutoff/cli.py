@@ -48,6 +48,7 @@ from .structures import (
     GroupState,
     cyclic_group,
     haar_state,
+    lambda_theta,
     load_cayley,
     load_group_state,
     moment,
@@ -435,7 +436,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     doc["cutoff_steps"] = n_log_n / tau
     doc["cutoff_steps_mixture"] = n_log_n / 2.0
     if args.theta is not None:
-        lam = 1.0 - math.cos(args.theta)
+        lam = lambda_theta(args.theta)
         if lam <= 0:
             raise CliError("--theta gives 1 - cos(theta) = 0; no cutoff rate")
         doc["cutoff_steps_eval"] = n_log_n / lam

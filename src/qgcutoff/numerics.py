@@ -14,8 +14,13 @@ The central objects are
 - ``lambda_moment(N, l)``: moments of lambda = 1 - cos(theta) under the
   sine-power arc measure used by the uniform mixture of evaluation states.
 
-Quantities whose magnitude is exponential in n or k never leave the log
-domain: they are plain floats holding a logarithm, -inf for zero.
+Quantities whose magnitude is exponential in n or k are held in the log
+domain: plain floats holding a logarithm, -inf for zero.  The one place
+they leave it is inside the engine's convolution powers
+(``bounds._log_conv_powers``): a row of log coefficients that is affine in
+the degree up to a small residual is taken off that line (the tilt
+p a + s d), multiplied as plain floats between e^-64 and 1e143, and
+returned as logarithms; every other row stays in the log domain there too.
 """
 
 from __future__ import annotations

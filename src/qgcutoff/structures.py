@@ -420,8 +420,14 @@ def porod_rule(N: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lambda_theta(theta: float) -> float:
-    """1 - cos(theta), the decay-rate parameter of an evaluation state."""
-    return 1.0 - math.cos(theta)
+    """1 - cos(theta), the decay-rate parameter of an evaluation state.
+
+    Taken as 2 sin^2(r / 2) with r the remainder of theta modulo 2 pi (the
+    float math.tau, so that 2 pi is the identity rotation, with lambda 0):
+    the difference 1 - cos(theta) cancels for small theta, losing about one
+    ulp of 1 over lambda (2.9e-13 relative at theta = 0.01).
+    """
+    return 2.0 * math.sin(0.5 * math.remainder(theta, math.tau)) ** 2
 
 
 def trace_modulus(N: int, theta: float) -> float:

@@ -434,14 +434,16 @@ def test_log_conv_powers_match_the_sequential_chain(monkeypatch, P, K, widths, b
     step[:, rng.random(L + 1) < 0.3] = -math.inf
     if K > 1:
         step[1] = -math.inf  # an all -inf row
-    got = bounds._log_conv_powers(step, budgets)
-    want = _sequential_log_conv_powers(step, budgets)
+    _assert_powers_match(bounds._log_conv_powers(step, budgets), _sequential_log_conv_powers(step, budgets))
+
+
+def _assert_powers_match(got, want):
     assert got.shape == want.shape
     assert np.array_equal(np.isneginf(got), np.isneginf(want))
     finite = np.isfinite(want)
     assert np.all(np.isfinite(got) == finite)
     scale = np.maximum(1.0, np.abs(want[finite]))
-    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-14 * scale), budgets
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-14 * scale)
 
 
 @pytest.mark.parametrize(
@@ -449,21 +451,25 @@ def test_log_conv_powers_match_the_sequential_chain(monkeypatch, P, K, widths, b
     [
         (["--family", "unitary", "--N", "200", "--tau", "2"], 4),
         (["--family", "unitary", "--N", "200", "--tau", "2", "--nu", "haar"], 4),
-        # E^2, then 4 rounds build the interior powers I^2 .. I^11
+        # one round builds E^2, then 4 rounds the interior powers I^2 .. I^11
         (["--family", "wreath", "--N", "200", "--tau", "2", "--group", "cyclic:3"], 5),
     ],
 )
 def test_bound_makes_about_log2_P_convolution_calls(monkeypatch, capsys, argv, calls):
-    # the default truncation (12, 48): 4 doubling rounds build the 12 powers
+    # the default truncation (12, 48): 4 doubling rounds build the 12 powers;
+    # a round calls the kernel of its rows, and one k gives one row
     count = 0
-    log_conv = bounds._log_conv
 
-    def counted(a, b):
-        nonlocal count
-        count += 1
-        return log_conv(a, b)
+    def counted(kernel):
+        def round_(a, b):
+            nonlocal count
+            count += 1
+            return kernel(a, b)
 
-    monkeypatch.setattr(bounds, "_log_conv", counted)
+        return round_
+
+    monkeypatch.setattr(bounds, "_poly_round", counted(bounds._poly_round))
+    monkeypatch.setattr(bounds, "_log_round", counted(bounds._log_round))
     assert cli.main(["bound", *argv, "--c", "1"]) == 0
     capsys.readouterr()
     assert count == calls
@@ -525,6 +531,105 @@ def test_engine_passes_go_in_blocks_of_grid_rows(monkeypatch, query):
     assert got == want
     assert len(sizes) > 1
     assert max(sizes) <= 1000
+
+
+# at N = 30000, ln N / rate > 5 for the three walks, so c = -5 has k > 0
+_ENGINE_N = 30000
+
+
+def _engine_steps(kind, cs, width):
+    """(len(cs), width) step series of an engine at k = N ln N / rate + c N:
+    the coefficient table of the unitary walk at tau = 2 or the eval walk
+    at theta = 2, or the interior (even) or end (odd) columns of the wreath
+    one over Z/3 at tau = 2."""
+    N = _ENGINE_N
+    if kind == "unitary":
+        q, t, s = WalkQuery.unitary(N, 2.0), N - 2.0, float(N)
+    elif kind == "eval":
+        q, t, s = WalkQuery.eval_point(N, 2.0), eval_state_params(N, 2.0)[0], float(N)
+    else:
+        q, t, s = WalkQuery.wreath(N, 2.0, _GROUP), math.sqrt(N - 2.0), math.sqrt(N)
+    two_k = 2.0 * np.array([nominal_cutoff(q) + c * N for c in cs])
+    M = 2 * width if kind.startswith("wreath") else width - 1
+    f = bounds._log_coeff_table(two_k, u_seq(t, M), u_seq(s, M))
+    return {"wreath-interior": f[:, 2::2], "wreath-ends": f[:, 1::2]}.get(kind, f)
+
+
+# a width below and one above _TABLE_DEGREES; 13 powers as at max_p 12
+@pytest.mark.parametrize("width", [49, 130])
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("kind", ["unitary", "eval", "wreath-interior", "wreath-ends"])
+def test_linear_kernel_matches_the_sequential_chain_on_engine_rows(kind, K, width):
+    steps = _engine_steps(kind, [-5.0, 0.0, 5.0], width)
+    assert steps.shape == (3, width)
+    # the wreath's budgets fall with the power, the others stay equal
+    budgets = list(range(width - 1, width - 14, -1)) if kind == "wreath-interior" else [width - 1] * 13
+    for step in [steps] if K == 3 else [steps[i : i + 1] for i in range(3)]:
+        assert bounds._affine_tilt(step, 12)[3].all()
+        _assert_powers_match(bounds._log_conv_powers(step, budgets), _sequential_log_conv_powers(step, budgets))
+
+
+@pytest.mark.parametrize("K", [1, 3])
+def test_linear_kernel_on_the_odd_even_split(K):
+    # the parity path's O and E rows, whose columns alternate with -inf,
+    # and an all -inf row, which the linear kernel takes too
+    g = _engine_steps("unitary", [-5.0, 0.0, 5.0][:K], 49)
+    oe = np.full((2 * K + 1, 49), -math.inf)
+    oe[:K, 1::2] = g[:, 1::2]
+    oe[K : 2 * K, 2::2] = g[:, 2::2]
+    budgets = [48] * 13
+    assert bounds._affine_tilt(oe, 12)[3].all()
+    got = bounds._log_conv_powers(oe, budgets)
+    _assert_powers_match(got, _sequential_log_conv_powers(oe, budgets))
+    assert np.all(got[1:, -1] == -math.inf) and got[0, -1, 0] == 0.0
+
+
+def test_affine_tilt_takes_the_rows_whose_products_stay_above_e_to_the_minus_64():
+    # 12 factors of depth 5 reach e^-60, of depth 5.5 e^-66
+    step = np.array([[0.0, -5.0, 0.0], [0.0, -5.5, 0.0], [3.0, 1.0, -1.0], [-math.inf, 2.0, -math.inf]])
+    s, a, residual, linear = bounds._affine_tilt(step, 12)
+    assert linear.tolist() == [True, False, True, True]
+    assert s.tolist() == [0.0, 0.0, -2.0, 0.0] and a.tolist() == [0.0, 0.0, 3.0, 2.0]
+    assert residual[:3].tolist() == [[0.0, -5.0, 0.0], [0.0, -5.5, 0.0], [0.0, 0.0, 0.0]]
+    # on engine rows: s and a carry 24 significant bits, a rounded up, so
+    # every residual is <= 0 and step = residual + a + s n to rounding
+    step = _engine_steps("eval", [-5.0, 0.0, 5.0], 49)
+    s, a, residual, linear = bounds._affine_tilt(step[:, 1:], 12)
+    assert linear.all() and np.all(residual <= 0.0)
+    for x in (s, a):
+        mant = np.frexp(x)[0] * 2.0**24
+        assert np.array_equal(mant, np.round(mant))
+    rebuilt = residual + (a[:, np.newaxis] + s[:, np.newaxis] * np.arange(48))
+    assert np.allclose(rebuilt, step[:, 1:], rtol=1e-15, atol=0.0)
+
+
+def test_power_block_mixing_linear_and_log_rows_equals_each_row_alone(monkeypatch):
+    width, budgets = 70, [69] * 13
+    affine = _engine_steps("unitary", [-5.0, 0.0, 5.0], width)
+    wide = np.random.default_rng(3).uniform(-50.0, 50.0, (2, width))
+    # t near 2 and k near MAX_K leave the affine range
+    near_two = bounds._log_coeff_table(np.array([2e4]), u_seq(2.001, width - 1), u_seq(3.0, width - 1))
+    t = eval_state_params(_ENGINE_N, 2.0)[0]
+    huge_k = bounds._log_coeff_table(np.array([2.0 * MAX_K]), u_seq(t, width - 1), u_seq(float(_ENGINE_N), width - 1))
+    step = np.vstack([affine[0], wide[0], affine[1], near_two[0], affine[2], wide[1], huge_k[0]])
+    linear = [True, False, True, False, True, False, False]
+    assert bounds._affine_tilt(step, 12)[3].tolist() == linear
+    rows = {"_poly_round": set(), "_log_round": set()}
+
+    def recorded(name, kernel):
+        def round_(a, b):
+            rows[name].add(a.shape[1])
+            return kernel(a, b)
+
+        return round_
+
+    for name in rows:
+        monkeypatch.setattr(bounds, name, recorded(name, getattr(bounds, name)))
+    got = bounds._log_conv_powers(step, budgets)
+    assert rows == {"_poly_round": {3}, "_log_round": {4}}
+    for i in range(len(step)):
+        assert np.array_equal(got[:, i], bounds._log_conv_powers(step[i : i + 1], budgets)[:, 0])
+    _assert_powers_match(got, _sequential_log_conv_powers(step, budgets))
 
 
 # ---------------------------------------------------------------------------
@@ -838,7 +943,8 @@ def test_cutoff_profile_rows_match_single_point_engine(query, ks):
     [
         (["--family", "unitary", "--N", "40", "--tau", "2"], "_log_conv_powers", 1),
         (["--family", "eval", "--N", "40", "--theta", "2"], "_log_conv_powers", 1),
-        (["--family", "wreath", "--N", "40", "--tau", "2", "--group", "cyclic:3"], "_log_conv_powers", 1),
+        # the wreath pass takes two powers from the helper: E^2 and I^0 .. I^(P-1)
+        (["--family", "wreath", "--N", "40", "--tau", "2", "--group", "cyclic:3"], "_log_conv_powers", 2),
         # a general nu runs the parity-class sum once for the whole grid
         (["--family", "unitary", "--N", "40", "--tau", "2", "--nu", "haar"], "_parity_log_partials", 1),
         # Porod averages are exact: no Gauss-Legendre quadrature at all

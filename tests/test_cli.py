@@ -204,6 +204,25 @@ def test_profile_threads_do_not_change_output(capsys):
     assert "threads" not in out1
 
 
+def test_profile_bytes_do_not_depend_on_blas_threads():
+    # a 101-point Haar profile in two fresh processes, one with BLAS and
+    # OpenMP on one thread and one on two: the engine's reductions take no
+    # threaded path, so the bytes agree
+    src = os.path.dirname(os.path.dirname(qgcutoff.__file__))
+    script = "import sys; from qgcutoff.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = ["profile", "--family", "unitary", "--N", "30000", "--tau", "2", "--nu", "haar", "--c-range", "-5:5:0.1"]
+    outs = []
+    for threads, flag in (("1", "1"), ("2", "4")):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script, *argv, "--threads", flag],
+                              capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == b""
+        outs.append(proc.stdout)
+    assert len([line for line in outs[0].decode().splitlines() if not line.startswith("#")]) == 1 + 101
+    assert outs[0] == outs[1]
+
+
 def test_profile_output_file(tmp_path, capsys):
     dest = tmp_path / "profile.csv"
     code, out, _ = run(

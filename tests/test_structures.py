@@ -496,3 +496,31 @@ def test_tau_theta_matches_50_digit_reference(N, theta):
     lam, n = mp.mpf(lambda_theta(theta)), mp.mpf(N)
     want = n - mp.sqrt(n * n - 2 * n * lam + 2 * lam)
     assert abs(float((tau_theta(N, theta) - want) / want)) <= 1e-14
+
+
+@pytest.mark.parametrize("theta", [1e-3, 0.01])
+def test_lambda_theta_matches_50_digit_reference(theta):
+    # 1 - cos(theta) in floats is 1.6e-11 off at 1e-3 and 2.9e-13 at 0.01
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    want = 1 - mp.cos(mp.mpf(theta))
+    assert abs(float((lambda_theta(theta) - want) / want)) <= 1e-15
+
+
+def test_tau_theta_matches_50_digit_deficit_at_the_true_theta():
+    # the deficit of the trace modulus |e^{i theta} + N - 1| itself, not at
+    # the float lambda
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    N, theta = 10**12, 0.01
+    n, th = mp.mpf(N), mp.mpf(theta)
+    want = n - abs(mp.mpc(n - 1 + mp.cos(th), mp.sin(th)))
+    assert abs(float((tau_theta(N, theta) - want) / want)) <= 1e-15
+
+
+def test_lambda_theta_reads_theta_modulo_two_pi():
+    assert lambda_theta(2.0 * math.pi) == 0.0 and lambda_theta(-4.0 * math.pi) == 0.0
+    assert lambda_theta(2.0 * math.pi + 0.01) == pytest.approx(lambda_theta(0.01), rel=1e-12)
+    assert lambda_theta(-0.3) == lambda_theta(0.3)
