@@ -49,10 +49,12 @@ from .structures import (
     CircleMeasure,
     FiniteGroup,
     GroupState,
+    arg_trace,
     lambda_theta,
     moment,
     porod_rule,
     tau_theta,
+    trace_modulus,
     trivial_state,
 )
 from .words import (
@@ -96,7 +98,8 @@ __all__ = [
 
 # Largest index total a truncation accepts.  A convolution power costs
 # O(max_total^2) per grid row: one delta bound at (12, 2000) takes about
-# 0.03 s (0.16 s with every row in the log-domain gather).
+# 0.025 s, one whose row takes the log-domain kernel (N = 5, tau = 2.99)
+# about 0.16 s.
 MAX_TOTAL = 4096
 # Most words the mixture engine sums one by one, at about 17 us a word.
 MAX_MIXTURE_WORDS = 100_000
@@ -107,7 +110,7 @@ MAX_MIXTURE_WORDS = 100_000
 # one over Z/3 about 0.12 s; from 30 MB at start, either peaked at 36 MB
 # for 11 points and at 40-42 MB for 101.  A grid row outside the affine
 # range (_LINEAR_RANGE: t near 2, k near MAX_K) takes the log-domain
-# gather, about 5 s a grid point at (64, 4096).
+# kernel, about 2.8 s a grid point at (64, 4096), peaking at 36 MB.
 MAX_P = 64
 # Most entries, (max_total + 1) * L, of the mixture's per-node u_n ratio table
 # on L = 2 ((max_total + max_p) // 2) + 1 rule nodes (the default (5, 10)
@@ -424,19 +427,19 @@ def _row_logsumexp(x: np.ndarray) -> np.ndarray:
 
 
 # Most floats one block of temporaries holds (256 KB): a row block of
-# _gather_logsumexp's two buffers, a run of degrees of a wide convolution
-# counted in pairs (which also sizes its index arrays), a block of grid
-# rows of an engine pass.  _block_len is the one place that turns it into
-# a number of items.  At the default truncation a block holds the 13 x 49
-# powers of 51 grid rows, and a stacked gather round at K = 1 up to 8 rows
-# of 1225 pairs.  With the polynomial kernel taking every benchmark row, a
-# 2-vCPU x86-64 VM timed at 4096 / 32768 / 131072 (one fresh process each,
-# in-process cli.main): a 77-point delta profile at N = 200 16 / 13 /
-# 13 ms, a 101-point Haar one at N = 30000 43 / 28 / 33 ms, one bound at
-# (12, 1024) 13 / 13 / 14 ms with delta nu and 27 / 24 / 23 ms with Haar
-# nu, one at (64, 4096) with delta nu 0.53 / 0.50 / 0.49 s.  For the
-# gather alone, 4096 -> 32768 took a 101-point delta grid from 35 to 23 ms
-# and one (64, 4096) delta bound from 7.2 to 4.7 s.
+# _gather_logsumexp's two buffers, one _row_logsumexp term array of the
+# log-domain kernel (a run of degrees times the series rows it takes at
+# once), a block of grid rows of an engine pass.  _block_len is the one
+# place that turns it into a number of items.  At the default truncation
+# a block holds the 13 x 49 powers of 51 grid rows.  With the polynomial
+# kernel taking every benchmark row, a 2-vCPU x86-64 VM timed at 4096 /
+# 32768 / 131072 (one fresh process each, in-process cli.main): a
+# 77-point delta profile at N = 200 16 / 13 / 13 ms, a 101-point Haar one
+# at N = 30000 43 / 28 / 33 ms, one bound at (12, 1024) 13 / 13 / 14 ms
+# with delta nu and 27 / 24 / 23 ms with Haar nu, one at (64, 4096) with
+# delta nu 0.53 / 0.50 / 0.49 s.  Rows in the log-domain kernel (N = 5,
+# tau = 2.99): a 101-point profile 44 / 36 / 28 ms, one bound at
+# (64, 4096) 4.9 / 2.8 / 2.8 s, peaking at 35.4 / 35.8 / 36.9 MB.
 _BLOCK_TERMS = 32768
 
 
@@ -489,63 +492,47 @@ def _gather_logsumexp(
     return out
 
 
-def _conv_pairs(lo: int, hi: int) -> tuple[np.ndarray, ...]:
-    """(j, d - j, d - lo) for every pair j <= d with lo <= d < hi, ordered
-    by d, and the first pair of each d."""
-    counts = np.arange(lo + 1, hi + 1)
-    starts = np.cumsum(counts) - counts
-    seg = np.repeat(np.arange(hi - lo), counts)
-    j = np.arange(seg.size) - starts[seg]
-    return j, seg + lo - j, seg, starts
-
-
-# degrees below this share one pair table, built once per process; the
-# default truncation convolves 49 degrees
-_TABLE_DEGREES = 64
-
-
-@functools.lru_cache(maxsize=1)
-def _low_conv_pairs() -> tuple[np.ndarray, ...]:
-    """_conv_pairs(0, _TABLE_DEGREES), shared, hence read-only.  A width-W
-    convolution reads its first W (W + 1) / 2 pairs and W starts."""
-    table = _conv_pairs(0, _TABLE_DEGREES)
-    for arr in table:
-        arr.flags.writeable = False
-    return table
-
-
-def _log_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise product of two truncated series in the log domain: for
-    (K, L+1) arrays of log coefficients, out[:, d] = log sum_{j <= d}
-    exp(a[:, j] + b[:, d - j]), d <= L.
-
-    Degrees at and above _TABLE_DEGREES go in runs of at most _BLOCK_TERMS
-    pairs (one degree at least), each with its own pairs, so no index table
-    grows with the square of the width.
-    """
-    width = a.shape[1]
-    out = np.empty(a.shape)
-    lo = min(width, _TABLE_DEGREES)
-    n = lo * (lo + 1) // 2
-    j, dj, seg, starts = _low_conv_pairs()
-    out[:, :lo] = _gather_logsumexp(a, j[:n], b, dj[:n], seg[:n], starts[:lo])
-    while lo < width:
-        # degrees lo .. lo + r - 1 have r (lo + 1) + r (r - 1) / 2 pairs
-        u = 2 * lo + 1
-        hi = min(width, lo + max(1, (math.isqrt(u * u + 8 * _BLOCK_TERMS) - u) // 2))
-        j, dj, seg, starts = _conv_pairs(lo, hi)
-        out[:, lo:hi] = _gather_logsumexp(a, j, b, dj, seg, starts)
-        lo = hi
-    return out
+def _toeplitz(b: np.ndarray, pad: float) -> np.ndarray:
+    """The (K, W, W) strided view t[r, e, i] = b[r, W - 1 - e - i] of the
+    (K, W) series ``b``, ``pad`` where that index is negative, with no W^2
+    copy: row e of t[r] holds the factors of b for degree d = W - 1 - e."""
+    K, w = b.shape
+    rev = np.full((K, 2 * w - 1), pad)
+    rev[:, :w] = b[:, ::-1]
+    row, item = rev.strides
+    return np.ndarray((K, w, w), buffer=rev, strides=(row, item, item))
 
 
 def _log_round(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[j] = a[j] b for the (m, K, W) stacked log series ``a`` and the
-    (K, W) log series ``b``, truncated at width W, in one ``_log_conv``
-    call."""
+    """out[j, :, d] = log sum_{i <= d} exp(a[j, :, i] + b[:, d - i]), d < W,
+    for the (m, K, W) stacked log series ``a`` and the (K, W) log series
+    ``b``.
+
+    The output degrees go in runs [lo, hi) of at most max(8, lo // 4)
+    degrees, so from degree 32 on at most a tenth of a run's block of the
+    ``_toeplitz`` view lies above the diagonal, in the -inf pad (numpy's
+    exp of -inf took about five times a finite one on x86-64).  Each run
+    goes over blocks of series rows, so no temporary holds more than one
+    _BLOCK_TERMS block, or one row and one degree if that is larger.  Each
+    coefficient is a ``_row_logsumexp`` of its row alone, so it does not
+    depend on the rows stacked with it.
+    """
     m, K, w = a.shape
-    stacked_b = np.broadcast_to(b, a.shape).reshape(m * K, w)
-    return _log_conv(a.reshape(m * K, w), stacked_b).reshape(a.shape)
+    t = _toeplitz(b, -math.inf)
+    out = np.empty(a.shape)
+    lo = 0
+    while lo < w:
+        # r degrees from lo take r (lo + r) floats a row
+        fit = (math.isqrt(lo * lo + 4 * _BLOCK_TERMS) - lo) // 2
+        hi = min(w, lo + max(1, min(max(8, lo // 4), fit)))
+        rows = _block_len((hi - lo) * hi)
+        powers, grid = max(1, rows // K), min(rows, K)
+        for j in range(0, m, powers):
+            for r in range(0, K, grid):
+                terms = a[j : j + powers, r : r + grid, np.newaxis, :hi] + t[r : r + grid, w - hi : w - lo, :hi]
+                out[j : j + powers, r : r + grid, lo:hi] = _row_logsumexp(terms)[..., ::-1]
+        lo = hi
+    return out
 
 
 def _poly_round(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -553,18 +540,12 @@ def _poly_round(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (m, K, W) stacked series ``a`` and the (K, W) series ``b`` of plain
     non-negative coefficients.
 
-    One ``np.einsum`` over a Toeplitz view of ``b``: no BLAS, so no thread
-    count changes a digit, and no W^2 copy.  Each coefficient is one dot
-    product over i in the same order whatever m and K, so a row's result
-    does not depend on the rows stacked with it.
+    One ``np.einsum`` over the ``_toeplitz`` view of ``b``: no BLAS, so no
+    thread count changes a digit, and no W^2 copy.  Each coefficient is one
+    dot product over i in the same order whatever m and K, so a row's
+    result does not depend on the rows stacked with it.
     """
-    K, w = b.shape
-    rev = np.zeros((K, 2 * w - 1))
-    rev[:, :w] = b[:, ::-1]
-    # toeplitz[r, e, i] = rev[r, e + i] = b[r, w - 1 - e - i]: row e is degree d = w - 1 - e
-    row, item = rev.strides
-    toeplitz = np.ndarray((K, w, w), buffer=rev, strides=(row, item, item))
-    return np.einsum("rei,jri->jre", toeplitz, a)[..., ::-1]
+    return np.einsum("rei,jri->jre", _toeplitz(b, 0.0), a)[..., ::-1]
 
 
 def _powers(first: np.ndarray, budgets: Sequence[int], product: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -644,7 +625,8 @@ def _log_conv_powers(step: np.ndarray, budgets: Sequence[int]) -> np.ndarray:
     cutoff, multiplies its tilted coefficients e^{residual} as plain
     polynomials (``_poly_round``), and out = log(coefficient) + p a + s d.
     The other rows (k near MAX_K, t near 2, very large N) stay in the log
-    domain (``_log_round``).
+    domain (``_log_round``).  Both kernels read the factor through one
+    ``_toeplitz`` view, padded with the zero of their domain.
     """
     P, K, width = len(budgets), step.shape[0], budgets[0] + 1
     # the step at its budget; with P = 1 only the unit is built
@@ -891,9 +873,8 @@ def _mixture_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
                              f"ratio table of {entries} entries, limits {MAX_MIXTURE_WORDS} and {MAX_MIXTURE_TABLE}")
 
     theta, wq = porod_rule(N, D)
-    lam = 1.0 - np.cos(theta)
-    tvec = np.sqrt(float(N) * N - 2.0 * N * lam + 2.0 * lam)  # = N - tau_theta >= N - 2
-    beta = np.arctan2(np.sin(theta), float(N) - 1.0 + np.cos(theta))
+    tvec = np.array([trace_modulus(N, th) for th in theta])  # = N - tau_theta >= N - 2
+    beta = np.array([arg_trace(N, th) for th in theta])
 
     log_u_N = u_seq(float(N), M)
     # per-node ratio factors u_n(t_theta)/u_n(N), kept as plain floats (<= 1)

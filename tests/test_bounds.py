@@ -386,8 +386,8 @@ def test_log_conv_matches_naive_double_loop(monkeypatch, K, block_terms):
     # small blocks split the rows of one call into several row blocks
     monkeypatch.setattr(bounds, "_BLOCK_TERMS", block_terms)
     rng = np.random.default_rng(7)
-    # degrees from 64 on go in runs outside the shared pair table
-    for width in [*range(1, 50), 64, 65, 130]:
+    # at width 450 the default block, not the run cap, ends the run from 363
+    for width in [*range(1, 50), 64, 65, 130, 450]:
         a = rng.uniform(-50.0, 50.0, (K, width))
         b = rng.uniform(-50.0, 50.0, (K, width))
         a[:, rng.random(width) < 0.3] = -math.inf
@@ -395,13 +395,26 @@ def test_log_conv_matches_naive_double_loop(monkeypatch, K, block_terms):
         if K > 1:
             a[1] = -math.inf  # an all -inf row
             b[2, : (width + 1) // 2] = rng.choice([1e300, -1e300, 9.9e299], (width + 1) // 2)
-        got = bounds._log_conv(a, b)
+        got = bounds._log_round(a[np.newaxis], b)[0]
         want = _naive_log_conv(a, b)
         assert np.array_equal(np.isneginf(got), np.isneginf(want))
         finite = np.isfinite(want)
         assert np.all(np.isfinite(got) == finite)
         scale = np.maximum(1.0, np.abs(want[finite]))
         assert np.all(np.abs(got[finite] - want[finite]) <= 1e-14 * scale), width
+
+
+@pytest.mark.parametrize("K", [1, 3])
+def test_log_and_polynomial_kernels_agree(K):
+    # on positive series the log kernel of the logs is the log of the
+    # polynomial kernel, for stacked powers as a doubling round passes them
+    rng = np.random.default_rng(11)
+    for width in [*range(1, 50), 130]:
+        a = rng.uniform(0.0, 1.0, (3, K, width))
+        b = rng.uniform(0.0, 1.0, (K, width))
+        got = bounds._log_round(np.log(a), np.log(b))
+        want = np.log(bounds._poly_round(a, b))
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want))), width
 
 
 def _sequential_log_conv_powers(step, budgets):
@@ -413,7 +426,7 @@ def _sequential_log_conv_powers(step, budgets):
     for i, budget in enumerate(budgets[1:], 1):
         width = budget + 1
         if i > 1:
-            cur = bounds._log_conv(cur[:, :width], step[:, :width])
+            cur = _naive_log_conv(cur[:, :width], step[:, :width])
         out[i, :, :width] = cur[:, :width]
     return out
 
@@ -475,27 +488,35 @@ def test_bound_makes_about_log2_P_convolution_calls(monkeypatch, capsys, argv, c
     assert count == calls
 
 
-def test_log_conv_runs_hold_at_most_one_block_of_pairs(monkeypatch):
-    bounds._low_conv_pairs()
+def test_log_round_runs_tile_the_degrees_in_blocks(monkeypatch):
+    # 2 powers of 3 rows at width 600: the first runs stack both powers and
+    # all rows in one block, and from degree 500 on one row and one degree
+    # exceed the block
     monkeypatch.setattr(bounds, "_BLOCK_TERMS", 500)
-    runs = []
-    conv_pairs = bounds._conv_pairs
+    shapes = []
+    row_logsumexp = bounds._row_logsumexp
 
-    def recorded(lo, hi):
-        pairs = conv_pairs(lo, hi)
-        runs.append((lo, hi, pairs[0].size))
-        return pairs
+    def recorded(x):
+        shapes.append(x.shape)
+        return row_logsumexp(x)
 
-    monkeypatch.setattr(bounds, "_conv_pairs", recorded)
-    a = np.zeros((1, 600))
-    bounds._log_conv(a, a)
-    assert [lo for lo, _, _ in runs] == [bounds._TABLE_DEGREES] + [hi for _, hi, _ in runs[:-1]]
+    monkeypatch.setattr(bounds, "_row_logsumexp", recorded)
+    a = np.zeros((2, 3, 600))
+    bounds._log_round(a, a[0])
+    # the series rows each run covers, runs in call order
+    rows: dict[tuple[int, int], int] = {}
+    for powers, grid, n, hi in shapes:
+        rows[hi - n, hi] = rows.get((hi - n, hi), 0) + powers * grid
+    runs = list(rows)
+    assert [lo for lo, _ in runs] == [0] + [hi for _, hi in runs[:-1]]
     assert runs[-1][1] == 600
-    for lo, hi, n in runs:
-        # at most one block, or one degree of more pairs than that
-        assert n <= 500 or hi == lo + 1
-    # every run but the last is the widest that fits
-    assert all(n + hi + 1 > 500 for _, hi, n in runs[:-1])
+    assert all(hi - lo <= max(8, lo // 4) for lo, hi in runs)
+    # each run covers the 6 series rows once
+    assert set(rows.values()) == {6}
+    for shape in shapes:
+        # at most one block, or one row and one degree of more floats
+        assert math.prod(shape) <= 500 or shape[:-1] == (1, 1, 1), shape
+    assert shapes[0] == (2, 3, 8, 8) and shapes[-1] == (1, 1, 1, 600)
 
 
 _GROUP = cyclic_group(3)
@@ -555,7 +576,7 @@ def _engine_steps(kind, cs, width):
     return {"wreath-interior": f[:, 2::2], "wreath-ends": f[:, 1::2]}.get(kind, f)
 
 
-# a width below and one above _TABLE_DEGREES; 13 powers as at max_p 12
+# the default width and a wider one; 13 powers as at max_p 12
 @pytest.mark.parametrize("width", [49, 130])
 @pytest.mark.parametrize("K", [1, 3])
 @pytest.mark.parametrize("kind", ["unitary", "eval", "wreath-interior", "wreath-ends"])

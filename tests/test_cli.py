@@ -205,22 +205,26 @@ def test_profile_threads_do_not_change_output(capsys):
 
 
 def test_profile_bytes_do_not_depend_on_blas_threads():
-    # a 101-point Haar profile in two fresh processes, one with BLAS and
+    # 101-point profiles in two fresh processes each, one with BLAS and
     # OpenMP on one thread and one on two: the engine's reductions take no
-    # threaded path, so the bytes agree
+    # threaded path, so the bytes agree.  The Haar profile's rows take the
+    # polynomial kernel, the N = 5, tau = 2.99 one's the log-domain kernel.
     src = os.path.dirname(os.path.dirname(qgcutoff.__file__))
     script = "import sys; from qgcutoff.cli import main; sys.exit(main(sys.argv[1:]))"
-    argv = ["profile", "--family", "unitary", "--N", "30000", "--tau", "2", "--nu", "haar", "--c-range", "-5:5:0.1"]
-    outs = []
-    for threads, flag in (("1", "1"), ("2", "4")):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", script, *argv, "--threads", flag],
-                              capture_output=True, env=env, timeout=120)
-        assert proc.returncode == 0 and proc.stderr == b""
-        outs.append(proc.stdout)
-    assert len([line for line in outs[0].decode().splitlines() if not line.startswith("#")]) == 1 + 101
-    assert outs[0] == outs[1]
+    for argv in (
+        ["profile", "--family", "unitary", "--N", "30000", "--tau", "2", "--nu", "haar", "--c-range", "-5:5:0.1"],
+        ["profile", "--family", "unitary", "--N", "5", "--tau", "2.99", "--k-range", "10:1010:10"],
+    ):
+        outs = []
+        for threads, flag in (("1", "1"), ("2", "4")):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", script, *argv, "--threads", flag],
+                                  capture_output=True, env=env, timeout=120)
+            assert proc.returncode == 0 and proc.stderr == b""
+            outs.append(proc.stdout)
+        assert len([line for line in outs[0].decode().splitlines() if not line.startswith("#")]) == 1 + 101
+        assert outs[0] == outs[1]
 
 
 def test_profile_output_file(tmp_path, capsys):
