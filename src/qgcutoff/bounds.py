@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import _Q_DOMAIN_EPS, log1mexp, logsumexp, q_of, u_seq
+from .numerics import _Q_DOMAIN_EPS, _exp, log1mexp, logsumexp, q_of, u_seq
 from .structures import (
     CircleMeasure,
     FiniteGroup,
@@ -58,12 +58,12 @@ from .structures import (
     trivial_state,
 )
 from .words import (
+    _compositions,
     chi2_expectation_unitary,
     chi2_expectation_wreath,
     chi_expectation_mixture,
     count_unitary,
     count_wreath,
-    enumerate_unitary,
     eval_state_params,
 )
 
@@ -101,7 +101,10 @@ __all__ = [
 # 0.025 s, one whose row takes the log-domain kernel (N = 5, tau = 2.99)
 # about 0.16 s.
 MAX_TOTAL = 4096
-# Most words the mixture engine sums one by one, at about 17 us a word.
+# Most words the mixture engine sums.  Its array passes take about 1 us a
+# word: 82 450 words at (7, 17) in about 0.07 s, and 90 300 at (2, 300),
+# each averaged on 301 nodes, in about 0.17 s (in-process on a 2-vCPU
+# x86-64 VM).
 MAX_MIXTURE_WORDS = 100_000
 # Most blocks a truncation accepts.  The parity classes of the words of at
 # most P blocks number about P^3 / 6 (677 MB at P = 384); with Haar nu,
@@ -114,7 +117,9 @@ MAX_MIXTURE_WORDS = 100_000
 MAX_P = 64
 # Most entries, (max_total + 1) * L, of the mixture's per-node u_n ratio table
 # on L = 2 ((max_total + max_p) // 2) + 1 rule nodes (the default (5, 10)
-# takes 165); at the cap the engine peaks at about 95 MB.
+# takes 165).  At the cap, (1, 2046), the engine peaks 34 MB above the
+# interpreter (VmHWM 64 MB from 30 MB) and takes about 2 s, nearly all of
+# it in the table's u_n recurrences.
 MAX_MIXTURE_TABLE = 2**22
 
 
@@ -148,8 +153,10 @@ class TruncationConfig:
 
 
 DEFAULT_TRUNCATION = TruncationConfig(max_p=12, max_total=48)
-# The mixture partial sums its words one by one, so its default window is
-# smaller; the certified tail covers the difference.
+# The mixture partial averages every word on its rule nodes, where the other
+# families sum whole series by convolution, so its default window is
+# smaller; the certified tail covers the difference.  A two-point profile
+# takes about 1-2 ms at (5, 10) and 12-23 ms at (6, 16), 29 784 words.
 MIXTURE_DEFAULT_TRUNCATION = TruncationConfig(max_p=5, max_total=10)
 
 # Largest step count A_k_grid accepts.  The engines form 2k times a
@@ -185,11 +192,11 @@ class BoundInterval:
 
     @property
     def partial(self) -> float:
-        return math.exp(self.log_partial) if self.log_partial < 700.0 else math.inf
+        return _exp(self.log_partial)
 
     @property
     def tail(self) -> float:
-        return math.exp(self.log_tail) if self.log_tail < 700.0 else math.inf
+        return _exp(self.log_tail)
 
     @property
     def upper(self) -> float:
@@ -429,7 +436,8 @@ def _row_logsumexp(x: np.ndarray) -> np.ndarray:
 # Most floats one block of temporaries holds (256 KB): a row block of
 # _gather_logsumexp's two buffers, one _row_logsumexp term array of the
 # log-domain kernel (a run of degrees times the series rows it takes at
-# once), a block of grid rows of an engine pass.  _block_len is the one
+# once), a block of grid rows of an engine pass, a block of the mixture's
+# block vectors with their node products.  _block_len is the one
 # place that turns it into a number of items.  At the default truncation
 # a block holds the 13 x 49 powers of 51 grid rows.  With the polynomial
 # kernel taking every benchmark row, a 2-vCPU x86-64 VM timed at 4096 /
@@ -847,10 +855,20 @@ def _mixture_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
     the word's character at diag(e^{i theta}, 1, ..., 1) over its dimension,
     a trigonometric polynomial of degree <= (sum n_i + |eps|) / 2, with |eps|
     at most the number of odd blocks.  So ``porod_rule`` of degree
-    D = (max_total + max_p) // 2 averages every word exactly, once for the
-    whole grid; each k then sums d^2 |c|^{2k} over the words in enumeration
-    order.  Truncations above MAX_MIXTURE_WORDS words or MAX_MIXTURE_TABLE
-    ratio-table entries raise ParameterError before any work.
+    D = (max_total + max_p) // 2, on L = 2D + 1 nodes, averages every word
+    exactly, once for the whole grid.
+
+    The words go in array passes, one per block count p, over blocks of the
+    block vectors (``_compositions``, lexicographic order) so that memory
+    does not grow with the words times L: the node products wq R[n_1] ...
+    R[n_p], multiplied in block order, the log dims summed in the same
+    order, both leading signs' winding exponents from a parity cumprod, and
+    the cos and sin averages of every exponent from one ``np.einsum`` (no
+    BLAS, so no thread count moves a digit, and each average is one sum
+    over the nodes whatever the block).  Each k then sums d^2 |c|^{2k}
+    over the words with one ``_row_logsumexp`` per grid row.  Truncations
+    above MAX_MIXTURE_WORDS words or MAX_MIXTURE_TABLE ratio-table entries
+    raise ParameterError before any work.
 
     The tail certificate holds for the Jensen-majorized series via the
     per-word bound 2 S^p x^(total - p) with
@@ -867,7 +885,8 @@ def _mixture_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
     M, P = tc.max_total, tc.max_p
     terms = count_unitary(M, P)
     D = (M + P) // 2
-    entries = (M + 1) * (2 * D + 1)
+    L = 2 * D + 1
+    entries = (M + 1) * L
     if terms > MAX_MIXTURE_WORDS or entries > MAX_MIXTURE_TABLE:
         raise ParameterError(("max_p", "max_total"), f"the mixture truncation ({P}, {M}) has {terms} words and a "
                              f"ratio table of {entries} entries, limits {MAX_MIXTURE_WORDS} and {MAX_MIXTURE_TABLE}")
@@ -878,32 +897,48 @@ def _mixture_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
 
     log_u_N = u_seq(float(N), M)
     # per-node ratio factors u_n(t_theta)/u_n(N), kept as plain floats (<= 1)
-    R = np.exp(u_seq(tvec, M) - log_u_N[:, np.newaxis])
+    R = u_seq(tvec, M)
+    R -= log_u_N[:, np.newaxis]
+    np.exp(R, out=R)
+    # cos and sin of e beta for |e| <= P + 1: rows e + P + 1 and E + e + P + 1
+    E = 2 * P + 3
+    angles = np.arange(-(P + 1), P + 2)[:, np.newaxis] * beta
+    trig = np.vstack([np.cos(angles), np.sin(angles)])
 
-    cos_tab = {e: np.cos(e * beta) for e in range(-(P + 1), P + 2)}
-    sin_tab = {e: np.sin(e * beta) for e in range(-(P + 1), P + 2)}
+    def word_terms(vectors: np.ndarray) -> np.ndarray:
+        # per block vector: 2 log dim and the log |coefficient| of its two
+        # words, eps0 = -1 and +1 (-inf where it vanishes)
+        prod = wq * R[vectors[:, 0]]
+        log_dim = log_u_N[vectors[:, 0]]
+        for j in range(1, vectors.shape[1]):
+            prod *= R[vectors[:, j]]
+            log_dim = log_dim + log_u_N[vectors[:, j]]
+        # the signs eps_1 .. eps_p of eps0 = +1; eps0 = -1 flips them all
+        sign = np.where(vectors % 2 == 1, 1, -1).cumprod(axis=1)
+        inner, last = sign[:, :-1].sum(axis=1), sign[:, -1]
+        rows = np.stack([-1 - inner + (last < 0), inner + (last > 0)], axis=1) + P + 1
+        # no BLAS: each average is one sum over the nodes whatever the block
+        avg = np.einsum("bl,el->be", prod, trig)
+        re = np.take_along_axis(avg, rows, axis=1)
+        im = np.take_along_axis(avg, rows + E, axis=1)
+        with np.errstate(divide="ignore"):
+            log_mod = np.log(np.hypot(re, im))
+        return np.column_stack([2.0 * log_dim, log_mod])
 
-    # per word: 2 log dim and log |coefficient| (-inf where it vanishes); the
-    # two words of a block vector (eps0 = -1, +1) are consecutive
-    two_log_dim: list[float] = []
-    log_mod: list[float] = []
-    ns: tuple[int, ...] = ()
-    for word in enumerate_unitary(M, P):
-        if word.ns != ns:
-            ns = word.ns
-            prod = wq
-            log_dim = 0.0
-            for n in ns:
-                prod = prod * R[n]
-                log_dim += log_u_N[n]
-        eps = word.z_exponent()
-        mod = math.hypot(float(np.dot(prod, cos_tab[eps])), float(np.dot(prod, sin_tab[eps])))
-        two_log_dim.append(2.0 * log_dim)
-        log_mod.append(math.log(mod) if mod > 0.0 else -math.inf)
-    dims = np.array(two_log_dim)
-    mods = np.array(log_mod)
-    # at k = 0 every coefficient power is 1, vanishing ones included
-    log_partials = [logsumexp((dims if k == 0.0 else dims + 2.0 * k * mods).tolist()) for k in ks]
+    # the block vectors of p blocks in lexicographic order, each giving its
+    # eps0 = -1 word and then its eps0 = +1 word
+    per_vector = np.concatenate([_in_blocks(word_terms, L + 2 * E, _compositions(M, p)) for p in range(1, P + 1)])
+    dims = np.repeat(per_vector[:, 0], 2)
+    mods = per_vector[:, 1:].ravel()
+
+    def sums(two_k: np.ndarray) -> np.ndarray:
+        tk = two_k[:, np.newaxis]
+        with np.errstate(invalid="ignore"):
+            x = dims + tk * mods
+        # at k = 0 every coefficient power is 1, vanishing ones included
+        return _row_logsumexp(np.where(tk == 0.0, dims, x))
+
+    log_partials = _in_blocks(sums, dims.size, 2.0 * np.asarray(ks, dtype=float))
 
     hyps = (("N >= 12", N >= 12),)
     text = (

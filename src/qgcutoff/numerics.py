@@ -65,6 +65,14 @@ def logsumexp(items: Iterable[float]) -> float:
     return hi + math.log(acc)
 
 
+def _exp(x: float) -> float:
+    """exp(x), +inf where it overflows (x above about 709.78)."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def log1mexp(logx: float) -> float:
     """log(1 - exp(logx)) for logx < 0, stable near both ends."""
     if logx >= 0.0:
@@ -127,8 +135,12 @@ def u_seq(t: float | np.ndarray, nmax: int) -> np.ndarray:
         raise ValueError("t must be a float or a 1-D array")
     if not np.all(ts >= 0.0):
         raise ValueError("u_seq requires every t >= 0")
-    cols = [_log_u_floats(x, nmax) for x in ts.tolist()]
-    return np.array(cols, dtype=float).reshape(ts.size, nmax + 1).T
+    # one column at a time into the array, so that no more than one column
+    # is ever held as Python floats
+    out = np.empty((ts.size, nmax + 1))
+    for i, x in enumerate(ts.tolist()):
+        out[i] = _log_u_floats(x, nmax)
+    return out.T
 
 
 # From this n on, wallis sums the asymptotic series instead of the product.

@@ -36,12 +36,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
+from .numerics import _exp
 from .structures import CircleMeasure, FiniteGroup, arg_trace, trace_modulus
 
 __all__ = [
-    "UIrrepWord",
     "WreathWord",
-    "enumerate_unitary",
     "enumerate_wreath",
     "count_unitary",
     "count_wreath",
@@ -50,45 +51,6 @@ __all__ = [
     "chi2_expectation_wreath",
     "chi_expectation_mixture",
 ]
-
-
-@dataclass(frozen=True)
-class UIrrepWord:
-    """A free-unitary character word: block sizes and the leading sign."""
-
-    ns: tuple[int, ...]
-    eps0: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ns", tuple(int(n) for n in self.ns))
-        if len(self.ns) == 0:
-            raise ValueError("a word needs at least one block")
-        if any(n < 1 for n in self.ns):
-            raise ValueError(f"block sizes must be >= 1, got {self.ns}")
-        if self.eps0 not in (-1, 1):
-            raise ValueError(f"eps0 must be -1 or +1, got {self.eps0}")
-
-    @property
-    def p(self) -> int:
-        return len(self.ns)
-
-    @property
-    def total(self) -> int:
-        return sum(self.ns)
-
-    def eps_sequence(self) -> tuple[int, ...]:
-        """(eps_1, ..., eps_p) from the parity recursion."""
-        eps = self.eps0
-        out = []
-        for n in self.ns:
-            eps = eps if n % 2 == 1 else -eps
-            out.append(eps)
-        return tuple(out)
-
-    def z_exponent(self) -> int:
-        """Total winding exponent carried by the z factors of the word."""
-        seq = self.eps_sequence()
-        return min(self.eps0, 0) + sum(seq[:-1]) + max(seq[-1], 0)
 
 
 @dataclass(frozen=True)
@@ -135,14 +97,23 @@ class WreathWord:
         return sum(self.char_indices())
 
 
-def _compositions(total_max: int, parts: int) -> Iterator[tuple[int, ...]]:
-    # all vectors of `parts` entries >= 1 with sum <= total_max, lex ascending
-    if parts == 0:
-        yield ()
-        return
-    for first in range(1, total_max - parts + 2):
-        for rest in _compositions(total_max - first, parts - 1):
-            yield (first,) + rest
+def _compositions(total_max: int, parts: int) -> np.ndarray:
+    """All vectors of ``parts`` entries >= 1 with sum <= total_max, in
+    lexicographic order, as the rows of an int array of shape
+    (C(total_max, parts), parts).
+
+    Built one entry at a time: every prefix is repeated once for each value
+    its next entry can take, 1 up to what leaves one for each entry after it.
+    """
+    out = np.zeros((1, 0), dtype=np.int64)
+    used = np.zeros(1, dtype=np.int64)
+    for i in range(parts):
+        room = np.maximum(total_max - (parts - 1 - i) - used, 0)
+        prefix = np.repeat(np.arange(used.size), room)
+        entry = np.arange(1, prefix.size + 1) - np.repeat(np.cumsum(room) - room, room)
+        out = np.column_stack([out[prefix], entry])
+        used = used[prefix] + entry
+    return out
 
 
 def _nonneg_vectors(total_max: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -153,20 +124,6 @@ def _nonneg_vectors(total_max: int, parts: int) -> Iterator[tuple[int, ...]]:
     for first in range(0, total_max + 1):
         for rest in _nonneg_vectors(total_max - first, parts - 1):
             yield (first,) + rest
-
-
-def enumerate_unitary(max_total: int, max_p: int) -> Iterator[UIrrepWord]:
-    """All words with sum(n_i) <= max_total and p <= max_p blocks.
-
-    Deterministic order: p ascending, then the block vector lexicographically,
-    then eps0 in (-1, +1).
-    """
-    for p in range(1, max_p + 1):
-        if p > max_total:
-            break
-        for ns in _compositions(max_total, p):
-            for eps0 in (-1, 1):
-                yield UIrrepWord(ns, eps0)
 
 
 def enumerate_wreath(group: FiniteGroup, max_total: int, max_p: int) -> Iterator[WreathWord]:
@@ -200,9 +157,10 @@ def _lex_products(m: int, p: int) -> Iterator[tuple[int, ...]]:
 
 
 def count_unitary(max_total: int, max_p: int) -> int:
-    """Number of words enumerate_unitary yields, in closed form: the block
-    vectors of p blocks and total at most max_total number C(max_total, p),
-    and each takes two leading signs."""
+    """Number of free-unitary words of at most max_p blocks and index total
+    at most max_total, in closed form: the block vectors of p blocks
+    (``_compositions(max_total, p)``) number C(max_total, p), and each takes
+    two leading signs eps0 = -1, +1."""
     return 2 * sum(math.comb(max_total, p) for p in range(1, max_p + 1))
 
 
@@ -228,13 +186,6 @@ def eval_state_params(N: int, theta: float) -> tuple[float, CircleMeasure]:
     coincides with the central state of parameter t and measure delta_beta.
     """
     return trace_modulus(N, theta), CircleMeasure.delta(arg_trace(N, theta))
-
-
-def _exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 def chi2_expectation_unitary(N: int, tau: float, k: float) -> float:

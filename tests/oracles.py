@@ -2,23 +2,91 @@
 
 These sum the series word by word from the irrep data (dimensions and
 normalized coefficients), deliberately bypassing the production engine's
-parity classes, convolution folding, and tail machinery.  Shared pieces are
-limited to the u_n evaluator, the moment map, and the word enumeration
-order, none of which carry the summation logic under test.  A unitary
+parity classes, convolution folding, array passes and tail machinery.
+Shared pieces are limited to the u_n evaluator, the moment map, the exact
+Porod rule and the word enumeration order (the block vectors of
+``words._compositions``), none of which carry the summation logic under
+test.  The free-unitary words are objects here (``UIrrepWord``, yielded one
+at a time by ``enumerate_unitary``), which no engine builds, and a unitary
 word's log dimension and log |coefficient| (``dim_unitary``,
-``coeff_unitary``) are formed here, one word at a time.
+``coeff_unitary``) are formed one word at a time.
 ``winding_log_partial`` is the general-nu partial the engine ran before its
 parity-class rewrite, a dynamic program over the winding state, kept as an
-independent reference for that rewrite.
+independent reference for that rewrite, and
+``mixture_word_loop_log_partial`` is the mixture partial the engine summed
+word by word before its array passes.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from qgcutoff.numerics import logsumexp, u_seq
-from qgcutoff.structures import CircleMeasure, FiniteGroup, GroupState, moment
-from qgcutoff.words import UIrrepWord, enumerate_unitary, enumerate_wreath
+from qgcutoff.structures import (
+    CircleMeasure,
+    FiniteGroup,
+    GroupState,
+    arg_trace,
+    moment,
+    porod_rule,
+    trace_modulus,
+)
+from qgcutoff.words import _compositions, enumerate_wreath
+
+
+@dataclass(frozen=True)
+class UIrrepWord:
+    """A free-unitary character word: block sizes and the leading sign."""
+
+    ns: tuple[int, ...]
+    eps0: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ns", tuple(int(n) for n in self.ns))
+        if len(self.ns) == 0:
+            raise ValueError("a word needs at least one block")
+        if any(n < 1 for n in self.ns):
+            raise ValueError(f"block sizes must be >= 1, got {self.ns}")
+        if self.eps0 not in (-1, 1):
+            raise ValueError(f"eps0 must be -1 or +1, got {self.eps0}")
+
+    @property
+    def p(self) -> int:
+        return len(self.ns)
+
+    @property
+    def total(self) -> int:
+        return sum(self.ns)
+
+    def eps_sequence(self) -> tuple[int, ...]:
+        """(eps_1, ..., eps_p) from the parity recursion."""
+        eps = self.eps0
+        out = []
+        for n in self.ns:
+            eps = eps if n % 2 == 1 else -eps
+            out.append(eps)
+        return tuple(out)
+
+    def z_exponent(self) -> int:
+        """Total winding exponent carried by the z factors of the word."""
+        seq = self.eps_sequence()
+        return min(self.eps0, 0) + sum(seq[:-1]) + max(seq[-1], 0)
+
+
+def enumerate_unitary(max_total: int, max_p: int) -> Iterator[UIrrepWord]:
+    """All words with sum(n_i) <= max_total and p <= max_p blocks.
+
+    Deterministic order: p ascending, then the block vector lexicographically,
+    then eps0 in (-1, +1).
+    """
+    for p in range(1, max_p + 1):
+        if p > max_total:
+            break
+        for ns in _compositions(max_total, p).tolist():
+            for eps0 in (-1, 1):
+                yield UIrrepWord(ns, eps0)
 
 
 def dim_unitary(word: UIrrepWord, N: float) -> float:
@@ -252,3 +320,44 @@ def winding_log_partial(g: np.ndarray, log_abs_m: np.ndarray, two_k: float, M: i
     flat = np.concatenate(collected)
     hi = float(flat.max())
     return hi + math.log(float(np.exp(flat - hi).sum()))
+
+
+def mixture_word_loop_log_partial(N: int, ks: Sequence[float], max_total: int, max_p: int) -> list[float]:
+    """The mixture partial at every k in ``ks``, one word at a time: each
+    word's node product and its two dot products against the cos and sin
+    tables on the exact Porod rule of degree (max_total + max_p) // 2, then
+    a sequential logsumexp over the words in enumeration order."""
+    M, P = max_total, max_p
+    D = (M + P) // 2
+    theta, wq = porod_rule(N, D)
+    tvec = np.array([trace_modulus(N, th) for th in theta])  # = N - tau_theta >= N - 2
+    beta = np.array([arg_trace(N, th) for th in theta])
+
+    log_u_N = u_seq(float(N), M)
+    # per-node ratio factors u_n(t_theta)/u_n(N), kept as plain floats (<= 1)
+    R = np.exp(u_seq(tvec, M) - log_u_N[:, np.newaxis])
+
+    cos_tab = {e: np.cos(e * beta) for e in range(-(P + 1), P + 2)}
+    sin_tab = {e: np.sin(e * beta) for e in range(-(P + 1), P + 2)}
+
+    # per word: 2 log dim and log |coefficient| (-inf where it vanishes); the
+    # two words of a block vector (eps0 = -1, +1) are consecutive
+    two_log_dim: list[float] = []
+    log_mod: list[float] = []
+    ns: tuple[int, ...] = ()
+    for word in enumerate_unitary(M, P):
+        if word.ns != ns:
+            ns = word.ns
+            prod = wq
+            log_dim = 0.0
+            for n in ns:
+                prod = prod * R[n]
+                log_dim += log_u_N[n]
+        eps = word.z_exponent()
+        mod = math.hypot(float(np.dot(prod, cos_tab[eps])), float(np.dot(prod, sin_tab[eps])))
+        two_log_dim.append(2.0 * log_dim)
+        log_mod.append(math.log(mod) if mod > 0.0 else -math.inf)
+    dims = np.array(two_log_dim)
+    mods = np.array(log_mod)
+    # at k = 0 every coefficient power is 1, vanishing ones included
+    return [logsumexp((dims if k == 0.0 else dims + 2.0 * k * mods).tolist()) for k in ks]

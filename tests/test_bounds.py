@@ -36,10 +36,12 @@ from qgcutoff.structures import (
     moment,
     trivial_state,
 )
-from qgcutoff.words import enumerate_unitary, eval_state_params
+from qgcutoff.words import count_unitary, eval_state_params
 
 from oracles import (
+    enumerate_unitary,
     mixture_log_partial,
+    mixture_word_loop_log_partial,
     unitary_log_partial,
     unitary_tail_majorant,
     winding_log_partial,
@@ -207,6 +209,53 @@ def test_mixture_partial_matches_oracle():
     got = A_k_grid(WalkQuery.mixture(N), [k], tc)[0].log_partial
     want = mixture_log_partial(N, k, 4, 2, quad_points=512)
     assert got == pytest.approx(want, abs=1e-8)
+
+
+@pytest.mark.parametrize("max_p, max_total", [(1, 1), (1, 2), (2, 4), (3, 9), (5, 10), (6, 16)])
+@pytest.mark.parametrize("N", [6, 7, 12, 100, 600, 10**6])
+def test_mixture_partial_matches_the_word_loop(N, max_p, max_total):
+    # the array passes against the word-by-word loop they replaced: each
+    # word's average on the L nodes may move by about L ulp, which the power
+    # 2k multiplies; the loop adds the W terms one by one, so its sum may be
+    # off by up to W / 2 ulp (9.6e-14 relative at N = 100, (6, 16), k = 0,
+    # where the engine's sum is the correctly rounded one)
+    q = WalkQuery.mixture(N)
+    ks = [0.0, 1.0, nominal_cutoff(q) + N]
+    got = [A.log_partial for A in A_k_grid(q, ks, TruncationConfig(max_p=max_p, max_total=max_total))]
+    want = mixture_word_loop_log_partial(N, ks, max_total, max_p)
+    L = 2 * ((max_total + max_p) // 2) + 1
+    W = count_unitary(max_total, max_p)
+    for k, g, w in zip(ks, got, want):
+        assert abs(g - w) <= 2.0 * k * L * 2.0**-52 + 1e-13 + W * 2.0**-53, (k, g, w)
+
+
+def test_mixture_partial_does_not_depend_on_the_block_size(monkeypatch):
+    # with 64-float blocks every block vector and every grid row is a block
+    # of its own; each word and each grid row is computed alone either way
+    cases = [(12, TruncationConfig(max_p=5, max_total=10)), (600, TruncationConfig(max_p=3, max_total=9)),
+             (100, TruncationConfig(max_p=1, max_total=300))]
+
+    def partials():
+        out = []
+        for N, tc in cases:
+            q = WalkQuery.mixture(N)
+            ks = [0.0, 0.5, 1.0, nominal_cutoff(q), nominal_cutoff(q) + N, 1e300]
+            out.append([A.log_partial for A in A_k_grid(q, ks, tc)])
+        return out
+
+    before = partials()
+    monkeypatch.setattr(bounds, "_BLOCK_TERMS", 64)
+    assert partials() == before
+
+
+def test_mixture_vanishing_coefficients_count_one_at_k_zero(monkeypatch):
+    # at k = 0 every coefficient power is 1, also where a word's average is
+    # 0; with zero rule weights every average vanishes
+    q, tc = WalkQuery.mixture(20), TruncationConfig(max_p=2, max_total=4)
+    want = A_k_grid(q, [0.0], tc)[0].log_partial
+    rule = structures.porod_rule
+    monkeypatch.setattr(bounds, "porod_rule", lambda N, D: (rule(N, D)[0], np.zeros(2 * D + 1)))
+    assert [A.log_partial for A in A_k_grid(q, [0.0, 1.0, 30.0], tc)] == [want, -math.inf, -math.inf]
 
 
 @pytest.mark.parametrize("N", [6, 7, 8, 12, 40])
@@ -846,10 +895,13 @@ def test_tv_upper_from_A_values():
     tv_big = tv_upper_from_A(mk(400.0, 4.0))
     assert tv_big.upper == 1.0 and tv_big.clamped
 
-    # partial and tail are the exponentials of the logs, infinite from e^700 on
+    # partial and tail are the exponentials of the logs, infinite only where
+    # exp overflows: e^709 is finite, e^710 is not
     A = mk(0.04, 0.0004)
     assert (A.partial, A.tail) == (math.exp(math.log(0.04)), math.exp(math.log(0.0004)))
-    huge = BoundInterval(1, "", True, (), 700.0, -math.inf)
+    edge = BoundInterval(1, "", True, (), 709.0, 700.0)
+    assert (edge.partial, edge.tail) == (math.exp(709.0), math.exp(700.0))
+    huge = BoundInterval(1, "", True, (), 710.0, -math.inf)
     assert (huge.partial, huge.tail) == (math.inf, 0.0)
 
 

@@ -6,6 +6,7 @@ with plain floats and numpy quadrature.
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +159,20 @@ def test_u_seq_array_is_bitwise_one_call_per_element():
         assert table.shape == (nmax + 1, len(ts))
         for j, t in enumerate(ts):
             assert np.array_equal(table[:, j], u_seq(t, nmax)), (t, nmax)
+
+
+def test_u_seq_array_path_holds_one_column_of_python_floats():
+    # the table itself is 2.1 MB; a list of every column as Python floats
+    # would add about 8 MB on top of it
+    ts = np.linspace(0.0, 40.0, 512)
+    tracemalloc.start()
+    try:
+        table = u_seq(ts, 511)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (512, 512)
+    assert peak <= table.nbytes + 256 * 1024, peak
 
 
 def test_u_domain():

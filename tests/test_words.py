@@ -17,19 +17,18 @@ from qgcutoff.structures import (
     porod_nodes,
 )
 from qgcutoff.words import (
-    UIrrepWord,
     WreathWord,
+    _compositions,
     chi2_expectation_unitary,
     chi2_expectation_wreath,
     chi_expectation_mixture,
     count_unitary,
     count_wreath,
-    enumerate_unitary,
     enumerate_wreath,
     eval_state_params,
 )
 
-from oracles import coeff_unitary, dim_unitary
+from oracles import UIrrepWord, coeff_unitary, dim_unitary, enumerate_unitary
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +150,14 @@ def test_enumerate_unitary_small():
         ((1, 1), -1),
         ((1, 1), 1),
     ]
+
+
+@pytest.mark.parametrize("total_max, parts", [(1, 1), (4, 2), (6, 6), (10, 5), (12, 3), (3, 4), (5, 0)])
+def test_compositions_are_every_vector_in_lexicographic_order(total_max, parts):
+    want = [v for v in itertools.product(range(1, total_max + 1), repeat=parts) if sum(v) <= total_max]
+    got = _compositions(total_max, parts)
+    assert got.shape == (math.comb(total_max, parts), parts)
+    assert got.tolist() == [list(v) for v in want]
 
 
 def test_enumerate_unitary_counts():
