@@ -9,9 +9,9 @@ Subpackage layout:
   lambda-moments.
 - ``structures``: finite groups and positive-definite states on them, measures
   on the circle and their exact moments.
-- ``words``: irreducible-character words for both families, truncated
-  enumeration and counts, and closed-form expectations used by the lower
-  bounds.
+- ``words``: irreducible-character words for both families: the block
+  vectors the mixture engine sums over, closed-form word counts, and the
+  closed-form walk expectations used by the lower bounds.
 - ``bounds``: the series engine computing certified intervals around the
   upper-bound series, Chebyshev lower bounds, thresholds, cutoff profiles.
 - ``verify``: grid verification of the supporting analytic inequalities, with

@@ -106,9 +106,11 @@ MAX_TOTAL = 4096
 # each averaged on 301 nodes, in about 0.17 s (in-process on a 2-vCPU
 # x86-64 VM).
 MAX_MIXTURE_WORDS = 100_000
-# Most blocks a truncation accepts.  The parity classes of the words of at
-# most P blocks number about P^3 / 6 (677 MB at P = 384); with Haar nu,
-# (64, 64) takes about 0.02 s and 33 MB, (64, 4096) about 1.3 s and 39 MB.
+# Most blocks a truncation accepts.  The parity-class table of the words of
+# at most P blocks holds P (P + 3) / 2 rows of P slots, about P^3 / 2, each
+# a float log C and an int stop column (2.2 MB at P = 64, 457 MB at
+# P = 384); with Haar nu, (64, 64) takes about 0.02 s and 36 MB the first
+# call in a process, (64, 4096) about 1.1 s and 42 MB.
 # A delta profile at (64, 4096) takes about 0.5 s a grid point, a wreath
 # one over Z/3 about 0.12 s; from 30 MB at start, either peaked at 36 MB
 # for 11 points and at 40-42 MB for 101.  A grid row outside the affine
@@ -408,6 +410,13 @@ def _intervals(
 # domain, so the engines below carry a leading k axis: one row per grid point.
 
 
+def _log_power(two_k: np.ndarray, log_abs: np.ndarray) -> np.ndarray:
+    """two_k * log_abs, the log of |c|^{2k}, broadcast; 0 where 2k = 0,
+    since |c|^0 = 1 even for a vanishing c (log_abs = -inf)."""
+    with np.errstate(invalid="ignore"):
+        return np.where(two_k == 0.0, 0.0, two_k * log_abs)
+
+
 def _log_coeff_table(two_k: np.ndarray, log_num: np.ndarray, log_den: np.ndarray) -> np.ndarray:
     """table[i, n] = log den_n^2 |num_n / den_n|^{two_k[i]} for n >= 1, from
     log |num_n| and log den_n (``u_seq`` columns).
@@ -415,11 +424,8 @@ def _log_coeff_table(two_k: np.ndarray, log_num: np.ndarray, log_den: np.ndarray
     Column 0 is -inf (no index-0 factor).  A vanishing num_n gives -inf,
     except at two_k = 0, where every coefficient power is 1.
     """
-    log_num, log_den = log_num[1:], log_den[1:]
     tk = two_k[:, np.newaxis]
-    with np.errstate(invalid="ignore"):
-        body = tk * log_num - (tk - 2.0) * log_den
-    body = np.where(tk == 0.0, 2.0 * log_den, body)
+    body = _log_power(tk, log_num[1:]) - (tk - 2.0) * log_den[1:]
     return np.hstack([np.full((two_k.size, 1), -math.inf), body])
 
 
@@ -427,23 +433,26 @@ def _row_logsumexp(x: np.ndarray) -> np.ndarray:
     """log of the sum of exp over the last axis; -inf for an all -inf row."""
     hi = x.max(axis=-1, initial=-math.inf)
     shift = np.where(np.isfinite(hi), hi, 0.0)
-    terms = x - shift[..., np.newaxis]
+    # C order: each row is summed along a contiguous axis, so it gives the
+    # bits of the same row reduced alone whatever the layout of x
+    terms = np.subtract(x, shift[..., np.newaxis], order="C")
     np.exp(terms, out=terms)
     with np.errstate(divide="ignore"):
         return shift + np.log(terms.sum(axis=-1))
 
 
-# Most floats one block of temporaries holds (256 KB): a row block of
-# _gather_logsumexp's two buffers, one _row_logsumexp term array of the
-# log-domain kernel (a run of degrees times the series rows it takes at
-# once), a block of grid rows of an engine pass, a block of the mixture's
-# block vectors with their node products.  _block_len is the one
-# place that turns it into a number of items.  At the default truncation
-# a block holds the 13 x 49 powers of 51 grid rows.  With the polynomial
-# kernel taking every benchmark row, a 2-vCPU x86-64 VM timed at 4096 /
-# 32768 / 131072 (one fresh process each, in-process cli.main): a
-# 77-point delta profile at N = 200 16 / 13 / 13 ms, a 101-point Haar one
-# at N = 30000 43 / 28 / 33 ms, one bound at (12, 1024) 13 / 13 / 14 ms
+# Most floats one block of temporaries holds (256 KB): one _row_logsumexp
+# term array of the log-domain kernel (a run of degrees times the series
+# rows it takes at once), a block of grid rows of an engine pass (with the
+# parity path's stop-sum terms), a block of the mixture's block vectors
+# with their node products.  _block_len is the one place that turns it
+# into a number of items.  At the default truncation a block holds the
+# 13 x 49 powers of 51 grid rows of a point-mass pass, and 13 parity-path
+# rows.  With the polynomial kernel taking every benchmark row, a 2-vCPU
+# x86-64 VM timed at 4096 / 32768 / 131072 (one fresh process each,
+# in-process cli.main): a 77-point delta profile at N = 200 16 / 13 / 13
+# ms, a 101-point Haar one at N = 30000 42 / 24 / 29 ms (with the stop-sum
+# terms in the block), one bound at (12, 1024) 13 / 13 / 14 ms
 # with delta nu and 27 / 24 / 23 ms with Haar nu, one at (64, 4096) with
 # delta nu 0.53 / 0.50 / 0.49 s.  Rows in the log-domain kernel (N = 5,
 # tau = 2.99): a 101-point profile 44 / 36 / 28 ms, one bound at
@@ -467,37 +476,6 @@ def _in_blocks(fn: Callable[..., np.ndarray], item_floats: int, *arrays: np.ndar
     if n <= step:
         return fn(*arrays)
     return np.concatenate([fn(*(a[i : i + step] for a in arrays)) for i in range(0, n, step)])
-
-
-def _gather_logsumexp(
-    x: np.ndarray, xi: np.ndarray, y: np.ndarray, yi: np.ndarray, seg: np.ndarray, starts: np.ndarray
-) -> np.ndarray:
-    """out[:, s] = log sum over e in segment s of exp(x[:, xi[e]] + y[:, yi[e]]).
-
-    The terms e are ordered by segment: segment s is the non-empty run that
-    begins at starts[s], and seg[e] is the segment of term e.  Rows go
-    through in blocks of _block_len(xi.size) rows, in two buffers, so the
-    temporaries stay small whatever the number of rows.
-    """
-    rows = x.shape[0]
-    out = np.empty((rows, starts.size))
-    step = _block_len(xi.size)
-    terms_buf = np.empty((min(step, rows), xi.size))
-    other_buf = np.empty_like(terms_buf)
-    for r in range(0, rows, step):
-        terms = terms_buf[: min(step, rows - r)]
-        other = other_buf[: terms.shape[0]]
-        # the indices are in range; mode="clip" lets take write into out
-        # without an internal copy
-        np.take(x[r : r + step], xi, axis=1, out=terms, mode="clip")
-        terms += np.take(y[r : r + step], yi, axis=1, out=other, mode="clip")
-        hi = np.maximum.reduceat(terms, starts, axis=1)
-        hi = np.where(np.isfinite(hi), hi, 0.0)
-        terms -= np.take(hi, seg, axis=1, out=other, mode="clip")
-        np.exp(terms, out=terms)
-        with np.errstate(divide="ignore"):
-            out[r : r + step] = hi + np.log(np.add.reduceat(terms, starts, axis=1))
-    return out
 
 
 def _toeplitz(b: np.ndarray, pad: float) -> np.ndarray:
@@ -666,26 +644,35 @@ def _log_conv_powers(step: np.ndarray, budgets: Sequence[int]) -> np.ndarray:
 # unitary family
 
 
+def _winding_exponents(T: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e+, e-), the winding exponents of a word's two leading signs,
+    eps0 = +1 and -1, from the sum T of the signs eps_1 .. eps_{p-1} and
+    the last sign sigma = eps_p of eps0 = +1 (eps0 = -1 flips them all):
+    e+ = T + [sigma > 0] and e- = -1 - T + [sigma < 0], so |e| <= p."""
+    return T + (sigma > 0), -1 - T + (sigma < 0)
+
+
 @dataclass(frozen=True)
 class _ParityClasses:
-    """The words of at most P blocks, grouped by their parity sequence.
+    """The words of at most P blocks, grouped by their parity sequence, as
+    one dense table with a row per (a, b) pair.
 
     Odd blocks keep the sign and even blocks flip it, the first sign being
     + for an odd block and - for an even one, and T is the sum of the signs
     before the last block.  So the last sign sigma = (-1)^b and T depend
     only on the parities: C(a, b, T) counts the parity sequences with a odd
-    and b even blocks that end at T.  The classes with C > 0 are listed in
-    (a + b, a, T) order, and so are their (a, b) pairs.
+    and b even blocks that end at T.  The rows are the pairs in
+    (L = a + b, a) order.  A word of L blocks has T = 2j - (L - 1) with
+    0 <= j < L, and column j of its row holds that T; the columns j >= L,
+    and every class with C = 0, hold log C = -inf.
     """
 
-    log_count: np.ndarray  # log C per class
-    stop: np.ndarray  # column (sigma, T) of each class in the stop table
-    pair: np.ndarray  # index of each class's (a, b) pair
-    pair_starts: np.ndarray  # first class of each pair
+    log_count: np.ndarray  # (pairs, P): log C per slot
+    stop: np.ndarray  # (pairs, P): column (sigma, T) of each slot in the stop table
     pair_a: np.ndarray  # a of each pair
     pair_b: np.ndarray  # b of each pair
     # per stop-table column (sigma, T), the index e + P of the winding
-    # exponent of each stop option: e+ = T + [sigma > 0], e- = -1 - T + [sigma < 0]
+    # exponent of each stop option (``_winding_exponents``)
     e_plus: np.ndarray
     e_minus: np.ndarray
 
@@ -696,10 +683,14 @@ def _parity_classes(P: int) -> _ParityClasses:
     P by a dynamic program over the word length L and shared, hence
     read-only."""
     width, off = 2 * P - 1, P - 1
+    # the pairs (a, L - a), 0 <= a <= L <= P, in (L, a) order
+    lengths = np.repeat(np.arange(1, P + 1), np.arange(2, P + 2))
+    a = np.arange(lengths.size) - (lengths - 1) * (lengths + 2) // 2
+    log_count = np.full((lengths.size, P), -math.inf)
+    stop = np.zeros((lengths.size, P), dtype=np.intp)
     # count[a, T + off] for the words of length L, which have b = L - a
     count = np.zeros((P + 1, width))
     count[0, off] = count[1, off] = 1.0
-    log_count, stop, pair = [], [], []
     for L in range(1, P + 1):
         if L > 1:
             # the sign before the new block moves T: + for even b = L - 1 - a
@@ -709,26 +700,14 @@ def _parity_classes(P: int) -> _ParityClasses:
             moved[1 - plus :: 2, :-1] = count[1 - plus :: 2, 1:]
             count = moved.copy()  # an even block: a stays
             count[1:] += moved[:-1]  # an odd block: a + 1
-        a, t = np.nonzero(count)
-        log_count.append(np.log(count[a, t]))
-        stop.append(((L - a) & 1) * width + t)
-        pair.append((L - 1) * (L + 2) // 2 + a)
+        # column j holds T = 2j - (L - 1); sigma = (-1)^b picks the half
+        rows = lengths == L
+        with np.errstate(divide="ignore"):
+            log_count[rows, :L] = np.log(count[: L + 1, off - (L - 1) : off + L : 2])
+        stop[rows, :L] = (L - a[rows, np.newaxis]) % 2 * width + np.arange(off - (L - 1), off + L, 2)
     T = np.arange(width) - off
-    pairs = np.concatenate(pair)
-    # every pair (a, L - a), 0 <= a <= L <= P, has a class, so these are the
-    # pairs of pair_starts in order
-    L = np.repeat(np.arange(1, P + 1), np.arange(2, P + 2))
-    a = np.arange(L.size) - (L - 1) * (L + 2) // 2
-    classes = _ParityClasses(
-        log_count=np.concatenate(log_count),
-        stop=np.concatenate(stop),
-        pair=pairs,
-        pair_starts=np.flatnonzero(np.diff(pairs, prepend=-1)),
-        pair_a=a,
-        pair_b=L - a,
-        e_plus=np.r_[T + 1, T] + P,
-        e_minus=np.r_[-1 - T, -T] + P,
-    )
+    e_plus, e_minus = _winding_exponents(np.r_[T, T], np.repeat([1, -1], width))
+    classes = _ParityClasses(log_count, stop, a, lengths - a, e_plus + P, e_minus + P)
     for arr in vars(classes).values():
         arr.flags.writeable = False
     return classes
@@ -746,17 +725,15 @@ def _parity_log_partials(g: np.ndarray, log_abs_m: np.ndarray, two_k: np.ndarray
     C S(a, b) (|m_e+|^{2k} + |m_e-|^{2k}).
     """
     pc = _parity_classes(P)
-    classes = np.arange(pc.log_count.size)
 
     def block(g: np.ndarray, two_k: np.ndarray) -> np.ndarray:
-        n, tk = g.shape[0], two_k[:, np.newaxis]
-        # log |m_e|^{2k}; 2k = 0 gives log 1 even where m_e = 0
-        with np.errstate(invalid="ignore"):
-            logm = np.where(tk == 0.0, 0.0, tk * log_abs_m)
+        n = g.shape[0]
+        logm = _log_power(two_k[:, np.newaxis], log_abs_m)
         stop = np.logaddexp(logm[:, pc.e_plus], logm[:, pc.e_minus])
         # per pair, log sum over its classes of C (|m_e+|^{2k} + |m_e-|^{2k})
-        log_count = np.broadcast_to(pc.log_count, (n, classes.size))
-        stop_sums = _gather_logsumexp(stop, pc.stop, log_count, classes, pc.pair, pc.pair_starts)
+        terms = stop[:, pc.stop]
+        terms += pc.log_count
+        stop_sums = _row_logsumexp(terms)
 
         # O and E as the 2n rows of one series; pows[p, :n] = O^p, pows[p, n:] = E^p, p <= P
         oe = np.full((2 * n, M + 1), -math.inf)
@@ -771,8 +748,9 @@ def _parity_log_partials(g: np.ndarray, log_abs_m: np.ndarray, two_k: np.ndarray
         )
         return _row_logsumexp(log_s.T + stop_sums)
 
-    # the stacked odd and even powers of one grid row take 2 (P + 1) (M + 1) floats
-    return _in_blocks(block, 2 * (P + 1) * (M + 1), g, two_k)
+    # a grid row takes 2 (P + 1) (M + 1) floats of stacked odd and even
+    # powers and pairs * P of stop-sum terms
+    return _in_blocks(block, 2 * (P + 1) * (M + 1) + pc.log_count.size, g, two_k)
 
 
 def _unitary_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -> list[BoundInterval]:
@@ -900,9 +878,10 @@ def _mixture_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
     R = u_seq(tvec, M)
     R -= log_u_N[:, np.newaxis]
     np.exp(R, out=R)
-    # cos and sin of e beta for |e| <= P + 1: rows e + P + 1 and E + e + P + 1
-    E = 2 * P + 3
-    angles = np.arange(-(P + 1), P + 2)[:, np.newaxis] * beta
+    # cos and sin of e beta for the exponents |e| <= P of a word: rows e + P
+    # and E + e + P
+    E = 2 * P + 1
+    angles = np.arange(-P, P + 1)[:, np.newaxis] * beta
     trig = np.vstack([np.cos(angles), np.sin(angles)])
 
     def word_terms(vectors: np.ndarray) -> np.ndarray:
@@ -915,8 +894,8 @@ def _mixture_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
             log_dim = log_dim + log_u_N[vectors[:, j]]
         # the signs eps_1 .. eps_p of eps0 = +1; eps0 = -1 flips them all
         sign = np.where(vectors % 2 == 1, 1, -1).cumprod(axis=1)
-        inner, last = sign[:, :-1].sum(axis=1), sign[:, -1]
-        rows = np.stack([-1 - inner + (last < 0), inner + (last > 0)], axis=1) + P + 1
+        e_plus, e_minus = _winding_exponents(sign[:, :-1].sum(axis=1), sign[:, -1])
+        rows = np.stack([e_minus, e_plus], axis=1) + P
         # no BLAS: each average is one sum over the nodes whatever the block
         avg = np.einsum("bl,el->be", prod, trig)
         re = np.take_along_axis(avg, rows, axis=1)
@@ -932,11 +911,7 @@ def _mixture_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
     mods = per_vector[:, 1:].ravel()
 
     def sums(two_k: np.ndarray) -> np.ndarray:
-        tk = two_k[:, np.newaxis]
-        with np.errstate(invalid="ignore"):
-            x = dims + tk * mods
-        # at k = 0 every coefficient power is 1, vanishing ones included
-        return _row_logsumexp(np.where(tk == 0.0, dims, x))
+        return _row_logsumexp(dims + _log_power(two_k[:, np.newaxis], mods))
 
     log_partials = _in_blocks(sums, dims.size, 2.0 * np.asarray(ks, dtype=float))
 

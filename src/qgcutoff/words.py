@@ -1,6 +1,6 @@
-"""Irreducible-character words for the two families of walks: truncated
-enumeration and counts, and the closed-form expectations feeding the lower
-bounds.
+"""Irreducible-character words for the two families of walks: the block
+vectors the mixture engine sums over, closed-form word counts, and the
+closed-form walk expectations feeding the lower bounds.
 
 Free unitary family.  Nontrivial irreducible characters are indexed by words
 
@@ -33,8 +33,6 @@ u_index(t') / u_index(sqrt(N)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -42,8 +40,6 @@ from .numerics import _exp
 from .structures import CircleMeasure, FiniteGroup, arg_trace, trace_modulus
 
 __all__ = [
-    "WreathWord",
-    "enumerate_wreath",
     "count_unitary",
     "count_wreath",
     "eval_state_params",
@@ -51,50 +47,6 @@ __all__ = [
     "chi2_expectation_wreath",
     "chi_expectation_mixture",
 ]
-
-
-@dataclass(frozen=True)
-class WreathWord:
-    """A free-wreath character word: p + 1 outer indices and p group labels.
-
-    ``outer`` holds (n_0, ..., n_p) with n_i >= 0; ``gammas`` holds the p
-    group-element indices sitting between consecutive characters.
-    """
-
-    outer: tuple[int, ...]
-    gammas: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "outer", tuple(int(n) for n in self.outer))
-        object.__setattr__(self, "gammas", tuple(int(g) for g in self.gammas))
-        if len(self.outer) == 0:
-            raise ValueError("a word needs at least one character")
-        if len(self.gammas) != len(self.outer) - 1:
-            raise ValueError(
-                f"{len(self.outer)} characters need {len(self.outer) - 1} group labels, "
-                f"got {len(self.gammas)}"
-            )
-        if any(n < 0 for n in self.outer):
-            raise ValueError(f"outer indices must be >= 0, got {self.outer}")
-
-    @property
-    def p(self) -> int:
-        return len(self.gammas)
-
-    def char_indices(self) -> tuple[int, ...]:
-        """Indices of the u-factors: even for a single character, odd ends and
-        even interior otherwise."""
-        if self.p == 0:
-            return (2 * self.outer[0] + 2,)
-        idx = [2 * self.outer[0] + 1]
-        for n in self.outer[1:-1]:
-            idx.append(2 * n + 2)
-        idx.append(2 * self.outer[-1] + 1)
-        return tuple(idx)
-
-    @property
-    def index_total(self) -> int:
-        return sum(self.char_indices())
 
 
 def _compositions(total_max: int, parts: int) -> np.ndarray:
@@ -116,46 +68,6 @@ def _compositions(total_max: int, parts: int) -> np.ndarray:
     return out
 
 
-def _nonneg_vectors(total_max: int, parts: int) -> Iterator[tuple[int, ...]]:
-    # all vectors of `parts` entries >= 0 with sum <= total_max, lex ascending
-    if parts == 0:
-        yield ()
-        return
-    for first in range(0, total_max + 1):
-        for rest in _nonneg_vectors(total_max - first, parts - 1):
-            yield (first,) + rest
-
-
-def enumerate_wreath(group: FiniteGroup, max_total: int, max_p: int) -> Iterator[WreathWord]:
-    """All words with character-index total <= max_total and p <= max_p labels.
-
-    Deterministic order: p ascending, then the outer vector lexicographically,
-    then the group labels in lexicographic product order.
-    """
-    n0 = 0
-    while 2 * n0 + 2 <= max_total:
-        yield WreathWord((n0,), ())
-        n0 += 1
-    m = group.order
-    for p in range(1, max_p + 1):
-        budget2 = max_total - 2 * p  # index total is 2*sum(n) + 2p
-        if budget2 < 0:
-            break
-        budget = budget2 // 2
-        for vec in _nonneg_vectors(budget, p + 1):
-            for gammas in _lex_products(m, p):
-                yield WreathWord(vec, gammas)
-
-
-def _lex_products(m: int, p: int) -> Iterator[tuple[int, ...]]:
-    if p == 0:
-        yield ()
-        return
-    for g in range(m):
-        for rest in _lex_products(m, p - 1):
-            yield (g,) + rest
-
-
 def count_unitary(max_total: int, max_p: int) -> int:
     """Number of free-unitary words of at most max_p blocks and index total
     at most max_total, in closed form: the block vectors of p blocks
@@ -165,7 +77,11 @@ def count_unitary(max_total: int, max_p: int) -> int:
 
 
 def count_wreath(group: FiniteGroup, max_total: int, max_p: int) -> int:
-    """Number of words enumerate_wreath yields, in closed form."""
+    """Number of free-wreath words with character-index total at most
+    max_total and at most max_p group labels, in closed form: the p = 0
+    words chi_{2 n0 + 2}, and for each p >= 1 the m^p label tuples times the
+    C(budget + p + 1, p + 1) outer vectors of p + 1 entries >= 0 summing to
+    at most budget = (max_total - 2p) // 2."""
     total = max((max_total - 2) // 2 + 1, 0) if max_total >= 2 else 0
     for p in range(1, max_p + 1):
         budget2 = max_total - 2 * p

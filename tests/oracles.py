@@ -6,10 +6,11 @@ parity classes, convolution folding, array passes and tail machinery.
 Shared pieces are limited to the u_n evaluator, the moment map, the exact
 Porod rule and the word enumeration order (the block vectors of
 ``words._compositions``), none of which carry the summation logic under
-test.  The free-unitary words are objects here (``UIrrepWord``, yielded one
-at a time by ``enumerate_unitary``), which no engine builds, and a unitary
-word's log dimension and log |coefficient| (``dim_unitary``,
-``coeff_unitary``) are formed one word at a time.
+test.  The words are objects here (``UIrrepWord`` and ``WreathWord``,
+yielded one at a time by ``enumerate_unitary`` and ``enumerate_wreath``),
+which no engine builds, and a unitary word's log dimension and log
+|coefficient| (``dim_unitary``, ``coeff_unitary``) are formed one word at a
+time.
 ``winding_log_partial`` is the general-nu partial the engine ran before its
 parity-class rewrite, a dynamic program over the winding state, kept as an
 independent reference for that rewrite, and
@@ -33,7 +34,7 @@ from qgcutoff.structures import (
     porod_rule,
     trace_modulus,
 )
-from qgcutoff.words import _compositions, enumerate_wreath
+from qgcutoff.words import _compositions
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,90 @@ def enumerate_unitary(max_total: int, max_p: int) -> Iterator[UIrrepWord]:
         for ns in _compositions(max_total, p).tolist():
             for eps0 in (-1, 1):
                 yield UIrrepWord(ns, eps0)
+
+
+@dataclass(frozen=True)
+class WreathWord:
+    """A free-wreath character word: p + 1 outer indices and p group labels.
+
+    ``outer`` holds (n_0, ..., n_p) with n_i >= 0; ``gammas`` holds the p
+    group-element indices sitting between consecutive characters.
+    """
+
+    outer: tuple[int, ...]
+    gammas: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "outer", tuple(int(n) for n in self.outer))
+        object.__setattr__(self, "gammas", tuple(int(g) for g in self.gammas))
+        if len(self.outer) == 0:
+            raise ValueError("a word needs at least one character")
+        if len(self.gammas) != len(self.outer) - 1:
+            raise ValueError(
+                f"{len(self.outer)} characters need {len(self.outer) - 1} group labels, "
+                f"got {len(self.gammas)}"
+            )
+        if any(n < 0 for n in self.outer):
+            raise ValueError(f"outer indices must be >= 0, got {self.outer}")
+
+    @property
+    def p(self) -> int:
+        return len(self.gammas)
+
+    def char_indices(self) -> tuple[int, ...]:
+        """Indices of the u-factors: even for a single character, odd ends and
+        even interior otherwise."""
+        if self.p == 0:
+            return (2 * self.outer[0] + 2,)
+        idx = [2 * self.outer[0] + 1]
+        for n in self.outer[1:-1]:
+            idx.append(2 * n + 2)
+        idx.append(2 * self.outer[-1] + 1)
+        return tuple(idx)
+
+    @property
+    def index_total(self) -> int:
+        return sum(self.char_indices())
+
+
+def _nonneg_vectors(total_max: int, parts: int) -> Iterator[tuple[int, ...]]:
+    # all vectors of `parts` entries >= 0 with sum <= total_max, lex ascending
+    if parts == 0:
+        yield ()
+        return
+    for first in range(0, total_max + 1):
+        for rest in _nonneg_vectors(total_max - first, parts - 1):
+            yield (first,) + rest
+
+
+def enumerate_wreath(group: FiniteGroup, max_total: int, max_p: int) -> Iterator[WreathWord]:
+    """All words with character-index total <= max_total and p <= max_p labels.
+
+    Deterministic order: p ascending, then the outer vector lexicographically,
+    then the group labels in lexicographic product order.
+    """
+    n0 = 0
+    while 2 * n0 + 2 <= max_total:
+        yield WreathWord((n0,), ())
+        n0 += 1
+    m = group.order
+    for p in range(1, max_p + 1):
+        budget2 = max_total - 2 * p  # index total is 2*sum(n) + 2p
+        if budget2 < 0:
+            break
+        budget = budget2 // 2
+        for vec in _nonneg_vectors(budget, p + 1):
+            for gammas in _lex_products(m, p):
+                yield WreathWord(vec, gammas)
+
+
+def _lex_products(m: int, p: int) -> Iterator[tuple[int, ...]]:
+    if p == 0:
+        yield ()
+        return
+    for g in range(m):
+        for rest in _lex_products(m, p - 1):
+            yield (g,) + rest
 
 
 def dim_unitary(word: UIrrepWord, N: float) -> float:

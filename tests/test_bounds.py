@@ -2,6 +2,7 @@
 oracles, tail soundness, truncation containment, and the TV conversions.
 """
 
+import itertools
 import json
 import math
 
@@ -39,6 +40,7 @@ from qgcutoff.structures import (
 from qgcutoff.words import count_unitary, eval_state_params
 
 from oracles import (
+    UIrrepWord,
     enumerate_unitary,
     mixture_log_partial,
     mixture_word_loop_log_partial,
@@ -421,6 +423,39 @@ def test_point_mass_shortcut_equals_parity_partial():
         assert shortcut == pytest.approx(general.tolist(), rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("P", range(1, 8))
+def test_parity_classes_match_brute_force_enumeration(P):
+    # every parity sequence of at most P blocks, as a word of blocks 1
+    # (odd) and 2 (even), tallied by (a, b, T) with its last sign sigma
+    counts, sigmas, exponents = {}, {}, {}
+    for L in range(1, P + 1):
+        for ns in itertools.product((1, 2), repeat=L):
+            signs = UIrrepWord(ns, 1).eps_sequence()
+            key = (ns.count(1), ns.count(2), sum(signs[:-1]))
+            counts[key] = counts.get(key, 0) + 1
+            sigmas[key] = signs[-1]
+            exponents[key] = (UIrrepWord(ns, 1).z_exponent(), UIrrepWord(ns, -1).z_exponent())
+    pc = bounds._parity_classes(P)
+    width, off = 2 * P - 1, P - 1
+    pairs = [(a, L - a) for L in range(1, P + 1) for a in range(L + 1)]
+    assert list(zip(pc.pair_a.tolist(), pc.pair_b.tolist())) == pairs
+    assert pc.log_count.shape == pc.stop.shape == (len(pairs), P)
+    for row, (a, b) in enumerate(pairs):
+        for j in range(P):
+            T = 2 * j - (a + b - 1)
+            C = counts.get((a, b, T), 0)
+            if C == 0:
+                assert pc.log_count[row, j] == -math.inf, (a, b, j)
+                continue
+            assert abs(pc.log_count[row, j] - math.log(C)) <= 1e-15 * max(1.0, math.log(C)), (a, b, j)
+            sigma = sigmas[a, b, T]
+            assert sigma == (-1) ** b
+            column = pc.stop[row, j]
+            assert column == (0 if sigma > 0 else width) + T + off, (a, b, j)
+            assert (pc.e_plus[column] - P, pc.e_minus[column] - P) == exponents[a, b, T]
+    assert sum(counts.values()) == 2 ** (P + 1) - 2
+
+
 def _naive_log_conv(a, b):
     out = np.empty_like(a)
     for i in range(a.shape[0]):
@@ -537,6 +572,19 @@ def test_bound_makes_about_log2_P_convolution_calls(monkeypatch, capsys, argv, c
     assert count == calls
 
 
+def test_row_logsumexp_gives_each_row_its_own_bits_whatever_the_layout():
+    # a transposed input is summed along a strided axis unless the terms
+    # are formed in C order
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        x = rng.uniform(-30.0, 30.0, (40, 7)).T
+        x[rng.random(x.shape) < 0.1] = -math.inf
+        x[rng.integers(7)] = -math.inf  # an all -inf row
+        got = bounds._row_logsumexp(x)
+        for i in range(7):
+            assert got[i] == bounds._row_logsumexp(np.ascontiguousarray(x[i : i + 1]))[0]
+
+
 def test_log_round_runs_tile_the_degrees_in_blocks(monkeypatch):
     # 2 powers of 3 rows at width 600: the first runs stack both powers and
     # all rows in one block, and from degree 500 on one row and one degree
@@ -576,9 +624,12 @@ _GROUP = cyclic_group(3)
     [
         WalkQuery.unitary(40, 2.0, CircleMeasure.delta(0.5)),
         WalkQuery("unitary-free", 40, tau=2.0, nu=CircleMeasure.haar()),
+        # every |m_e| > 0, so every stop-table entry is finite
+        WalkQuery("unitary-free", 40, tau=2.0, nu=_PARITY_NUS["atoms"]),
+        WalkQuery("unitary-free", 40, tau=2.0, nu=CircleMeasure.porod(40)),
         WalkQuery.wreath(40, 2.0, _GROUP, trivial_state(_GROUP)),
     ],
-    ids=["delta", "haar", "wreath"],
+    ids=["delta", "haar", "atoms", "porod", "wreath"],
 )
 def test_engine_passes_go_in_blocks_of_grid_rows(monkeypatch, query):
     # the power helper gets one block of grid rows at a time, so an engine

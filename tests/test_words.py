@@ -17,18 +17,16 @@ from qgcutoff.structures import (
     porod_nodes,
 )
 from qgcutoff.words import (
-    WreathWord,
     _compositions,
     chi2_expectation_unitary,
     chi2_expectation_wreath,
     chi_expectation_mixture,
     count_unitary,
     count_wreath,
-    enumerate_wreath,
     eval_state_params,
 )
 
-from oracles import UIrrepWord, coeff_unitary, dim_unitary, enumerate_unitary
+from oracles import UIrrepWord, WreathWord, coeff_unitary, dim_unitary, enumerate_unitary, enumerate_wreath
 
 
 # ---------------------------------------------------------------------------
