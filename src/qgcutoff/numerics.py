@@ -9,7 +9,10 @@ The central objects are
   Chebyshev polynomials of the second kind, u_0 = 1, u_1 = t,
   u_{n+1} = t u_n - u_{n-1}.  For t > 2 they equal
   (q^{-n-1} - q^{n+1}) / (q^{-1} - q) with q = q_of(t) and grow like q^{-n},
-  so they are carried as logarithms;
+  so they are carried as logarithms.  A 1-D array of t runs the recurrence
+  on all its columns at once, as numpy rows, with the roundings, the switch
+  to the closed form and the ``math.log`` of the one-t loop, so each column
+  is bitwise the one-t call;
 - ``wallis(n)``: the Wallis integrals W_n = int_0^{pi/2} sin^n x dx;
 - ``lambda_moment(N, l)``: moments of lambda = 1 - cos(theta) under the
   sine-power arc measure used by the uniform mixture of evaluation states.
@@ -47,6 +50,13 @@ _Q_DOMAIN_EPS = 1e-9
 # far from float overflow, and from the closed form in q(t) after.
 _U_SWITCH = 1e250
 
+# u_seq's array path works in blocks of about this many table entries.
+_U_BLOCK = 2048
+
+# q_of returns 1 / t above this t: t * t overflows past 2**512, and the
+# formula is bitwise 1 / t from about 2**28 on.
+_Q_RECIPROCAL_FROM = 2.0**511
+
 
 def logsumexp(items: Iterable[float]) -> float:
     """log(sum(exp(x) for x in items)) with max-shift; -inf for an empty sum.
@@ -83,14 +93,17 @@ def log1mexp(logx: float) -> float:
 
 
 def q_of(t: float) -> float:
-    """The root in (0, 1) of q + 1/q = t, for t > 2.
+    """The root in (0, 1) of q + 1/q = t, for finite t > 2.
 
     Uses 2 / (t + sqrt(t^2 - 4)), which is exact-to-rounding for large t where
     the textbook form (t - sqrt(t^2 - 4)) / 2 cancels catastrophically.
-    Satisfies q(t) <= 2/t.
+    Above _Q_RECIPROCAL_FROM, where t^2 would overflow, it is 1 / t, which
+    is bitwise what the formula gives there.  Satisfies q(t) <= 2/t.
     """
-    if not t > 2.0 + _Q_DOMAIN_EPS:
-        raise ValueError(f"q_of requires t > 2, got t = {t!r}")
+    if not 2.0 + _Q_DOMAIN_EPS < t < math.inf:
+        raise ValueError(f"q_of requires finite t > 2, got t = {t!r}")
+    if t > _Q_RECIPROCAL_FROM:
+        return 1.0 / t
     return 2.0 / (t + math.sqrt(t * t - 4.0))
 
 
@@ -115,32 +128,91 @@ def _log_u_floats(t: float, nmax: int) -> list[float]:
 
 
 def u_seq(t: float | np.ndarray, nmax: int) -> np.ndarray:
-    """log |u_n(t)| for n = 0..nmax and t >= 0, -inf where u_n(t) = 0.
+    """log |u_n(t)| for n = 0..nmax and finite t >= 0, -inf where u_n(t) = 0.
 
     ``t`` is a float, giving shape (nmax + 1,), or a 1-D array, giving
-    shape (nmax + 1, t.size) with one column per t, each the float call at
-    its t.  For 0 <= t <= 2 the values stay within [-(n+1), n+1] and may
-    vanish; they come straight from the recurrence.  For t > 2 they grow
-    like q(t)^{-n}, and past 1e250 the closed form in q(t) takes over.
+    shape (nmax + 1, t.size) with one column per t, each bitwise the float
+    call at its t.  For 0 <= t <= 2 the values stay within [-(n+1), n+1]
+    and may vanish; they come straight from the recurrence.  For t > 2 they
+    grow like q(t)^{-n}, and past 1e250 the closed form in q(t) takes over.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     if np.ndim(t) == 0:
         t = float(t)
-        if not t >= 0.0:
-            raise ValueError(f"u_seq requires t >= 0, got t = {t!r}")
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"u_seq requires finite t >= 0, got t = {t!r}")
         return np.array(_log_u_floats(t, nmax))
     ts = np.asarray(t, dtype=float)
     if ts.ndim != 1:
         raise ValueError("t must be a float or a 1-D array")
-    if not np.all(ts >= 0.0):
-        raise ValueError("u_seq requires every t >= 0")
-    # one column at a time into the array, so that no more than one column
-    # is ever held as Python floats
-    out = np.empty((ts.size, nmax + 1))
-    for i, x in enumerate(ts.tolist()):
-        out[i] = _log_u_floats(x, nmax)
-    return out.T
+    bad = ~((ts >= 0.0) & (ts < math.inf))
+    if bad.any():
+        raise ValueError(f"u_seq requires every t finite and >= 0, got t = {ts[bad][0].item()!r}")
+    return _log_u_table(ts, nmax)
+
+
+def _log_abs(x: np.ndarray) -> np.ndarray:
+    # math.log of each |entry|, -inf at zeros: np.log may differ from
+    # math.log in the last bit, and the float path takes math.log
+    a = np.abs(x).ravel()
+    if a.all():
+        return np.fromiter(map(math.log, a.tolist()), float, a.size).reshape(x.shape)
+    zero = a == 0.0
+    a[zero] = 1.0
+    out = _log_abs(a)
+    out[zero] = -math.inf
+    return out.reshape(x.shape)
+
+
+def _log_u_table(ts: np.ndarray, nmax: int) -> np.ndarray:
+    # _log_u_floats on every column at once, a block of table rows at a
+    # time: the recurrence fills the block with u_n, a row a step and with
+    # the same two roundings in t * u_n - u_{n-1}; then each entry before
+    # its column's switch takes its math.log and each one after it the
+    # closed form.  Past the switch (2n + 2) log q < -1130 (u_n <= q^{-n} /
+    # (1 - q^2), and 1 - q^2 > 6e-5 for t > 2 + _Q_DOMAIN_EPS), so the closed
+    # form's log1p(-q^{2n+2}) is exactly -0.0 and the entry is
+    # -n log q - log1p(-q^2).  The table is the transpose of a C-order
+    # (t.size, nmax + 1) array, the memory layout that callers' reductions
+    # were written against.
+    table = np.empty((ts.size, nmax + 1)).T
+    big = ts > 2.0 + _Q_DOMAIN_EPS
+    switch_at = np.full(ts.size, nmax + 1)  # nmax + 1 where a column has not switched
+    log_q = np.zeros(ts.size)
+    log_den = np.zeros(ts.size)
+    prev, cur = np.ones(ts.size), ts.copy()
+    rows = max(1, _U_BLOCK // max(ts.size, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n0 in range(0, nmax + 1, rows):
+            block = table[n0 : n0 + rows]
+            for row in block:
+                row[...] = prev
+                nxt = ts * cur
+                nxt -= prev
+                prev, cur = cur, nxt
+            # the max rules out a switch in one pass; NaN (a column past its
+            # switch) does not
+            if block.max(initial=0.0) < _U_SWITCH:
+                block[...] = _log_abs(block)
+                continue
+            hit = big & (switch_at > nmax) & ~(block < _U_SWITCH)
+            new = np.flatnonzero(hit.any(axis=0))
+            switch_at[new] = n0 + hit[:, new].argmax(axis=0)
+            log_q[new] = [math.log(q_of(x)) for x in ts[new].tolist()]
+            log_den[new] = [math.log1p(-math.exp(2 * x)) for x in log_q[new].tolist()]
+            n = np.arange(n0, n0 + len(block))
+            post = n[:, np.newaxis] >= switch_at
+            block[~post] = _log_abs(block[~post])
+            closed = np.multiply.outer(-n.astype(float), log_q)
+            closed -= log_den
+            block[post] = closed[post]
+            if switch_at.max() <= nmax:  # every column has switched
+                rest = table[n0 + len(block) :]
+                np.multiply.outer(-np.arange(n0 + len(block), nmax + 1, dtype=float), log_q, out=rest)
+                rest -= log_den
+                break
+    return table
 
 
 # From this n on, wallis sums the asymptotic series instead of the product.

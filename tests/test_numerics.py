@@ -7,11 +7,16 @@ with plain floats and numpy quadrature.
 import math
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qgcutoff import cli, numerics
 from qgcutoff.numerics import (
+    _Q_DOMAIN_EPS,
     lambda_moment,
     log1mexp,
     logsumexp,
@@ -49,6 +54,19 @@ def test_q_of_domain():
         q_of(2.0)
     with pytest.raises(ValueError):
         q_of(1.5)
+
+
+def test_q_of_huge_t_is_the_reciprocal():
+    # t * t overflows from 2^512 on; 2 / (t + sqrt(t^2 - 4)) is 1 / t there
+    assert q_of(1e200) == 1e-200
+    assert q_of(2.0**600) == 2.0**-600
+    assert q_of(2.0**511) == 2.0**-511
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_q_of_rejects_non_finite_t(t):
+    with pytest.raises(ValueError, match=f"t = {t!r}"):
+        q_of(t)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +191,70 @@ def test_u_seq_array_path_holds_one_column_of_python_floats():
         tracemalloc.stop()
     assert table.shape == (512, 512)
     assert peak <= table.nbytes + 256 * 1024, peak
+
+
+_SWITCH_EDGE = 2.0 + _Q_DOMAIN_EPS
+
+
+def _ulps_from(x, k):
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else 0.0)
+    return x
+
+
+_U_ARGS = st.one_of(
+    st.builds(_ulps_from, st.just(_SWITCH_EDGE), st.integers(-3, 3)),  # the t > 2 edge
+    st.sampled_from([0.0, 1.0]),  # u_1(0) = 0, u_2(1) = 0
+    st.floats(299.0, 301.0),  # switches to the closed form near n = 100
+    st.floats(0.0, 4.0),
+    st.floats(0.0, 1e200),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ts=st.lists(_U_ARGS, max_size=12), nmax=st.integers(0, 300))
+def test_u_seq_array_columns_are_bitwise_the_float_call(ts, nmax):
+    table = u_seq(np.array(ts, dtype=float), nmax)
+    assert table.shape == (nmax + 1, len(ts))
+    for j, t in enumerate(ts):
+        assert np.array_equal(table[:, j], u_seq(t, nmax)), (t, nmax)
+
+
+def test_u_seq_array_rows_after_every_switch_are_bitwise_the_float_call():
+    # 64 columns near t = 300 all switch near n = 100, rows before the end of
+    # a 300-row table, which then takes the closed form for the rows left
+    ts = np.linspace(299.0, 301.0, 64)
+    table = u_seq(ts, 300)
+    for j, t in enumerate(ts.tolist()):
+        assert np.array_equal(table[:, j], u_seq(t, 300)), t
+
+
+def test_u_seq_array_path_never_runs_the_column_loop(monkeypatch, capsys):
+    def refuse(t, nmax):
+        raise AssertionError("per-column loop")
+
+    monkeypatch.setattr(numerics, "_log_u_floats", refuse)
+    assert u_seq(np.linspace(0.0, 40.0, 512), 60).shape == (61, 512)
+    assert u_seq(np.array([]), 7).shape == (8, 0)
+    assert cli.main(["verify", "--suite", "all"]) == 0
+    pinned = (Path(__file__).parent / "data" / "verify_all_stdout.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == pinned
+
+
+def test_u_seq_huge_t_takes_the_closed_form():
+    # u_2(1e200) overflows, so every n >= 2 comes from q = 1e-200
+    log_q = math.log(1e-200)
+    for got in (u_seq(1e200, 3), u_seq(np.array([1e200]), 3)[:, 0]):
+        assert got[0] == 0.0
+        assert got[1:].tolist() == pytest.approx([-n * log_q for n in (1, 2, 3)], rel=1e-15)
+
+
+@pytest.mark.parametrize("nmax", [0, 1, 3])
+def test_u_seq_rejects_infinite_t(nmax):
+    with pytest.raises(ValueError, match="t = inf"):
+        u_seq(math.inf, nmax)
+    with pytest.raises(ValueError, match="t = inf"):
+        u_seq(np.array([3.0, math.inf]), nmax)
 
 
 def test_u_domain():
