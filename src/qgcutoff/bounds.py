@@ -534,25 +534,24 @@ def _poly_round(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("rei,jri->jre", _toeplitz(b, 0.0), a)[..., ::-1]
 
 
-def _powers(first: np.ndarray, budgets: Sequence[int], product: Callable[[np.ndarray, np.ndarray], np.ndarray],
+def _powers(first: np.ndarray, P: int, product: Callable[[np.ndarray, np.ndarray], np.ndarray],
             unit: float, zero: float) -> np.ndarray:
-    """first^0 .. first^(P-1), P = len(budgets), each cut at the widest
-    budget of its round, in the domain of ``product``, whose 1 and 0 are
-    ``unit`` and ``zero``; shape (P, K, budgets[0] + 1).
+    """first^0 .. first^(P-1), each cut at the width W of the (K, W) series
+    ``first``, in the domain of ``product``, whose 1 and 0 are ``unit`` and
+    ``zero``; shape (P, K, W).
 
     By doubling: round n forms out[n + j] = out[j] out[n] for every
-    1 <= j <= n with n + j < P in one stacked ``product`` call, at the
-    widest budget of the round, so P powers take about log2 P rounds.
+    1 <= j <= n with n + j < P in one stacked ``product`` call, so P powers
+    take about log2 P rounds.
     """
-    P = len(budgets)
-    out = np.full((P, first.shape[0], budgets[0] + 1), zero)
+    out = np.full((P,) + first.shape, zero)
     out[0, :, 0] = unit
     if P > 1:
-        out[1, :, : first.shape[1]] = first
+        out[1] = first
     n = 1
     while n + 1 < P:
-        m, w = min(n, P - 1 - n), budgets[n + 1] + 1
-        out[n + 1 : n + m + 1, :, :w] = product(out[1 : m + 1, :, :w], out[n, :, :w])
+        m = min(n, P - 1 - n)
+        out[n + 1 : n + m + 1] = product(out[1 : m + 1], out[n])
         n *= 2
     return out
 
@@ -600,13 +599,12 @@ def _affine_tilt(step: np.ndarray, factors: int) -> tuple[np.ndarray, np.ndarray
     return s, a, residual, linear
 
 
-def _log_conv_powers(step: np.ndarray, budgets: Sequence[int]) -> np.ndarray:
-    """out[i] = log step(z)^i up to degree budgets[i], -inf above it, for
-    i < len(budgets); shape (len(budgets), K, budgets[0] + 1).
+def _log_conv_powers(step: np.ndarray, P: int) -> np.ndarray:
+    """out[i] = log step(z)^i up to the degree of ``step``, for i < P;
+    shape (P,) + step.shape.
 
-    ``step`` is a (K, L+1) log-coefficient array with L >= budgets[1];
-    ``budgets`` must be non-increasing.  The powers are built by doubling
-    (``_powers``), with the kernel chosen per row.  A row that
+    ``step`` is a (K, W) log-coefficient array.  The powers are built by
+    doubling (``_powers``), with the kernel chosen per row.  A row that
     ``_affine_tilt`` finds nearly affine, as the series terms are near the
     cutoff, multiplies its tilted coefficients e^{residual} as plain
     polynomials (``_poly_round``), and out = log(coefficient) + p a + s d.
@@ -614,29 +612,23 @@ def _log_conv_powers(step: np.ndarray, budgets: Sequence[int]) -> np.ndarray:
     domain (``_log_round``).  Both kernels read the factor through one
     ``_toeplitz`` view, padded with the zero of their domain.
     """
-    P, K, width = len(budgets), step.shape[0], budgets[0] + 1
-    # the step at its budget; with P = 1 only the unit is built
-    first = step[:, : budgets[min(P - 1, 1)] + 1]
-    s, a, residual, linear = _affine_tilt(first, P - 1)
+    s, a, residual, linear = _affine_tilt(step, P - 1)
 
     def untilted(rows: np.ndarray | slice) -> np.ndarray:
-        out = _powers(np.exp(residual[rows]), budgets, _poly_round, 1.0, 0.0)
+        out = _powers(np.exp(residual[rows]), P, _poly_round, 1.0, 0.0)
         with np.errstate(divide="ignore"):
             np.log(out, out=out)
         out += np.arange(P)[:, np.newaxis, np.newaxis] * a[rows, np.newaxis]
-        out += s[rows, np.newaxis] * np.arange(width)
+        out += s[rows, np.newaxis] * np.arange(step.shape[1])
         return out
 
     if linear.all():
-        out = untilted(slice(None))
-    elif not linear.any():
-        out = _powers(first, budgets, _log_round, 0.0, -math.inf)
-    else:
-        out = np.empty((P, K, width))
-        out[:, linear] = untilted(linear)
-        out[:, ~linear] = _powers(first[~linear], budgets, _log_round, 0.0, -math.inf)
-    above = np.arange(width) > np.asarray(budgets)[:, np.newaxis]
-    out[np.broadcast_to(above[:, np.newaxis, :], out.shape)] = -math.inf
+        return untilted(slice(None))
+    if not linear.any():
+        return _powers(step, P, _log_round, 0.0, -math.inf)
+    out = np.empty((P,) + step.shape)
+    out[:, linear] = untilted(linear)
+    out[:, ~linear] = _powers(step[~linear], P, _log_round, 0.0, -math.inf)
     return out
 
 
@@ -739,7 +731,7 @@ def _parity_log_partials(g: np.ndarray, log_abs_m: np.ndarray, two_k: np.ndarray
         oe = np.full((2 * n, M + 1), -math.inf)
         oe[:n, 1::2] = g[:, 1::2]
         oe[n:, 2::2] = g[:, 2::2]
-        pows = _log_conv_powers(oe, [M] * (P + 1))
+        pows = _log_conv_powers(oe, P + 1)
         # even_rev[b, :, j] = log [z^{<= M - j}] E^b
         even_rev = np.logaddexp.accumulate(pows[:, n:], axis=2)[:, :, ::-1]
         # S(a, b) = sum_j [z^j] O^a [z^{<= M - j}] E^b, pairs in (L, a) order
@@ -787,7 +779,7 @@ def _unitary_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
     if weight is not None:
 
         def power_sums(g: np.ndarray) -> np.ndarray:
-            return _row_logsumexp(np.hstack(_log_conv_powers(g, [M] * (P + 1))[1:]))
+            return _row_logsumexp(np.hstack(_log_conv_powers(g, P + 1)[1:]))
 
         log_partials = math.log(2.0) + two_k * math.log(weight) + _in_blocks(power_sums, (P + 1) * (M + 1), g)
     else:
@@ -942,10 +934,11 @@ def _wreath_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -
 
     Words have p group labels and p+1 character indices (even for p = 0, odd
     ends with even interiors for p >= 1).  The gamma sums factor through
-    group_sum_abs = m^{p-1} K(psi), so the p-block of the partial is
-    m^{p-1} K(psi) [z^{<= (M - 2p) // 2}] E(z)^2 I(z)^{p-1}, with E and I the
-    odd-end and even-interior factor sequences: one convolution-power pass
-    for the whole grid.
+    group_sum_abs = m^{p-1} K(psi), and each label costs one factor m and
+    one unit of index budget, so the p-block of the partial is
+    K(psi) [z^{<= (M - 2) // 2}] E(z)^2 X(z)^{p-1}, X = m z I, for p <= M // 2,
+    with E and I the odd-end and even-interior factor sequences: one
+    convolution-power pass at one width for the whole grid.
 
     The tail certificate majorizes every excluded word by Z^{p+1}
     y^{sum n - 1} (p >= 1; Z y^{n_0} for p = 0) with
@@ -969,23 +962,22 @@ def _wreath_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -
 
     # p = 0: single characters with even indices
     cols = [f[:, 2 : M + 1 : 2]]
-    budgets = [(M - 2 * p) // 2 for p in range(1, P + 1) if M - 2 * p >= 0]
-    if budgets:
-        # block p sums [z^j] I^{p-1} [z^{<= budget - j}] E^2 over j <= its
-        # budget; above it I^{p-1} is -inf, so the clipped index is harmless
-        rest = np.maximum(np.asarray(budgets)[:, np.newaxis] - np.arange(budgets[0] + 1), 0)
-        # K(psi) >= 1 always since psi(identity) = 1
-        log_labels = np.arange(len(budgets)) * math.log(q.group.order) + math.log(q.psi.abs_sum())
+    powers, top = min(P, M // 2), (M - 2) // 2
+    if powers:
 
         def block_sums(f: np.ndarray) -> np.ndarray:
-            ends = f[:, 1 : 2 * budgets[0] + 2 : 2]
-            interior = f[:, 2 : 2 * budgets[0] + 3 : 2]
-            e2_cum = np.logaddexp.accumulate(_log_conv_powers(ends, [budgets[0]] * 3)[2], axis=1)
-            terms = _log_conv_powers(interior, budgets) + np.take(e2_cum, rest, axis=1).transpose(1, 0, 2)
-            return (_row_logsumexp(terms) + log_labels[:, np.newaxis]).T
+            ends = f[:, 1 : 2 * top + 2 : 2]
+            # X[0] = -inf, X[n] = log m + I[n - 1] = log m + f[2n]
+            x = np.full(ends.shape, -math.inf)
+            x[:, 1:] = math.log(q.group.order) + f[:, 2 : 2 * top + 1 : 2]
+            # e2_rev[:, d] = log [z^{<= top - d}] E^2
+            e2_rev = np.logaddexp.accumulate(_log_conv_powers(ends, 3)[2], axis=1)[:, ::-1]
+            x_sum = _row_logsumexp(_log_conv_powers(x, powers).transpose(1, 2, 0))
+            # K(psi) >= 1 always since psi(identity) = 1
+            return _row_logsumexp(x_sum + e2_rev)[:, np.newaxis] + math.log(q.psi.abs_sum())
 
-        # a grid row's powers: E^0 .. E^2, or I^0 .. I^(P-1) if more
-        cols.append(_in_blocks(block_sums, max(len(budgets), 3) * (budgets[0] + 1), f))
+        # a grid row's powers: E^0 .. E^2, or X^0 .. X^(powers-1) if more
+        cols.append(_in_blocks(block_sums, max(powers, 3) * (top + 1), f))
     log_partials = _row_logsumexp(np.hstack(cols))
 
     tau_ok = tau > 7.0 / 4.0

@@ -78,19 +78,15 @@ def count_unitary(max_total: int, max_p: int) -> int:
 
 def count_wreath(group: FiniteGroup, max_total: int, max_p: int) -> int:
     """Number of free-wreath words with character-index total at most
-    max_total and at most max_p group labels, in closed form: the p = 0
-    words chi_{2 n0 + 2}, and for each p >= 1 the m^p label tuples times the
-    C(budget + p + 1, p + 1) outer vectors of p + 1 entries >= 0 summing to
-    at most budget = (max_total - 2p) // 2."""
-    total = max((max_total - 2) // 2 + 1, 0) if max_total >= 2 else 0
-    for p in range(1, max_p + 1):
-        budget2 = max_total - 2 * p
-        if budget2 < 0:
-            break
-        budget = budget2 // 2
-        # vectors of p+1 nonneg entries with sum <= budget
-        total += group.order**p * math.comb(budget + p + 1, p + 1)
-    return total
+    max_total and at most max_p group labels, in closed form: the
+    max_total // 2 words chi_{2 n0 + 2} of p = 0, and for each label count
+    1 <= p <= min(max_p, max_total // 2) the m^p label tuples times the
+    C(top + 2, p + 1) outer vectors of p + 1 entries >= 0 summing to at
+    most top + 1 - p, top = (max_total - 2) // 2: each label takes one unit
+    of the index budget."""
+    top = (max_total - 2) // 2
+    labels = range(1, min(max_p, max_total // 2) + 1)
+    return max_total // 2 + sum(group.order**p * math.comb(top + 2, p + 1) for p in labels)
 
 
 def eval_state_params(N: int, theta: float) -> tuple[float, CircleMeasure]:

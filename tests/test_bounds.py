@@ -186,12 +186,35 @@ def test_unitary_partial_matches_oracle_across_doubling_rounds(nu, P):
     assert got == pytest.approx(unitary_log_partial(N, N - 2.0, nu, k, M, P), abs=1e-9)
 
 
-@pytest.mark.parametrize("P", [6, 8, 9])
-def test_wreath_partial_matches_oracle_z3_across_doubling_rounds(P):
-    # max_total = 2P keeps all P blocks: the p-block budget is (max_total - 2p) // 2
-    N, tau, k, M = 30, 3.0, 10.0, 2 * P
-    g = cyclic_group(3)
-    psi = trivial_state(g)
+# max_total = 2P keeps all P blocks: the p-block budget is (max_total - 2p) // 2;
+# the other truncations stop the labels at max_total // 2 < P (down to one
+# label at max_total 2 and 3), leave an odd max_total, or keep one label
+@pytest.mark.parametrize(
+    "P, M, dihedral",
+    [
+        pytest.param(6, 12, False, id="6"),
+        pytest.param(8, 16, False, id="8"),
+        pytest.param(9, 18, False, id="9"),
+        pytest.param(5, 5, False, id="P-above-M/2-5-5"),
+        pytest.param(6, 7, False, id="P-above-M/2-6-7"),
+        pytest.param(4, 11, False, id="odd-M-4-11"),
+        pytest.param(1, 10, False, id="one-label-1-10"),
+        pytest.param(2, 2, False, id="M-2-2-2"),
+        pytest.param(3, 3, False, id="M-3-3-3"),
+        pytest.param(4, 9, True, id="dihedral-file-psi-4-9"),
+    ],
+)
+def test_wreath_partial_matches_oracle_z3_across_doubling_rounds(P, M, dihedral):
+    N, tau, k = 30, 3.0, 10.0
+    if dihedral:
+        # D_4 from its Cayley table, psi from a state file: the average of
+        # the trivial character and the normalized 2-dimensional one, which
+        # is 0 at r^2
+        g = _dihedral_group(4)
+        psi = load_group_state(g, "1 0\n0.5 0\n0 0\n0.5 0\n" + "0.5 0\n" * 4)
+    else:
+        g = cyclic_group(3)
+        psi = trivial_state(g)
     q = WalkQuery.wreath(N, tau, g, psi)
     got = A_k_grid(q, [k], TruncationConfig(max_p=P, max_total=M))[0].log_partial
     assert got == pytest.approx(wreath_log_partial(N, tau, g, psi, k, M, P), abs=1e-9)
@@ -501,17 +524,17 @@ def test_log_and_polynomial_kernels_agree(K):
         assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want))), width
 
 
-def _sequential_log_conv_powers(step, budgets):
-    """The powers step^i one at a time, each from the one before it at its
-    own budget, -inf above it: the chain the doubling replaced."""
-    out = np.full((len(budgets), step.shape[0], budgets[0] + 1), -math.inf)
+def _sequential_log_conv_powers(step, P):
+    """The powers step^0 .. step^(P-1) one at a time, each from the one
+    before it, cut at the width of ``step``: the chain the doubling
+    replaced."""
+    out = np.full((P,) + step.shape, -math.inf)
     out[0, :, 0] = 0.0
     cur = step
-    for i, budget in enumerate(budgets[1:], 1):
-        width = budget + 1
+    for i in range(1, P):
         if i > 1:
-            cur = _naive_log_conv(cur[:, :width], step[:, :width])
-        out[i, :, :width] = cur[:, :width]
+            cur = _naive_log_conv(cur, step)
+        out[i] = cur
     return out
 
 
@@ -522,16 +545,25 @@ def _sequential_log_conv_powers(step, budgets):
 @pytest.mark.parametrize("K", [1, 3])
 @pytest.mark.parametrize("P", [1, 2, 3, 5, 8, 9, 12, 13])
 def test_log_conv_powers_match_the_sequential_chain(monkeypatch, P, K, widths, block_terms):
-    # the powers step^0 .. step^P
+    # the powers step^0 .. step^P, every one at the step's width ("equal"),
+    # or power i up to its own degree b_i, b_0 >= b_1 >= ..., from a step
+    # cut at b_i ("non-increasing"): a narrower step gives the leading
+    # degrees of the same powers, so a caller needs no per-power widths
     monkeypatch.setattr(bounds, "_BLOCK_TERMS", block_terms)
     rng = np.random.default_rng(P * 10 + K)
     L = 20
-    budgets = [L] * (P + 1) if widths == "equal" else sorted(rng.integers(0, L + 1, P + 1).tolist(), reverse=True)
     step = rng.uniform(-50.0, 50.0, (K, L + 1))
     step[:, rng.random(L + 1) < 0.3] = -math.inf
     if K > 1:
         step[1] = -math.inf  # an all -inf row
-    _assert_powers_match(bounds._log_conv_powers(step, budgets), _sequential_log_conv_powers(step, budgets))
+    want = _sequential_log_conv_powers(step, P + 1)
+    if widths == "equal":
+        _assert_powers_match(bounds._log_conv_powers(step, P + 1), want)
+        return
+    for i, b in enumerate(sorted(rng.integers(0, L + 1, P + 1).tolist(), reverse=True)):
+        got = bounds._log_conv_powers(step[:, : b + 1], P + 1)
+        assert got.shape == (P + 1, K, b + 1)
+        _assert_powers_match(got[i], want[i, :, : b + 1])
 
 
 def _assert_powers_match(got, want):
@@ -548,7 +580,7 @@ def _assert_powers_match(got, want):
     [
         (["--family", "unitary", "--N", "200", "--tau", "2"], 4),
         (["--family", "unitary", "--N", "200", "--tau", "2", "--nu", "haar"], 4),
-        # one round builds E^2, then 4 rounds the interior powers I^2 .. I^11
+        # one round builds E^2, then 4 rounds the powers X^2 .. X^11 of X = m z I
         (["--family", "wreath", "--N", "200", "--tau", "2", "--group", "cyclic:3"], 5),
     ],
 )
@@ -642,8 +674,8 @@ def test_engine_passes_go_in_blocks_of_grid_rows(monkeypatch, query):
     sizes = []
     log_conv_powers = bounds._log_conv_powers
 
-    def recorded(step, budgets):
-        out = log_conv_powers(step, budgets)
+    def recorded(step, P):
+        out = log_conv_powers(step, P)
         sizes.append(out.size)
         return out
 
@@ -661,8 +693,9 @@ _ENGINE_N = 30000
 def _engine_steps(kind, cs, width):
     """(len(cs), width) step series of an engine at k = N ln N / rate + c N:
     the coefficient table of the unitary walk at tau = 2 or the eval walk
-    at theta = 2, or the interior (even) or end (odd) columns of the wreath
-    one over Z/3 at tau = 2."""
+    at theta = 2, or, for the wreath one over Z/3 at tau = 2, its interior
+    series X = m z I (X_0 = -inf, X_n = log 3 + f_{2n}) or its end (odd)
+    columns."""
     N = _ENGINE_N
     if kind == "unitary":
         q, t, s = WalkQuery.unitary(N, 2.0), N - 2.0, float(N)
@@ -673,7 +706,11 @@ def _engine_steps(kind, cs, width):
     two_k = 2.0 * np.array([nominal_cutoff(q) + c * N for c in cs])
     M = 2 * width if kind.startswith("wreath") else width - 1
     f = bounds._log_coeff_table(two_k, u_seq(t, M), u_seq(s, M))
-    return {"wreath-interior": f[:, 2::2], "wreath-ends": f[:, 1::2]}.get(kind, f)
+    if kind == "wreath-interior":
+        x = np.full((len(cs), width), -math.inf)
+        x[:, 1:] = math.log(_GROUP.order) + f[:, 2 : 2 * width - 1 : 2]
+        return x
+    return f[:, 1::2] if kind == "wreath-ends" else f
 
 
 # the default width and a wider one; 13 powers as at max_p 12
@@ -683,11 +720,9 @@ def _engine_steps(kind, cs, width):
 def test_linear_kernel_matches_the_sequential_chain_on_engine_rows(kind, K, width):
     steps = _engine_steps(kind, [-5.0, 0.0, 5.0], width)
     assert steps.shape == (3, width)
-    # the wreath's budgets fall with the power, the others stay equal
-    budgets = list(range(width - 1, width - 14, -1)) if kind == "wreath-interior" else [width - 1] * 13
     for step in [steps] if K == 3 else [steps[i : i + 1] for i in range(3)]:
         assert bounds._affine_tilt(step, 12)[3].all()
-        _assert_powers_match(bounds._log_conv_powers(step, budgets), _sequential_log_conv_powers(step, budgets))
+        _assert_powers_match(bounds._log_conv_powers(step, 13), _sequential_log_conv_powers(step, 13))
 
 
 @pytest.mark.parametrize("K", [1, 3])
@@ -698,10 +733,9 @@ def test_linear_kernel_on_the_odd_even_split(K):
     oe = np.full((2 * K + 1, 49), -math.inf)
     oe[:K, 1::2] = g[:, 1::2]
     oe[K : 2 * K, 2::2] = g[:, 2::2]
-    budgets = [48] * 13
     assert bounds._affine_tilt(oe, 12)[3].all()
-    got = bounds._log_conv_powers(oe, budgets)
-    _assert_powers_match(got, _sequential_log_conv_powers(oe, budgets))
+    got = bounds._log_conv_powers(oe, 13)
+    _assert_powers_match(got, _sequential_log_conv_powers(oe, 13))
     assert np.all(got[1:, -1] == -math.inf) and got[0, -1, 0] == 0.0
 
 
@@ -725,7 +759,7 @@ def test_affine_tilt_takes_the_rows_whose_products_stay_above_e_to_the_minus_64(
 
 
 def test_power_block_mixing_linear_and_log_rows_equals_each_row_alone(monkeypatch):
-    width, budgets = 70, [69] * 13
+    width = 70
     affine = _engine_steps("unitary", [-5.0, 0.0, 5.0], width)
     wide = np.random.default_rng(3).uniform(-50.0, 50.0, (2, width))
     # t near 2 and k near MAX_K leave the affine range
@@ -746,11 +780,11 @@ def test_power_block_mixing_linear_and_log_rows_equals_each_row_alone(monkeypatc
 
     for name in rows:
         monkeypatch.setattr(bounds, name, recorded(name, getattr(bounds, name)))
-    got = bounds._log_conv_powers(step, budgets)
+    got = bounds._log_conv_powers(step, 13)
     assert rows == {"_poly_round": {3}, "_log_round": {4}}
     for i in range(len(step)):
-        assert np.array_equal(got[:, i], bounds._log_conv_powers(step[i : i + 1], budgets)[:, 0])
-    _assert_powers_match(got, _sequential_log_conv_powers(step, budgets))
+        assert np.array_equal(got[:, i], bounds._log_conv_powers(step[i : i + 1], 13)[:, 0])
+    _assert_powers_match(got, _sequential_log_conv_powers(step, 13))
 
 
 # ---------------------------------------------------------------------------
@@ -1067,7 +1101,7 @@ def test_cutoff_profile_rows_match_single_point_engine(query, ks):
     [
         (["--family", "unitary", "--N", "40", "--tau", "2"], "_log_conv_powers", 1),
         (["--family", "eval", "--N", "40", "--theta", "2"], "_log_conv_powers", 1),
-        # the wreath pass takes two powers from the helper: E^2 and I^0 .. I^(P-1)
+        # the wreath pass takes two powers from the helper: E^2 and X^0 .. X^(P-1)
         (["--family", "wreath", "--N", "40", "--tau", "2", "--group", "cyclic:3"], "_log_conv_powers", 2),
         # a general nu runs the parity-class sum once for the whole grid
         (["--family", "unitary", "--N", "40", "--tau", "2", "--nu", "haar"], "_parity_log_partials", 1),

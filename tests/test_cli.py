@@ -431,12 +431,17 @@ _WALK = ["--family", "unitary", "--N", "20", "--tau", "2"]
         # LMAX above MAX_LAMBDA_MOMENT = 1023, where 2^LMAX overflows, and an N beyond the float range
         (["moments", "--lambda-moments", "10:1024"], "--lambda-moments"),
         (["moments", "--lambda-moments", "1" + "0" * 400 + ":1"], "--lambda-moments"),
+        # a group order above MAX_GROUP_ORDER = 256, refused before any table is built
+        (["bound", "--family", "wreath", "--N", "30", "--tau", "3", "--group", "cyclic:257", "--c", "1"], "--group"),
+        (["bound", "--family", "wreath", "--N", "30", "--tau", "3", "--group", "cayley:order-257.txt", "--c", "1"],
+         "--group"),
     ],
 )
 def test_invalid_input_exit_2(capsys, tmp_path, monkeypatch, argv, flag):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "nan-weight.txt").write_text("0.5 nan\n1.0 1.0\n")
     (tmp_path / "nan-psi.txt").write_text("1 0\nnan 0\n")
+    (tmp_path / "order-257.txt").write_text("257\n")
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert flag in err

@@ -33,3 +33,31 @@ def test_pool_outputs_cover_the_pool_and_repeat(monkeypatch, tmp_path):
     assert tool.main() == 0
     assert Path.cwd() == tmp_path
     assert json.loads((tmp_path / "dump.json").read_text(encoding="utf-8")) == first
+
+
+def test_pool_outputs_against_reports_what_moved(monkeypatch, tmp_path, capsys):
+    tool = _tool()
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.chdir(tmp_path)
+    assert tool.main(["old.json"]) == 0
+    assert tool.main(["new.json", "--against", "old.json"]) == 0
+    # two dumps of one checkout: no invocation changed
+    lines = capsys.readouterr().out.splitlines()
+    assert "bound wreath: 0 of 96 invocations changed" in lines
+    assert all(" 0 of " in line for line in lines), lines
+    # a doctored A_partial and one added line of the verify text
+    new = json.loads((tmp_path / "new.json").read_text(encoding="utf-8"))
+    old = json.loads(json.dumps(new))
+    key = next(key for key in new if key.startswith("bound --family wreath"))
+    record = json.loads(new[key]["stdout"])
+    record["A_partial"] *= 1.0 + 2.0**-40
+    new[key]["stdout"] = json.dumps(record, indent=2) + "\n"
+    new["verify --suite all --report verify-report.json"]["stdout"] += "PASS extra\n"
+    report = tool.compare(new, old)
+    move = abs(record["A_partial"] - json.loads(old[key]["stdout"])["A_partial"]) / record["A_partial"]
+    assert move > 0.0
+    assert report[report.index("bound wreath: 1 of 96 invocations changed") + 1] == (
+        f"  A_partial: 1 changed, largest relative move {move:.2g}"
+    )
+    assert "verify: 1 of 1 invocations changed" in report and "  (layout): 1 changed" in report
+    assert sum(line.startswith("  ") for line in report) == 2

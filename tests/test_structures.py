@@ -5,6 +5,7 @@ and circle measures with their moment maps.
 import cmath
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -53,6 +54,27 @@ def test_cyclic_group_degenerate():
     assert g.multiply(0, 0) == 0
     with pytest.raises(ValueError):
         cyclic_group(0)
+
+
+def test_group_order_above_the_limit_is_refused_before_any_table_is_built(monkeypatch):
+    m = structures.MAX_GROUP_ORDER + 1
+
+    class Rows:
+        def __len__(self):
+            return m
+
+        def __getitem__(self, i):
+            raise AssertionError("a row was read")
+
+    def unbuilt(rows):
+        raise AssertionError("a table was built")
+
+    with pytest.raises(ValueError, match="group order 257 is not in 1..MAX_GROUP_ORDER = 256"):
+        FiniteGroup.from_table(Rows())
+    monkeypatch.setattr(FiniteGroup, "from_table", unbuilt)
+    for build in (lambda: cyclic_group(m), lambda: load_cayley(f"{m}\n0 1\n")):
+        with pytest.raises(ValueError, match="group order 257 is not in 1..MAX_GROUP_ORDER = 256"):
+            build()
 
 
 def test_from_table_klein_four():
@@ -341,6 +363,21 @@ def test_porod_moment_index_limit():
     for e in (MAX_MOMENT_INDEX + 1, -(MAX_MOMENT_INDEX + 1), 10**400):
         with pytest.raises(ValueError, match="exceeds"):
             moment(nu, e)
+
+
+@pytest.mark.parametrize("N", [5, 6, 7, 40, 41, 300, 5000, 10**6, 2**40])
+def test_porod_moments_are_bitwise_the_product_from_j_1_at_each_index(N):
+    # one running product makes, for each e, the multiplications of the
+    # product prod_{j=1}^{e} -(h - j + 1) / (h + j) in the same order
+    h = 0.5 * (N - 1)
+    got = structures._porod_moments(CircleMeasure.porod(N), 300)
+    assert len(got) == 301
+    for e in range(301):
+        m = 1.0
+        for j in range(1, e + 1):
+            m *= -(h - j + 1.0) / (h + j)
+        assert struct.pack("d", got[e]) == struct.pack("d", m + 0.0), (N, e)
+        assert struct.pack("d", moment(CircleMeasure.porod(N), e).real) == struct.pack("d", m + 0.0)
 
 
 @pytest.mark.parametrize("N", [6, 7, 100, 10**6, 2**40])

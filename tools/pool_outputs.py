@@ -1,6 +1,6 @@
 """Dump what every benchmark-pool invocation prints and writes.
 
-    python tools/pool_outputs.py OUT.json
+    python tools/pool_outputs.py OUT.json [--against OLD.json]
 
 Runs each invocation of ``perfbench.workloads.pool`` for every workload
 through ``qgcutoff.cli.main``, in-process, in a temporary directory that
@@ -10,6 +10,14 @@ writes.  The ``src/`` and ``perfbench/`` that run are those of the checkout
 holding this script, so a dump of another commit runs the script from that
 commit's tree.  Two dumps compare with ``diff``: keys are sorted and each
 field sits on its own line.
+
+With ``--against OLD.json`` the script then compares the new dump with an
+older one and prints, per command and family, how many invocations
+changed, and under it each changed field with the number of invocations it
+changed in and, for a numeric field, its largest relative move
+|new - old| / max(|new|, |old|).  A field is a key of a JSON output (nested
+keys joined by ``.``, list items as ``[]``), a ``# name=value`` line or a
+CSV column; any other line of text is the field ``line``.
 """
 
 from __future__ import annotations
@@ -20,8 +28,11 @@ import io
 import json
 import os
 import sys
+import math
 import tempfile
+from collections import Counter, defaultdict
 from pathlib import Path
+from typing import Iterator
 
 
 def pool_outputs(root: Path) -> dict[str, dict]:
@@ -50,13 +61,120 @@ def pool_outputs(root: Path) -> dict[str, dict]:
     return out
 
 
-def main() -> int:
+def _json_fields(value: object, name: str) -> Iterator[tuple[str, object]]:
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _json_fields(item, f"{name}.{key}" if name else key)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _json_fields(item, f"{name}[]")
+    else:
+        yield name, value
+
+
+def _fields(text: str) -> list[tuple[str, object]]:
+    """(field, value) pairs of one printed output or file, in order."""
+    try:
+        return list(_json_fields(json.loads(text), ""))
+    except ValueError:
+        pass
+    pairs: list[tuple[str, object]] = []
+    header = None
+    for line in text.splitlines():
+        if line.startswith("# ") and "=" in line:
+            pairs.append(tuple(line[2:].split("=", 1)))
+        elif header is None and "," in line:
+            header = line.split(",")
+        elif header is not None:
+            pairs.extend(zip(header, line.split(",")))
+        else:
+            pairs.append(("line", line))
+    return pairs
+
+
+def _number(value: object) -> float | None:
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        return None
+
+
+def _move(new: object, old: object) -> float | None:
+    """|new - old| / max(|new|, |old|), inf if either is not finite, None
+    unless both are numbers."""
+    a, b = _number(new), _number(old)
+    if a is None or b is None:
+        return None
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return 0.0 if a == b else math.inf
+    return abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+
+
+def _group(key: str) -> str:
+    """'command family' of an argv key, or the command alone."""
+    argv = key.split()
+    return f"{argv[0]} {argv[argv.index('--family') + 1]}" if "--family" in argv else argv[0]
+
+
+def _diffs(a: dict | None, b: dict | None) -> dict[str, list[float]]:
+    """Each changed field of one invocation, new ``a`` against old ``b``,
+    with the relative moves of its numeric values."""
+    if a is None or b is None:
+        return {"(only in " + ("old" if a is None else "new") + ")": []}
+    out: dict[str, list[float]] = {"rc": []} if a["rc"] != b["rc"] else {}
+    names = sorted(set(a["files"]) | set(b["files"]))
+    texts = [("", a["stdout"], b["stdout"])] + [(f"{n}:", a["files"].get(n, ""), b["files"].get(n, "")) for n in names]
+    for prefix, x, y in texts:
+        fx, fy = _fields(x), _fields(y)
+        if [f for f, _ in fx] != [f for f, _ in fy]:
+            out[prefix + "(layout)"] = []
+            continue
+        for (f, u), (_, v) in zip(fx, fy):
+            if u != v:
+                move = _move(u, v)
+                out.setdefault(prefix + f, []).extend([] if move is None else [move])
+    return out
+
+
+def compare(new: dict[str, dict], old: dict[str, dict]) -> list[str]:
+    """Report lines: per command and family, how many invocations changed,
+    then each changed field with its count and largest relative move."""
+    total: Counter[str] = Counter()
+    changed: Counter[str] = Counter()
+    counts: dict[str, Counter[str]] = defaultdict(Counter)
+    moves: dict[str, dict[str, list[float]]] = defaultdict(lambda: defaultdict(list))
+    for key in sorted(set(new) | set(old)):
+        group = _group(key)
+        total[group] += 1
+        if new.get(key) == old.get(key):
+            continue
+        changed[group] += 1
+        for field, field_moves in _diffs(new.get(key), old.get(key)).items():
+            counts[group][field] += 1
+            moves[group][field] += field_moves
+    lines = []
+    for group in sorted(total):
+        lines.append(f"{group}: {changed[group]} of {total[group]} invocations changed")
+        for field in sorted(counts[group]):
+            largest = moves[group][field]
+            tail = f", largest relative move {max(largest):.2g}" if largest else ""
+            lines.append(f"  {field}: {counts[group][field]} changed{tail}")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path)
-    args = parser.parse_args()
+    parser.add_argument("--against", type=Path, help="an older dump to compare the new one with")
+    args = parser.parse_args(argv)
     outputs = pool_outputs(Path(__file__).resolve().parents[1])
     args.out.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{len(outputs)} invocations", file=sys.stderr)
+    if args.against is not None:
+        old = json.loads(args.against.read_text(encoding="utf-8"))
+        print("\n".join(compare(outputs, old)))
     return 0
 
 
