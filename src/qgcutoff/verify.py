@@ -2,9 +2,10 @@
 behind the walk bounds, with margins, tight-point flagging, and negative
 controls guarding against vacuous passes.
 
-Each verifier sweeps a default grid (log-spaced in N where the domain is
-wide), computes a margin per point as one array, counts the failures and lists
-the first MAX_LISTED_FAILURES in grid order as (point, lhs, rhs, margin).  Labels
+Each verifier sweeps its own fixed grid, stated as constants beside it
+(log-spaced in N where the domain is wide), computes a margin per point as
+one array, counts the failures and lists the first MAX_LISTED_FAILURES in
+grid order as (point, lhs, rhs, margin).  Labels
 and sides are built only for the points a report names.  Margins for inequalities between exponentially large quantities are
 taken on the log scale; |margin| below the grid tolerance is flagged "tight"
 and counted as a pass.  Every verifier is pure and deterministic.
@@ -23,7 +24,6 @@ from .structures import lambda_theta, porod_rule, trace_modulus
 from .bounds import threshold_C, wreath_certificate_threshold
 
 __all__ = [
-    "GridSpec",
     "MAX_LISTED_FAILURES",
     "VerifyReport",
     "verify_encadrement",
@@ -41,31 +41,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Grid parameters; each verifier documents which fields it reads.
-
-    ``taus`` holds the primary parameter values (tau for the inequality
-    families, a for the lower-bound auxiliary, unused elsewhere); the n-range
-    fields describe the secondary sweep (N, or t for the envelope check);
-    ``index_max`` caps polynomial indices; ``theta_count`` the angle grid.
-    """
-
-    taus: tuple[float, ...] = ()
-    n_min: float = 4.0
-    n_max: float = 1e4
-    n_points: int = 200
-    theta_count: int = 64
-    index_max: int = 60
-    tolerance: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be > 0")
-        if self.n_points < 1 or self.index_max < 1 or self.theta_count < 1:
-            raise ValueError("grid sizes must be >= 1")
-        if not self.n_max >= self.n_min:
-            raise ValueError("empty n range")
+# a margin within this of 0 is flagged tight and counts as a pass
+_TOLERANCE = 1e-12
 
 
 # the failures a report lists, the first in grid order; stdout prints the same ones
@@ -165,38 +142,36 @@ def _geom_ints(lo: int, hi: int, count: int) -> list[int]:
     return [v for v in vals if lo <= v <= hi]
 
 
-DEFAULT_ENCADREMENT_GRID = GridSpec(n_min=2.1, n_max=200.0, n_points=200, index_max=60)
-DEFAULT_LOWER_AUX_GRID = GridSpec(taus=(1.0, 2.0, 4.0), n_min=2.0, n_max=1e4, n_points=200)
-DEFAULT_MAIN_GRID = GridSpec(taus=(2.0, 3.0, 5.0), n_min=4.0, n_max=500.0)
-DEFAULT_ANQN_GRID = GridSpec(n_min=4.0, n_max=1e4, n_points=200)
-DEFAULT_RATIO_GRID = GridSpec(taus=(6.0, 10.0, 50.0, 200.0), theta_count=64, index_max=40)
-DEFAULT_WREATH_GRID = GridSpec(taus=(2.0, 3.0), n_min=4.0, n_max=500.0)
-DEFAULT_LAMBDA_GRID = GridSpec(taus=(5.0, 10.0, 50.0), index_max=6, tolerance=1e-14)
+_ENCADREMENT_T_MIN = 2.1
+_ENCADREMENT_T_MAX = 200.0
+_ENCADREMENT_T_POINTS = 200
+_ENCADREMENT_N_MAX = 60
 
 
-def verify_encadrement(g: GridSpec = DEFAULT_ENCADREMENT_GRID) -> VerifyReport:
-    """t q^{-(n-1)} <= u_n(t) <= q^{-n}/(1 - q^2) over t in the n-range
-    (geometric) and 1 <= n <= index_max; both sides checked per point,
-    margins on the log scale."""
-    return _encadrement_impl(g, lower_exponent_shift=1)
+def verify_encadrement() -> VerifyReport:
+    """t q^{-(n-1)} <= u_n(t) <= q^{-n}/(1 - q^2) over t on a geometric grid
+    and 1 <= n <= _ENCADREMENT_N_MAX; both sides checked per point, margins
+    on the log scale."""
+    return _encadrement_impl(lower_exponent_shift=1)
 
 
-def _encadrement_impl(g: GridSpec, lower_exponent_shift: int) -> VerifyReport:
-    col = _Collector("encadrement", g.tolerance)
-    ts = _geom_floats(g.n_min, g.n_max, g.n_points)
+def _encadrement_impl(lower_exponent_shift: int) -> VerifyReport:
+    col = _Collector("encadrement", _TOLERANCE)
+    ts = _geom_floats(_ENCADREMENT_T_MIN, _ENCADREMENT_T_MAX, _ENCADREMENT_T_POINTS)
     t = np.array(ts)
     q = _each(q_of, t)
     log_q = _each(math.log, q)
-    n = np.arange(1, g.index_max + 1, dtype=float)[:, None]
+    n_max = _ENCADREMENT_N_MAX
+    n = np.arange(1, n_max + 1, dtype=float)[:, None]
     # (n, t) arrays
-    log_u = u_seq(t, g.index_max)[1:]
+    log_u = u_seq(t, n_max)[1:]
     log_lower = _each(math.log, t) - (n - lower_exponent_shift) * log_q
     log_upper = -n * log_q - _each(math.log1p, -q * q)
     # (t, n, side) is the sweep's order: t, then n, the lower side before the upper
     margins = np.stack([log_u - log_lower, log_upper - log_u], axis=-1).transpose(1, 0, 2)
 
     def detail(i: int) -> tuple[str, float, float]:
-        j, r = divmod(i, 2 * g.index_max)
+        j, r = divmod(i, 2 * n_max)
         k, upper = divmod(r, 2)
         u = math.exp(min(log_u[k, j], 700.0))
         if upper:
@@ -207,17 +182,23 @@ def _encadrement_impl(g: GridSpec, lower_exponent_shift: int) -> VerifyReport:
     return col.report()
 
 
-def verify_lower_aux(g: GridSpec = DEFAULT_LOWER_AUX_GRID) -> VerifyReport:
-    """N (1 - a/N)^{N ln N / a} >= e^{-a/2e} / sqrt(2) for each a in taus and
-    integer N >= 2a (log-spaced, boundary N = ceil(2a) included)."""
-    return _lower_aux_impl(g, rhs_log_shift=0.0)
+_LOWER_AUX_AS = (1.0, 2.0, 4.0)
+_LOWER_AUX_N_MAX = 10_000
+_LOWER_AUX_N_POINTS = 200
 
 
-def _lower_aux_impl(g: GridSpec, rhs_log_shift: float) -> VerifyReport:
-    col = _Collector("lower_aux", g.tolerance)
-    for a in g.taus:
+def verify_lower_aux() -> VerifyReport:
+    """N (1 - a/N)^{N ln N / a} >= e^{-a/2e} / sqrt(2) for each a in
+    _LOWER_AUX_AS and integer N >= 2a (log-spaced, boundary N = ceil(2a)
+    included)."""
+    return _lower_aux_impl(rhs_log_shift=0.0)
+
+
+def _lower_aux_impl(rhs_log_shift: float) -> VerifyReport:
+    col = _Collector("lower_aux", _TOLERANCE)
+    for a in _LOWER_AUX_AS:
         n_lo = max(int(math.ceil(2.0 * a)), 2)
-        ns = sorted(set([n_lo] + _geom_ints(n_lo, int(g.n_max), g.n_points)))
+        ns = sorted(set([n_lo] + _geom_ints(n_lo, _LOWER_AUX_N_MAX, _LOWER_AUX_N_POINTS)))
         N = np.array(ns, dtype=float)
         log_N = _each(math.log, N)
         log_lhs = log_N + (N * log_N / a) * _each(math.log1p, -a / N)
@@ -227,14 +208,18 @@ def _lower_aux_impl(g: GridSpec, rhs_log_shift: float) -> VerifyReport:
     return col.report()
 
 
-def verify_main_inequality(g: GridSpec = DEFAULT_MAIN_GRID) -> VerifyReport:
-    """N q(N - tau) (1 - q(N - tau)^2) >= e^{tau/N} for integer
-    N >= ceil(tau + C(tau)), N <= n_max; sub-threshold points are scanned and
-    recorded in the notes, not counted."""
-    col = _Collector("main_inequality", g.tolerance)
-    for tau in g.taus:
+_MAIN_TAUS = (2.0, 3.0, 5.0)
+_MAIN_N_MAX = 500
+
+
+def verify_main_inequality() -> VerifyReport:
+    """N q(N - tau) (1 - q(N - tau)^2) >= e^{tau/N} for tau in _MAIN_TAUS and
+    integer N >= ceil(tau + C(tau)), N <= _MAIN_N_MAX; sub-threshold points
+    are scanned and recorded in the notes, not counted."""
+    col = _Collector("main_inequality", _TOLERANCE)
+    for tau in _MAIN_TAUS:
         n_start = int(math.ceil(tau + threshold_C(tau)))
-        N = np.arange(n_start, int(g.n_max) + 1, dtype=float)
+        N = np.arange(n_start, _MAIN_N_MAX + 1, dtype=float)
         log_lhs = _main_lhs_log(N, tau)
         col.add(log_lhs - tau / N,
                 lambda i: (f"tau={tau:g} N={n_start + i}", math.exp(log_lhs[i]), math.exp(tau / (n_start + i))))
@@ -250,17 +235,22 @@ def _main_lhs_log(N: np.ndarray, tau: float) -> np.ndarray:
     return _each(math.log, N) + _each(math.log, q) + _each(math.log1p, -q * q)
 
 
-def verify_anqn(g: GridSpec = DEFAULT_ANQN_GRID) -> VerifyReport:
-    """(N - 2 + 2/N) q(N - 2) <= 1 + 8/(N - 2)^2 for integer N >= 4.
+_ANQN_N_MAX = 10_000
+_ANQN_N_POINTS = 200
+
+
+def verify_anqn() -> VerifyReport:
+    """(N - 2 + 2/N) q(N - 2) <= 1 + 8/(N - 2)^2 for integer
+    4 <= N <= _ANQN_N_MAX.
 
     At the boundary N = 4 the deformation parameter sits at its parabolic
     limit q(2) = 1, which is taken exactly."""
-    return _anqn_impl(g, numerator=8.0)
+    return _anqn_impl(numerator=8.0)
 
 
-def _anqn_impl(g: GridSpec, numerator: float) -> VerifyReport:
-    col = _Collector("anqn", g.tolerance)
-    ns = sorted(set([4] + _geom_ints(4, int(g.n_max), g.n_points)))
+def _anqn_impl(numerator: float) -> VerifyReport:
+    col = _Collector("anqn", _TOLERANCE)
+    ns = sorted(set([4] + _geom_ints(4, _ANQN_N_MAX, _ANQN_N_POINTS)))
     N = np.array(ns, dtype=float)
     t = N - 2.0
     q = np.ones_like(t)
@@ -271,43 +261,54 @@ def _anqn_impl(g: GridSpec, numerator: float) -> VerifyReport:
     return col.report()
 
 
-def verify_ratio_comparison(g: GridSpec = DEFAULT_RATIO_GRID) -> VerifyReport:
+_RATIO_NS = (6, 10, 50, 200)
+_RATIO_THETAS = 64
+_RATIO_N_MAX = 40
+
+
+def verify_ratio_comparison() -> VerifyReport:
     """u_n(N - tau_theta) / u_n(N - lambda_theta) <= e^{4n/(N-2)^2} for N in
-    taus (all >= 6), theta on a uniform grid over [0, 2 pi), n <= index_max;
-    margins on the log scale.  theta = 0 gives ratio 1 exactly (tight)."""
-    col = _Collector("ratio_comparison", g.tolerance)
-    Ns = [int(N_f) for N_f in g.taus]
-    thetas = [2.0 * math.pi * j / g.theta_count for j in range(g.theta_count)]
+    _RATIO_NS (all >= 6), theta on a uniform grid over [0, 2 pi),
+    n <= _RATIO_N_MAX; margins on the log scale.  theta = 0 gives ratio 1
+    exactly (tight)."""
+    col = _Collector("ratio_comparison", _TOLERANCE)
+    Ns, n_max, count = _RATIO_NS, _RATIO_N_MAX, _RATIO_THETAS
+    thetas = [2.0 * math.pi * j / count for j in range(count)]
     t1 = [trace_modulus(N, theta) for N in Ns for theta in thetas]
     t2 = [N - lambda_theta(theta) for N in Ns for theta in thetas]
     # one u_seq call for every t; log_ratio is (N, theta, n), the sweep's order
-    log_u = u_seq(np.array(t1 + t2), g.index_max)[1:]
-    log_ratio = (log_u[:, : len(t1)] - log_u[:, len(t1) :]).T.reshape(len(Ns), g.theta_count, g.index_max)
-    n = np.arange(1, g.index_max + 1, dtype=float)
+    log_u = u_seq(np.array(t1 + t2), n_max)[1:]
+    log_ratio = (log_u[:, : len(t1)] - log_u[:, len(t1) :]).T.reshape(len(Ns), count, n_max)
+    n = np.arange(1, n_max + 1, dtype=float)
     for N, ratio in zip(Ns, log_ratio):
         bound = 4.0 * n / ((N - 2.0) * (N - 2.0))
 
         def detail(i: int) -> tuple[str, float, float]:
-            j, k = divmod(i, g.index_max)
+            j, k = divmod(i, n_max)
             return f"N={N} theta={thetas[j]:.6g} n={k + 1}", math.exp(ratio[j, k]), math.exp(bound[k])
 
         col.add(bound - ratio, detail)
     return col.report()
 
 
-def verify_wreath_inequality(g: GridSpec = DEFAULT_WREATH_GRID) -> VerifyReport:
+_WREATH_TAUS = (2.0, 3.0)
+_WREATH_N_MAX = 500
+
+
+def verify_wreath_inequality() -> VerifyReport:
     """q(sqrt N) / (sqrt N q(sqrt(N - tau))^2 (1 - q(sqrt(N - tau))^2)) <=
-    e^{-tau/N} for tau > 7/4 and integer N >= ceil(Q(tau)/(4 tau - 7));
-    a sub-threshold scan records where the inequality first holds."""
-    col = _Collector("wreath_inequality", g.tolerance)
-    for tau in g.taus:
+    e^{-tau/N} for tau in _WREATH_TAUS (all > 7/4) and integer
+    N >= ceil(Q(tau)/(4 tau - 7)), N <= _WREATH_N_MAX; a sub-threshold scan
+    records where the inequality first holds."""
+    col = _Collector("wreath_inequality", _TOLERANCE)
+    for tau in _WREATH_TAUS:
         n_start = int(math.ceil(wreath_certificate_threshold(tau)))
         below = np.array([N for N in range(int(math.floor(tau)) + 5, n_start) if N - tau > 4.0 and N >= 5], dtype=float)
         holds = np.flatnonzero(-tau / below - _wreath_lhs_log(below, tau) >= 0)
         if holds.size:
             col.note(f"tau={tau:g}: holds from N={int(below[holds[0]])} (threshold {n_start})")
         n_lo = max(n_start, 5)
-        N = np.arange(n_lo, int(g.n_max) + 1, dtype=float)
+        N = np.arange(n_lo, _WREATH_N_MAX + 1, dtype=float)
         log_lhs = _wreath_lhs_log(N, tau)
         col.add(-tau / N - log_lhs,
                 lambda i: (f"tau={tau:g} N={n_lo + i}", math.exp(log_lhs[i]), math.exp(-tau / (n_lo + i))))
@@ -321,25 +322,29 @@ def _wreath_lhs_log(N: np.ndarray, tau: float) -> np.ndarray:
             - _each(math.log1p, -qp * qp))
 
 
-def verify_lambda_moment(g: GridSpec = DEFAULT_LAMBDA_GRID) -> VerifyReport:
-    """Closed-form moments 2^l prod (N-2+2s)/(N-1+2s) for l <= index_max
-    against the Porod rule of degree index_max (``porod_rule``), which
-    averages lambda^l, a trigonometric polynomial of degree l, exactly, at
-    relative tolerance.  The two sides are independent: the rule's weights
+_LAMBDA_NS = (5, 10, 50)
+_LAMBDA_L_MAX = 6
+_LAMBDA_TOLERANCE = 1e-14
+
+
+def verify_lambda_moment() -> VerifyReport:
+    """Closed-form moments 2^l prod (N-2+2s)/(N-1+2s) for N in _LAMBDA_NS and
+    l <= _LAMBDA_L_MAX against the Porod rule of degree _LAMBDA_L_MAX
+    (``porod_rule``), which averages lambda^l, a trigonometric polynomial of
+    degree l, exactly, at relative tolerance.  The two sides are independent: the rule's weights
     come from the beta-integral moments, the closed form telescopes the
     Wallis recurrence.  Also records, per N, the rule's E[lambda]/2 against
     the Wallis-ratio question (recurrence ratio N/(N+1) versus the
     alternative (N+1)/(N+2) sometimes quoted for W_{N+1}/W_{N-1})."""
     # margin = tolerance - relative deviation, so a point fails exactly when
-    # the deviation exceeds the grid tolerance
+    # the deviation exceeds _LAMBDA_TOLERANCE
     col = _Collector("lambda_moment", 1e-15)
-    for N_f in g.taus:
-        N = int(N_f)
-        theta, w = porod_rule(N, g.index_max)
+    for N in _LAMBDA_NS:
+        theta, w = porod_rule(N, _LAMBDA_L_MAX)
         lam = 1.0 - np.cos(theta)
-        closed = [lambda_moment(N, l) for l in range(g.index_max + 1)]
-        rule = [float(np.dot(w, lam**l)) for l in range(g.index_max + 1)]
-        margins = [g.tolerance - abs(c - r) / max(abs(r), 1e-300) for c, r in zip(closed, rule)]
+        closed = [lambda_moment(N, l) for l in range(_LAMBDA_L_MAX + 1)]
+        rule = [float(np.dot(w, lam**l)) for l in range(_LAMBDA_L_MAX + 1)]
+        margins = [_LAMBDA_TOLERANCE - abs(c - r) / max(abs(r), 1e-300) for c, r in zip(closed, rule)]
         col.add(np.array(margins), lambda l: (f"N={N} l={l}", closed[l], rule[l]))
         half_mean = rule[1] / 2.0
         rec = N / (N + 1.0)
@@ -360,9 +365,9 @@ def negative_controls() -> dict[str, VerifyReport]:
     - the a_N q_N comparison with 8 replaced by 2.
     """
     return {
-        "encadrement_broken": _encadrement_impl(DEFAULT_ENCADREMENT_GRID, lower_exponent_shift=0),
-        "lower_aux_broken": _lower_aux_impl(DEFAULT_LOWER_AUX_GRID, rhs_log_shift=math.log(2.0)),
-        "anqn_broken": _anqn_impl(DEFAULT_ANQN_GRID, numerator=2.0),
+        "encadrement_broken": _encadrement_impl(lower_exponent_shift=0),
+        "lower_aux_broken": _lower_aux_impl(rhs_log_shift=math.log(2.0)),
+        "anqn_broken": _anqn_impl(numerator=2.0),
     }
 
 
@@ -389,7 +394,7 @@ def suite_names(names: Sequence[str] | None = None) -> list[str]:
 
 
 def run_all(names: Sequence[str] | None = None) -> dict[str, VerifyReport]:
-    """Run the named suites (default: all) on their default grids; an
+    """Run the named suites (default: all) on their grids; an
     unknown name raises ValueError before any suite runs."""
     return {name: _SUITES[name]() for name in suite_names(names)}
 

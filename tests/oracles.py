@@ -18,6 +18,7 @@ independent reference for that rewrite, and
 word by word before its array passes.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -252,7 +253,7 @@ def wreath_log_partial(
                 continue
             log_ratio = sum(us_t[i] - us_s[i] for i in idx)
         if w.p:
-            val = psi.value_of_product(w.gammas)
+            val = psi.values[functools.reduce(lambda x, y: group.table[x][y], w.gammas, group.identity)]
             if val == 0:
                 continue
             log_psi = math.log(abs(val))

@@ -830,7 +830,15 @@ def test_certificate_contains_refined_partial_mixture():
 
 @pytest.mark.parametrize(
     "N, tau, k, max_total, max_p",
-    [(20, 2.0, 60.0, 10, 4), (30, 2.0, 100.0, 7, 7), (15, 3.0, 40.0, 12, 3)],
+    [
+        (20, 2.0, 60.0, 10, 4),
+        (30, 2.0, 100.0, 7, 7),
+        (15, 3.0, 40.0, 12, 3),
+        # k = N ln N / tau + N / 4: log w = -0.95, so the p > max_p closed
+        # form w^(max_p + 1) / (1 - w) is most of the tail, and a w taken too
+        # small there leaves the certificate below the majorant
+        (30, 2.0, 30 * math.log(30) / 2.0 + 30 / 4, 10, 4),
+    ],
 )
 def test_unitary_tail_bounds_the_excluded_words(N, tau, k, max_total, max_p):
     # the certificate is at least the majorant summed word class by word

@@ -61,3 +61,6 @@ def test_pool_outputs_against_reports_what_moved(monkeypatch, tmp_path, capsys):
     )
     assert "verify: 1 of 1 invocations changed" in report and "  (layout): 1 changed" in report
     assert sum(line.startswith("  ") for line in report) == 2
+    # any changed invocation makes the command line exit 1
+    (tmp_path / "doctored.json").write_text(json.dumps(new), encoding="utf-8")
+    assert tool.main(["newer.json", "--against", "doctored.json"]) == 1

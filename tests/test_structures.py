@@ -3,6 +3,7 @@ and circle measures with their moment maps.
 """
 
 import cmath
+import functools
 import itertools
 import math
 import struct
@@ -22,7 +23,6 @@ from qgcutoff.structures import (
     GroupState,
     arg_trace,
     cyclic_group,
-    group_sum_abs,
     haar_state,
     lambda_theta,
     load_cayley,
@@ -43,7 +43,7 @@ def test_cyclic_group_basics():
     g = cyclic_group(4)
     assert g.order == 4
     assert g.identity == 0
-    assert g.multiply(1, 3) == 0
+    assert g.table[1][3] == 0
     assert g.inverse[1] == 3
     assert g.inverse[2] == 2
 
@@ -51,7 +51,7 @@ def test_cyclic_group_basics():
 def test_cyclic_group_degenerate():
     g = cyclic_group(1)
     assert g.order == 1
-    assert g.multiply(0, 0) == 0
+    assert g.table[0][0] == 0
     with pytest.raises(ValueError):
         cyclic_group(0)
 
@@ -82,7 +82,7 @@ def test_from_table_klein_four():
     table = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
     g = FiniteGroup.from_table(table)
     assert g.inverse == (0, 1, 2, 3)
-    assert g.multiply(1, 2) == 3
+    assert g.table[1][2] == 3
 
 
 def test_from_table_rejects_non_permutation_row():
@@ -146,10 +146,44 @@ def test_from_table_rejects_non_associative():
         FiniteGroup.from_table(table)
 
 
+def _swapped_cyclic(m, r, c):
+    """Z/m with the intercalate at rows r, r + m/2 and columns c, c + m/2
+    swapped: still a Latin square with identity 0 and two-sided inverses
+    (no swapped entry is 0), but not associative."""
+    table = [[(i + j) % m for j in range(m)] for i in range(m)]
+    r2, c2 = r + m // 2, c + m // 2
+    table[r][c], table[r][c2] = table[r][c2], table[r][c]
+    table[r2][c], table[r2][c2] = table[r2][c2], table[r2][c]
+    return table
+
+
+def _cyclic_times(loop, n):
+    """Z/n x loop, (g, q) at index q n + g: elements 0..n-1 form Z/n x {e}
+    and associate with everything, so the first failing triple has a >= n."""
+    m = n * len(loop)
+    return [[loop[x // n][y // n] * n + (x + y) % n for y in range(m)] for x in range(m)]
+
+
+@pytest.mark.parametrize(
+    "table",
+    # the order-80 product checks rows in blocks of 10 and first fails in the second
+    [_search_nonassociative_loop(), _swapped_cyclic(8, 1, 2), _cyclic_times(_search_nonassociative_loop(), 16)],
+)
+def test_from_table_names_the_first_failing_triple(table):
+    # the lexicographically first (a, b, c) with (ab)c != a(bc), of several
+    m = len(table)
+    bad = list(itertools.islice(
+        ((a, b, c) for a, b, c in itertools.product(range(m), repeat=3)
+         if table[table[a][b]][c] != table[a][table[b][c]]), 2))
+    assert len(bad) == 2
+    with pytest.raises(ValueError, match=rf"^associativity fails at triple \({bad[0][0]}, {bad[0][1]}, {bad[0][2]}\)$"):
+        FiniteGroup.from_table(table)
+
+
 def test_load_cayley_round_trip():
     g = cyclic_group(3)
     text = "# cyclic of order 3\n3\n" + "\n".join(
-        " ".join(str(g.multiply(i, j)) for j in range(3)) for i in range(3)
+        " ".join(str(g.table[i][j]) for j in range(3)) for i in range(3)
     )
     g2 = load_cayley(text)
     assert g2.table == g.table
@@ -235,7 +269,9 @@ def test_load_group_state():
 
 
 def test_group_sum_abs_matches_brute_force():
-    # contract: sum over all p-tuples of |psi(g_1 ... g_p)|
+    # sum over all p-tuples of |psi(g_1 ... g_p)| = m^{p-1} K(psi): each product
+    # value has m^{p-1} tuples, the first p-1 entries free; the wreath engine's
+    # log m per group label rests on it
     for s in [2, 3, 4]:
         g = cyclic_group(s)
         # real cosine character states: psi(x) = cos(2 pi x / s), Hermitian + PSD
@@ -245,8 +281,8 @@ def test_group_sum_abs_matches_brute_force():
         for p in range(1, 5):
             brute = 0.0
             for tup in itertools.product(range(s), repeat=p):
-                brute += abs(psi.values[g.multiply_all(tup)])
-            got = group_sum_abs(g, psi, p)
+                brute += abs(psi.values[functools.reduce(lambda x, y: g.table[x][y], tup, g.identity)])
+            got = g.order ** (p - 1) * psi.abs_sum()
             assert got == pytest.approx(brute, rel=1e-12), (s, p)
 
 

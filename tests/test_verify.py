@@ -10,7 +10,6 @@ import pytest
 from qgcutoff.numerics import q_of
 from qgcutoff.verify import (
     MAX_LISTED_FAILURES,
-    GridSpec,
     _Collector,
     negative_controls,
     format_report,
@@ -60,9 +59,11 @@ def test_encadrement_spot_values():
 
 
 def test_main_inequality_spot_check():
-    # tau = 2, N = 6: N q(N - tau) (1 - q(N - tau)^2) >= e^{tau/N}
-    rep = verify_main_inequality(GridSpec(taus=(2.0,), n_min=6, n_max=6, n_points=1))
+    # tau = 2, N = 6: N q(N - tau) (1 - q(N - tau)^2) >= e^{tau/N}; N = 6 is
+    # the first tau = 2 point of the grid, N = 5 the last one scanned below
+    rep = verify_main_inequality()
     assert rep.ok
+    assert [n for n in rep.notes if "tau=2 " in n] == ["below threshold: tau=2 N=5 margin=0.0893096"]
     q4 = q_of(4.0)  # 2 - sqrt(3)
     lhs = 6.0 * q4 * (1.0 - q4 * q4)
     # exact: 6 (2 - sqrt 3)(4 sqrt 3 - 6) = 84 sqrt 3 - 144
@@ -72,21 +73,24 @@ def test_main_inequality_spot_check():
 
 def test_anqn_boundary_value():
     # N = 4 (t = 2 boundary, q = 1): a_N q_N = (N - 2 + 2/N) * 1 = 2.5 <= N - 1
-    rep = verify_anqn(GridSpec(n_min=4, n_max=4, n_points=1))
+    rep = verify_anqn()
     assert rep.ok
     assert rep.grid_size >= 1
+    # the control with 8 replaced by 2 runs the same grid and fails at its
+    # first point, N = 4, with the boundary value
+    assert negative_controls()["anqn_broken"].failures[0][:3] == ("N=4", 2.5, 1.5)
 
 
 def test_ratio_comparison_has_positive_margin():
-    rep = verify_ratio_comparison(GridSpec(taus=(10.0,), theta_count=16, index_max=12))
+    rep = verify_ratio_comparison()
     assert rep.ok
-    assert rep.min_margin is not None and rep.min_margin > 0.0
+    assert rep.min_margin == pytest.approx(8.9e-5, rel=1e-2) and rep.min_margin > 0.0
 
 
 def test_wreath_inequality_notes_record_onset():
-    rep = verify_wreath_inequality(GridSpec(taus=(2.0,), n_min=28, n_max=100, n_points=20))
+    rep = verify_wreath_inequality()
     assert rep.ok
-    assert any("holds from" in n for n in rep.notes)
+    assert any(n.startswith("tau=2: holds from N=7 ") for n in rep.notes)
 
 
 def test_lambda_moment_report_names_both_ratios():

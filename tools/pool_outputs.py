@@ -17,7 +17,9 @@ changed, and under it each changed field with the number of invocations it
 changed in and, for a numeric field, its largest relative move
 |new - old| / max(|new|, |old|).  A field is a key of a JSON output (nested
 keys joined by ``.``, list items as ``[]``), a ``# name=value`` line or a
-CSV column; any other line of text is the field ``line``.
+CSV column; any other line of text is the field ``line``.  The exit status
+is then 1 if any invocation changed, so "byte-identical across the pool" is
+one command's exit status.
 """
 
 from __future__ import annotations
@@ -175,6 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.against is not None:
         old = json.loads(args.against.read_text(encoding="utf-8"))
         print("\n".join(compare(outputs, old)))
+        return 0 if outputs == old else 1
     return 0
 
 
