@@ -19,7 +19,11 @@ applied per factor.  When a geometric ratio fails to be < 1 the engine
 reports "no certificate" (tail = infinity) instead of extrapolating.
 
 Each family has one engine, (query, k grid, truncation) -> one interval per
-k, reached through ``A_k_grid``; every family's tail is the composition tail
+k, reached through ``A_k_grid``.  The point-mass unitary and eval walks and
+the wreath sum words of every block count that fits the index total
+(``_log_resolvent``), so their tail bounds only the words past that total,
+in closed form for the whole grid (``_resolvent_tail``); the mixture and a
+general nu stop at max_p blocks, and their tail is the composition tail
 ``_composition_tail``.
 
 Family-specific series:
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -96,10 +100,10 @@ __all__ = [
     "ProfileResult",
 ]
 
-# Largest index total a truncation accepts.  A convolution power costs
-# O(max_total^2) per grid row: one delta bound at (12, 2000) takes about
-# 0.025 s, one whose row takes the log-domain kernel (N = 5, tau = 2.99)
-# about 0.16 s.
+# Largest index total a truncation accepts.  A series product costs
+# O(max_total^2) per grid row and round: at 4096 one delta bound (every
+# block count, 12 resolvent rounds) takes about 0.2 s, and one whose row
+# takes the log-domain kernel (N = 5, tau = 2.99) about 1.4 s.
 MAX_TOTAL = 4096
 # Most words the mixture engine sums.  Its array passes take about 1 us a
 # word: 82 450 words at (7, 17) in about 0.07 s, and 90 300 at (2, 300),
@@ -110,12 +114,9 @@ MAX_MIXTURE_WORDS = 100_000
 # at most P blocks holds P (P + 3) / 2 rows of P slots, about P^3 / 2, each
 # a float log C and an int stop column (2.2 MB at P = 64, 457 MB at
 # P = 384); with Haar nu, (64, 64) takes about 0.02 s and 36 MB the first
-# call in a process, (64, 4096) about 1.1 s and 42 MB.
-# A delta profile at (64, 4096) takes about 0.5 s a grid point, a wreath
-# one over Z/3 about 0.12 s; from 30 MB at start, either peaked at 36 MB
-# for 11 points and at 40-42 MB for 101.  A grid row outside the affine
-# range (_LINEAR_RANGE: t near 2, k near MAX_K) takes the log-domain
-# kernel, about 2.8 s a grid point at (64, 4096), peaking at 36 MB.
+# call in a process, (64, 4096) about 1.1 s and 42 MB.  Only the mixture
+# and a general nu read it: a point mass and the wreath sum every block
+# count that fits max_total.
 MAX_P = 64
 # Most entries, (max_total + 1) * L, of the mixture's per-node u_n ratio table
 # on L = 2 ((max_total + max_p) // 2) + 1 rule nodes (the default (5, 10)
@@ -140,6 +141,8 @@ class ParameterError(ValueError):
 class TruncationConfig:
     """Finite word-index window: p <= max_p blocks, at most MAX_P, and index
     total <= max_total, at most MAX_TOTAL; a violation raises ParameterError.
+    The point-mass unitary and eval walks and the wreath sum every block
+    count that fits max_total and read max_p only through these rules.
     """
 
     max_p: int = 12
@@ -327,14 +330,14 @@ class _SeriesTail:
     hypotheses: tuple[tuple[str, bool], ...]
 
 
-# the tail hypotheses, recorded in this order on every path of the tail
+# the hypotheses of the composition tail, recorded in this order
 _TAIL_KEYS = ("x < 1", "within-degree ratios < 1", "w = S/(1-x) < 1")
 
 
-def _composition_tail(log_S: float, log_x: float, M: int, P: int, log_pref: float, first: int) -> _SeriesTail:
-    """Certified bound on sum_{first <= p <= P} pref * S^p * sum over
-    compositions into p parts of degree > M of x^(degree - p), plus the whole
-    p > P block.
+def _composition_tail(log_S: float, log_x: float, M: int, P: int) -> _SeriesTail:
+    """Certified bound on sum_{1 <= p <= P} 2 S^p * sum over compositions
+    into p parts of degree > M of x^(degree - p), plus the whole p > P
+    block.
 
     Within a fixed p the missing degrees j = degree - p start at
     J = max(M - p + 1, 0) and the composition counts C(j+p-1, p-1) grow by
@@ -345,9 +348,10 @@ def _composition_tail(log_S: float, log_x: float, M: int, P: int, log_pref: floa
     if not log_x < 0.0:
         return _SeriesTail(math.inf, tuple((key, False) for key in _TAIL_KEYS))
     x = math.exp(log_x)
+    log_pref = math.log(2.0)
     pieces: list[float] = []
     rho_ok = True
-    for p in range(first, P + 1):
+    for p in range(1, P + 1):
         J = max(M - p + 1, 0)
         if J == 0:
             # no degree was enumerated for this p; exact geometric block
@@ -373,33 +377,62 @@ def _composition_tail(log_S: float, log_x: float, M: int, P: int, log_pref: floa
     return _SeriesTail(logsumexp(pieces), hyps)
 
 
+def _log1mexp_rows(log_r: np.ndarray) -> np.ndarray:
+    """log(1 - e^r) for an array of r < 0: expm1 keeps 1 - e^r to a few
+    ulps, and where it rounds to 1 the true value is above -1e-16."""
+    return np.log(-np.expm1(log_r))
+
+
+def _resolvent_tail(log_S: np.ndarray, log_x: np.ndarray, D: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log bound, ok) per row on the sum over the compositions of degree
+    n > D, into any number p of parts, of S^p x^(n - p).
+
+    Degree n has C(n-1, p-1) compositions into p parts, so it sums to
+    S (x + S)^(n-1), and the degrees past D to S (x + S)^D / (1 - x - S).
+    ``ok`` is the one hypothesis x + S < 1; the bound is +inf where it fails.
+    """
+    log_r = np.logaddexp(log_x, log_S)
+    ok = log_r < 0.0
+    safe = np.where(ok, log_r, -1.0)
+    return np.where(ok, log_S + D * safe - _log1mexp_rows(safe), math.inf), ok
+
+
+def _closed_tails(log_tail: np.ndarray, ok: np.ndarray, key: str) -> list[_SeriesTail]:
+    """One tail per row from a ``_resolvent_tail`` bound and its hypothesis
+    ``key``."""
+    return [_SeriesTail(t, ((key, o),)) for t, o in zip(log_tail.tolist(), ok.tolist())]
+
+
 def _intervals(
     ks: Sequence[float],
     log_partials: Sequence[float],
     terms: int,
     hyps: tuple[tuple[str, bool], ...],
     certificate: str,
-    tail: Callable[[float], _SeriesTail],
+    tail: Callable[[np.ndarray], list[_SeriesTail]],
 ) -> list[BoundInterval]:
     """One interval [partial, partial + tail] per k, from the walk's
-    hypotheses ``hyps``, certificate text and tail closure ``tail(2k)``.
+    hypotheses ``hyps``, certificate text and tail closure, which maps an
+    array of 2k to one tail per entry.
 
     Each row records ("k >= 1", ...) in front of ``hyps``.  ``tail`` runs
-    only on rows where every required (not ``[recorded]``) hypothesis
-    holds: its algebra assumes them.
+    once, on the rows where k >= 1 and every required (not ``[recorded]``)
+    hypothesis holds: its algebra assumes them.
     """
     walk_ok = all(ok for name, ok in hyps if "[recorded]" not in name)
+    rows = [i for i, k in enumerate(ks) if walk_ok and k >= 1.0]
+    series: dict[int, _SeriesTail] = dict(zip(rows, tail(2.0 * np.asarray(ks)[rows]))) if rows else {}
     out = []
-    for k, log_partial in zip(ks, log_partials):
-        series = tail(2.0 * k) if walk_ok and k >= 1.0 else None
-        certified = series is not None and series.log_tail < math.inf
+    for i, (k, log_partial) in enumerate(zip(ks, log_partials)):
+        row = series.get(i)
+        certified = row is not None and row.log_tail < math.inf
         out.append(BoundInterval(
             terms_used=terms,
             certificate=certificate,
             certified=certified,
-            hypotheses=(("k >= 1", k >= 1.0),) + hyps + (series.hypotheses if series is not None else ()),
+            hypotheses=(("k >= 1", k >= 1.0),) + hyps + (row.hypotheses if row is not None else ()),
             log_partial=float(log_partial),
-            log_tail=series.log_tail if certified else math.inf,
+            log_tail=row.log_tail if certified else math.inf,
         ))
     return out
 
@@ -426,8 +459,10 @@ def _log_coeff_table(two_k: np.ndarray, log_num: np.ndarray, log_den: np.ndarray
     except at two_k = 0, where every coefficient power is 1.
     """
     tk = two_k[:, np.newaxis]
-    body = _log_power(tk, log_num[1:]) - (tk - 2.0) * log_den[1:]
-    return np.hstack([np.full((two_k.size, 1), -math.inf), body])
+    out = np.empty((two_k.size, log_num.size))
+    out[:, 0] = -math.inf
+    np.subtract(_log_power(tk, log_num[1:]), (tk - 2.0) * log_den[1:], out=out[:, 1:])
+    return out
 
 
 def _row_logsumexp(x: np.ndarray) -> np.ndarray:
@@ -447,17 +482,13 @@ def _row_logsumexp(x: np.ndarray) -> np.ndarray:
 # rows it takes at once), a block of grid rows of an engine pass (with the
 # parity path's stop-sum terms), a block of the mixture's block vectors
 # with their node products.  _block_len is the one place that turns it
-# into a number of items.  At the default truncation a block holds the
-# 13 x 49 powers of 51 grid rows of a point-mass pass, and 13 parity-path
-# rows.  With the polynomial kernel taking every benchmark row, a 2-vCPU
-# x86-64 VM timed at 4096 / 32768 / 131072 (one fresh process each,
-# in-process cli.main): a 77-point delta profile at N = 200 16 / 13 / 13
-# ms, a 101-point Haar one at N = 30000 42 / 24 / 29 ms (with the stop-sum
-# terms in the block), one bound at (12, 1024) 13 / 13 / 14 ms
-# with delta nu and 27 / 24 / 23 ms with Haar nu, one at (64, 4096) with
-# delta nu 0.53 / 0.50 / 0.49 s.  Rows in the log-domain kernel (N = 5,
-# tau = 2.99): a 101-point profile 44 / 36 / 28 ms, one bound at
-# (64, 4096) 4.9 / 2.8 / 2.8 s, peaking at 35.4 / 35.8 / 36.9 MB.
+# into a number of items.  At the default truncation a block holds 111
+# grid rows of a point-mass pass (_RESOLVENT_FLOATS x 49 floats a row) and
+# 13 parity-path rows.  With the polynomial kernel taking every benchmark
+# row, a 2-vCPU x86-64 VM timed the parity path at 4096 / 32768 / 131072
+# (one fresh process each, in-process cli.main): a 101-point Haar profile
+# at N = 30000 42 / 24 / 29 ms (with the stop-sum terms in the block), one
+# Haar bound at (12, 1024) 27 / 24 / 23 ms.
 _BLOCK_TERMS = 32768
 
 
@@ -633,6 +664,75 @@ def _log_conv_powers(step: np.ndarray, P: int) -> np.ndarray:
     return out
 
 
+# Floats per series entry that a grid row of a ``_log_resolvent`` call
+# holds at once, for ``_in_blocks``: its (acc, power) pair, a round's two
+# products and the factor's padded reversal.
+_RESOLVENT_FLOATS = 6
+
+
+def _log_resolvent(step: np.ndarray) -> np.ndarray:
+    """out[:, d] = log [z^d] G / (1 - G) for d < W, where G is the (K, W)
+    log series ``step`` with G_0 = 0 (column 0 -inf): the sum of G^p over
+    every p >= 1, of which only p < W reach degree W - 1.
+
+    One positive product, G (1 + G) (1 + G^2) (1 + G^4) ..., in
+    ceil(log2 (W - 1)) rounds: round j forms acc G^(2^j) and G^(2^(j+1))
+    in one stacked kernel call and adds the first to acc.  A row that
+    ``_affine_tilt`` finds nearly affine for W - 1 factors, with no
+    vanishing coefficient, runs ``_poly_round`` on its series taken off
+    the line: with c = e^a and L = log(1 + c), the coefficient of degree n
+    becomes e^{residual_n} c (1+c)^{-n}, and the leading factor is divided
+    by c when c < 1.  A product of p <= W - 1 factors then keeps its
+    residual within e^{-64}, and every tilted coefficient of the result
+    lies between e^{-64} / 2 and 1, since the compositions of degree d into
+    p parts weigh c^p (1+c)^{-d} and number C(d-1, p-1); out =
+    log(coefficient) + min(a, 0) + (s + L) d.  Each factor's exponent
+    residual_n + max(a, 0) - L n carries a few ulps of rounding, and a
+    product that stays above e^{-745} has exponents summing to more than
+    -745, so it moves by under about 3e-13.  The other rows run
+    ``_log_round`` on the logs.  Each kernel computes a row's
+    coefficients alone, so they do not depend on the rows stacked with it.
+    """
+    K, w = step.shape
+    rounds = max(w - 2, 0).bit_length()
+
+    def product(first: np.ndarray, ratio: np.ndarray, kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                add: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+        # pair = (acc, power), updated in place; the last round needs no power
+        pair = np.stack([first, ratio])
+        for j in range(rounds):
+            products = kernel(pair[: 2 if j + 1 < rounds else 1], pair[1])
+            add(pair[0], products[0], out=pair[0])
+            pair[1] = products[-1]
+        return pair[0]
+
+    s, a, residual, linear = _affine_tilt(step, w - 1)
+    linear &= np.isfinite(step[:, 1:]).all(axis=1)
+
+    def tilted(rows: np.ndarray | slice) -> np.ndarray:
+        a_rows = a[rows, np.newaxis]
+        lead, L, n = np.minimum(a_rows, 0.0), np.logaddexp(0.0, a_rows), np.arange(w)
+        # exponents <= 0 from n = 1 on, as L >= max(a, 0); -inf at n = 0
+        first = np.exp(residual[rows] + (np.maximum(a_rows, 0.0) - L * n))
+        out = product(first, first * np.exp(lead), _poly_round, np.add)
+        with np.errstate(divide="ignore"):
+            np.log(out, out=out)
+        out += lead + (s[rows, np.newaxis] + L) * n
+        return out
+
+    def logs(rows: np.ndarray | slice) -> np.ndarray:
+        return product(step[rows], step[rows], _log_round, np.logaddexp)
+
+    if linear.all():
+        return tilted(slice(None))
+    if not linear.any():
+        return logs(slice(None))
+    out = np.empty(step.shape)
+    out[linear] = tilted(linear)
+    out[~linear] = logs(~linear)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # unitary family
 
@@ -749,21 +849,25 @@ def _parity_log_partials(g: np.ndarray, log_abs_m: np.ndarray, two_k: np.ndarray
 def _unitary_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -> list[BoundInterval]:
     """Series intervals of a unitary-family walk at every k in ``ks``.
 
-    When nu is a point mass of weight w, |m_eps(nu)| = w for every eps, so
-    both stop options of a word weigh w^{2k} whatever its winding state, and
-    the partial is log 2 + 2k log w + sum_{p <= P} [z^{<= M}] G(z)^p: one
-    convolution-power pass for the whole grid.  Any other nu sums the words
-    by parity class (``_parity_log_partials``), also in one pass for the
-    whole grid, from the powers of the odd and even blocks of G and the
-    moments m_e(nu), |e| <= P.
-
-    The tail certificate majorizes every excluded word by 2 S^p x^{total - p}
-    with
+    Every excluded word is majorized by 2 S^p x^{total - p} with
 
         x = q(N)^{2k-2} / q(N-tau)^{2k},
         S = N^{-(2k-2)} q(N-tau)^{-2k} (1 - q(N-tau)^2)^{-2k},
 
     which follow from the envelope bounds on u_n and |m_eps| <= 1.
+
+    When nu is a point mass of weight w, |m_eps(nu)| = w for every eps, so
+    both stop options of a word weigh w^{2k} whatever its winding state,
+    and the partial over the words of index total <= max_total, of every
+    block count, is log 2 + 2k log w + log [z^{<= M}] G / (1 - G): one
+    ``_log_resolvent`` pass for the whole grid, max_p unread.  The
+    excluded words, of total n > M, sum to at most 2 S (x + S)^M /
+    (1 - x - S) (``_resolvent_tail``), certified when x + S < 1.
+
+    Any other nu sums the words of at most max_p blocks by parity class
+    (``_parity_log_partials``), also in one pass for the whole grid, from
+    the powers of the odd and even blocks of G and the moments m_e(nu),
+    |e| <= max_p, and its tail is the composition tail.
     """
     if q.theta is not None:
         t, nu = eval_state_params(q.N, q.theta)
@@ -776,20 +880,6 @@ def _unitary_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
 
     # |u_n(t)| ratios; t <= 2 is allowed for the partial (values may vanish)
     g = _log_coeff_table(two_k, u_seq(t, M), u_seq(float(N), M))
-    weight = nu.point_mass_weight()
-    if weight is not None:
-
-        def power_sums(g: np.ndarray) -> np.ndarray:
-            return _row_logsumexp(np.hstack(_log_conv_powers(g, P + 1)[1:]))
-
-        log_partials = math.log(2.0) + two_k * math.log(weight) + _in_blocks(power_sums, (P + 1) * (M + 1), g)
-    else:
-        log_abs_m = np.full(2 * P + 1, -math.inf)
-        for eps in range(-P, P + 1):
-            m = abs(moment(nu, eps))
-            if m > 0.0:
-                log_abs_m[eps + P] = math.log(m)
-        log_partials = _parity_log_partials(g, log_abs_m, two_k, M, P)
 
     hyps = (
         ("N - tau > 2", t > 2.0 + _Q_DOMAIN_EPS),
@@ -798,19 +888,48 @@ def _unitary_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
     text = (
         "per-word majorant 2 S^p x^(total-p) from the envelope bounds "
         "t q^{-(n-1)} <= u_n <= q^{-n}/(1-q^2) and |m_eps| <= 1; "
-        "within-degree blocks bounded by first term times geometric ratio, "
-        "p > max_p blocks by the closed geometric sum"
     )
 
-    def tail(two_k: float) -> _SeriesTail:
+    def majorant(two_k: np.ndarray | float) -> tuple[np.ndarray | float, np.ndarray | float]:
+        # (log S, log x) at each 2k, or at one
         log_qN = math.log(q_of(float(N)))
         qt = q_of(t)
         log_qt = math.log(qt)
         log_x = (two_k - 2.0) * log_qN - two_k * log_qt
         log_S = -(two_k - 2.0) * math.log(float(N)) - two_k * log_qt - two_k * math.log1p(-qt * qt)
-        return _composition_tail(log_S, log_x, M, P, math.log(2.0), 1)
+        return log_S, log_x
 
-    return _intervals(ks, log_partials, count_unitary(M, P), hyps, text, tail)
+    weight = nu.point_mass_weight()
+    if weight is not None:
+
+        def resolvent_sums(g: np.ndarray) -> np.ndarray:
+            return _row_logsumexp(_log_resolvent(g))
+
+        block_sums = _in_blocks(resolvent_sums, _RESOLVENT_FLOATS * (M + 1), g)
+        log_partials = math.log(2.0) + two_k * math.log(weight) + block_sums
+
+        def tail(two_k: np.ndarray) -> list[_SeriesTail]:
+            log_tail, ok = _resolvent_tail(*majorant(two_k), M)
+            return _closed_tails(math.log(2.0) + log_tail, ok, "x + S < 1")
+
+        text += "words of every block count summed; total > max_total by 2 S (x+S)^max_total / (1-x-S)"
+        return _intervals(ks, log_partials, count_unitary(M, M), hyps, text, tail)
+
+    log_abs_m = np.full(2 * P + 1, -math.inf)
+    for eps in range(-P, P + 1):
+        m = abs(moment(nu, eps))
+        if m > 0.0:
+            log_abs_m[eps + P] = math.log(m)
+    log_partials = _parity_log_partials(g, log_abs_m, two_k, M, P)
+
+    def composition_tails(two_k: np.ndarray) -> list[_SeriesTail]:
+        return [_composition_tail(*majorant(tk), M, P) for tk in two_k.tolist()]
+
+    text += (
+        "within-degree blocks bounded by first term times geometric ratio, "
+        "p > max_p blocks by the closed geometric sum"
+    )
+    return _intervals(ks, log_partials, count_unitary(M, P), hyps, text, composition_tails)
 
 
 # ---------------------------------------------------------------------------
@@ -915,15 +1034,16 @@ def _mixture_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
         "bounds at N - lambda, and the moment bound E[(N-lambda)^alpha] <= a_N^alpha"
     )
 
-    def tail(two_k: float) -> _SeriesTail:
+    def composition_tail(two_k: float) -> _SeriesTail:
         a_N = N - 2.0 + 2.0 / N
         log_ab = math.log(a_N) + 4.0 / ((N - 2.0) * (N - 2.0))
         q2 = q_of(N - 2.0)
         log_S = two_k * log_ab - (two_k - 2.0) * math.log(float(N)) - two_k * math.log1p(-q2 * q2)
         log_x = two_k * log_ab + (two_k - 2.0) * math.log(q_of(float(N)))
-        return _composition_tail(log_S, log_x, M, P, math.log(2.0), 1)
+        return _composition_tail(log_S, log_x, M, P)
 
-    return _intervals(ks, log_partials, terms, hyps, text, tail)
+    return _intervals(ks, log_partials, terms, hyps, text,
+                      lambda two_k: [composition_tail(tk) for tk in two_k.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -936,49 +1056,58 @@ def _wreath_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -
     Words have p group labels and p+1 character indices (even for p = 0, odd
     ends with even interiors for p >= 1).  The gamma sums factor as
     sum |psi(g_1 ... g_p)| = m^{p-1} K(psi), and each label costs one factor
-    m and one unit of index budget, so the p-block of the partial is
-    K(psi) [z^{<= (M - 2) // 2}] E(z)^2 X(z)^{p-1}, X = m z I, for p <= M // 2,
-    with E and I the odd-end and even-interior factor sequences: one
-    convolution-power pass at one width for the whole grid.
+    m and one unit of index budget, so the words of index total <= M with
+    p >= 1, of every label count, sum to K(psi) [z^{<= (M - 2) // 2}]
+    E(z)^2 / (1 - X(z)), X = m z I, with E and I the odd-end and
+    even-interior factor sequences: E^2 from one convolution power and
+    1 / (1 - X) from one ``_log_resolvent`` pass, for the whole grid;
+    max_p is unread.
 
     The tail certificate majorizes every excluded word by Z^{p+1}
-    y^{sum n - 1} (p >= 1; Z y^{n_0} for p = 0) with
+    y^{sum n / 2 - p - 1} (p >= 1; Z y^{n_0 / 2 - 1} for p = 0) with
 
         B = q(sqrt N)^{2k-2} / q(t')^{2k},   y = B^2,
         Z = q(sqrt N)^{2k-2} (sqrt N)^{-(2k-2)} q(t')^{-4k} (1 - q(t')^2)^{-2k},
 
-    t' = sqrt(N - tau), and the group labels contribute m^{p-1} K(psi).
-    Read the p + 1 outer indices, each raised by one, as the parts of a
-    composition of degree D = sum n + p + 1.  A p >= 1 word then weighs
+    t' = sqrt(N - tau), since each factor is at most Z B^{n-2}, and the
+    group labels contribute m^{p-1} K(psi).  Read the halved outer indices,
+    (n + 1) / 2 at the ends and n / 2 inside, as the p + 1 parts of a
+    composition of degree D = sum n / 2 + 1.  A p >= 1 word then weighs
     (K / (m^2 y)) S^{p+1} x^{D - (p+1)} with x = y and S = m Z, and it lies
-    outside the truncation exactly when D > max_total // 2 + 1: its
-    complement is the composition tail over parts 2..max_p + 1.  The
-    excluded p = 0 words add Z y^{max_total // 2} / (1 - y).
+    outside the truncation exactly when D > M // 2 + 1 =: D0.  The
+    compositions of degree D of two or more parts sum to
+    S ((x + S)^{D-1} - x^{D-1}), so the excluded words sum to at most
+    (K / (m^2 y)) S ((x + S)^D0 / (1 - x - S) - x^D0 / (1 - x))
+    (``_resolvent_tail`` less the one-part compositions), certified when
+    y + m Z < 1.  The excluded p = 0 words add Z y^{M // 2} / (1 - y).
     """
     assert q.tau is not None and q.group is not None and q.psi is not None
     N, tau = q.N, q.tau
-    M, P = tc.max_total, tc.max_p
+    M = tc.max_total
+    log_m, log_K = math.log(q.group.order), math.log(q.psi.abs_sum())
     two_k = 2.0 * np.asarray(ks, dtype=float)
     f = _log_coeff_table(two_k, u_seq(math.sqrt(float(N) - tau), M), u_seq(math.sqrt(float(N)), M))
 
     # p = 0: single characters with even indices
     cols = [f[:, 2 : M + 1 : 2]]
-    powers, top = min(P, M // 2), (M - 2) // 2
-    if powers:
+    top = (M - 2) // 2
+    if top >= 0:
 
         def block_sums(f: np.ndarray) -> np.ndarray:
             ends = f[:, 1 : 2 * top + 2 : 2]
             # X[0] = -inf, X[n] = log m + I[n - 1] = log m + f[2n]
             x = np.full(ends.shape, -math.inf)
-            x[:, 1:] = math.log(q.group.order) + f[:, 2 : 2 * top + 1 : 2]
+            x[:, 1:] = log_m + f[:, 2 : 2 * top + 1 : 2]
             # e2_rev[:, d] = log [z^{<= top - d}] E^2
             e2_rev = np.logaddexp.accumulate(_log_conv_powers(ends, 3)[2], axis=1)[:, ::-1]
-            x_sum = _row_logsumexp(_log_conv_powers(x, powers).transpose(1, 2, 0))
+            # log [z^d] 1 / (1 - X) = log [z^d] (1 + X / (1 - X))
+            resolvent = _log_resolvent(x)
+            resolvent[:, 0] = 0.0
             # K(psi) >= 1 always since psi(identity) = 1
-            return _row_logsumexp(x_sum + e2_rev)[:, np.newaxis] + math.log(q.psi.abs_sum())
+            return _row_logsumexp(resolvent + e2_rev)[:, np.newaxis] + log_K
 
-        # a grid row's powers: E^0 .. E^2, or X^0 .. X^(powers-1) if more
-        cols.append(_in_blocks(block_sums, max(powers, 3) * (top + 1), f))
+        # a grid row's series: E^0 .. E^2, or the resolvent's stacked rounds
+        cols.append(_in_blocks(block_sums, _RESOLVENT_FLOATS * (top + 1), f))
     log_partials = _row_logsumexp(np.hstack(cols))
 
     tau_ok = tau > 7.0 / 4.0
@@ -988,31 +1117,35 @@ def _wreath_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -
         ("N >= Q(tau)/(4 tau - 7)", tau_ok and N >= wreath_certificate_threshold(tau)),
     )
     text = (
-        "per-word majorant Z^{p+1} y^(n-total - 1) (Z y^{n_0} for p = 0) from "
-        "the envelope bounds at sqrt(N) and sqrt(N - tau); group labels "
-        "contribute m^{p-1} K(psi); p >= 1 words summed as compositions of "
-        "p + 1 parts with x = y and S = m Z: within-degree blocks bounded by "
-        "first term times geometric ratio, p > max_p blocks by the closed "
-        "geometric sum"
+        "per-word majorant Z^{p+1} y^(sum n/2 - p - 1) (Z y^{n_0/2 - 1} for p = 0) "
+        "from the envelope bounds at sqrt(N) and sqrt(N - tau); group labels "
+        "contribute m^{p-1} K(psi); words of every label count summed; p >= 1 "
+        "words as compositions of p + 1 parts with x = y and S = m Z, "
+        "past index total max_total by (K/(m^2 y)) S ((x+S)^D/(1-x-S) - x^D/(1-x)), D = max_total//2+1"
     )
 
-    def tail(two_k: float) -> _SeriesTail:
+    def tail(two_k: np.ndarray) -> list[_SeriesTail]:
         s = math.sqrt(float(N))
         qp = q_of(math.sqrt(float(N) - tau))
         log_qs = math.log(q_of(s))
         log_qp = math.log(qp)
         log_y = 2.0 * ((two_k - 2.0) * log_qs - two_k * log_qp)
         log_Z = (two_k - 2.0) * (log_qs - math.log(s)) - 2.0 * two_k * log_qp - two_k * math.log1p(-qp * qp)
-        log_m = math.log(q.group.order)
-        log_pref = math.log(q.psi.abs_sum()) - 2.0 * log_m - log_y
-        series = _composition_tail(log_m + log_Z, log_y, M // 2 + 1, P + 1, log_pref, 2)
-        if series.log_tail == math.inf:
-            # a hypothesis failed, and log1mexp(log_y) below needs log y < 0
-            return series
-        single = log_Z + (M // 2) * log_y - log1mexp(log_y)
-        return replace(series, log_tail=logsumexp([single, series.log_tail]))
+        log_S, D = log_m + log_Z, M // 2 + 1
+        log_parts, ok = _resolvent_tail(log_S, log_y, D)
+        # ok gives y < 1, which the one-part compositions and the p = 0
+        # words need
+        log_y = np.where(ok, log_y, -1.0)
+        log_1my = _log1mexp_rows(log_y)
+        # the compositions of one part, S x^(n-1) at each degree n, are no
+        # words; as S >= m x for k >= 1 they are at most half of the parts
+        log_one = log_S + D * log_y - log_1my
+        log_words = log_parts + _log1mexp_rows(np.where(ok, log_one - log_parts, -1.0))
+        single = log_Z + (M // 2) * log_y - log_1my
+        log_tail = np.logaddexp(log_K - 2.0 * log_m - log_y + log_words, single)
+        return _closed_tails(np.where(ok, log_tail, math.inf), ok, "y + m Z < 1")
 
-    return _intervals(ks, log_partials, count_wreath(q.group, M, P), hyps, text, tail)
+    return _intervals(ks, log_partials, count_wreath(q.group, M, M // 2), hyps, text, tail)
 
 
 # ---------------------------------------------------------------------------

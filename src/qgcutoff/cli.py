@@ -354,6 +354,20 @@ def _json_float(v: float) -> float | str:
     return v
 
 
+def _json_count(n: int) -> int | float | str:
+    """A word count as JSON that a reader parsing numbers as doubles reads
+    as printed: the integer up to 2^53, past it the nearest double, and
+    "infinity" past the double range (2 (2^M - 1) words of a point mass
+    from max_total 1023 on, about 10^4900 over Z/256 at max_total 4096,
+    beyond even Python's own int-to-str limit)."""
+    if n <= 2**53:
+        return n
+    try:
+        return float(n)
+    except OverflowError:
+        return "infinity"
+
+
 def cmd_profile(args: argparse.Namespace) -> int:
     q, ks = _build_query(args)
     tc = _truncation_for(args, q.family)
@@ -398,7 +412,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         "A_tail": _json_float(A.tail),
         "A_log_partial": _json_float(A.log_partial),
         "A_log_tail": _json_float(A.log_tail),
-        "terms_used": A.terms_used,
+        "terms_used": _json_count(A.terms_used),
         "certified": A.certified,
         "certificate": A.certificate,
         "hypotheses": {name: ok for name, ok in A.hypotheses},

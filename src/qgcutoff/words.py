@@ -72,8 +72,15 @@ def count_unitary(max_total: int, max_p: int) -> int:
     """Number of free-unitary words of at most max_p blocks and index total
     at most max_total, in closed form: the block vectors of p blocks
     (``_compositions(max_total, p)``) number C(max_total, p), and each takes
-    two leading signs eps0 = -1, +1."""
-    return 2 * sum(math.comb(max_total, p) for p in range(1, max_p + 1))
+    two leading signs eps0 = -1, +1; with every block count, 2 (2^max_total
+    - 1).  Below that each C(max_total, p) comes from the one before it."""
+    if max_p >= max_total:
+        return 2 * (2**max_total - 1)
+    binom, total = 1, 0
+    for p in range(1, max_p + 1):
+        binom = binom * (max_total - p + 1) // p
+        total += binom
+    return 2 * total
 
 
 def count_wreath(group: FiniteGroup, max_total: int, max_p: int) -> int:
@@ -83,10 +90,17 @@ def count_wreath(group: FiniteGroup, max_total: int, max_p: int) -> int:
     1 <= p <= min(max_p, max_total // 2) the m^p label tuples times the
     C(top + 2, p + 1) outer vectors of p + 1 entries >= 0 summing to at
     most top + 1 - p, top = (max_total - 2) // 2: each label takes one unit
-    of the index budget."""
-    top = (max_total - 2) // 2
-    labels = range(1, min(max_p, max_total // 2) + 1)
-    return max_total // 2 + sum(group.order**p * math.comb(top + 2, p + 1) for p in labels)
+    of the index budget.  With every label count, h = max_total // 2 =
+    top + 1, the binomial theorem sums the labelled words to
+    ((m + 1)^(h+1) - 1 - m (h + 1)) / m."""
+    h, m = max_total // 2, group.order
+    if max_p >= h:
+        return h + ((m + 1) ** (h + 1) - 1 - m * (h + 1)) // m
+    binom, total = h + 1, h
+    for p in range(1, max_p + 1):
+        binom = binom * (h + 1 - p) // (p + 1)  # C(top + 2, p + 1)
+        total += m**p * binom
+    return total
 
 
 def eval_state_params(N: int, theta: float) -> tuple[float, CircleMeasure]:

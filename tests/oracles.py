@@ -304,41 +304,57 @@ def _log_q(t: float) -> float:
     return math.log(2.0 / (t + math.sqrt(t * t - 4.0)))
 
 
-def unitary_tail_majorant(N: int, tau: float, k: float, max_total: int, max_p: int, cut: int = 120) -> float:
-    """log of the per-word majorant 2 S^p x^(total - p) summed over the words
-    outside the truncation (total > max_total or p > max_p), counting the
-    block vectors of each total and p as C(total - 1, p - 1); p and total
-    stop at ``cut``, where the terms are negligible."""
+def unitary_majorant_logs(N: int, tau: float, k: float) -> tuple[float, float]:
+    """(log S, log x) of the unitary per-word majorant 2 S^p x^(total - p)."""
     lq_N, lq_t = _log_q(float(N)), _log_q(N - tau)
     q_t = math.exp(lq_t)
     log_x = (2 * k - 2) * lq_N - 2 * k * lq_t
     log_S = -(2 * k - 2) * math.log(N) - 2 * k * lq_t - 2 * k * math.log1p(-q_t * q_t)
-    terms = []
-    for p in range(1, cut):
-        for total in range(p, p + cut):
-            if total > max_total or p > max_p:
-                terms.append(math.log(2.0 * math.comb(total - 1, p - 1)) + p * log_S + (total - p) * log_x)
-    return logsumexp(terms)
+    return log_S, log_x
 
 
-def wreath_tail_majorant(
-    N: int, tau: float, group: FiniteGroup, psi: GroupState, k: float, max_total: int, max_p: int, cut: int = 120
-) -> float:
-    """log of the per-word majorant m^{p-1} K(psi) Z^{p+1} y^{sum n - 1}
-    (Z y^{n_0} for p = 0) summed over the wreath words outside the
-    truncation (character-index total 2 sum n + 2p + [p = 0] 2 > max_total,
-    or p > max_p), counting the outer vectors of each sum n as
-    C(sum n + p, p); p and sum n stop at ``cut``."""
+def wreath_majorant_logs(N: int, tau: float, k: float) -> tuple[float, float]:
+    """(log y, log Z) of the wreath per-word majorant Z^{p+1} y^(...)."""
     s = math.sqrt(float(N))
     lq_s, lq_t = _log_q(s), _log_q(math.sqrt(N - tau))
     q_t = math.exp(lq_t)
     log_y = 2.0 * ((2 * k - 2) * lq_s - 2 * k * lq_t)
     log_Z = (2 * k - 2) * (lq_s - math.log(s)) - 4 * k * lq_t - 2 * k * math.log1p(-q_t * q_t)
+    return log_y, log_Z
+
+
+def unitary_tail_majorant(N: int, tau: float, k: float, max_total: int, max_p: int | None,
+                          cut: int = 120) -> float:
+    """log of the per-word majorant 2 S^p x^(total - p) summed over the words
+    outside the truncation (total > max_total or p > max_p; max_p None
+    limits no block count), counting the block vectors of each total and p
+    as C(total - 1, p - 1); p and total stop at ``cut``, where the terms
+    are negligible."""
+    log_S, log_x = unitary_majorant_logs(N, tau, k)
+    terms = []
+    for p in range(1, cut):
+        for total in range(p, p + cut):
+            if total > max_total or (max_p is not None and p > max_p):
+                terms.append(math.log(2.0 * math.comb(total - 1, p - 1)) + p * log_S + (total - p) * log_x)
+    return logsumexp(terms)
+
+
+def wreath_tail_majorant(
+    N: int, tau: float, group: FiniteGroup, psi: GroupState, k: float, max_total: int, max_p: int | None,
+    cut: int = 120
+) -> float:
+    """log of the per-word majorant m^{p-1} K(psi) Z^{p+1} y^{sum n - 1}
+    (Z y^{n_0} for p = 0), with n the outer vector (n_i >= 0), summed over
+    the wreath words outside the truncation (character-index total
+    2 sum n + 2p + [p = 0] 2 > max_total, or p > max_p; max_p None limits
+    no label count), counting the outer vectors of each sum n as
+    C(sum n + p, p); p and sum n stop at ``cut``."""
+    log_y, log_Z = wreath_majorant_logs(N, tau, k)
     log_m, log_K = math.log(group.order), math.log(psi.abs_sum())
     terms = [log_Z + n0 * log_y for n0 in range(cut) if 2 * n0 + 2 > max_total]
     for p in range(1, cut):
         for j in range(cut):
-            if 2 * j + 2 * p > max_total or p > max_p:
+            if 2 * j + 2 * p > max_total or (max_p is not None and p > max_p):
                 terms.append((p - 1) * log_m + log_K + math.log(math.comb(j + p, p))
                              + (p + 1) * log_Z + (j - 1) * log_y)
     return logsumexp(terms)

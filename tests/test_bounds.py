@@ -2,9 +2,11 @@
 oracles, tail soundness, truncation containment, and the TV conversions.
 """
 
+import functools
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,12 +44,15 @@ from qgcutoff.words import count_unitary, eval_state_params
 from oracles import (
     UIrrepWord,
     enumerate_unitary,
+    enumerate_wreath,
     mixture_log_partial,
     mixture_word_loop_log_partial,
     unitary_log_partial,
+    unitary_majorant_logs,
     unitary_tail_majorant,
     winding_log_partial,
     wreath_log_partial,
+    wreath_majorant_logs,
     wreath_tail_majorant,
 )
 
@@ -94,11 +99,12 @@ def test_nominal_cutoff():
 
 
 def test_unitary_partial_matches_oracle_delta():
+    # a point mass sums the words of every block count: max_p is not read
     N, tau, k = 12, 2.0, 4.0
     tc = TruncationConfig(max_p=5, max_total=10)
     q = WalkQuery.unitary(N, tau)
     got = A_k_grid(q, [k], tc)[0].log_partial
-    want = unitary_log_partial(N, N - tau, CircleMeasure.delta(0.0), k, 10, 5)
+    want = unitary_log_partial(N, N - tau, CircleMeasure.delta(0.0), k, 10, 10)
     assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -119,7 +125,7 @@ def test_unitary_partial_matches_oracle_k_zero():
     tc = TruncationConfig(max_p=3, max_total=6)
     q = WalkQuery.unitary(N, 2.0)
     got = A_k_grid(q, [0.0], tc)[0].log_partial
-    want = unitary_log_partial(N, 10.0, CircleMeasure.delta(0.0), 0.0, 6, 3)
+    want = unitary_log_partial(N, 10.0, CircleMeasure.delta(0.0), 0.0, 6, 6)
     assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -138,7 +144,7 @@ def test_point_mass_partial_matches_oracle(query, t, nu):
     walk, k = query
     tc = TruncationConfig(max_p=4, max_total=9)
     got = A_k_grid(walk, [k], tc)[0].log_partial
-    want = unitary_log_partial(walk.N, t, nu, k, 9, 4)
+    want = unitary_log_partial(walk.N, t, nu, k, 9, 9)
     assert math.isfinite(got)
     assert got == pytest.approx(want, abs=1e-9)
 
@@ -150,7 +156,7 @@ def test_wreath_partial_matches_oracle_trivial_state():
     tc = TruncationConfig(max_p=4, max_total=10)
     q = WalkQuery.wreath(N, tau, g, psi)
     got = A_k_grid(q, [k], tc)[0].log_partial
-    want = wreath_log_partial(N, tau, g, psi, k, 10, 4)
+    want = wreath_log_partial(N, tau, g, psi, k, 10, 5)
     assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -161,7 +167,7 @@ def test_wreath_partial_matches_oracle_nontrivial_state():
     tc = TruncationConfig(max_p=4, max_total=10)
     q = WalkQuery.wreath(N, tau, g, psi)
     got = A_k_grid(q, [k], tc)[0].log_partial
-    want = wreath_log_partial(N, tau, g, psi, k, 10, 4)
+    want = wreath_log_partial(N, tau, g, psi, k, 10, 5)
     assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -172,23 +178,26 @@ def test_wreath_partial_matches_oracle_z3():
     tc = TruncationConfig(max_p=3, max_total=8)
     q = WalkQuery.wreath(N, tau, g, psi)
     got = A_k_grid(q, [k], tc)[0].log_partial
-    want = wreath_log_partial(N, tau, g, psi, k, 8, 3)
+    want = wreath_log_partial(N, tau, g, psi, k, 8, 4)
     assert got == pytest.approx(want, abs=1e-9)
 
 
-# the doubling rounds of the power helper change after 4 and after 8 powers
+# the doubling rounds of the power helper change after 4 and after 8
+# powers, and the resolvent's rounds after 8 factors (M = 8, 10, 11); a
+# point mass sums every block count
 @pytest.mark.parametrize("P", [6, 8, 9])
 @pytest.mark.parametrize("nu", [CircleMeasure.delta(0.0), CircleMeasure.haar()], ids=["delta", "haar"])
 def test_unitary_partial_matches_oracle_across_doubling_rounds(nu, P):
     N, k, M = 12, 4.0, P + 2
     q = WalkQuery("unitary-free", N, tau=2.0, nu=nu)
     got = A_k_grid(q, [k], TruncationConfig(max_p=P, max_total=M))[0].log_partial
-    assert got == pytest.approx(unitary_log_partial(N, N - 2.0, nu, k, M, P), abs=1e-9)
+    blocks = M if nu.point_mass_weight() is not None else P
+    assert got == pytest.approx(unitary_log_partial(N, N - 2.0, nu, k, M, blocks), abs=1e-9)
 
 
-# max_total = 2P keeps all P blocks: the p-block budget is (max_total - 2p) // 2;
-# the other truncations stop the labels at max_total // 2 < P (down to one
-# label at max_total 2 and 3), leave an odd max_total, or keep one label
+# the wreath sums every label count, max_total // 2 at most, whatever max_p:
+# X reaches degree 0 to 8 (0 to 3 resolvent rounds), down to one label at
+# max_total 2 and 3, and max_total may be odd
 @pytest.mark.parametrize(
     "P, M, dihedral",
     [
@@ -217,7 +226,7 @@ def test_wreath_partial_matches_oracle_z3_across_doubling_rounds(P, M, dihedral)
         psi = trivial_state(g)
     q = WalkQuery.wreath(N, tau, g, psi)
     got = A_k_grid(q, [k], TruncationConfig(max_p=P, max_total=M))[0].log_partial
-    assert got == pytest.approx(wreath_log_partial(N, tau, g, psi, k, M, P), abs=1e-9)
+    assert got == pytest.approx(wreath_log_partial(N, tau, g, psi, k, M, M // 2), abs=1e-9)
 
 
 def test_wreath_partial_empty_truncation():
@@ -434,14 +443,15 @@ def test_porod_bound_at_large_N_matches_50_digit_moments(capsys, N, tv_upper_hi)
 
 
 def test_point_mass_shortcut_equals_parity_partial():
-    # delta:1.7 takes the convolution-power shortcut; every |m_e| = 1
+    # delta:1.7 takes the resolvent shortcut, which sums every block count,
+    # so it equals the parity-class sum at max_p = max_total; every |m_e| = 1
     q = WalkQuery.unitary(40, 2.0, CircleMeasure.delta(1.7))
     ks = [0.0, 0.5, 1.0, 30.0, 200.0, 1e300]
     for M, P in [(1, 1), (6, 3), (48, 12)]:
         tc = TruncationConfig(max_p=P, max_total=M)
         two_k = 2.0 * np.array(ks)
         g = bounds._log_coeff_table(two_k, u_seq(38.0, M), u_seq(40.0, M))
-        general = bounds._parity_log_partials(g, np.zeros(2 * P + 1), two_k, M, P)
+        general = bounds._parity_log_partials(g, np.zeros(2 * M + 1), two_k, M, M)
         shortcut = [A.log_partial for A in bounds.A_k_grid(q, ks, tc)]
         assert shortcut == pytest.approx(general.tolist(), rel=1e-12, abs=1e-12)
 
@@ -578,14 +588,20 @@ def _assert_powers_match(got, want):
 @pytest.mark.parametrize(
     "argv, calls",
     [
-        (["--family", "unitary", "--N", "200", "--tau", "2"], 4),
+        # a point mass: ceil(log2 16) = 4 resolvent rounds reach 16 factors
+        (["--family", "unitary", "--N", "200", "--tau", "2", "--max-total", "16"], 4),
+        # the parity path at the default (12, 48): 4 doubling rounds build the 12 powers
         (["--family", "unitary", "--N", "200", "--tau", "2", "--nu", "haar"], 4),
-        # one round builds E^2, then 4 rounds the powers X^2 .. X^11 of X = m z I
-        (["--family", "wreath", "--N", "200", "--tau", "2", "--group", "cyclic:3"], 5),
+        # one round builds E^2, then 4 resolvent rounds reach the 15 factors
+        # X of degree <= (32 - 2) // 2 = 15, X = m z I
+        (["--family", "wreath", "--N", "200", "--tau", "2", "--group", "cyclic:3", "--max-total", "32"], 5),
+        # at the default max_total 48: 6 rounds for 48 factors, and 1 + 5
+        # for the wreath's 23
+        (["--family", "unitary", "--N", "200", "--tau", "2"], 6),
+        (["--family", "wreath", "--N", "200", "--tau", "2", "--group", "cyclic:3"], 6),
     ],
 )
 def test_bound_makes_about_log2_P_convolution_calls(monkeypatch, capsys, argv, calls):
-    # the default truncation (12, 48): 4 doubling rounds build the 12 powers;
     # a round calls the kernel of its rows, and one k gives one row
     count = 0
 
@@ -664,22 +680,25 @@ _GROUP = cyclic_group(3)
     ids=["delta", "haar", "atoms", "porod", "wreath"],
 )
 def test_engine_passes_go_in_blocks_of_grid_rows(monkeypatch, query):
-    # the power helper gets one block of grid rows at a time, so an engine
-    # pass holds a few blocks whatever the grid size; the partials do not
-    # depend on the blocks
+    # the power and resolvent helpers get one block of grid rows at a time,
+    # so an engine pass holds a few blocks whatever the grid size; the
+    # partials do not depend on the blocks
     tc = TruncationConfig(max_p=5, max_total=70)
     ks = [0.0, 1.0, 2.5, 7.0, 20.0, 45.0, 80.0, 150.0, 400.0]
     want = [A.log_partial for A in A_k_grid(query, ks, tc)]
     monkeypatch.setattr(bounds, "_BLOCK_TERMS", 1000)
     sizes = []
-    log_conv_powers = bounds._log_conv_powers
 
-    def recorded(step, P):
-        out = log_conv_powers(step, P)
-        sizes.append(out.size)
-        return out
+    def recorded(helper):
+        def call(*args):
+            out = helper(*args)
+            sizes.append(out.size)
+            return out
 
-    monkeypatch.setattr(bounds, "_log_conv_powers", recorded)
+        return call
+
+    for name in ("_log_conv_powers", "_log_resolvent"):
+        monkeypatch.setattr(bounds, name, recorded(getattr(bounds, name)))
     got = [A.log_partial for A in A_k_grid(query, ks, tc)]
     assert got == want
     assert len(sizes) > 1
@@ -787,6 +806,85 @@ def test_power_block_mixing_linear_and_log_rows_equals_each_row_alone(monkeypatc
     _assert_powers_match(got, _sequential_log_conv_powers(step, 13))
 
 
+def _sequential_resolvent(step):
+    """log [z^d] G / (1 - G) as the sum of the sequential powers G^1 ..
+    G^(W-1), every block count that reaches degree W - 1."""
+    return bounds._row_logsumexp(np.moveaxis(_sequential_log_conv_powers(step, step.shape[1])[1:], 0, -1))
+
+
+def _log_kernel_rows(width):
+    # N = 5, tau = 2.99: t = 2.01 is near 2, so no row is nearly affine
+    ks = np.arange(10.0, 1011.0, 100.0)
+    return bounds._log_coeff_table(2.0 * ks, u_seq(5.0 - 2.99, width - 1), u_seq(5.0, width - 1))
+
+
+def _assert_logs_match(got, want, rel):
+    assert got.shape == want.shape
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    finite = np.isfinite(want)
+    assert np.all(np.isfinite(got) == finite)
+    assert np.all(np.abs(got[finite] - want[finite]) <= rel * np.maximum(1.0, np.abs(want[finite])))
+
+
+@pytest.mark.parametrize("kind", ["unitary", "eval", "wreath-interior", "log-kernel"])
+def test_resolvent_matches_the_sequential_power_sum(kind):
+    # at max_p = max_total the power sum reaches every block count, so it
+    # is the resolvent; the engine rows take the polynomial kernel with
+    # W - 1 factors, the N = 5, tau = 2.99 rows the log kernel
+    width = 49
+    step = _log_kernel_rows(width) if kind == "log-kernel" else _engine_steps(kind, [-5.0, 0.0, 5.0], width)
+    linear = bounds._affine_tilt(step, width - 1)[3]
+    assert not linear.any() if kind == "log-kernel" else linear.all()
+    _assert_logs_match(bounds._log_resolvent(step), _sequential_resolvent(step), 1e-12)
+
+
+def test_resolvent_takes_the_log_kernel_for_a_vanishing_coefficient(monkeypatch):
+    # t = 0 (N = tau = 3, k = 1/2): u_n(0) = 0 for odd n, so G(z) = F(z^2)
+    # and [z^2D] G / (1 - G) = [w^D] F / (1 - F), F a series with no gap.
+    # The tilt assumes every degree is present: with the row's residuals
+    # nearly affine, it would take the top degrees of G below the floats
+    # (a log partial of 2571.6 for 2698.5 at this width)
+    M = 2000
+    step = bounds._log_coeff_table(np.array([1.0]), u_seq(0.0, M), u_seq(3.0, M))
+    assert np.isneginf(step[:, 1::2]).all() and bounds._affine_tilt(step, M)[3].all()
+    rows = []
+    log_round = bounds._log_round
+
+    def recorded(a, b):
+        rows.append(b.shape)
+        return log_round(a, b)
+
+    monkeypatch.setattr(bounds, "_log_round", recorded)
+    got = bounds._log_resolvent(step)
+    assert rows and set(rows) == {(1, M + 1)}
+    assert np.isneginf(got[:, 1::2]).all()
+    _assert_logs_match(got[:, ::2], bounds._log_resolvent(step[:, ::2]), 1e-12)
+    assert bounds._row_logsumexp(got)[0] == pytest.approx(2698.491, abs=1e-3)
+
+
+def test_resolvent_rows_do_not_depend_on_the_rows_stacked_with_them(monkeypatch):
+    width = 70
+    affine = _engine_steps("unitary", [-5.0, 0.0, 5.0], width)
+    wide = _log_kernel_rows(width)[[0, 5]]
+    step = np.vstack([affine[0], wide[0], affine[1], wide[1], affine[2]])
+    rows = {"_poly_round": set(), "_log_round": set()}
+
+    def recorded(name, kernel):
+        def round_(a, b):
+            rows[name].add(a.shape[1])
+            return kernel(a, b)
+
+        return round_
+
+    for name in rows:
+        monkeypatch.setattr(bounds, name, recorded(name, getattr(bounds, name)))
+    got = bounds._log_resolvent(step)
+    assert rows == {"_poly_round": {3}, "_log_round": {2}}
+    for i in range(len(step)):
+        assert np.array_equal(got[i], bounds._log_resolvent(step[i : i + 1])[0])
+    _assert_logs_match(got, _sequential_resolvent(step), 1e-12)
+
+
 # ---------------------------------------------------------------------------
 # tail certificates
 
@@ -842,11 +940,15 @@ def test_certificate_contains_refined_partial_mixture():
 )
 def test_unitary_tail_bounds_the_excluded_words(N, tau, k, max_total, max_p):
     # the certificate is at least the majorant summed word class by word
-    # class over the complement, and close to it
-    A = A_k_grid(WalkQuery.unitary(N, tau), [k], TruncationConfig(max_p=max_p, max_total=max_total))[0]
-    want = unitary_tail_majorant(N, tau, k, max_total, max_p)
-    assert A.certified
-    assert want - 1e-12 <= A.log_tail <= want + 1e-3
+    # class over the complement, and close to it: for Haar nu, which stops
+    # at max_p blocks (the composition tail), and for a point mass, which
+    # sums every block count (the closed form, equal to the sum)
+    tc = TruncationConfig(max_p=max_p, max_total=max_total)
+    for nu, blocks, slack in ((CircleMeasure.haar(), max_p, 1e-3), (CircleMeasure.delta(0.0), None, 1e-12)):
+        A = A_k_grid(WalkQuery.unitary(N, tau, nu), [k], tc)[0]
+        want = unitary_tail_majorant(N, tau, k, max_total, blocks)
+        assert A.certified
+        assert want - 1e-12 <= A.log_tail <= want + slack
 
 
 @pytest.mark.parametrize(
@@ -859,14 +961,93 @@ def test_unitary_tail_bounds_the_excluded_words(N, tau, k, max_total, max_p):
     ],
 )
 def test_wreath_tail_bounds_the_excluded_words(N, tau, k, max_total, max_p, values):
-    # the composition tail over parts 2..max_p + 1 plus the single-character
-    # piece covers every excluded wreath word's majorant
+    # the closed form over compositions of every part count plus the
+    # single-character piece covers every excluded wreath word's majorant;
+    # the wreath sums every label count, so max_p excludes nothing
     g = cyclic_group(3)
     psi = GroupState.from_values(g, values)
     A = A_k_grid(WalkQuery.wreath(N, tau, g, psi), [k], TruncationConfig(max_p=max_p, max_total=max_total))[0]
-    want = wreath_tail_majorant(N, tau, g, psi, k, max_total, max_p)
+    want = wreath_tail_majorant(N, tau, g, psi, k, max_total, None)
     assert A.certified
     assert want - 1e-12 <= A.log_tail <= want + 1e-3
+
+
+@pytest.mark.parametrize("N, tau, k, max_total", [(20, 2.0, 60.0, 4), (30, 2.0, 30 * math.log(30) / 2.0 + 30 / 4, 3)])
+def test_point_mass_closed_tail_majorizes_the_excluded_words_exactly(N, tau, k, max_total):
+    # the per-word majorant 2 S^p x^(total - p) summed in exact rationals
+    # over every word of total max_total + 1 .. max_total + 8: each total n
+    # sums to 2 S (x + S)^(n - 1), so the certificate, the geometric sum of
+    # these past max_total, is at least the words' sum and equals the
+    # rational closed form
+    M = max_total
+    log_S, log_x = unitary_majorant_logs(N, tau, k)
+    x, S = Fraction(math.exp(log_x)), Fraction(math.exp(log_S))
+    by_total = {}
+    for word in enumerate_unitary(M + 8, M + 8):
+        if word.total > M:
+            by_total[word.total] = by_total.get(word.total, 0) + S**word.p * x ** (word.total - word.p)
+    assert sorted(by_total) == list(range(M + 1, M + 9))
+    assert all(total == 2 * S * (x + S) ** (n - 1) for n, total in by_total.items())
+    A = A_k_grid(WalkQuery.unitary(N, tau), [k], TruncationConfig(max_p=1, max_total=M))[0]
+    assert A.certified and dict(A.hypotheses)["x + S < 1"]
+    closed = 2 * S * (x + S) ** M / (1 - x - S)
+    assert A.log_tail >= math.log(sum(by_total.values())) - 1e-12
+    assert A.log_tail == pytest.approx(math.log(closed), abs=1e-12)
+
+
+@pytest.mark.parametrize("N, tau, k, max_total", [(40, 2.0, 120.0, 4), (40, 2.0, 200.0, 5)])
+def test_wreath_closed_tail_majorizes_the_excluded_words_exactly(N, tau, k, max_total):
+    # the per-word majorant |psi(gamma product)| Z^{p+1} y^(sum n / 2 - p - 1)
+    # (Z y^(n_0 / 2 - 1) for p = 0), n the character indices, summed in exact
+    # rationals over every word of index total max_total + 1 .. 12: the
+    # certificate is at least that and equals the rational closed form
+    M = max_total
+    g = cyclic_group(3)
+    psi = GroupState.from_values(g, [1.0, 0.5, 0.5])
+    log_y, log_Z = wreath_majorant_logs(N, tau, k)
+    y, Z = Fraction(math.exp(log_y)), Fraction(math.exp(log_Z))
+    values = [Fraction(abs(v)) for v in psi.values]
+    words = Fraction(0)
+    for word in enumerate_wreath(g, 12, 6):
+        idx = word.char_indices()
+        if sum(idx) <= M:
+            continue
+        label = values[functools.reduce(lambda a, b: g.table[a][b], word.gammas, g.identity)]
+        words += label * Z ** (word.p + 1) * y ** (sum(idx) // 2 - word.p - 1)
+    A = A_k_grid(WalkQuery.wreath(N, tau, g, psi), [k], TruncationConfig(max_p=1, max_total=M))[0]
+    assert A.certified and dict(A.hypotheses)["y + m Z < 1"]
+    m, K, D = 3, sum(values), M // 2 + 1
+    S = m * Z
+    closed = (K / (m * m * y)) * S * ((y + S) ** D / (1 - y - S) - y**D / (1 - y)) + Z * y ** (M // 2) / (1 - y)
+    assert A.log_tail >= math.log(words) - 1e-12
+    assert A.log_tail == pytest.approx(math.log(closed), abs=1e-12)
+
+
+def test_point_mass_closed_tail_equals_the_composition_tail_at_max_p_max_total():
+    # N = 200, tau = 2, c = 1: with every block count in the partial, the
+    # composition tail's p > max_p block is empty and both read -165.62
+    q = WalkQuery.unitary(200, 2.0)
+    k = nominal_cutoff(q) + 200.0
+    A = A_k_grid(q, [k])[0]
+    log_S, log_x = unitary_majorant_logs(200, 2.0, k)
+    composition = bounds._composition_tail(log_S, log_x, 48, 48).log_tail
+    assert round(A.log_tail, 2) == round(composition, 2) == -165.62
+    # at the default max_p = 12, the composition tail is set by its p > 12 block
+    assert bounds._composition_tail(log_S, log_x, 48, 12).log_tail == pytest.approx(-52.02, abs=0.01)
+
+
+def test_point_mass_row_with_a_failed_ratio_test_is_now_certified():
+    # N = 30, tau = 2, c = 1/4 at (10, 10): rho_10 = x 11 / 2 = 1.5 >= 1
+    # fails the composition tail, while x + S = 0.55 < 1
+    q = WalkQuery.unitary(30, 2.0)
+    k = nominal_cutoff(q) + 30 / 4
+    log_S, log_x = unitary_majorant_logs(30, 2.0, k)
+    composition = bounds._composition_tail(log_S, log_x, 10, 10)
+    assert composition.log_tail == math.inf
+    assert dict(composition.hypotheses) == {"x < 1": True, "within-degree ratios < 1": False, "w = S/(1-x) < 1": True}
+    A = A_k_grid(q, [k], TruncationConfig(max_p=10, max_total=10))[0]
+    assert A.certified and math.exp(log_x) + math.exp(log_S) == pytest.approx(0.5545, abs=1e-4)
+    assert A.log_tail == pytest.approx(unitary_tail_majorant(30, 2.0, k, 10, None), abs=1e-12)
 
 
 def test_nested_truncation_containment_random():
@@ -1107,10 +1288,12 @@ def test_cutoff_profile_rows_match_single_point_engine(query, ks):
 @pytest.mark.parametrize(
     "argv, engine, passes",
     [
-        (["--family", "unitary", "--N", "40", "--tau", "2"], "_log_conv_powers", 1),
-        (["--family", "eval", "--N", "40", "--theta", "2"], "_log_conv_powers", 1),
-        # the wreath pass takes two powers from the helper: E^2 and X^0 .. X^(P-1)
-        (["--family", "wreath", "--N", "40", "--tau", "2", "--group", "cyclic:3"], "_log_conv_powers", 2),
+        # a point mass sums every block count in one resolvent pass
+        (["--family", "unitary", "--N", "40", "--tau", "2"], "_log_resolvent", 1),
+        (["--family", "eval", "--N", "40", "--theta", "2"], "_log_resolvent", 1),
+        # the wreath pass takes 1 / (1 - X) from one resolvent pass, and E^2
+        # from one power pass (below)
+        (["--family", "wreath", "--N", "40", "--tau", "2", "--group", "cyclic:3"], "_log_resolvent", 1),
         # a general nu runs the parity-class sum once for the whole grid
         (["--family", "unitary", "--N", "40", "--tau", "2", "--nu", "haar"], "_parity_log_partials", 1),
         # Porod averages are exact: no Gauss-Legendre quadrature at all
@@ -1118,6 +1301,9 @@ def test_cutoff_profile_rows_match_single_point_engine(query, ks):
         (["--family", "unitary", "--N", "40", "--tau", "2", "--nu", "porod"], "porod_nodes", 0),
         # the mixture builds its rule once per profile
         (["--family", "mixture", "--N", "20"], "porod_rule", 1),
+        (["--family", "wreath", "--N", "40", "--tau", "2", "--group", "cyclic:3"], "_log_conv_powers", 1),
+        # a point mass takes no power
+        (["--family", "unitary", "--N", "40", "--tau", "2"], "_log_conv_powers", 0),
     ],
 )
 def test_profile_runs_the_engine_once(monkeypatch, capsys, argv, engine, passes):
@@ -1154,12 +1340,18 @@ def test_profile_runs_the_engine_once(monkeypatch, capsys, argv, engine, passes)
 )
 def test_profile_rows_share_one_hypothesis_key_sequence(query, ks):
     # every row past the base hypotheses, certified or not, names the tail
-    # checks the same way and in the same order
+    # checks the same way and in the same order: the composition tail's
+    # three for the mixture, the closed form's one for a point mass and the
+    # wreath
     rows = cutoff_profile(query, ks).rows
     assert any(row.A.certified for row in rows) and not all(row.A.certified for row in rows)
     keys = {tuple(name for name, _ in row.A.hypotheses) for row in rows}
     assert len(keys) == 1
-    assert keys.pop()[-3:] == ("x < 1", "within-degree ratios < 1", "w = S/(1-x) < 1")
+    tail_keys = {
+        "mixture": ("x < 1", "within-degree ratios < 1", "w = S/(1-x) < 1"),
+        "wreath": ("y + m Z < 1",),
+    }.get(query.family, ("x + S < 1",))
+    assert keys.pop()[-len(tail_keys) :] == tail_keys
 
 
 def test_cutoff_profile_rejects_empty_grid():

@@ -270,6 +270,23 @@ def test_bound_json_record(capsys):
     assert doc["A_partial"] + doc["A_tail"] <= 2.0 * math.exp(-4.0) / (1.0 - 2.0 * math.exp(-4.0))
 
 
+@pytest.mark.parametrize("walk, count", [
+    (("--family", "unitary", "--nu", "delta:0", "--max-total", "48"), 2 * (2**48 - 1)),
+    (("--family", "unitary", "--nu", "delta:0", "--max-total", "100"), float(2 * (2**100 - 1))),
+    (("--family", "unitary", "--nu", "delta:0", "--max-total", "4096"), "infinity"),
+    (("--family", "wreath", "--group", "cyclic:256", "--psi", "trivial", "--max-total", "4096"), "infinity"),
+])
+def test_bound_word_count_prints_as_a_double_readable_number(capsys, walk, count):
+    # exact up to 2^53, a double past it, "infinity" past the double range:
+    # 2 (2^4096 - 1) words, and about 10^4900 over Z/256, the latter past
+    # Python's own int-to-str limit
+    code, out, _ = run(capsys, "bound", "--N", "100", "--tau", "2", "--c", "1", *walk)
+    assert code == 0
+    assert json.loads(out)["terms_used"] == count
+    # a reader that parses every number as a double reads the same value
+    assert json.loads(out, parse_int=float)["terms_used"] == count
+
+
 def test_bound_needs_single_k(capsys):
     code, _, err = run(
         capsys,

@@ -22,10 +22,23 @@ def test_pool_outputs_cover_the_pool_and_repeat(monkeypatch, tmp_path):
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.chdir(tmp_path)
     first = tool.pool_outputs(_ROOT)
-    import workloads  # on the path since pool_outputs put the checkout's perfbench/ there
+    # on the path since pool_outputs put the checkout's perfbench/ there
+    import checker
+    import workloads
 
     assert sorted(first) == sorted(inv.key for w in workloads.WORKLOADS for inv in workloads.pool(w))
     assert all(out["rc"] == 0 and out["stdout"] for out in first.values())
+    # the benchmark's own checks on every invocation: parsed output,
+    # 0 <= tv_lower <= tv_upper_hi <= 1 on certified points, and agreement
+    # with the reference intervals of reference.json
+    reference = json.loads((_ROOT / "perfbench" / "reference.json").read_text(encoding="utf-8"))["entries"]
+    errors = {}
+    for key, out in first.items():
+        _, errs = checker.check(key.split(), out["rc"], out["stdout"], out["files"], reference)
+        if errs:
+            errors[key] = errs
+    assert len(first) == len(reference) == 471
+    assert errors == {}
     written = [inv for w in workloads.WORKLOADS for inv in workloads.pool(w) if inv.writes]
     assert written and all(set(first[inv.key]["files"]) == set(inv.writes) for inv in written)
     # the command line writes the same dump, and leaves the working directory

@@ -182,7 +182,7 @@ def test_enumerate_wreath_small():
 def test_enumerate_wreath_counts():
     for s in [1, 2, 3]:
         g = cyclic_group(s)
-        for max_total, max_p in [(2, 1), (6, 2), (10, 4), (9, 3)]:
+        for max_total, max_p in [(2, 1), (6, 2), (10, 4), (9, 3), (8, 4), (7, 5)]:
             words = list(enumerate_wreath(g, max_total, max_p))
             assert len(words) == count_wreath(g, max_total, max_p)
             assert len(set(words)) == len(words)
