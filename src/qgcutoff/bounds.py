@@ -115,8 +115,8 @@ MAX_MIXTURE_WORDS = 100_000
 # a float log C and an int stop column (2.2 MB at P = 64, 457 MB at
 # P = 384); with Haar nu, (64, 64) takes about 0.02 s and 36 MB the first
 # call in a process, (64, 4096) about 1.1 s and 42 MB.  Only the mixture
-# and a general nu read it: a point mass and the wreath sum every block
-# count that fits max_total.
+# and a general nu read max_p, and a truncation never stores one above its
+# max_total: a point mass and the wreath sum every block count that fits it.
 MAX_P = 64
 # Most entries, (max_total + 1) * L, of the mixture's per-node u_n ratio table
 # on L = 2 ((max_total + max_p) // 2) + 1 rule nodes (the default (5, 10)
@@ -139,10 +139,12 @@ class ParameterError(ValueError):
 
 @dataclass(frozen=True)
 class TruncationConfig:
-    """Finite word-index window: p <= max_p blocks, at most MAX_P, and index
-    total <= max_total, at most MAX_TOTAL; a violation raises ParameterError.
-    The point-mass unitary and eval walks and the wreath sum every block
-    count that fits max_total and read max_p only through these rules.
+    """Finite word-index window: p <= max_p blocks and index total <=
+    max_total, with max_p in 1..MAX_P and max_total in 1..MAX_TOTAL; a
+    violation raises ParameterError.  No word has more blocks than its
+    index total, so max_p is stored as min(max_p, max_total), which sums
+    the same words.  The point-mass unitary and eval walks and the wreath
+    sum every block count that fits max_total and do not read max_p.
     """
 
     max_p: int = 12
@@ -151,10 +153,9 @@ class TruncationConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.max_p <= MAX_P:
             raise ParameterError(("max_p",), f"must be in 1..{MAX_P}, got {self.max_p}")
-        if self.max_total < self.max_p:
-            raise ParameterError(("max_p", "max_total"), f"max_total {self.max_total} is below max_p {self.max_p}")
-        if self.max_total > MAX_TOTAL:
-            raise ParameterError(("max_total",), f"must be <= {MAX_TOTAL}, got {self.max_total}")
+        if not 1 <= self.max_total <= MAX_TOTAL:
+            raise ParameterError(("max_total",), f"must be in 1..{MAX_TOTAL}, got {self.max_total}")
+        object.__setattr__(self, "max_p", min(self.max_p, self.max_total))
 
 
 DEFAULT_TRUNCATION = TruncationConfig(max_p=12, max_total=48)
@@ -631,6 +632,21 @@ def _affine_tilt(step: np.ndarray, factors: int) -> tuple[np.ndarray, np.ndarray
     return s, a, residual, linear
 
 
+def _split_rows(shape: tuple[int, ...], linear: np.ndarray, tilted: Callable[[np.ndarray | slice], np.ndarray],
+                logs: Callable[[np.ndarray | slice], np.ndarray]) -> np.ndarray:
+    """An array of ``shape`` (..., K, W) holding ``tilted`` of the grid rows
+    that ``linear`` marks and ``logs`` of the others, each kernel called
+    once, on a row mask or, when it takes every row, on slice(None)."""
+    if linear.all():
+        return tilted(slice(None))
+    if not linear.any():
+        return logs(slice(None))
+    out = np.empty(shape)
+    out[..., linear, :] = tilted(linear)
+    out[..., ~linear, :] = logs(~linear)
+    return out
+
+
 def _log_conv_powers(step: np.ndarray, P: int) -> np.ndarray:
     """out[i] = log step(z)^i up to the degree of ``step``, for i < P;
     shape (P,) + step.shape.
@@ -641,12 +657,13 @@ def _log_conv_powers(step: np.ndarray, P: int) -> np.ndarray:
     cutoff, multiplies its tilted coefficients e^{residual} as plain
     polynomials (``_poly_round``), and out = log(coefficient) + p a + s d.
     The other rows (k near MAX_K, t near 2, very large N) stay in the log
-    domain (``_log_round``).  Both kernels read the factor through one
-    ``_toeplitz`` view, padded with the zero of their domain.
+    domain (``_log_round``); ``_split_rows`` joins the two.  Both kernels
+    read the factor through one ``_toeplitz`` view, padded with the zero of
+    their domain.
     """
     s, a, residual, linear = _affine_tilt(step, P - 1)
 
-    def untilted(rows: np.ndarray | slice) -> np.ndarray:
+    def tilted(rows: np.ndarray | slice) -> np.ndarray:
         out = _powers(np.exp(residual[rows]), P, _poly_round, 1.0, 0.0)
         with np.errstate(divide="ignore"):
             np.log(out, out=out)
@@ -654,14 +671,8 @@ def _log_conv_powers(step: np.ndarray, P: int) -> np.ndarray:
         out += s[rows, np.newaxis] * np.arange(step.shape[1])
         return out
 
-    if linear.all():
-        return untilted(slice(None))
-    if not linear.any():
-        return _powers(step, P, _log_round, 0.0, -math.inf)
-    out = np.empty((P,) + step.shape)
-    out[:, linear] = untilted(linear)
-    out[:, ~linear] = _powers(step[~linear], P, _log_round, 0.0, -math.inf)
-    return out
+    return _split_rows((P,) + step.shape, linear, tilted,
+                       lambda rows: _powers(step[rows], P, _log_round, 0.0, -math.inf))
 
 
 # Floats per series entry that a grid row of a ``_log_resolvent`` call
@@ -690,8 +701,9 @@ def _log_resolvent(step: np.ndarray) -> np.ndarray:
     residual_n + max(a, 0) - L n carries a few ulps of rounding, and a
     product that stays above e^{-745} has exponents summing to more than
     -745, so it moves by under about 3e-13.  The other rows run
-    ``_log_round`` on the logs.  Each kernel computes a row's
-    coefficients alone, so they do not depend on the rows stacked with it.
+    ``_log_round`` on the logs, and ``_split_rows`` joins the two.  Each
+    kernel computes a row's coefficients alone, so they do not depend on
+    the rows stacked with it.
     """
     K, w = step.shape
     rounds = max(w - 2, 0).bit_length()
@@ -720,17 +732,8 @@ def _log_resolvent(step: np.ndarray) -> np.ndarray:
         out += lead + (s[rows, np.newaxis] + L) * n
         return out
 
-    def logs(rows: np.ndarray | slice) -> np.ndarray:
-        return product(step[rows], step[rows], _log_round, np.logaddexp)
-
-    if linear.all():
-        return tilted(slice(None))
-    if not linear.any():
-        return logs(slice(None))
-    out = np.empty(step.shape)
-    out[linear] = tilted(linear)
-    out[~linear] = logs(~linear)
-    return out
+    return _split_rows(step.shape, linear, tilted,
+                       lambda rows: product(step[rows], step[rows], _log_round, np.logaddexp))
 
 
 # ---------------------------------------------------------------------------
@@ -1060,8 +1063,8 @@ def _wreath_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -
     p >= 1, of every label count, sum to K(psi) [z^{<= (M - 2) // 2}]
     E(z)^2 / (1 - X(z)), X = m z I, with E and I the odd-end and
     even-interior factor sequences: E^2 from one convolution power and
-    1 / (1 - X) from one ``_log_resolvent`` pass, for the whole grid;
-    max_p is unread.
+    1 / (1 - X) from one ``_log_resolvent`` pass, for the whole grid.  So
+    the engine does not read max_p: no truncation limits the label count.
 
     The tail certificate majorizes every excluded word by Z^{p+1}
     y^{sum n / 2 - p - 1} (p >= 1; Z y^{n_0 / 2 - 1} for p = 0) with
@@ -1145,7 +1148,7 @@ def _wreath_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -
         log_tail = np.logaddexp(log_K - 2.0 * log_m - log_y + log_words, single)
         return _closed_tails(np.where(ok, log_tail, math.inf), ok, "y + m Z < 1")
 
-    return _intervals(ks, log_partials, count_wreath(q.group, M, M // 2), hyps, text, tail)
+    return _intervals(ks, log_partials, count_wreath(q.group, M), hyps, text, tail)
 
 
 # ---------------------------------------------------------------------------

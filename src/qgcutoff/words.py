@@ -83,24 +83,16 @@ def count_unitary(max_total: int, max_p: int) -> int:
     return 2 * total
 
 
-def count_wreath(group: FiniteGroup, max_total: int, max_p: int) -> int:
+def count_wreath(group: FiniteGroup, max_total: int) -> int:
     """Number of free-wreath words with character-index total at most
-    max_total and at most max_p group labels, in closed form: the
-    max_total // 2 words chi_{2 n0 + 2} of p = 0, and for each label count
-    1 <= p <= min(max_p, max_total // 2) the m^p label tuples times the
-    C(top + 2, p + 1) outer vectors of p + 1 entries >= 0 summing to at
-    most top + 1 - p, top = (max_total - 2) // 2: each label takes one unit
-    of the index budget.  With every label count, h = max_total // 2 =
-    top + 1, the binomial theorem sums the labelled words to
+    max_total, of every label count, in closed form: the h = max_total // 2
+    words chi_{2 n0 + 2} of p = 0, and for each label count 1 <= p <= h the
+    m^p label tuples times the C(h + 1, p + 1) outer vectors of p + 1
+    entries >= 0 summing to at most h - p, as each label takes one unit of
+    the index budget.  The binomial theorem sums the labelled words to
     ((m + 1)^(h+1) - 1 - m (h + 1)) / m."""
     h, m = max_total // 2, group.order
-    if max_p >= h:
-        return h + ((m + 1) ** (h + 1) - 1 - m * (h + 1)) // m
-    binom, total = h + 1, h
-    for p in range(1, max_p + 1):
-        binom = binom * (h + 1 - p) // (p + 1)  # C(top + 2, p + 1)
-        total += m**p * binom
-    return total
+    return h + ((m + 1) ** (h + 1) - 1 - m * (h + 1)) // m
 
 
 def eval_state_params(N: int, theta: float) -> tuple[float, CircleMeasure]:

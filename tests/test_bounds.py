@@ -98,6 +98,25 @@ def test_nominal_cutoff():
 # partial sums against the brute-force oracle
 
 
+@pytest.mark.parametrize("query", [
+    WalkQuery.unitary(40, 2.0, CircleMeasure.haar()),
+    WalkQuery.unitary(40, 2.0, CircleMeasure.atomic([(0.0, 0.6), (2.0, 0.4)])),
+    WalkQuery.unitary(40, 2.0, CircleMeasure.porod(40)),
+    WalkQuery.mixture(40),
+], ids=["haar", "atoms", "porod", "mixture"])
+def test_max_p_above_max_total_runs_as_max_p_equal_to_max_total(query):
+    # no word has more blocks than its index total, so a max_p above
+    # max_total is stored as max_total: the intervals, hypotheses included,
+    # are bitwise those of (max_total, max_total)
+    ks = [1.0, 40.0, 120.0]
+    clamped = TruncationConfig(max_p=12, max_total=5)
+    assert clamped.max_p == 5
+    got = A_k_grid(query, ks, clamped)
+    want = A_k_grid(query, ks, TruncationConfig(max_p=5, max_total=5))
+    assert repr(got) == repr(want)
+    assert any(A.certified for A in got) and not all(A.certified for A in got)
+
+
 def test_unitary_partial_matches_oracle_delta():
     # a point mass sums the words of every block count: max_p is not read
     N, tau, k = 12, 2.0, 4.0
@@ -1336,21 +1355,22 @@ def test_profile_runs_the_engine_once(monkeypatch, capsys, argv, engine, passes)
         (WalkQuery.eval_point(30, 2.0), [1.0, 60.0, 120.0, 200.0]),
         (WalkQuery.mixture(20), [1.0, 30.0, 60.0]),
         (WalkQuery.wreath(30, 2.0, cyclic_group(3), trivial_state(cyclic_group(3))), [1.0, 41.0, 81.0]),
+        (WalkQuery.unitary(30, 2.0, CircleMeasure.haar()), [1.0, 41.0, 81.0, 121.0]),
     ],
 )
 def test_profile_rows_share_one_hypothesis_key_sequence(query, ks):
     # every row past the base hypotheses, certified or not, names the tail
     # checks the same way and in the same order: the composition tail's
-    # three for the mixture, the closed form's one for a point mass and the
-    # wreath
+    # three for the mixture and a general nu, the closed form's one for a
+    # point mass and the wreath
     rows = cutoff_profile(query, ks).rows
     assert any(row.A.certified for row in rows) and not all(row.A.certified for row in rows)
     keys = {tuple(name for name, _ in row.A.hypotheses) for row in rows}
     assert len(keys) == 1
-    tail_keys = {
-        "mixture": ("x < 1", "within-degree ratios < 1", "w = S/(1-x) < 1"),
-        "wreath": ("y + m Z < 1",),
-    }.get(query.family, ("x + S < 1",))
+    if query.family == "mixture" or (query.nu is not None and query.nu.point_mass_weight() is None):
+        tail_keys = ("x < 1", "within-degree ratios < 1", "w = S/(1-x) < 1")
+    else:
+        tail_keys = {"wreath": ("y + m Z < 1",)}.get(query.family, ("x + S < 1",))
     assert keys.pop()[-len(tail_keys) :] == tail_keys
 
 
@@ -1423,7 +1443,8 @@ def test_walk_query_fills_the_family_defaults():
 
 
 def test_truncation_rules_name_the_fields():
-    for kwargs, fields in [({"max_p": 0}, ("max_p",)), ({"max_p": 5, "max_total": 3}, ("max_p", "max_total")),
+    # max_total below max_p breaks no rule (max_p is stored as max_total); max_total 0 does
+    for kwargs, fields in [({"max_p": 0}, ("max_p",)), ({"max_p": 5, "max_total": 0}, ("max_total",)),
                            ({"max_total": bounds.MAX_TOTAL + 1}, ("max_total",))]:
         with pytest.raises(bounds.ParameterError) as info:
             TruncationConfig(**kwargs)

