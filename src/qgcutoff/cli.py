@@ -437,11 +437,15 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     with _flag_input("--N"):
         n_log_n = N * math.log(N)
     _finite(n_log_n, "--N", "N ln N")
-    # Q's tau**4 raises OverflowError where C, D and the cutoffs overflow to inf
+    # Q's tau**4 raises OverflowError (from about 1.3e77 on) where C, D and the cutoffs overflow to inf
     with _flag_input("--tau"):
         doc: dict[str, object] = {"tau": tau, "N": N, "C": threshold_C(tau), "D": threshold_D(tau)}
         if tau > 7.0 / 4.0:
-            doc["Q"] = threshold_Q(tau)
+            try:
+                doc["Q"] = threshold_Q(tau)
+            except OverflowError:
+                doc["Q"] = math.inf
+            _finite(doc["Q"], "--tau", "Q")
             doc["Qthr"] = wreath_certificate_threshold(tau)
         else:
             doc["Q"] = None

@@ -10,9 +10,10 @@ The central objects are
   u_{n+1} = t u_n - u_{n-1}.  For t > 2 they equal
   (q^{-n-1} - q^{n+1}) / (q^{-1} - q) with q = q_of(t) and grow like q^{-n},
   so they are carried as logarithms.  A 1-D array of t runs the recurrence
-  on all its columns at once, as numpy rows, with the roundings, the switch
-  to the closed form and the ``math.log`` of the one-t loop, so each column
-  is bitwise the one-t call;
+  on all its columns at once, as numpy rows, with the roundings and the
+  switch to the closed form of the one-t loop, and both paths take the log
+  of a block of u_n with one ``np.log``, so each column is bitwise the one-t
+  call;
 - ``wallis(n)``: the Wallis integrals W_n = int_0^{pi/2} sin^n x dx;
 - ``lambda_moment(N, l)``: moments of lambda = 1 - cos(theta) under the
   sine-power arc measure used by the uniform mixture of evaluation states.
@@ -110,24 +111,23 @@ def q_of(t: float) -> float:
     return 2.0 / (t + math.sqrt(t * t - 4.0))
 
 
-def _u_log_closed_form(log_q: float, n: int) -> float:
-    # log u_n = -n log q + log(1 - q^{2n+2}) - log(1 - q^2), valid for q < 1
-    return -n * log_q + math.log1p(-math.exp((2 * n + 2) * log_q)) - math.log1p(-math.exp(2 * log_q))
-
-
-def _log_u_floats(t: float, nmax: int) -> list[float]:
-    # one u_seq column, in Python floats: the recurrence, then for t > 2 the
-    # closed form from the first u_n at or above _U_SWITCH on (u_n grows in
-    # n there)
-    out: list[float] = []
+def _log_u_floats(t: float, nmax: int) -> np.ndarray:
+    # one u_seq column: the recurrence in Python floats, then for t > 2, from
+    # the first u_n at or above _U_SWITCH on (u_n grows in n there), the
+    # closed form -n log q - log1p(-q^2) exactly as _log_u_table takes it
+    us: list[float] = []
     prev, cur = 1.0, t
-    for n in range(nmax + 1):
+    for _ in range(nmax + 1):
         if t > 2.0 + _Q_DOMAIN_EPS and not prev < _U_SWITCH:
-            log_q = math.log(q_of(t))
-            return out + [_u_log_closed_form(log_q, m) for m in range(n, nmax + 1)]
-        out.append(math.log(abs(prev)) if prev != 0.0 else -math.inf)
+            break
+        us.append(prev)
         prev, cur = cur, t * cur - prev
-    return out
+    out = _log_abs(np.array(us))
+    if len(us) > nmax:
+        return out
+    log_q = math.log(q_of(t))
+    n = np.arange(len(us), nmax + 1, dtype=float)
+    return np.concatenate([out, -n * log_q - math.log1p(-math.exp(2 * log_q))])
 
 
 def u_seq(t: float | np.ndarray, nmax: int) -> np.ndarray:
@@ -145,7 +145,7 @@ def u_seq(t: float | np.ndarray, nmax: int) -> np.ndarray:
         t = float(t)
         if not 0.0 <= t < math.inf:
             raise ValueError(f"u_seq requires finite t >= 0, got t = {t!r}")
-        return np.array(_log_u_floats(t, nmax))
+        return _log_u_floats(t, nmax)
     ts = np.asarray(t, dtype=float)
     if ts.ndim != 1:
         raise ValueError("t must be a float or a 1-D array")
@@ -156,24 +156,18 @@ def u_seq(t: float | np.ndarray, nmax: int) -> np.ndarray:
 
 
 def _log_abs(x: np.ndarray) -> np.ndarray:
-    # math.log of each |entry|, -inf at zeros: np.log may differ from
-    # math.log in the last bit, and the float path takes math.log
-    a = np.abs(x).ravel()
-    if a.all():
-        return np.fromiter(map(math.log, a.tolist()), float, a.size).reshape(x.shape)
-    zero = a == 0.0
-    a[zero] = 1.0
-    out = _log_abs(a)
-    out[zero] = -math.inf
-    return out.reshape(x.shape)
+    # log |x| entrywise, -inf at zeros: both u_seq paths take this one np.log,
+    # so an array column keeps the bits of the one-t call
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(x))
 
 
 def _log_u_table(ts: np.ndarray, nmax: int) -> np.ndarray:
     # _log_u_floats on every column at once, a block of table rows at a
     # time: the recurrence fills the block with u_n, a row a step and with
-    # the same two roundings in t * u_n - u_{n-1}; then each entry before
-    # its column's switch takes its math.log and each one after it the
-    # closed form.  Past the switch (2n + 2) log q < -1130 (u_n <= q^{-n} /
+    # the same two roundings in t * u_n - u_{n-1}; then the entries before
+    # their column's switch take _log_abs and the ones after it the closed
+    # form.  Past the switch (2n + 2) log q < -1130 (u_n <= q^{-n} /
     # (1 - q^2), and 1 - q^2 > 6e-5 for t > 2 + _Q_DOMAIN_EPS), so the closed
     # form's log1p(-q^{2n+2}) is exactly -0.0 and the entry is
     # -n log q - log1p(-q^2).  The table is the transpose of a C-order

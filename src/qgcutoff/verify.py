@@ -126,8 +126,8 @@ class _Collector:
 
 
 def _each(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
-    # the scalar function on every entry: the array margins then keep the bits
-    # of the per-point formulas, where numpy's own log may round differently
+    # the scalar function on every entry: the u_n tables take np.log, but the
+    # margins keep the math-module bits that the pinned verify report holds
     return np.array(list(map(fn, x.tolist())), dtype=float)
 
 

@@ -15,7 +15,9 @@ time.
 parity-class rewrite, a dynamic program over the winding state, kept as an
 independent reference for that rewrite, and
 ``mixture_word_loop_log_partial`` is the mixture partial the engine summed
-word by word before its array passes.
+word by word before its array passes.  ``log_u_floats`` is the one-t
+``u_seq`` loop with one ``math.log`` per entry, the libm reference for the
+``np.log`` that both ``u_seq`` paths now take.
 """
 
 import functools
@@ -25,7 +27,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from qgcutoff.numerics import logsumexp, u_seq
+from qgcutoff.numerics import _Q_DOMAIN_EPS, _U_SWITCH, logsumexp, q_of, u_seq
 from qgcutoff.structures import (
     CircleMeasure,
     FiniteGroup,
@@ -463,3 +465,25 @@ def mixture_word_loop_log_partial(N: int, ks: Sequence[float], max_total: int, m
     mods = np.array(log_mod)
     # at k = 0 every coefficient power is 1, vanishing ones included
     return [logsumexp((dims if k == 0.0 else dims + 2.0 * k * mods).tolist()) for k in ks]
+
+
+def _u_log_closed_form(log_q: float, n: int) -> float:
+    # log u_n = -n log q + log(1 - q^{2n+2}) - log(1 - q^2), valid for q < 1
+    return -n * log_q + math.log1p(-math.exp((2 * n + 2) * log_q)) - math.log1p(-math.exp(2 * log_q))
+
+
+def log_u_floats(t: float, nmax: int) -> list[float]:
+    """The libm reference for one ``u_seq`` column: the one-t loop ``u_seq``
+    ran before its tables took ``np.log``, one ``math.log`` per entry."""
+    # one u_seq column, in Python floats: the recurrence, then for t > 2 the
+    # closed form from the first u_n at or above _U_SWITCH on (u_n grows in
+    # n there)
+    out: list[float] = []
+    prev, cur = 1.0, t
+    for n in range(nmax + 1):
+        if t > 2.0 + _Q_DOMAIN_EPS and not prev < _U_SWITCH:
+            log_q = math.log(q_of(t))
+            return out + [_u_log_closed_form(log_q, m) for m in range(n, nmax + 1)]
+        out.append(math.log(abs(prev)) if prev != 0.0 else -math.inf)
+        prev, cur = cur, t * cur - prev
+    return out

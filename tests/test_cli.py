@@ -55,6 +55,15 @@ def test_thresholds_small_tau_has_no_Q(capsys):
     assert doc["Q"] is None and doc["Qthr"] is None
 
 
+@pytest.mark.parametrize("tau", ["1e100", "1e308"])
+def test_thresholds_Q_past_the_float_range_exits_2(capsys, tau):
+    # Q's tau**4 overflows from about 1.3e77 on
+    code, out, err = run(capsys, "thresholds", "--tau", tau, "--N", "10")
+    assert code == 2
+    assert err == "error: --tau gives Q = inf, beyond the float range\n"
+    assert out == ""
+
+
 def test_moments_lambda(capsys):
     code, out, _ = run(capsys, "moments", "--lambda-moments", "10:3")
     assert code == 0

@@ -25,6 +25,8 @@ from qgcutoff.numerics import (
     wallis,
 )
 
+from oracles import log_u_floats
+
 
 # ---------------------------------------------------------------------------
 # q(t)
@@ -227,6 +229,40 @@ def test_u_seq_array_rows_after_every_switch_are_bitwise_the_float_call():
     table = u_seq(ts, 300)
     for j, t in enumerate(ts.tolist()):
         assert np.array_equal(table[:, j], u_seq(t, 300)), t
+
+
+def test_u_seq_array_columns_far_past_the_switch_are_bitwise_the_float_call():
+    # most of these 4097 rows come from the closed form, which the one-t call
+    # evaluates as one array expression after its recurrence
+    ts = [5.0, 198.0, 316.2]
+    table = u_seq(np.array(ts), 4096)
+    for j, t in enumerate(ts):
+        assert np.array_equal(table[:, j], u_seq(t, 4096)), t
+
+
+def _assert_within_one_ulp_of_libm(got, t, nmax):
+    want = np.array(log_u_floats(t, nmax))
+    zero = want == -math.inf
+    assert np.array_equal(got == -math.inf, zero), (t, nmax)
+    err = np.abs(got[~zero] - want[~zero])
+    assert (err <= np.spacing(np.abs(want[~zero]))).all(), (t, nmax, err.max())
+
+
+@settings(max_examples=200, deadline=None)
+@given(ts=st.lists(_U_ARGS, max_size=12), nmax=st.integers(0, 300))
+def test_u_seq_is_within_one_ulp_of_the_libm_loop(ts, nmax):
+    # np.log and math.log may differ in the last bit; the zeros of u_n must
+    # stay the -inf entries
+    table = u_seq(np.array(ts, dtype=float), nmax)
+    for j, t in enumerate(ts):
+        _assert_within_one_ulp_of_libm(table[:, j], t, nmax)
+        _assert_within_one_ulp_of_libm(u_seq(t, nmax), t, nmax)
+
+
+@pytest.mark.parametrize("t", [5.0, 198.0])
+def test_u_seq_long_columns_are_within_one_ulp_of_the_libm_loop(t):
+    _assert_within_one_ulp_of_libm(u_seq(np.array([t]), 4096)[:, 0], t, 4096)
+    _assert_within_one_ulp_of_libm(u_seq(t, 4096), t, 4096)
 
 
 def test_u_seq_array_path_never_runs_the_column_loop(monkeypatch, capsys):
