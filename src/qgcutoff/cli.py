@@ -506,10 +506,14 @@ def cmd_moments(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     with _flag_input("--suite"):
         names = suite_names(None if args.suite == "all" else [s.strip() for s in args.suite.split(",")])
-    # open the report before any suite runs, so that a bad path fails at once
-    with _flag_input("--report"):
-        sink = contextlib.nullcontext() if args.report is None else open(args.report, "w", encoding="utf-8")
-    with sink as report:
+    # open the report, and try the output file, before any suite runs, so
+    # that a bad path fails at once
+    with contextlib.ExitStack() as stack:
+        with _flag_input("--report"):
+            report = None if args.report is None else stack.enter_context(open(args.report, "w", encoding="utf-8"))
+        if args.output is not None:
+            with _flag_input("--output"):
+                open(args.output, "w", encoding="utf-8").close()
         reports = run_all(names)
         lines = [format_report(r) for r in reports.values()]
         all_ok = all(r.ok for r in reports.values())
@@ -524,8 +528,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 if got == 0:
                     controls_ok = False
                 lines.append(f"{status} negative control {name}: {got} failures (expected >= 1)")
-        text = "\n".join(lines)
-        sys.stdout.write(text + "\n")
+        _emit("\n".join(lines), args.output)
         if report is not None:
             doc = {
                 "suites": {name: report_to_dict(r) for name, r in reports.items()},

@@ -4,7 +4,8 @@ of special functions attached to quantum dimension theory.
 The central objects are
 
 - ``q_of(t)``: for t > 2, the root in (0, 1) of q + 1/q = t, computed in the
-  cancellation-free form 2 / (t + sqrt(t^2 - 4));
+  cancellation-free form 2 / (t + sqrt(t^2 - 4)), for one t or, entry by
+  entry with the same bits, a 1-D array of t;
 - ``u_seq(t, nmax)``: log |u_n(t)| for n <= nmax, where u_n are the dilated
   Chebyshev polynomials of the second kind, u_0 = 1, u_1 = t,
   u_{n+1} = t u_n - u_{n-1}.  For t > 2 they equal
@@ -96,19 +97,34 @@ def log1mexp(logx: float) -> float:
     return math.log1p(-math.exp(logx))
 
 
-def q_of(t: float) -> float:
+def q_of(t: float | np.ndarray) -> float | np.ndarray:
     """The root in (0, 1) of q + 1/q = t, for finite t > 2.
 
     Uses 2 / (t + sqrt(t^2 - 4)), which is exact-to-rounding for large t where
     the textbook form (t - sqrt(t^2 - 4)) / 2 cancels catastrophically.
     Above _Q_RECIPROCAL_FROM, where t^2 would overflow, it is 1 / t, which
     is bitwise what the formula gives there.  Satisfies q(t) <= 2/t.
+
+    ``t`` is a float, giving a float, or a 1-D numpy array, giving an array
+    of the same size with each entry bitwise the float call at its t (the
+    same correctly rounded operations); ValueError names the first t
+    outside the domain.
     """
-    if not 2.0 + _Q_DOMAIN_EPS < t < math.inf:
-        raise ValueError(f"q_of requires finite t > 2, got t = {t!r}")
-    if t > _Q_RECIPROCAL_FROM:
-        return 1.0 / t
-    return 2.0 / (t + math.sqrt(t * t - 4.0))
+    if not isinstance(t, np.ndarray):
+        if not 2.0 + _Q_DOMAIN_EPS < t < math.inf:
+            raise ValueError(f"q_of requires finite t > 2, got t = {t!r}")
+        if t > _Q_RECIPROCAL_FROM:
+            return 1.0 / t
+        return 2.0 / (t + math.sqrt(t * t - 4.0))
+    ts = t.astype(float, copy=False)
+    if ts.ndim != 1:
+        raise ValueError("t must be a float or a 1-D array")
+    bad = ~((ts > 2.0 + _Q_DOMAIN_EPS) & (ts < math.inf))
+    if bad.any():
+        raise ValueError(f"q_of requires every t finite and > 2, got t = {ts[bad][0].item()!r}")
+    # the formula on t capped at _Q_RECIPROCAL_FROM, so that t * t stays finite
+    s = np.minimum(ts, _Q_RECIPROCAL_FROM)
+    return np.where(ts > _Q_RECIPROCAL_FROM, 1.0 / ts, 2.0 / (s + np.sqrt(s * s - 4.0)))
 
 
 def _log_u_floats(t: float, nmax: int) -> np.ndarray:

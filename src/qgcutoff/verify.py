@@ -125,12 +125,6 @@ class _Collector:
         )
 
 
-def _each(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
-    # the scalar function on every entry: the u_n tables take np.log, but the
-    # margins keep the math-module bits that the pinned verify report holds
-    return np.array(list(map(fn, x.tolist())), dtype=float)
-
-
 def _geom_floats(lo: float, hi: float, count: int) -> list[float]:
     if count == 1:
         return [lo]
@@ -159,14 +153,14 @@ def _encadrement_impl(lower_exponent_shift: int) -> VerifyReport:
     col = _Collector("encadrement", _TOLERANCE)
     ts = _geom_floats(_ENCADREMENT_T_MIN, _ENCADREMENT_T_MAX, _ENCADREMENT_T_POINTS)
     t = np.array(ts)
-    q = _each(q_of, t)
-    log_q = _each(math.log, q)
+    q = q_of(t)
+    log_q = np.log(q)
     n_max = _ENCADREMENT_N_MAX
     n = np.arange(1, n_max + 1, dtype=float)[:, None]
     # (n, t) arrays
     log_u = u_seq(t, n_max)[1:]
-    log_lower = _each(math.log, t) - (n - lower_exponent_shift) * log_q
-    log_upper = -n * log_q - _each(math.log1p, -q * q)
+    log_lower = np.log(t) - (n - lower_exponent_shift) * log_q
+    log_upper = -n * log_q - np.log1p(-q * q)
     # (t, n, side) is the sweep's order: t, then n, the lower side before the upper
     margins = np.stack([log_u - log_lower, log_upper - log_u], axis=-1).transpose(1, 0, 2)
 
@@ -200,8 +194,8 @@ def _lower_aux_impl(rhs_log_shift: float) -> VerifyReport:
         n_lo = max(int(math.ceil(2.0 * a)), 2)
         ns = sorted(set([n_lo] + _geom_ints(n_lo, _LOWER_AUX_N_MAX, _LOWER_AUX_N_POINTS)))
         N = np.array(ns, dtype=float)
-        log_N = _each(math.log, N)
-        log_lhs = log_N + (N * log_N / a) * _each(math.log1p, -a / N)
+        log_N = np.log(N)
+        log_lhs = log_N + (N * log_N / a) * np.log1p(-a / N)
         log_rhs = -a / (2.0 * math.e) - 0.5 * math.log(2.0) + rhs_log_shift
         col.add(log_lhs - log_rhs,
                 lambda i: (f"a={a:g} N={ns[i]}", math.exp(log_lhs[i]), math.exp(log_rhs)))
@@ -231,8 +225,8 @@ def verify_main_inequality() -> VerifyReport:
 
 
 def _main_lhs_log(N: np.ndarray, tau: float) -> np.ndarray:
-    q = _each(q_of, N - tau)
-    return _each(math.log, N) + _each(math.log, q) + _each(math.log1p, -q * q)
+    q = q_of(N - tau)
+    return np.log(N) + np.log(q) + np.log1p(-q * q)
 
 
 _ANQN_N_MAX = 10_000
@@ -254,7 +248,7 @@ def _anqn_impl(numerator: float) -> VerifyReport:
     N = np.array(ns, dtype=float)
     t = N - 2.0
     q = np.ones_like(t)
-    q[t > 2.0] = _each(q_of, t[t > 2.0])
+    q[t > 2.0] = q_of(t[t > 2.0])
     lhs = (N - 2.0 + 2.0 / N) * q
     rhs = 1.0 + numerator / (t * t)
     col.add(rhs - lhs, lambda i: (f"N={ns[i]}", float(lhs[i]), float(rhs[i])))
@@ -317,9 +311,8 @@ def verify_wreath_inequality() -> VerifyReport:
 
 def _wreath_lhs_log(N: np.ndarray, tau: float) -> np.ndarray:
     s = np.sqrt(N)
-    qp = _each(q_of, np.sqrt(N - tau))
-    return (_each(math.log, _each(q_of, s)) - _each(math.log, s) - 2.0 * _each(math.log, qp)
-            - _each(math.log1p, -qp * qp))
+    qp = q_of(np.sqrt(N - tau))
+    return np.log(q_of(s)) - np.log(s) - 2.0 * np.log(qp) - np.log1p(-qp * qp)
 
 
 _LAMBDA_NS = (5, 10, 50)
@@ -344,8 +337,8 @@ def verify_lambda_moment() -> VerifyReport:
         lam = 1.0 - np.cos(theta)
         closed = [lambda_moment(N, l) for l in range(_LAMBDA_L_MAX + 1)]
         rule = [float(np.dot(w, lam**l)) for l in range(_LAMBDA_L_MAX + 1)]
-        margins = [_LAMBDA_TOLERANCE - abs(c - r) / max(abs(r), 1e-300) for c, r in zip(closed, rule)]
-        col.add(np.array(margins), lambda l: (f"N={N} l={l}", closed[l], rule[l]))
+        margins = _LAMBDA_TOLERANCE - np.abs(np.subtract(closed, rule)) / np.maximum(np.abs(rule), 1e-300)
+        col.add(margins, lambda l: (f"N={N} l={l}", closed[l], rule[l]))
         half_mean = rule[1] / 2.0
         rec = N / (N + 1.0)
         alt = (N + 1.0) / (N + 2.0)

@@ -17,7 +17,10 @@ independent reference for that rewrite, and
 ``mixture_word_loop_log_partial`` is the mixture partial the engine summed
 word by word before its array passes.  ``log_u_floats`` is the one-t
 ``u_seq`` loop with one ``math.log`` per entry, the libm reference for the
-``np.log`` that both ``u_seq`` paths now take.
+``np.log`` that both ``u_seq`` paths now take, and ``verify_scalar_margins``
+evaluates every ``verify`` margin one grid point at a time in math-module
+floats, on the suites' own grid constants and thresholds, the reference for
+their array margins.
 """
 
 import functools
@@ -27,12 +30,15 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from qgcutoff.numerics import _Q_DOMAIN_EPS, _U_SWITCH, logsumexp, q_of, u_seq
+from qgcutoff import verify as V
+from qgcutoff.bounds import threshold_C, wreath_certificate_threshold
+from qgcutoff.numerics import _Q_DOMAIN_EPS, _U_SWITCH, lambda_moment, logsumexp, q_of, u_seq
 from qgcutoff.structures import (
     CircleMeasure,
     FiniteGroup,
     GroupState,
     arg_trace,
+    lambda_theta,
     moment,
     porod_rule,
     trace_modulus,
@@ -487,3 +493,132 @@ def log_u_floats(t: float, nmax: int) -> list[float]:
         out.append(math.log(abs(prev)) if prev != 0.0 else -math.inf)
         prev, cur = cur, t * cur - prev
     return out
+
+
+
+def verify_scalar_margins() -> dict[str, list[list[tuple[float, float]]]]:
+    """The margins of every ``verify`` suite and negative control, one grid
+    point at a time in Python floats: the formulas the suites evaluated by
+    mapping ``q_of``, ``math.log`` and ``math.log1p`` over each array entry
+    before they took arrays end to end.  Keyed by suite or control name, a
+    list of the blocks the suite counts, in its grid order; each point is
+    (margin, scale), scale the largest magnitude among the terms of the
+    margin, which sets the rounding the array path may differ by."""
+    return {
+        "encadrement": _encadrement_margins(1),
+        "lower_aux": _lower_aux_margins(0.0),
+        "main_inequality": _main_margins(),
+        "anqn": _anqn_margins(8.0),
+        "ratio_comparison": _ratio_margins(),
+        "wreath_inequality": _wreath_margins(),
+        "lambda_moment": _lambda_margins(),
+        "encadrement_broken": _encadrement_margins(0),
+        "lower_aux_broken": _lower_aux_margins(math.log(2.0)),
+        "anqn_broken": _anqn_margins(2.0),
+    }
+
+
+def _encadrement_margins(lower_exponent_shift: int) -> list[list[tuple[float, float]]]:
+    # t q^{-(n-1)} <= u_n(t) <= q^{-n} / (1 - q^2) in logs, per t, then n,
+    # the lower side before the upper
+    block = []
+    for t in V._geom_floats(V._ENCADREMENT_T_MIN, V._ENCADREMENT_T_MAX, V._ENCADREMENT_T_POINTS):
+        q = q_of(t)
+        log_q = math.log(q)
+        log_den = math.log1p(-q * q)
+        log_u = u_seq(t, V._ENCADREMENT_N_MAX)
+        for n in range(1, V._ENCADREMENT_N_MAX + 1):
+            shifted = (n - lower_exponent_shift) * log_q
+            log_lower = math.log(t) - shifted
+            log_upper = -n * log_q - log_den
+            block.append((log_u[n] - log_lower, max(abs(log_u[n]), abs(math.log(t)), abs(shifted))))
+            block.append((log_upper - log_u[n], max(abs(n * log_q), abs(log_den), abs(log_u[n]))))
+    return [block]
+
+
+def _lower_aux_margins(rhs_log_shift: float) -> list[list[tuple[float, float]]]:
+    # log N + (N log N / a) log(1 - a/N) - log(e^{-a/2e} / sqrt 2), per a
+    blocks = []
+    for a in V._LOWER_AUX_AS:
+        n_lo = max(int(math.ceil(2.0 * a)), 2)
+        ns = sorted(set([n_lo] + V._geom_ints(n_lo, V._LOWER_AUX_N_MAX, V._LOWER_AUX_N_POINTS)))
+        log_rhs = -a / (2.0 * math.e) - 0.5 * math.log(2.0) + rhs_log_shift
+        block = []
+        for N in map(float, ns):
+            log_N = math.log(N)
+            power = (N * log_N / a) * math.log1p(-a / N)
+            block.append((log_N + power - log_rhs, max(abs(log_N), abs(power), abs(log_rhs))))
+        blocks.append(block)
+    return blocks
+
+
+def _main_margins() -> list[list[tuple[float, float]]]:
+    # log(N q (1 - q^2)) - tau / N with q = q(N - tau), per tau from the threshold
+    blocks = []
+    for tau in V._MAIN_TAUS:
+        block = []
+        for N in range(int(math.ceil(tau + threshold_C(tau))), V._MAIN_N_MAX + 1):
+            q = q_of(N - tau)
+            terms = (math.log(N), math.log(q), math.log1p(-q * q), tau / N)
+            block.append((terms[0] + terms[1] + terms[2] - terms[3], max(map(abs, terms))))
+        blocks.append(block)
+    return blocks
+
+
+def _anqn_margins(numerator: float) -> list[list[tuple[float, float]]]:
+    # 1 + numerator / (N - 2)^2 - (N - 2 + 2/N) q(N - 2), with q(2) = 1
+    block = []
+    for N in map(float, sorted(set([4] + V._geom_ints(4, V._ANQN_N_MAX, V._ANQN_N_POINTS)))):
+        t = N - 2.0
+        lhs = (N - 2.0 + 2.0 / N) * (q_of(t) if t > 2.0 else 1.0)
+        rhs = 1.0 + numerator / (t * t)
+        block.append((rhs - lhs, max(lhs, rhs)))
+    return [block]
+
+
+def _ratio_margins() -> list[list[tuple[float, float]]]:
+    # 4n / (N - 2)^2 - log(u_n(N - tau_theta) / u_n(N - lambda_theta)), per N,
+    # then theta, then n
+    count, n_max = V._RATIO_THETAS, V._RATIO_N_MAX
+    blocks = []
+    for N in V._RATIO_NS:
+        block = []
+        for j in range(count):
+            theta = 2.0 * math.pi * j / count
+            up = u_seq(trace_modulus(N, theta), n_max)
+            down = u_seq(N - lambda_theta(theta), n_max)
+            for n in range(1, n_max + 1):
+                bound = 4.0 * n / ((N - 2.0) * (N - 2.0))
+                block.append((bound - (up[n] - down[n]), max(abs(bound), abs(up[n]), abs(down[n]))))
+        blocks.append(block)
+    return blocks
+
+
+def _wreath_margins() -> list[list[tuple[float, float]]]:
+    # -tau / N - log(q(s) / (s q'^2 (1 - q'^2))) with s = sqrt N and
+    # q' = q(sqrt(N - tau)), per tau from the threshold
+    blocks = []
+    for tau in V._WREATH_TAUS:
+        block = []
+        for N in range(max(int(math.ceil(wreath_certificate_threshold(tau))), 5), V._WREATH_N_MAX + 1):
+            s = math.sqrt(N)
+            qp = q_of(math.sqrt(N - tau))
+            terms = (math.log(q_of(s)), math.log(s), 2.0 * math.log(qp), math.log1p(-qp * qp), tau / N)
+            log_lhs = terms[0] - terms[1] - terms[2] - terms[3]
+            block.append((-terms[4] - log_lhs, max(map(abs, terms))))
+        blocks.append(block)
+    return blocks
+
+
+def _lambda_margins() -> list[list[tuple[float, float]]]:
+    # tolerance - |closed form - rule| / |rule|, per N, then l
+    blocks = []
+    for N in V._LAMBDA_NS:
+        theta, w = porod_rule(N, V._LAMBDA_L_MAX)
+        lam = 1.0 - np.cos(theta)
+        block = []
+        for l in range(V._LAMBDA_L_MAX + 1):
+            c, r = lambda_moment(N, l), float(np.dot(w, lam**l))
+            block.append((V._LAMBDA_TOLERANCE - abs(c - r) / max(abs(r), 1e-300), V._LAMBDA_TOLERANCE))
+        blocks.append(block)
+    return blocks

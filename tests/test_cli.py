@@ -381,6 +381,13 @@ def test_verify_all_writes_the_pinned_stdout_and_report(tmp_path, capsys):
     assert dest.read_bytes() == (_DATA / "verify_all_report.json").read_bytes()
 
 
+def test_verify_output_file_holds_the_pinned_stdout(tmp_path, capsys):
+    dest = tmp_path / "verify.txt"
+    code, out, err = run(capsys, "verify", "--suite", "all", "--output", str(dest))
+    assert code == 0 and out == "" and err == ""
+    assert dest.read_text(encoding="utf-8") == (_DATA / "verify_all_stdout.txt").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("suite", ["bogus", "anqn,bogus"])
 def test_verify_unknown_suite_names_the_flag_and_writes_no_report(tmp_path, capsys, suite):
     dest = tmp_path / "f.json"
@@ -601,9 +608,10 @@ def test_porod_N_beyond_the_float_range_names_N(capsys, argv):
     (["profile", *_WALK, "--c", "1", "--output"], "--output"),
     (["thresholds", "--tau", "2", "--output"], "--output"),
     (["verify", "--suite", "all", "--report"], "--report"),
+    (["verify", "--suite", "all", "--output"], "--output"),
 ])
 def test_unwritable_output_file_names_its_flag(capsys, tmp_path, argv, flag):
-    # verify opens its report before any suite runs, so it prints nothing either
+    # verify opens both files before any suite runs, so it prints nothing either
     code, out, err = run(capsys, *argv, str(tmp_path / "missing-dir" / "out.json"))
     assert code == 2 and out == ""
     assert f"error: {flag}: " in err and "Traceback" not in err

@@ -71,6 +71,34 @@ def test_q_of_rejects_non_finite_t(t):
         q_of(t)
 
 
+def test_q_of_array_entries_are_bitwise_the_float_call():
+    # both sides of _Q_RECIPROCAL_FROM, and the domain's lower edge
+    edge = numerics._Q_RECIPROCAL_FROM
+    ts = np.concatenate([
+        [2.0 + 2e-9, 1e4, 1e200, edge, np.nextafter(edge, math.inf), 2.0**600, 1e308],
+        np.geomspace(2.0 + 2e-9, 1e12, 400),
+    ])
+    got = q_of(ts)
+    assert got.shape == ts.shape
+    want = np.array([q_of(t) for t in ts.tolist()])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("bad", [2.0, 2.0 + 1e-10, 1.5, -3.0, math.inf, math.nan])
+def test_q_of_array_names_the_first_entry_outside_the_domain(bad):
+    with pytest.raises(ValueError, match=f"t = {bad!r}"):
+        q_of(np.array([3.0, bad, 0.0]))
+
+
+def test_q_of_empty_array():
+    assert q_of(np.array([])).shape == (0,)
+
+
+def test_q_of_rejects_a_2d_array():
+    with pytest.raises(ValueError, match="1-D"):
+        q_of(np.full((2, 2), 3.0))
+
+
 # ---------------------------------------------------------------------------
 # log-domain sums
 

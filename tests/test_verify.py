@@ -3,10 +3,12 @@ controls that prove the harness can fail.
 """
 
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
+from qgcutoff import cli, verify
 from qgcutoff.numerics import q_of
 from qgcutoff.verify import (
     MAX_LISTED_FAILURES,
@@ -23,6 +25,8 @@ from qgcutoff.verify import (
     verify_ratio_comparison,
     verify_wreath_inequality,
 )
+
+from oracles import verify_scalar_margins
 
 
 def test_all_suites_pass():
@@ -170,3 +174,58 @@ def test_report_lists_the_first_failures_in_grid_order_and_counts_all():
     assert text.startswith("FAIL many: 10/35 points")
     assert text.count("    FAIL p") == MAX_LISTED_FAILURES
     assert text.endswith("    ... 15 more failures")
+
+
+def test_array_margins_are_within_a_few_ulp_of_the_scalar_formulas(monkeypatch):
+    # every block each suite and control counts, against the per-point
+    # formulas in math-module floats, at a few spacings of the largest term;
+    # the counts must agree exactly
+    blocks = defaultdict(list)
+    add = _Collector.add
+
+    def record(self, margins, detail):
+        blocks[self.id].append((self.tol, np.asarray(margins, dtype=float).ravel()))
+        add(self, margins, detail)
+
+    monkeypatch.setattr(_Collector, "add", record)
+    reports = run_all(None)
+    got = dict(blocks)
+    blocks.clear()
+    for name, rep in negative_controls().items():
+        reports[name] = rep
+        got[name] = blocks[rep.inequality_id]
+    want = verify_scalar_margins()
+    assert set(want) == set(reports)
+    for name, rep in reports.items():
+        assert len(got[name]) == len(want[name]), name
+        for (tol, margins), points in zip(got[name], want[name]):
+            ref, scale = np.array(points).T
+            assert margins.shape == ref.shape, name
+            assert np.all(np.abs(margins - ref) <= 4.0 * np.spacing(scale)), name
+        ref = np.concatenate([[m for m, _ in points] for points in want[name]])
+        passed = ref >= -tol
+        counts = (np.count_nonzero(passed), np.count_nonzero(passed & (np.abs(ref) < tol)),
+                  np.count_nonzero(~passed))
+        assert (rep.pass_count, rep.tight_count, rep.failure_count) == counts, name
+
+
+def test_verify_calls_q_of_on_arrays_at_most_once_per_grid_block(monkeypatch, capsys):
+    # the suites hand q_of whole grid blocks, never single entries
+    calls = []
+    adds = []
+    add = _Collector.add
+
+    def counting_q_of(t):
+        calls.append(t)
+        return q_of(t)
+
+    def counting_add(self, margins, detail):
+        adds.append(self.id)
+        add(self, margins, detail)
+
+    monkeypatch.setattr(verify, "q_of", counting_q_of)
+    monkeypatch.setattr(_Collector, "add", counting_add)
+    assert cli.main(["verify", "--suite", "all"]) == 0
+    capsys.readouterr()
+    assert all(isinstance(t, np.ndarray) for t in calls)
+    assert 0 < len(calls) <= len(adds)
