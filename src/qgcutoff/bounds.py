@@ -20,11 +20,12 @@ reports "no certificate" (tail = infinity) instead of extrapolating.
 
 Each family has one engine, (query, k grid, truncation) -> one interval per
 k, reached through ``A_k_grid``.  The point-mass unitary and eval walks and
-the wreath sum words of every block count that fits the index total
-(``_log_resolvent``), so their tail bounds only the words past that total,
-in closed form for the whole grid (``_resolvent_tail``); the mixture and a
-general nu stop at max_p blocks, and their tail is the composition tail
-``_composition_tail``.
+the wreath sum words of every block count that fits the index total, as
+the resolvent G / (1 - G) of one series G (``_log_resolvent``, by degree
+doubling on R = G (1 + R) with positive products only), so their tail
+bounds only the words past that total, in closed form for the whole grid
+(``_resolvent_tail``); the mixture and a general nu stop at max_p blocks,
+and their tail is the composition tail ``_composition_tail``.
 
 Family-specific series:
 
@@ -100,10 +101,12 @@ __all__ = [
     "ProfileResult",
 ]
 
-# Largest index total a truncation accepts.  A series product costs
-# O(max_total^2) per grid row and round: at 4096 one delta bound (every
-# block count, 12 resolvent rounds) takes about 0.2 s, and one whose row
-# takes the log-domain kernel (N = 5, tau = 2.99) about 1.4 s.
+# Largest index total a truncation accepts.  The resolvent costs about
+# max_total^2 / 2 multiply-adds per grid row, and a convolution power
+# round O(max_total^2): at 4096 one delta bound (every block count, 12
+# doubling steps) takes about 10 ms, one whose row takes the log-domain
+# kernel (N = 5, tau = 2.99) about 65 ms, and a wreath bound over Z/3 about
+# 5 ms (in-process on a 2-vCPU x86-64 VM).
 MAX_TOTAL = 4096
 # Most words the mixture engine sums.  Its array passes take about 1 us a
 # word: 82 450 words at (7, 17) in about 0.07 s, and 90 300 at (2, 300),
@@ -516,55 +519,61 @@ def _toeplitz(b: np.ndarray, pad: float) -> np.ndarray:
     (K, W) series ``b``, ``pad`` where that index is negative, with no W^2
     copy: row e of t[r] holds the factors of b for degree d = W - 1 - e."""
     K, w = b.shape
-    rev = np.full((K, 2 * w - 1), pad)
+    rev = np.empty((K, 2 * w - 1))
     rev[:, :w] = b[:, ::-1]
+    rev[:, w:] = pad
     row, item = rev.strides
     return np.ndarray((K, w, w), buffer=rev, strides=(row, item, item))
 
 
-def _log_round(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[j, :, d] = log sum_{i <= d} exp(a[j, :, i] + b[:, d - i]), d < W,
-    for the (m, K, W) stacked log series ``a`` and the (K, W) log series
-    ``b``.
+def _log_round(a: np.ndarray, t: np.ndarray, start: int = 0) -> np.ndarray:
+    """out[j, :, e] = log sum_{i < I, i <= d} exp(a[j, :, i] + b[:, d - i]),
+    d = start + e, for the (m, K, I) stacked log series ``a`` and the
+    (K, E, I) block t = _toeplitz(b, -inf)[:, W - start - E : W - start, :I]
+    of a (K, W) log series b: its rows for the degrees start to
+    start + E - 1.  With start = 0 and I = E = W that is the truncated
+    product; with start >= I - 1 the block reads no pad.
 
     The output degrees go in runs [lo, hi) of at most max(8, lo // 4)
-    degrees, so from degree 32 on at most a tenth of a run's block of the
-    ``_toeplitz`` view lies above the diagonal, in the -inf pad (numpy's
-    exp of -inf took about five times a finite one on x86-64).  Each run
-    goes over blocks of series rows, so no temporary holds more than one
+    degrees, each the first min(I, hi) coefficients of ``a`` plus the
+    view's block for those degrees, so from degree 32 on at most a tenth
+    of a run's block lies above the diagonal, in the -inf pad (numpy's exp
+    of -inf took about five times a finite one on x86-64).  Each run goes
+    over blocks of series rows, so no temporary holds more than one
     _BLOCK_TERMS block, or one row and one degree if that is larger.  Each
     coefficient is a ``_row_logsumexp`` of its row alone, so it does not
     depend on the rows stacked with it.
     """
-    m, K, w = a.shape
-    t = _toeplitz(b, -math.inf)
-    out = np.empty(a.shape)
-    lo = 0
+    m, K, inputs = a.shape
+    w = start + t.shape[1]
+    out = np.empty((m, K, t.shape[1]))
+    lo = start
     while lo < w:
-        # r degrees from lo take r (lo + r) floats a row
+        # r degrees from lo take at most r (lo + r) floats a row
         fit = (math.isqrt(lo * lo + 4 * _BLOCK_TERMS) - lo) // 2
         hi = min(w, lo + max(1, min(max(8, lo // 4), fit)))
-        rows = _block_len((hi - lo) * hi)
+        n = min(inputs, hi)
+        rows = _block_len((hi - lo) * n)
         powers, grid = max(1, rows // K), min(rows, K)
         for j in range(0, m, powers):
             for r in range(0, K, grid):
-                terms = a[j : j + powers, r : r + grid, np.newaxis, :hi] + t[r : r + grid, w - hi : w - lo, :hi]
-                out[j : j + powers, r : r + grid, lo:hi] = _row_logsumexp(terms)[..., ::-1]
+                terms = a[j : j + powers, r : r + grid, np.newaxis, :n] + t[r : r + grid, w - hi : w - lo, :n]
+                out[j : j + powers, r : r + grid, lo - start : hi - start] = _row_logsumexp(terms)[..., ::-1]
         lo = hi
     return out
 
 
-def _poly_round(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[j, :, d] = sum_{i <= d} a[j, :, i] b[:, d - i], d < W, for the
-    (m, K, W) stacked series ``a`` and the (K, W) series ``b`` of plain
-    non-negative coefficients.
+def _poly_round(a: np.ndarray, t: np.ndarray, start: int = 0) -> np.ndarray:
+    """``_log_round``'s forms as plain products of non-negative series,
+    out[j, :, e] = sum_{i < I, i <= d} a[j, :, i] b[:, d - i], d = start + e.
+    The block ``t`` fixes the degrees; ``start``, by which the log kernel
+    skips its -inf pad, is not read.
 
-    One ``np.einsum`` over the ``_toeplitz`` view of ``b``: no BLAS, so no
-    thread count changes a digit, and no W^2 copy.  Each coefficient is one
-    dot product over i in the same order whatever m and K, so a row's
-    result does not depend on the rows stacked with it.
+    One ``np.einsum``: no BLAS, so no thread count changes a digit.  Each
+    coefficient is one dot product over i in the same order whatever m and
+    K, so a row's result does not depend on the rows stacked with it.
     """
-    return np.einsum("rei,jri->jre", _toeplitz(b, 0.0), a)[..., ::-1]
+    return np.einsum("rei,jri->jre", t, a)[..., ::-1]
 
 
 def _powers(first: np.ndarray, P: int, product: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -584,7 +593,7 @@ def _powers(first: np.ndarray, P: int, product: Callable[[np.ndarray, np.ndarray
     n = 1
     while n + 1 < P:
         m = min(n, P - 1 - n)
-        out[n + 1 : n + m + 1] = product(out[1 : m + 1], out[n])
+        out[n + 1 : n + m + 1] = product(out[1 : m + 1], _toeplitz(out[n], zero))
         n *= 2
     return out
 
@@ -676,9 +685,40 @@ def _log_conv_powers(step: np.ndarray, P: int) -> np.ndarray:
 
 
 # Floats per series entry that a grid row of a ``_log_resolvent`` call
-# holds at once, for ``_in_blocks``: its (acc, power) pair, a round's two
-# products and the factor's padded reversal.
+# holds at once, for ``_in_blocks``: the resolvent and its weighted copy,
+# the padded reversal of H (two series), and a step's block and product
+# (at most half a series each) with the block's padded reversal.
 _RESOLVENT_FLOATS = 6
+
+
+def _resolvent_steps(h: np.ndarray, kernel: Callable[..., np.ndarray], unit: float, zero: float,
+                     weigh: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """The (K, W) series Q = H (1 + c Q), in the domain of ``kernel``
+    (``_poly_round`` or ``_log_round``), whose 1 and 0 are ``unit`` and
+    ``zero``, from the (K, W) series H = ``h`` with H_0 = 0 and ``weigh``,
+    which maps coefficients of Q to those of c Q.
+
+    By degree doubling: with R' = 1 + c Q known below degree n and
+    m = min(2n, W), the dense block A = [z^{n..m-1}] H R' (every factor
+    already known, read from one ``_toeplitz`` view of H) gives
+    Q_high = A / (1 - c H) = A R' mod z^(m - n), a triangle.  So degrees
+    n..m-1 take two positive products, and W degrees about 2 log2 W kernel
+    calls and W^2 / 2 multiply-adds.  Q_0 = H_0 and Q_1 = H_1 start it.
+    """
+    w = h.shape[1]
+    th = _toeplitz(h, zero)
+    q = h.copy()
+    r = np.empty_like(h)
+    r[:, 0] = unit
+    r[:, 1:2] = weigh(q[:, 1:2])
+    n = 2
+    while n < w:
+        m = min(2 * n, w)
+        block = kernel(r[np.newaxis, :, :n], th[:, w - m : w - n, :n], n)[0]
+        q[:, n:m] = kernel(r[np.newaxis, :, : m - n], _toeplitz(block, zero))[0]
+        r[:, n:m] = weigh(q[:, n:m])
+        n = m
+    return q
 
 
 def _log_resolvent(step: np.ndarray) -> np.ndarray:
@@ -686,38 +726,31 @@ def _log_resolvent(step: np.ndarray) -> np.ndarray:
     log series ``step`` with G_0 = 0 (column 0 -inf): the sum of G^p over
     every p >= 1, of which only p < W reach degree W - 1.
 
-    One positive product, G (1 + G) (1 + G^2) (1 + G^4) ..., in
-    ceil(log2 (W - 1)) rounds: round j forms acc G^(2^j) and G^(2^(j+1))
-    in one stacked kernel call and adds the first to acc.  A row that
-    ``_affine_tilt`` finds nearly affine for W - 1 factors, with no
-    vanishing coefficient, runs ``_poly_round`` on its series taken off
-    the line: with c = e^a and L = log(1 + c), the coefficient of degree n
-    becomes e^{residual_n} c (1+c)^{-n}, and the leading factor is divided
-    by c when c < 1.  A product of p <= W - 1 factors then keeps its
-    residual within e^{-64}, and every tilted coefficient of the result
-    lies between e^{-64} / 2 and 1, since the compositions of degree d into
-    p parts weigh c^p (1+c)^{-d} and number C(d-1, p-1); out =
-    log(coefficient) + min(a, 0) + (s + L) d.  Each factor's exponent
-    residual_n + max(a, 0) - L n carries a few ulps of rounding, and a
-    product that stays above e^{-745} has exponents summing to more than
-    -745, so it moves by under about 3e-13.  The other rows run
-    ``_log_round`` on the logs, and ``_split_rows`` joins the two.  Each
+    R = G / (1 - G) solves R = G (1 + R), which ``_resolvent_steps`` takes
+    by degree doubling with c = 1: ceil(log2 W) - 1 steps (W >= 2) of two
+    positive products, and no subtraction.  A row that ``_affine_tilt``
+    finds nearly affine for W - 1 factors, with no vanishing coefficient,
+    runs ``_poly_round`` on its series taken off the line: with c = e^a and
+    L = log(1 + c), the coefficient of degree n becomes
+    F_n = e^{residual_n} c (1+c)^{-n}, and the steps carry H = F / c' and
+    Q = R / c', c' = e^{min(a, 0)}, through Q = H (1 + c' Q).  A product of
+    p <= W - 1 factors F keeps its residual within e^{-64}, and every
+    coefficient of Q, and so of every block and product, lies between
+    e^{-64} / 2 and 1, since the compositions of degree d into p parts
+    weigh c^p (1+c)^{-d} and number C(d-1, p-1); a c' that underflows to 0
+    leaves Q = H, which is R / c' to within a factor 1 + c'.
+    out = log Q + min(a, 0) + (s + L) d.  Each exponent
+    residual_n + max(a, 0) - L n carries a few ulps of rounding, and a term
+    that stays above e^{-745} has exponents summing to more than -745, so
+    it moves by under about 3e-13.  Every sum is of positive terms, and the
+    steps behind a coefficient of degree d chain dot products of fewer than
+    4d terms in all, so their rounding adds at most about 4d u, u = 2^-53
+    (under 2e-12 at MAX_TOTAL).  The other rows run the same steps on the
+    logs with ``_log_round``, and ``_split_rows`` joins the two.  Each
     kernel computes a row's coefficients alone, so they do not depend on
     the rows stacked with it.
     """
-    K, w = step.shape
-    rounds = max(w - 2, 0).bit_length()
-
-    def product(first: np.ndarray, ratio: np.ndarray, kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                add: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
-        # pair = (acc, power), updated in place; the last round needs no power
-        pair = np.stack([first, ratio])
-        for j in range(rounds):
-            products = kernel(pair[: 2 if j + 1 < rounds else 1], pair[1])
-            add(pair[0], products[0], out=pair[0])
-            pair[1] = products[-1]
-        return pair[0]
-
+    w = step.shape[1]
     s, a, residual, linear = _affine_tilt(step, w - 1)
     linear &= np.isfinite(step[:, 1:]).all(axis=1)
 
@@ -725,15 +758,16 @@ def _log_resolvent(step: np.ndarray) -> np.ndarray:
         a_rows = a[rows, np.newaxis]
         lead, L, n = np.minimum(a_rows, 0.0), np.logaddexp(0.0, a_rows), np.arange(w)
         # exponents <= 0 from n = 1 on, as L >= max(a, 0); -inf at n = 0
-        first = np.exp(residual[rows] + (np.maximum(a_rows, 0.0) - L * n))
-        out = product(first, first * np.exp(lead), _poly_round, np.add)
+        h = np.exp(residual[rows] + (np.maximum(a_rows, 0.0) - L * n))
+        c = np.exp(lead)
+        out = _resolvent_steps(h, _poly_round, 1.0, 0.0, lambda q: q * c)
         with np.errstate(divide="ignore"):
             np.log(out, out=out)
         out += lead + (s[rows, np.newaxis] + L) * n
         return out
 
     return _split_rows(step.shape, linear, tilted,
-                       lambda rows: product(step[rows], step[rows], _log_round, np.logaddexp))
+                       lambda rows: _resolvent_steps(step[rows], _log_round, 0.0, -math.inf, lambda q: q))
 
 
 # ---------------------------------------------------------------------------
@@ -1109,7 +1143,7 @@ def _wreath_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -
             # K(psi) >= 1 always since psi(identity) = 1
             return _row_logsumexp(resolvent + e2_rev)[:, np.newaxis] + log_K
 
-        # a grid row's series: E^0 .. E^2, or the resolvent's stacked rounds
+        # a grid row's series: E^0 .. E^2, or the resolvent's
         cols.append(_in_blocks(block_sums, _RESOLVENT_FLOATS * (top + 1), f))
     log_partials = _row_logsumexp(np.hstack(cols))
 

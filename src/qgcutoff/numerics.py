@@ -21,14 +21,15 @@ The central objects are
 
 Quantities whose magnitude is exponential in n or k are held in the log
 domain: plain floats holding a logarithm, -inf for zero.  The one place
-they leave it is inside the engine's two series products, the convolution
+they leave it is inside the engine's two series builders, the convolution
 powers (``bounds._log_conv_powers``) and the resolvent
-(``bounds._log_resolvent``): a row of log coefficients that is affine in
-the degree up to a small residual is taken off that line (the tilt
-p a + s d for the powers, z -> z e^{-s} / (1 + e^a) for the resolvent),
-multiplied as plain floats (between e^-64 and 1e143 for the powers,
-e^-64 / 2 and 1 for the resolvent), and returned as logarithms; every
-other row stays in the log domain there too.
+(``bounds._log_resolvent``, by degree doubling with positive products
+only): a row of log coefficients that is affine in the degree up to a
+small residual is taken off that line (the tilt p a + s d for the powers,
+z -> z e^{-s} / (1 + e^a) for the resolvent), multiplied as plain floats
+(between e^-64 and 1e143 for the powers, e^-64 / 2 and 1 for the
+resolvent), and returned as logarithms; every other row stays in the log
+domain there too.
 """
 
 from __future__ import annotations

@@ -20,7 +20,9 @@ word by word before its array passes.  ``log_u_floats`` is the one-t
 ``np.log`` that both ``u_seq`` paths now take, and ``verify_scalar_margins``
 evaluates every ``verify`` margin one grid point at a time in math-module
 floats, on the suites' own grid constants and thresholds, the reference for
-their array margins.
+their array margins.  ``resolvent_log_recurrence`` is G / (1 - G) one degree
+at a time in the log domain, the reference for the engine's degree doubling
+at widths where summing every power one at a time is too slow.
 """
 
 import functools
@@ -471,6 +473,22 @@ def mixture_word_loop_log_partial(N: int, ks: Sequence[float], max_total: int, m
     mods = np.array(log_mod)
     # at k = 0 every coefficient power is 1, vanishing ones included
     return [logsumexp((dims if k == 0.0 else dims + 2.0 * k * mods).tolist()) for k in ks]
+
+
+def resolvent_log_recurrence(step: np.ndarray) -> np.ndarray:
+    """log [z^d] G / (1 - G) for d < W and each row of the (K, W) log series
+    ``step`` (G_0 = 0), from R = G + G R one degree at a time:
+    R_d = log(e^{G_d} + sum_{1 <= i < d} e^{G_i + R_{d-i}}), each sum of
+    exps shifted by its largest term and added exactly (``math.fsum``);
+    O(W^2) a row."""
+    out = np.full(step.shape, -math.inf)
+    for row, log_r in zip(step, out):
+        for d in range(1, step.shape[1]):
+            terms = np.concatenate([row[d : d + 1], row[1:d] + log_r[d - 1 : 0 : -1]])
+            hi = terms.max()
+            if hi > -math.inf:
+                log_r[d] = hi + math.log(math.fsum(np.exp(terms - hi).tolist()))
+    return out
 
 
 def _u_log_closed_form(log_q: float, n: int) -> float:

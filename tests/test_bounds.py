@@ -47,6 +47,7 @@ from oracles import (
     enumerate_wreath,
     mixture_log_partial,
     mixture_word_loop_log_partial,
+    resolvent_log_recurrence,
     unitary_log_partial,
     unitary_majorant_logs,
     unitary_tail_majorant,
@@ -531,7 +532,7 @@ def test_log_conv_matches_naive_double_loop(monkeypatch, K, block_terms):
         if K > 1:
             a[1] = -math.inf  # an all -inf row
             b[2, : (width + 1) // 2] = rng.choice([1e300, -1e300, 9.9e299], (width + 1) // 2)
-        got = bounds._log_round(a[np.newaxis], b)[0]
+        got = bounds._log_round(a[np.newaxis], bounds._toeplitz(b, -math.inf))[0]
         want = _naive_log_conv(a, b)
         assert np.array_equal(np.isneginf(got), np.isneginf(want))
         finite = np.isfinite(want)
@@ -543,14 +544,19 @@ def test_log_conv_matches_naive_double_loop(monkeypatch, K, block_terms):
 @pytest.mark.parametrize("K", [1, 3])
 def test_log_and_polynomial_kernels_agree(K):
     # on positive series the log kernel of the logs is the log of the
-    # polynomial kernel, for stacked powers as a doubling round passes them
+    # polynomial kernel, for stacked powers as a doubling round passes them,
+    # and on the dense block of degrees n .. 2n - 1 against n inputs that a
+    # resolvent step passes
     rng = np.random.default_rng(11)
     for width in [*range(1, 50), 130]:
         a = rng.uniform(0.0, 1.0, (3, K, width))
         b = rng.uniform(0.0, 1.0, (K, width))
-        got = bounds._log_round(np.log(a), np.log(b))
-        want = np.log(bounds._poly_round(a, b))
-        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want))), width
+        n = (width + 1) // 2
+        for form in [(slice(None), slice(None), 0), (slice(width - 2 * n + 1, width - n + 1), slice(n), n - 1)]:
+            rows, inputs, start = form
+            got = bounds._log_round(np.log(a[..., inputs]), bounds._toeplitz(np.log(b), -math.inf)[:, rows, inputs], start)
+            want = np.log(bounds._poly_round(a[..., inputs], bounds._toeplitz(b, 0.0)[:, rows, inputs]))
+            assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want))), width
 
 
 def _sequential_log_conv_powers(step, P):
@@ -607,28 +613,29 @@ def _assert_powers_match(got, want):
 @pytest.mark.parametrize(
     "argv, calls",
     [
-        # a point mass: ceil(log2 16) = 4 resolvent rounds reach 16 factors
-        (["--family", "unitary", "--N", "200", "--tau", "2", "--max-total", "16"], 4),
+        # a point mass: the resolvent's degrees 0 to 16 take 4 doubling
+        # steps (degrees 2, 4, 8 and 16 on), two kernel calls each
+        (["--family", "unitary", "--N", "200", "--tau", "2", "--max-total", "16"], 8),
         # the parity path at the default (12, 48): 4 doubling rounds build the 12 powers
         (["--family", "unitary", "--N", "200", "--tau", "2", "--nu", "haar"], 4),
-        # one round builds E^2, then 4 resolvent rounds reach the 15 factors
-        # X of degree <= (32 - 2) // 2 = 15, X = m z I
-        (["--family", "wreath", "--N", "200", "--tau", "2", "--group", "cyclic:3", "--max-total", "32"], 5),
-        # at the default max_total 48: 6 rounds for 48 factors, and 1 + 5
-        # for the wreath's 23
-        (["--family", "unitary", "--N", "200", "--tau", "2"], 6),
-        (["--family", "wreath", "--N", "200", "--tau", "2", "--group", "cyclic:3"], 6),
+        # one round builds E^2, then 3 resolvent steps reach degree 15 of
+        # X = m z I, (32 - 2) // 2 = 15
+        (["--family", "wreath", "--N", "200", "--tau", "2", "--group", "cyclic:3", "--max-total", "32"], 7),
+        # at the default max_total 48: 5 steps reach degree 48, and 1 + 4
+        # steps the wreath's 23
+        (["--family", "unitary", "--N", "200", "--tau", "2"], 10),
+        (["--family", "wreath", "--N", "200", "--tau", "2", "--group", "cyclic:3"], 9),
     ],
 )
 def test_bound_makes_about_log2_P_convolution_calls(monkeypatch, capsys, argv, calls):
-    # a round calls the kernel of its rows, and one k gives one row
+    # a round or step calls the kernel of its rows, and one k gives one row
     count = 0
 
     def counted(kernel):
-        def round_(a, b):
+        def round_(*args):
             nonlocal count
             count += 1
-            return kernel(a, b)
+            return kernel(*args)
 
         return round_
 
@@ -666,7 +673,7 @@ def test_log_round_runs_tile_the_degrees_in_blocks(monkeypatch):
 
     monkeypatch.setattr(bounds, "_row_logsumexp", recorded)
     a = np.zeros((2, 3, 600))
-    bounds._log_round(a, a[0])
+    bounds._log_round(a, bounds._toeplitz(a[0], -math.inf))
     # the series rows each run covers, runs in call order
     rows: dict[tuple[int, int], int] = {}
     for powers, grid, n, hi in shapes:
@@ -869,13 +876,13 @@ def test_resolvent_takes_the_log_kernel_for_a_vanishing_coefficient(monkeypatch)
     rows = []
     log_round = bounds._log_round
 
-    def recorded(a, b):
-        rows.append(b.shape)
-        return log_round(a, b)
+    def recorded(a, t, *start):
+        rows.append(t.shape[0])
+        return log_round(a, t, *start)
 
     monkeypatch.setattr(bounds, "_log_round", recorded)
     got = bounds._log_resolvent(step)
-    assert rows and set(rows) == {(1, M + 1)}
+    assert rows and set(rows) == {1}
     assert np.isneginf(got[:, 1::2]).all()
     _assert_logs_match(got[:, ::2], bounds._log_resolvent(step[:, ::2]), 1e-12)
     assert bounds._row_logsumexp(got)[0] == pytest.approx(2698.491, abs=1e-3)
@@ -886,22 +893,102 @@ def test_resolvent_rows_do_not_depend_on_the_rows_stacked_with_them(monkeypatch)
     affine = _engine_steps("unitary", [-5.0, 0.0, 5.0], width)
     wide = _log_kernel_rows(width)[[0, 5]]
     step = np.vstack([affine[0], wide[0], affine[1], wide[1], affine[2]])
-    rows = {"_poly_round": set(), "_log_round": set()}
+    forms = {"_poly_round": set(), "_log_round": set()}
 
     def recorded(name, kernel):
-        def round_(a, b):
-            rows[name].add(a.shape[1])
-            return kernel(a, b)
+        def round_(a, t, start=0):
+            # (grid rows, stacked series, inputs, output degrees, start)
+            forms[name].add((a.shape[1], a.shape[0], a.shape[2], t.shape[1], start))
+            return kernel(a, t, start)
 
         return round_
 
-    for name in rows:
+    for name in forms:
         monkeypatch.setattr(bounds, name, recorded(name, getattr(bounds, name)))
     got = bounds._log_resolvent(step)
-    assert rows == {"_poly_round": {3}, "_log_round": {2}}
+    # degrees n to m - 1 for (n, m) = (2, 4), ..., (32, 64), (64, 70): a
+    # dense block of n inputs from degree n, then a triangle from degree 0
+    steps = [(2, 4), (4, 8), (8, 16), (16, 32), (32, 64), (64, 70)]
+    for name, K in (("_poly_round", 3), ("_log_round", 2)):
+        assert forms[name] == {f for n, m in steps for f in ((K, 1, n, m - n, n), (K, 1, m - n, m - n, 0))}
     for i in range(len(step)):
         assert np.array_equal(got[i], bounds._log_resolvent(step[i : i + 1])[0])
     _assert_logs_match(got, _sequential_resolvent(step), 1e-12)
+
+
+def _resolvent_linear(step):
+    """The rows that ``_log_resolvent`` takes to the polynomial kernel."""
+    return bounds._affine_tilt(step, step.shape[1] - 1)[3] & np.isfinite(step[:, 1:]).all(axis=1)
+
+
+def _t_zero_row(width):
+    # t = 0 (N = tau = 3, k = 1/2): u_n(0) = 0 for odd n
+    return bounds._log_coeff_table(np.array([1.0]), u_seq(0.0, width - 1), u_seq(3.0, width - 1))
+
+
+# the doubling's steps start at degrees 2, 4, 8, 16, 32 and 64: widths at,
+# just past and short of each, and the default 49
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 9, 17, 33, 48, 49, 65, 70])
+@pytest.mark.parametrize("kernel", ["poly", "log"])
+def test_resolvent_doubling_matches_the_sequential_power_sum(kernel, width):
+    if kernel == "poly":
+        step = np.vstack([_engine_steps(kind, [-5.0, 0.0, 5.0], width)
+                          for kind in ("unitary", "eval", "wreath-interior")])
+        assert _resolvent_linear(step).all()
+    else:
+        # two rows no line fits once they have three degrees, and the t = 0
+        # row, whose vanishing coefficient takes the log kernel from width 2
+        step = np.vstack([_log_kernel_rows(width)[[5, 10]], _t_zero_row(width)])
+        assert _resolvent_linear(step).tolist() == [width < 4, width < 4, width < 2]
+    _assert_logs_match(bounds._log_resolvent(step), _sequential_resolvent(step), 1e-12)
+
+
+def test_resolvent_tilt_edge_rows():
+    # G_n = e^{a0 + s n + 0.3 sin n}: a far below -745, so that c = e^a
+    # underflows to 0 and Q = H, and a > 0, so that c' = 1
+    n = np.arange(49)
+    step = np.vstack([-800.0 - 0.5 * n, 3.0 - 5.0 * n, 2.0 - 0.1 * n]) + 0.3 * np.sin(n)
+    step[:, 0] = -math.inf
+    a = bounds._affine_tilt(step, 48)[1]
+    assert _resolvent_linear(step).all()
+    assert np.exp(a[0]) == 0.0 and a[0] > -math.inf and (a[1:] > 0.0).all()
+    _assert_logs_match(bounds._log_resolvent(step), _sequential_resolvent(step), 1e-12)
+
+
+@pytest.mark.parametrize("kernel", ["poly", "log"])
+def test_resolvent_at_width_1025_matches_the_log_recurrence(kernel):
+    width = 1025
+    if kernel == "poly":
+        step = _engine_steps("unitary", [-5.0, 0.0, 5.0], width)
+    else:
+        step = np.vstack([_log_kernel_rows(width)[[5]], _t_zero_row(width)])
+    assert _resolvent_linear(step).tolist() == [kernel == "poly"] * len(step)
+    _assert_logs_match(bounds._log_resolvent(step), resolvent_log_recurrence(step), 1e-12)
+
+
+# per grid row, the product form took 2 W^2 multiply-adds a round, 26 411
+# at W = 49 and about 386 M at 4097
+@pytest.mark.parametrize("kind, width, most", [("unitary", 49, 1600), ("log-kernel", 49, 1600),
+                                                ("unitary", 4097, 12_000_000)])
+def test_resolvent_work_per_grid_row(monkeypatch, kind, width, most):
+    # stacked series x output degrees x inputs over every kernel call: about
+    # W^2 / 2 (1 513 at 49, 11 188 905 at 4097)
+    step = _log_kernel_rows(width)[[5, 10]] if kind == "log-kernel" else _engine_steps(kind, [-5.0, 5.0], width)
+    assert _resolvent_linear(step).tolist() == [kind == "unitary"] * 2
+    work = 0
+
+    def counted(kernel):
+        def round_(a, t, start=0):
+            nonlocal work
+            work += a.shape[0] * t.shape[1] * a.shape[2]
+            return kernel(a, t, start)
+
+        return round_
+
+    for name in ("_poly_round", "_log_round"):
+        monkeypatch.setattr(bounds, name, counted(getattr(bounds, name)))
+    bounds._log_resolvent(step)
+    assert work <= most
 
 
 # ---------------------------------------------------------------------------
