@@ -18,8 +18,8 @@ bounds
 applied per factor.  When a geometric ratio fails to be < 1 the engine
 reports "no certificate" (tail = infinity) instead of extrapolating.
 
-Each family has one engine, (query, k grid, truncation) -> one interval per
-k, reached through ``A_k_grid``.  The point-mass unitary and eval walks and
+Each family has one engine, (query, k grid, truncation) -> the intervals
+at every k as one columnar ``IntervalGrid``, reached through ``A_k_grid``.  The point-mass unitary and eval walks and
 the wreath sum words of every block count that fits the index total, as
 the resolvent G / (1 - G) of one series G (``_log_resolvent``, by degree
 doubling on R = G (1 + R) with positive products only), so their tail
@@ -49,7 +49,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import _Q_DOMAIN_EPS, _exp, log1mexp, logsumexp, q_of, u_seq
+from .numerics import _Q_DOMAIN_EPS, log1mexp, logsumexp, q_of, u_seq
 from .structures import (
     CircleMeasure,
     FiniteGroup,
@@ -75,9 +75,8 @@ from .words import (
 __all__ = [
     "ParameterError",
     "TruncationConfig",
-    "BoundInterval",
+    "IntervalGrid",
     "WalkQuery",
-    "TVUpper",
     "DEFAULT_TRUNCATION",
     "MIXTURE_DEFAULT_TRUNCATION",
     "MAX_K",
@@ -97,7 +96,6 @@ __all__ = [
     "wreath_certificate_threshold",
     "nominal_cutoff",
     "cutoff_profile",
-    "ProfileRow",
     "ProfileResult",
 ]
 
@@ -182,40 +180,39 @@ def default_truncation(family: str) -> TruncationConfig:
     return _FAMILIES[family].truncation
 
 
-@dataclass(frozen=True)
-class BoundInterval:
-    """[partial, partial + tail] around a series value, held as the logs of
-    both endpoints so that no underflowed value is lost.
+@dataclass
+class IntervalGrid:
+    """The intervals [partial, partial + tail] around the series value A_k
+    at every k of a grid, as columns: the logs of both endpoints, so that no
+    underflowed value is lost, one entry a row.
 
-    ``partial`` is exact over the truncation (up to float rounding).
-    ``tail`` is certified under the recorded hypotheses;
-    when any required hypothesis fails it is +inf and ``certified`` is False.
+    ``log_partial`` is exact over the truncation (up to float rounding).
+    ``log_tail`` is certified under the row's hypotheses; where any required
+    hypothesis fails it is +inf and ``certified`` is False.  A row's
+    hypotheses (``hypotheses``) are ("k >= 1", ``k_ok``), the walk's
+    ``walk_hypotheses``, and, on the rows ``tail_ran`` marks (k >= 1 and
+    every required walk hypothesis holds), the tail's: ``tail_keys`` with
+    that row of ``tail_hypotheses``.  Nothing here is to be written: the
+    record is not frozen because its arrays could not be, and a frozen
+    dataclass costs a one-row bound several microseconds to build.
     """
 
+    k: np.ndarray
+    log_partial: np.ndarray
+    log_tail: np.ndarray
+    certified: np.ndarray
     terms_used: int
     certificate: str
-    certified: bool
-    hypotheses: tuple[tuple[str, bool], ...]
-    log_partial: float
-    log_tail: float
+    walk_hypotheses: tuple[tuple[str, bool], ...]
+    k_ok: np.ndarray
+    tail_keys: tuple[str, ...]
+    tail_hypotheses: np.ndarray  # (rows, keys) bool, False where the tail did not run
+    tail_ran: np.ndarray
 
-    @property
-    def partial(self) -> float:
-        return _exp(self.log_partial)
-
-    @property
-    def tail(self) -> float:
-        return _exp(self.log_tail)
-
-    @property
-    def upper(self) -> float:
-        return self.partial + self.tail
-
-    @property
-    def log_upper(self) -> float:
-        if self.log_tail == math.inf:
-            return math.inf
-        return float(np.logaddexp(self.log_partial, self.log_tail))
+    def hypotheses(self, i: int) -> tuple[tuple[str, bool], ...]:
+        """Row i's hypotheses as (name, holds) pairs, in print order."""
+        tail = tuple(zip(self.tail_keys, self.tail_hypotheses[i].tolist())) if self.tail_ran[i] else ()
+        return (("k >= 1", bool(self.k_ok[i])),) + self.walk_hypotheses + tail
 
 
 @dataclass(frozen=True)
@@ -326,20 +323,14 @@ def nominal_cutoff(q: WalkQuery) -> float:
 # shared tail machinery
 
 
-@dataclass(frozen=True)
-class _SeriesTail:
-    """A tail bound, inf when a hypothesis fails, and the hypotheses."""
-
-    log_tail: float
-    hypotheses: tuple[tuple[str, bool], ...]
-
-
 # the hypotheses of the composition tail, recorded in this order
 _TAIL_KEYS = ("x < 1", "within-degree ratios < 1", "w = S/(1-x) < 1")
 
 
-def _composition_tail(log_S: float, log_x: float, M: int, P: int) -> _SeriesTail:
-    """Certified bound on sum_{1 <= p <= P} 2 S^p * sum over compositions
+def _composition_tail(log_S: np.ndarray, log_x: np.ndarray, M: int, P: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log bound, hypotheses) per row, the bound +inf where a hypothesis
+    fails and the hypotheses a (rows, 3) bool array on _TAIL_KEYS: the
+    certified bound on sum_{1 <= p <= P} 2 S^p * sum over compositions
     into p parts of degree > M of x^(degree - p), plus the whole p > P
     block.
 
@@ -347,38 +338,43 @@ def _composition_tail(log_S: float, log_x: float, M: int, P: int) -> _SeriesTail
     J = max(M - p + 1, 0) and the composition counts C(j+p-1, p-1) grow by
     ratios (j+p)/(j+1), so the block is bounded by its first term times a
     geometric series of ratio rho_p = x (J+p)/(J+1).  Beyond P the full
-    per-p sum collapses to w^p with w = S / (1 - x).
+    per-p sum collapses to w^p with w = S / (1 - x).  Each row runs a
+    scalar loop over p, which on one row is about 3x faster than an array
+    form.
     """
-    if not log_x < 0.0:
-        return _SeriesTail(math.inf, tuple((key, False) for key in _TAIL_KEYS))
-    x = math.exp(log_x)
+    log_tail = np.full(log_S.shape, math.inf)
+    hyps = np.zeros(log_S.shape + (len(_TAIL_KEYS),), dtype=bool)
     log_pref = math.log(2.0)
-    pieces: list[float] = []
-    rho_ok = True
-    for p in range(1, P + 1):
-        J = max(M - p + 1, 0)
-        if J == 0:
-            # no degree was enumerated for this p; exact geometric block
-            pieces.append(log_pref + p * log_S - p * log1mexp(log_x))
+    for row, (log_S_row, log_x_row) in enumerate(zip(log_S.tolist(), log_x.tolist())):
+        if not log_x_row < 0.0:
             continue
-        rho = x * (J + p) / (J + 1)
-        if not rho < 1.0:
-            rho_ok = False
-            break
-        pieces.append(
-            log_pref
-            + p * log_S
-            + J * log_x
-            + math.log(math.comb(J + p - 1, p - 1))
-            - math.log1p(-rho)
-        )
-    log_w = log_S - log1mexp(log_x)
-    w_ok = log_w < 0.0
-    hyps = tuple(zip(_TAIL_KEYS, (True, rho_ok, w_ok)))
-    if not (rho_ok and w_ok):
-        return _SeriesTail(math.inf, hyps)
-    pieces.append(log_pref + (P + 1) * log_w - log1mexp(log_w))
-    return _SeriesTail(logsumexp(pieces), hyps)
+        x = math.exp(log_x_row)
+        pieces: list[float] = []
+        rho_ok = True
+        for p in range(1, P + 1):
+            J = max(M - p + 1, 0)
+            if J == 0:
+                # no degree was enumerated for this p; exact geometric block
+                pieces.append(log_pref + p * log_S_row - p * log1mexp(log_x_row))
+                continue
+            rho = x * (J + p) / (J + 1)
+            if not rho < 1.0:
+                rho_ok = False
+                break
+            pieces.append(
+                log_pref
+                + p * log_S_row
+                + J * log_x_row
+                + math.log(math.comb(J + p - 1, p - 1))
+                - math.log1p(-rho)
+            )
+        log_w = log_S_row - log1mexp(log_x_row)
+        w_ok = log_w < 0.0
+        hyps[row] = True, rho_ok, w_ok
+        if rho_ok and w_ok:
+            pieces.append(log_pref + (P + 1) * log_w - log1mexp(log_w))
+            log_tail[row] = logsumexp(pieces)
+    return log_tail, hyps
 
 
 def _log1mexp_rows(log_r: np.ndarray) -> np.ndarray:
@@ -401,44 +397,35 @@ def _resolvent_tail(log_S: np.ndarray, log_x: np.ndarray, D: int) -> tuple[np.nd
     return np.where(ok, log_S + D * safe - _log1mexp_rows(safe), math.inf), ok
 
 
-def _closed_tails(log_tail: np.ndarray, ok: np.ndarray, key: str) -> list[_SeriesTail]:
-    """One tail per row from a ``_resolvent_tail`` bound and its hypothesis
-    ``key``."""
-    return [_SeriesTail(t, ((key, o),)) for t, o in zip(log_tail.tolist(), ok.tolist())]
-
-
 def _intervals(
-    ks: Sequence[float],
-    log_partials: Sequence[float],
+    ks: np.ndarray,
+    log_partials: np.ndarray,
     terms: int,
     hyps: tuple[tuple[str, bool], ...],
     certificate: str,
-    tail: Callable[[np.ndarray], list[_SeriesTail]],
-) -> list[BoundInterval]:
-    """One interval [partial, partial + tail] per k, from the walk's
+    tail_keys: tuple[str, ...],
+    tail: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+) -> IntervalGrid:
+    """The intervals [partial, partial + tail] at every k, from the walk's
     hypotheses ``hyps``, certificate text and tail closure, which maps an
-    array of 2k to one tail per entry.
+    array of 2k to the log bound per entry (+inf where it fails) and a
+    (entries, keys) bool array of its hypotheses ``tail_keys``.
 
-    Each row records ("k >= 1", ...) in front of ``hyps``.  ``tail`` runs
-    once, on the rows where k >= 1 and every required (not ``[recorded]``)
-    hypothesis holds: its algebra assumes them.
+    ``tail`` runs once, on the rows where k >= 1 and every required (not
+    ``[recorded]``) hypothesis holds: its algebra assumes them.
     """
-    walk_ok = all(ok for name, ok in hyps if "[recorded]" not in name)
-    rows = [i for i, k in enumerate(ks) if walk_ok and k >= 1.0]
-    series: dict[int, _SeriesTail] = dict(zip(rows, tail(2.0 * np.asarray(ks)[rows]))) if rows else {}
-    out = []
-    for i, (k, log_partial) in enumerate(zip(ks, log_partials)):
-        row = series.get(i)
-        certified = row is not None and row.log_tail < math.inf
-        out.append(BoundInterval(
-            terms_used=terms,
-            certificate=certificate,
-            certified=certified,
-            hypotheses=(("k >= 1", k >= 1.0),) + hyps + (row.hypotheses if row is not None else ()),
-            log_partial=float(log_partial),
-            log_tail=row.log_tail if certified else math.inf,
-        ))
-    return out
+    k_ok = ks >= 1.0
+    ran = k_ok if all(ok for name, ok in hyps if "[recorded]" not in name) else np.zeros_like(k_ok)
+    count = np.count_nonzero(ran)
+    if count == ks.size:
+        log_tail, tail_hyps = tail(2.0 * ks)
+    else:
+        log_tail = np.full(ks.shape, math.inf)
+        tail_hyps = np.zeros(ks.shape + (len(tail_keys),), dtype=bool)
+        if count:
+            log_tail[ran], tail_hyps[ran] = tail(2.0 * ks[ran])
+    return IntervalGrid(ks, log_partials, log_tail, log_tail < math.inf, terms, certificate, hyps, k_ok,
+                        tail_keys, tail_hyps, ran)
 
 
 # ---------------------------------------------------------------------------
@@ -883,7 +870,7 @@ def _parity_log_partials(g: np.ndarray, log_abs_m: np.ndarray, two_k: np.ndarray
     return _in_blocks(block, 2 * (P + 1) * (M + 1) + pc.log_count.size, g, two_k)
 
 
-def _unitary_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -> list[BoundInterval]:
+def _unitary_intervals(q: WalkQuery, ks: np.ndarray, tc: TruncationConfig) -> IntervalGrid:
     """Series intervals of a unitary-family walk at every k in ``ks``.
 
     Every excluded word is majorized by 2 S^p x^{total - p} with
@@ -913,7 +900,7 @@ def _unitary_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
         t, nu = float(q.N) - q.tau, q.nu
     N = q.N
     M, P = tc.max_total, tc.max_p
-    two_k = 2.0 * np.asarray(ks, dtype=float)
+    two_k = 2.0 * ks
 
     # |u_n(t)| ratios; t <= 2 is allowed for the partial (values may vanish)
     g = _log_coeff_table(two_k, u_seq(t, M), u_seq(float(N), M))
@@ -927,13 +914,13 @@ def _unitary_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
         "t q^{-(n-1)} <= u_n <= q^{-n}/(1-q^2) and |m_eps| <= 1; "
     )
 
-    def majorant(two_k: np.ndarray | float) -> tuple[np.ndarray | float, np.ndarray | float]:
-        # (log S, log x) at each 2k, or at one
+    def majorant(two_k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # (log S, log x) at each 2k
         log_qN = math.log(q_of(float(N)))
         qt = q_of(t)
-        log_qt = math.log(qt)
-        log_x = (two_k - 2.0) * log_qN - two_k * log_qt
-        log_S = -(two_k - 2.0) * math.log(float(N)) - two_k * log_qt - two_k * math.log1p(-qt * qt)
+        steps, t_part = two_k - 2.0, two_k * math.log(qt)
+        log_x = steps * log_qN - t_part
+        log_S = steps * -math.log(float(N)) - t_part - two_k * math.log1p(-qt * qt)
         return log_S, log_x
 
     weight = nu.point_mass_weight()
@@ -945,12 +932,12 @@ def _unitary_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
         block_sums = _in_blocks(resolvent_sums, _RESOLVENT_FLOATS * (M + 1), g)
         log_partials = math.log(2.0) + two_k * math.log(weight) + block_sums
 
-        def tail(two_k: np.ndarray) -> list[_SeriesTail]:
+        def tail(two_k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             log_tail, ok = _resolvent_tail(*majorant(two_k), M)
-            return _closed_tails(math.log(2.0) + log_tail, ok, "x + S < 1")
+            return math.log(2.0) + log_tail, ok[:, np.newaxis]
 
         text += "words of every block count summed; total > max_total by 2 S (x+S)^max_total / (1-x-S)"
-        return _intervals(ks, log_partials, count_unitary(M, M), hyps, text, tail)
+        return _intervals(ks, log_partials, count_unitary(M, M), hyps, text, ("x + S < 1",), tail)
 
     log_abs_m = np.full(2 * P + 1, -math.inf)
     for eps in range(-P, P + 1):
@@ -958,22 +945,19 @@ def _unitary_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
         if m > 0.0:
             log_abs_m[eps + P] = math.log(m)
     log_partials = _parity_log_partials(g, log_abs_m, two_k, M, P)
-
-    def composition_tails(two_k: np.ndarray) -> list[_SeriesTail]:
-        return [_composition_tail(*majorant(tk), M, P) for tk in two_k.tolist()]
-
     text += (
         "within-degree blocks bounded by first term times geometric ratio, "
         "p > max_p blocks by the closed geometric sum"
     )
-    return _intervals(ks, log_partials, count_unitary(M, P), hyps, text, composition_tails)
+    return _intervals(ks, log_partials, count_unitary(M, P), hyps, text, _TAIL_KEYS,
+                      lambda two_k: _composition_tail(*majorant(two_k), M, P))
 
 
 # ---------------------------------------------------------------------------
 # mixture family
 
 
-def _mixture_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -> list[BoundInterval]:
+def _mixture_intervals(q: WalkQuery, ks: np.ndarray, tc: TruncationConfig) -> IntervalGrid:
     """Series intervals of the uniform (Porod) mixture of evaluation states
     at every k in ``ks``.
 
@@ -1062,7 +1046,7 @@ def _mixture_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
     def sums(two_k: np.ndarray) -> np.ndarray:
         return _row_logsumexp(dims + _log_power(two_k[:, np.newaxis], mods))
 
-    log_partials = _in_blocks(sums, dims.size, 2.0 * np.asarray(ks, dtype=float))
+    log_partials = _in_blocks(sums, dims.size, 2.0 * ks)
 
     hyps = (("N >= 12", N >= 12),)
     text = (
@@ -1071,7 +1055,7 @@ def _mixture_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
         "bounds at N - lambda, and the moment bound E[(N-lambda)^alpha] <= a_N^alpha"
     )
 
-    def composition_tail(two_k: float) -> _SeriesTail:
+    def tail(two_k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a_N = N - 2.0 + 2.0 / N
         log_ab = math.log(a_N) + 4.0 / ((N - 2.0) * (N - 2.0))
         q2 = q_of(N - 2.0)
@@ -1079,15 +1063,14 @@ def _mixture_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) 
         log_x = two_k * log_ab + (two_k - 2.0) * math.log(q_of(float(N)))
         return _composition_tail(log_S, log_x, M, P)
 
-    return _intervals(ks, log_partials, terms, hyps, text,
-                      lambda two_k: [composition_tail(tk) for tk in two_k.tolist()])
+    return _intervals(ks, log_partials, terms, hyps, text, _TAIL_KEYS, tail)
 
 
 # ---------------------------------------------------------------------------
 # wreath family
 
 
-def _wreath_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -> list[BoundInterval]:
+def _wreath_intervals(q: WalkQuery, ks: np.ndarray, tc: TruncationConfig) -> IntervalGrid:
     """Series intervals of a wreath walk at every k in ``ks``.
 
     Words have p group labels and p+1 character indices (even for p = 0, odd
@@ -1122,7 +1105,7 @@ def _wreath_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -
     N, tau = q.N, q.tau
     M = tc.max_total
     log_m, log_K = math.log(q.group.order), math.log(q.psi.abs_sum())
-    two_k = 2.0 * np.asarray(ks, dtype=float)
+    two_k = 2.0 * ks
     f = _log_coeff_table(two_k, u_seq(math.sqrt(float(N) - tau), M), u_seq(math.sqrt(float(N)), M))
 
     # p = 0: single characters with even indices
@@ -1161,7 +1144,7 @@ def _wreath_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -
         "past index total max_total by (K/(m^2 y)) S ((x+S)^D/(1-x-S) - x^D/(1-x)), D = max_total//2+1"
     )
 
-    def tail(two_k: np.ndarray) -> list[_SeriesTail]:
+    def tail(two_k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         s = math.sqrt(float(N))
         qp = q_of(math.sqrt(float(N) - tau))
         log_qs = math.log(q_of(s))
@@ -1180,9 +1163,9 @@ def _wreath_intervals(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig) -
         log_words = log_parts + _log1mexp_rows(np.where(ok, log_one - log_parts, -1.0))
         single = log_Z + (M // 2) * log_y - log_1my
         log_tail = np.logaddexp(log_K - 2.0 * log_m - log_y + log_words, single)
-        return _closed_tails(np.where(ok, log_tail, math.inf), ok, "y + m Z < 1")
+        return np.where(ok, log_tail, math.inf), ok[:, np.newaxis]
 
-    return _intervals(ks, log_partials, count_wreath(q.group, M), hyps, text, tail)
+    return _intervals(ks, log_partials, count_wreath(q.group, M), hyps, text, ("y + m Z < 1",), tail)
 
 
 # ---------------------------------------------------------------------------
@@ -1204,10 +1187,10 @@ class _Family:
     degree-2 character with sup norm 3; the mixture uses the real degree-1
     witness with sup norm 2."""
 
-    engine: Callable[[WalkQuery, Sequence[float], TruncationConfig], list[BoundInterval]]
+    engine: Callable[[WalkQuery, np.ndarray, TruncationConfig], IntervalGrid]
     truncation: TruncationConfig
     witness: tuple[float, float]
-    expectation: Callable[[WalkQuery, float], float]
+    expectation: Callable[[WalkQuery, np.ndarray], np.ndarray]
     rate: Callable[[WalkQuery], float]
     parameters: dict[str, Callable[[WalkQuery], object] | None]
     rules: tuple[tuple[tuple[str, ...], Callable[[WalkQuery], bool], str], ...]
@@ -1258,89 +1241,87 @@ _FAMILIES = {
 }
 
 
-def A_k_grid(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig | None = None) -> list[BoundInterval]:
-    """Series interval of A_k for the walk ``q`` at every k in ``ks``, from
-    one pass of the family's engine.  A k outside [0, MAX_K] raises
-    ParameterError.  ``tc`` defaults to ``default_truncation(q.family)``; an
-    engine raises ParameterError for a truncation beyond its own size
-    limits."""
-    ks = [float(k) for k in ks]
-    for k in ks:
+def A_k_grid(q: WalkQuery, ks: Sequence[float], tc: TruncationConfig | None = None) -> IntervalGrid:
+    """Series intervals of A_k for the walk ``q`` at every k in ``ks``, from
+    one pass of the family's engine, as one columnar record.  A k outside
+    [0, MAX_K] raises ParameterError.  ``tc`` defaults to
+    ``default_truncation(q.family)``; an engine raises ParameterError for a
+    truncation beyond its own size limits."""
+    ks = np.array(ks, dtype=float)
+    for k in ks.tolist():
         if not 0.0 <= k <= MAX_K:
             raise ParameterError(("k",), f"must be in [0, {MAX_K!r}], got {k!r}")
+    ks.flags.writeable = False
     family = _FAMILIES[q.family]
     return family.engine(q, ks, tc if tc is not None else family.truncation)
 
 
-# Single-point entries under their earlier names.  The package runs
-# everything through A_k_grid; the benchmark's span tracer
-# (perfbench/spans.py) still looks these names up.
+# Single-point entries under their earlier names, each the one-row grid.
+# The package runs everything through A_k_grid; the benchmark's span tracer
+# (perfbench/spans.py) still looks these names up and reads terms_used.
 
 
-def A_k_unitary(q: WalkQuery, k: float, tc: TruncationConfig = DEFAULT_TRUNCATION) -> BoundInterval:
-    return A_k_grid(q, [k], tc)[0]
+def A_k_unitary(q: WalkQuery, k: float, tc: TruncationConfig = DEFAULT_TRUNCATION) -> IntervalGrid:
+    return A_k_grid(q, [k], tc)
 
 
-def A_k_wreath(q: WalkQuery, k: float, tc: TruncationConfig = DEFAULT_TRUNCATION) -> BoundInterval:
-    return A_k_grid(q, [k], tc)[0]
+def A_k_wreath(q: WalkQuery, k: float, tc: TruncationConfig = DEFAULT_TRUNCATION) -> IntervalGrid:
+    return A_k_grid(q, [k], tc)
 
 
-def A_k_mixture(N: int, k: float, tc: TruncationConfig = MIXTURE_DEFAULT_TRUNCATION) -> BoundInterval:
-    return A_k_grid(WalkQuery.mixture(N), [k], tc)[0]
+def A_k_mixture(N: int, k: float, tc: TruncationConfig = MIXTURE_DEFAULT_TRUNCATION) -> IntervalGrid:
+    return A_k_grid(WalkQuery.mixture(N), [k], tc)
 
 
 # ---------------------------------------------------------------------------
 # conversion to total-variation bounds
 
 
-@dataclass(frozen=True)
-class TVUpper:
-    """[lower-info, upper] for the TV distance from the series interval.
+def tv_upper_from_A(A: IntervalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lower_info, upper, clamped) per row of ``A``: the TV upper bound from
+    the series interval.
 
     ``lower_info`` = sqrt(partial)/2 is informational (the truncated series
     understates A_k, so this is not a lower bound on TV); ``upper`` is the
-    certified bound sqrt(partial + tail)/2, clamped into [0, 1].
+    certified bound sqrt(partial + tail)/2, and 1 on an uncertified row,
+    whose tail is +inf.  Both are clamped into [0, 1], and ``clamped`` marks
+    the rows where either was.
+
+    Each root is taken as 0.5 exp(log / 2), with libm's exponential
+    (``math.exp``) per value: numpy's exp differs from it in the last bit on
+    some hosts, and a bound printed at one k must not depend on the grid it
+    came in.  From log = 700 on a root is far above 1, so the exponent is
+    capped at 350 and exp never overflows.
     """
-
-    lower_info: float
-    upper: float
-    clamped: bool
-    certified: bool
-
-
-def tv_upper_from_A(A: BoundInterval) -> TVUpper:
-    lo = 0.5 * math.exp(0.5 * A.log_partial) if A.log_partial < 700.0 else math.inf
-    clamped = False
-    if not A.certified:
-        return TVUpper(min(lo, 1.0), 1.0, True, False)
-    log_total = A.log_upper
-    hi = 0.5 * math.exp(0.5 * log_total) if log_total < 700.0 else math.inf
-    if hi > 1.0:
-        hi = 1.0
-        clamped = True
-    if lo > 1.0:
-        lo = 1.0
-        clamped = True
-    return TVUpper(lo, hi, clamped, True)
+    n = A.log_partial.size
+    logs = np.concatenate((A.log_partial, np.logaddexp(A.log_partial, A.log_tail)))
+    roots = 0.5 * np.array(list(map(math.exp, np.minimum(0.5 * logs, 350.0).tolist())))
+    clamped = np.maximum(roots[:n], roots[n:]) > 1.0
+    np.minimum(roots, 1.0, out=roots)
+    return roots[:n], roots[n:], clamped
 
 
-def tv_lower_chebyshev(m: float, var_bound: float, h_chi_sq: float) -> float:
-    """max(0, 1 - 4 (var_bound + h_chi_sq) / m^2): the Chebyshev split at
-    threshold m/2 for a witness with walk expectation m, walk variance at
-    most var_bound, and Haar second moment h_chi_sq.
+def tv_lower_chebyshev(m: float | np.ndarray, var_bound: float, h_chi_sq: float) -> float | np.ndarray:
+    """max(0, 1 - 4 (var_bound + h_chi_sq) / m^2) at one witness expectation
+    m or an array of them: the Chebyshev split at threshold m/2 for a
+    witness with walk expectation m, walk variance at most var_bound, and
+    Haar second moment h_chi_sq.
 
     Returns 0 for m <= 0 and for m so small that m^2 underflows to 0 (no
-    usable witness).
+    usable witness).  An m above about 1e154, far beyond any walk's, makes
+    m^2 overflow to inf, with numpy's RuntimeWarning, and the bound 1.
     """
-    if var_bound < 0 or h_chi_sq < 0:
-        raise ValueError("variance and Haar moment bounds must be >= 0")
-    if m <= 0.0 or m * m == 0.0:
-        return 0.0
-    return max(0.0, 1.0 - 4.0 * (var_bound + h_chi_sq) / (m * m))
+    if var_bound < 0 or not h_chi_sq > 0:
+        raise ValueError("the variance bound must be >= 0 and the Haar moment > 0")
+    # m <= 0 (or NaN) gives m^2 = 0; where m^2 <= c the bound is 0, here
+    # 1 - c / c, which also keeps every division away from 0
+    c = 4.0 * (var_bound + h_chi_sq)
+    return 1.0 - c / np.fmax(np.square(np.fmax(m, 0.0)), c)
 
 
-def tv_lower(q: WalkQuery, k: float) -> float:
-    """Chebyshev lower bound on the TV distance of the walk q after k steps.
+def tv_lower(q: WalkQuery, k: float | np.ndarray) -> float | np.ndarray:
+    """Chebyshev lower bound on the TV distance of the walk q after k
+    steps, at one k or an array of them.
 
     The witness expectation m comes from the family's closed form; if the
     witness is out of domain (tau too large) the trivial bound 0 is returned.
@@ -1349,7 +1330,7 @@ def tv_lower(q: WalkQuery, k: float) -> float:
     try:
         m = family.expectation(q, k)
     except ValueError:
-        return 0.0
+        return np.zeros(np.shape(k))[()]
     return tv_lower_chebyshev(m, *family.witness)
 
 
@@ -1357,46 +1338,47 @@ def tv_lower(q: WalkQuery, k: float) -> float:
 # profiles
 
 
-@dataclass(frozen=True)
-class ProfileRow:
-    """The series interval ``A``, its TV upper bound ``tv`` and the lower
-    bound ``tv_lower`` after ``k`` steps."""
-
-    k: float
-    A: BoundInterval
-    tv: TVUpper
-    tv_lower: float
-
-
-@dataclass(frozen=True)
+@dataclass
 class ProfileResult:
-    rows: tuple[ProfileRow, ...]
+    """The walk's distance profile over a k grid, as columns: the series
+    intervals ``A`` (its ``k`` the grid), the TV upper bound's columns
+    (``tv_upper_from_A``), the lower bound ``tv_lower``, and whether the
+    certified upper bound is non-increasing along the grid; like ``A``,
+    not to be written."""
+
+    A: IntervalGrid
+    tv_upper_lo: np.ndarray
+    tv_upper_hi: np.ndarray
+    tv_clamped: np.ndarray
+    tv_lower: np.ndarray
     monotone_upper: bool
 
 
 def cutoff_profile(
     q: WalkQuery, k_grid: Sequence[float], tc: TruncationConfig | None = None
 ) -> ProfileResult:
-    """One row per k in the grid: the walk's distance profile.
+    """The walk's distance profile at every k in the grid.
 
-    The series intervals of all rows come from one engine pass.  A
-    certified lower bound above the certified upper bound (beyond a 1e-12
-    rounding slack) is a defect, not a result: it raises RuntimeError.  The
-    certified upper bound is non-increasing in k whenever every coefficient
-    has modulus <= 1; this is checked on the output (with a 1e-12 slack for
-    rounding) and reported in ``monotone_upper``.
+    The series intervals of all rows come from one engine pass, and each TV
+    bound from one pass over the grid.  A certified lower bound above the
+    certified upper bound (beyond a 1e-12 rounding slack) is a defect, not
+    a result: it raises RuntimeError.  The certified upper bound is
+    non-increasing in k whenever every coefficient has modulus <= 1; this
+    is checked on the output (with a 1e-12 slack for rounding) and reported
+    in ``monotone_upper``.
     """
     if len(k_grid) == 0:
         raise ValueError("k grid must be nonempty")
-    ks = [float(k) for k in k_grid]
-    rows = []
-    for k, A in zip(ks, A_k_grid(q, ks, tc)):
-        tv, lower = tv_upper_from_A(A), tv_lower(q, k)
-        if tv.certified and lower > tv.upper + 1e-12:
-            raise RuntimeError(
-                f"internal inconsistency at k={k!r}: certified lower bound "
-                f"{lower!r} exceeds certified upper bound {tv.upper!r}"
-            )
-        rows.append(ProfileRow(k, A, tv, lower))
-    his = [row.tv.upper for row in rows if row.tv.certified]
-    return ProfileResult(tuple(rows), all(b <= a + 1e-12 for a, b in zip(his, his[1:])))
+    A = A_k_grid(q, k_grid, tc)
+    lo, hi, clamped = tv_upper_from_A(A)
+    lower = tv_lower(q, A.k)
+    bad = A.certified & (lower > hi + 1e-12)
+    if np.count_nonzero(bad):
+        i = int(bad.argmax())
+        raise RuntimeError(
+            f"internal inconsistency at k={A.k.item(i)!r}: certified lower bound "
+            f"{lower.item(i)!r} exceeds certified upper bound {hi.item(i)!r}"
+        )
+    his = hi[A.certified]
+    monotone = his.size < 2 or bool((his[1:] <= his[:-1] + 1e-12).all())
+    return ProfileResult(A, lo, hi, clamped, lower, monotone)

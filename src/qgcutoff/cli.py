@@ -28,8 +28,11 @@ import math
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from .bounds import (
     MAX_K,
+    IntervalGrid,
     ParameterError,
     TruncationConfig,
     WalkQuery,
@@ -41,7 +44,7 @@ from .bounds import (
     cutoff_profile,
     default_truncation,
 )
-from .numerics import lambda_moment
+from .numerics import _exp, lambda_moment
 from .structures import (
     CircleMeasure,
     FiniteGroup,
@@ -354,6 +357,53 @@ def _json_float(v: float) -> float | str:
     return v
 
 
+# Writes the items of each dict in a list with a separator that occurs
+# inside none of them: strings escape every control character
+_JSON_ITEMS = json.JSONEncoder(separators=("\x00", ": "), allow_nan=False)
+
+
+def _json_items(docs: list[dict]) -> list[list[str]]:
+    """The '"key": value' texts of each nonempty dict of strings, floats,
+    bools and ints in ``docs``, as ``json.dumps(allow_nan=False)`` writes
+    them, from one pass of its C encoder."""
+    return [body.split("\x00") for body in _JSON_ITEMS.encode(docs)[2:-2].split("}\x00{")]
+
+
+def _json_object(items: list[str], indent: str) -> str:
+    """``json.dumps(doc, indent=2)`` of a dict, byte for byte, from the
+    ``_json_items`` of the dict, where it sits at ``indent``.  The standard
+    library takes its pure-Python encoder whenever it indents, at several
+    times the cost."""
+    inner = "\n" + indent + "  "
+    return "{" + inner + ("," + inner).join(items) + "\n" + indent + "}"
+
+
+def _json_numbers(column: np.ndarray) -> list[str]:
+    """Each float of a column as ``json.dumps(allow_nan=False)`` writes it."""
+    if not np.isfinite(column).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    return list(map(float.__repr__, column.tolist()))
+
+
+def _hypothesis_patterns(A: IntervalGrid) -> tuple[list[dict[str, bool]], list[int]]:
+    """The distinct hypotheses of the rows of ``A`` as name -> holds dicts,
+    in order of first use, and each row's index into them: a row's pattern
+    is its k >= 1, whether its tail ran, and its tail's hypotheses."""
+    codes = (A.k_ok + 2 * A.tail_ran + A.tail_hypotheses @ (4 << np.arange(len(A.tail_keys)))).tolist()
+    first: dict[int, int] = {}
+    for i, code in enumerate(codes):
+        first.setdefault(code, i)
+    index = {code: j for j, code in enumerate(first)}
+    return [dict(A.hypotheses(i)) for i in first.values()], [index[code] for code in codes]
+
+
+# one profile row of ``json.dumps(doc, indent=2)`` where doc["rows"] holds it
+_JSON_ROW = (
+    '    {{\n      "k": {},\n      "tv_upper_lo": {},\n      "tv_upper_hi": {},\n      "tv_lower": {},\n'
+    '      "certified": {},\n      "hypotheses": {}\n    }}'
+)
+
+
 def _json_count(n: int) -> int | float | str:
     """A word count as JSON that a reader parsing numbers as doubles reads
     as printed: the integer up to 2^53, past it the nearest double, and
@@ -372,29 +422,26 @@ def cmd_profile(args: argparse.Namespace) -> int:
     q, ks = _build_query(args)
     tc = _truncation_for(args, q.family)
     result = cutoff_profile(q, ks, tc)
+    A = result.A
     meta = _config_lines(q, args, tc) + [("monotone_upper", result.monotone_upper)]
     if not result.monotone_upper:
         meta.append(("note", "certified upper bound failed to be non-increasing along the grid"))
-    rows = [
-        {
-            "k": row.k,
-            "tv_upper_lo": row.tv.lower_info,
-            "tv_upper_hi": row.tv.upper,
-            "tv_lower": row.tv_lower,
-            "certified": row.tv.certified,
-            "hypotheses": {name: ok for name, ok in row.A.hypotheses},
-        }
-        for row in result.rows
-    ]
+    columns = (A.k, result.tv_upper_lo, result.tv_upper_hi, result.tv_lower)
+    certified = ["true" if ok else "false" for ok in A.certified.tolist()]
+    patterns, row_patterns = _hypothesis_patterns(A)
     if args.fmt == "csv":
+        texts = [";".join(f"{name}={_fmt(ok)}" for name, ok in pattern.items()) for pattern in patterns]
         lines = [f"# {key}={_fmt(val)}" for key, val in meta]
-        lines.append(",".join(rows[0]))
-        for doc in rows:
-            hyps = ";".join(f"{name}={_fmt(ok)}" for name, ok in doc.pop("hypotheses").items())
-            lines.append(",".join([*map(_fmt, doc.values()), hyps]))
+        lines.append("k,tv_upper_lo,tv_upper_hi,tv_lower,certified,hypotheses")
+        lines += map(",".join, zip(*(map(float.__repr__, c.tolist()) for c in columns), certified,
+                                   [texts[j] for j in row_patterns]))
         _emit("\n".join(lines), args.output)
     else:
-        _emit(json.dumps({"config": dict(meta), "rows": rows}, indent=2, allow_nan=False), args.output)
+        config, *pattern_items = _json_items([dict(meta), *patterns])
+        texts = [_json_object(items, "      ") for items in pattern_items]
+        rows = ",\n".join(_JSON_ROW.format(*row) for row in zip(
+            *map(_json_numbers, columns), certified, [texts[j] for j in row_patterns]))
+        _emit(f'{{\n  "config": {_json_object(config, "  ")},\n  "rows": [\n{rows}\n  ]\n}}', args.output)
     return 0
 
 
@@ -403,25 +450,29 @@ def cmd_bound(args: argparse.Namespace) -> int:
     if len(ks) != 1:
         raise CliError("bound needs a single k (--k or --c)")
     tc = _truncation_for(args, q.family)
-    row = cutoff_profile(q, ks, tc).rows[0]
-    A, tv = row.A, row.tv
-    doc = {
-        "config": dict(_config_lines(q, args, tc)),
-        "k": row.k,
-        "A_partial": _json_float(A.partial),
-        "A_tail": _json_float(A.tail),
-        "A_log_partial": _json_float(A.log_partial),
-        "A_log_tail": _json_float(A.log_tail),
+    result = cutoff_profile(q, ks, tc)
+    A = result.A
+    log_partial, log_tail = A.log_partial.item(0), A.log_tail.item(0)
+    interval = {
+        "k": A.k.item(0),
+        "A_partial": _json_float(_exp(log_partial)),
+        "A_tail": _json_float(_exp(log_tail)),
+        "A_log_partial": _json_float(log_partial),
+        "A_log_tail": _json_float(log_tail),
         "terms_used": _json_count(A.terms_used),
-        "certified": A.certified,
+        "certified": A.certified.item(0),
         "certificate": A.certificate,
-        "hypotheses": {name: ok for name, ok in A.hypotheses},
-        "tv_upper_lo": tv.lower_info,
-        "tv_upper_hi": tv.upper,
-        "tv_clamped": tv.clamped,
-        "tv_lower": row.tv_lower,
     }
-    _emit(json.dumps(doc, indent=2, allow_nan=False), args.output)
+    tv = {
+        "tv_upper_lo": result.tv_upper_lo.item(0),
+        "tv_upper_hi": result.tv_upper_hi.item(0),
+        "tv_clamped": result.tv_clamped.item(0),
+        "tv_lower": result.tv_lower.item(0),
+    }
+    config, interval, hyps, tv = _json_items([dict(_config_lines(q, args, tc)), interval, dict(A.hypotheses(0)), tv])
+    # json.dumps(indent=2) of {"config": ..., **interval, "hypotheses": ..., **tv}
+    items = [f'"config": {_json_object(config, "  ")}', *interval, f'"hypotheses": {_json_object(hyps, "  ")}', *tv]
+    _emit("{\n  " + ",\n  ".join(items) + "\n}", args.output)
     return 0
 
 

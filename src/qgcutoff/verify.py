@@ -13,6 +13,7 @@ and counted as a pass.  Every verifier is pure and deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -125,15 +126,25 @@ class _Collector:
         )
 
 
-def _geom_floats(lo: float, hi: float, count: int) -> list[float]:
-    if count == 1:
-        return [lo]
-    ratio = (hi / lo) ** (1.0 / (count - 1))
-    return [lo * ratio**i for i in range(count)]
+# The grids are built once per process and shared by a suite and its
+# negative control, hence tuples.
 
-def _geom_ints(lo: int, hi: int, count: int) -> list[int]:
+
+@functools.lru_cache(maxsize=None)
+def _geom_floats(lo: float, hi: float, count: int) -> tuple[float, ...]:
+    """count points from lo to hi in geometric progression, lo first."""
+    if count == 1:
+        return (lo,)
+    ratio = (hi / lo) ** (1.0 / (count - 1))
+    return tuple(lo * ratio**i for i in range(count))
+
+
+@functools.lru_cache(maxsize=None)
+def _geom_ints(lo: int, hi: int, count: int) -> tuple[int, ...]:
+    """The distinct integers in [lo, hi] nearest the points of
+    ``_geom_floats``, in increasing order; lo is the first."""
     vals = sorted({int(round(x)) for x in _geom_floats(float(lo), float(hi), count)})
-    return [v for v in vals if lo <= v <= hi]
+    return tuple(v for v in vals if lo <= v <= hi)
 
 
 _ENCADREMENT_T_MIN = 2.1
@@ -192,7 +203,7 @@ def _lower_aux_impl(rhs_log_shift: float) -> VerifyReport:
     col = _Collector("lower_aux", _TOLERANCE)
     for a in _LOWER_AUX_AS:
         n_lo = max(int(math.ceil(2.0 * a)), 2)
-        ns = sorted(set([n_lo] + _geom_ints(n_lo, _LOWER_AUX_N_MAX, _LOWER_AUX_N_POINTS)))
+        ns = _geom_ints(n_lo, _LOWER_AUX_N_MAX, _LOWER_AUX_N_POINTS)
         N = np.array(ns, dtype=float)
         log_N = np.log(N)
         log_lhs = log_N + (N * log_N / a) * np.log1p(-a / N)
@@ -244,7 +255,7 @@ def verify_anqn() -> VerifyReport:
 
 def _anqn_impl(numerator: float) -> VerifyReport:
     col = _Collector("anqn", _TOLERANCE)
-    ns = sorted(set([4] + _geom_ints(4, _ANQN_N_MAX, _ANQN_N_POINTS)))
+    ns = _geom_ints(4, _ANQN_N_MAX, _ANQN_N_POINTS)
     N = np.array(ns, dtype=float)
     t = N - 2.0
     q = np.ones_like(t)

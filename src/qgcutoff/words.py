@@ -106,9 +106,19 @@ def eval_state_params(N: int, theta: float) -> tuple[float, CircleMeasure]:
     return trace_modulus(N, theta), CircleMeasure.delta(arg_trace(N, theta))
 
 
-def chi2_expectation_unitary(N: int, tau: float, k: float) -> float:
+def _exp_steps(log_base: float, log_step: float, k: float | np.ndarray) -> float | np.ndarray:
+    """exp(log_base + k log_step), +inf where it overflows, at one step
+    count k (a float) or at each of an array of them.  The exponential is
+    libm's (``math.exp``) per value: numpy's exp differs from it in the last
+    bit on some hosts, and a walk expectation printed at one k must not
+    depend on the grid it came in."""
+    x = log_base + k * log_step
+    return _exp(x) if isinstance(x, float) else np.array(list(map(_exp, x.tolist())))
+
+
+def chi2_expectation_unitary(N: int, tau: float, k: float | np.ndarray) -> float | np.ndarray:
     """Expectation of the degree-2 self-conjugate character under the k-th
-    convolution power at trace deficit tau:
+    convolution power at trace deficit tau, at one k or an array of them:
     (N^2 - 1) * (((N - tau)^2 - 1) / (N^2 - 1))^k.
 
     The step factor is taken as 1 - tau (2N - tau) / (N^2 - 1) through
@@ -118,18 +128,18 @@ def chi2_expectation_unitary(N: int, tau: float, k: float) -> float:
     if not N - tau > 1.0:
         raise ValueError(f"need N - tau > 1, got {N - tau!r}")
     bot = float(N) * N - 1.0
-    return _exp(math.log(bot) + k * math.log1p(-tau * (2.0 * N - tau) / bot))
+    return _exp_steps(math.log(bot), math.log1p(-tau * (2.0 * N - tau) / bot), k)
 
 
-def chi2_expectation_wreath(N: int, tau: float, k: float) -> float:
+def chi2_expectation_wreath(N: int, tau: float, k: float | np.ndarray) -> float | np.ndarray:
     """(N - 1) * ((N - tau - 1) / (N - 1))^k, the step factor taken as
     1 - tau / (N - 1) through log1p; requires N - tau > 1."""
     if not N - tau > 1.0:
         raise ValueError(f"need N - tau > 1, got N - tau = {N - tau!r}")
-    return _exp(math.log(N - 1.0) + k * math.log1p(-tau / (N - 1.0)))
+    return _exp_steps(math.log(N - 1.0), math.log1p(-tau / (N - 1.0)), k)
 
 
-def chi_expectation_mixture(N: int, k: float) -> float:
+def chi_expectation_mixture(N: int, k: float | np.ndarray) -> float | np.ndarray:
     """2N * ((N - 1) / (N + 1))^k, the expectation of the real degree-1
     witness under the k-th power of the Porod-mixed evaluation state.
 
@@ -139,4 +149,4 @@ def chi_expectation_mixture(N: int, k: float) -> float:
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    return _exp(math.log(2.0 * N) + k * math.log1p(-2.0 / (N + 1.0)))
+    return _exp_steps(math.log(2.0 * N), math.log1p(-2.0 / (N + 1.0)), k)

@@ -23,18 +23,27 @@ floats, on the suites' own grid constants and thresholds, the reference for
 their array margins.  ``resolvent_log_recurrence`` is G / (1 - G) one degree
 at a time in the log domain, the reference for the engine's degree doubling
 at widths where summing every power one at a time is too slow.
+``BoundInterval``, ``reference_intervals``, ``tv_upper_reference`` and
+``tv_lower_reference`` are the per-row interval assembly and the scalar TV
+bounds in math-module floats that the engine ran before its columns, the
+references for the bits of ``IntervalGrid`` and of both TV columns;
+``interval_rows`` reads a grid's columns back as rows, and
+``benchmark_pool`` gives the benchmark's profile and bound invocations.
 """
 
 import functools
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from qgcutoff import verify as V
 from qgcutoff.bounds import threshold_C, wreath_certificate_threshold
-from qgcutoff.numerics import _Q_DOMAIN_EPS, _U_SWITCH, lambda_moment, logsumexp, q_of, u_seq
+from qgcutoff.numerics import _Q_DOMAIN_EPS, _U_SWITCH, _exp, lambda_moment, logsumexp, q_of, u_seq
 from qgcutoff.structures import (
     CircleMeasure,
     FiniteGroup,
@@ -43,9 +52,12 @@ from qgcutoff.structures import (
     lambda_theta,
     moment,
     porod_rule,
+    tau_theta,
     trace_modulus,
 )
 from qgcutoff.words import _compositions
+
+_ROOT = Path(__file__).resolve().parents[1]
 
 
 @dataclass(frozen=True)
@@ -559,7 +571,7 @@ def _lower_aux_margins(rhs_log_shift: float) -> list[list[tuple[float, float]]]:
     blocks = []
     for a in V._LOWER_AUX_AS:
         n_lo = max(int(math.ceil(2.0 * a)), 2)
-        ns = sorted(set([n_lo] + V._geom_ints(n_lo, V._LOWER_AUX_N_MAX, V._LOWER_AUX_N_POINTS)))
+        ns = sorted({n_lo, *V._geom_ints(n_lo, V._LOWER_AUX_N_MAX, V._LOWER_AUX_N_POINTS)})
         log_rhs = -a / (2.0 * math.e) - 0.5 * math.log(2.0) + rhs_log_shift
         block = []
         for N in map(float, ns):
@@ -586,7 +598,7 @@ def _main_margins() -> list[list[tuple[float, float]]]:
 def _anqn_margins(numerator: float) -> list[list[tuple[float, float]]]:
     # 1 + numerator / (N - 2)^2 - (N - 2 + 2/N) q(N - 2), with q(2) = 1
     block = []
-    for N in map(float, sorted(set([4] + V._geom_ints(4, V._ANQN_N_MAX, V._ANQN_N_POINTS)))):
+    for N in map(float, sorted({4, *V._geom_ints(4, V._ANQN_N_MAX, V._ANQN_N_POINTS)})):
         t = N - 2.0
         lhs = (N - 2.0 + 2.0 / N) * (q_of(t) if t > 2.0 else 1.0)
         rhs = 1.0 + numerator / (t * t)
@@ -640,3 +652,143 @@ def _lambda_margins() -> list[list[tuple[float, float]]]:
             block.append((V._LAMBDA_TOLERANCE - abs(c - r) / max(abs(r), 1e-300), V._LAMBDA_TOLERANCE))
         blocks.append(block)
     return blocks
+
+
+# ---------------------------------------------------------------------------
+# the per-row interval and TV assembly, before the columns
+
+
+@dataclass(frozen=True)
+class BoundInterval:
+    """One row of an ``IntervalGrid`` as the engines built it one row at a
+    time: [partial, partial + tail] as the logs of both endpoints, with the
+    row's hypotheses, certificate text and word count."""
+
+    terms_used: int
+    certificate: str
+    certified: bool
+    hypotheses: tuple[tuple[str, bool], ...]
+    log_partial: float
+    log_tail: float
+
+    @property
+    def partial(self) -> float:
+        return _exp(self.log_partial)
+
+    @property
+    def tail(self) -> float:
+        return _exp(self.log_tail)
+
+    @property
+    def upper(self) -> float:
+        return self.partial + self.tail
+
+    @property
+    def log_upper(self) -> float:
+        if self.log_tail == math.inf:
+            return math.inf
+        return float(np.logaddexp(self.log_partial, self.log_tail))
+
+
+def interval_rows(grid) -> list[BoundInterval]:
+    """The rows of an ``IntervalGrid``, each field read from its columns."""
+    return [
+        BoundInterval(grid.terms_used, grid.certificate, certified, grid.hypotheses(i), log_partial, log_tail)
+        for i, (certified, log_partial, log_tail) in enumerate(
+            zip(grid.certified.tolist(), grid.log_partial.tolist(), grid.log_tail.tolist()))
+    ]
+
+
+def reference_intervals(ks, log_partials, terms, hyps, certificate, tail_keys, tail) -> list[BoundInterval]:
+    """``bounds._intervals`` from the same arguments as the engines pass it,
+    one row at a time as it was assembled before the columns: the tail
+    closure runs once, on the rows where k >= 1 and every required (not
+    ``[recorded]``) walk hypothesis holds, and each of those rows takes its
+    bound and its hypotheses from the closure's output."""
+    walk_ok = all(ok for name, ok in hyps if "[recorded]" not in name)
+    rows = [i for i, k in enumerate(ks.tolist()) if walk_ok and k >= 1.0]
+    series = {}
+    if rows:
+        log_tails, oks = tail(2.0 * np.asarray(ks)[rows])
+        for i, log_tail, ok in zip(rows, log_tails.tolist(), oks.tolist()):
+            series[i] = (log_tail, tuple(zip(tail_keys, ok)))
+    out = []
+    for i, (k, log_partial) in enumerate(zip(ks.tolist(), log_partials.tolist())):
+        row = series.get(i)
+        certified = row is not None and row[0] < math.inf
+        out.append(BoundInterval(
+            terms_used=terms,
+            certificate=certificate,
+            certified=certified,
+            hypotheses=(("k >= 1", k >= 1.0),) + hyps + (row[1] if row is not None else ()),
+            log_partial=float(log_partial),
+            log_tail=row[0] if certified else math.inf,
+        ))
+    return out
+
+
+def tv_upper_reference(A: BoundInterval) -> tuple[float, float, bool, bool]:
+    """(lower_info, upper, clamped, certified) of one row, in math-module
+    floats: the scalar ``bounds.tv_upper_from_A``."""
+    lo = 0.5 * math.exp(0.5 * A.log_partial) if A.log_partial < 700.0 else math.inf
+    clamped = False
+    if not A.certified:
+        return min(lo, 1.0), 1.0, True, False
+    log_total = A.log_upper
+    hi = 0.5 * math.exp(0.5 * log_total) if log_total < 700.0 else math.inf
+    if hi > 1.0:
+        hi = 1.0
+        clamped = True
+    if lo > 1.0:
+        lo = 1.0
+        clamped = True
+    return lo, hi, clamped, True
+
+
+def _chi2_unitary(N: int, tau: float, k: float) -> float:
+    if not N - tau > 1.0:
+        raise ValueError(f"need N - tau > 1, got {N - tau!r}")
+    bot = float(N) * N - 1.0
+    return _exp(math.log(bot) + k * math.log1p(-tau * (2.0 * N - tau) / bot))
+
+
+def _chi2_wreath(N: int, tau: float, k: float) -> float:
+    if not N - tau > 1.0:
+        raise ValueError(f"need N - tau > 1, got N - tau = {N - tau!r}")
+    return _exp(math.log(N - 1.0) + k * math.log1p(-tau / (N - 1.0)))
+
+
+def _chi_mixture(N: int, k: float) -> float:
+    return _exp(math.log(2.0 * N) + k * math.log1p(-2.0 / (N + 1.0)))
+
+
+def tv_lower_reference(q, k: float) -> float:
+    """The Chebyshev lower bound of the walk ``q`` at one k, in math-module
+    floats: the scalar ``bounds.tv_lower`` on the scalar walk expectations
+    of ``words``."""
+    if q.family == "mixture":
+        expectation, var_bound, h_chi_sq = (lambda: _chi_mixture(q.N, k)), 4.0, 2.0
+    else:
+        tau = q.tau if q.theta is None else tau_theta(q.N, q.theta)
+        witness = _chi2_wreath if q.family == "wreath" else _chi2_unitary
+        expectation, var_bound, h_chi_sq = (lambda: witness(q.N, tau, k)), 9.0, 1.0
+    try:
+        m = expectation()
+    except ValueError:
+        return 0.0
+    if m <= 0.0 or m * m == 0.0:
+        return 0.0
+    return max(0.0, 1.0 - 4.0 * (var_bound + h_chi_sq) / (m * m))
+
+
+def benchmark_pool(directory) -> list[tuple[str, ...]]:
+    """The argv of every ``profile`` and ``bound`` invocation in the
+    benchmark's pool (``perfbench/workloads.py``), with the input files they
+    read written to ``directory``, where they must run."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", _ROOT / "perfbench" / "workloads.py")
+    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)
+    invocations = [inv for name in workloads.WORKLOADS for inv in workloads.pool(name)]
+    for name, text in workloads.input_files(invocations).items():
+        (Path(directory) / name).write_text(text, encoding="utf-8")
+    return [inv.argv for inv in invocations if inv.argv[0] in ("profile", "bound")]

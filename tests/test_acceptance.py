@@ -28,7 +28,7 @@ from qgcutoff.structures import GroupState, cyclic_group, trivial_state
 from qgcutoff.verify import negative_controls, run_all, verify_lambda_moment
 from qgcutoff.words import chi2_expectation_wreath
 
-from oracles import unitary_log_partial, wreath_log_partial
+from oracles import interval_rows, unitary_log_partial, wreath_log_partial
 from qgcutoff.structures import CircleMeasure
 
 
@@ -41,22 +41,23 @@ def test_criterion_1_unitary_closed_bound_domination():
     t0 = time.perf_counter()
     N, tau, c = 20, 2.0, 1.0
     k = N * math.log(N) / tau + c * N
-    A = A_k_grid(WalkQuery.unitary(N, tau), [k], DEFAULT_TRUNCATION)[0]
-    tv = tv_upper_from_A(A)
+    grid = A_k_grid(WalkQuery.unitary(N, tau), [k], DEFAULT_TRUNCATION)
+    A = interval_rows(grid)[0]
+    tv_hi = tv_upper_from_A(grid)[1].item(0)
     elapsed = time.perf_counter() - t0
     a_target = 2.0 * math.exp(-4.0) / (1.0 - 2.0 * math.exp(-4.0))
     tv_target = math.exp(-2.0) / math.sqrt(2.0 - 4.0 * math.exp(-4.0))
     ok = (
         A.certified
         and A.partial + A.tail <= a_target
-        and tv.upper <= tv_target
+        and tv_hi <= tv_target
         and elapsed < 1.0
     )
     _line(
         1,
         ok,
         f"certified A_k = {A.partial + A.tail:.6g} <= {a_target:.6g} and "
-        f"tv_upper_hi = {tv.upper:.6g} <= {tv_target:.6g} ({elapsed:.3f}s < 1s)",
+        f"tv_upper_hi = {tv_hi:.6g} <= {tv_target:.6g} ({elapsed:.3f}s < 1s)",
     )
 
 
@@ -65,10 +66,10 @@ def test_criterion_2_cutoff_shape_large_N():
     N, tau = 30000, 2.0
     cutoff = N * math.log(N) / 2.0
     lo = tv_lower(WalkQuery.unitary(N, tau), cutoff - 5.0 * N)
-    A = A_k_grid(WalkQuery.unitary(N, tau), [cutoff + 5.0 * N], DEFAULT_TRUNCATION)[0]
-    hi = tv_upper_from_A(A).upper
+    A = A_k_grid(WalkQuery.unitary(N, tau), [cutoff + 5.0 * N], DEFAULT_TRUNCATION)
+    hi = tv_upper_from_A(A)[1].item(0)
     elapsed = time.perf_counter() - t0
-    ok = lo >= 0.98 and A.certified and hi <= 2e-4 and elapsed < 10.0
+    ok = lo >= 0.98 and A.certified[0] and hi <= 2e-4 and elapsed < 10.0
     _line(
         2,
         ok,
@@ -82,7 +83,7 @@ def test_criterion_3_oracle_equivalence():
     # unitary, independent word-by-word route
     got_u = A_k_grid(
         WalkQuery.unitary(N, tau), [k], TruncationConfig(max_p=5, max_total=10)
-    )[0].log_partial
+    ).log_partial[0]
     want_u = unitary_log_partial(N, N - tau, CircleMeasure.delta(0.0), k, 10, 5)
     rel_u = abs(got_u - want_u)
     # wreath over Z_2
@@ -90,7 +91,7 @@ def test_criterion_3_oracle_equivalence():
     psi = trivial_state(g2)
     got_w = A_k_grid(
         WalkQuery.wreath(N, tau, g2, psi), [k], TruncationConfig(max_p=4, max_total=10)
-    )[0].log_partial
+    ).log_partial[0]
     want_w = wreath_log_partial(N, tau, g2, psi, k, 10, 4)
     rel_w = abs(got_w - want_w)
     # nested-truncation containment on 20 deterministic random parameter sets
@@ -109,15 +110,15 @@ def test_criterion_3_oracle_equivalence():
                 continue
             kk = Np * math.log(Np) / taup + c * Np
             q = WalkQuery.unitary(Np, taup)
-            coarse = A_k_grid(q, [kk], TruncationConfig(max_p=P1, max_total=M1))[0]
-            fine = A_k_grid(q, [kk], TruncationConfig(max_p=P2, max_total=M2))[0]
+            coarse = interval_rows(A_k_grid(q, [kk], TruncationConfig(max_p=P1, max_total=M1)))[0]
+            fine = interval_rows(A_k_grid(q, [kk], TruncationConfig(max_p=P2, max_total=M2)))[0]
         else:
             Np = int(rng.integers(28, 80))
             gg = cyclic_group(int(rng.integers(2, 4)))
             kk = Np * math.log(Np) / 2.0 + c * Np
             q = WalkQuery.wreath(Np, 2.0, gg, trivial_state(gg))
-            coarse = A_k_grid(q, [kk], TruncationConfig(max_p=P1, max_total=M1))[0]
-            fine = A_k_grid(q, [kk], TruncationConfig(max_p=P2, max_total=M2))[0]
+            coarse = interval_rows(A_k_grid(q, [kk], TruncationConfig(max_p=P1, max_total=M1)))[0]
+            fine = interval_rows(A_k_grid(q, [kk], TruncationConfig(max_p=P2, max_total=M2)))[0]
         if not coarse.certified:
             continue
         if not (
@@ -152,11 +153,12 @@ def test_criterion_5_wreath_bound_chain():
     psi = trivial_state(g3)
     N, tau, c = 30, 2.0, 1.0
     k = N * math.log(N) / tau + c * N
-    A = A_k_grid(WalkQuery.wreath(N, tau, g3, psi), [k], DEFAULT_TRUNCATION)[0]
-    tv = tv_upper_from_A(A)
+    grid = A_k_grid(WalkQuery.wreath(N, tau, g3, psi), [k], DEFAULT_TRUNCATION)
+    A = interval_rows(grid)[0]
+    tv_hi = tv_upper_from_A(grid)[1].item(0)
     a_target = (math.exp(-4.0) / (1.0 - math.exp(-4.0))) * (1.0 + math.sqrt(3.0))
     tv_target = math.exp(-2.0) * math.sqrt(1.0 + math.sqrt(3.0)) / math.sqrt(1.0 - math.exp(-4.0))
-    upper_ok = A.certified and A.partial + A.tail <= a_target and tv.upper <= tv_target
+    upper_ok = A.certified and A.partial + A.tail <= a_target and tv_hi <= tv_target
 
     # lower-bound leg at N = 1e5: hand-derived witness identity to 1e-12
     N2, c2 = 100_000, 3.0
@@ -177,7 +179,7 @@ def test_criterion_5_wreath_bound_chain():
         5,
         ok,
         f"certified A_k = {A.partial + A.tail:.6g} <= {a_target:.6g}, "
-        f"tv = {tv.upper:.6g} <= {tv_target:.6g}; lower leg {got:.6f} matches hand "
+        f"tv = {tv_hi:.6g} <= {tv_target:.6g}; lower leg {got:.6f} matches hand "
         f"derivation to {abs(got - hand):.1e} and exceeds the stated form",
     )
 
@@ -186,7 +188,7 @@ def test_criterion_6_mixture_chain():
     t0 = time.perf_counter()
     N, c = 100, 6.0
     k = N * math.log(N) / 2.0 + c * N
-    A = A_k_grid(WalkQuery.mixture(N), [k], MIXTURE_DEFAULT_TRUNCATION)[0]
+    A = interval_rows(A_k_grid(WalkQuery.mixture(N), [k], MIXTURE_DEFAULT_TRUNCATION))[0]
     a_target = 2.0 * math.exp(-2.0) / (1.0 - 2.0 * math.exp(-2.0))
     upper_ok = A.certified and A.partial + A.tail <= a_target
 

@@ -29,7 +29,7 @@ from qgcutoff.bounds import (
     wreath_certificate_threshold,
 )
 from qgcutoff import bounds, cli, structures
-from qgcutoff.numerics import logsumexp, u_seq
+from qgcutoff.numerics import _exp, logsumexp, u_seq
 from qgcutoff.structures import (
     CircleMeasure,
     GroupState,
@@ -43,8 +43,13 @@ from qgcutoff.words import count_unitary, eval_state_params
 
 from oracles import (
     UIrrepWord,
+    benchmark_pool,
     enumerate_unitary,
     enumerate_wreath,
+    interval_rows,
+    reference_intervals,
+    tv_lower_reference,
+    tv_upper_reference,
     mixture_log_partial,
     mixture_word_loop_log_partial,
     resolvent_log_recurrence,
@@ -112,8 +117,8 @@ def test_max_p_above_max_total_runs_as_max_p_equal_to_max_total(query):
     ks = [1.0, 40.0, 120.0]
     clamped = TruncationConfig(max_p=12, max_total=5)
     assert clamped.max_p == 5
-    got = A_k_grid(query, ks, clamped)
-    want = A_k_grid(query, ks, TruncationConfig(max_p=5, max_total=5))
+    got = interval_rows(A_k_grid(query, ks, clamped))
+    want = interval_rows(A_k_grid(query, ks, TruncationConfig(max_p=5, max_total=5)))
     assert repr(got) == repr(want)
     assert any(A.certified for A in got) and not all(A.certified for A in got)
 
@@ -123,7 +128,7 @@ def test_unitary_partial_matches_oracle_delta():
     N, tau, k = 12, 2.0, 4.0
     tc = TruncationConfig(max_p=5, max_total=10)
     q = WalkQuery.unitary(N, tau)
-    got = A_k_grid(q, [k], tc)[0].log_partial
+    got = A_k_grid(q, [k], tc).log_partial[0]
     want = unitary_log_partial(N, N - tau, CircleMeasure.delta(0.0), k, 10, 10)
     assert got == pytest.approx(want, abs=1e-9)
 
@@ -134,7 +139,7 @@ def test_unitary_partial_matches_oracle_atomic():
     nu = CircleMeasure.atomic([(0.0, 0.6), (2.0, 0.4)])
     tc = TruncationConfig(max_p=4, max_total=9)
     q = WalkQuery("unitary-free", N, tau=2.0, nu=nu)
-    got = A_k_grid(q, [k], tc)[0].log_partial
+    got = A_k_grid(q, [k], tc).log_partial[0]
     want = unitary_log_partial(N, 10.0, nu, k, 9, 4)
     assert got == pytest.approx(want, abs=1e-9)
 
@@ -144,7 +149,7 @@ def test_unitary_partial_matches_oracle_k_zero():
     N = 12
     tc = TruncationConfig(max_p=3, max_total=6)
     q = WalkQuery.unitary(N, 2.0)
-    got = A_k_grid(q, [0.0], tc)[0].log_partial
+    got = A_k_grid(q, [0.0], tc).log_partial[0]
     want = unitary_log_partial(N, 10.0, CircleMeasure.delta(0.0), 0.0, 6, 6)
     assert got == pytest.approx(want, abs=1e-9)
 
@@ -163,7 +168,7 @@ def test_unitary_partial_matches_oracle_k_zero():
 def test_point_mass_partial_matches_oracle(query, t, nu):
     walk, k = query
     tc = TruncationConfig(max_p=4, max_total=9)
-    got = A_k_grid(walk, [k], tc)[0].log_partial
+    got = A_k_grid(walk, [k], tc).log_partial[0]
     want = unitary_log_partial(walk.N, t, nu, k, 9, 9)
     assert math.isfinite(got)
     assert got == pytest.approx(want, abs=1e-9)
@@ -175,7 +180,7 @@ def test_wreath_partial_matches_oracle_trivial_state():
     psi = trivial_state(g)
     tc = TruncationConfig(max_p=4, max_total=10)
     q = WalkQuery.wreath(N, tau, g, psi)
-    got = A_k_grid(q, [k], tc)[0].log_partial
+    got = A_k_grid(q, [k], tc).log_partial[0]
     want = wreath_log_partial(N, tau, g, psi, k, 10, 5)
     assert got == pytest.approx(want, abs=1e-9)
 
@@ -186,7 +191,7 @@ def test_wreath_partial_matches_oracle_nontrivial_state():
     psi = GroupState.from_values(g, [1.0, 0.5])
     tc = TruncationConfig(max_p=4, max_total=10)
     q = WalkQuery.wreath(N, tau, g, psi)
-    got = A_k_grid(q, [k], tc)[0].log_partial
+    got = A_k_grid(q, [k], tc).log_partial[0]
     want = wreath_log_partial(N, tau, g, psi, k, 10, 5)
     assert got == pytest.approx(want, abs=1e-9)
 
@@ -197,7 +202,7 @@ def test_wreath_partial_matches_oracle_z3():
     psi = trivial_state(g)
     tc = TruncationConfig(max_p=3, max_total=8)
     q = WalkQuery.wreath(N, tau, g, psi)
-    got = A_k_grid(q, [k], tc)[0].log_partial
+    got = A_k_grid(q, [k], tc).log_partial[0]
     want = wreath_log_partial(N, tau, g, psi, k, 8, 4)
     assert got == pytest.approx(want, abs=1e-9)
 
@@ -210,7 +215,7 @@ def test_wreath_partial_matches_oracle_z3():
 def test_unitary_partial_matches_oracle_across_doubling_rounds(nu, P):
     N, k, M = 12, 4.0, P + 2
     q = WalkQuery("unitary-free", N, tau=2.0, nu=nu)
-    got = A_k_grid(q, [k], TruncationConfig(max_p=P, max_total=M))[0].log_partial
+    got = A_k_grid(q, [k], TruncationConfig(max_p=P, max_total=M)).log_partial[0]
     blocks = M if nu.point_mass_weight() is not None else P
     assert got == pytest.approx(unitary_log_partial(N, N - 2.0, nu, k, M, blocks), abs=1e-9)
 
@@ -245,7 +250,7 @@ def test_wreath_partial_matches_oracle_z3_across_doubling_rounds(P, M, dihedral)
         g = cyclic_group(3)
         psi = trivial_state(g)
     q = WalkQuery.wreath(N, tau, g, psi)
-    got = A_k_grid(q, [k], TruncationConfig(max_p=P, max_total=M))[0].log_partial
+    got = A_k_grid(q, [k], TruncationConfig(max_p=P, max_total=M)).log_partial[0]
     assert got == pytest.approx(wreath_log_partial(N, tau, g, psi, k, M, M // 2), abs=1e-9)
 
 
@@ -253,14 +258,14 @@ def test_wreath_partial_empty_truncation():
     # max_total = 1 admits no wreath word: the partial is an empty sum
     g = cyclic_group(2)
     q = WalkQuery.wreath(40, 2.0, g, trivial_state(g))
-    assert A_k_grid(q, [30.0], TruncationConfig(max_p=1, max_total=1))[0].log_partial == -math.inf
+    assert A_k_grid(q, [30.0], TruncationConfig(max_p=1, max_total=1)).log_partial[0] == -math.inf
 
 
 def test_mixture_partial_matches_oracle():
     # the engine's exact rule vs a per-word Gauss-Legendre quadrature
     N, k = 12, 6.0
     tc = TruncationConfig(max_p=2, max_total=4)
-    got = A_k_grid(WalkQuery.mixture(N), [k], tc)[0].log_partial
+    got = A_k_grid(WalkQuery.mixture(N), [k], tc).log_partial[0]
     want = mixture_log_partial(N, k, 4, 2, quad_points=512)
     assert got == pytest.approx(want, abs=1e-8)
 
@@ -275,7 +280,7 @@ def test_mixture_partial_matches_the_word_loop(N, max_p, max_total):
     # where the engine's sum is the correctly rounded one)
     q = WalkQuery.mixture(N)
     ks = [0.0, 1.0, nominal_cutoff(q) + N]
-    got = [A.log_partial for A in A_k_grid(q, ks, TruncationConfig(max_p=max_p, max_total=max_total))]
+    got = A_k_grid(q, ks, TruncationConfig(max_p=max_p, max_total=max_total)).log_partial.tolist()
     want = mixture_word_loop_log_partial(N, ks, max_total, max_p)
     L = 2 * ((max_total + max_p) // 2) + 1
     W = count_unitary(max_total, max_p)
@@ -294,7 +299,7 @@ def test_mixture_partial_does_not_depend_on_the_block_size(monkeypatch):
         for N, tc in cases:
             q = WalkQuery.mixture(N)
             ks = [0.0, 0.5, 1.0, nominal_cutoff(q), nominal_cutoff(q) + N, 1e300]
-            out.append([A.log_partial for A in A_k_grid(q, ks, tc)])
+            out.append(A_k_grid(q, ks, tc).log_partial.tolist())
         return out
 
     before = partials()
@@ -306,10 +311,10 @@ def test_mixture_vanishing_coefficients_count_one_at_k_zero(monkeypatch):
     # at k = 0 every coefficient power is 1, also where a word's average is
     # 0; with zero rule weights every average vanishes
     q, tc = WalkQuery.mixture(20), TruncationConfig(max_p=2, max_total=4)
-    want = A_k_grid(q, [0.0], tc)[0].log_partial
+    want = A_k_grid(q, [0.0], tc).log_partial[0]
     rule = structures.porod_rule
     monkeypatch.setattr(bounds, "porod_rule", lambda N, D: (rule(N, D)[0], np.zeros(2 * D + 1)))
-    assert [A.log_partial for A in A_k_grid(q, [0.0, 1.0, 30.0], tc)] == [want, -math.inf, -math.inf]
+    assert A_k_grid(q, [0.0, 1.0, 30.0], tc).log_partial.tolist() == [want, -math.inf, -math.inf]
 
 
 @pytest.mark.parametrize("N", [6, 7, 8, 12, 40])
@@ -368,7 +373,7 @@ def test_mixture_partial_at_large_N_matches_30_digit_integral(N):
     # 0.0043 at 1e7, which put the partial off by about 1e6 and 1e9; the
     # exact rule is off by its rounding times 2k (3e-7 at N = 1e7)
     k = N * math.log(N) / 2 + N
-    got = A_k_grid(WalkQuery.mixture(N), [k], TruncationConfig(max_p=1, max_total=2))[0].log_partial
+    got = A_k_grid(WalkQuery.mixture(N), [k], TruncationConfig(max_p=1, max_total=2)).log_partial[0]
     assert got == pytest.approx(_mixture_log_partial_30_digits(N, k, 2, 1), abs=1e-6)
 
 
@@ -382,8 +387,8 @@ def test_eval_family_routes_to_central_state():
     qe = WalkQuery.eval_point(N, theta)
     t, nu = eval_state_params(N, theta)
     qf = WalkQuery("unitary-free", N, tau=N - t, nu=nu)
-    a = A_k_grid(qe, [k], tc)[0]
-    b = A_k_grid(qf, [k], tc)[0]
+    a = interval_rows(A_k_grid(qe, [k], tc))[0]
+    b = interval_rows(A_k_grid(qf, [k], tc))[0]
     assert a.log_partial == pytest.approx(b.log_partial, abs=1e-12)
 
 
@@ -472,7 +477,7 @@ def test_point_mass_shortcut_equals_parity_partial():
         two_k = 2.0 * np.array(ks)
         g = bounds._log_coeff_table(two_k, u_seq(38.0, M), u_seq(40.0, M))
         general = bounds._parity_log_partials(g, np.zeros(2 * M + 1), two_k, M, M)
-        shortcut = [A.log_partial for A in bounds.A_k_grid(q, ks, tc)]
+        shortcut = bounds.A_k_grid(q, ks, tc).log_partial.tolist()
         assert shortcut == pytest.approx(general.tolist(), rel=1e-12, abs=1e-12)
 
 
@@ -711,7 +716,7 @@ def test_engine_passes_go_in_blocks_of_grid_rows(monkeypatch, query):
     # partials do not depend on the blocks
     tc = TruncationConfig(max_p=5, max_total=70)
     ks = [0.0, 1.0, 2.5, 7.0, 20.0, 45.0, 80.0, 150.0, 400.0]
-    want = [A.log_partial for A in A_k_grid(query, ks, tc)]
+    want = A_k_grid(query, ks, tc).log_partial.tolist()
     monkeypatch.setattr(bounds, "_BLOCK_TERMS", 1000)
     sizes = []
 
@@ -725,7 +730,7 @@ def test_engine_passes_go_in_blocks_of_grid_rows(monkeypatch, query):
 
     for name in ("_log_conv_powers", "_log_resolvent"):
         monkeypatch.setattr(bounds, name, recorded(getattr(bounds, name)))
-    got = [A.log_partial for A in A_k_grid(query, ks, tc)]
+    got = A_k_grid(query, ks, tc).log_partial.tolist()
     assert got == want
     assert len(sizes) > 1
     assert max(sizes) <= 1000
@@ -997,7 +1002,7 @@ def test_resolvent_work_per_grid_row(monkeypatch, kind, width, most):
 
 def test_tail_positive_and_certified():
     q = WalkQuery.unitary(20, 2.0)
-    A = A_k_grid(q, [60.0], DEFAULT_TRUNCATION)[0]
+    A = interval_rows(A_k_grid(q, [60.0], DEFAULT_TRUNCATION))[0]
     assert A.certified
     assert 0.0 < A.tail < A.partial
     assert A.upper == pytest.approx(A.partial + A.tail)
@@ -1006,8 +1011,8 @@ def test_tail_positive_and_certified():
 def test_certificate_contains_refined_partial_unitary():
     # coarse certified interval must contain the partial of a finer truncation
     q = WalkQuery.unitary(15, 2.0)  # past the cutoff ~20.3
-    coarse = A_k_grid(q, [40.0], TruncationConfig(max_p=6, max_total=12))[0]
-    fine = A_k_grid(q, [40.0], TruncationConfig(max_p=12, max_total=24))[0]
+    coarse = interval_rows(A_k_grid(q, [40.0], TruncationConfig(max_p=6, max_total=12)))[0]
+    fine = interval_rows(A_k_grid(q, [40.0], TruncationConfig(max_p=12, max_total=24)))[0]
     assert coarse.certified
     assert coarse.log_partial <= fine.log_partial + 1e-12
     assert math.exp(fine.log_partial) <= coarse.upper * (1.0 + 1e-12)
@@ -1016,8 +1021,8 @@ def test_certificate_contains_refined_partial_unitary():
 def test_certificate_contains_refined_partial_wreath():
     g = cyclic_group(3)
     q = WalkQuery.wreath(30, 2.0, g, trivial_state(g))  # cutoff ~51
-    coarse = A_k_grid(q, [80.0], TruncationConfig(max_p=6, max_total=12))[0]
-    fine = A_k_grid(q, [80.0], TruncationConfig(max_p=12, max_total=24))[0]
+    coarse = interval_rows(A_k_grid(q, [80.0], TruncationConfig(max_p=6, max_total=12)))[0]
+    fine = interval_rows(A_k_grid(q, [80.0], TruncationConfig(max_p=12, max_total=24)))[0]
     assert coarse.certified
     assert coarse.log_partial <= fine.log_partial + 1e-12
     assert math.exp(fine.log_partial) <= coarse.upper * (1.0 + 1e-12)
@@ -1025,8 +1030,8 @@ def test_certificate_contains_refined_partial_wreath():
 
 def test_certificate_contains_refined_partial_mixture():
     q = WalkQuery.mixture(20)
-    coarse = A_k_grid(q, [50.0], TruncationConfig(max_p=5, max_total=10))[0]
-    fine = A_k_grid(q, [50.0], TruncationConfig(max_p=7, max_total=14))[0]
+    coarse = interval_rows(A_k_grid(q, [50.0], TruncationConfig(max_p=5, max_total=10)))[0]
+    fine = interval_rows(A_k_grid(q, [50.0], TruncationConfig(max_p=7, max_total=14)))[0]
     assert coarse.certified
     assert coarse.log_partial <= fine.log_partial + 1e-12
     assert math.exp(fine.log_partial) <= coarse.upper * (1.0 + 1e-12)
@@ -1051,7 +1056,7 @@ def test_unitary_tail_bounds_the_excluded_words(N, tau, k, max_total, max_p):
     # sums every block count (the closed form, equal to the sum)
     tc = TruncationConfig(max_p=max_p, max_total=max_total)
     for nu, blocks, slack in ((CircleMeasure.haar(), max_p, 1e-3), (CircleMeasure.delta(0.0), None, 1e-12)):
-        A = A_k_grid(WalkQuery.unitary(N, tau, nu), [k], tc)[0]
+        A = interval_rows(A_k_grid(WalkQuery.unitary(N, tau, nu), [k], tc))[0]
         want = unitary_tail_majorant(N, tau, k, max_total, blocks)
         assert A.certified
         assert want - 1e-12 <= A.log_tail <= want + slack
@@ -1072,7 +1077,7 @@ def test_wreath_tail_bounds_the_excluded_words(N, tau, k, max_total, max_p, valu
     # the wreath sums every label count, so max_p excludes nothing
     g = cyclic_group(3)
     psi = GroupState.from_values(g, values)
-    A = A_k_grid(WalkQuery.wreath(N, tau, g, psi), [k], TruncationConfig(max_p=max_p, max_total=max_total))[0]
+    A = interval_rows(A_k_grid(WalkQuery.wreath(N, tau, g, psi), [k], TruncationConfig(max_p=max_p, max_total=max_total)))[0]
     want = wreath_tail_majorant(N, tau, g, psi, k, max_total, None)
     assert A.certified
     assert want - 1e-12 <= A.log_tail <= want + 1e-3
@@ -1094,7 +1099,7 @@ def test_point_mass_closed_tail_majorizes_the_excluded_words_exactly(N, tau, k, 
             by_total[word.total] = by_total.get(word.total, 0) + S**word.p * x ** (word.total - word.p)
     assert sorted(by_total) == list(range(M + 1, M + 9))
     assert all(total == 2 * S * (x + S) ** (n - 1) for n, total in by_total.items())
-    A = A_k_grid(WalkQuery.unitary(N, tau), [k], TruncationConfig(max_p=1, max_total=M))[0]
+    A = interval_rows(A_k_grid(WalkQuery.unitary(N, tau), [k], TruncationConfig(max_p=1, max_total=M)))[0]
     assert A.certified and dict(A.hypotheses)["x + S < 1"]
     closed = 2 * S * (x + S) ** M / (1 - x - S)
     assert A.log_tail >= math.log(sum(by_total.values())) - 1e-12
@@ -1120,7 +1125,7 @@ def test_wreath_closed_tail_majorizes_the_excluded_words_exactly(N, tau, k, max_
             continue
         label = values[functools.reduce(lambda a, b: g.table[a][b], word.gammas, g.identity)]
         words += label * Z ** (word.p + 1) * y ** (sum(idx) // 2 - word.p - 1)
-    A = A_k_grid(WalkQuery.wreath(N, tau, g, psi), [k], TruncationConfig(max_p=1, max_total=M))[0]
+    A = interval_rows(A_k_grid(WalkQuery.wreath(N, tau, g, psi), [k], TruncationConfig(max_p=1, max_total=M)))[0]
     assert A.certified and dict(A.hypotheses)["y + m Z < 1"]
     m, K, D = 3, sum(values), M // 2 + 1
     S = m * Z
@@ -1134,12 +1139,12 @@ def test_point_mass_closed_tail_equals_the_composition_tail_at_max_p_max_total()
     # composition tail's p > max_p block is empty and both read -165.62
     q = WalkQuery.unitary(200, 2.0)
     k = nominal_cutoff(q) + 200.0
-    A = A_k_grid(q, [k])[0]
-    log_S, log_x = unitary_majorant_logs(200, 2.0, k)
-    composition = bounds._composition_tail(log_S, log_x, 48, 48).log_tail
+    A = interval_rows(A_k_grid(q, [k]))[0]
+    log_S, log_x = (np.array([v]) for v in unitary_majorant_logs(200, 2.0, k))
+    composition = bounds._composition_tail(log_S, log_x, 48, 48)[0].item(0)
     assert round(A.log_tail, 2) == round(composition, 2) == -165.62
     # at the default max_p = 12, the composition tail is set by its p > 12 block
-    assert bounds._composition_tail(log_S, log_x, 48, 12).log_tail == pytest.approx(-52.02, abs=0.01)
+    assert bounds._composition_tail(log_S, log_x, 48, 12)[0].item(0) == pytest.approx(-52.02, abs=0.01)
 
 
 def test_point_mass_row_with_a_failed_ratio_test_is_now_certified():
@@ -1148,10 +1153,11 @@ def test_point_mass_row_with_a_failed_ratio_test_is_now_certified():
     q = WalkQuery.unitary(30, 2.0)
     k = nominal_cutoff(q) + 30 / 4
     log_S, log_x = unitary_majorant_logs(30, 2.0, k)
-    composition = bounds._composition_tail(log_S, log_x, 10, 10)
-    assert composition.log_tail == math.inf
-    assert dict(composition.hypotheses) == {"x < 1": True, "within-degree ratios < 1": False, "w = S/(1-x) < 1": True}
-    A = A_k_grid(q, [k], TruncationConfig(max_p=10, max_total=10))[0]
+    log_tail, hyps = bounds._composition_tail(np.array([log_S]), np.array([log_x]), 10, 10)
+    assert log_tail.tolist() == [math.inf]
+    assert dict(zip(bounds._TAIL_KEYS, hyps[0].tolist())) == {
+        "x < 1": True, "within-degree ratios < 1": False, "w = S/(1-x) < 1": True}
+    A = interval_rows(A_k_grid(q, [k], TruncationConfig(max_p=10, max_total=10)))[0]
     assert A.certified and math.exp(log_x) + math.exp(log_S) == pytest.approx(0.5545, abs=1e-4)
     assert A.log_tail == pytest.approx(unitary_tail_majorant(30, 2.0, k, 10, None), abs=1e-12)
 
@@ -1178,16 +1184,16 @@ def test_nested_truncation_containment_random():
                 continue
             k = N * math.log(N) / tau + c * N
             q = WalkQuery.unitary(N, tau)
-            coarse = A_k_grid(q, [k], TruncationConfig(max_p=P1, max_total=M1))[0]
-            fine = A_k_grid(q, [k], TruncationConfig(max_p=P2, max_total=M2))[0]
+            coarse = interval_rows(A_k_grid(q, [k], TruncationConfig(max_p=P1, max_total=M1)))[0]
+            fine = interval_rows(A_k_grid(q, [k], TruncationConfig(max_p=P2, max_total=M2)))[0]
         else:
             N = int(rng.integers(28, 80))
             tau = 2.0
             g = cyclic_group(int(rng.integers(2, 4)))
             k = N * math.log(N) / tau + c * N
             q = WalkQuery.wreath(N, tau, g, trivial_state(g))
-            coarse = A_k_grid(q, [k], TruncationConfig(max_p=P1, max_total=M1))[0]
-            fine = A_k_grid(q, [k], TruncationConfig(max_p=P2, max_total=M2))[0]
+            coarse = interval_rows(A_k_grid(q, [k], TruncationConfig(max_p=P1, max_total=M1)))[0]
+            fine = interval_rows(A_k_grid(q, [k], TruncationConfig(max_p=P2, max_total=M2)))[0]
         if not coarse.certified:
             continue
         assert coarse.log_partial <= fine.log_partial + 1e-12
@@ -1207,14 +1213,14 @@ def test_nested_truncation_containment_random():
 
 def test_uncertified_small_k():
     q = WalkQuery.unitary(20, 2.0)
-    A = A_k_grid(q, [0.5], DEFAULT_TRUNCATION)[0]
+    A = interval_rows(A_k_grid(q, [0.5], DEFAULT_TRUNCATION))[0]
     assert not A.certified
     assert dict(A.hypotheses)["k >= 1"] is False
 
 
 def test_uncertified_tau_too_close_to_N():
     q = WalkQuery.unitary(10, 8.5)  # N - tau = 1.5 <= 2
-    A = A_k_grid(q, [20.0], DEFAULT_TRUNCATION)[0]
+    A = interval_rows(A_k_grid(q, [20.0], DEFAULT_TRUNCATION))[0]
     assert not A.certified
     assert dict(A.hypotheses)["N - tau > 2"] is False
 
@@ -1222,7 +1228,7 @@ def test_uncertified_tau_too_close_to_N():
 def test_uncertified_wreath_small_tau():
     g = cyclic_group(2)
     q = WalkQuery.wreath(40, 1.5, g, trivial_state(g))
-    A = A_k_grid(q, [20.0], DEFAULT_TRUNCATION)[0]
+    A = interval_rows(A_k_grid(q, [20.0], DEFAULT_TRUNCATION))[0]
     assert not A.certified
     assert dict(A.hypotheses)["tau > 7/4"] is False
 
@@ -1230,7 +1236,7 @@ def test_uncertified_wreath_small_tau():
 def test_uncertified_wreath_below_threshold():
     g = cyclic_group(2)
     q = WalkQuery.wreath(20, 2.0, g, trivial_state(g))  # 20 < 186/7
-    A = A_k_grid(q, [20.0], DEFAULT_TRUNCATION)[0]
+    A = interval_rows(A_k_grid(q, [20.0], DEFAULT_TRUNCATION))[0]
     assert not A.certified
     assert dict(A.hypotheses)["N >= Q(tau)/(4 tau - 7)"] is False
 
@@ -1239,7 +1245,7 @@ def test_recorded_only_hypothesis_does_not_block():
     # the unitary C(tau) condition is recorded but the numeric ratio checks
     # decide certification
     q = WalkQuery.unitary(6, 2.8)  # N < tau + C(tau) = 6.159...
-    A = A_k_grid(q, [25.0], DEFAULT_TRUNCATION)[0]
+    A = interval_rows(A_k_grid(q, [25.0], DEFAULT_TRUNCATION))[0]
     hyps = dict(A.hypotheses)
     assert hyps["N >= tau + C(tau) [recorded]"] is False
     assert A.certified  # numeric ratios still hold at this k
@@ -1249,49 +1255,106 @@ def test_recorded_only_hypothesis_does_not_block():
 # TV conversions
 
 
+def _interval_grid(log_partial, log_tail, ks=None):
+    """An IntervalGrid with these endpoint logs, certified where the tail
+    is finite, at the steps ``ks`` (default 1 each)."""
+    lp, lt = np.array(log_partial, dtype=float), np.array(log_tail, dtype=float)
+    k = np.ones(lp.size) if ks is None else np.array(ks, dtype=float)
+    certified = lt < math.inf
+    return bounds.IntervalGrid(k, lp, lt, certified, 1, "", (), k >= 1.0, ("t",), certified[:, np.newaxis], k >= 1.0)
+
+
 def test_tv_upper_from_A_values():
-    from qgcutoff.bounds import BoundInterval
+    def mk(*pairs):
+        logs = [[math.log(v) if v > 0 else -math.inf for v in pair] for pair in pairs]
+        return _interval_grid(*zip(*logs))
 
-    def mk(partial, tail):
-        lp = math.log(partial) if partial > 0 else -math.inf
-        lt = math.log(tail) if tail > 0 else -math.inf
-        return BoundInterval(
-            terms_used=1,
-            certificate="",
-            certified=True,
-            hypotheses=(),
-            log_partial=lp,
-            log_tail=lt,
-        )
+    lo, hi, clamped = tv_upper_from_A(mk((0.04, 0.0004), (0.0, 0.0), (400.0, 4.0)))
+    assert hi[0] == pytest.approx(0.5 * math.sqrt(0.0404), rel=1e-12)
+    assert lo[0] == pytest.approx(0.5 * math.sqrt(0.04), rel=1e-12)
+    assert hi[1] == 0.0
+    assert hi[2] == 1.0
+    assert clamped.tolist() == [False, False, True]
 
-    tv = tv_upper_from_A(mk(0.04, 0.0004))
-    assert tv.upper == pytest.approx(0.5 * math.sqrt(0.0404), rel=1e-12)
-    assert tv.lower_info == pytest.approx(0.5 * math.sqrt(0.04), rel=1e-12)
-    assert not tv.clamped
-
-    tv0 = tv_upper_from_A(mk(0.0, 0.0))
-    assert tv0.upper == 0.0
-
-    tv_big = tv_upper_from_A(mk(400.0, 4.0))
-    assert tv_big.upper == 1.0 and tv_big.clamped
-
-    # partial and tail are the exponentials of the logs, infinite only where
-    # exp overflows: e^709 is finite, e^710 is not
-    A = mk(0.04, 0.0004)
-    assert (A.partial, A.tail) == (math.exp(math.log(0.04)), math.exp(math.log(0.0004)))
-    edge = BoundInterval(1, "", True, (), 709.0, 700.0)
-    assert (edge.partial, edge.tail) == (math.exp(709.0), math.exp(700.0))
-    huge = BoundInterval(1, "", True, (), 710.0, -math.inf)
-    assert (huge.partial, huge.tail) == (math.inf, 0.0)
+    # bound prints the partial and tail as the exponentials of the logs,
+    # infinite only where exp overflows: e^709 is finite, e^710 is not
+    assert (_exp(709.0), _exp(700.0)) == (math.exp(709.0), math.exp(700.0))
+    assert (_exp(710.0), _exp(-math.inf)) == (math.inf, 0.0)
 
 
 def test_tv_upper_uncertified_clamps_to_one():
     q = WalkQuery.unitary(20, 2.0)  # k < 1: no certificate
-    A = A_k_grid(q, [0.5], DEFAULT_TRUNCATION)[0]
-    tv = tv_upper_from_A(A)
-    assert tv.upper == 1.0
-    assert tv.clamped
-    assert not tv.certified
+    A = A_k_grid(q, [0.5], DEFAULT_TRUNCATION)
+    lo, hi, clamped = tv_upper_from_A(A)
+    assert hi.tolist() == [1.0]
+    assert clamped.tolist() == [True]
+    assert A.certified.tolist() == [False]
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def test_tv_columns_are_the_scalar_reference_bits_on_edge_rows():
+    # the guard at log 700, a -inf partial, an upper bound at and about
+    # exactly 1, uncertified rows and rows with k < 1
+    below, above = math.nextafter(700.0, 0.0), math.nextafter(700.0, math.inf)
+    one = math.log(4.0)  # sqrt(4) / 2 = 1
+    log_partial = [below, 700.0, above, -math.inf, 1.0, one, one + 1e-15,
+                   math.nextafter(one, 0.0), -3.0, -3.0, 710.0, -800.0]
+    log_tail = [-1.0, -1.0, -1.0, -5.0, math.inf, -math.inf, -math.inf,
+                -math.inf, -40.0, math.inf, -1.0, math.inf]
+    ks = [1.0] * 8 + [0.5, 0.25, 3.0, 0.0]
+    grid = _interval_grid(log_partial, log_tail, ks)
+    lo, hi, clamped = tv_upper_from_A(grid)
+    want = [tv_upper_reference(row) for row in interval_rows(grid)]
+    assert _bits(lo) == _bits(w[0] for w in want)
+    assert _bits(hi) == _bits(w[1] for w in want)
+    assert clamped.tolist() == [w[2] for w in want]
+    assert grid.certified.tolist() == [w[3] for w in want]
+    assert hi[5] == 1.0 and not clamped[5] and hi[6] == 1.0 and clamped[6]
+    # a walk whose witness is out of domain: N - tau <= 1 gives 0 everywhere
+    q = WalkQuery.unitary(3, 2.5)
+    ks = [0.0, 0.5, 1.0, 10.0]
+    assert tv_lower(q, np.array(ks)).tolist() == [tv_lower_reference(q, k) for k in ks] == [0.0] * 4
+
+
+# walks the pool does not hold: rows with k < 1, walk hypotheses that fail
+# (N - tau > 2, tau > 7/4, N >= 12), a witness out of domain (N - tau <= 1)
+_EDGE_WALKS = [
+    ("profile", "--family", "unitary", "--N", "20", "--tau", "2", "--k-range", "0:2:0.25"),
+    ("profile", "--family", "unitary", "--N", "4", "--tau", "2.5", "--nu", "haar", "--k-range", "0:40:4"),
+    ("profile", "--family", "unitary", "--N", "3", "--tau", "2.5", "--k-range", "0:40:4"),
+    ("profile", "--family", "wreath", "--N", "40", "--tau", "1.5", "--group", "cyclic:3", "--k-range", "0:90:9"),
+    ("profile", "--family", "mixture", "--N", "10", "--k-range", "0:50:5"),
+    ("bound", "--family", "wreath", "--N", "6", "--tau", "5.5", "--group", "cyclic:2", "--k", "0.5"),
+]
+
+
+def test_profile_columns_are_the_per_row_reference_bits_on_every_pool_grid(monkeypatch, tmp_path):
+    # every profile and bound grid of the benchmark pool, and the edge
+    # walks: the interval columns against the per-row assembly from the
+    # same engine pieces, and both TV bounds against their scalar
+    # math-module forms, compared by repr, which tells every float apart
+    argvs = benchmark_pool(tmp_path) + _EDGE_WALKS
+    monkeypatch.chdir(tmp_path)
+    pieces = []
+    assemble = bounds._intervals
+    monkeypatch.setattr(bounds, "_intervals", lambda *args: pieces.append(args) or assemble(*args))
+    parser = cli._build_parser()
+    rows_seen = 0
+    for argv in argvs:
+        args = parser.parse_args(cli._merge_range_flags(list(argv)))
+        q, ks = cli._build_query(args)
+        result = cutoff_profile(q, ks, cli._truncation_for(args, q.family))
+        rows = interval_rows(result.A)
+        assert repr(rows) == repr(reference_intervals(*pieces.pop())), argv
+        tv = zip(result.tv_upper_lo.tolist(), result.tv_upper_hi.tolist(), result.tv_clamped.tolist(),
+                 result.A.certified.tolist())
+        assert repr(list(tv)) == repr([tv_upper_reference(row) for row in rows]), argv
+        assert repr(result.tv_lower.tolist()) == repr([tv_lower_reference(q, k) for k in ks]), argv
+        rows_seen += len(rows)
+    assert len(argvs) == 476 and rows_seen > 4000
 
 
 def test_tv_lower_chebyshev():
@@ -1333,18 +1396,16 @@ def test_cutoff_profile_monotone_and_consistent():
     q = WalkQuery.unitary(20, 2.0)
     ks = [30.0, 40.0, 50.0, 60.0, 80.0]
     prof = cutoff_profile(q, ks)
-    assert len(prof.rows) == 5
+    assert prof.A.k.tolist() == ks
     assert prof.monotone_upper
-    for row, k in zip(prof.rows, ks):
-        single = A_k_grid(q, [k], DEFAULT_TRUNCATION)[0]
-        tv = tv_upper_from_A(single)
-        assert row.k == k
-        assert row.tv.upper == pytest.approx(tv.upper, rel=1e-15)
-        assert row.tv_lower == pytest.approx(tv_lower(q, k), rel=1e-15)
-        assert 0.0 <= row.tv_lower <= 1.0
-        assert 0.0 <= row.tv.upper <= 1.0
-        if row.tv.certified:
-            assert row.tv_lower <= row.tv.upper + 1e-12
+    for i, k in enumerate(ks):
+        single = A_k_grid(q, [k], DEFAULT_TRUNCATION)
+        assert prof.tv_upper_hi[i] == pytest.approx(tv_upper_from_A(single)[1][0], rel=1e-15)
+        assert prof.tv_lower[i] == pytest.approx(tv_lower(q, k), rel=1e-15)
+        assert 0.0 <= prof.tv_lower[i] <= 1.0
+        assert 0.0 <= prof.tv_upper_hi[i] <= 1.0
+        if prof.A.certified[i]:
+            assert prof.tv_lower[i] <= prof.tv_upper_hi[i] + 1e-12
 
 
 def _dihedral_group(n):
@@ -1378,17 +1439,18 @@ def _grid_cases():
 @pytest.mark.parametrize("query, ks", _grid_cases())
 def test_cutoff_profile_rows_match_single_point_engine(query, ks):
     prof = cutoff_profile(query, ks)
-    assert [row.k for row in prof.rows] == ks
-    assert any(row.A.certified for row in prof.rows) and not all(row.A.certified for row in prof.rows)
-    for row in prof.rows:
-        single = A_k_grid(query, [row.k])[0]
-        for got, want in ((row.A.log_partial, single.log_partial), (row.A.log_tail, single.log_tail)):
+    assert prof.A.k.tolist() == ks
+    rows = interval_rows(prof.A)
+    assert any(row.certified for row in rows) and not all(row.certified for row in rows)
+    for k, row in zip(ks, rows):
+        single = interval_rows(A_k_grid(query, [k]))[0]
+        for got, want in ((row.log_partial, single.log_partial), (row.log_tail, single.log_tail)):
             if math.isinf(want):
                 assert got == want
             else:
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-        assert row.A.certified == single.certified
-        assert row.A.hypotheses == single.hypotheses
+        assert row.certified == single.certified
+        assert row.hypotheses == single.hypotheses
 
 
 @pytest.mark.parametrize(
@@ -1410,6 +1472,9 @@ def test_cutoff_profile_rows_match_single_point_engine(query, ks):
         (["--family", "wreath", "--N", "40", "--tau", "2", "--group", "cyclic:3"], "_log_conv_powers", 1),
         # a point mass takes no power
         (["--family", "unitary", "--N", "40", "--tau", "2"], "_log_conv_powers", 0),
+        # each TV bound takes one pass over the grid, not one call a row
+        (["--family", "unitary", "--N", "40", "--tau", "2", "--nu", "haar"], "tv_upper_from_A", 1),
+        (["--family", "wreath", "--N", "40", "--tau", "2", "--group", "cyclic:3"], "tv_lower", 1),
     ],
 )
 def test_profile_runs_the_engine_once(monkeypatch, capsys, argv, engine, passes):
@@ -1450,9 +1515,9 @@ def test_profile_rows_share_one_hypothesis_key_sequence(query, ks):
     # checks the same way and in the same order: the composition tail's
     # three for the mixture and a general nu, the closed form's one for a
     # point mass and the wreath
-    rows = cutoff_profile(query, ks).rows
-    assert any(row.A.certified for row in rows) and not all(row.A.certified for row in rows)
-    keys = {tuple(name for name, _ in row.A.hypotheses) for row in rows}
+    rows = interval_rows(cutoff_profile(query, ks).A)
+    assert any(row.certified for row in rows) and not all(row.certified for row in rows)
+    keys = {tuple(name for name, _ in row.hypotheses) for row in rows}
     assert len(keys) == 1
     if query.family == "mixture" or (query.nu is not None and query.nu.point_mass_weight() is None):
         tail_keys = ("x < 1", "within-degree ratios < 1", "w = S/(1-x) < 1")
@@ -1558,7 +1623,7 @@ def test_dispatcher_covers_all_families():
         WalkQuery.wreath(30, 2.0, g, trivial_state(g)),
     ]
     for q in queries:
-        A = A_k_grid(q, [40.0])[0]
+        A = interval_rows(A_k_grid(q, [40.0]))[0]
         assert A.partial >= 0.0
         assert A.log_partial <= 0.0 or A.partial > 1.0
 
@@ -1586,8 +1651,8 @@ def test_cutoff_profile_certifies_the_walk_once(monkeypatch):
     monkeypatch.setattr(WalkQuery, "__post_init__", counted("post_init", WalkQuery.__post_init__))
     monkeypatch.setattr(bounds, "threshold_C", counted("threshold_C", bounds.threshold_C))
     ks = [nominal_cutoff(q) + c * 30000.0 for c in np.linspace(-5.0, 5.0, 101)]
-    rows = cutoff_profile(q, ks).rows
-    assert len(rows) == 101 and any(row.A.certified for row in rows)
+    A = cutoff_profile(q, ks).A
+    assert A.k.size == 101 and A.certified.any()
     assert calls == {"post_init": 0, "threshold_C": 1}
 
 

@@ -15,15 +15,18 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qgcutoff
-from qgcutoff import bounds, structures
+from qgcutoff import bounds, cli, structures
 from qgcutoff.bounds import WalkQuery
 from qgcutoff.cli import _FAMILY_TOKENS, MAX_GRID_POINTS, MAX_LAMBDA_MOMENT, _build_parser, _float_grid, main
 from qgcutoff.verify import suite_names
+
+from oracles import benchmark_pool
 
 _DATA = Path(__file__).parent / "data"
 
@@ -294,6 +297,90 @@ def test_bound_word_count_prints_as_a_double_readable_number(capsys, walk, count
     assert json.loads(out)["terms_used"] == count
     # a reader that parses every number as a double reads the same value
     assert json.loads(out, parse_int=float)["terms_used"] == count
+
+
+def _json_dumps_indent_2(text):
+    """The output ``text`` of a JSON command written again by
+    ``json.dumps(indent=2, allow_nan=False)`` from the document it holds."""
+    return json.dumps(json.loads(text), indent=2, allow_nan=False) + "\n"
+
+
+def test_json_commands_write_what_json_dumps_writes_on_every_pool_invocation(monkeypatch, capsys, tmp_path):
+    # every bound of the benchmark pool, and every profile as JSON; a
+    # parsed document keeps its key order, floats, ints and strings, so
+    # writing it again gives the bytes json.dumps gives
+    argvs = benchmark_pool(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    extra = [
+        ["bound", "--family", "unitary", "--N", "100", "--tau", "2", "--c", "1", "--max-total", "100"],
+        ["bound", "--family", "unitary", "--N", "100", "--tau", "2", "--c", "1", "--max-total", "1100"],
+        ["bound", "--family", "unitary", "--N", "100000", "--tau", "2", "--k", "0"],
+        ["profile", "--family", "unitary", "--N", "20", "--tau", "2", "--k-range", "0:60:10", "--format", "json"],
+    ]
+    for argv in [list(a) + ["--format", "json"] if a[0] == "profile" and "json" not in a else list(a)
+                 for a in argvs] + extra:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == _json_dumps_indent_2(out), argv
+    # past 2^53 words a double, past the double range "infinity", and an
+    # infinite partial
+    assert [json.loads(out)[key] for out, key in zip(
+        [run(capsys, *argv)[1] for argv in extra[:3]], ("terms_used", "terms_used", "A_partial"))] == [
+        float(2 * (2**100 - 1)), "infinity", "infinity"]
+
+
+_JSON_SCALARS = (st.text() | st.booleans() | st.integers(min_value=-(2**80), max_value=2**80)
+                 | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(docs=st.lists(st.dictionaries(st.text(), _JSON_SCALARS, min_size=1, max_size=12), min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_json_object_is_json_dumps_indent_2(docs):
+    # several dicts from one encoder pass, each alone and nested one level
+    # down as the config and hypotheses are
+    items = cli._json_items(docs)
+    assert len(items) == len(docs)
+    for doc, doc_items in zip(docs, items):
+        assert cli._json_object(doc_items, "") == json.dumps(doc, indent=2, allow_nan=False)
+        nested = json.dumps({"config": doc}, indent=2, allow_nan=False)
+        assert '{\n  "config": ' + cli._json_object(doc_items, "  ") + "\n}" == nested
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_writers_reject_what_json_dumps_rejects(value):
+    doc = {"k": 1.0, "x": value}
+    with pytest.raises(ValueError):
+        json.dumps(doc, indent=2, allow_nan=False)
+    with pytest.raises(ValueError):
+        cli._json_items([{"k": 1.0}, doc])
+    with pytest.raises(ValueError):
+        cli._json_numbers(np.array([0.5, value]))
+
+
+_PATH_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="/\x00"), min_size=1,
+                     max_size=12).filter(lambda name: name not in (".", ".."))
+
+
+@given(group=_PATH_TEXT, psi=_PATH_TEXT, command=st.sampled_from(["bound", "profile"]))
+@example(group='q"b\\s\x01\u00e9', psi="\u03c8\n\t'", command="bound")
+@example(group="\u6f22\x7f\"", psi='\\"', command="profile")
+@settings(max_examples=40, deadline=None)
+def test_json_commands_print_file_paths_as_json_dumps_does(group, psi, command):
+    # the config holds the --group and --psi values as given: quotes,
+    # backslashes, control characters and non-ASCII text are escaped as
+    # json.dumps escapes them
+    with tempfile.TemporaryDirectory() as tmp:
+        group_path, psi_path = Path(tmp, "g", group), Path(tmp, "p", psi)
+        for path, text in ((group_path, "2\n0 1\n1 0\n"), (psi_path, "1 0\n0 0\n")):
+            path.parent.mkdir()
+            path.write_text(text, encoding="utf-8")
+        argv = [command, "--family", "wreath", "--N", "40", "--tau", "2", "--group", f"cayley:{group_path}",
+                "--psi", f"file:{psi_path}"] + (["--c", "1"] if command == "bound" else
+                                                ["--c-range", "-1:1:1", "--format", "json"])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    assert code == 0 and out.getvalue() == _json_dumps_indent_2(out.getvalue())
+    assert json.loads(out.getvalue())["config"]["group"] == f"cayley:{group_path}"
 
 
 def test_bound_needs_single_k(capsys):
@@ -634,7 +721,7 @@ def test_lower_bound_above_the_certified_upper_bound_is_a_defect(monkeypatch, ca
     # both commands reach the one consistency check in bounds.cutoff_profile
     code, out, _ = run(capsys, *argv)
     assert code == 0 and "true" in out
-    monkeypatch.setattr(bounds, "tv_lower", lambda q, k: 1.0)
+    monkeypatch.setattr(bounds, "tv_lower", lambda q, k: 0.0 * k + 1.0)
     with pytest.raises(RuntimeError, match="certified lower bound 1.0 exceeds certified upper bound"):
         main(argv)
 
