@@ -19,13 +19,14 @@ applied per factor.  When a geometric ratio fails to be < 1 the engine
 reports "no certificate" (tail = infinity) instead of extrapolating.
 
 Each family has one engine, (query, k grid, truncation) -> the intervals
-at every k as one columnar ``IntervalGrid``, reached through ``A_k_grid``.  The point-mass unitary and eval walks and
-the wreath sum words of every block count that fits the index total, as
-the resolvent G / (1 - G) of one series G (``_log_resolvent``, by degree
-doubling on R = G (1 + R) with positive products only), so their tail
-bounds only the words past that total, in closed form for the whole grid
-(``_resolvent_tail``); the mixture and a general nu stop at max_p blocks,
-and their tail is the composition tail ``_composition_tail``.
+at every k as one columnar ``IntervalGrid``, reached through ``A_k_grid``.
+The point-mass unitary and eval walks and the wreath sum words of every
+block count that fits the index total, as the resolvent G / (1 - G) of one
+series G (``_log_resolvent``, by degree doubling on R = G (1 + R) with
+positive products only), so their tail bounds only the words past that
+total, in closed form for the whole grid (``_resolvent_tail``); the
+mixture and a general nu stop at max_p blocks, and their tail is the
+composition tail ``_composition_tail``.
 
 Family-specific series:
 

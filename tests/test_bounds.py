@@ -1077,7 +1077,8 @@ def test_wreath_tail_bounds_the_excluded_words(N, tau, k, max_total, max_p, valu
     # the wreath sums every label count, so max_p excludes nothing
     g = cyclic_group(3)
     psi = GroupState.from_values(g, values)
-    A = interval_rows(A_k_grid(WalkQuery.wreath(N, tau, g, psi), [k], TruncationConfig(max_p=max_p, max_total=max_total)))[0]
+    tc = TruncationConfig(max_p=max_p, max_total=max_total)
+    A = interval_rows(A_k_grid(WalkQuery.wreath(N, tau, g, psi), [k], tc))[0]
     want = wreath_tail_majorant(N, tau, g, psi, k, max_total, None)
     assert A.certified
     assert want - 1e-12 <= A.log_tail <= want + 1e-3
