@@ -107,10 +107,11 @@ __all__ = [
 # kernel (N = 5, tau = 2.99) about 65 ms, and a wreath bound over Z/3 about
 # 5 ms (in-process on a 2-vCPU x86-64 VM).
 MAX_TOTAL = 4096
-# Most words the mixture engine sums.  Its array passes take about 1 us a
-# word: 82 450 words at (7, 17) in about 0.07 s, and 90 300 at (2, 300),
-# each averaged on 301 nodes, in about 0.17 s (in-process on a 2-vCPU
-# x86-64 VM).
+# Most words the mixture engine counts.  Its array passes average one word
+# of each conjugate pair: a two-point profile at N = 300 takes 22-33 ms for
+# the 82 450 words of (7, 17) and 72-105 ms for the 90 300 of (2, 300),
+# averaged on 301 nodes (the best of 21 in-process calls in each of three
+# runs on a shared 2-vCPU x86-64 VM, as below).
 MAX_MIXTURE_WORDS = 100_000
 # Most blocks a truncation accepts.  The parity-class table of the words of
 # at most P blocks holds P (P + 3) / 2 rows of P slots, about P^3 / 2, each
@@ -122,9 +123,10 @@ MAX_MIXTURE_WORDS = 100_000
 MAX_P = 64
 # Most entries, (max_total + 1) * L, of the mixture's per-node u_n ratio table
 # on L = 2 ((max_total + max_p) // 2) + 1 rule nodes (the default (5, 10)
-# takes 165).  At the cap, (1, 2046), the engine peaks 34 MB above the
-# interpreter (VmHWM 64 MB from 30 MB) and takes about 2 s, nearly all of
-# it in the table's u_n recurrences.
+# takes 165).  At the cap, (1, 2046), a two-point profile at N = 300 peaks
+# 33 MB above the interpreter (VmHWM 63 MB from 30 MB) and takes 119-163 ms,
+# about two fifths of it in ``porod_rule``'s 2047 x 1023 cosine table and a
+# fifth to a quarter each in the table's u_n recurrences and the word sums.
 MAX_MIXTURE_TABLE = 2**22
 
 
@@ -164,7 +166,7 @@ DEFAULT_TRUNCATION = TruncationConfig(max_p=12, max_total=48)
 # The mixture partial averages every word on its rule nodes, where the other
 # families sum whole series by convolution, so its default window is
 # smaller; the certified tail covers the difference.  A two-point profile
-# takes about 1-2 ms at (5, 10) and 12-23 ms at (6, 16), 29 784 words.
+# at N = 300 takes 1.0-1.6 ms at (5, 10), 8-12 ms at (6, 16), 29 784 words.
 MIXTURE_DEFAULT_TRUNCATION = TruncationConfig(max_p=5, max_total=10)
 
 # Largest step count A_k_grid accepts.  The engines form 2k times a
@@ -762,12 +764,12 @@ def _log_resolvent(step: np.ndarray) -> np.ndarray:
 # unitary family
 
 
-def _winding_exponents(T: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(e+, e-), the winding exponents of a word's two leading signs,
-    eps0 = +1 and -1, from the sum T of the signs eps_1 .. eps_{p-1} and
-    the last sign sigma = eps_p of eps0 = +1 (eps0 = -1 flips them all):
-    e+ = T + [sigma > 0] and e- = -1 - T + [sigma < 0], so |e| <= p."""
-    return T + (sigma > 0), -1 - T + (sigma < 0)
+def _winding_exponents(T: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """|e| for the winding exponent e = T + [sigma > 0] of the eps0 = +1
+    word, T the sum of its signs eps_1 .. eps_{p-1} and sigma = eps_p its
+    last, so |e| <= p.  The eps0 = -1 word, its conjugate, flips every sign:
+    exponent -1 - T + [sigma < 0] = -e, the same dimension, |m_{-e}| = |m_e|."""
+    return np.abs(T + (sigma > 0))
 
 
 @dataclass(frozen=True)
@@ -786,13 +788,9 @@ class _ParityClasses:
     """
 
     log_count: np.ndarray  # (pairs, P): log C per slot
-    stop: np.ndarray  # (pairs, P): column (sigma, T) of each slot in the stop table
+    stop: np.ndarray  # (pairs, P): |e| of each slot (``_winding_exponents``)
     pair_a: np.ndarray  # a of each pair
     pair_b: np.ndarray  # b of each pair
-    # per stop-table column (sigma, T), the index e + P of the winding
-    # exponent of each stop option (``_winding_exponents``)
-    e_plus: np.ndarray
-    e_minus: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
@@ -818,14 +816,12 @@ def _parity_classes(P: int) -> _ParityClasses:
             moved[1 - plus :: 2, :-1] = count[1 - plus :: 2, 1:]
             count = moved.copy()  # an even block: a stays
             count[1:] += moved[:-1]  # an odd block: a + 1
-        # column j holds T = 2j - (L - 1); sigma = (-1)^b picks the half
+        # column j holds T = 2j - (L - 1), and the last sign is sigma = (-1)^b
         rows = lengths == L
         with np.errstate(divide="ignore"):
             log_count[rows, :L] = np.log(count[: L + 1, off - (L - 1) : off + L : 2])
-        stop[rows, :L] = (L - a[rows, np.newaxis]) % 2 * width + np.arange(off - (L - 1), off + L, 2)
-    T = np.arange(width) - off
-    e_plus, e_minus = _winding_exponents(np.r_[T, T], np.repeat([1, -1], width))
-    classes = _ParityClasses(log_count, stop, a, lengths - a, e_plus + P, e_minus + P)
+        stop[rows, :L] = _winding_exponents(np.arange(-(L - 1), L, 2), (-1) ** (L - a[rows, np.newaxis]))
+    classes = _ParityClasses(log_count, stop, a, lengths - a)
     for arr in vars(classes).values():
         arr.flags.writeable = False
     return classes
@@ -835,21 +831,21 @@ def _parity_log_partials(g: np.ndarray, log_abs_m: np.ndarray, two_k: np.ndarray
     """Partial sum for a general nu at every row of ``g``, by parity class.
 
     ``g`` holds the (K, M+1) per-block log coefficients at the K values
-    ``two_k`` of 2k, and ``log_abs_m[e + P]`` is log |m_e(nu)| for |e| <= P.
-    A word's two stop options weigh |m_e+|^{2k} and |m_e-|^{2k}, both fixed
-    by its parity class (a, b, T), and the blocks of a class sum to
-    S(a, b) = [z^{<= M}] O(z)^a E(z)^b, with O and E the odd and even
-    blocks of g.  So the partial is the sum over classes of
-    C S(a, b) (|m_e+|^{2k} + |m_e-|^{2k}).
+    ``two_k`` of 2k, and ``log_abs_m[e]`` is log |m_e(nu)| for 0 <= e <= P.
+    A word and its conjugate, of leading signs eps0 = +1 and -1, both weigh
+    |m_e|^{2k}, with |e| fixed by their parity class (a, b, T), and the
+    blocks of a class sum to S(a, b) = [z^{<= M}] O(z)^a E(z)^b, with O and
+    E the odd and even blocks of g.  So the partial is the sum over classes
+    of 2 C S(a, b) |m_e|^{2k}.
     """
     pc = _parity_classes(P)
 
     def block(g: np.ndarray, two_k: np.ndarray) -> np.ndarray:
         n = g.shape[0]
         logm = _log_power(two_k[:, np.newaxis], log_abs_m)
-        stop = np.logaddexp(logm[:, pc.e_plus], logm[:, pc.e_minus])
-        # per pair, log sum over its classes of C (|m_e+|^{2k} + |m_e-|^{2k})
-        terms = stop[:, pc.stop]
+        logm += math.log(2.0)
+        # per pair, log sum over its classes of 2 C |m_e|^{2k}
+        terms = logm[:, pc.stop]
         terms += pc.log_count
         stop_sums = _row_logsumexp(terms)
 
@@ -892,7 +888,8 @@ def _unitary_intervals(q: WalkQuery, ks: np.ndarray, tc: TruncationConfig) -> In
     Any other nu sums the words of at most max_p blocks by parity class
     (``_parity_log_partials``), also in one pass for the whole grid, from
     the powers of the odd and even blocks of G and the moments m_e(nu),
-    |e| <= max_p, and its tail is the composition tail.
+    0 <= e <= max_p (a word and its conjugate weigh the same), and its tail
+    is the composition tail.
     """
     if q.theta is not None:
         t, nu = eval_state_params(q.N, q.theta)
@@ -940,11 +937,11 @@ def _unitary_intervals(q: WalkQuery, ks: np.ndarray, tc: TruncationConfig) -> In
         text += "words of every block count summed; total > max_total by 2 S (x+S)^max_total / (1-x-S)"
         return _intervals(ks, log_partials, count_unitary(M, M), hyps, text, ("x + S < 1",), tail)
 
-    log_abs_m = np.full(2 * P + 1, -math.inf)
-    for eps in range(-P, P + 1):
-        m = abs(moment(nu, eps))
+    log_abs_m = np.full(P + 1, -math.inf)
+    for e in range(P + 1):
+        m = abs(moment(nu, e))
         if m > 0.0:
-            log_abs_m[eps + P] = math.log(m)
+            log_abs_m[e] = math.log(m)
     log_partials = _parity_log_partials(g, log_abs_m, two_k, M, P)
     text += (
         "within-degree blocks bounded by first term times geometric ratio, "
@@ -974,13 +971,16 @@ def _mixture_intervals(q: WalkQuery, ks: np.ndarray, tc: TruncationConfig) -> In
     block vectors (``_compositions``, lexicographic order) so that memory
     does not grow with the words times L: the node products wq R[n_1] ...
     R[n_p], multiplied in block order, the log dims summed in the same
-    order, both leading signs' winding exponents from a parity cumprod, and
-    the cos and sin averages of every exponent from one ``np.einsum`` (no
-    BLAS, so no thread count moves a digit, and each average is one sum
-    over the nodes whatever the block).  Each k then sums d^2 |c|^{2k}
-    over the words with one ``_row_logsumexp`` per grid row.  Truncations
-    above MAX_MIXTURE_WORDS words or MAX_MIXTURE_TABLE ratio-table entries
-    raise ParameterError before any work.
+    order, the eps0 = +1 word's |e| from a parity cumprod, and its average
+    against row |e| of a table of cos(e beta), 0 <= e <= P, from one
+    ``np.einsum`` (no BLAS, so no thread count moves a digit, and each
+    average is one sum over the nodes whatever the block).  The Porod law
+    is symmetric and beta odd, so each average is real and the conjugate
+    eps0 = -1 word, of exponent -e, has the same: each k sums d^2 |c|^{2k}
+    over the eps0 = +1 words with one ``_row_logsumexp`` per grid row and
+    adds log 2.  Truncations above MAX_MIXTURE_WORDS words or
+    MAX_MIXTURE_TABLE ratio-table entries raise ParameterError before any
+    work.
 
     The tail certificate holds for the Jensen-majorized series via the
     per-word bound 2 S^p x^(total - p) with
@@ -1012,42 +1012,33 @@ def _mixture_intervals(q: WalkQuery, ks: np.ndarray, tc: TruncationConfig) -> In
     R = u_seq(tvec, M)
     R -= log_u_N[:, np.newaxis]
     np.exp(R, out=R)
-    # cos and sin of e beta for the exponents |e| <= P of a word: rows e + P
-    # and E + e + P
-    E = 2 * P + 1
-    angles = np.arange(-P, P + 1)[:, np.newaxis] * beta
-    trig = np.vstack([np.cos(angles), np.sin(angles)])
+    # cos e beta for the exponents 0 <= e <= P of an eps0 = +1 word: row e
+    cos = np.cos(np.arange(P + 1)[:, np.newaxis] * beta)
 
     def word_terms(vectors: np.ndarray) -> np.ndarray:
-        # per block vector: 2 log dim and the log |coefficient| of its two
-        # words, eps0 = -1 and +1 (-inf where it vanishes)
+        # per block vector: 2 log dim and the log |coefficient| of its
+        # eps0 = +1 word (-inf where it vanishes)
         prod = wq * R[vectors[:, 0]]
         log_dim = log_u_N[vectors[:, 0]]
         for j in range(1, vectors.shape[1]):
             prod *= R[vectors[:, j]]
             log_dim = log_dim + log_u_N[vectors[:, j]]
-        # the signs eps_1 .. eps_p of eps0 = +1; eps0 = -1 flips them all
+        # the signs eps_1 .. eps_p of eps0 = +1
         sign = np.where(vectors % 2 == 1, 1, -1).cumprod(axis=1)
-        e_plus, e_minus = _winding_exponents(sign[:, :-1].sum(axis=1), sign[:, -1])
-        rows = np.stack([e_minus, e_plus], axis=1) + P
+        e = _winding_exponents(sign[:, :-1].sum(axis=1), sign[:, -1])
         # no BLAS: each average is one sum over the nodes whatever the block
-        avg = np.einsum("bl,el->be", prod, trig)
-        re = np.take_along_axis(avg, rows, axis=1)
-        im = np.take_along_axis(avg, rows + E, axis=1)
         with np.errstate(divide="ignore"):
-            log_mod = np.log(np.hypot(re, im))
+            log_mod = np.log(np.abs(np.einsum("bl,bl->b", prod, cos[e])))
         return np.column_stack([2.0 * log_dim, log_mod])
 
-    # the block vectors of p blocks in lexicographic order, each giving its
-    # eps0 = -1 word and then its eps0 = +1 word
-    per_vector = np.concatenate([_in_blocks(word_terms, L + 2 * E, _compositions(M, p)) for p in range(1, P + 1)])
-    dims = np.repeat(per_vector[:, 0], 2)
-    mods = per_vector[:, 1:].ravel()
+    # one eps0 = +1 word per block vector, p blocks in lexicographic order
+    per_vector = np.concatenate([_in_blocks(word_terms, 2 * L, _compositions(M, p)) for p in range(1, P + 1)])
+    dims, mods = per_vector[:, 0], per_vector[:, 1]
 
     def sums(two_k: np.ndarray) -> np.ndarray:
         return _row_logsumexp(dims + _log_power(two_k[:, np.newaxis], mods))
 
-    log_partials = _in_blocks(sums, dims.size, 2.0 * ks)
+    log_partials = math.log(2.0) + _in_blocks(sums, dims.size, 2.0 * ks)
 
     hyps = (("N >= 12", N >= 12),)
     text = (
@@ -1185,8 +1176,11 @@ class _Family:
     expectation after k steps; the cutoff rate; the parameters the family reads,
     each with its default (None if required); and the rules on N and those
     parameters, as (fields, test, rule text).  Unitary and wreath use the
-    degree-2 character with sup norm 3; the mixture uses the real degree-1
-    witness with sup norm 2."""
+    degree-2 character chi_2, whose Haar law lies in [-1, 3]; the mixture
+    uses the real degree-1 witness chi_u + chi_ū, semicircular on
+    [-2 sqrt 2, 2 sqrt 2] under Haar.  Neither Haar range bounds the
+    witness in a walk state, so the variance bounds 9 and 4 are taken as
+    given, not derived."""
 
     engine: Callable[[WalkQuery, np.ndarray, TruncationConfig], IntervalGrid]
     truncation: TruncationConfig

@@ -249,10 +249,12 @@ class CircleMeasure:
         return cls("porod", N=N)
 
     def point_mass_weight(self) -> float | None:
-        """The weight w of a single-atom measure, whose moments all have
-        modulus |m_eps| = w; None for any other measure."""
-        if self.kind == "atomic" and len(self.atoms) == 1:
-            return self.atoms[0][1]
+        """The weight w of a point mass, whose moments all have modulus
+        |m_eps| = w: the summed weight of the atoms when every normalized
+        atom angle is the same float (a single atom gives its own weight);
+        None for any other measure."""
+        if self.kind == "atomic" and len({theta for theta, _ in self.atoms}) == 1:
+            return sum(w for _, w in self.atoms)
         return None
 
     def describe(self) -> str:

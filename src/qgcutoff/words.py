@@ -14,7 +14,10 @@ t in [0, N) and a circle measure nu has normalized character value
     m_eps(nu) * prod_i u_{n_i}(t) / u_{n_i}(N),
 
 where eps = [eps0]_- + eps_1 + ... + eps_{p-1} + [eps_p]_+ is the total
-winding exponent picked up by the z factors.
+winding exponent picked up by the z factors.  The word of leading sign
+eps0 = -1 flips every sign of the eps0 = +1 word with the same blocks and is
+its conjugate word: the same dimension, winding exponent -eps, and a
+conjugate character value, since m_{-eps}(nu) is the conjugate of m_eps(nu).
 
 Free wreath family (a finite group Gamma wreathed with the quantum
 permutation group).  Nontrivial characters are words
@@ -72,8 +75,9 @@ def count_unitary(max_total: int, max_p: int) -> int:
     """Number of free-unitary words of at most max_p blocks and index total
     at most max_total, in closed form: the block vectors of p blocks
     (``_compositions(max_total, p)``) number C(max_total, p), and each takes
-    two leading signs eps0 = -1, +1; with every block count, 2 (2^max_total
-    - 1).  Below that each C(max_total, p) comes from the one before it."""
+    two leading signs: the eps0 = +1 word and its conjugate, the eps0 = -1
+    word.  With every block count, 2 (2^max_total - 1).  Below that each
+    C(max_total, p) comes from the one before it."""
     if max_p >= max_total:
         return 2 * (2**max_total - 1)
     binom, total = 1, 0

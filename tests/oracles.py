@@ -781,13 +781,27 @@ def tv_lower_reference(q, k: float) -> float:
     return max(0.0, 1.0 - 4.0 * (var_bound + h_chi_sq) / (m * m))
 
 
+def _benchmark_workloads():
+    """The benchmark's ``perfbench/workloads.py`` as a module."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", _ROOT / "perfbench" / "workloads.py")
+    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def benchmark_atoms(i: int) -> CircleMeasure:
+    """The measure of the benchmark pool's atoms file ``atoms-<i>.txt``,
+    one "angle weight" pair a line after the comment lines."""
+    _, text = _benchmark_workloads()._atoms_file(i)
+    pairs = [tuple(map(float, ln.split())) for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    return CircleMeasure.atomic(pairs)
+
+
 def benchmark_pool(directory) -> list[tuple[str, ...]]:
     """The argv of every ``profile`` and ``bound`` invocation in the
     benchmark's pool (``perfbench/workloads.py``), with the input files they
     read written to ``directory``, where they must run."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", _ROOT / "perfbench" / "workloads.py")
-    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
-    spec.loader.exec_module(workloads)
+    workloads = _benchmark_workloads()
     invocations = [inv for name in workloads.WORKLOADS for inv in workloads.pool(name)]
     for name, text in workloads.input_files(invocations).items():
         (Path(directory) / name).write_text(text, encoding="utf-8")

@@ -436,7 +436,7 @@ def test_parity_partial_matches_winding_oracle(N, tau, nu_name):
     for M, P in _PARITY_TRUNCATIONS:
         g = bounds._log_coeff_table(two_k, u_seq(N - tau, M), u_seq(float(N), M))
         log_abs_m = _log_abs_moments(nu, P + 1)
-        got = bounds._parity_log_partials(g, log_abs_m[1:-1], two_k, M, P)
+        got = bounds._parity_log_partials(g, log_abs_m[P + 1 : -1], two_k, M, P)
         for row, tk, value in zip(g, two_k, got):
             want = winding_log_partial(row, log_abs_m, tk, M, P)
             if math.isinf(want):
@@ -476,7 +476,7 @@ def test_point_mass_shortcut_equals_parity_partial():
         tc = TruncationConfig(max_p=P, max_total=M)
         two_k = 2.0 * np.array(ks)
         g = bounds._log_coeff_table(two_k, u_seq(38.0, M), u_seq(40.0, M))
-        general = bounds._parity_log_partials(g, np.zeros(2 * M + 1), two_k, M, M)
+        general = bounds._parity_log_partials(g, np.zeros(M + 1), two_k, M, M)
         shortcut = bounds.A_k_grid(q, ks, tc).log_partial.tolist()
         assert shortcut == pytest.approx(general.tolist(), rel=1e-12, abs=1e-12)
 
@@ -494,7 +494,6 @@ def test_parity_classes_match_brute_force_enumeration(P):
             sigmas[key] = signs[-1]
             exponents[key] = (UIrrepWord(ns, 1).z_exponent(), UIrrepWord(ns, -1).z_exponent())
     pc = bounds._parity_classes(P)
-    width, off = 2 * P - 1, P - 1
     pairs = [(a, L - a) for L in range(1, P + 1) for a in range(L + 1)]
     assert list(zip(pc.pair_a.tolist(), pc.pair_b.tolist())) == pairs
     assert pc.log_count.shape == pc.stop.shape == (len(pairs), P)
@@ -508,9 +507,10 @@ def test_parity_classes_match_brute_force_enumeration(P):
             assert abs(pc.log_count[row, j] - math.log(C)) <= 1e-15 * max(1.0, math.log(C)), (a, b, j)
             sigma = sigmas[a, b, T]
             assert sigma == (-1) ** b
-            column = pc.stop[row, j]
-            assert column == (0 if sigma > 0 else width) + T + off, (a, b, j)
-            assert (pc.e_plus[column] - P, pc.e_minus[column] - P) == exponents[a, b, T]
+            # the eps0 = -1 word is the conjugate word, of exponent -e
+            e_plus, e_minus = exponents[a, b, T]
+            assert e_minus == -e_plus, (a, b, j)
+            assert pc.stop[row, j] == abs(e_plus), (a, b, j)
     assert sum(counts.values()) == 2 ** (P + 1) - 2
 
 

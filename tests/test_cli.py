@@ -424,6 +424,23 @@ def test_atoms_file(tmp_path, capsys):
     assert "# nu=atomic" in out
 
 
+@pytest.mark.parametrize("atoms", ["0.5 0.5\n0.5 0.5\n", "0.5 0.25\n6.783185307179586 0.75\n"])
+def test_atoms_at_one_angle_print_the_point_mass_record(tmp_path, capsys, atoms):
+    # the second file's angles are equal modulo 2 pi; both take the point
+    # mass's path, so only the nu line tells the records apart
+    path = tmp_path / "atoms.txt"
+    path.write_text(atoms)
+    argv = ["bound", "--family", "unitary", "--N", "200", "--tau", "2", "--c", "0.2"]
+    code, want, _ = run(capsys, *argv, "--nu", "delta:0.5")
+    assert code == 0
+    code, got, _ = run(capsys, *argv, "--nu", f"atoms:{path}")
+    assert code == 0
+    differ = [(w, g) for w, g in zip(want.splitlines(), got.splitlines()) if w != g]
+    assert len(got.splitlines()) == len(want.splitlines())
+    assert [w.split(":")[0] for w, _ in differ] == ['    "nu"'], differ
+    assert '"A_partial": 5.591192795660458,' in got and '"A_tail": 0.0020787306827313935,' in got
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run(
         capsys,

@@ -11,6 +11,7 @@ import struct
 import numpy as np
 import pytest
 
+from qgcutoff.bounds import MAX_P
 from qgcutoff.numerics import lambda_moment
 from qgcutoff import structures
 from qgcutoff.structures import (
@@ -33,6 +34,8 @@ from qgcutoff.structures import (
     tau_theta,
     trivial_state,
 )
+
+from oracles import benchmark_atoms
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +319,31 @@ def test_moment_atomic():
     nu = CircleMeasure.atomic([(0.0, 0.5), (math.pi, 0.5)])
     assert moment(nu, 1) == pytest.approx(0.0, abs=1e-12)
     assert moment(nu, 2) == pytest.approx(1.0, rel=1e-12)
+
+
+_CONJUGATE_NUS = {"haar": CircleMeasure.haar()}
+_CONJUGATE_NUS.update({f"atoms-{i}": benchmark_atoms(i) for i in range(6)})  # the benchmark pool's six files
+_CONJUGATE_NUS.update({f"porod-{N}": CircleMeasure.porod(N) for N in (6, 7, 200, 10**6)})
+
+
+@pytest.mark.parametrize("nu_name", list(_CONJUGATE_NUS))
+def test_conjugate_moments_have_bitwise_equal_moduli(nu_name):
+    # m_{-e} = conj(m_e), so the engines read |m_e| for e >= 0 only and
+    # count a word and its conjugate, of exponent -e, as one term twice
+    nu = _CONJUGATE_NUS[nu_name]
+    for e in range(1, MAX_P + 1):
+        assert abs(moment(nu, -e)) == abs(moment(nu, e)), e
+
+
+@pytest.mark.parametrize("pairs", [[(0.5, 1.0)], [(0.5, 0.5), (0.5, 0.5)], [(0.5, 0.25), (6.783185307179586, 0.75)]])
+def test_atoms_at_one_angle_are_a_point_mass(pairs):
+    # 6.783185307179586 - 2 pi normalizes to the float 0.5
+    assert CircleMeasure.atomic(pairs).point_mass_weight() == 1.0
+
+
+def test_atoms_at_distinct_angles_are_no_point_mass():
+    assert CircleMeasure.atomic([(0.5, 0.5), (0.5 + 2.0**-50, 0.5)]).point_mass_weight() is None
+    assert CircleMeasure.haar().point_mass_weight() is None
 
 
 def test_atomic_weight_validation():
