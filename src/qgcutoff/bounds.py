@@ -50,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import _Q_DOMAIN_EPS, log1mexp, logsumexp, q_of, u_seq
+from .numerics import _Q_DOMAIN_EPS, _exp_each, log1mexp, logsumexp, q_of, u_seq
 from .structures import (
     CircleMeasure,
     FiniteGroup,
@@ -338,7 +338,8 @@ def _composition_tail(log_S: np.ndarray, log_x: np.ndarray, M: int, P: int) -> t
     block.
 
     Within a fixed p the missing degrees j = degree - p start at
-    J = max(M - p + 1, 0) and the composition counts C(j+p-1, p-1) grow by
+    J = M - p + 1 >= 1, as P <= M (``TruncationConfig`` stores max_p at
+    most max_total), and the composition counts C(j+p-1, p-1) grow by
     ratios (j+p)/(j+1), so the block is bounded by its first term times a
     geometric series of ratio rho_p = x (J+p)/(J+1).  Beyond P the full
     per-p sum collapses to w^p with w = S / (1 - x).  Each row runs a
@@ -355,11 +356,7 @@ def _composition_tail(log_S: np.ndarray, log_x: np.ndarray, M: int, P: int) -> t
         pieces: list[float] = []
         rho_ok = True
         for p in range(1, P + 1):
-            J = max(M - p + 1, 0)
-            if J == 0:
-                # no degree was enumerated for this p; exact geometric block
-                pieces.append(log_pref + p * log_S_row - p * log1mexp(log_x_row))
-                continue
+            J = M - p + 1
             rho = x * (J + p) / (J + 1)
             if not rho < 1.0:
                 rho_ok = False
@@ -1282,15 +1279,12 @@ def tv_upper_from_A(A: IntervalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray
     whose tail is +inf.  Both are clamped into [0, 1], and ``clamped`` marks
     the rows where either was.
 
-    Each root is taken as 0.5 exp(log / 2), with libm's exponential
-    (``math.exp``) per value: numpy's exp differs from it in the last bit on
-    some hosts, and a bound printed at one k must not depend on the grid it
-    came in.  From log = 700 on a root is far above 1, so the exponent is
-    capped at 350 and exp never overflows.
+    Each root is taken as 0.5 exp(log / 2), with libm's exponential per
+    value (``_exp_each``).
     """
     n = A.log_partial.size
     logs = np.concatenate((A.log_partial, np.logaddexp(A.log_partial, A.log_tail)))
-    roots = 0.5 * np.array(list(map(math.exp, np.minimum(0.5 * logs, 350.0).tolist())))
+    roots = 0.5 * _exp_each(0.5 * logs)
     clamped = np.maximum(roots[:n], roots[n:]) > 1.0
     np.minimum(roots, 1.0, out=roots)
     return roots[:n], roots[n:], clamped

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -57,7 +58,7 @@ from .structures import (
     moment,
     trivial_state,
 )
-from .verify import format_report, negative_controls, report_to_dict, run_all, suite_names
+from .verify import format_report, negative_controls, run_all, suite_names
 
 __all__ = ["main"]
 
@@ -573,7 +574,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.suite == "all":
             controls = negative_controls()
             for name, rep in controls.items():
-                control_reports[name] = report_to_dict(rep)
+                control_reports[name] = dataclasses.asdict(rep)
                 got = rep.failure_count
                 status = "OK" if got > 0 else "VACUOUS"
                 if got == 0:
@@ -582,7 +583,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _emit("\n".join(lines), args.output)
         if report is not None:
             doc = {
-                "suites": {name: report_to_dict(r) for name, r in reports.items()},
+                "suites": {name: dataclasses.asdict(r) for name, r in reports.items()},
                 "negative_controls": control_reports,
                 "all_pass": all_ok and controls_ok,
             }

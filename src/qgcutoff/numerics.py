@@ -35,6 +35,7 @@ domain there too.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterable
 
 import numpy as np
@@ -81,12 +82,26 @@ def logsumexp(items: Iterable[float]) -> float:
     return hi + math.log(acc)
 
 
+# the largest argument at which libm's exp is finite
+_LOG_MAX = math.log(sys.float_info.max)
+
+
 def _exp(x: float) -> float:
     """exp(x), +inf where it overflows (x above about 709.78)."""
     try:
         return math.exp(x)
     except OverflowError:
         return math.inf
+
+
+def _exp_each(x: np.ndarray) -> np.ndarray:
+    """``_exp`` at each entry of a 1-D float array: libm's exponential
+    (``math.exp``, mapped in C) per value, as numpy's exp differs from it in
+    the last bit on some hosts and a value printed at one k must not depend
+    on the grid it came in, and +inf past overflow."""
+    out = np.fromiter(map(math.exp, np.minimum(x, _LOG_MAX).tolist()), float, x.size)
+    out[x > _LOG_MAX] = math.inf
+    return out
 
 
 def log1mexp(logx: float) -> float:
@@ -267,5 +282,6 @@ def lambda_moment(N: int, l: int) -> float:
         raise ValueError("l must be >= 0")
     val = 1.0
     for s in range(1, l + 1):
-        val *= 2.0 * (N - 2 + 2 * s) / (N - 1 + 2 * s)
+        # the quotient first, so that 2 (N - 2 + 2s) cannot overflow
+        val *= 2.0 * ((N - 2 + 2 * s) / (N - 1 + 2 * s))
     return val

@@ -251,9 +251,9 @@ class CircleMeasure:
     def point_mass_weight(self) -> float | None:
         """The weight w of a point mass, whose moments all have modulus
         |m_eps| = w: the summed weight of the atoms when every normalized
-        atom angle is the same float (a single atom gives its own weight);
-        None for any other measure."""
-        if self.kind == "atomic" and len({theta for theta, _ in self.atoms}) == 1:
+        angle of an atom of nonzero weight is the same float (a single atom
+        gives its own weight); None for any other measure."""
+        if self.kind == "atomic" and len({theta for theta, w in self.atoms if w != 0.0}) == 1:
             return sum(w for _, w in self.atoms)
         return None
 

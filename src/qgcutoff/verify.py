@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,7 +37,6 @@ __all__ = [
     "negative_controls",
     "suite_names",
     "run_all",
-    "report_to_dict",
     "format_report",
 ]
 
@@ -50,42 +49,32 @@ _TOLERANCE = 1e-12
 MAX_LISTED_FAILURES = 10
 
 
-@dataclass(frozen=True)
+@dataclass
 class VerifyReport:
-    """One suite's result.  ``failures`` lists the first MAX_LISTED_FAILURES
-    failing points in grid order as (point, lhs, rhs, margin);
-    ``failure_count`` counts every one."""
+    """One suite's result, counted block by block in fixed grid order:
+    ``failures`` lists the first MAX_LISTED_FAILURES failing points as
+    (point, lhs, rhs, margin), ``failure_count`` counts every one, and
+    ``min_margin`` is the first smallest margin.  ``tolerance`` is the
+    suite's tight band, kept off the fields so that ``dataclasses.asdict``
+    gives the JSON report."""
 
     inequality_id: str
-    grid_size: int
-    pass_count: int
-    tight_count: int
-    failure_count: int
-    failures: tuple[tuple[str, float, float, float], ...]
-    min_margin: float
-    min_margin_point: str
-    notes: tuple[str, ...] = ()
+    tolerance: InitVar[float]
+    grid_size: int = 0
+    pass_count: int = 0
+    tight_count: int = 0
+    failure_count: int = 0
+    failures: list[tuple[str, float, float, float]] = field(default_factory=list)
+    min_margin: float = math.inf
+    min_margin_point: str = ""
+    notes: list[str] = field(default_factory=list)
+
+    def __post_init__(self, tolerance: float) -> None:
+        self.tol = tolerance
 
     @property
     def ok(self) -> bool:
         return self.failure_count == 0
-
-
-class _Collector:
-    """Counts a suite's margins block by block in fixed grid order, keeping
-    the first MAX_LISTED_FAILURES failures and the first smallest margin."""
-
-    def __init__(self, inequality_id: str, tolerance: float) -> None:
-        self.id = inequality_id
-        self.tol = tolerance
-        self.size = 0
-        self.passes = 0
-        self.tights = 0
-        self.failure_count = 0
-        self.failures: list[tuple[str, float, float, float]] = []
-        self.min_margin = math.inf
-        self.min_point = ""
-        self.notes: list[str] = []
 
     def add(self, margins: np.ndarray, detail: Callable[[int], tuple[str, float, float]]) -> None:
         """Count one block of margins, in grid order.  ``detail(i)`` gives the
@@ -95,10 +84,10 @@ class _Collector:
         m = np.asarray(margins, dtype=float).ravel()
         if m.size == 0:
             return
-        self.size += m.size
+        self.grid_size += m.size
         passed = m >= -self.tol
-        self.passes += int(np.count_nonzero(passed))
-        self.tights += int(np.count_nonzero(passed & (np.abs(m) < self.tol)))
+        self.pass_count += int(np.count_nonzero(passed))
+        self.tight_count += int(np.count_nonzero(passed & (np.abs(m) < self.tol)))
         failed = np.flatnonzero(~passed)
         self.failure_count += failed.size
         for i in failed[: MAX_LISTED_FAILURES - len(self.failures)].tolist():
@@ -107,23 +96,7 @@ class _Collector:
         i = int(np.argmin(m))
         if not math.isnan(self.min_margin) and not m[i] >= self.min_margin:
             self.min_margin = float(m[i])
-            self.min_point = detail(i)[0]
-
-    def note(self, text: str) -> None:
-        self.notes.append(text)
-
-    def report(self) -> VerifyReport:
-        return VerifyReport(
-            inequality_id=self.id,
-            grid_size=self.size,
-            pass_count=self.passes,
-            tight_count=self.tights,
-            failure_count=self.failure_count,
-            failures=tuple(self.failures),
-            min_margin=self.min_margin,
-            min_margin_point=self.min_point,
-            notes=tuple(self.notes),
-        )
+            self.min_margin_point = detail(i)[0]
 
 
 # The grids are built once per process and shared by a suite and its
@@ -161,7 +134,7 @@ def verify_encadrement() -> VerifyReport:
 
 
 def _encadrement_impl(lower_exponent_shift: int) -> VerifyReport:
-    col = _Collector("encadrement", _TOLERANCE)
+    rep = VerifyReport("encadrement", _TOLERANCE)
     ts = _geom_floats(_ENCADREMENT_T_MIN, _ENCADREMENT_T_MAX, _ENCADREMENT_T_POINTS)
     t = np.array(ts)
     q = q_of(t)
@@ -183,8 +156,8 @@ def _encadrement_impl(lower_exponent_shift: int) -> VerifyReport:
             return f"upper t={ts[j]:.6g} n={k + 1}", u, math.exp(min(log_upper[k, j], 700.0))
         return f"lower t={ts[j]:.6g} n={k + 1}", math.exp(min(log_lower[k, j], 700.0)), u
 
-    col.add(margins, detail)
-    return col.report()
+    rep.add(margins, detail)
+    return rep
 
 
 _LOWER_AUX_AS = (1.0, 2.0, 4.0)
@@ -200,7 +173,7 @@ def verify_lower_aux() -> VerifyReport:
 
 
 def _lower_aux_impl(rhs_log_shift: float) -> VerifyReport:
-    col = _Collector("lower_aux", _TOLERANCE)
+    rep = VerifyReport("lower_aux", _TOLERANCE)
     for a in _LOWER_AUX_AS:
         n_lo = max(int(math.ceil(2.0 * a)), 2)
         ns = _geom_ints(n_lo, _LOWER_AUX_N_MAX, _LOWER_AUX_N_POINTS)
@@ -208,9 +181,9 @@ def _lower_aux_impl(rhs_log_shift: float) -> VerifyReport:
         log_N = np.log(N)
         log_lhs = log_N + (N * log_N / a) * np.log1p(-a / N)
         log_rhs = -a / (2.0 * math.e) - 0.5 * math.log(2.0) + rhs_log_shift
-        col.add(log_lhs - log_rhs,
+        rep.add(log_lhs - log_rhs,
                 lambda i: (f"a={a:g} N={ns[i]}", math.exp(log_lhs[i]), math.exp(log_rhs)))
-    return col.report()
+    return rep
 
 
 _MAIN_TAUS = (2.0, 3.0, 5.0)
@@ -221,18 +194,18 @@ def verify_main_inequality() -> VerifyReport:
     """N q(N - tau) (1 - q(N - tau)^2) >= e^{tau/N} for tau in _MAIN_TAUS and
     integer N >= ceil(tau + C(tau)), N <= _MAIN_N_MAX; sub-threshold points
     are scanned and recorded in the notes, not counted."""
-    col = _Collector("main_inequality", _TOLERANCE)
+    rep = VerifyReport("main_inequality", _TOLERANCE)
     for tau in _MAIN_TAUS:
         n_start = int(math.ceil(tau + threshold_C(tau)))
         N = np.arange(n_start, _MAIN_N_MAX + 1, dtype=float)
         log_lhs = _main_lhs_log(N, tau)
-        col.add(log_lhs - tau / N,
+        rep.add(log_lhs - tau / N,
                 lambda i: (f"tau={tau:g} N={n_start + i}", math.exp(log_lhs[i]), math.exp(tau / (n_start + i))))
         # exploratory scan below the threshold (domain still needs N - tau > 2)
         below = np.array([N for N in range(int(math.floor(tau)) + 3, n_start) if N - tau > 2.0 + _Q_DOMAIN_EPS], dtype=float)
         for N, margin in zip(below.tolist(), (_main_lhs_log(below, tau) - tau / below).tolist()):
-            col.note(f"below threshold: tau={tau:g} N={int(N)} margin={margin:.6g}")
-    return col.report()
+            rep.notes.append(f"below threshold: tau={tau:g} N={int(N)} margin={margin:.6g}")
+    return rep
 
 
 def _main_lhs_log(N: np.ndarray, tau: float) -> np.ndarray:
@@ -254,7 +227,7 @@ def verify_anqn() -> VerifyReport:
 
 
 def _anqn_impl(numerator: float) -> VerifyReport:
-    col = _Collector("anqn", _TOLERANCE)
+    rep = VerifyReport("anqn", _TOLERANCE)
     ns = _geom_ints(4, _ANQN_N_MAX, _ANQN_N_POINTS)
     N = np.array(ns, dtype=float)
     t = N - 2.0
@@ -262,8 +235,8 @@ def _anqn_impl(numerator: float) -> VerifyReport:
     q[t > 2.0] = q_of(t[t > 2.0])
     lhs = (N - 2.0 + 2.0 / N) * q
     rhs = 1.0 + numerator / (t * t)
-    col.add(rhs - lhs, lambda i: (f"N={ns[i]}", float(lhs[i]), float(rhs[i])))
-    return col.report()
+    rep.add(rhs - lhs, lambda i: (f"N={ns[i]}", float(lhs[i]), float(rhs[i])))
+    return rep
 
 
 _RATIO_NS = (6, 10, 50, 200)
@@ -276,7 +249,7 @@ def verify_ratio_comparison() -> VerifyReport:
     _RATIO_NS (all >= 6), theta on a uniform grid over [0, 2 pi),
     n <= _RATIO_N_MAX; margins on the log scale.  theta = 0 gives ratio 1
     exactly (tight)."""
-    col = _Collector("ratio_comparison", _TOLERANCE)
+    rep = VerifyReport("ratio_comparison", _TOLERANCE)
     Ns, n_max, count = _RATIO_NS, _RATIO_N_MAX, _RATIO_THETAS
     thetas = [2.0 * math.pi * j / count for j in range(count)]
     t1 = [trace_modulus(N, theta) for N in Ns for theta in thetas]
@@ -292,8 +265,8 @@ def verify_ratio_comparison() -> VerifyReport:
             j, k = divmod(i, n_max)
             return f"N={N} theta={thetas[j]:.6g} n={k + 1}", math.exp(ratio[j, k]), math.exp(bound[k])
 
-        col.add(bound - ratio, detail)
-    return col.report()
+        rep.add(bound - ratio, detail)
+    return rep
 
 
 _WREATH_TAUS = (2.0, 3.0)
@@ -305,19 +278,19 @@ def verify_wreath_inequality() -> VerifyReport:
     e^{-tau/N} for tau in _WREATH_TAUS (all > 7/4) and integer
     N >= ceil(Q(tau)/(4 tau - 7)), N <= _WREATH_N_MAX; a sub-threshold scan
     records where the inequality first holds."""
-    col = _Collector("wreath_inequality", _TOLERANCE)
+    rep = VerifyReport("wreath_inequality", _TOLERANCE)
     for tau in _WREATH_TAUS:
         n_start = int(math.ceil(wreath_certificate_threshold(tau)))
         below = np.array([N for N in range(int(math.floor(tau)) + 5, n_start) if N - tau > 4.0 and N >= 5], dtype=float)
         holds = np.flatnonzero(-tau / below - _wreath_lhs_log(below, tau) >= 0)
         if holds.size:
-            col.note(f"tau={tau:g}: holds from N={int(below[holds[0]])} (threshold {n_start})")
+            rep.notes.append(f"tau={tau:g}: holds from N={int(below[holds[0]])} (threshold {n_start})")
         n_lo = max(n_start, 5)
         N = np.arange(n_lo, _WREATH_N_MAX + 1, dtype=float)
         log_lhs = _wreath_lhs_log(N, tau)
-        col.add(-tau / N - log_lhs,
+        rep.add(-tau / N - log_lhs,
                 lambda i: (f"tau={tau:g} N={n_lo + i}", math.exp(log_lhs[i]), math.exp(-tau / (n_lo + i))))
-    return col.report()
+    return rep
 
 
 def _wreath_lhs_log(N: np.ndarray, tau: float) -> np.ndarray:
@@ -342,23 +315,23 @@ def verify_lambda_moment() -> VerifyReport:
     alternative (N+1)/(N+2) sometimes quoted for W_{N+1}/W_{N-1})."""
     # margin = tolerance - relative deviation, so a point fails exactly when
     # the deviation exceeds _LAMBDA_TOLERANCE
-    col = _Collector("lambda_moment", 1e-15)
+    rep = VerifyReport("lambda_moment", 1e-15)
     for N in _LAMBDA_NS:
         theta, w = porod_rule(N, _LAMBDA_L_MAX)
         lam = 1.0 - np.cos(theta)
         closed = [lambda_moment(N, l) for l in range(_LAMBDA_L_MAX + 1)]
         rule = [float(np.dot(w, lam**l)) for l in range(_LAMBDA_L_MAX + 1)]
         margins = _LAMBDA_TOLERANCE - np.abs(np.subtract(closed, rule)) / np.maximum(np.abs(rule), 1e-300)
-        col.add(margins, lambda l: (f"N={N} l={l}", closed[l], rule[l]))
+        rep.add(margins, lambda l: (f"N={N} l={l}", closed[l], rule[l]))
         half_mean = rule[1] / 2.0
         rec = N / (N + 1.0)
         alt = (N + 1.0) / (N + 2.0)
-        col.note(
+        rep.notes.append(
             f"N={N}: rule E[lambda]/2 = {half_mean!r}; recurrence ratio N/(N+1) = {rec!r} "
             f"(deviation {abs(half_mean - rec):.3e}); alternative ratio (N+1)/(N+2) = {alt!r} "
             f"(deviation {abs(half_mean - alt):.3e})"
         )
-    return col.report()
+    return rep
 
 
 def negative_controls() -> dict[str, VerifyReport]:
@@ -401,20 +374,6 @@ def run_all(names: Sequence[str] | None = None) -> dict[str, VerifyReport]:
     """Run the named suites (default: all) on their grids; an
     unknown name raises ValueError before any suite runs."""
     return {name: _SUITES[name]() for name in suite_names(names)}
-
-
-def report_to_dict(r: VerifyReport) -> dict:
-    return {
-        "inequality_id": r.inequality_id,
-        "grid_size": r.grid_size,
-        "pass_count": r.pass_count,
-        "tight_count": r.tight_count,
-        "failure_count": r.failure_count,
-        "failures": [list(f) for f in r.failures],
-        "min_margin": r.min_margin,
-        "min_margin_point": r.min_margin_point,
-        "notes": list(r.notes),
-    }
 
 
 def format_report(r: VerifyReport) -> str:

@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 
-from .numerics import _exp
+from .numerics import _exp, _exp_each
 from .structures import CircleMeasure, FiniteGroup, arg_trace, trace_modulus
 
 __all__ = [
@@ -112,12 +112,10 @@ def eval_state_params(N: int, theta: float) -> tuple[float, CircleMeasure]:
 
 def _exp_steps(log_base: float, log_step: float, k: float | np.ndarray) -> float | np.ndarray:
     """exp(log_base + k log_step), +inf where it overflows, at one step
-    count k (a float) or at each of an array of them.  The exponential is
-    libm's (``math.exp``) per value: numpy's exp differs from it in the last
-    bit on some hosts, and a walk expectation printed at one k must not
-    depend on the grid it came in."""
+    count k (a float) or at each of an array of them, with libm's
+    exponential (``_exp``, ``_exp_each``)."""
     x = log_base + k * log_step
-    return _exp(x) if isinstance(x, float) else np.array(list(map(_exp, x.tolist())))
+    return _exp(x) if isinstance(x, float) else _exp_each(x)
 
 
 def chi2_expectation_unitary(N: int, tau: float, k: float | np.ndarray) -> float | np.ndarray:

@@ -15,6 +15,7 @@ from qgcutoff.bounds import (
     DEFAULT_TRUNCATION,
     MIXTURE_DEFAULT_TRUNCATION,
     MAX_K,
+    MAX_P,
     A_k_grid,
     TruncationConfig,
     WalkQuery,
@@ -512,6 +513,38 @@ def test_parity_classes_match_brute_force_enumeration(P):
             assert e_minus == -e_plus, (a, b, j)
             assert pc.stop[row, j] == abs(e_plus), (a, b, j)
     assert sum(counts.values()) == 2 ** (P + 1) - 2
+
+
+def _parity_class_count(a, b, T):
+    # C(a, b, T) from the sign runs: n+ and n- count the + and - signs of
+    # all L = a + b blocks, whose sum is T + sigma, sigma = (-1)^b.  The b
+    # even blocks are the sign changes of +, eps_1, ..., eps_L, so the +
+    # signs fill floor(b/2) + 1 runs, the first possibly empty, and the -
+    # signs ceil(b/2) nonempty runs
+    L, s = a + b, T + (-1) ** b
+    if (L + s) % 2 or abs(s) > L:
+        return 0
+    n_plus, n_minus = (L + s) // 2, (L - s) // 2
+    if b == 0:
+        return int(n_minus == 0)
+    if n_minus == 0:
+        return 0
+    return math.comb(n_plus, b // 2) * math.comb(n_minus - 1, (b + 1) // 2 - 1)
+
+
+@pytest.mark.parametrize("P", [1, 2, 7, 20, 53, MAX_P])
+def test_parity_classes_match_the_sign_run_closed_form(P):
+    # the counts pass 2^53 from about P = 56, so this reaches where the
+    # brute-force enumeration cannot
+    pc = bounds._parity_classes(P)
+    for row, (a, b) in enumerate(zip(pc.pair_a.tolist(), pc.pair_b.tolist())):
+        L = a + b
+        T = np.arange(P) * 2 - (L - 1)
+        counts = [float(_parity_class_count(a, b, t)) if j < L else 0.0 for j, t in enumerate(T.tolist())]
+        with np.errstate(divide="ignore"):
+            want = np.log(counts)
+        assert pc.log_count[row].tobytes() == want.tobytes(), (a, b)
+        assert pc.stop[row, :L].tolist() == np.abs(T[:L] + (b % 2 == 0)).tolist(), (a, b)
 
 
 def _naive_log_conv(a, b):

@@ -77,6 +77,12 @@ def test_moments_lambda(capsys):
     assert "alternative" in doc["wallis_ratio_note"]
 
 
+def test_moments_lambda_at_a_huge_N_exits_0(capsys):
+    code, out, _ = run(capsys, "moments", "--lambda-moments", f"{10**308}:5")
+    assert code == 0
+    assert json.loads(out)["lambda_moments"] == {str(l): 2.0**l for l in range(6)}
+
+
 def test_moments_lambda_note_names_the_exact_rule_check(capsys):
     # no command runs a quadrature: the note points at verify's exact Porod rule
     code, out, _ = run(capsys, "moments", "--lambda-moments", "10:4")
@@ -424,10 +430,11 @@ def test_atoms_file(tmp_path, capsys):
     assert "# nu=atomic" in out
 
 
-@pytest.mark.parametrize("atoms", ["0.5 0.5\n0.5 0.5\n", "0.5 0.25\n6.783185307179586 0.75\n"])
+@pytest.mark.parametrize("atoms", ["0.5 0.5\n0.5 0.5\n", "0.5 0.25\n6.783185307179586 0.75\n", "0.5 1.0\n1.0 0.0\n"])
 def test_atoms_at_one_angle_print_the_point_mass_record(tmp_path, capsys, atoms):
-    # the second file's angles are equal modulo 2 pi; both take the point
-    # mass's path, so only the nu line tells the records apart
+    # the second file's angles are equal modulo 2 pi, and the third's atom
+    # at 1.0 carries no mass; all take the point mass's path, so only the
+    # nu line tells the records apart
     path = tmp_path / "atoms.txt"
     path.write_text(atoms)
     argv = ["bound", "--family", "unitary", "--N", "200", "--tau", "2", "--c", "0.2"]

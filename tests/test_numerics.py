@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from qgcutoff import cli, numerics
 from qgcutoff.numerics import (
     _Q_DOMAIN_EPS,
+    _exp,
+    _exp_each,
     lambda_moment,
     log1mexp,
     logsumexp,
@@ -388,6 +390,20 @@ def test_lambda_moment_values():
     for N in [5, 10, 50]:
         for l in range(7):
             assert lambda_moment(N, l) <= 2.0**l + 1e-12
+
+
+def test_lambda_moment_at_a_huge_N_stays_within_its_bound():
+    # 2 (N - 2 + 2s) overflows a float from about 9e307, so the quotient
+    # is taken first
+    for l in range(11):
+        val = lambda_moment(10**308, l)
+        assert math.isfinite(val) and val <= 2.0**l, l
+
+
+def test_exp_each_is_exp_bitwise_at_the_overflow_edge():
+    edge = 709.782712893384  # log of the largest float
+    xs = [709.0, edge, math.nextafter(edge, math.inf), math.inf, -math.inf, math.nan]
+    assert [v.hex() for v in _exp_each(np.array(xs)).tolist()] == [_exp(x).hex() for x in xs]
 
 
 def test_lambda_moment_against_quadrature():

@@ -335,9 +335,11 @@ def test_conjugate_moments_have_bitwise_equal_moduli(nu_name):
         assert abs(moment(nu, -e)) == abs(moment(nu, e)), e
 
 
-@pytest.mark.parametrize("pairs", [[(0.5, 1.0)], [(0.5, 0.5), (0.5, 0.5)], [(0.5, 0.25), (6.783185307179586, 0.75)]])
+@pytest.mark.parametrize("pairs", [[(0.5, 1.0)], [(0.5, 0.5), (0.5, 0.5)], [(0.5, 0.25), (6.783185307179586, 0.75)],
+                                   [(0.5, 1.0), (1.0, 0.0)]])
 def test_atoms_at_one_angle_are_a_point_mass(pairs):
-    # 6.783185307179586 - 2 pi normalizes to the float 0.5
+    # 6.783185307179586 - 2 pi normalizes to the float 0.5, and an atom of
+    # weight 0 carries no mass
     assert CircleMeasure.atomic(pairs).point_mass_weight() == 1.0
 
 

@@ -4,6 +4,7 @@ controls that prove the harness can fail.
 
 import math
 from collections import defaultdict
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,10 +13,9 @@ from qgcutoff import cli, verify
 from qgcutoff.numerics import q_of
 from qgcutoff.verify import (
     MAX_LISTED_FAILURES,
-    _Collector,
+    VerifyReport,
     negative_controls,
     format_report,
-    report_to_dict,
     run_all,
     verify_anqn,
     verify_encadrement,
@@ -128,7 +128,7 @@ def test_run_all_subset_and_unknown():
 
 def test_report_serialization_round_trip():
     rep = verify_anqn()
-    doc = report_to_dict(rep)
+    doc = asdict(rep)
     assert doc["inequality_id"] == "anqn"
     assert doc["grid_size"] == rep.grid_size
     assert doc["pass_count"] == rep.pass_count
@@ -138,8 +138,8 @@ def test_report_serialization_round_trip():
 
 
 def test_determinism_bit_for_bit():
-    a = report_to_dict(verify_main_inequality())
-    b = report_to_dict(verify_main_inequality())
+    a = asdict(verify_main_inequality())
+    b = asdict(verify_main_inequality())
     assert a == b
     assert format_report(verify_encadrement()) == format_report(verify_encadrement())
 
@@ -149,9 +149,8 @@ def _labelled(i):
 
 
 def test_nan_margin_fails_and_is_the_minimum():
-    col = _Collector("nan", 1e-12)
-    col.add(np.array([0.5, math.nan, -0.0]), _labelled)
-    rep = col.report()
+    rep = VerifyReport("nan", 1e-12)
+    rep.add(np.array([0.5, math.nan, -0.0]), _labelled)
     assert not rep.ok
     assert (rep.grid_size, rep.pass_count, rep.tight_count, rep.failure_count) == (3, 2, 1, 1)
     assert rep.failures[0][:3] == ("p1", 1.0, -1.0) and math.isnan(rep.failures[0][3])
@@ -160,12 +159,11 @@ def test_nan_margin_fails_and_is_the_minimum():
 
 def test_report_lists_the_first_failures_in_grid_order_and_counts_all():
     # 25 failures over two blocks, between passes: the first 10 are listed, all 25 counted
-    col = _Collector("many", 1e-12)
+    rep = VerifyReport("many", 1e-12)
     first = np.where(np.arange(20) % 2 == 0, -1.0, 1.0)  # 10 failures at 0, 2, ..., 18
     second = np.full(15, -2.0)
-    col.add(first, _labelled)
-    col.add(second, lambda i: _labelled(100 + i))
-    rep = col.report()
+    rep.add(first, _labelled)
+    rep.add(second, lambda i: _labelled(100 + i))
     assert (rep.grid_size, rep.pass_count, rep.failure_count) == (35, 10, 25)
     assert [f[0] for f in rep.failures] == [f"p{i}" for i in range(0, 20, 2)]
     assert len(rep.failures) == MAX_LISTED_FAILURES
@@ -181,13 +179,13 @@ def test_array_margins_are_within_a_few_ulp_of_the_scalar_formulas(monkeypatch):
     # formulas in math-module floats, at a few spacings of the largest term;
     # the counts must agree exactly
     blocks = defaultdict(list)
-    add = _Collector.add
+    add = VerifyReport.add
 
     def record(self, margins, detail):
-        blocks[self.id].append((self.tol, np.asarray(margins, dtype=float).ravel()))
+        blocks[self.inequality_id].append((self.tol, np.asarray(margins, dtype=float).ravel()))
         add(self, margins, detail)
 
-    monkeypatch.setattr(_Collector, "add", record)
+    monkeypatch.setattr(VerifyReport, "add", record)
     reports = run_all(None)
     got = dict(blocks)
     blocks.clear()
@@ -213,18 +211,18 @@ def test_verify_calls_q_of_on_arrays_at_most_once_per_grid_block(monkeypatch, ca
     # the suites hand q_of whole grid blocks, never single entries
     calls = []
     adds = []
-    add = _Collector.add
+    add = VerifyReport.add
 
     def counting_q_of(t):
         calls.append(t)
         return q_of(t)
 
     def counting_add(self, margins, detail):
-        adds.append(self.id)
+        adds.append(self.inequality_id)
         add(self, margins, detail)
 
     monkeypatch.setattr(verify, "q_of", counting_q_of)
-    monkeypatch.setattr(_Collector, "add", counting_add)
+    monkeypatch.setattr(VerifyReport, "add", counting_add)
     assert cli.main(["verify", "--suite", "all"]) == 0
     capsys.readouterr()
     assert all(isinstance(t, np.ndarray) for t in calls)
