@@ -12,6 +12,13 @@ Commands:
 - ``moments``: circle-measure moments m_eps and lambda-moments;
 - ``verify``: the inequality suites with negative controls.
 
+The flags of each command are rows of one table (``_COMMANDS``), which both
+``parse_args`` and ``--help`` read.  A flag is ``--flag=value`` or
+``--flag value``, the value taken as is, so ``--c -1e-1`` and ``--c-range
+-5:5:1`` work; only a token beginning with ``--`` is refused as a value.
+Flags are matched whole (``--fam`` is not ``--family``), and a repeated flag
+keeps its last value.  Bad input prints ``error: --flag: ...`` on stderr.
+
 Output is byte-identical across repeated runs and across --threads values:
 there is no randomness, reduction orders are fixed, and floats are printed
 with their shortest round-trip representation.  Exit codes: 0 success, 1
@@ -20,14 +27,13 @@ verification failure, 2 invalid input.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import dataclasses
-import functools
 import json
 import math
 import sys
-from typing import Sequence
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,81 +87,156 @@ class CliError(Exception):
     """Invalid input; message names the offending flag."""
 
 
-@functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    # built on the first main() call and reused: parse_args leaves the tree
-    # unchanged, and building it costs about 2 ms
-    parser = argparse.ArgumentParser(
-        prog="qgcutoff",
-        description="Certified total-variation bounds for central random walks "
-        "on free unitary quantum groups and free wreath products.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Flag(NamedTuple):
+    """One row of the flag table.  ``type`` converts the value token, taken
+    as is; ``bool`` marks a flag that takes no value and sets True."""
 
-    def add_common(p: argparse.ArgumentParser, with_walk: bool) -> None:
-        p.add_argument("--output", help="write to this file instead of stdout")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap; accepted for interface stability, results never depend on it")
-        if with_walk:
-            p.add_argument("--family", required=True, choices=sorted(_FAMILY_TOKENS))
-            p.add_argument("--N", type=int, required=True)
-            p.add_argument("--tau", type=float)
-            p.add_argument("--theta", type=float)
-            p.add_argument("--group", help="cyclic:<s> or cayley:<path>")
-            p.add_argument("--psi", help="trivial, haar, or file:<path>")
-            p.add_argument("--nu", help="haar, delta:<theta>, atoms:<path>, or porod")
-            p.add_argument("--k", type=float)
-            p.add_argument("--c", type=float)
-            p.add_argument("--k-range", help="kmin:kmax:kstep")
-            p.add_argument("--c-range", help="cmin:cmax:cstep")
-            p.add_argument("--round-k", action="store_true", help="round each k to the nearest integer")
-            p.add_argument("--max-p", type=int)
-            p.add_argument("--max-total", type=int)
-
-    p_profile = sub.add_parser("profile", help="cutoff profile over a k grid")
-    add_common(p_profile, with_walk=True)
-    p_profile.add_argument("--format", dest="fmt", default="csv", choices=["csv", "json"])
-
-    p_bound = sub.add_parser("bound", help="single-point bound record")
-    add_common(p_bound, with_walk=True)
-    p_bound.add_argument("--format", dest="fmt", default="json", choices=["json"])
-
-    p_thresh = sub.add_parser("thresholds", help="closed-form constants and cutoffs")
-    p_thresh.add_argument("--tau", type=float, required=True)
-    p_thresh.add_argument("--theta", type=float)
-    p_thresh.add_argument("--N", type=int, default=100)
-    add_common(p_thresh, with_walk=False)
-
-    p_mom = sub.add_parser("moments", help="circle-measure moments and lambda-moments")
-    p_mom.add_argument("--nu", help="haar, delta:<theta>, atoms:<path>, or porod")
-    p_mom.add_argument("--N", type=int, help="size parameter for the Porod mixture")
-    p_mom.add_argument("--eps", help="comma-separated winding exponents, e.g. 0,1,-2")
-    p_mom.add_argument("--lambda-moments", dest="lambda_moments",
-                       help="N:LMAX — moments of 1 - cos under the Porod mixture")
-    add_common(p_mom, with_walk=False)
-
-    p_verify = sub.add_parser("verify", help="run inequality suites")
-    p_verify.add_argument("--suite", default="all",
-                          help="all, or comma-separated suite names")
-    p_verify.add_argument("--report", help="write the JSON report to this file")
-    add_common(p_verify, with_walk=False)
-    return parser
+    flag: str
+    dest: str
+    type: Callable[[str], object]
+    default: object = None
+    required: bool = False
+    choices: tuple[str, ...] = ()
+    help: str = ""
 
 
-def _merge_range_flags(argv: list[str]) -> list[str]:
-    # argparse rejects values like "-5:5:1" after a separate flag token, so
-    # fold them into --flag=value form
-    out: list[str] = []
-    i = 0
-    while i < len(argv):
+_OUTPUT_FLAGS = (
+    _Flag("--output", "output", str, help="write to this file instead of stdout"),
+    _Flag("--threads", "threads", int, 1,
+          help="worker cap; accepted for interface stability, results never depend on it"),
+)
+_NU_HELP = "haar, delta:<theta>, atoms:<path>, or porod"
+# the walk and its k grid, read by both profile and bound
+_WALK_FLAGS = _OUTPUT_FLAGS + (
+    _Flag("--family", "family", str, required=True, choices=tuple(sorted(_FAMILY_TOKENS))),
+    _Flag("--N", "N", int, required=True),
+    _Flag("--tau", "tau", float),
+    _Flag("--theta", "theta", float),
+    _Flag("--group", "group", str, help="cyclic:<s> or cayley:<path>"),
+    _Flag("--psi", "psi", str, help="trivial, haar, or file:<path>"),
+    _Flag("--nu", "nu", str, help=_NU_HELP),
+    _Flag("--k", "k", float),
+    _Flag("--c", "c", float),
+    _Flag("--k-range", "k_range", str, help="kmin:kmax:kstep"),
+    _Flag("--c-range", "c_range", str, help="cmin:cmax:cstep"),
+    _Flag("--round-k", "round_k", bool, False, help="round each k to the nearest integer"),
+    _Flag("--max-p", "max_p", int),
+    _Flag("--max-total", "max_total", int),
+)
+# command -> (summary, flags)
+_COMMANDS: dict[str, tuple[str, tuple[_Flag, ...]]] = {
+    "profile": ("cutoff profile over a k grid", _WALK_FLAGS + (
+        _Flag("--format", "fmt", str, "csv", choices=("csv", "json")),
+    )),
+    "bound": ("single-point bound record", _WALK_FLAGS + (
+        _Flag("--format", "fmt", str, "json", choices=("json",)),
+    )),
+    "thresholds": ("closed-form constants and cutoffs", (
+        _Flag("--tau", "tau", float, required=True),
+        _Flag("--theta", "theta", float),
+        _Flag("--N", "N", int, 100),
+    ) + _OUTPUT_FLAGS),
+    "moments": ("circle-measure moments and lambda-moments", (
+        _Flag("--nu", "nu", str, help=_NU_HELP),
+        _Flag("--N", "N", int, help="size parameter for the Porod mixture"),
+        _Flag("--eps", "eps", str, help="comma-separated winding exponents, e.g. 0,1,-2"),
+        _Flag("--lambda-moments", "lambda_moments", str,
+              help="N:LMAX, moments of 1 - cos under the Porod mixture"),
+    ) + _OUTPUT_FLAGS),
+    "verify": ("run inequality suites", (
+        _Flag("--suite", "suite", str, "all", help="all, or comma-separated suite names"),
+        _Flag("--report", "report", str, help="write the JSON report to this file"),
+    ) + _OUTPUT_FLAGS),
+}
+# command -> flag -> row, and command -> dest -> default
+_FLAG_ROWS = {cmd: {row.flag: row for row in rows} for cmd, (_, rows) in _COMMANDS.items()}
+_DEFAULTS = {cmd: {row.dest: row.default for row in rows} for cmd, (_, rows) in _COMMANDS.items()}
+_HELP_TOKENS = ("-h", "--help")
+
+
+def _help_text(command: str | None) -> str:
+    """The command list, or one command's flags, from the flag table."""
+    if command is None:
+        width = max(map(len, _COMMANDS))
+        lines = ["usage: qgcutoff COMMAND --flag VALUE ...", "",
+                 "Certified total-variation bounds for central random walks on free unitary",
+                 "quantum groups and free wreath products.", "", "commands:"]
+        lines += [f"  {cmd:<{width}}  {summary}" for cmd, (summary, _) in _COMMANDS.items()]
+        lines += ["", "qgcutoff COMMAND --help lists the flags of COMMAND."]
+    else:
+        summary, rows = _COMMANDS[command]
+        specs = [row.flag if row.type is bool else f"{row.flag} {row.flag[2:].upper().replace('-', '_')}"
+                 for row in rows]
+        width = max(map(len, specs))
+        lines = [f"usage: qgcutoff {command} --flag VALUE ...", "", summary, "", "flags:"]
+        for spec, row in zip(specs, rows):
+            text = "; ".join(filter(None, [row.help, row.choices and f"one of {', '.join(row.choices)}"]))
+            if row.required:
+                text += " (required)"
+            elif row.default is not None and row.type is not bool:
+                text += f" (default: {row.default})"
+            lines.append(f"  {spec:<{width}}  {text.lstrip()}".rstrip())
+        lines.append(f"  {'-h, --help':<{width}}  print this list and exit")
+    return "\n".join(lines) + "\n"
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The command and its flag values from ``argv`` in one pass, or None
+    after printing the help that ``-h``/``--help`` asks for.
+
+    Each flag is ``--flag=value`` or ``--flag`` followed by its value token,
+    taken as is, so a value may begin with ``-``; only a token beginning with
+    ``--`` is refused as a value.  A repeated flag keeps its last value, and
+    a flag is matched whole, never by a prefix.  Raises CliError, naming the
+    flag, for an unknown flag, a missing or invalid value, a missing
+    required flag, a stray argument, or a missing or unknown command."""
+    if not argv:
+        raise CliError(f"missing command: one of {', '.join(_COMMANDS)} (--help lists them)")
+    command = argv[0]
+    if command in _HELP_TOKENS:
+        sys.stdout.write(_help_text(None))
+        return None
+    flags = _FLAG_ROWS.get(command)
+    if flags is None:
+        raise CliError(f"unknown command {command!r}: one of {', '.join(_COMMANDS)} (--help lists them)")
+    values: dict[str, object] = {}
+    row = None
+    i, n = 1, len(argv)
+    while i < n:
         tok = argv[i]
-        if tok in ("--k-range", "--c-range") and i + 1 < len(argv) and ":" in argv[i + 1]:
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
+        i += 1
+        if tok in _HELP_TOKENS:
+            sys.stdout.write(_help_text(command))
+            return None
+        if not tok.startswith("--"):
+            if row is None:
+                raise CliError(f"{command}: stray argument {tok!r}; each value follows its --flag")
+            raise CliError(f"{row.flag}: takes no value, got {tok!r}" if row.type is bool
+                           else f"{row.flag}: takes one value, got a second, {tok!r}")
+        name, eq, value = tok.partition("=")
+        row = flags.get(name)
+        if row is None:
+            raise CliError(f"{name}: unknown flag for {command} ({command} --help lists them)")
+        if row.type is bool:
+            if eq:
+                raise CliError(f"{name}: takes no value, got {value!r}")
+            values[row.dest] = True
+            continue
+        if not eq:
+            if i == n or argv[i].startswith("--"):
+                raise CliError(f"{name}: missing value")
+            value = argv[i]
             i += 1
-    return out
+        if row.choices and value not in row.choices:
+            raise CliError(f"{name}: invalid choice {value!r} (choose from {', '.join(row.choices)})")
+        try:
+            values[row.dest] = row.type(value)
+        except ValueError:
+            raise CliError(f"{name}: invalid {row.type.__name__} value {value!r}") from None
+    missing = [row.flag for row in _COMMANDS[command][1] if row.required and row.dest not in values]
+    if missing:
+        raise CliError(f"{', '.join(missing)}: required by {command}")
+    return SimpleNamespace(command=command, **{**_DEFAULTS[command], **values})
 
 
 @contextlib.contextmanager
@@ -253,7 +334,7 @@ def _float_grid(spec: str, flag: str) -> list[float]:
     return out
 
 
-def _build_query(args: argparse.Namespace) -> tuple[WalkQuery, list[float]]:
+def _build_query(args: SimpleNamespace) -> tuple[WalkQuery, list[float]]:
     """The walk and its k grid.  WalkQuery checks the walk flags
     (an invalid or unread one raises ParameterError naming its field), so
     only the flags that exist in the CLI alone, --k, --c, --k-range and
@@ -296,7 +377,7 @@ def _build_query(args: argparse.Namespace) -> tuple[WalkQuery, list[float]]:
     return q, ks
 
 
-def _truncation_for(args: argparse.Namespace, family: str) -> TruncationConfig:
+def _truncation_for(args: SimpleNamespace, family: str) -> TruncationConfig:
     base = default_truncation(family)
     max_p = args.max_p if args.max_p is not None else base.max_p
     max_total = args.max_total if args.max_total is not None else base.max_total
@@ -321,7 +402,7 @@ def _fmt(v: object) -> str:
     return str(v)
 
 
-def _config_lines(q: WalkQuery, args: argparse.Namespace, tc: TruncationConfig) -> list[tuple[str, object]]:
+def _config_lines(q: WalkQuery, args: SimpleNamespace, tc: TruncationConfig) -> list[tuple[str, object]]:
     items: list[tuple[str, object]] = [
         ("command", args.command),
         ("family", q.family),
@@ -419,7 +500,7 @@ def _json_count(n: int) -> int | float | str:
         return "infinity"
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
+def cmd_profile(args: SimpleNamespace) -> int:
     q, ks = _build_query(args)
     tc = _truncation_for(args, q.family)
     result = cutoff_profile(q, ks, tc)
@@ -446,7 +527,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bound(args: argparse.Namespace) -> int:
+def cmd_bound(args: SimpleNamespace) -> int:
     q, ks = _build_query(args)
     if len(ks) != 1:
         raise CliError("bound needs a single k (--k or --c)")
@@ -477,7 +558,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_thresholds(args: argparse.Namespace) -> int:
+def cmd_thresholds(args: SimpleNamespace) -> int:
     tau = args.tau
     _finite(tau, "--tau")
     _finite(args.theta, "--theta")
@@ -517,7 +598,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_moments(args: argparse.Namespace) -> int:
+def cmd_moments(args: SimpleNamespace) -> int:
     doc: dict[str, object] = {}
     if args.eps is not None:
         nu = _parse_nu(args.nu if args.nu is not None else "delta:0", args.N)
@@ -555,7 +636,13 @@ def cmd_moments(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def _report_fields(report: object) -> dict[str, object]:
+    """A report's fields by name, the values as they are: ``dataclasses.asdict``
+    would deep-copy every leaf first."""
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+
+
+def cmd_verify(args: SimpleNamespace) -> int:
     with _flag_input("--suite"):
         names = suite_names(None if args.suite == "all" else [s.strip() for s in args.suite.split(",")])
     # open the report, and try the output file, before any suite runs, so
@@ -574,7 +661,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.suite == "all":
             controls = negative_controls()
             for name, rep in controls.items():
-                control_reports[name] = dataclasses.asdict(rep)
+                control_reports[name] = _report_fields(rep)
                 got = rep.failure_count
                 status = "OK" if got > 0 else "VACUOUS"
                 if got == 0:
@@ -583,7 +670,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _emit("\n".join(lines), args.output)
         if report is not None:
             doc = {
-                "suites": {name: dataclasses.asdict(r) for name, r in reports.items()},
+                "suites": {name: _report_fields(r) for name, r in reports.items()},
                 "negative_controls": control_reports,
                 "all_pass": all_ok and controls_ok,
             }
@@ -593,16 +680,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args_list = list(argv) if argv is not None else sys.argv[1:]
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_merge_range_flags(args_list))
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return code
-    try:
-        if args.threads is not None and args.threads < 1:
-            raise CliError("--threads must be >= 1")
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return 0
+        if args.threads < 1:
+            raise CliError(f"--threads: must be >= 1, got {args.threads}")
         run = {"profile": cmd_profile, "bound": cmd_bound, "thresholds": cmd_thresholds,
                "moments": cmd_moments, "verify": cmd_verify}[args.command]
         return run(args)

@@ -55,8 +55,8 @@ class VerifyReport:
     ``failures`` lists the first MAX_LISTED_FAILURES failing points as
     (point, lhs, rhs, margin), ``failure_count`` counts every one, and
     ``min_margin`` is the first smallest margin.  ``tolerance`` is the
-    suite's tight band, kept off the fields so that ``dataclasses.asdict``
-    gives the JSON report."""
+    suite's tight band, kept off the fields so that the fields are the
+    JSON report."""
 
     inequality_id: str
     tolerance: InitVar[float]

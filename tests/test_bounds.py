@@ -1375,10 +1375,9 @@ def test_profile_columns_are_the_per_row_reference_bits_on_every_pool_grid(monke
     pieces = []
     assemble = bounds._intervals
     monkeypatch.setattr(bounds, "_intervals", lambda *args: pieces.append(args) or assemble(*args))
-    parser = cli._build_parser()
     rows_seen = 0
     for argv in argvs:
-        args = parser.parse_args(cli._merge_range_flags(list(argv)))
+        args = cli.parse_args(argv)
         q, ks = cli._build_query(args)
         result = cutoff_profile(q, ks, cli._truncation_for(args, q.family))
         rows = interval_rows(result.A)

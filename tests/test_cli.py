@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import qgcutoff
 from qgcutoff import bounds, cli, structures
 from qgcutoff.bounds import WalkQuery
-from qgcutoff.cli import _FAMILY_TOKENS, MAX_GRID_POINTS, MAX_LAMBDA_MOMENT, _build_parser, _float_grid, main
+from qgcutoff.cli import _COMMANDS, _FAMILY_TOKENS, MAX_GRID_POINTS, MAX_LAMBDA_MOMENT, _float_grid, main, parse_args
 from qgcutoff.verify import suite_names
 
 from oracles import benchmark_pool
@@ -1059,20 +1059,111 @@ def test_range_grid_at_the_limit_is_accepted():
     assert len(_float_grid(f"0:{MAX_GRID_POINTS - 1}:1", "--k-range")) == MAX_GRID_POINTS
 
 
+# the flag table: one pass over argv
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["bound", *_WALK], "--c", "-1e-1"),
+    (["bound", *_WALK], "--c", "-inf"),
+    (["bound", *_WALK], "--k", "-5"),
+    (["profile", *_WALK], "--c-range", "-1:1:1"),
+    (["profile", *_WALK], "--k-range", "-5:5:1"),
+    (["thresholds", "--tau", "2"], "--theta", "-1e-1"),
+    (["moments", "--nu", "delta:0.5"], "--eps", "-1,2"),
+    (["moments"], "--lambda-moments", "-1:2"),
+])
+def test_a_value_after_its_flag_token_reads_as_the_equals_form(capsys, argv, flag, value):
+    # a value beginning with "-" is a value, not a flag
+    assert run(capsys, *argv, flag, value) == run(capsys, *argv, f"{flag}={value}")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["bound", *_WALK, "--bogus", "1", "--c", "1"], "--bogus"),
+    # an abbreviation is an unknown flag, though one flag begins with it
+    (["bound", "--fam", "unitary", "--N", "20", "--tau", "2", "--c", "1"], "--fam"),
+    (["bound", *_WALK, "--c=1", "--kr", "1"], "--kr"),
+    (["thresholds", "--tau", "2", "--family", "unitary"], "--family"),
+    (["bound", *_WALK, "--c"], "--c"),
+    (["bound", *_WALK, "--c", "--k", "1"], "--c"),
+    (["bound", *_WALK, "--c", "1", "--output"], "--output"),
+    (["bound", "--family", "unitary", "--N", "1e3", "--tau", "2", "--c", "1"], "--N"),
+    (["bound", "--family", "unitary", "--N=", "--tau", "2", "--c", "1"], "--N"),
+    (["thresholds", "--tau", "x"], "--tau"),
+    (["verify", "--threads", "1.5"], "--threads"),
+    (["verify", "--threads", "0"], "--threads"),
+    (["bound", "--family", "bogus", "--N", "20", "--c", "1"], "--family"),
+    (["bound", *_WALK, "--c", "1", "--format", "csv"], "--format"),
+    (["bound", "--N", "20", "--tau", "2", "--c", "1"], "--family"),
+    (["profile", "--family", "unitary", "--tau", "2", "--c", "1"], "--N"),
+    (["thresholds", "--N", "10"], "--tau"),
+    (["bound", *_WALK, "--c", "1", "2"], "--c"),
+    (["bound", *_WALK, "--round-k", "1", "--c", "1"], "--round-k"),
+    (["bound", *_WALK, "--round-k=1", "--c", "1"], "--round-k"),
+    (["verify", "all"], "--"),
+    ([], "--help"),
+    (["bogus", "--tau", "2"], "--help"),
+    (["--tau", "2", "thresholds"], "--help"),
+])
+def test_parser_errors_exit_2_naming_the_flag(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and flag in err and "Traceback" not in err
+
+
+def test_help_lists_every_command_and_every_flag(capsys):
+    for token in ("-h", "--help"):
+        code, out, err = run(capsys, token)
+        assert (code, err) == (0, "")
+        assert all(f"  {command}  " in out for command in _COMMANDS)
+        for command, (_, rows) in _COMMANDS.items():
+            # help wins over a missing required flag, and over flags before it
+            for argv in ([command, token], [command, "--output", "x", token, "--bogus"]):
+                code, out, err = run(capsys, *argv)
+                assert (code, err) == (0, "")
+                assert all(f"  {row.flag} " in out for row in rows), argv
+
+
+def test_parse_args_gives_each_flag_its_dest_and_default():
+    assert vars(parse_args(["profile", "--family", "unitary", "--N", "20", "--round-k", "--c-range", "-1:1:1"])) == {
+        "command": "profile", "output": None, "threads": 1, "family": "unitary", "N": 20, "tau": None,
+        "theta": None, "group": None, "psi": None, "nu": None, "k": None, "c": None, "k_range": None,
+        "c_range": "-1:1:1", "round_k": True, "max_p": None, "max_total": None, "fmt": "csv",
+    }
+    assert vars(parse_args(["moments", "--lambda-moments=10:3"])) == {
+        "command": "moments", "nu": None, "N": None, "eps": None, "lambda_moments": "10:3", "output": None,
+        "threads": 1,
+    }
+    assert vars(parse_args(["verify"])) == {
+        "command": "verify", "suite": "all", "report": None, "output": None, "threads": 1,
+    }
+
+
+def test_a_repeated_flag_keeps_its_last_value(capsys):
+    args = parse_args(["bound", *_WALK, "--c", "1", "--tau=3", "--c", "2", "--format", "json"])
+    assert (args.c, args.tau) == (2.0, 3.0)
+    assert run(capsys, "bound", *_WALK, "--c", "1", "--c", "2") == run(capsys, "bound", *_WALK, "--c", "2")
+
+
+def test_importing_the_cli_leaves_argparse_gettext_and_locale_unloaded():
+    src = os.path.dirname(os.path.dirname(qgcutoff.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = "import sys, qgcutoff.cli; print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 # ---------------------------------------------------------------------------
-# one argparse tree per process
+# in-process calls match separate processes
 
 
-def test_parser_is_built_once_and_calls_match_separate_processes(capsys):
+def test_in_process_calls_match_separate_processes(capsys):
     calls = [
         ["thresholds", "--tau", "2"],
         ["bound", *_WALK, "--c", "x"],
         ["profile", *_WALK, "--c-range", "-1:1:1"],
         ["moments", "--nu", "delta:0.5", "--eps", "0,1"],
     ]
-    _build_parser.cache_clear()
     in_process = [run(capsys, *argv)[:2] for argv in calls]
-    assert _build_parser.cache_info().misses == 1
     assert [code for code, _ in in_process] == [0, 2, 0, 0]
     src = os.path.dirname(os.path.dirname(qgcutoff.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
