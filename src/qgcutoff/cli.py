@@ -31,6 +31,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
@@ -642,9 +643,19 @@ def _report_fields(report: object) -> dict[str, object]:
     return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths a and b name one file, existing or not."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def cmd_verify(args: SimpleNamespace) -> int:
     with _flag_input("--suite"):
         names = suite_names(None if args.suite == "all" else [s.strip() for s in args.suite.split(",")])
+    if args.output is not None and args.report is not None and _same_file(args.output, args.report):
+        raise CliError(f"--output, --report: both name {args.report!r}; the report would overwrite the suite lines")
     # open the report, and try the output file, before any suite runs, so
     # that a bad path fails at once
     with contextlib.ExitStack() as stack:

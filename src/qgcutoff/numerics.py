@@ -57,8 +57,13 @@ _Q_DOMAIN_EPS = 1e-9
 # far from float overflow, and from the closed form in q(t) after.
 _U_SWITCH = 1e250
 
-# u_seq's array path works in blocks of about this many table entries.
-_U_BLOCK = 2048
+# u_seq's array path works in blocks of about this many table entries (at
+# least one row).  Each block pays a max, a log and, where a column switches,
+# a few mask passes on top of the recurrence's row steps, so fewer blocks are
+# cheaper; but a switching block holds several block-sized temporaries, about
+# 160 KB over the table at 4096 entries and 300 KB at 8192, and the array
+# path is to stay within 256 KB of its table.
+_U_BLOCK = 4096
 
 # q_of returns 1 / t above this t: t * t overflows past 2**512, and the
 # formula is bitwise 1 / t from about 2**28 on.

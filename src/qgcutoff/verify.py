@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .numerics import _Q_DOMAIN_EPS, lambda_moment, q_of, u_seq
-from .structures import lambda_theta, porod_rule, trace_modulus
+from .structures import lambda_theta, porod_rule
 from .bounds import threshold_C, wreath_certificate_threshold
 
 __all__ = [
@@ -133,28 +133,41 @@ def verify_encadrement() -> VerifyReport:
     return _encadrement_impl(lower_exponent_shift=1)
 
 
+@functools.lru_cache(maxsize=None)
+def _encadrement_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """log t, log q(t), log u_n(t) and the log of the upper side
+    q^{-n}/(1 - q^2) on the encadrement grid, the last two as (t, n) arrays
+    for 1 <= n <= _ENCADREMENT_N_MAX: one u_n table, built once per process
+    and shared by the suite and its negative control, hence read-only."""
+    t = np.array(_geom_floats(_ENCADREMENT_T_MIN, _ENCADREMENT_T_MAX, _ENCADREMENT_T_POINTS))
+    q = q_of(t)[:, None]
+    log_q = np.log(q)
+    n = np.arange(1, _ENCADREMENT_N_MAX + 1, dtype=float)
+    log_u = u_seq(t, _ENCADREMENT_N_MAX).T[:, 1:]
+    log_upper = -n * log_q - np.log1p(-q * q)
+    grid = (np.log(t)[:, None], log_q, log_u, log_upper)
+    for arr in grid:
+        arr.flags.writeable = False
+    return grid
+
+
 def _encadrement_impl(lower_exponent_shift: int) -> VerifyReport:
     rep = VerifyReport("encadrement", _TOLERANCE)
     ts = _geom_floats(_ENCADREMENT_T_MIN, _ENCADREMENT_T_MAX, _ENCADREMENT_T_POINTS)
-    t = np.array(ts)
-    q = q_of(t)
-    log_q = np.log(q)
+    log_t, log_q, log_u, log_upper = _encadrement_grid()
     n_max = _ENCADREMENT_N_MAX
-    n = np.arange(1, n_max + 1, dtype=float)[:, None]
-    # (n, t) arrays
-    log_u = u_seq(t, n_max)[1:]
-    log_lower = np.log(t) - (n - lower_exponent_shift) * log_q
-    log_upper = -n * log_q - np.log1p(-q * q)
+    # (t, n) arrays
+    log_lower = log_t - (np.arange(1, n_max + 1, dtype=float) - lower_exponent_shift) * log_q
     # (t, n, side) is the sweep's order: t, then n, the lower side before the upper
-    margins = np.stack([log_u - log_lower, log_upper - log_u], axis=-1).transpose(1, 0, 2)
+    margins = np.stack([log_u - log_lower, log_upper - log_u], axis=-1)
 
     def detail(i: int) -> tuple[str, float, float]:
         j, r = divmod(i, 2 * n_max)
         k, upper = divmod(r, 2)
-        u = math.exp(min(log_u[k, j], 700.0))
+        u = math.exp(min(log_u[j, k], 700.0))
         if upper:
-            return f"upper t={ts[j]:.6g} n={k + 1}", u, math.exp(min(log_upper[k, j], 700.0))
-        return f"lower t={ts[j]:.6g} n={k + 1}", math.exp(min(log_lower[k, j], 700.0)), u
+            return f"upper t={ts[j]:.6g} n={k + 1}", u, math.exp(min(log_upper[j, k], 700.0))
+        return f"lower t={ts[j]:.6g} n={k + 1}", math.exp(min(log_lower[j, k], 700.0)), u
 
     rep.add(margins, detail)
     return rep
@@ -252,11 +265,16 @@ def verify_ratio_comparison() -> VerifyReport:
     rep = VerifyReport("ratio_comparison", _TOLERANCE)
     Ns, n_max, count = _RATIO_NS, _RATIO_N_MAX, _RATIO_THETAS
     thetas = [2.0 * math.pi * j / count for j in range(count)]
-    t1 = [trace_modulus(N, theta) for N in Ns for theta in thetas]
-    t2 = [N - lambda_theta(theta) for N in Ns for theta in thetas]
+    # one lambda per theta; in (N, theta) order, t1 is bitwise
+    # trace_modulus(N, theta) (the same operations, and sqrt is correctly
+    # rounded in numpy as in math) and t2 is N - lambda_theta(theta)
+    lam = np.array([lambda_theta(theta) for theta in thetas])
+    N_col = np.array(Ns, dtype=float)[:, None]
+    t1 = np.sqrt(N_col * N_col - 2.0 * N_col * lam + 2.0 * lam).ravel()
+    t2 = (N_col - lam).ravel()
     # one u_seq call for every t; log_ratio is (N, theta, n), the sweep's order
-    log_u = u_seq(np.array(t1 + t2), n_max)[1:]
-    log_ratio = (log_u[:, : len(t1)] - log_u[:, len(t1) :]).T.reshape(len(Ns), count, n_max)
+    log_u = u_seq(np.concatenate([t1, t2]), n_max)[1:]
+    log_ratio = (log_u[:, : t1.size] - log_u[:, t1.size :]).T.reshape(len(Ns), count, n_max)
     n = np.arange(1, n_max + 1, dtype=float)
     for N, ratio in zip(Ns, log_ratio):
         bound = 4.0 * n / ((N - 2.0) * (N - 2.0))

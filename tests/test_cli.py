@@ -499,6 +499,21 @@ def test_verify_output_file_holds_the_pinned_stdout(tmp_path, capsys):
     assert dest.read_text(encoding="utf-8") == (_DATA / "verify_all_stdout.txt").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("names", [("F", "F"), ("./F", "F"), ("F", "sub/../F")])
+def test_verify_refuses_one_file_for_output_and_report(tmp_path, capsys, monkeypatch, names):
+    # the report would overwrite the suite lines; neither file is opened
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "F").write_text("kept\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--suite", "all", "--output", names[0], "--report", names[1])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --output, --report: ")
+    assert (tmp_path / "F").read_text(encoding="utf-8") == "kept\n"
+    (tmp_path / "F").unlink()
+    assert run(capsys, "verify", "--suite", "anqn", "--output", names[0], "--report", names[1])[0] == 2
+    assert not (tmp_path / "F").exists()
+
+
 @pytest.mark.parametrize("suite", ["bogus", "anqn,bogus"])
 def test_verify_unknown_suite_names_the_flag_and_writes_no_report(tmp_path, capsys, suite):
     dest = tmp_path / "f.json"
@@ -1150,6 +1165,25 @@ def test_importing_the_cli_leaves_argparse_gettext_and_locale_unloaded():
     script = "import sys, qgcutoff.cli; print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_verify_and_bound_import_nothing_past_the_cli(tmp_path):
+    # a module imported on first use costs its import in each fresh process;
+    # np.unique's first call, for one, imports numpy.ma (about 10 ms)
+    src = os.path.dirname(os.path.dirname(qgcutoff.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import sys, qgcutoff.cli\n"
+        "before = set(sys.modules)\n"
+        "assert qgcutoff.cli.main(['verify', '--suite', 'all', '--report', 'r.json', '--output', 'v.txt']) == 0\n"
+        "assert qgcutoff.cli.main(['bound', '--family', 'unitary', '--N', '200', '--tau', '2', '--nu', 'porod',"
+        " '--c', '1', '--output', 'b.json']) == 0\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\n", f"imported on first use (numpy.ma would come from np.unique): {proc.stdout}"
 
 
 # ---------------------------------------------------------------------------

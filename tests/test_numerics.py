@@ -270,6 +270,33 @@ def test_u_seq_array_columns_far_past_the_switch_are_bitwise_the_float_call():
         assert np.array_equal(table[:, j], u_seq(t, 4096)), t
 
 
+# at the default block most tables above fit in one; again in blocks of 3
+# rows, so that a switch falls inside a block and across a block boundary
+@pytest.mark.parametrize("test, columns", [
+    (test_u_seq_array_is_bitwise_one_call_per_element, 74),
+    (test_u_seq_array_columns_are_bitwise_the_float_call, 12),
+    (test_u_seq_array_rows_after_every_switch_are_bitwise_the_float_call, 64),
+    (test_u_seq_array_columns_far_past_the_switch_are_bitwise_the_float_call, 3),
+], ids=["one-call-per-element", "hypothesis-columns", "rows-after-every-switch", "far-past-the-switch"])
+def test_u_seq_array_tests_hold_in_blocks_of_a_few_rows(monkeypatch, test, columns):
+    monkeypatch.setattr(numerics, "_U_BLOCK", 3 * columns)
+    test()
+
+
+# 101 rows a block put the switches at n = 100 and n = 101 in two blocks,
+# the last row of one and the first of the next; 3 rows put both in [99, 102)
+@pytest.mark.parametrize("rows", [1, 3, 101])
+def test_u_seq_array_switches_inside_and_across_blocks_are_bitwise_the_float_call(monkeypatch, rows):
+    ts = [1.0, 5.0, *np.linspace(299.0, 330.0, 8).tolist()]
+    singles = [u_seq(t, 400) for t in ts]
+    switch_rows = {int(np.argmax(col >= math.log(numerics._U_SWITCH))) for col in singles[2:]}
+    assert switch_rows == {100, 101}
+    monkeypatch.setattr(numerics, "_U_BLOCK", rows * len(ts))
+    table = u_seq(np.array(ts), 400)
+    for j, t in enumerate(ts):
+        assert np.array_equal(table[:, j], singles[j]), t
+
+
 def _assert_within_one_ulp_of_libm(got, t, nmax):
     want = np.array(log_u_floats(t, nmax))
     zero = want == -math.inf

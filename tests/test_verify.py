@@ -9,7 +9,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from qgcutoff import cli, verify
+from qgcutoff import cli, structures, verify
 from qgcutoff.numerics import q_of
 from qgcutoff.verify import (
     MAX_LISTED_FAILURES,
@@ -205,6 +205,39 @@ def test_array_margins_are_within_a_few_ulp_of_the_scalar_formulas(monkeypatch):
         counts = (np.count_nonzero(passed), np.count_nonzero(passed & (np.abs(ref) < tol)),
                   np.count_nonzero(~passed))
         assert (rep.pass_count, rep.tight_count, rep.failure_count) == counts, name
+
+
+def test_verify_builds_one_u_table_per_grid_and_one_lambda_per_angle(monkeypatch, capsys):
+    # the encadrement suite and its negative control share one table, and
+    # ratio_comparison takes lambda once per theta for both of its t lists
+    tables = []
+    lambdas = []
+    u_seq, lambda_theta = verify.u_seq, structures.lambda_theta
+
+    def counting_u_seq(t, nmax):
+        if isinstance(t, np.ndarray):
+            tables.append(t.copy())
+        return u_seq(t, nmax)
+
+    def counting_lambda_theta(theta):
+        lambdas.append(theta)
+        return lambda_theta(theta)
+
+    monkeypatch.setattr(verify, "u_seq", counting_u_seq)
+    monkeypatch.setattr(verify, "lambda_theta", counting_lambda_theta)
+    monkeypatch.setattr(structures, "lambda_theta", counting_lambda_theta)
+    verify._encadrement_grid.cache_clear()
+    assert cli.main(["verify", "--suite", "all"]) == 0
+    capsys.readouterr()
+    assert len(tables) == 2
+    assert len(lambdas) == verify._RATIO_THETAS
+    # the ratio t are bitwise trace_modulus(N, theta), then N - lambda_theta(theta)
+    thetas = [2.0 * math.pi * j / verify._RATIO_THETAS for j in range(verify._RATIO_THETAS)]
+    want = [structures.trace_modulus(N, theta) for N in verify._RATIO_NS for theta in thetas]
+    want += [N - lambda_theta(theta) for N in verify._RATIO_NS for theta in thetas]
+    assert tables[1].tolist() == want
+    # the shared arrays are read-only
+    assert not any(arr.flags.writeable for arr in verify._encadrement_grid())
 
 
 def test_verify_calls_q_of_on_arrays_at_most_once_per_grid_block(monkeypatch, capsys):
