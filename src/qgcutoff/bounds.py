@@ -15,8 +15,11 @@ bounds
 
     t * q(t)^{-(n-1)}  <=  u_n(t)  <=  q(t)^{-n} / (1 - q(t)^2)      (t > 2)
 
-applied per factor.  When a geometric ratio fails to be < 1 the engine
-reports "no certificate" (tail = infinity) instead of extrapolating.
+applied per factor.  Each family's tail has one hypothesis, that the
+per-word majorant's two ratios sum to less than 1 (x + S < 1, y + m Z < 1
+for the wreath); where it fails the engine reports "no certificate"
+(tail = infinity) instead of extrapolating, and where it holds the tail is
+finite, at every truncation.
 
 Each family has one engine, (query, k grid, truncation) -> the intervals
 at every k as one columnar ``IntervalGrid``, reached through ``A_k_grid``.
@@ -26,7 +29,7 @@ series G (``_log_resolvent``, by degree doubling on R = G (1 + R) with
 positive products only), so their tail bounds only the words past that
 total, in closed form for the whole grid (``_resolvent_tail``); the
 mixture and a general nu stop at max_p blocks, and their tail is the
-composition tail ``_composition_tail``.
+composition tail ``_composition_tail``, under the same x + S < 1.
 
 Family-specific series:
 
@@ -194,8 +197,9 @@ class IntervalGrid:
     hypothesis fails it is +inf and ``certified`` is False.  A row's
     hypotheses (``hypotheses``) are ("k >= 1", ``k_ok``), the walk's
     ``walk_hypotheses``, and, on the rows ``tail_ran`` marks (k >= 1 and
-    every required walk hypothesis holds), the tail's: ``tail_keys`` with
-    that row of ``tail_hypotheses``.  Nothing here is to be written: the
+    every required walk hypothesis holds), the family's one tail hypothesis
+    ``tail_key``, which holds exactly where the tail is finite, so it reads
+    ``certified``.  Nothing here is to be written: the
     record is not frozen because its arrays could not be, and a frozen
     dataclass costs a one-row bound several microseconds to build.
     """
@@ -208,13 +212,12 @@ class IntervalGrid:
     certificate: str
     walk_hypotheses: tuple[tuple[str, bool], ...]
     k_ok: np.ndarray
-    tail_keys: tuple[str, ...]
-    tail_hypotheses: np.ndarray  # (rows, keys) bool, False where the tail did not run
+    tail_key: str
     tail_ran: np.ndarray
 
     def hypotheses(self, i: int) -> tuple[tuple[str, bool], ...]:
         """Row i's hypotheses as (name, holds) pairs, in print order."""
-        tail = tuple(zip(self.tail_keys, self.tail_hypotheses[i].tolist())) if self.tail_ran[i] else ()
+        tail = ((self.tail_key, bool(self.certified[i])),) if self.tail_ran[i] else ()
         return (("k >= 1", bool(self.k_ok[i])),) + self.walk_hypotheses + tail
 
 
@@ -326,55 +329,39 @@ def nominal_cutoff(q: WalkQuery) -> float:
 # shared tail machinery
 
 
-# the hypotheses of the composition tail, recorded in this order
-_TAIL_KEYS = ("x < 1", "within-degree ratios < 1", "w = S/(1-x) < 1")
-
-
-def _composition_tail(log_S: np.ndarray, log_x: np.ndarray, M: int, P: int) -> tuple[np.ndarray, np.ndarray]:
-    """(log bound, hypotheses) per row, the bound +inf where a hypothesis
-    fails and the hypotheses a (rows, 3) bool array on _TAIL_KEYS: the
-    certified bound on sum_{1 <= p <= P} 2 S^p * sum over compositions
+def _composition_tail(log_S: np.ndarray, log_x: np.ndarray, M: int, P: int) -> np.ndarray:
+    """Log bound per row on sum_{1 <= p <= P} 2 S^p * sum over compositions
     into p parts of degree > M of x^(degree - p), plus the whole p > P
-    block.
+    block; +inf where its one hypothesis x + S < 1 (as x < 1 and
+    w = S / (1 - x) < 1) fails.
 
     Within a fixed p the missing degrees j = degree - p start at
     J = M - p + 1 >= 1, as P <= M (``TruncationConfig`` stores max_p at
     most max_total), and the composition counts C(j+p-1, p-1) grow by
     ratios (j+p)/(j+1), so the block is bounded by its first term times a
-    geometric series of ratio rho_p = x (J+p)/(J+1).  Beyond P the full
-    per-p sum collapses to w^p with w = S / (1 - x).  Each row runs a
-    scalar loop over p, which on one row is about 3x faster than an array
-    form.
+    geometric series of ratio rho_p = x (J+p)/(J+1) = x (M+1)/(M-p+2) while
+    rho_p < 1.  The words of p or more blocks, at any degree, sum to
+    2 w^p / (1 - w), so that closed block starts at the first p whose rho_p,
+    which grows with p, reaches 1, or at P + 1.  Each row runs a scalar
+    loop over p, which on one row is about 3x faster than an array form.
     """
     log_tail = np.full(log_S.shape, math.inf)
-    hyps = np.zeros(log_S.shape + (len(_TAIL_KEYS),), dtype=bool)
     log_pref = math.log(2.0)
     for row, (log_S_row, log_x_row) in enumerate(zip(log_S.tolist(), log_x.tolist())):
-        if not log_x_row < 0.0:
+        log_w = log_S_row - log1mexp(log_x_row) if log_x_row < 0.0 else math.inf
+        if not log_w < 0.0:
             continue
         x = math.exp(log_x_row)
         pieces: list[float] = []
-        rho_ok = True
-        for p in range(1, P + 1):
-            J = M - p + 1
-            rho = x * (J + p) / (J + 1)
-            if not rho < 1.0:
-                rho_ok = False
-                break
-            pieces.append(
-                log_pref
-                + p * log_S_row
-                + J * log_x_row
-                + math.log(math.comb(J + p - 1, p - 1))
-                - math.log1p(-rho)
-            )
-        log_w = log_S_row - log1mexp(log_x_row)
-        w_ok = log_w < 0.0
-        hyps[row] = True, rho_ok, w_ok
-        if rho_ok and w_ok:
-            pieces.append(log_pref + (P + 1) * log_w - log1mexp(log_w))
-            log_tail[row] = logsumexp(pieces)
-    return log_tail, hyps
+        p = 1
+        while p <= P and (rho := x * (M + 1) / (M - p + 2)) < 1.0:
+            # the first term, at J = M - p + 1, counts C(J + p - 1, p - 1) = C(M, p - 1) compositions
+            pieces.append(log_pref + p * log_S_row + (M - p + 1) * log_x_row + math.log(math.comb(M, p - 1))
+                          - math.log1p(-rho))
+            p += 1
+        pieces.append(log_pref + p * log_w - log1mexp(log_w))
+        log_tail[row] = logsumexp(pieces)
+    return log_tail
 
 
 def _log1mexp_rows(log_r: np.ndarray) -> np.ndarray:
@@ -383,18 +370,18 @@ def _log1mexp_rows(log_r: np.ndarray) -> np.ndarray:
     return np.log(-np.expm1(log_r))
 
 
-def _resolvent_tail(log_S: np.ndarray, log_x: np.ndarray, D: int) -> tuple[np.ndarray, np.ndarray]:
-    """(log bound, ok) per row on the sum over the compositions of degree
-    n > D, into any number p of parts, of S^p x^(n - p).
+def _resolvent_tail(log_S: np.ndarray, log_x: np.ndarray, D: int) -> np.ndarray:
+    """Log bound per row on the sum over the compositions of degree n > D,
+    into any number p of parts, of S^p x^(n - p).
 
     Degree n has C(n-1, p-1) compositions into p parts, so it sums to
     S (x + S)^(n-1), and the degrees past D to S (x + S)^D / (1 - x - S).
-    ``ok`` is the one hypothesis x + S < 1; the bound is +inf where it fails.
+    The bound is +inf where its one hypothesis x + S < 1 fails.
     """
     log_r = np.logaddexp(log_x, log_S)
     ok = log_r < 0.0
     safe = np.where(ok, log_r, -1.0)
-    return np.where(ok, log_S + D * safe - _log1mexp_rows(safe), math.inf), ok
+    return np.where(ok, log_S + D * safe - _log1mexp_rows(safe), math.inf)
 
 
 def _intervals(
@@ -403,13 +390,13 @@ def _intervals(
     terms: int,
     hyps: tuple[tuple[str, bool], ...],
     certificate: str,
-    tail_keys: tuple[str, ...],
-    tail: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    tail_key: str,
+    tail: Callable[[np.ndarray], np.ndarray],
 ) -> IntervalGrid:
     """The intervals [partial, partial + tail] at every k, from the walk's
-    hypotheses ``hyps``, certificate text and tail closure, which maps an
-    array of 2k to the log bound per entry (+inf where it fails) and a
-    (entries, keys) bool array of its hypotheses ``tail_keys``.
+    hypotheses ``hyps``, certificate text, the name ``tail_key`` of the
+    tail's one hypothesis and the tail closure, which maps an array of 2k
+    to the log bound per entry, +inf exactly where that hypothesis fails.
 
     ``tail`` runs once, on the rows where k >= 1 and every required (not
     ``[recorded]``) hypothesis holds: its algebra assumes them.
@@ -418,14 +405,13 @@ def _intervals(
     ran = k_ok if all(ok for name, ok in hyps if "[recorded]" not in name) else np.zeros_like(k_ok)
     count = np.count_nonzero(ran)
     if count == ks.size:
-        log_tail, tail_hyps = tail(2.0 * ks)
+        log_tail = tail(2.0 * ks)
     else:
         log_tail = np.full(ks.shape, math.inf)
-        tail_hyps = np.zeros(ks.shape + (len(tail_keys),), dtype=bool)
         if count:
-            log_tail[ran], tail_hyps[ran] = tail(2.0 * ks[ran])
+            log_tail[ran] = tail(2.0 * ks[ran])
     return IntervalGrid(ks, log_partials, log_tail, log_tail < math.inf, terms, certificate, hyps, k_ok,
-                        tail_keys, tail_hyps, ran)
+                        tail_key, ran)
 
 
 # ---------------------------------------------------------------------------
@@ -886,7 +872,7 @@ def _unitary_intervals(q: WalkQuery, ks: np.ndarray, tc: TruncationConfig) -> In
     (``_parity_log_partials``), also in one pass for the whole grid, from
     the powers of the odd and even blocks of G and the moments m_e(nu),
     0 <= e <= max_p (a word and its conjugate weigh the same), and its tail
-    is the composition tail.
+    is the composition tail, under the same hypothesis x + S < 1.
     """
     if q.theta is not None:
         t, nu = eval_state_params(q.N, q.theta)
@@ -927,12 +913,11 @@ def _unitary_intervals(q: WalkQuery, ks: np.ndarray, tc: TruncationConfig) -> In
         block_sums = _in_blocks(resolvent_sums, _RESOLVENT_FLOATS * (M + 1), g)
         log_partials = math.log(2.0) + two_k * math.log(weight) + block_sums
 
-        def tail(two_k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            log_tail, ok = _resolvent_tail(*majorant(two_k), M)
-            return math.log(2.0) + log_tail, ok[:, np.newaxis]
+        def tail(two_k: np.ndarray) -> np.ndarray:
+            return math.log(2.0) + _resolvent_tail(*majorant(two_k), M)
 
         text += "words of every block count summed; total > max_total by 2 S (x+S)^max_total / (1-x-S)"
-        return _intervals(ks, log_partials, count_unitary(M, M), hyps, text, ("x + S < 1",), tail)
+        return _intervals(ks, log_partials, count_unitary(M, M), hyps, text, "x + S < 1", tail)
 
     log_abs_m = np.full(P + 1, -math.inf)
     for e in range(P + 1):
@@ -941,10 +926,10 @@ def _unitary_intervals(q: WalkQuery, ks: np.ndarray, tc: TruncationConfig) -> In
             log_abs_m[e] = math.log(m)
     log_partials = _parity_log_partials(g, log_abs_m, two_k, M, P)
     text += (
-        "within-degree blocks bounded by first term times geometric ratio, "
-        "p > max_p blocks by the closed geometric sum"
+        "within-degree blocks bounded by first term times geometric ratio while it is < 1, "
+        "words of p >= the first p with ratio >= 1 (else max_p + 1) blocks by the closed geometric sum"
     )
-    return _intervals(ks, log_partials, count_unitary(M, P), hyps, text, _TAIL_KEYS,
+    return _intervals(ks, log_partials, count_unitary(M, P), hyps, text, "x + S < 1",
                       lambda two_k: _composition_tail(*majorant(two_k), M, P))
 
 
@@ -1044,7 +1029,7 @@ def _mixture_intervals(q: WalkQuery, ks: np.ndarray, tc: TruncationConfig) -> In
         "bounds at N - lambda, and the moment bound E[(N-lambda)^alpha] <= a_N^alpha"
     )
 
-    def tail(two_k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def tail(two_k: np.ndarray) -> np.ndarray:
         a_N = N - 2.0 + 2.0 / N
         log_ab = math.log(a_N) + 4.0 / ((N - 2.0) * (N - 2.0))
         q2 = q_of(N - 2.0)
@@ -1052,7 +1037,7 @@ def _mixture_intervals(q: WalkQuery, ks: np.ndarray, tc: TruncationConfig) -> In
         log_x = two_k * log_ab + (two_k - 2.0) * math.log(q_of(float(N)))
         return _composition_tail(log_S, log_x, M, P)
 
-    return _intervals(ks, log_partials, terms, hyps, text, _TAIL_KEYS, tail)
+    return _intervals(ks, log_partials, terms, hyps, text, "x + S < 1", tail)
 
 
 # ---------------------------------------------------------------------------
@@ -1133,7 +1118,7 @@ def _wreath_intervals(q: WalkQuery, ks: np.ndarray, tc: TruncationConfig) -> Int
         "past index total max_total by (K/(m^2 y)) S ((x+S)^D/(1-x-S) - x^D/(1-x)), D = max_total//2+1"
     )
 
-    def tail(two_k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def tail(two_k: np.ndarray) -> np.ndarray:
         s = math.sqrt(float(N))
         qp = q_of(math.sqrt(float(N) - tau))
         log_qs = math.log(q_of(s))
@@ -1141,9 +1126,10 @@ def _wreath_intervals(q: WalkQuery, ks: np.ndarray, tc: TruncationConfig) -> Int
         log_y = 2.0 * ((two_k - 2.0) * log_qs - two_k * log_qp)
         log_Z = (two_k - 2.0) * (log_qs - math.log(s)) - 2.0 * two_k * log_qp - two_k * math.log1p(-qp * qp)
         log_S, D = log_m + log_Z, M // 2 + 1
-        log_parts, ok = _resolvent_tail(log_S, log_y, D)
-        # ok gives y < 1, which the one-part compositions and the p = 0
-        # words need
+        log_parts = _resolvent_tail(log_S, log_y, D)
+        # a finite log_parts gives y + m Z < 1, so y < 1, which the one-part
+        # compositions and the p = 0 words need
+        ok = log_parts < math.inf
         log_y = np.where(ok, log_y, -1.0)
         log_1my = _log1mexp_rows(log_y)
         # the compositions of one part, S x^(n-1) at each degree n, are no
@@ -1152,9 +1138,9 @@ def _wreath_intervals(q: WalkQuery, ks: np.ndarray, tc: TruncationConfig) -> Int
         log_words = log_parts + _log1mexp_rows(np.where(ok, log_one - log_parts, -1.0))
         single = log_Z + (M // 2) * log_y - log_1my
         log_tail = np.logaddexp(log_K - 2.0 * log_m - log_y + log_words, single)
-        return np.where(ok, log_tail, math.inf), ok[:, np.newaxis]
+        return np.where(ok, log_tail, math.inf)
 
-    return _intervals(ks, log_partials, count_wreath(q.group, M), hyps, text, ("y + m Z < 1",), tail)
+    return _intervals(ks, log_partials, count_wreath(q.group, M), hyps, text, "y + m Z < 1", tail)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,11 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .bounds import (
+    DEFAULT_TRUNCATION,
     MAX_K,
+    MAX_P,
+    MAX_TOTAL,
+    MIXTURE_DEFAULT_TRUNCATION,
     IntervalGrid,
     ParameterError,
     TruncationConfig,
@@ -121,8 +125,13 @@ _WALK_FLAGS = _OUTPUT_FLAGS + (
     _Flag("--k-range", "k_range", str, help="kmin:kmax:kstep"),
     _Flag("--c-range", "c_range", str, help="cmin:cmax:cstep"),
     _Flag("--round-k", "round_k", bool, False, help="round each k to the nearest integer"),
-    _Flag("--max-p", "max_p", int),
-    _Flag("--max-total", "max_total", int),
+    _Flag("--max-p", "max_p", int,
+          help=f"most blocks of a summed word, 1..{MAX_P}; read only by the mixture and a --nu other than "
+               f"delta:<theta> (default: {DEFAULT_TRUNCATION.max_p}, {MIXTURE_DEFAULT_TRUNCATION.max_p} "
+               "for the mixture)"),
+    _Flag("--max-total", "max_total", int,
+          help=f"largest index total of a summed word, 1..{MAX_TOTAL} (default: {DEFAULT_TRUNCATION.max_total}, "
+               f"{MIXTURE_DEFAULT_TRUNCATION.max_total} for the mixture)"),
 )
 # command -> (summary, flags)
 _COMMANDS: dict[str, tuple[str, tuple[_Flag, ...]]] = {
@@ -471,8 +480,9 @@ def _json_numbers(column: np.ndarray) -> list[str]:
 def _hypothesis_patterns(A: IntervalGrid) -> tuple[list[dict[str, bool]], list[int]]:
     """The distinct hypotheses of the rows of ``A`` as name -> holds dicts,
     in order of first use, and each row's index into them: a row's pattern
-    is its k >= 1, whether its tail ran, and its tail's hypotheses."""
-    codes = (A.k_ok + 2 * A.tail_ran + A.tail_hypotheses @ (4 << np.arange(len(A.tail_keys)))).tolist()
+    is its k >= 1, whether its tail ran, and whether it is certified, which
+    is its tail's hypothesis where the tail ran."""
+    codes = (A.k_ok + 2 * A.tail_ran + 4 * A.certified).tolist()
     first: dict[int, int] = {}
     for i, code in enumerate(codes):
         first.setdefault(code, i)

@@ -345,14 +345,31 @@ def wreath_majorant_logs(N: int, tau: float, k: float) -> tuple[float, float]:
     return log_y, log_Z
 
 
+def mixture_majorant_logs(N: int, k: float) -> tuple[float, float]:
+    """(log S, log x) of the mixture's per-word majorant 2 S^p x^(total - p)
+    for the Jensen-majorized series: S = (a_N b_N)^{2k} N^{-(2k-2)}
+    (1 - q(N-2)^2)^{-2k} and x = (a_N b_N)^{2k} q(N)^{2k-2}, with
+    a_N = N - 2 + 2/N and b_N = e^{4/(N-2)^2}."""
+    log_ab = math.log(N - 2.0 + 2.0 / N) + 4.0 / (N - 2.0) ** 2
+    q_2 = math.exp(_log_q(N - 2.0))
+    log_S = 2 * k * log_ab - (2 * k - 2) * math.log(N) - 2 * k * math.log1p(-q_2 * q_2)
+    log_x = 2 * k * log_ab + (2 * k - 2) * _log_q(float(N))
+    return log_S, log_x
+
+
 def unitary_tail_majorant(N: int, tau: float, k: float, max_total: int, max_p: int | None,
                           cut: int = 120) -> float:
+    """``composition_tail_majorant`` of the unitary per-word majorant."""
+    return composition_tail_majorant(*unitary_majorant_logs(N, tau, k), max_total, max_p, cut)
+
+
+def composition_tail_majorant(log_S: float, log_x: float, max_total: int, max_p: int | None,
+                              cut: int = 120) -> float:
     """log of the per-word majorant 2 S^p x^(total - p) summed over the words
     outside the truncation (total > max_total or p > max_p; max_p None
     limits no block count), counting the block vectors of each total and p
     as C(total - 1, p - 1); p and total stop at ``cut``, where the terms
     are negligible."""
-    log_S, log_x = unitary_majorant_logs(N, tau, k)
     terms = []
     for p in range(1, cut):
         for total in range(p, p + cut):
@@ -699,30 +716,27 @@ def interval_rows(grid) -> list[BoundInterval]:
     ]
 
 
-def reference_intervals(ks, log_partials, terms, hyps, certificate, tail_keys, tail) -> list[BoundInterval]:
+def reference_intervals(ks, log_partials, terms, hyps, certificate, tail_key, tail) -> list[BoundInterval]:
     """``bounds._intervals`` from the same arguments as the engines pass it,
     one row at a time as it was assembled before the columns: the tail
     closure runs once, on the rows where k >= 1 and every required (not
     ``[recorded]``) walk hypothesis holds, and each of those rows takes its
-    bound and its hypotheses from the closure's output."""
+    bound from the closure's output and its tail hypothesis ``tail_key``,
+    which holds where that bound is finite."""
     walk_ok = all(ok for name, ok in hyps if "[recorded]" not in name)
     rows = [i for i, k in enumerate(ks.tolist()) if walk_ok and k >= 1.0]
-    series = {}
-    if rows:
-        log_tails, oks = tail(2.0 * np.asarray(ks)[rows])
-        for i, log_tail, ok in zip(rows, log_tails.tolist(), oks.tolist()):
-            series[i] = (log_tail, tuple(zip(tail_keys, ok)))
+    series = dict(zip(rows, tail(2.0 * np.asarray(ks)[rows]).tolist())) if rows else {}
     out = []
     for i, (k, log_partial) in enumerate(zip(ks.tolist(), log_partials.tolist())):
-        row = series.get(i)
-        certified = row is not None and row[0] < math.inf
+        log_tail = series.get(i, math.inf)
+        certified = log_tail < math.inf
         out.append(BoundInterval(
             terms_used=terms,
             certificate=certificate,
             certified=certified,
-            hypotheses=(("k >= 1", k >= 1.0),) + hyps + (row[1] if row is not None else ()),
+            hypotheses=(("k >= 1", k >= 1.0),) + hyps + (((tail_key, certified),) if i in series else ()),
             log_partial=float(log_partial),
-            log_tail=row[0] if certified else math.inf,
+            log_tail=log_tail if certified else math.inf,
         ))
     return out
 

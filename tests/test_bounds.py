@@ -56,6 +56,8 @@ from oracles import (
     resolvent_log_recurrence,
     unitary_log_partial,
     unitary_majorant_logs,
+    composition_tail_majorant,
+    mixture_majorant_logs,
     unitary_tail_majorant,
     winding_log_partial,
     wreath_log_partial,
@@ -1096,6 +1098,34 @@ def test_unitary_tail_bounds_the_excluded_words(N, tau, k, max_total, max_p):
 
 
 @pytest.mark.parametrize(
+    "walk, N, c, max_p, max_total",
+    [
+        ("mixture", 20, 1.0, 5, 10),
+        ("mixture", 50, 0.5, 5, 10),
+        ("mixture", 300, 0.5, 6, 12),
+        ("mixture", 300, 1.0, 3, 8),
+        # rho_23 >= 1: the closed block 2 w^p / (1 - w) takes every word of
+        # 23 or more blocks, looser than the per-degree blocks
+        ("haar", 100000, 0.3, 24, 30),
+    ],
+)
+def test_composition_tail_bounds_the_excluded_words(walk, N, c, max_p, max_total):
+    # the composition tail against the per-word majorant summed word class
+    # by word class over the complement; close to it where every
+    # within-degree ratio rho_p = x (M + 1) / (M - p + 2) is < 1, and only
+    # above it where the loop stops early
+    q = WalkQuery.mixture(N) if walk == "mixture" else WalkQuery.unitary(N, 2.0, CircleMeasure.haar())
+    k = nominal_cutoff(q) + c * N
+    log_S, log_x = mixture_majorant_logs(N, k) if walk == "mixture" else unitary_majorant_logs(N, 2.0, k)
+    stops_early = math.exp(log_x) * (max_total + 1) / (max_total - max_p + 2) >= 1.0
+    assert stops_early == (walk == "haar")
+    A = interval_rows(A_k_grid(q, [k], TruncationConfig(max_p=max_p, max_total=max_total)))[0]
+    want = composition_tail_majorant(log_S, log_x, max_total, max_p)
+    assert A.certified
+    assert want - 1e-12 <= A.log_tail <= (math.inf if stops_early else want + 1e-3)
+
+
+@pytest.mark.parametrize(
     "N, tau, k, max_total, max_p, values",
     [
         (40, 2.0, 120.0, 9, 3, [1.0, 1.0, 1.0]),
@@ -1175,25 +1205,24 @@ def test_point_mass_closed_tail_equals_the_composition_tail_at_max_p_max_total()
     k = nominal_cutoff(q) + 200.0
     A = interval_rows(A_k_grid(q, [k]))[0]
     log_S, log_x = (np.array([v]) for v in unitary_majorant_logs(200, 2.0, k))
-    composition = bounds._composition_tail(log_S, log_x, 48, 48)[0].item(0)
+    composition = bounds._composition_tail(log_S, log_x, 48, 48).item(0)
     assert round(A.log_tail, 2) == round(composition, 2) == -165.62
     # at the default max_p = 12, the composition tail is set by its p > 12 block
-    assert bounds._composition_tail(log_S, log_x, 48, 12)[0].item(0) == pytest.approx(-52.02, abs=0.01)
+    assert bounds._composition_tail(log_S, log_x, 48, 12).item(0) == pytest.approx(-52.02, abs=0.01)
 
 
 def test_point_mass_row_with_a_failed_ratio_test_is_now_certified():
-    # N = 30, tau = 2, c = 1/4 at (10, 10): rho_10 = x 11 / 2 = 1.5 >= 1
-    # fails the composition tail, while x + S = 0.55 < 1
+    # N = 30, tau = 2, c = 1/4 at (10, 10): rho_10 = x 11 / 2 = 1.5 >= 1,
+    # where the composition tail starts its closed block, and x + S = 0.55
+    # < 1; both tails bound the same words, of total > 10
     q = WalkQuery.unitary(30, 2.0)
     k = nominal_cutoff(q) + 30 / 4
     log_S, log_x = unitary_majorant_logs(30, 2.0, k)
-    log_tail, hyps = bounds._composition_tail(np.array([log_S]), np.array([log_x]), 10, 10)
-    assert log_tail.tolist() == [math.inf]
-    assert dict(zip(bounds._TAIL_KEYS, hyps[0].tolist())) == {
-        "x < 1": True, "within-degree ratios < 1": False, "w = S/(1-x) < 1": True}
+    composition = bounds._composition_tail(np.array([log_S]), np.array([log_x]), 10, 10).item(0)
     A = interval_rows(A_k_grid(q, [k], TruncationConfig(max_p=10, max_total=10)))[0]
     assert A.certified and math.exp(log_x) + math.exp(log_S) == pytest.approx(0.5545, abs=1e-4)
     assert A.log_tail == pytest.approx(unitary_tail_majorant(30, 2.0, k, 10, None), abs=1e-12)
+    assert A.log_tail - 1e-12 <= composition < math.inf
 
 
 def test_nested_truncation_containment_random():
@@ -1239,6 +1268,57 @@ def test_nested_truncation_containment_random():
             (M1, P1, M2, P2),
         )
         checked += 1
+
+
+_CHAINS = {"walk": [(4, 12), (12, 24), (24, 24), (24, 48), (48, 48)], "mixture": [(2, 6), (4, 8), (6, 8), (8, 8)]}
+
+
+@pytest.mark.parametrize("N", [30, 300, 100000])
+@pytest.mark.parametrize("walk", ["haar", "atoms", "porod", "mixture"])
+def test_certification_does_not_depend_on_the_truncation(walk, N):
+    # each family's one tail hypothesis does not read the truncation, so a
+    # row is certified at every truncation or at none, and along a chain of
+    # growing truncations each partial lies in the previous interval; the
+    # later truncations take max_p = max_total, where rho_p >= 1 on the
+    # certified rows near the cutoff
+    nu = {"haar": CircleMeasure.haar(), "atoms": CircleMeasure.atomic([(0.3, 0.25), (1.7, 0.75)]),
+          "porod": CircleMeasure.porod(N)}.get(walk)
+    q = WalkQuery.mixture(N) if walk == "mixture" else WalkQuery.unitary(N, 2.0, nu)
+    ks = [nominal_cutoff(q) + c * N for c in (-0.5, 0.0, 0.3, 1.0)]
+    grids = [interval_rows(A_k_grid(q, ks, TruncationConfig(max_p=P, max_total=M)))
+             for P, M in _CHAINS["mixture" if walk == "mixture" else "walk"]]
+    certified = [[row.certified for row in rows] for rows in grids]
+    assert all(c == certified[0] for c in certified) and any(certified[0]) and not all(certified[0])
+    for coarse_rows, fine_rows in zip(grids, grids[1:]):
+        for k, coarse, fine in zip(ks, coarse_rows, fine_rows):
+            # the mixture averages each word on a rule of degree
+            # (max_total + max_p) // 2, so two truncations round a word's
+            # coefficient c differently, and |c|^{2k} carries about 2k times
+            # that rounding: 2.6e-9 relative at N = 100000, c = 1
+            # (2k = 1.35e6), where the tail is 1.7e-12
+            slack = max(1e-12, 64 * 2 * k * 2.0**-53) if walk == "mixture" else 1e-12
+            if coarse.certified:
+                assert coarse.log_partial <= fine.log_partial + slack
+                assert math.exp(fine.log_partial) <= coarse.upper * (1.0 + slack)
+
+
+def test_raising_max_p_keeps_the_certificate(capsys):
+    # rho_p >= 1 below max_p = 48 once stopped this query's composition
+    # tail (A_tail infinity); the closed block from that p on keeps it
+    # certified, and the intervals nest as max_p grows
+    records = []
+    for max_p in (12, 24, 48):
+        argv = ["bound", "--family", "unitary", "--N", "100000", "--tau", "2", "--c", "0.3", "--nu", "haar",
+                "--max-p", str(max_p)]
+        assert cli.main(argv) == 0
+        records.append(json.loads(capsys.readouterr().out))
+    assert all(r["certified"] and r["hypotheses"]["x + S < 1"] and r["A_log_tail"] < math.inf for r in records)
+    assert [r["A_tail"] for r in records] == pytest.approx([6.1977e-05, 2.5521e-09, 4.5374e-11], rel=1e-4)
+    fine = records[-1]
+    fine_upper = np.logaddexp(fine["A_log_partial"], fine["A_log_tail"])
+    for coarse in records[:-1]:
+        assert coarse["A_log_partial"] <= fine["A_log_partial"] + 1e-12
+        assert fine_upper <= np.logaddexp(coarse["A_log_partial"], coarse["A_log_tail"]) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -1295,7 +1375,7 @@ def _interval_grid(log_partial, log_tail, ks=None):
     lp, lt = np.array(log_partial, dtype=float), np.array(log_tail, dtype=float)
     k = np.ones(lp.size) if ks is None else np.array(ks, dtype=float)
     certified = lt < math.inf
-    return bounds.IntervalGrid(k, lp, lt, certified, 1, "", (), k >= 1.0, ("t",), certified[:, np.newaxis], k >= 1.0)
+    return bounds.IntervalGrid(k, lp, lt, certified, 1, "", (), k >= 1.0, "t", k >= 1.0)
 
 
 def test_tv_upper_from_A_values():
@@ -1545,18 +1625,16 @@ def test_profile_runs_the_engine_once(monkeypatch, capsys, argv, engine, passes)
 )
 def test_profile_rows_share_one_hypothesis_key_sequence(query, ks):
     # every row past the base hypotheses, certified or not, names the tail
-    # checks the same way and in the same order: the composition tail's
-    # three for the mixture and a general nu, the closed form's one for a
-    # point mass and the wreath
+    # check the same way: one hypothesis per family, x + S < 1 for the
+    # unitary families and the mixture, y + m Z < 1 for the wreath, which
+    # holds exactly on the certified rows
     rows = interval_rows(cutoff_profile(query, ks).A)
     assert any(row.certified for row in rows) and not all(row.certified for row in rows)
     keys = {tuple(name for name, _ in row.hypotheses) for row in rows}
     assert len(keys) == 1
-    if query.family == "mixture" or (query.nu is not None and query.nu.point_mass_weight() is None):
-        tail_keys = ("x < 1", "within-degree ratios < 1", "w = S/(1-x) < 1")
-    else:
-        tail_keys = {"wreath": ("y + m Z < 1",)}.get(query.family, ("x + S < 1",))
-    assert keys.pop()[-len(tail_keys) :] == tail_keys
+    tail_key = "y + m Z < 1" if query.family == "wreath" else "x + S < 1"
+    assert keys.pop()[-1] == tail_key
+    assert all(row.hypotheses[-1] == (tail_key, row.certified) for row in rows)
 
 
 def test_cutoff_profile_rejects_empty_grid():

@@ -1136,6 +1136,14 @@ def test_help_lists_every_command_and_every_flag(capsys):
                 code, out, err = run(capsys, *argv)
                 assert (code, err) == (0, "")
                 assert all(f"  {row.flag} " in out for row in rows), argv
+    # the truncation flags state their range, which walks read them and
+    # their defaults, which the flag table leaves None
+    for command in ("profile", "bound"):
+        out = run(capsys, command, "--help")[1]
+        assert ("  --max-p MAX_P          most blocks of a summed word, 1..64; read only by the mixture and a "
+                "--nu other than delta:<theta> (default: 12, 5 for the mixture)\n") in out
+        assert ("  --max-total MAX_TOTAL  largest index total of a summed word, 1..4096 "
+                "(default: 48, 10 for the mixture)\n") in out
 
 
 def test_parse_args_gives_each_flag_its_dest_and_default():

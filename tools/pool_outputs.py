@@ -17,7 +17,9 @@ changed, and under it each changed field with the number of invocations it
 changed in and, for a numeric field, its largest relative move
 |new - old| / max(|new|, |old|).  A field is a key of a JSON output (nested
 keys joined by ``.``, list items as ``[]``), a ``# name=value`` line or a
-CSV column; any other line of text is the field ``line``.  The exit status
+CSV column; any other line of text is the field ``line``.  Fields pair by
+name and occurrence, so an output whose list of fields changed is counted
+as ``(layout)`` and its shared fields are still compared.  The exit status
 is then 1 if any invocation changed, so "byte-identical across the pool" is
 one command's exit status.
 """
@@ -120,9 +122,22 @@ def _group(key: str) -> str:
     return f"{argv[0]} {argv[argv.index('--family') + 1]}" if "--family" in argv else argv[0]
 
 
+def _by_occurrence(fields: list[tuple[str, object]]) -> dict[tuple[str, int], object]:
+    """(field, n) -> the value of the n-th occurrence of that field."""
+    seen: Counter[str] = Counter()
+    out = {}
+    for f, v in fields:
+        out[f, seen[f]] = v
+        seen[f] += 1
+    return out
+
+
 def _diffs(a: dict | None, b: dict | None) -> dict[str, list[float]]:
     """Each changed field of one invocation, new ``a`` against old ``b``,
-    with the relative moves of its numeric values."""
+    with the relative moves of its numeric values.  The fields of one output
+    pair by name, the k-th occurrence of a name on one side with the k-th
+    on the other; where the lists of names differ the output also counts
+    as ``(layout)``, and a field on one side only is not compared."""
     if a is None or b is None:
         return {"(only in " + ("old" if a is None else "new") + ")": []}
     out: dict[str, list[float]] = {"rc": []} if a["rc"] != b["rc"] else {}
@@ -132,10 +147,10 @@ def _diffs(a: dict | None, b: dict | None) -> dict[str, list[float]]:
         fx, fy = _fields(x), _fields(y)
         if [f for f, _ in fx] != [f for f, _ in fy]:
             out[prefix + "(layout)"] = []
-            continue
-        for (f, u), (_, v) in zip(fx, fy):
-            if u != v:
-                move = _move(u, v)
+        old = _by_occurrence(fy)
+        for (f, n), u in _by_occurrence(fx).items():
+            if (f, n) in old and u != old[f, n]:
+                move = _move(u, old[f, n])
                 out.setdefault(prefix + f, []).extend([] if move is None else [move])
     return out
 
