@@ -126,9 +126,9 @@ _WALK_FLAGS = _OUTPUT_FLAGS + (
     _Flag("--c-range", "c_range", str, help="cmin:cmax:cstep"),
     _Flag("--round-k", "round_k", bool, False, help="round each k to the nearest integer"),
     _Flag("--max-p", "max_p", int,
-          help=f"most blocks of a summed word, 1..{MAX_P}; read only by the mixture and a --nu other than "
-               f"delta:<theta> (default: {DEFAULT_TRUNCATION.max_p}, {MIXTURE_DEFAULT_TRUNCATION.max_p} "
-               "for the mixture)"),
+          help=f"most blocks of a summed word, 1..{MAX_P}; read only by the mixture and a --nu that is not a "
+               "point mass (haar, porod, atoms at two or more angles) (default: "
+               f"{DEFAULT_TRUNCATION.max_p}, {MIXTURE_DEFAULT_TRUNCATION.max_p} for the mixture)"),
     _Flag("--max-total", "max_total", int,
           help=f"largest index total of a summed word, 1..{MAX_TOTAL} (default: {DEFAULT_TRUNCATION.max_total}, "
                f"{MIXTURE_DEFAULT_TRUNCATION.max_total} for the mixture)"),

@@ -363,19 +363,33 @@ def unitary_tail_majorant(N: int, tau: float, k: float, max_total: int, max_p: i
     return composition_tail_majorant(*unitary_majorant_logs(N, tau, k), max_total, max_p, cut)
 
 
+@functools.lru_cache(maxsize=None)
+def _log_binomials(n: int) -> np.ndarray:
+    """log C(a, b) for 0 <= b <= a < n from the exact integers of Pascal's
+    triangle, -inf where b > a."""
+    table = np.full((n, n), -math.inf)
+    row = [1]
+    for a in range(n):
+        table[a, : a + 1] = [math.log(c) for c in row]
+        row = [1] + [left + right for left, right in zip(row, row[1:])] + [1]
+    table.flags.writeable = False
+    return table
+
+
 def composition_tail_majorant(log_S: float, log_x: float, max_total: int, max_p: int | None,
                               cut: int = 120) -> float:
     """log of the per-word majorant 2 S^p x^(total - p) summed over the words
     outside the truncation (total > max_total or p > max_p; max_p None
     limits no block count), counting the block vectors of each total and p
-    as C(total - 1, p - 1); p and total stop at ``cut``, where the terms
-    are negligible."""
-    terms = []
-    for p in range(1, cut):
-        for total in range(p, p + cut):
-            if total > max_total or (max_p is not None and p > max_p):
-                terms.append(math.log(2.0 * math.comb(total - 1, p - 1)) + p * log_S + (total - p) * log_x)
-    return logsumexp(terms)
+    as C(total - 1, p - 1); p stops at ``cut`` and total at p + ``cut``,
+    where the terms are negligible.  Each (p, total) class is one entry of
+    a table, summed max-shifted."""
+    p = np.arange(1, cut)[:, np.newaxis]
+    total = p + np.arange(cut)
+    outside = (total > max_total) | (p > (cut if max_p is None else max_p))
+    terms = (math.log(2.0) + _log_binomials(2 * cut)[total - 1, p - 1] + p * log_S + (total - p) * log_x)[outside]
+    hi = terms.max()
+    return float(hi + math.log(np.exp(terms - hi).sum()))
 
 
 def wreath_tail_majorant(

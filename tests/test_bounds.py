@@ -1085,16 +1085,15 @@ def test_certificate_contains_refined_partial_mixture():
     ],
 )
 def test_unitary_tail_bounds_the_excluded_words(N, tau, k, max_total, max_p):
-    # the certificate is at least the majorant summed word class by word
-    # class over the complement, and close to it: for Haar nu, which stops
-    # at max_p blocks (the composition tail), and for a point mass, which
-    # sums every block count (the closed form, equal to the sum)
+    # the certificate is the majorant summed word class by word class over
+    # the complement, in closed form: for Haar nu, which stops at max_p
+    # blocks (the composition tail), and for a point mass, which sums every
+    # block count (the resolvent tail)
     tc = TruncationConfig(max_p=max_p, max_total=max_total)
-    for nu, blocks, slack in ((CircleMeasure.haar(), max_p, 1e-3), (CircleMeasure.delta(0.0), None, 1e-12)):
+    for nu, blocks in ((CircleMeasure.haar(), max_p), (CircleMeasure.delta(0.0), None)):
         A = interval_rows(A_k_grid(WalkQuery.unitary(N, tau, nu), [k], tc))[0]
-        want = unitary_tail_majorant(N, tau, k, max_total, blocks)
         assert A.certified
-        assert want - 1e-12 <= A.log_tail <= want + slack
+        assert abs(A.log_tail - unitary_tail_majorant(N, tau, k, max_total, blocks)) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -1104,25 +1103,44 @@ def test_unitary_tail_bounds_the_excluded_words(N, tau, k, max_total, max_p):
         ("mixture", 50, 0.5, 5, 10),
         ("mixture", 300, 0.5, 6, 12),
         ("mixture", 300, 1.0, 3, 8),
-        # rho_23 >= 1: the closed block 2 w^p / (1 - w) takes every word of
-        # 23 or more blocks, looser than the per-degree blocks
+        # x = S = 0.30 and w = S / (1 - x) = 0.43: a large x, so the
+        # excluded words weigh most near 16 blocks, well inside max_p
         ("haar", 100000, 0.3, 24, 30),
     ],
 )
 def test_composition_tail_bounds_the_excluded_words(walk, N, c, max_p, max_total):
-    # the composition tail against the per-word majorant summed word class
-    # by word class over the complement; close to it where every
-    # within-degree ratio rho_p = x (M + 1) / (M - p + 2) is < 1, and only
-    # above it where the loop stops early
+    # the composition tail is the per-word majorant summed word class by
+    # word class over the complement
     q = WalkQuery.mixture(N) if walk == "mixture" else WalkQuery.unitary(N, 2.0, CircleMeasure.haar())
     k = nominal_cutoff(q) + c * N
     log_S, log_x = mixture_majorant_logs(N, k) if walk == "mixture" else unitary_majorant_logs(N, 2.0, k)
-    stops_early = math.exp(log_x) * (max_total + 1) / (max_total - max_p + 2) >= 1.0
-    assert stops_early == (walk == "haar")
     A = interval_rows(A_k_grid(q, [k], TruncationConfig(max_p=max_p, max_total=max_total)))[0]
-    want = composition_tail_majorant(log_S, log_x, max_total, max_p)
     assert A.certified
-    assert want - 1e-12 <= A.log_tail <= (math.inf if stops_early else want + 1e-3)
+    assert abs(A.log_tail - composition_tail_majorant(log_S, log_x, max_total, max_p)) <= 1e-12
+
+
+def test_composition_tail_is_its_oracle_and_shrinks_with_the_truncation():
+    # 300 seeded rows with x + S <= 0.9, M <= 40: the closed form is the
+    # majorant summed word class by word class (cut 400 leaves under 1e-15
+    # of it out), does not grow with max_p or max_total, and at
+    # max_p = max_total is the resolvent tail 2 S (x + S)^M / (1 - x - S)
+    rng = np.random.default_rng(20261021)
+
+    def tail(log_S, log_x, M, P):
+        return bounds._composition_tail(np.array([log_S]), np.array([log_x]), M, P).item(0)
+
+    for _ in range(300):
+        M = int(rng.integers(1, 41))
+        P = int(rng.integers(1, M + 1))
+        log_r = rng.uniform(math.log(1e-4), math.log(0.9))
+        share = 1.0 / (1.0 + math.exp(rng.uniform(-8.0, 8.0)))
+        log_x, log_S = log_r + math.log(share), log_r + math.log1p(-share)
+        log_tail = tail(log_S, log_x, M, P)
+        assert abs(log_tail - composition_tail_majorant(log_S, log_x, M, P, cut=400)) <= 1e-12, (log_S, log_x, M, P)
+        assert tail(log_S, log_x, M, min(P + 1, M)) <= log_tail + 1e-12
+        assert tail(log_S, log_x, M + 1, P) <= log_tail + 1e-12
+        resolvent = math.log(2.0) + bounds._resolvent_tail(np.array([log_S]), np.array([log_x]), M).item(0)
+        assert abs(tail(log_S, log_x, M, M) - resolvent) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -1206,15 +1224,15 @@ def test_point_mass_closed_tail_equals_the_composition_tail_at_max_p_max_total()
     A = interval_rows(A_k_grid(q, [k]))[0]
     log_S, log_x = (np.array([v]) for v in unitary_majorant_logs(200, 2.0, k))
     composition = bounds._composition_tail(log_S, log_x, 48, 48).item(0)
-    assert round(A.log_tail, 2) == round(composition, 2) == -165.62
+    assert abs(composition - A.log_tail) <= 1e-12 and round(A.log_tail, 2) == -165.62
     # at the default max_p = 12, the composition tail is set by its p > 12 block
     assert bounds._composition_tail(log_S, log_x, 48, 12).item(0) == pytest.approx(-52.02, abs=0.01)
 
 
-def test_point_mass_row_with_a_failed_ratio_test_is_now_certified():
-    # N = 30, tau = 2, c = 1/4 at (10, 10): rho_10 = x 11 / 2 = 1.5 >= 1,
-    # where the composition tail starts its closed block, and x + S = 0.55
-    # < 1; both tails bound the same words, of total > 10
+def test_point_mass_row_with_a_large_x_has_the_closed_composition_tail():
+    # N = 30, tau = 2, c = 1/4 at (10, 10): x = 0.27, so x (M + 1) = 3 is
+    # far above 1, and x + S = 0.55 < 1; both tails bound the same words, of
+    # total > 10, and are the same closed form
     q = WalkQuery.unitary(30, 2.0)
     k = nominal_cutoff(q) + 30 / 4
     log_S, log_x = unitary_majorant_logs(30, 2.0, k)
@@ -1222,7 +1240,7 @@ def test_point_mass_row_with_a_failed_ratio_test_is_now_certified():
     A = interval_rows(A_k_grid(q, [k], TruncationConfig(max_p=10, max_total=10)))[0]
     assert A.certified and math.exp(log_x) + math.exp(log_S) == pytest.approx(0.5545, abs=1e-4)
     assert A.log_tail == pytest.approx(unitary_tail_majorant(30, 2.0, k, 10, None), abs=1e-12)
-    assert A.log_tail - 1e-12 <= composition < math.inf
+    assert abs(composition - A.log_tail) <= 1e-12
 
 
 def test_nested_truncation_containment_random():
@@ -1278,9 +1296,7 @@ _CHAINS = {"walk": [(4, 12), (12, 24), (24, 24), (24, 48), (48, 48)], "mixture":
 def test_certification_does_not_depend_on_the_truncation(walk, N):
     # each family's one tail hypothesis does not read the truncation, so a
     # row is certified at every truncation or at none, and along a chain of
-    # growing truncations each partial lies in the previous interval; the
-    # later truncations take max_p = max_total, where rho_p >= 1 on the
-    # certified rows near the cutoff
+    # growing truncations each partial lies in the previous interval
     nu = {"haar": CircleMeasure.haar(), "atoms": CircleMeasure.atomic([(0.3, 0.25), (1.7, 0.75)]),
           "porod": CircleMeasure.porod(N)}.get(walk)
     q = WalkQuery.mixture(N) if walk == "mixture" else WalkQuery.unitary(N, 2.0, nu)
@@ -1302,23 +1318,51 @@ def test_certification_does_not_depend_on_the_truncation(walk, N):
                 assert math.exp(fine.log_partial) <= coarse.upper * (1.0 + slack)
 
 
+_NESTING_CASES = {
+    "walk": [(100000, 0.3, 30), (1000, 0.5, 24), (200, 1.0, 48), (30, 0.5, 14), (100000, 0.25, 40)],
+    "mixture": [(N, c, 12) for N in (20, 100, 300, 100000) for c in (0.5, 1.0, 2.0)],
+}
+
+
+@pytest.mark.parametrize("walk", ["haar", "atoms", "porod", "mixture"])
+def test_intervals_nest_as_max_p_grows(walk):
+    # each step of max_p moves the words of one more block count from the
+    # tail into the partial, so the partial does not fall and the upper end
+    # log(partial + tail) does not rise, at every max_p up to max_total;
+    # the mixture's partial carries the rounding budgeted in
+    # test_certification_does_not_depend_on_the_truncation
+    nu = {"haar": CircleMeasure.haar(), "atoms": CircleMeasure.atomic([(0.3, 0.25), (1.7, 0.75)])}.get(walk)
+    for N, c, max_total in _NESTING_CASES["mixture" if walk == "mixture" else "walk"]:
+        q = (WalkQuery.mixture(N) if walk == "mixture"
+             else WalkQuery.unitary(N, 2.0, CircleMeasure.porod(N) if walk == "porod" else nu))
+        k = nominal_cutoff(q) + c * N
+        slack = max(1e-12, 64 * 2 * k * 2.0**-53) if walk == "mixture" else 1e-12
+        rows = [interval_rows(A_k_grid(q, [k], TruncationConfig(max_p=P, max_total=max_total)))[0]
+                for P in range(1, max_total + 1)]
+        assert all(row.certified for row in rows)
+        for P, (coarse, fine) in enumerate(zip(rows, rows[1:]), start=1):
+            assert fine.log_partial >= coarse.log_partial - slack, (N, c, P)
+            assert fine.log_upper <= coarse.log_upper + slack, (N, c, P)
+
+
 def test_raising_max_p_keeps_the_certificate(capsys):
-    # rho_p >= 1 below max_p = 48 once stopped this query's composition
-    # tail (A_tail infinity); the closed block from that p on keeps it
-    # certified, and the intervals nest as max_p grows
+    # the composition tail sums the excluded words' majorant exactly, so this
+    # query stays certified as max_p grows, its intervals nest, and at
+    # max_p = max_total = 48 its tail is the point mass's: both then bound
+    # the words of total > 48
+    argv = ["bound", "--family", "unitary", "--N", "100000", "--tau", "2", "--c", "0.3"]
     records = []
-    for max_p in (12, 24, 48):
-        argv = ["bound", "--family", "unitary", "--N", "100000", "--tau", "2", "--c", "0.3", "--nu", "haar",
-                "--max-p", str(max_p)]
-        assert cli.main(argv) == 0
+    for extra in [["--nu", "haar", "--max-p", max_p] for max_p in ("12", "24", "48")] + [[]]:
+        assert cli.main(argv + extra) == 0
         records.append(json.loads(capsys.readouterr().out))
-    assert all(r["certified"] and r["hypotheses"]["x + S < 1"] and r["A_log_tail"] < math.inf for r in records)
-    assert [r["A_tail"] for r in records] == pytest.approx([6.1977e-05, 2.5521e-09, 4.5374e-11], rel=1e-4)
-    fine = records[-1]
-    fine_upper = np.logaddexp(fine["A_log_partial"], fine["A_log_tail"])
-    for coarse in records[:-1]:
+    *haar, delta = records
+    assert all(r["certified"] and r["hypotheses"]["x + S < 1"] and r["A_log_tail"] < math.inf for r in haar)
+    assert [r["A_tail"] for r in haar] == pytest.approx([6.1977e-05, 2.5521e-09, 4.0661e-11], rel=1e-4)
+    assert abs(haar[-1]["A_log_tail"] - delta["A_log_tail"]) <= 1e-12
+    for coarse, fine in zip(haar, haar[1:]):
         assert coarse["A_log_partial"] <= fine["A_log_partial"] + 1e-12
-        assert fine_upper <= np.logaddexp(coarse["A_log_partial"], coarse["A_log_tail"]) + 1e-12
+        assert (np.logaddexp(fine["A_log_partial"], fine["A_log_tail"])
+                <= np.logaddexp(coarse["A_log_partial"], coarse["A_log_tail"]) + 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1141,7 +1141,8 @@ def test_help_lists_every_command_and_every_flag(capsys):
     for command in ("profile", "bound"):
         out = run(capsys, command, "--help")[1]
         assert ("  --max-p MAX_P          most blocks of a summed word, 1..64; read only by the mixture and a "
-                "--nu other than delta:<theta> (default: 12, 5 for the mixture)\n") in out
+                "--nu that is not a point mass (haar, porod, atoms at two or more angles) (default: 12, 5 for "
+                "the mixture)\n") in out
         assert ("  --max-total MAX_TOTAL  largest index total of a summed word, 1..4096 "
                 "(default: 48, 10 for the mixture)\n") in out
 

@@ -66,23 +66,25 @@ def test_pool_outputs_against_reports_what_moved(monkeypatch, tmp_path, capsys):
     record["A_partial"] *= 1.0 + 2.0**-40
     new[key]["stdout"] = json.dumps(record, indent=2) + "\n"
     new["verify --suite all --report verify-report.json"]["stdout"] += "PASS extra\n"
-    # a bound record whose tail hypothesis is renamed and whose A_tail moved:
+    # a bound record whose tail hypothesis is renamed and whose A_tail fell:
     # the fields both sides share are still compared
     haar_key = next(key for key, out in new.items()
                     if key.startswith("bound --family unitary") and "haar" in key and '"certified": true' in out["stdout"])
     haar = json.loads(new[haar_key]["stdout"])
     haar["hypotheses"]["renamed"] = haar["hypotheses"].pop("x + S < 1")
-    old_tail, haar["A_tail"] = haar["A_tail"], haar["A_tail"] * 1.5
+    old_tail, haar["A_tail"] = haar["A_tail"], haar["A_tail"] * 0.5
     new[haar_key]["stdout"] = json.dumps(haar, indent=2) + "\n"
     report = tool.compare(new, old)
     move = abs(record["A_partial"] - json.loads(old[key]["stdout"])["A_partial"]) / record["A_partial"]
     assert move > 0.0
     assert report[report.index("bound wreath: 1 of 96 invocations changed") + 1] == (
-        f"  A_partial: 1 changed, largest relative move {move:.2g}"
+        f"  A_partial: 1 changed, 1 up, 0 down, largest relative move {move:.2g}"
     )
     at = report.index("bound unitary: 1 of 234 invocations changed")
     assert report[at + 1 : at + 3] == [
-        "  (layout): 1 changed", f"  A_tail: 1 changed, largest relative move {1.0 - old_tail / haar['A_tail']:.2g}"]
+        "  (layout): 1 changed",
+        f"  A_tail: 1 changed, 0 up, 1 down, largest relative move {1.0 - haar['A_tail'] / old_tail:.2g}",
+    ]
     assert "verify: 1 of 1 invocations changed" in report and "  (layout): 1 changed" in report
     assert sum(line.startswith("  ") for line in report) == 4
     # any changed invocation makes the command line exit 1

@@ -14,14 +14,15 @@ field sits on its own line.
 With ``--against OLD.json`` the script then compares the new dump with an
 older one and prints, per command and family, how many invocations
 changed, and under it each changed field with the number of invocations it
-changed in and, for a numeric field, its largest relative move
-|new - old| / max(|new|, |old|).  A field is a key of a JSON output (nested
-keys joined by ``.``, list items as ``[]``), a ``# name=value`` line or a
-CSV column; any other line of text is the field ``line``.  Fields pair by
-name and occurrence, so an output whose list of fields changed is counted
-as ``(layout)`` and its shared fields are still compared.  The exit status
-is then 1 if any invocation changed, so "byte-identical across the pool" is
-one command's exit status.
+changed in and, for a numeric field, how many of them it moved up and how
+many down (an invocation with moves both ways counts in both) and its
+largest relative move |new - old| / max(|new|, |old|).  A field is a key
+of a JSON output (nested keys joined by ``.``, list items as ``[]``), a
+``# name=value`` line or a CSV column; any other line of text is the
+field ``line``.  Fields pair by name and occurrence, so an output whose
+list of fields changed is counted as ``(layout)`` and its shared fields are
+still compared.  The exit status is then 1 if any invocation changed, so
+"byte-identical across the pool" is one command's exit status.
 """
 
 from __future__ import annotations
@@ -106,14 +107,14 @@ def _number(value: object) -> float | None:
 
 
 def _move(new: object, old: object) -> float | None:
-    """|new - old| / max(|new|, |old|), inf if either is not finite, None
+    """(new - old) / max(|new|, |old|), +-inf if either is not finite, None
     unless both are numbers."""
     a, b = _number(new), _number(old)
     if a is None or b is None:
         return None
     if not (math.isfinite(a) and math.isfinite(b)):
-        return 0.0 if a == b else math.inf
-    return abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+        return 0.0 if a == b else math.copysign(math.inf, a - b)
+    return (a - b) / max(abs(a), abs(b)) if a != b else 0.0
 
 
 def _group(key: str) -> str:
@@ -134,9 +135,9 @@ def _by_occurrence(fields: list[tuple[str, object]]) -> dict[tuple[str, int], ob
 
 def _diffs(a: dict | None, b: dict | None) -> dict[str, list[float]]:
     """Each changed field of one invocation, new ``a`` against old ``b``,
-    with the relative moves of its numeric values.  The fields of one output
-    pair by name, the k-th occurrence of a name on one side with the k-th
-    on the other; where the lists of names differ the output also counts
+    with the signed relative moves of its numeric values.  The fields of
+    one output pair by name, the k-th occurrence of a name on one side with
+    the k-th on the other; where the lists of names differ the output also counts
     as ``(layout)``, and a field on one side only is not compared."""
     if a is None or b is None:
         return {"(only in " + ("old" if a is None else "new") + ")": []}
@@ -157,10 +158,13 @@ def _diffs(a: dict | None, b: dict | None) -> dict[str, list[float]]:
 
 def compare(new: dict[str, dict], old: dict[str, dict]) -> list[str]:
     """Report lines: per command and family, how many invocations changed,
-    then each changed field with its count and largest relative move."""
+    then each changed field with its count and, for a numeric field, how
+    many invocations it moved up and down and its largest relative move."""
     total: Counter[str] = Counter()
     changed: Counter[str] = Counter()
     counts: dict[str, Counter[str]] = defaultdict(Counter)
+    ups: dict[str, Counter[str]] = defaultdict(Counter)
+    downs: dict[str, Counter[str]] = defaultdict(Counter)
     moves: dict[str, dict[str, list[float]]] = defaultdict(lambda: defaultdict(list))
     for key in sorted(set(new) | set(old)):
         group = _group(key)
@@ -170,13 +174,16 @@ def compare(new: dict[str, dict], old: dict[str, dict]) -> list[str]:
         changed[group] += 1
         for field, field_moves in _diffs(new.get(key), old.get(key)).items():
             counts[group][field] += 1
+            ups[group][field] += any(m > 0.0 for m in field_moves)
+            downs[group][field] += any(m < 0.0 for m in field_moves)
             moves[group][field] += field_moves
     lines = []
     for group in sorted(total):
         lines.append(f"{group}: {changed[group]} of {total[group]} invocations changed")
         for field in sorted(counts[group]):
-            largest = moves[group][field]
-            tail = f", largest relative move {max(largest):.2g}" if largest else ""
+            largest = [abs(m) for m in moves[group][field]]
+            tail = (f", {ups[group][field]} up, {downs[group][field]} down, largest relative move {max(largest):.2g}"
+                    if largest else "")
             lines.append(f"  {field}: {counts[group][field]} changed{tail}")
     return lines
 
