@@ -68,7 +68,6 @@ from .structures import (
     trivial_state,
 )
 from .words import (
-    _compositions,
     chi2_expectation_unitary,
     chi2_expectation_wreath,
     chi_expectation_mixture,
@@ -111,11 +110,11 @@ __all__ = [
 # kernel (N = 5, tau = 2.99) about 65 ms, and a wreath bound over Z/3 about
 # 5 ms (in-process on a 2-vCPU x86-64 VM).
 MAX_TOTAL = 4096
-# Most words the mixture engine counts.  Its array passes average one word
-# of each conjugate pair: a two-point profile at N = 300 takes 22-33 ms for
-# the 82 450 words of (7, 17) and 72-105 ms for the 90 300 of (2, 300),
-# averaged on 301 nodes (the best of 21 in-process calls in each of three
-# runs on a shared 2-vCPU x86-64 VM, as below).
+# Most words the mixture engine counts.  Its levels average one word of
+# each conjugate pair: a two-point profile at N = 300 takes 7.3-14 ms for
+# the 82 450 words of (7, 17) and 39-44 ms for the 90 300 of (2, 300),
+# averaged on 303 nodes (the best of 5 in-process calls after a warm one,
+# in each of five runs on a shared 2-vCPU x86-64 VM, as below).
 MAX_MIXTURE_WORDS = 100_000
 # Most blocks a truncation accepts.  The parity-class table of the words of
 # at most P blocks holds P (P + 3) / 2 rows of P slots, about P^3 / 2, each
@@ -456,15 +455,18 @@ def _row_logsumexp(x: np.ndarray) -> np.ndarray:
 # Most floats one block of temporaries holds (256 KB): one _row_logsumexp
 # term array of the log-domain kernel (a run of degrees times the series
 # rows it takes at once), a block of grid rows of an engine pass (with the
-# parity path's stop-sum terms), a block of the mixture's block vectors
-# with their node products.  _block_len is the one place that turns it
-# into a number of items.  At the default truncation a block holds 111
-# grid rows of a point-mass pass (_RESOLVENT_FLOATS x 49 floats a row) and
-# 13 parity-path rows.  With the polynomial kernel taking every benchmark
-# row, a 2-vCPU x86-64 VM timed the parity path at 4096 / 32768 / 131072
-# (one fresh process each, in-process cli.main): a 101-point Haar profile
-# at N = 30000 42 / 24 / 29 ms (with the stop-sum terms in the block), one
-# Haar bound at (12, 1024) 27 / 24 / 23 ms.
+# parity path's stop-sum terms), a block of one mixture level's block
+# vectors with their node products (the products of the level before it
+# and of the one built are held whole: at most 309 400 floats, 2.5 MB, a
+# level over every admissible truncation, at (7, 17)).  _block_len is the
+# one place that turns it into a number of items.  At the default
+# truncation a block holds 111 grid rows of a point-mass pass
+# (_RESOLVENT_FLOATS x 49 floats a row) and 13 parity-path rows.  With the
+# polynomial kernel taking every benchmark row, a 2-vCPU x86-64 VM timed
+# the parity path at 4096 / 32768 / 131072 (one fresh process each,
+# in-process cli.main): a 101-point Haar profile at N = 30000 42 / 24 /
+# 29 ms (with the stop-sum terms in the block), one Haar bound at
+# (12, 1024) 27 / 24 / 23 ms.
 _BLOCK_TERMS = 32768
 
 
@@ -945,20 +947,22 @@ def _mixture_intervals(q: WalkQuery, ks: np.ndarray, tc: TruncationConfig) -> In
     D = (max_total + max_p) // 2, on L = 2D + 1 nodes, averages every word
     exactly, once for the whole grid.
 
-    The words go in array passes, one per block count p, over blocks of the
-    block vectors (``_compositions``, lexicographic order) so that memory
-    does not grow with the words times L: the node products wq R[n_1] ...
-    R[n_p], multiplied in block order, the log dims summed in the same
-    order, the eps0 = +1 word's |e| from a parity cumprod, and its average
-    against row |e| of a table of cos(e beta), 0 <= e <= P, from one
+    The words go level by level, a level per block count p: each block
+    vector of p - 1 blocks, its parent, gets the children n = 1 .. M - total
+    (consecutive parents' children are consecutive, so each level is in
+    lexicographic order), made in blocks of consecutive children so that
+    memory does not grow with the words times L.  A child's node product is
+    its parent's times R[n], so wq R[n_1] ... R[n_p] in block order, twice
+    its log dim its parent's plus 2 log u_n(N) (doubling is exact), and the
+    parent's sign sum and last sign give the eps0 = +1 word's |e|; its
+    average against row |e| of a table of cos(e beta), 0 <= e <= P, is one
     ``np.einsum`` (no BLAS, so no thread count moves a digit, and each
-    average is one sum over the nodes whatever the block).  The Porod law
-    is symmetric and beta odd, so each average is real and the conjugate
+    average is one sum over the nodes whatever the block).  As the Porod
+    law is symmetric and beta odd, each average is real and the conjugate
     eps0 = -1 word, of exponent -e, has the same: each k sums d^2 |c|^{2k}
-    over the eps0 = +1 words with one ``_row_logsumexp`` per grid row and
-    adds log 2.  Truncations above MAX_MIXTURE_WORDS words or
-    MAX_MIXTURE_TABLE ratio-table entries raise ParameterError before any
-    work.
+    over the eps0 = +1 words, one ``_row_logsumexp`` a grid row, and adds
+    log 2.  Truncations above MAX_MIXTURE_WORDS words or MAX_MIXTURE_TABLE
+    ratio-table entries raise ParameterError before any work.
 
     The tail certificate holds for the Jensen-majorized series via the
     per-word bound 2 S^p x^(total - p) with
@@ -993,25 +997,40 @@ def _mixture_intervals(q: WalkQuery, ks: np.ndarray, tc: TruncationConfig) -> In
     # cos e beta for the exponents 0 <= e <= P of an eps0 = +1 word: row e
     cos = np.cos(np.arange(P + 1)[:, np.newaxis] * beta)
 
-    def word_terms(vectors: np.ndarray) -> np.ndarray:
-        # per block vector: 2 log dim and the log |coefficient| of its
-        # eps0 = +1 word (-inf where it vanishes)
-        prod = wq * R[vectors[:, 0]]
-        log_dim = log_u_N[vectors[:, 0]]
-        for j in range(1, vectors.shape[1]):
-            prod *= R[vectors[:, j]]
-            log_dim = log_dim + log_u_N[vectors[:, j]]
-        # the signs eps_1 .. eps_p of eps0 = +1
-        sign = np.where(vectors % 2 == 1, 1, -1).cumprod(axis=1)
-        e = _winding_exponents(sign[:, :-1].sum(axis=1), sign[:, -1])
-        # no BLAS: each average is one sum over the nodes whatever the block
-        with np.errstate(divide="ignore"):
-            log_mod = np.log(np.abs(np.einsum("bl,bl->b", prod, cos[e])))
-        return np.column_stack([2.0 * log_dim, log_mod])
-
-    # one eps0 = +1 word per block vector, p blocks in lexicographic order
-    per_vector = np.concatenate([_in_blocks(word_terms, 2 * L, _compositions(M, p)) for p in range(1, P + 1)])
-    dims, mods = per_vector[:, 0], per_vector[:, 1]
+    # eps_j = eps_{j-1} block_sign[n_j]: an odd block keeps the sign, an even one flips it
+    block_sign = np.where(np.arange(M + 1) % 2 == 1, 1, -1)
+    two_log_u_N = 2.0 * log_u_N
+    # per eps0 = +1 word, level by level: 2 log dim, log |coefficient| (-inf if 0)
+    dims, mods = np.empty(terms // 2), np.empty(terms // 2)
+    # the parents, block vectors of p - 1 blocks, from the vector of no blocks:
+    # node products, room M - total, sign sums eps_1 + ..., last signs, dims
+    prod, room, sign_sum, last_sign = wq[np.newaxis], np.array([M]), np.zeros(1, np.int64), np.ones(1, np.int64)
+    parent_dims, done, step = np.zeros(1), 0, _block_len(2 * L)
+    with np.errstate(divide="ignore"):
+        for p in range(1, P + 1):
+            ends = np.cumsum(room)  # parent i's children end before ends[i]
+            size, hold = int(ends[-1]), p < P
+            if hold:
+                children = np.empty((size, L)), *np.empty((3, size), np.int64)
+            for lo in range(0, size, step):
+                hi = min(lo + step, size)
+                child = np.arange(lo, hi)
+                parent = np.searchsorted(ends, child, side="right")
+                left = ends[parent] - 1 - child
+                n = room[parent] - left
+                node = prod[parent]
+                node *= R[n]
+                at = slice(done + lo, done + hi)
+                np.add(parent_dims[parent], two_log_u_N[n], out=dims[at])
+                T, sigma = sign_sum[parent], last_sign[parent] * block_sign[n]
+                np.log(np.abs(np.einsum("bl,bl->b", node, cos[_winding_exponents(T, sigma)])), out=mods[at])
+                if hold:
+                    for held, value in zip(children, (node, left, T + sigma, sigma)):
+                        held[lo:hi] = value
+            parent_dims = dims[done : done + size]
+            done += size
+            if hold:
+                prod, room, sign_sum, last_sign = children
 
     def sums(two_k: np.ndarray) -> np.ndarray:
         return _row_logsumexp(dims + _log_power(two_k[:, np.newaxis], mods))

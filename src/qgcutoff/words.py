@@ -1,6 +1,6 @@
-"""Irreducible-character words for the two families of walks: the block
-vectors the mixture engine sums over, closed-form word counts, and the
-closed-form walk expectations feeding the lower bounds.
+"""Irreducible-character words for the two families of walks: closed-form
+word counts and the closed-form walk expectations feeding the lower
+bounds.
 
 Free unitary family.  Nontrivial irreducible characters are indexed by words
 
@@ -52,32 +52,13 @@ __all__ = [
 ]
 
 
-def _compositions(total_max: int, parts: int) -> np.ndarray:
-    """All vectors of ``parts`` entries >= 1 with sum <= total_max, in
-    lexicographic order, as the rows of an int array of shape
-    (C(total_max, parts), parts).
-
-    Built one entry at a time: every prefix is repeated once for each value
-    its next entry can take, 1 up to what leaves one for each entry after it.
-    """
-    out = np.zeros((1, 0), dtype=np.int64)
-    used = np.zeros(1, dtype=np.int64)
-    for i in range(parts):
-        room = np.maximum(total_max - (parts - 1 - i) - used, 0)
-        prefix = np.repeat(np.arange(used.size), room)
-        entry = np.arange(1, prefix.size + 1) - np.repeat(np.cumsum(room) - room, room)
-        out = np.column_stack([out[prefix], entry])
-        used = used[prefix] + entry
-    return out
-
-
 def count_unitary(max_total: int, max_p: int) -> int:
     """Number of free-unitary words of at most max_p blocks and index total
-    at most max_total, in closed form: the block vectors of p blocks
-    (``_compositions(max_total, p)``) number C(max_total, p), and each takes
-    two leading signs: the eps0 = +1 word and its conjugate, the eps0 = -1
-    word.  With every block count, 2 (2^max_total - 1).  Below that each
-    C(max_total, p) comes from the one before it."""
+    at most max_total, in closed form: the block vectors of p blocks (p
+    entries >= 1 summing to at most max_total) number C(max_total, p), and
+    each takes two leading signs: the eps0 = +1 word and its conjugate, the
+    eps0 = -1 word.  With every block count, 2 (2^max_total - 1).  Below
+    that each C(max_total, p) comes from the one before it."""
     if max_p >= max_total:
         return 2 * (2**max_total - 1)
     binom, total = 1, 0

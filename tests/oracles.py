@@ -3,19 +3,22 @@
 These sum the series word by word from the irrep data (dimensions and
 normalized coefficients), deliberately bypassing the production engine's
 parity classes, convolution folding, array passes and tail machinery.
-Shared pieces are limited to the u_n evaluator, the moment map, the exact
-Porod rule and the word enumeration order (the block vectors of
-``words._compositions``), none of which carry the summation logic under
-test.  The words are objects here (``UIrrepWord`` and ``WreathWord``,
-yielded one at a time by ``enumerate_unitary`` and ``enumerate_wreath``),
-which no engine builds, and a unitary word's log dimension and log
-|coefficient| (``dim_unitary``, ``coeff_unitary``) are formed one word at a
-time.
+Shared pieces are limited to the u_n evaluator, the moment map and the
+exact Porod rule, none of which carry the summation logic under test; the
+block vectors in enumeration order (``_compositions``, lexicographic) are
+built here, and no engine reads them.  The words are objects here
+(``UIrrepWord`` and ``WreathWord``, yielded one at a time by
+``enumerate_unitary`` and ``enumerate_wreath``), which no engine builds,
+and a unitary word's log dimension and log |coefficient|
+(``dim_unitary``, ``coeff_unitary``) are formed one word at a time.
 ``winding_log_partial`` is the general-nu partial the engine ran before its
 parity-class rewrite, a dynamic program over the winding state, kept as an
 independent reference for that rewrite, and
 ``mixture_word_loop_log_partial`` is the mixture partial the engine summed
-word by word before its array passes.  ``log_u_floats`` is the one-t
+word by word before its array passes, and ``mixture_pass_log_partial`` the
+one it summed in one array pass per block count over ``_compositions``
+before it built the block vectors level by level, the bitwise reference
+for that engine.  ``log_u_floats`` is the one-t
 ``u_seq`` loop with one ``math.log`` per entry, the libm reference for the
 ``np.log`` that both ``u_seq`` paths now take, and ``verify_scalar_margins``
 evaluates every ``verify`` margin one grid point at a time in math-module
@@ -42,7 +45,14 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from qgcutoff import verify as V
-from qgcutoff.bounds import threshold_C, wreath_certificate_threshold
+from qgcutoff.bounds import (
+    _in_blocks,
+    _log_power,
+    _row_logsumexp,
+    _winding_exponents,
+    threshold_C,
+    wreath_certificate_threshold,
+)
 from qgcutoff.numerics import _Q_DOMAIN_EPS, _U_SWITCH, _exp, lambda_moment, logsumexp, q_of, u_seq
 from qgcutoff.structures import (
     CircleMeasure,
@@ -55,7 +65,6 @@ from qgcutoff.structures import (
     tau_theta,
     trace_modulus,
 )
-from qgcutoff.words import _compositions
 
 _ROOT = Path(__file__).resolve().parents[1]
 
@@ -97,6 +106,25 @@ class UIrrepWord:
         """Total winding exponent carried by the z factors of the word."""
         seq = self.eps_sequence()
         return min(self.eps0, 0) + sum(seq[:-1]) + max(seq[-1], 0)
+
+
+def _compositions(total_max: int, parts: int) -> np.ndarray:
+    """All vectors of ``parts`` entries >= 1 with sum <= total_max, in
+    lexicographic order, as the rows of an int array of shape
+    (C(total_max, parts), parts).
+
+    Built one entry at a time: every prefix is repeated once for each value
+    its next entry can take, 1 up to what leaves one for each entry after it.
+    """
+    out = np.zeros((1, 0), dtype=np.int64)
+    used = np.zeros(1, dtype=np.int64)
+    for i in range(parts):
+        room = np.maximum(total_max - (parts - 1 - i) - used, 0)
+        prefix = np.repeat(np.arange(used.size), room)
+        entry = np.arange(1, prefix.size + 1) - np.repeat(np.cumsum(room) - room, room)
+        out = np.column_stack([out[prefix], entry])
+        used = used[prefix] + entry
+    return out
 
 
 def enumerate_unitary(max_total: int, max_p: int) -> Iterator[UIrrepWord]:
@@ -516,6 +544,45 @@ def mixture_word_loop_log_partial(N: int, ks: Sequence[float], max_total: int, m
     mods = np.array(log_mod)
     # at k = 0 every coefficient power is 1, vanishing ones included
     return [logsumexp((dims if k == 0.0 else dims + 2.0 * k * mods).tolist()) for k in ks]
+
+
+def mixture_pass_log_partial(N: int, ks: Sequence[float], max_total: int, max_p: int) -> np.ndarray:
+    """The mixture partial at every k in ``ks`` as the engine summed it
+    before its levels: one array pass per block count p over the block
+    vectors ``_compositions(max_total, p)``, in blocks of ``_in_blocks``,
+    each node product formed from its p gathers in block order and each
+    word's |e| from a parity cumprod, then the same per-row sums."""
+    M, P = max_total, max_p
+    D = (M + P) // 2
+    L = 2 * D + 1
+    theta, wq = porod_rule(N, D)
+    tvec = np.array([trace_modulus(N, th) for th in theta])
+    beta = np.array([arg_trace(N, th) for th in theta])
+    log_u_N = u_seq(float(N), M)
+    R = u_seq(tvec, M)
+    R -= log_u_N[:, np.newaxis]
+    np.exp(R, out=R)
+    cos = np.cos(np.arange(P + 1)[:, np.newaxis] * beta)
+
+    def word_terms(vectors: np.ndarray) -> np.ndarray:
+        prod = wq * R[vectors[:, 0]]
+        log_dim = log_u_N[vectors[:, 0]]
+        for j in range(1, vectors.shape[1]):
+            prod *= R[vectors[:, j]]
+            log_dim = log_dim + log_u_N[vectors[:, j]]
+        sign = np.where(vectors % 2 == 1, 1, -1).cumprod(axis=1)
+        e = _winding_exponents(sign[:, :-1].sum(axis=1), sign[:, -1])
+        with np.errstate(divide="ignore"):
+            log_mod = np.log(np.abs(np.einsum("bl,bl->b", prod, cos[e])))
+        return np.column_stack([2.0 * log_dim, log_mod])
+
+    per_vector = np.concatenate([_in_blocks(word_terms, 2 * L, _compositions(M, p)) for p in range(1, P + 1)])
+    dims, mods = per_vector[:, 0], per_vector[:, 1]
+
+    def sums(two_k: np.ndarray) -> np.ndarray:
+        return _row_logsumexp(dims + _log_power(two_k[:, np.newaxis], mods))
+
+    return math.log(2.0) + _in_blocks(sums, dims.size, 2.0 * np.asarray(ks, dtype=float))
 
 
 def resolvent_log_recurrence(step: np.ndarray) -> np.ndarray:

@@ -52,6 +52,7 @@ from oracles import (
     tv_lower_reference,
     tv_upper_reference,
     mixture_log_partial,
+    mixture_pass_log_partial,
     mixture_word_loop_log_partial,
     resolvent_log_recurrence,
     unitary_log_partial,
@@ -289,6 +290,20 @@ def test_mixture_partial_matches_the_word_loop(N, max_p, max_total):
     W = count_unitary(max_total, max_p)
     for k, g, w in zip(ks, got, want):
         assert abs(g - w) <= 2.0 * k * L * 2.0**-52 + 1e-13 + W * 2.0**-53, (k, g, w)
+
+
+@pytest.mark.parametrize("N", [12, 100, 300, 2**20])
+def test_mixture_levels_match_the_per_block_count_pass_bit_for_bit(N):
+    # each level extends the one before it, with the same products, sums
+    # and order as one pass per block count over its block vectors, so
+    # every partial keeps its bits; (7, 17) holds the largest level of any
+    # admissible truncation, (1, 2046) the largest ratio table
+    q = WalkQuery.mixture(N)
+    ks = [0.0, 0.5, 1.0, nominal_cutoff(q), nominal_cutoff(q) + N, 1e300]
+    for max_p, max_total in [(1, 1), (3, 3), (5, 10), (6, 16), (7, 17), (2, 300), (1, 2046)]:
+        got = A_k_grid(q, ks, TruncationConfig(max_p=max_p, max_total=max_total)).log_partial
+        want = mixture_pass_log_partial(N, ks, max_total, max_p)
+        assert got.tobytes() == want.tobytes(), (max_p, max_total)
 
 
 def test_mixture_partial_does_not_depend_on_the_block_size(monkeypatch):

@@ -13,6 +13,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -752,6 +753,29 @@ def test_mixture_outputs_carry_no_quadrature_size_or_notes(capsys):
     assert "quadrature" not in doc["certificate"]
 
 
+# the peak traced memory of one warm profile at N = 300 when the engine
+# made one array pass per block count: (2, 300) 3.08 MB, (1, 2046) 34.06 MB
+# (its ratio table is 33.5 MB) and (7, 17) 3.21 MB, to which the levels held
+# whole may add one level of 12 376 block vectors on 25 nodes, the largest
+# of any admissible truncation
+@pytest.mark.parametrize("max_p, max_total, bound", [
+    (2, 300, 3.1e6),
+    (1, 2046, 34.1e6),
+    (7, 17, 3.21e6 + 12376 * 25 * 8),
+])
+def test_mixture_profile_memory_stays_in_blocks(max_p, max_total, bound):
+    argv = ["profile", "--family", "mixture", "--N", "300", "--c-range", "0.5:1.5:1",
+            "--max-p", str(max_p), "--max-total", str(max_total), "--output", os.devnull]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, peak
+
+
 @pytest.mark.parametrize("argv", [
     ["bound", *_WALK, "--c", "3"],
     ["profile", *_WALK, "--c-range", "2:3:1"],
@@ -1178,12 +1202,15 @@ def test_importing_the_cli_leaves_argparse_gettext_and_locale_unloaded():
 
 def test_verify_and_bound_import_nothing_past_the_cli(tmp_path):
     # a module imported on first use costs its import in each fresh process;
-    # np.unique's first call, for one, imports numpy.ma (about 10 ms)
+    # np.unique's first call, for one, imports numpy.ma (about 10 ms).  The
+    # mixture profile is the benchmark pass's first command, run cold
     src = os.path.dirname(os.path.dirname(qgcutoff.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = (
         "import sys, qgcutoff.cli\n"
         "before = set(sys.modules)\n"
+        "assert qgcutoff.cli.main(['profile', '--family', 'mixture', '--N', '100', '--c-range', '0.5:1.5:1',"
+        " '--output', 'm.csv']) == 0\n"
         "assert qgcutoff.cli.main(['verify', '--suite', 'all', '--report', 'r.json', '--output', 'v.txt']) == 0\n"
         "assert qgcutoff.cli.main(['bound', '--family', 'unitary', '--N', '200', '--tau', '2', '--nu', 'porod',"
         " '--c', '1', '--output', 'b.json']) == 0\n"

@@ -17,7 +17,6 @@ from qgcutoff.structures import (
     porod_nodes,
 )
 from qgcutoff.words import (
-    _compositions,
     chi2_expectation_unitary,
     chi2_expectation_wreath,
     chi_expectation_mixture,
@@ -26,7 +25,15 @@ from qgcutoff.words import (
     eval_state_params,
 )
 
-from oracles import UIrrepWord, WreathWord, coeff_unitary, dim_unitary, enumerate_unitary, enumerate_wreath
+from oracles import (
+    UIrrepWord,
+    WreathWord,
+    _compositions,
+    coeff_unitary,
+    dim_unitary,
+    enumerate_unitary,
+    enumerate_wreath,
+)
 
 
 # ---------------------------------------------------------------------------
