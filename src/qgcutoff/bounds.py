@@ -119,10 +119,13 @@ MAX_MIXTURE_WORDS = 100_000
 # Most blocks a truncation accepts.  The parity-class table of the words of
 # at most P blocks holds P (P + 3) / 2 rows of P slots, about P^3 / 2, each
 # a float log C and an int stop column (2.2 MB at P = 64, 457 MB at
-# P = 384); with Haar nu, (64, 64) takes about 0.02 s and 36 MB the first
-# call in a process, (64, 4096) about 1.1 s and 42 MB.  Only the mixture
-# and a general nu read max_p, and a truncation never stores one above its
-# max_total: a point mass and the wreath sum every block count that fits it.
+# P = 384), built from the walk's closed form in about 0.4 ms at P = 12
+# and 10-15 ms at P = 64 the first call in a process; with Haar nu,
+# (64, 64) takes about 0.015 s and 37 MB the first call, (64, 4096) about
+# 0.8-1.0 s and 42 MB (fresh processes on a 2-vCPU x86-64 VM).  Only the
+# mixture and a general nu read max_p, and a truncation never stores one
+# above its max_total: a point mass and the wreath sum every block count
+# that fits it.
 MAX_P = 64
 # Most entries, (max_total + 1) * L, of the mixture's per-node u_n ratio table
 # on L = 2 ((max_total + max_p) // 2) + 1 rule nodes (the default (5, 10)
@@ -748,31 +751,29 @@ def _log_resolvent(step: np.ndarray) -> np.ndarray:
 # unitary family
 
 
-def _winding_exponents(T: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """|e| for the winding exponent e = T + [sigma > 0] of the eps0 = +1
-    word, T the sum of its signs eps_1 .. eps_{p-1} and sigma = eps_p its
-    last, so |e| <= p.  The eps0 = -1 word, its conjugate, flips every sign:
-    exponent -1 - T + [sigma < 0] = -e, the same dimension, |m_{-e}| = |m_e|."""
-    return np.abs(T + (sigma > 0))
-
-
 @dataclass(frozen=True)
 class _ParityClasses:
     """The words of at most P blocks, grouped by their parity sequence, as
     one dense table with a row per (a, b) pair.
 
-    Odd blocks keep the sign and even blocks flip it, the first sign being
-    + for an odd block and - for an even one, and T is the sum of the signs
-    before the last block.  So the last sign sigma = (-1)^b and T depend
-    only on the parities: C(a, b, T) counts the parity sequences with a odd
-    and b even blocks that end at T.  The rows are the pairs in
-    (L = a + b, a) order.  A word of L blocks has T = 2j - (L - 1) with
-    0 <= j < L, and column j of its row holds that T; the columns j >= L,
-    and every class with C = 0, hold log C = -inf.
+    An eps0 = +1 word is a walk on Z that starts at 0 heading up: an odd
+    block steps once along the heading and an even block turns, so the walk
+    ends at the word's winding exponent e.  The b even blocks cut the a odd
+    ones into b // 2 + 1 runs heading up, the first possibly empty, and
+    (b + 1) // 2 heading down, so the class (a, b, e), whose d = (a - e) / 2
+    odd blocks head down, holds
+
+        C(a - d + up - 1, up - 1) C(d + down - 1, down - 1)
+
+    parity sequences (up and down the run counts; d = 0 alone when b = 0).
+    The rows are the pairs in (L = a + b, a) order.  Column j of a row holds
+    T = 2j - (L - 1), the sum of the signs before the last block, so
+    e = T + [b even]; the slots of no class, the columns j >= L among them,
+    hold log C = -inf.
     """
 
     log_count: np.ndarray  # (pairs, P): log C per slot
-    stop: np.ndarray  # (pairs, P): |e| of each slot (``_winding_exponents``)
+    stop: np.ndarray  # (pairs, P): |e| of each slot, 0 in the columns j >= L
     pair_a: np.ndarray  # a of each pair
     pair_b: np.ndarray  # b of each pair
 
@@ -780,32 +781,25 @@ class _ParityClasses:
 @functools.lru_cache(maxsize=None)
 def _parity_classes(P: int) -> _ParityClasses:
     """The parity classes of the words of at most P blocks, built once per
-    P by a dynamic program over the word length L and shared, hence
-    read-only."""
-    width, off = 2 * P - 1, P - 1
+    P from the walk's closed form, with exact integer counts each rounded
+    once, and shared, hence read-only."""
     # the pairs (a, L - a), 0 <= a <= L <= P, in (L, a) order
     lengths = np.repeat(np.arange(1, P + 1), np.arange(2, P + 2))
     a = np.arange(lengths.size) - (lengths - 1) * (lengths + 2) // 2
+    b = lengths - a
+    # slot (pair, j): the walk's end e and its d odd blocks heading down
+    j = np.arange(P)
+    e = 2 * j - (lengths - 1 - (b % 2 == 0))[:, np.newaxis]
+    d = (a[:, np.newaxis] - e) // 2
+    rows, cols = np.nonzero((d >= 0) & (d <= np.where(b > 0, a, 0)[:, np.newaxis]))
+    comb = np.array([[math.comb(n, k) for k in range(P + 1)] for n in range(P + 1)], dtype=object)
+    up, down, d = b[rows] // 2 + 1, (b[rows] + 1) // 2, d[rows, cols]
+    # C(d + down - 1, d), which is 1 at d = down = 0
+    count = comb[a[rows] - d + up - 1, up - 1] * comb[np.maximum(d + down - 1, 0), d]
     log_count = np.full((lengths.size, P), -math.inf)
-    stop = np.zeros((lengths.size, P), dtype=np.intp)
-    # count[a, T + off] for the words of length L, which have b = L - a
-    count = np.zeros((P + 1, width))
-    count[0, off] = count[1, off] = 1.0
-    for L in range(1, P + 1):
-        if L > 1:
-            # the sign before the new block moves T: + for even b = L - 1 - a
-            plus = (L - 1) % 2
-            moved = np.zeros_like(count)
-            moved[plus::2, 1:] = count[plus::2, :-1]
-            moved[1 - plus :: 2, :-1] = count[1 - plus :: 2, 1:]
-            count = moved.copy()  # an even block: a stays
-            count[1:] += moved[:-1]  # an odd block: a + 1
-        # column j holds T = 2j - (L - 1), and the last sign is sigma = (-1)^b
-        rows = lengths == L
-        with np.errstate(divide="ignore"):
-            log_count[rows, :L] = np.log(count[: L + 1, off - (L - 1) : off + L : 2])
-        stop[rows, :L] = _winding_exponents(np.arange(-(L - 1), L, 2), (-1) ** (L - a[rows, np.newaxis]))
-    classes = _ParityClasses(log_count, stop, a, lengths - a)
+    log_count[rows, cols] = np.log(count.astype(float))
+    stop = np.where(j < lengths[:, np.newaxis], np.abs(e), 0)
+    classes = _ParityClasses(log_count, stop, a, b)
     for arr in vars(classes).values():
         arr.flags.writeable = False
     return classes
@@ -872,8 +866,11 @@ def _unitary_intervals(q: WalkQuery, ks: np.ndarray, tc: TruncationConfig) -> In
     Any other nu sums the words of at most max_p blocks by parity class
     (``_parity_log_partials``), also in one pass for the whole grid, from
     the powers of the odd and even blocks of G and the moments m_e(nu),
-    0 <= e <= max_p (a word and its conjugate weigh the same), and its tail
-    is the composition tail, under the same hypothesis x + S < 1.
+    0 <= e <= max_p (a word and its conjugate weigh the same).  A word's
+    winding exponent e is where its walk ends, a step per odd block and a
+    turn per even one, so each class (a, b, e) counts its parity sequences
+    in closed form (``_ParityClasses``).  The tail is the composition tail,
+    under the same hypothesis x + S < 1.
     """
     if q.theta is not None:
         t, nu = eval_state_params(q.N, q.theta)
@@ -953,11 +950,13 @@ def _mixture_intervals(q: WalkQuery, ks: np.ndarray, tc: TruncationConfig) -> In
     lexicographic order), made in blocks of consecutive children so that
     memory does not grow with the words times L.  A child's node product is
     its parent's times R[n], so wq R[n_1] ... R[n_p] in block order, twice
-    its log dim its parent's plus 2 log u_n(N) (doubling is exact), and the
-    parent's sign sum and last sign give the eps0 = +1 word's |e|; its
-    average against row |e| of a table of cos(e beta), 0 <= e <= P, is one
-    ``np.einsum`` (no BLAS, so no thread count moves a digit, and each
-    average is one sum over the nodes whatever the block).  As the Porod
+    its log dim its parent's plus 2 log u_n(N) (doubling is exact), and its
+    walk (``_ParityClasses``) its parent's, one step along the heading for
+    an odd n and a turn for an even one, ending at the eps0 = +1 word's
+    winding exponent e; its average against row |e| of a table of
+    cos(e beta), 0 <= e <= P, is one ``np.einsum`` (no BLAS, so no thread
+    count moves a digit, and each average is one sum over the nodes
+    whatever the block).  As the Porod
     law is symmetric and beta odd, each average is real and the conjugate
     eps0 = -1 word, of exponent -e, has the same: each k sums d^2 |c|^{2k}
     over the eps0 = +1 words, one ``_row_logsumexp`` a grid row, and adds
@@ -997,14 +996,15 @@ def _mixture_intervals(q: WalkQuery, ks: np.ndarray, tc: TruncationConfig) -> In
     # cos e beta for the exponents 0 <= e <= P of an eps0 = +1 word: row e
     cos = np.cos(np.arange(P + 1)[:, np.newaxis] * beta)
 
-    # eps_j = eps_{j-1} block_sign[n_j]: an odd block keeps the sign, an even one flips it
-    block_sign = np.where(np.arange(M + 1) % 2 == 1, 1, -1)
+    # an odd block steps once along the walk's heading, an even one turns it
+    odd = np.arange(M + 1) % 2
+    turn = 2 * odd - 1
     two_log_u_N = 2.0 * log_u_N
     # per eps0 = +1 word, level by level: 2 log dim, log |coefficient| (-inf if 0)
     dims, mods = np.empty(terms // 2), np.empty(terms // 2)
     # the parents, block vectors of p - 1 blocks, from the vector of no blocks:
-    # node products, room M - total, sign sums eps_1 + ..., last signs, dims
-    prod, room, sign_sum, last_sign = wq[np.newaxis], np.array([M]), np.zeros(1, np.int64), np.ones(1, np.int64)
+    # node products, room M - total, walk positions and headings, dims
+    prod, room, position, heading = wq[np.newaxis], np.array([M]), np.zeros(1, np.int64), np.ones(1, np.int64)
     parent_dims, done, step = np.zeros(1), 0, _block_len(2 * L)
     with np.errstate(divide="ignore"):
         for p in range(1, P + 1):
@@ -1022,15 +1022,16 @@ def _mixture_intervals(q: WalkQuery, ks: np.ndarray, tc: TruncationConfig) -> In
                 node *= R[n]
                 at = slice(done + lo, done + hi)
                 np.add(parent_dims[parent], two_log_u_N[n], out=dims[at])
-                T, sigma = sign_sum[parent], last_sign[parent] * block_sign[n]
-                np.log(np.abs(np.einsum("bl,bl->b", node, cos[_winding_exponents(T, sigma)])), out=mods[at])
+                head = heading[parent]
+                e = position[parent] + odd[n] * head
+                np.log(np.abs(np.einsum("bl,bl->b", node, cos[np.abs(e)])), out=mods[at])
                 if hold:
-                    for held, value in zip(children, (node, left, T + sigma, sigma)):
+                    for held, value in zip(children, (node, left, e, head * turn[n])):
                         held[lo:hi] = value
             parent_dims = dims[done : done + size]
             done += size
             if hold:
-                prod, room, sign_sum, last_sign = children
+                prod, room, position, heading = children
 
     def sums(two_k: np.ndarray) -> np.ndarray:
         return _row_logsumexp(dims + _log_power(two_k[:, np.newaxis], mods))

@@ -1,5 +1,5 @@
-"""Scalar numerics shared by every bound: log-domain sums and the small zoo
-of special functions attached to quantum dimension theory.
+"""Scalar numerics shared by every bound: the small zoo of special
+functions attached to quantum dimension theory.
 
 The central objects are
 
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Iterable
 
 import numpy as np
 
@@ -45,7 +44,6 @@ __all__ = [
     "u_seq",
     "wallis",
     "lambda_moment",
-    "logsumexp",
     "log1mexp",
 ]
 
@@ -68,23 +66,6 @@ _U_BLOCK = 4096
 # q_of returns 1 / t above this t: t * t overflows past 2**512, and the
 # formula is bitwise 1 / t from about 2**28 on.
 _Q_RECIPROCAL_FROM = 2.0**511
-
-
-def logsumexp(items: Iterable[float]) -> float:
-    """log(sum(exp(x) for x in items)) with max-shift; -inf for an empty sum.
-
-    Deterministic: accumulates in the iteration order of ``items``.
-    """
-    xs = [x for x in items if x != -math.inf]
-    if not xs:
-        return -math.inf
-    hi = max(xs)
-    if hi == math.inf:
-        return math.inf
-    acc = 0.0
-    for x in xs:
-        acc += math.exp(x - hi)
-    return hi + math.log(acc)
 
 
 # the largest argument at which libm's exp is finite

@@ -14,10 +14,15 @@ t in [0, N) and a circle measure nu has normalized character value
     m_eps(nu) * prod_i u_{n_i}(t) / u_{n_i}(N),
 
 where eps = [eps0]_- + eps_1 + ... + eps_{p-1} + [eps_p]_+ is the total
-winding exponent picked up by the z factors.  The word of leading sign
-eps0 = -1 flips every sign of the eps0 = +1 word with the same blocks and is
-its conjugate word: the same dimension, winding exponent -eps, and a
-conjugate character value, since m_{-eps}(nu) is the conjugate of m_eps(nu).
+winding exponent picked up by the z factors.  Read as a walk on Z from 0,
+heading up for eps0 = +1 and down for eps0 = -1, an odd block steps once
+along the heading and an even block turns it, and the walk ends at eps:
+block i moves it by (eps_{i-1} + eps_i) / 2, which is eps_{i-1} for an
+odd n_i and 0 for an even one, and these moves sum to eps.  The word of
+leading sign eps0 = -1 flips every sign of the eps0 = +1 word with the same
+blocks and is its conjugate word: the same dimension, winding exponent
+-eps, and a conjugate character value, since m_{-eps}(nu) is the conjugate
+of m_eps(nu).
 
 Free wreath family (a finite group Gamma wreathed with the quantum
 permutation group).  Nontrivial characters are words

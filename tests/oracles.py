@@ -6,10 +6,11 @@ parity classes, convolution folding, array passes and tail machinery.
 Shared pieces are limited to the u_n evaluator, the moment map and the
 exact Porod rule, none of which carry the summation logic under test; the
 block vectors in enumeration order (``_compositions``, lexicographic) are
-built here, and no engine reads them.  The words are objects here
-(``UIrrepWord`` and ``WreathWord``, yielded one at a time by
-``enumerate_unitary`` and ``enumerate_wreath``), which no engine builds,
-and a unitary word's log dimension and log |coefficient|
+built here, and no engine reads them, and so is ``logsumexp``, the
+scalar log-sum-exp in iteration order that the word sums accumulate with.
+The words are objects here (``UIrrepWord`` and ``WreathWord``, yielded one
+at a time by ``enumerate_unitary`` and ``enumerate_wreath``), which no
+engine builds, and a unitary word's log dimension and log |coefficient|
 (``dim_unitary``, ``coeff_unitary``) are formed one word at a time.
 ``winding_log_partial`` is the general-nu partial the engine ran before its
 parity-class rewrite, a dynamic program over the winding state, kept as an
@@ -40,7 +41,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,11 +50,10 @@ from qgcutoff.bounds import (
     _in_blocks,
     _log_power,
     _row_logsumexp,
-    _winding_exponents,
     threshold_C,
     wreath_certificate_threshold,
 )
-from qgcutoff.numerics import _Q_DOMAIN_EPS, _U_SWITCH, _exp, lambda_moment, logsumexp, q_of, u_seq
+from qgcutoff.numerics import _Q_DOMAIN_EPS, _U_SWITCH, _exp, lambda_moment, q_of, u_seq
 from qgcutoff.structures import (
     CircleMeasure,
     FiniteGroup,
@@ -67,6 +67,23 @@ from qgcutoff.structures import (
 )
 
 _ROOT = Path(__file__).resolve().parents[1]
+
+
+def logsumexp(items: Iterable[float]) -> float:
+    """log(sum(exp(x) for x in items)) with max-shift; -inf for an empty sum.
+
+    Deterministic: accumulates in the iteration order of ``items``.
+    """
+    xs = [x for x in items if x != -math.inf]
+    if not xs:
+        return -math.inf
+    hi = max(xs)
+    if hi == math.inf:
+        return math.inf
+    acc = 0.0
+    for x in xs:
+        acc += math.exp(x - hi)
+    return hi + math.log(acc)
 
 
 @dataclass(frozen=True)
@@ -551,7 +568,9 @@ def mixture_pass_log_partial(N: int, ks: Sequence[float], max_total: int, max_p:
     before its levels: one array pass per block count p over the block
     vectors ``_compositions(max_total, p)``, in blocks of ``_in_blocks``,
     each node product formed from its p gathers in block order and each
-    word's |e| from a parity cumprod, then the same per-row sums."""
+    word's |e| = |T + [sigma > 0]| from the cumprod of its signs (T their
+    sum before the last block, sigma the last), then the same per-row
+    sums."""
     M, P = max_total, max_p
     D = (M + P) // 2
     L = 2 * D + 1
@@ -571,7 +590,7 @@ def mixture_pass_log_partial(N: int, ks: Sequence[float], max_total: int, max_p:
             prod *= R[vectors[:, j]]
             log_dim = log_dim + log_u_N[vectors[:, j]]
         sign = np.where(vectors % 2 == 1, 1, -1).cumprod(axis=1)
-        e = _winding_exponents(sign[:, :-1].sum(axis=1), sign[:, -1])
+        e = np.abs(sign[:, :-1].sum(axis=1) + (sign[:, -1] > 0))
         with np.errstate(divide="ignore"):
             log_mod = np.log(np.abs(np.einsum("bl,bl->b", prod, cos[e])))
         return np.column_stack([2.0 * log_dim, log_mod])

@@ -30,7 +30,7 @@ from qgcutoff.bounds import (
     wreath_certificate_threshold,
 )
 from qgcutoff import bounds, cli, structures
-from qgcutoff.numerics import _exp, logsumexp, u_seq
+from qgcutoff.numerics import _exp, u_seq
 from qgcutoff.structures import (
     CircleMeasure,
     GroupState,
@@ -48,6 +48,7 @@ from oracles import (
     enumerate_unitary,
     enumerate_wreath,
     interval_rows,
+    logsumexp,
     reference_intervals,
     tv_lower_reference,
     tv_upper_reference,
@@ -499,13 +500,21 @@ def test_point_mass_shortcut_equals_parity_partial():
         assert shortcut == pytest.approx(general.tolist(), rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("P", range(1, 8))
+@pytest.mark.parametrize("P", range(1, 11))
 def test_parity_classes_match_brute_force_enumeration(P):
     # every parity sequence of at most P blocks, as a word of blocks 1
     # (odd) and 2 (even), tallied by (a, b, T) with its last sign sigma
     counts, sigmas, exponents = {}, {}, {}
     for L in range(1, P + 1):
         for ns in itertools.product((1, 2), repeat=L):
+            # the walk from 0 heading up: an odd block steps, an even one turns
+            position, heading = 0, 1
+            for n in ns:
+                if n == 1:
+                    position += heading
+                else:
+                    heading = -heading
+            assert position == UIrrepWord(ns, 1).z_exponent(), ns
             signs = UIrrepWord(ns, 1).eps_sequence()
             key = (ns.count(1), ns.count(2), sum(signs[:-1]))
             counts[key] = counts.get(key, 0) + 1

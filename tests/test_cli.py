@@ -1200,6 +1200,17 @@ def test_importing_the_cli_leaves_argparse_gettext_and_locale_unloaded():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
+def test_running_the_cli_as_a_module_writes_nothing_to_stderr():
+    # runpy warns on stderr when the package has imported qgcutoff.cli
+    # before ``python -m qgcutoff.cli`` executes it
+    src = os.path.dirname(os.path.dirname(qgcutoff.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "qgcutoff.cli", "thresholds", "--tau", "2"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout
+
+
 def test_verify_and_bound_import_nothing_past_the_cli(tmp_path):
     # a module imported on first use costs its import in each fresh process;
     # np.unique's first call, for one, imports numpy.ma (about 10 ms).  The

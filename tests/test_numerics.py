@@ -21,13 +21,12 @@ from qgcutoff.numerics import (
     _exp_each,
     lambda_moment,
     log1mexp,
-    logsumexp,
     q_of,
     u_seq,
     wallis,
 )
 
-from oracles import log_u_floats
+from oracles import log_u_floats, logsumexp
 
 
 # ---------------------------------------------------------------------------
